@@ -58,7 +58,11 @@ weighted aggregation, graceful degradation by live fraction.
 ``--quorum`` the live-fraction floor below which merging stops.
 
 Exit codes: ``0`` success, ``1`` configuration or runtime error,
-``3`` injected server kill (resume with ``--checkpoint``/``--resume``),
+``2`` usage error (unparseable flags, or ``--async`` combined with an
+option the async plane cannot honour: ``--topology``, ``--selection``,
+``--guard``, ``--quarantine``, ``--churn``, a non-serial ``--backend``,
+``--flight-out``), ``3`` injected server kill (resume with
+``--checkpoint``/``--resume``),
 ``4`` the run completed but ended *fully degraded* — every guarded
 device finished on its fallback governor, ``5`` a regression gate
 failed (``obs-diff --fail-on-regression`` or ``bench --gate``),
@@ -749,6 +753,10 @@ def _build_hier_context(args):
     )
 
 
+class _UsageError(Exception):
+    """Flags that parse one by one but cannot be combined (exit 2)."""
+
+
 def _add_controlplane_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--async",
@@ -796,7 +804,14 @@ def _build_controlplane_context(args):
     if not getattr(args, "async_mode", False):
         return nullcontext()
     from repro.controlplane import controlplane, parse_buffer_spec
+    from repro.experiments.training import _reject_async_unsupported
 
+    # Built last in the ``with`` chain, so the execution/guard/hierarchy
+    # contexts the other flags activated are already ambient here.
+    try:
+        _reject_async_unsupported(flight=getattr(args, "flight_out", "") or None)
+    except ConfigurationError as error:
+        raise _UsageError(f"--async: {error}") from None
     buffer_parts = parse_buffer_spec(args.upload_buffer)
     return controlplane(
         enabled=True,
@@ -907,6 +922,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
         return 6
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

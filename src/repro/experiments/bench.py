@@ -215,7 +215,7 @@ def _bench_parallel(
             assignments,
             config,
             backend=backend,
-            workers=effective_workers if backend != "serial" else None,
+            workers=effective_workers,
             profiler=profiler,
         )
         elapsed = perf_counter() - start
@@ -369,13 +369,13 @@ def _bench_fleet(
                     timed_rounds,
                 ),
             }
-        if fleet_backend != "serial":
+        for compared in backends[1:]:  # everything after the serial reference
             serial_entry = entry["serial"]
-            other = entry[fleet_backend]
-            entry[f"speedup_train_{fleet_backend}"] = (
+            other = entry[compared]
+            entry[f"speedup_train_{compared}"] = (
                 other["train_steps_per_s"] / serial_entry["train_steps_per_s"]
             )
-            entry[f"speedup_control_{fleet_backend}"] = (
+            entry[f"speedup_control_{compared}"] = (
                 other["control_steps_per_s"]
                 / serial_entry["control_steps_per_s"]
             )

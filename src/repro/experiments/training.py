@@ -14,15 +14,15 @@ so every figure/table module consumes one uniform structure.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.control.base import PowerController
 from repro.control.neural import NeuralPowerController, build_neural_controller
 from repro.control.profit import CollabProfitController, build_profit_controller
-from repro.control.runtime import ControlSession
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.evaluation import PolicyEvaluator, RoundEvaluation
 from repro.experiments.scenarios import evaluation_applications
@@ -32,10 +32,7 @@ from repro.faults.plan import FaultPlan, PlanFaultInjector, chain_injectors
 from repro.faults.recovery import (
     CheckpointConfig,
     RunSnapshot,
-    capture_device_state,
     load_snapshot,
-    restore_device_state,
-    restore_session_state,
     run_fingerprint,
     save_snapshot,
 )
@@ -181,44 +178,27 @@ def _power_accounting(
     trace: TraceRecorder,
     assignments: Dict[str, Tuple[str, ...]],
     power_limit_w: float,
+    prior: Optional[RunSnapshot] = None,
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Per-device ``(violations, steps)`` counted over the trace rows."""
-    violations = {name: 0 for name in assignments}
-    steps = {name: 0 for name in assignments}
+    """Per-device ``P > P_crit`` ``(violations, steps)`` over the trace.
+
+    Counted over the *training* steps (the same rows the flight
+    recorder sees), so the two sources must agree — an integration
+    test cross-checks them. A resumed run's trace only holds the rows
+    produced since the checkpoint; ``prior`` (the snapshot it resumed
+    from) carries the counts for the rows consumed before the kill, so
+    run totals match an uninterrupted run and chained resumes keep
+    reporting run totals.
+    """
+    prior_violations = prior.prior_power_violations if prior is not None else {}
+    prior_steps = prior.prior_power_steps if prior is not None else {}
+    violations = {name: prior_violations.get(name, 0) for name in assignments}
+    steps = {name: prior_steps.get(name, 0) for name in assignments}
     for record in trace:
         steps[record.device] = steps.get(record.device, 0) + 1
         if record.power_w > power_limit_w:
             violations[record.device] = violations.get(record.device, 0) + 1
     return violations, steps
-
-
-def _account_power_violations(
-    run_result: FederatedRunResult,
-    trace: TraceRecorder,
-    assignments: Dict[str, Tuple[str, ...]],
-    power_limit_w: float,
-    prior_snapshot: Optional[RunSnapshot] = None,
-) -> None:
-    """Fill the per-device ``P > P_crit`` accounting from the trace.
-
-    Counted over the *training* steps (the same rows the flight
-    recorder sees), so the two sources must agree — an integration
-    test cross-checks them. A resumed run's trace only holds the rows
-    produced since the checkpoint; ``prior_snapshot`` carries the
-    counts for the rows consumed before the kill, so run totals match
-    an uninterrupted run.
-    """
-    violations, steps = _power_accounting(trace, assignments, power_limit_w)
-    if prior_snapshot is not None:
-        for name in assignments:
-            violations[name] = violations.get(name, 0) + (
-                prior_snapshot.prior_power_violations.get(name, 0)
-            )
-            steps[name] = steps.get(name, 0) + (
-                prior_snapshot.prior_power_steps.get(name, 0)
-            )
-    run_result.power_violations_by_device = violations
-    run_result.power_steps_by_device = steps
 
 
 @dataclass
@@ -458,30 +438,6 @@ def _build_federated_server(
     )
 
 
-def _wrap_guarded_controllers(
-    controllers: Dict[str, PowerController],
-    environments: Dict[str, DeviceEnvironment],
-    watchdog_cfg: WatchdogConfig,
-    config: FederatedPowerControlConfig,
-) -> None:
-    """Wrap each neural controller in the safety watchdog, in place.
-
-    Controllers restored from a checkpoint may already be wrapped (the
-    snapshot captures the guarded object whole) — those keep their
-    accumulated trip history instead of being re-wrapped.
-    """
-    for name, controller in controllers.items():
-        if isinstance(controller, GuardedController):
-            continue
-        controllers[name] = guard_controller(
-            controller,
-            environments[name].device.opp_table,
-            config=watchdog_cfg,
-            device_name=name,
-            power_limit_w=config.power_limit_w,
-        )
-
-
 def _publish_guard_summary(
     controllers: Dict[str, PowerController],
     run_result: FederatedRunResult,
@@ -561,7 +517,6 @@ def _save_run_snapshot(
     server: FederatedServer,
     blobs: Dict[str, bytes],
     result: "TrainingResult",
-    trace: TraceRecorder,
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     quarantine: Optional[QuarantineManager] = None,
@@ -573,14 +528,12 @@ def _save_run_snapshot(
     quarantine screen active, its reputations/bans ride along so a
     resumed run keeps punishing the same offenders.
     """
-    violations, steps = _power_accounting(trace, assignments, config.power_limit_w)
-    prior = resilience.snapshot
-    if prior is not None:
-        for name in assignments:
-            violations[name] = violations.get(name, 0) + (
-                prior.prior_power_violations.get(name, 0)
-            )
-            steps[name] = steps.get(name, 0) + prior.prior_power_steps.get(name, 0)
+    violations, steps = _power_accounting(
+        result.train_trace,
+        assignments,
+        config.power_limit_w,
+        prior=resilience.snapshot,
+    )
     save_snapshot(
         RunSnapshot(
             fingerprint=resilience.fingerprint,
@@ -654,14 +607,51 @@ def _build_one_profit_controller(
     return controller
 
 
-def _single_device_evaluator(
+def _local_actor_parts(
     device_name: str,
-    index: int,
+    metrics: Optional[MetricsRegistry],
+    profiler: Optional[ScopeProfiler],
+    assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     eval_apps: Tuple[str, ...],
-) -> PolicyEvaluator:
-    return PolicyEvaluator(
-        [device_name], config, eval_apps, device_indices={device_name: index}
+    build_controller=_build_one_neural_controller,
+) -> ActorParts:
+    """Actor-side builder for one device (the local-only baseline's).
+
+    Top-level (picklable) and seeded purely by the device's original
+    index, so the actor's environment, controller and evaluator are
+    bit-identical on every backend, whichever worker builds them.
+    """
+    index = list(assignments).index(device_name)
+    environment = _build_one_environment(
+        device_name, assignments[device_name], index, config, metrics, profiler
+    )
+    return ActorParts(
+        environment=environment,
+        controller=build_controller(environment.device.opp_table, index, config),
+        evaluator=PolicyEvaluator(
+            [device_name], config, eval_apps, device_indices={device_name: index}
+        ),
+    )
+
+
+def _collab_actor_parts(
+    device_name: str,
+    metrics: Optional[MetricsRegistry],
+    profiler: Optional[ScopeProfiler],
+    assignments: Dict[str, Tuple[str, ...]],
+    config: FederatedPowerControlConfig,
+    eval_apps: Tuple[str, ...],
+) -> ActorParts:
+    """Actor-side builder for one Profit+CollabPolicy baseline device."""
+    return _local_actor_parts(
+        device_name,
+        metrics,
+        profiler,
+        assignments,
+        config,
+        eval_apps,
+        build_controller=_build_one_profit_controller,
     )
 
 
@@ -675,90 +665,35 @@ def _federated_actor_parts(
     fault_injector: Optional[FaultInjector] = None,
     guard: Optional[WatchdogConfig] = None,
 ) -> ActorParts:
-    """Worker-side builder for one federated device actor.
+    """Actor-side builder for one federated device.
 
-    Top-level (picklable) and seeded purely by the device's original
-    index, so the actor's environment, controller, evaluator and eval
-    vessel are bit-identical to the serial run's for that device. With
-    ``guard`` set the controller is wrapped in the safety watchdog
-    right here, inside the actor — health checks run where the control
-    steps run, and the guarded object rides checkpoint blobs whole.
+    The local-only parts plus an eval vessel for the shipped global
+    model and the device's fault injector. With ``guard`` set the
+    controller is wrapped in the safety watchdog right here, inside the
+    actor — health checks run where the control steps run, and the
+    guarded object rides checkpoint blobs whole.
     """
-    index = list(assignments).index(device_name)
-    environment = _build_one_environment(
-        device_name, assignments[device_name], index, config, metrics, profiler
+    parts = _local_actor_parts(
+        device_name, metrics, profiler, assignments, config, eval_apps
     )
-    controller = _build_one_neural_controller(
-        environment.device.opp_table, index, config
-    )
+    opp_table = parts.environment.device.opp_table
     if guard is not None:
-        controller = guard_controller(
-            controller,
-            environment.device.opp_table,
+        parts.controller = guard_controller(
+            parts.controller,
+            opp_table,
             config=guard,
             device_name=device_name,
             power_limit_w=config.power_limit_w,
         )
-    eval_controller = build_neural_controller(
-        environment.device.opp_table,
+    parts.eval_controller = build_neural_controller(
+        opp_table,
         power_limit_w=config.power_limit_w,
         offset_w=config.power_offset_w,
         hidden_layers=config.hidden_layers,
         seed=generator_from_root(config.seed, 4),
     )
-    return ActorParts(
-        environment=environment,
-        controller=controller,
-        evaluator=_single_device_evaluator(device_name, index, config, eval_apps),
-        eval_controller=eval_controller,
-        fault_injector=fault_injector,
-    )
-
-
-def _local_actor_parts(
-    device_name: str,
-    metrics: Optional[MetricsRegistry],
-    profiler: Optional[ScopeProfiler],
-    assignments: Dict[str, Tuple[str, ...]],
-    config: FederatedPowerControlConfig,
-    eval_apps: Tuple[str, ...],
-) -> ActorParts:
-    """Worker-side builder for one local-only baseline actor."""
-    index = list(assignments).index(device_name)
-    environment = _build_one_environment(
-        device_name, assignments[device_name], index, config, metrics, profiler
-    )
-    controller = _build_one_neural_controller(
-        environment.device.opp_table, index, config
-    )
-    return ActorParts(
-        environment=environment,
-        controller=controller,
-        evaluator=_single_device_evaluator(device_name, index, config, eval_apps),
-    )
-
-
-def _collab_actor_parts(
-    device_name: str,
-    metrics: Optional[MetricsRegistry],
-    profiler: Optional[ScopeProfiler],
-    assignments: Dict[str, Tuple[str, ...]],
-    config: FederatedPowerControlConfig,
-    eval_apps: Tuple[str, ...],
-) -> ActorParts:
-    """Worker-side builder for one Profit+CollabPolicy baseline actor."""
-    index = list(assignments).index(device_name)
-    environment = _build_one_environment(
-        device_name, assignments[device_name], index, config, metrics, profiler
-    )
-    controller = _build_one_profit_controller(
-        environment.device.opp_table, index, config
-    )
-    return ActorParts(
-        environment=environment,
-        controller=controller,
-        evaluator=_single_device_evaluator(device_name, index, config, eval_apps),
-    )
+    parts.fault_injector = fault_injector
+    return parts
 
 
 def _worker_specs(
@@ -777,9 +712,8 @@ def _worker_specs(
         "assignments": dict(assignments),
         "config": config,
         "eval_apps": eval_apps,
+        **(extra_kwargs or {}),
     }
-    if extra_kwargs:
-        kwargs.update(extra_kwargs)
     return [
         WorkerSpec(
             device_name=device_name,
@@ -820,6 +754,123 @@ def _emit_evaluation(events, round_eval) -> None:
             "devices": len({e.device for e in round_eval.evaluations}),
         }
     )
+
+
+@contextmanager
+def _hosted_run(
+    name: str,
+    builder,
+    assignments: Dict[str, Tuple[str, ...]],
+    config: FederatedPowerControlConfig,
+    eval_apps: Tuple[str, ...],
+    backend: str,
+    workers: Optional[int],
+    metrics: Optional[MetricsRegistry],
+    flight: Optional[FlightRecorder],
+    profiler: Optional[ScopeProfiler],
+    events,
+    builder_kwargs: Optional[Dict[str, object]] = None,
+) -> Iterator[Tuple[DeviceFleet, TrainingResult, Callable[..., None]]]:
+    """Host every device in a :class:`DeviceFleet` for one training run.
+
+    The skeleton all three drivers share, on all four backends: open
+    the fleet (one actor per device), yield ``(fleet, result,
+    evaluate_if_due)`` for the caller to run its rounds, then — only if
+    they finished — fetch the live controllers and mean decision latency
+    into ``result`` before the fleet closes. ``evaluate_if_due(round_index,
+    parameters=None)`` applies the ``eval_every_rounds`` cadence to the
+    shipped global ``parameters``, or without them to each device's own
+    policy.
+    """
+    result = TrainingResult(name=name, assignments=dict(assignments), controllers={})
+    specs = _worker_specs(
+        builder,
+        assignments,
+        config,
+        eval_apps,
+        metrics,
+        profiler,
+        flight,
+        extra_kwargs=builder_kwargs,
+        events=events,
+    )
+    with DeviceFleet(
+        specs,
+        backend=backend,
+        workers=workers,
+        trace=result.train_trace,
+        metrics=metrics,
+        flight=flight,
+        profiler=profiler,
+        events=events,
+    ) as fleet:
+
+        def evaluate_if_due(round_index: int, parameters=None) -> None:
+            if (round_index + 1) % config.eval_every_rounds != 0:
+                return
+            round_eval = RoundEvaluation(
+                round_index=round_index,
+                evaluations=fleet.evaluate_round(
+                    round_index, fleet.device_names, parameters=parameters
+                ),
+            )
+            result.round_evaluations.append(round_eval)
+            _emit_evaluation(events, round_eval)
+
+        yield fleet, result, evaluate_if_due
+        result.controllers = fleet.fetch_controllers()
+        try:
+            result.mean_decision_latency_s = fleet.mean_decision_latency_s()
+        except ExecutionError:
+            pass  # every round was skipped: no device stepped, keep 0.0
+
+
+def _reject_async_unsupported(
+    topology=None,
+    selection=None,
+    guard=None,
+    quarantine=None,
+    churn=None,
+    backend: Optional[str] = None,
+    participation_fraction: float = 1.0,
+    aggregation_weights=None,
+    codec=None,
+    client_codec=None,
+    tracer=None,
+    flight=None,
+    straggler_policy=None,
+    fault_injector=None,
+) -> None:
+    """Refuse options the async control plane would silently drop.
+
+    Hierarchy, guard and backend settings count whether passed or
+    ambient. An *ambient* tracer/flight recorder is tolerated: it is a
+    standing offer to record, and the CLI attaches one for
+    ``--metrics-out``/``--events-out``, which the async plane does serve.
+    """
+    hier_cfg = resolve_hier(topology=topology, selection=selection)
+    guard_cfg = resolve_guard(watchdog=guard, quarantine=quarantine, churn=churn)
+    unsupported = {
+        "topology": hier_cfg.topology is not None,
+        "selection": hier_cfg.selection is not None,
+        "guard": guard_cfg.watchdog not in (None, False),
+        "quarantine": guard_cfg.quarantine not in (None, False),
+        "churn": guard_cfg.churn is not None,
+        "backend": resolve_execution(backend)[0] != "serial",
+        "participation_fraction": participation_fraction != 1.0,
+        "aggregation_weights": aggregation_weights is not None,
+        "codec": codec is not None,
+        "client_codec": client_codec is not None,
+        "tracer": tracer is not None,
+        "flight": flight is not None,
+        "straggler_policy": straggler_policy is not None,
+        "fault_injector": fault_injector is not None,
+    }
+    named = [option for option, is_set in unsupported.items() if is_set]
+    if named:
+        raise ConfigurationError(
+            "the async control plane cannot honour: " + ", ".join(named)
+        )
 
 
 def train_federated(
@@ -867,19 +918,27 @@ def train_federated(
     ``--flight-out`` reach here without every experiment threading
     them through.
 
-    ``backend``/``workers`` select the execution engine
-    (:mod:`repro.parallel`): ``"serial"`` (the reference), ``"thread"``
-    or ``"process"`` — defaulting to the ambient
+    Every device lives in a :class:`~repro.parallel.engine.DeviceFleet`
+    actor that owns its environment, controller, replay and evaluation
+    environments; the driver keeps *mirror* controllers as codec
+    endpoints (broadcasts decode into them, uploads encode from them),
+    so only model parameters cross the device boundary. ``backend``/
+    ``workers`` select how the actors are scheduled
+    (:mod:`repro.parallel`): ``"serial"`` (the reference), ``"thread"``,
+    ``"process"`` or ``"batched"`` — defaulting to the ambient
     :func:`repro.parallel.context.execution` configuration, then to
     serial. All backends produce bit-identical results; the process
     backend additionally turns multi-core machines into real
     local-training speedup. ``straggler_policy`` and ``fault_injector``
     expose the orchestrator's fault-tolerance path:
     ``fault_injector(device_name, round_index)`` runs right before each
-    device's local steps and may raise to simulate a straggler (it must
-    be a picklable top-level callable for the process backend).
-    ``straggler_policy=None`` picks ``"skip"`` when a fault plan is
-    active and the paper's strict ``"abort"`` otherwise.
+    device's local steps and may raise to simulate a straggler (any
+    callable on the in-process backends; a picklable top-level one for
+    the process backend). ``straggler_policy=None`` picks ``"skip"``
+    when a fault plan is active and the paper's strict ``"abort"``
+    otherwise. Under ``"abort"`` a failing device raises
+    :class:`~repro.errors.FederationError` naming the device and
+    carrying the device-side traceback, on every backend.
 
     Resilience (:mod:`repro.faults`): ``faults`` takes a
     :class:`~repro.faults.plan.FaultPlan` or spec string (resolved
@@ -921,6 +980,16 @@ def train_federated(
     ambient :func:`repro.hier.context.hier` configuration, then to off;
     a depth-1 (``"flat"``) topology is bit-identical to the plain
     single-server path on every backend.
+
+    Async control plane (:mod:`repro.controlplane`): under an enabled
+    ambient :func:`~repro.controlplane.context.controlplane` config
+    (CLI ``--async``) the run is delegated to
+    :func:`~repro.controlplane.driver.train_async_federated`, which
+    honours ``eval_applications``, ``metrics``, ``events``,
+    ``profiler`` and the four resilience arguments. Any other option
+    set here — or ambiently, for hierarchy, guard and backend — raises
+    :class:`~repro.errors.ConfigurationError` naming it instead of
+    being dropped.
     """
     _check_assignments(assignments)
     # An ambient control-plane activation (CLI --async) reroutes the
@@ -933,6 +1002,22 @@ def train_federated(
     if controlplane_cfg is not None and controlplane_cfg.enabled:
         from repro.controlplane.driver import train_async_federated
 
+        _reject_async_unsupported(
+            topology=topology,
+            selection=selection,
+            guard=guard,
+            quarantine=quarantine,
+            churn=churn,
+            backend=backend,
+            participation_fraction=participation_fraction,
+            aggregation_weights=aggregation_weights,
+            codec=codec,
+            client_codec=client_codec,
+            tracer=tracer,
+            flight=flight,
+            straggler_policy=straggler_policy,
+            fault_injector=fault_injector,
+        )
         return train_async_federated(
             assignments,
             config,
@@ -1004,318 +1089,34 @@ def train_federated(
             "backend": backend,
         },
     )
-    if backend != "serial":
-        return _train_federated_parallel(
-            assignments,
-            config,
-            eval_apps=eval_apps,
-            participation_fraction=participation_fraction,
-            aggregation_weights=aggregation_weights,
-            codec=codec,
-            client_codec=client_codec,
-            metrics=metrics,
-            tracer=tracer,
-            flight=flight,
-            profiler=profiler,
-            backend=backend,
-            workers=workers,
-            straggler_policy=straggler_policy,
-            fault_injector=fault_injector,
-            resilience_cfg=resilience_cfg,
-            watchdog_cfg=watchdog_cfg,
-            quarantine_mgr=quarantine_mgr,
-            churn_plan=churn_plan,
-            events=events,
-            topology_obj=topology_obj,
-            selection_policy=selection_policy,
-        )
-    environments = _build_training_environments(
-        assignments, config, metrics=metrics, profiler=profiler
-    )
-    controllers = _build_neural_controllers(assignments, config, environments)
     snapshot = resilience_cfg.snapshot
-    device_payloads: Dict[str, Dict[str, object]] = {}
-    if snapshot is not None:
-        # Swap the freshly built device state for the checkpointed one
-        # before any session or closure captures it.
-        for name in assignments:
-            payload = restore_device_state(
-                snapshot.device_blobs[name], metrics=metrics, profiler=profiler
-            )
-            device_payloads[name] = payload
-            environments[name] = payload["environment"]
-            controllers[name] = payload["controller"]
-    if watchdog_cfg is not None:
-        _wrap_guarded_controllers(controllers, environments, watchdog_cfg, config)
-    trace = TraceRecorder()
-    sessions = {
-        name: ControlSession(
-            environments[name],
-            controllers[name],
-            trace=trace,
-            metrics=metrics,
-            flight=flight,
-            profiler=profiler,
-            events=events,
-        )
-        for name in assignments
-    }
-    if snapshot is not None:
-        for name in assignments:
-            restore_session_state(sessions[name], device_payloads[name]["session"])
-
-    transport = _wrap_transport(
-        InMemoryTransport(metrics=metrics),
-        resilience_cfg,
-        metrics,
-        tracer,
-        events=events,
-    )
-    clients = [
-        FederatedClient(
-            name,
-            controllers[name].agent,
-            transport,
-            # Under a hierarchy each device talks to its edge node, not
-            # the root; the flat topology's root keeps the default id.
-            server_id=(
-                topology_obj.parent_of(name)
-                if topology_obj is not None
-                else "server"
-            ),
-            codec=client_codec if client_codec is not None else codec,
-            metrics=metrics,
-            retry=resilience_cfg.retry,
-        )
-        for name in assignments
-    ]
-    # The initial global model comes from a dedicated seed path so it is
-    # identical regardless of how many clients participate.
-    global_init = build_neural_controller(
-        next(iter(environments.values())).device.opp_table,
-        hidden_layers=config.hidden_layers,
-        seed=generator_from_root(config.seed, 3),
-    )
-    server = _build_federated_server(
-        global_init.agent.get_parameters(),
-        assignments,
-        transport,
-        codec=codec,
-        metrics=metrics,
-        resilience_cfg=resilience_cfg,
-        quarantine_mgr=quarantine_mgr,
-        topology_obj=topology_obj,
-    )
-    if snapshot is not None:
-        server.restore(snapshot.global_parameters, snapshot.rounds_aggregated)
-        if quarantine_mgr is not None and snapshot.quarantine_state is not None:
-            quarantine_mgr.restore_state(snapshot.quarantine_state)
-
-    evaluator = PolicyEvaluator(list(assignments), config, eval_apps)
-    if snapshot is not None:
-        for name in assignments:
-            eval_environment = device_payloads[name].get("eval_environment")
-            if eval_environment is not None:
-                evaluator.set_environment(name, eval_environment)
-    eval_controller = build_neural_controller(
-        next(iter(environments.values())).device.opp_table,
-        power_limit_w=config.power_limit_w,
-        offset_w=config.power_offset_w,
-        hidden_layers=config.hidden_layers,
-        seed=generator_from_root(config.seed, 4),
-    )
-    result = TrainingResult(
-        name="federated", assignments=dict(assignments), controllers=controllers
-    )
-    if snapshot is not None:
-        result.round_evaluations.extend(snapshot.round_evaluations)
-
-    def trainer_for(device_name: str):
-        session = sessions[device_name]
-
-        def train(round_index: int) -> None:
-            if fault_injector is not None:
-                fault_injector(device_name, round_index)
-            session.run_steps(
-                config.steps_per_round, round_index=round_index, train=True
-            )
-
-        return train
-
-    def on_round_end(round_index: int, fed_server: FederatedServer) -> None:
-        if (round_index + 1) % config.eval_every_rounds != 0:
-            return
-        eval_controller.agent.set_parameters(fed_server.global_parameters)
-        round_eval = evaluator.evaluate(
-            {name: eval_controller for name in assignments}, round_index
-        )
-        result.round_evaluations.append(round_eval)
-        _emit_evaluation(events, round_eval)
-
-    ckpt = resilience_cfg.checkpoint
-
-    def checkpoint_hook(round_index: int, progress) -> None:
-        if not ckpt.due(round_index):
-            return
-        blobs = {
-            name: capture_device_state(
-                environments[name],
-                controllers[name],
-                sessions[name],
-                eval_environment=evaluator.get_environment(name),
-            )
-            for name in assignments
-        }
-        _save_run_snapshot(
-            resilience_cfg,
-            progress,
-            server,
-            blobs,
-            result,
-            trace,
-            assignments,
-            config,
-            quarantine=quarantine_mgr,
-        )
-
-    run_result = run_federated_training(
-        server,
-        clients,
-        {name: trainer_for(name) for name in assignments},
-        num_rounds=config.num_rounds,
-        on_round_end=on_round_end,
-        participation_fraction=participation_fraction,
-        aggregation_weights=aggregation_weights,
-        straggler_policy=straggler_policy,
-        seed=generator_from_root(config.seed, 5),
-        metrics=metrics,
-        tracer=tracer,
-        profiler=profiler,
-        fault_plan=resilience_cfg.plan,
-        churn_plan=churn_plan,
-        resume=snapshot.progress if snapshot is not None else None,
-        checkpoint_hook=checkpoint_hook if ckpt is not None else None,
-        events=events,
-        selection_policy=selection_policy,
-    )
-
-    _account_power_violations(
-        run_result,
-        trace,
-        assignments,
-        config.power_limit_w,
-        prior_snapshot=snapshot,
-    )
-    if watchdog_cfg is not None or quarantine_mgr is not None or churn_plan is not None:
-        _publish_guard_summary(
-            controllers, run_result, guarded=watchdog_cfg is not None
-        )
-    result.federated_result = run_result
-    result.train_trace = trace
-    result.communication_bytes = run_result.total_bytes_communicated
-    # Mean over the devices that actually stepped — under churn a device
-    # may sit out the whole run (mirrors DeviceFleet's accounting).
-    latencies = []
-    for session in sessions.values():
-        try:
-            latencies.append(session.mean_decision_latency_s())
-        except SimulationError:
-            continue
-    result.mean_decision_latency_s = fmean(latencies) if latencies else 0.0
-    _LOG.info(
-        "federated training finished",
-        extra={
-            "rounds": run_result.rounds_completed,
-            "aggregations": run_result.aggregations_completed,
-            "bytes": run_result.total_bytes_communicated,
-            "straggler_rate": round(run_result.straggler_rate, 6),
-        },
-    )
-    return result
-
-
-def _train_federated_parallel(
-    assignments: Dict[str, Tuple[str, ...]],
-    config: FederatedPowerControlConfig,
-    eval_apps: Tuple[str, ...],
-    participation_fraction: float,
-    aggregation_weights: Optional[Dict[str, float]],
-    codec,
-    client_codec,
-    metrics: Optional[MetricsRegistry],
-    tracer: Optional[RoundTracer],
-    flight: Optional[FlightRecorder],
-    profiler: Optional[ScopeProfiler],
-    backend: str,
-    workers: Optional[int],
-    straggler_policy: str,
-    fault_injector: Optional[FaultInjector],
-    resilience_cfg: _ResolvedResilience,
-    watchdog_cfg: Optional[WatchdogConfig] = None,
-    quarantine_mgr: Optional[QuarantineManager] = None,
-    churn_plan: Optional[ChurnPlan] = None,
-    events=None,
-    topology_obj: Optional[FleetTopology] = None,
-    selection_policy: Optional[SelectionPolicy] = None,
-) -> TrainingResult:
-    """The thread/process-backend body of :func:`train_federated`.
-
-    Device environments, controllers and evaluation environments live
-    inside per-device actors; the driver keeps *mirror* controllers as
-    codec endpoints (broadcast decodes into them, upload encodes from
-    them), so transport byte accounting matches the serial path to the
-    byte. The orchestrator's ``executor`` hook fans the local-training
-    phase out across the fleet; evaluation fans out per device. All
-    seed paths are shared with the serial builders, so round
-    evaluations, traces and flight/metrics content are bit-identical.
-
-    Resilience runs driver-side (the fault-injecting transport, retry
-    backoff, robust aggregation) except device state capture/restore,
-    which fans out as :class:`~repro.parallel.payloads.FetchStateTask`/
-    :class:`~repro.parallel.payloads.InstallStateTask` so each actor
-    pickles its own device — the blobs are the same ones the serial
-    driver produces, making checkpoints backend-portable.
-
-    The safety watchdog wraps each controller *inside its actor* (the
-    :class:`~repro.guard.watchdog.WatchdogConfig` rides the worker
-    spec), so health checks run where the control steps run; quarantine
-    and churn are driver-side concerns exactly as in the serial path.
-    """
-    trace = TraceRecorder()
-    specs = _worker_specs(
+    with _hosted_run(
+        "federated",
         _federated_actor_parts,
         assignments,
         config,
         eval_apps,
-        metrics,
-        profiler,
-        flight,
-        extra_kwargs={"fault_injector": fault_injector, "guard": watchdog_cfg},
-        events=events,
-    )
-    fleet = DeviceFleet(
-        specs,
-        backend=backend,
-        workers=workers,
-        trace=trace,
+        backend,
+        workers,
         metrics=metrics,
         flight=flight,
         profiler=profiler,
         events=events,
-    )
-    try:
-        snapshot = resilience_cfg.snapshot
+        builder_kwargs={"fault_injector": fault_injector, "guard": watchdog_cfg},
+    ) as (fleet, result, evaluate_if_due):
         if snapshot is not None:
             fleet.install_states(snapshot.device_blobs)
-        # Mirror controllers: same opp table (a module constant) and
-        # seed path (config.seed, 2, index) as the worker-side builds,
-        # so their initial parameters coincide with the actors'. Their
-        # parameters are overwritten by every broadcast, so a resumed
-        # run needs no mirror restore.
+            result.round_evaluations.extend(snapshot.round_evaluations)
+        # Mirror agents are the driver-side codec endpoints: broadcasts
+        # decode into them, uploads encode from them. Same opp table (a
+        # module constant) and seed path (config.seed, 2, index) as the
+        # actor-side builds, so their initial parameters coincide with
+        # the actors'. Every broadcast overwrites them, so a resumed run
+        # needs no mirror restore.
         mirrors = {
             name: _build_one_neural_controller(
                 JETSON_NANO_OPP_TABLE, index, config
-            )
+            ).agent
             for index, name in enumerate(assignments)
         }
         transport = _wrap_transport(
@@ -1328,8 +1129,11 @@ def _train_federated_parallel(
         clients = [
             FederatedClient(
                 name,
-                mirrors[name].agent,
+                mirrors[name],
                 transport,
+                # Under a hierarchy each device talks to its edge node,
+                # not the root; the flat topology's root keeps the
+                # default id.
                 server_id=(
                     topology_obj.parent_of(name)
                     if topology_obj is not None
@@ -1341,6 +1145,8 @@ def _train_federated_parallel(
             )
             for name in assignments
         ]
+        # The initial global model comes from a dedicated seed path so
+        # it is identical regardless of how many clients participate.
         global_init = build_neural_controller(
             JETSON_NANO_OPP_TABLE,
             hidden_layers=config.hidden_layers,
@@ -1358,52 +1164,27 @@ def _train_federated_parallel(
         )
         if snapshot is not None:
             server.restore(snapshot.global_parameters, snapshot.rounds_aggregated)
-            if (
-                quarantine_mgr is not None
-                and snapshot.quarantine_state is not None
-            ):
+            if quarantine_mgr is not None and snapshot.quarantine_state is not None:
                 quarantine_mgr.restore_state(snapshot.quarantine_state)
-        result = TrainingResult(
-            name="federated", assignments=dict(assignments), controllers={}
-        )
-        if snapshot is not None:
-            result.round_evaluations.extend(snapshot.round_evaluations)
-        executor = FleetTrainExecutor(
-            fleet,
-            {name: mirrors[name].agent for name in assignments},
-            config.steps_per_round,
-        )
+        executor = FleetTrainExecutor(fleet, mirrors, config.steps_per_round)
 
         def on_round_end(round_index: int, fed_server: FederatedServer) -> None:
-            if (round_index + 1) % config.eval_every_rounds != 0:
-                return
-            round_eval = RoundEvaluation(
-                round_index=round_index,
-                evaluations=fleet.evaluate_round(
-                    round_index,
-                    list(assignments),
-                    parameters=fed_server.global_parameters,
-                ),
-            )
-            result.round_evaluations.append(round_eval)
-            _emit_evaluation(events, round_eval)
+            evaluate_if_due(round_index, fed_server.global_parameters)
 
         ckpt = resilience_cfg.checkpoint
 
         def checkpoint_hook(round_index: int, progress) -> None:
-            if not ckpt.due(round_index):
-                return
-            _save_run_snapshot(
-                resilience_cfg,
-                progress,
-                server,
-                fleet.fetch_states(),
-                result,
-                trace,
-                assignments,
-                config,
-                quarantine=quarantine_mgr,
-            )
+            if ckpt.due(round_index):
+                _save_run_snapshot(
+                    resilience_cfg,
+                    progress,
+                    server,
+                    fleet.fetch_states(),
+                    result,
+                    assignments,
+                    config,
+                    quarantine=quarantine_mgr,
+                )
 
         run_result = run_federated_training(
             server,
@@ -1426,26 +1207,19 @@ def _train_federated_parallel(
             events=events,
             selection_policy=selection_policy,
         )
-        result.controllers = fleet.fetch_controllers()
-        latency = fleet.mean_decision_latency_s()
-    finally:
-        fleet.close()
 
-    _account_power_violations(
-        run_result,
-        trace,
-        assignments,
-        config.power_limit_w,
-        prior_snapshot=resilience_cfg.snapshot,
+    (
+        run_result.power_violations_by_device,
+        run_result.power_steps_by_device,
+    ) = _power_accounting(
+        result.train_trace, assignments, config.power_limit_w, prior=snapshot
     )
     if watchdog_cfg is not None or quarantine_mgr is not None or churn_plan is not None:
         _publish_guard_summary(
             result.controllers, run_result, guarded=watchdog_cfg is not None
         )
     result.federated_result = run_result
-    result.train_trace = trace
     result.communication_bytes = run_result.total_bytes_communicated
-    result.mean_decision_latency_s = latency
     _LOG.info(
         "federated training finished",
         extra={
@@ -1455,6 +1229,56 @@ def _train_federated_parallel(
             "straggler_rate": round(run_result.straggler_rate, 6),
         },
     )
+    return result
+
+
+def _train_baseline(
+    name: str,
+    builder,
+    assignments: Dict[str, Tuple[str, ...]],
+    config: FederatedPowerControlConfig,
+    eval_applications: Optional[Sequence[str]],
+    backend: Optional[str],
+    workers: Optional[int],
+    exchange=None,
+) -> TrainingResult:
+    """The round loop the two non-federated baselines share.
+
+    Every round trains the whole fleet, then ``exchange(fleet)`` (when
+    given) runs the baseline's own collaboration step and returns the
+    bytes it moved; each device's *own* policy is evaluated on the
+    configured cadence.
+    """
+    _check_assignments(assignments)
+    backend, workers = resolve_execution(backend, workers)
+    _LOG.info(
+        f"{name} training starting",
+        extra={
+            "devices": len(assignments),
+            "rounds": config.num_rounds,
+            "backend": backend,
+        },
+    )
+    with _hosted_run(
+        name,
+        builder,
+        assignments,
+        config,
+        tuple(eval_applications or evaluation_applications()),
+        backend,
+        workers,
+        metrics=active_metrics(),
+        flight=active_flight(),
+        profiler=active_profiler(),
+        events=active_events(),
+    ) as (fleet, result, evaluate_if_due):
+        for round_index in range(config.num_rounds):
+            fleet.run_round(
+                round_index, fleet.device_names, config.steps_per_round, train=True
+            )
+            if exchange is not None:
+                result.communication_bytes += exchange(fleet)
+            evaluate_if_due(round_index)
     return result
 
 
@@ -1471,106 +1295,17 @@ def train_local_only(
     left-hand columns of Fig. 3. ``backend``/``workers`` select the
     execution engine exactly as in :func:`train_federated`; with no
     cross-device coupling at all, this driver parallelises trivially
-    (results stay bit-identical to serial).
+    (results are bit-identical on every backend).
     """
-    _check_assignments(assignments)
-    backend, workers = resolve_execution(backend, workers)
-    metrics = active_metrics()
-    flight = active_flight()
-    profiler = active_profiler()
-    events = active_events()
-    _LOG.info(
-        "local-only training starting",
-        extra={
-            "devices": len(assignments),
-            "rounds": config.num_rounds,
-            "backend": backend,
-        },
+    return _train_baseline(
+        "local-only",
+        _local_actor_parts,
+        assignments,
+        config,
+        eval_applications,
+        backend,
+        workers,
     )
-    if backend != "serial":
-        eval_apps = tuple(eval_applications or evaluation_applications())
-        trace = TraceRecorder()
-        specs = _worker_specs(
-            _local_actor_parts,
-            assignments,
-            config,
-            eval_apps,
-            metrics,
-            profiler,
-            flight,
-            events=events,
-        )
-        result = TrainingResult(
-            name="local-only", assignments=dict(assignments), controllers={}
-        )
-        with DeviceFleet(
-            specs,
-            backend=backend,
-            workers=workers,
-            trace=trace,
-            metrics=metrics,
-            flight=flight,
-            profiler=profiler,
-            events=events,
-        ) as fleet:
-            device_names = list(assignments)
-            for round_index in range(config.num_rounds):
-                fleet.run_round(
-                    round_index, device_names, config.steps_per_round, train=True
-                )
-                if (round_index + 1) % config.eval_every_rounds == 0:
-                    round_eval = RoundEvaluation(
-                        round_index=round_index,
-                        evaluations=fleet.evaluate_round(
-                            round_index, device_names
-                        ),
-                    )
-                    result.round_evaluations.append(round_eval)
-                    _emit_evaluation(events, round_eval)
-            result.controllers = fleet.fetch_controllers()
-            result.mean_decision_latency_s = fleet.mean_decision_latency_s()
-        result.train_trace = trace
-        result.communication_bytes = 0
-        return result
-    environments = _build_training_environments(
-        assignments, config, metrics=metrics, profiler=profiler
-    )
-    controllers = _build_neural_controllers(assignments, config, environments)
-    trace = TraceRecorder()
-    sessions = {
-        name: ControlSession(
-            environments[name],
-            controllers[name],
-            trace=trace,
-            metrics=metrics,
-            flight=flight,
-            profiler=profiler,
-            events=events,
-        )
-        for name in assignments
-    }
-    eval_apps = tuple(eval_applications or evaluation_applications())
-    evaluator = PolicyEvaluator(list(assignments), config, eval_apps)
-    result = TrainingResult(
-        name="local-only", assignments=dict(assignments), controllers=controllers
-    )
-
-    for round_index in range(config.num_rounds):
-        for session in sessions.values():
-            session.run_steps(
-                config.steps_per_round, round_index=round_index, train=True
-            )
-        if (round_index + 1) % config.eval_every_rounds == 0:
-            round_eval = evaluator.evaluate(dict(controllers), round_index)
-            result.round_evaluations.append(round_eval)
-            _emit_evaluation(events, round_eval)
-
-    result.train_trace = trace
-    result.communication_bytes = 0
-    result.mean_decision_latency_s = fmean(
-        session.mean_decision_latency_s() for session in sessions.values()
-    )
-    return result
 
 
 def train_collab_profit(
@@ -1586,168 +1321,29 @@ def train_collab_profit(
     visit-count-weighted merge on the server, global-table download.
     Communication bytes are accounted per digest/table entry.
     ``backend``/``workers`` select the execution engine as in
-    :func:`train_federated`; digest collection and global-table
-    installation run as controller calls on the actors, with the merge
-    kept serial on the driver.
+    :func:`train_federated`; ``digest()`` and
+    ``install_global_table()`` run as controller calls on the device
+    actors (per-device state only), while the merge stays serial on the
+    driver — the same split a real deployment has.
     """
-    _check_assignments(assignments)
-    backend, workers = resolve_execution(backend, workers)
-    metrics = active_metrics()
-    flight = active_flight()
-    profiler = active_profiler()
-    events = active_events()
-    _LOG.info(
-        "profit-collab training starting",
-        extra={
-            "devices": len(assignments),
-            "rounds": config.num_rounds,
-            "backend": backend,
-        },
-    )
-    if backend != "serial":
-        return _train_collab_profit_parallel(
-            assignments,
-            config,
-            eval_applications=eval_applications,
-            metrics=metrics,
-            flight=flight,
-            profiler=profiler,
-            backend=backend,
-            workers=workers,
-            events=events,
-        )
-    environments = _build_training_environments(
-        assignments, config, metrics=metrics, profiler=profiler
-    )
-    controllers: Dict[str, CollabProfitController] = {}
-    for index, device_name in enumerate(assignments):
-        controllers[device_name] = _build_one_profit_controller(
-            environments[device_name].device.opp_table, index, config
-        )
-
-    trace = TraceRecorder()
-    sessions = {
-        name: ControlSession(
-            environments[name],
-            controllers[name],
-            trace=trace,
-            metrics=metrics,
-            flight=flight,
-            profiler=profiler,
-            events=events,
-        )
-        for name in assignments
-    }
     collab_server = CollabPolicyServer()
-    eval_apps = tuple(eval_applications or evaluation_applications())
-    evaluator = PolicyEvaluator(list(assignments), config, eval_apps)
-    result = TrainingResult(
-        name="profit-collab",
-        assignments=dict(assignments),
-        controllers=dict(controllers),
-    )
-    communication_bytes = 0
 
-    for round_index in range(config.num_rounds):
-        digests = []
-        for name in assignments:
-            sessions[name].run_steps(
-                config.steps_per_round, round_index=round_index, train=True
-            )
-            digest = controllers[name].digest()
-            digests.append(digest)
-            communication_bytes += len(digest) * _COLLAB_ENTRY_BYTES  # upload
+    def exchange(fleet: DeviceFleet) -> int:
+        digests = list(fleet.call_all("digest").values())
         collab_server.aggregate(digests)
         global_table = collab_server.global_table()
-        for name in assignments:
-            controllers[name].install_global_table(global_table)
-            communication_bytes += len(global_table) * _COLLAB_ENTRY_BYTES  # download
-        if (round_index + 1) % config.eval_every_rounds == 0:
-            round_eval = evaluator.evaluate(dict(controllers), round_index)
-            result.round_evaluations.append(round_eval)
-            _emit_evaluation(events, round_eval)
+        fleet.call_all("install_global_table", global_table)
+        uploaded = sum(len(digest) for digest in digests)
+        downloaded = len(global_table) * len(digests)
+        return (uploaded + downloaded) * _COLLAB_ENTRY_BYTES
 
-    result.train_trace = trace
-    result.communication_bytes = communication_bytes
-    result.mean_decision_latency_s = fmean(
-        session.mean_decision_latency_s() for session in sessions.values()
-    )
-    return result
-
-
-def _train_collab_profit_parallel(
-    assignments: Dict[str, Tuple[str, ...]],
-    config: FederatedPowerControlConfig,
-    eval_applications: Optional[Sequence[str]],
-    metrics: Optional[MetricsRegistry],
-    flight: Optional[FlightRecorder],
-    profiler: Optional[ScopeProfiler],
-    backend: str,
-    workers: Optional[int],
-    events=None,
-) -> TrainingResult:
-    """The thread/process-backend body of :func:`train_collab_profit`.
-
-    Local table learning fans out across the fleet; ``digest()`` and
-    ``install_global_table()`` run as controller calls on the actors
-    (per-device state only), while the visit-count-weighted merge stays
-    serial on the driver — the same split a real deployment has.
-    """
-    eval_apps = tuple(eval_applications or evaluation_applications())
-    trace = TraceRecorder()
-    specs = _worker_specs(
+    return _train_baseline(
+        "profit-collab",
         _collab_actor_parts,
         assignments,
         config,
-        eval_apps,
-        metrics,
-        profiler,
-        flight,
-        events=events,
+        eval_applications,
+        backend,
+        workers,
+        exchange=exchange,
     )
-    collab_server = CollabPolicyServer()
-    result = TrainingResult(
-        name="profit-collab", assignments=dict(assignments), controllers={}
-    )
-    communication_bytes = 0
-    with DeviceFleet(
-        specs,
-        backend=backend,
-        workers=workers,
-        trace=trace,
-        metrics=metrics,
-        flight=flight,
-        profiler=profiler,
-        events=events,
-    ) as fleet:
-        device_names = list(assignments)
-        for round_index in range(config.num_rounds):
-            fleet.run_round(
-                round_index, device_names, config.steps_per_round, train=True
-            )
-            digests_by_device = fleet.call_all("digest")
-            digests = []
-            for name in device_names:
-                digest = digests_by_device[name]
-                digests.append(digest)
-                communication_bytes += len(digest) * _COLLAB_ENTRY_BYTES  # upload
-            collab_server.aggregate(digests)
-            global_table = collab_server.global_table()
-            fleet.call_all("install_global_table", global_table)
-            communication_bytes += (
-                len(global_table) * _COLLAB_ENTRY_BYTES * len(device_names)
-            )  # download
-            if (round_index + 1) % config.eval_every_rounds == 0:
-                round_eval = RoundEvaluation(
-                    round_index=round_index,
-                    evaluations=fleet.evaluate_round(
-                        round_index, device_names
-                    ),
-                )
-                result.round_evaluations.append(round_eval)
-                _emit_evaluation(events, round_eval)
-        result.controllers = fleet.fetch_controllers()
-        result.mean_decision_latency_s = fleet.mean_decision_latency_s()
-    result.train_trace = trace
-    result.communication_bytes = communication_bytes
-    return result

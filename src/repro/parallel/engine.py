@@ -122,17 +122,16 @@ class DeviceFleet:
                 dump.flight_rows,
                 dump.flight_seen,
                 dump.flight_violations,
-                getattr(dump, "flight_fallbacks", None),
+                dump.flight_fallbacks,
             )
         if self.metrics is not None and dump.metrics_state is not None:
             self.metrics.merge_state(dump.metrics_state)
         if self.profiler is not None and dump.profile_rows:
             self.profiler.merge_rows(dump.profile_rows)
-        event_rows = getattr(dump, "event_rows", None)
-        if self.events is not None and event_rows:
+        if self.events is not None and dump.event_rows:
             # Replaying in device order re-stamps seq numbers, so the
             # merged stream equals the serial interleaving exactly.
-            self.events.emit_many(event_rows)
+            self.events.emit_many(dump.event_rows)
 
     # -- evaluation ----------------------------------------------------
     def evaluate_round(
@@ -246,13 +245,15 @@ class DeviceFleet:
                     f"failed to restore state on device {name!r}:\n"
                     f"{outcome.error}"
                 )
+            if outcome.value is not None:
+                self._latency_by_device[name] = outcome.value
 
     # -- summaries -----------------------------------------------------
     def mean_decision_latency_s(self) -> float:
         """Fleet mean of the devices' lifetime decision latencies.
 
-        Summed in spec (device) order so the float result matches the
-        serial drivers' ``fmean`` over their session dicts exactly.
+        Averaged in spec (device) order over the devices that actually
+        stepped — under churn a device may sit out the whole run.
         """
         values = [
             self._latency_by_device[name]

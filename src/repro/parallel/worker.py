@@ -135,19 +135,22 @@ class DeviceActor:
         parameters = None
         if error is None and task.return_parameters:
             parameters = self.controller.agent.get_parameters()
-        try:
-            latency: Optional[float] = self.session.mean_decision_latency_s()
-        except SimulationError:
-            latency = None
         return StepsOutcome(
             device=self.device_name,
             records=records,
             parameters=parameters,
             error=error,
             duration_s=time.perf_counter() - start,
-            mean_decision_latency_s=latency,
+            mean_decision_latency_s=self._lifetime_latency(),
             telemetry=self._dump_telemetry(),
         )
+
+    def _lifetime_latency(self) -> Optional[float]:
+        """The session's mean decision latency, ``None`` before any step."""
+        try:
+            return self.session.mean_decision_latency_s()
+        except SimulationError:
+            return None
 
     def _evaluate(self, task: EvalTask) -> EvalOutcome:
         try:
@@ -223,7 +226,10 @@ class DeviceActor:
                 self.evaluator.set_environment(
                     self.device_name, payload["eval_environment"]
                 )
-            return CallOutcome(self.device_name, value="installed")
+            # The restored session carries its pre-checkpoint latency
+            # history; report it so a run resumed with no rounds left
+            # still knows its devices' decision latency.
+            return CallOutcome(self.device_name, value=self._lifetime_latency())
         except Exception:
             return CallOutcome(self.device_name, error=traceback.format_exc())
 

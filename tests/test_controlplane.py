@@ -721,3 +721,109 @@ class TestRollupControlPlane:
         rollup = FleetRollup()
         assert "controlplane" not in rollup.snapshot(deterministic=True)
         assert "control plane:" not in rollup.render(deterministic=True)
+
+
+def _noop_injector(device_name, round_index):
+    return None
+
+
+class TestAsyncRejectsUnsupportedOptions:
+    """``train_federated`` under an enabled control plane must refuse —
+    not silently drop — every option the async driver cannot honour."""
+
+    UNSUPPORTED = {
+        "topology": "edges=2",
+        "selection": "uniform:0.5",
+        "guard": True,
+        "quarantine": True,
+        "churn": "leave=0.2,seed=3",
+        "backend": "batched",
+        "participation_fraction": 0.5,
+        "aggregation_weights": {"cp-00": 2.0},
+        "codec": "nonsense",
+        "client_codec": "nonsense",
+        "tracer": object(),
+        "flight": object(),
+        "straggler_policy": "skip",
+        "fault_injector": _noop_injector,
+    }
+
+    @staticmethod
+    def train(**options):
+        from repro.experiments.training import train_federated
+
+        return train_federated(
+            tiny_assignments(2),
+            tiny_config(rounds=2, steps=5),
+            eval_applications=("fft",),
+            **options,
+        )
+
+    @pytest.mark.parametrize("option", sorted(UNSUPPORTED))
+    def test_each_explicit_option_is_named(self, option):
+        with controlplane(enabled=True):
+            with pytest.raises(ConfigurationError, match=rf"\b{option}\b"):
+                self.train(**{option: self.UNSUPPORTED[option]})
+
+    def test_all_offending_options_are_named_at_once(self):
+        options = dict(
+            topology="edges=2",
+            guard=True,
+            backend="batched",
+            participation_fraction=0.5,
+            codec="nonsense",
+        )
+        with controlplane(enabled=True):
+            with pytest.raises(ConfigurationError) as excinfo:
+                self.train(**options)
+        for option in options:
+            assert option in str(excinfo.value)
+
+    def test_ambient_settings_are_rejected_too(self):
+        from repro.guard import guard
+        from repro.hier import hier
+        from repro.parallel import execution
+
+        ambient = {
+            "topology": hier(topology="edges=2"),
+            "selection": hier(selection="uniform:0.5"),
+            "guard": guard(watchdog=True),
+            "quarantine": guard(quarantine=True),
+            "churn": guard(churn="leave=0.2,seed=3"),
+            "backend": execution("thread"),
+        }
+        for option, context in ambient.items():
+            with context, controlplane(enabled=True):
+                with pytest.raises(ConfigurationError, match=option):
+                    self.train()
+
+    def test_honoured_options_and_off_values_still_run(self):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.parallel import execution
+
+        with execution("serial"), controlplane(enabled=True):
+            result = self.train(
+                metrics=MetricsRegistry(),
+                backend="serial",
+                guard=False,
+                quarantine=False,
+                participation_fraction=1.0,
+                faults="hb_loss=0.05,seed=3",
+            )
+        assert result.name == "async_federated"
+
+    def test_disabled_controlplane_keeps_the_sync_driver(self):
+        with controlplane(enabled=False):
+            result = self.train(participation_fraction=0.5)
+        assert result.name == "federated"
+
+    def test_cli_async_with_topology_exits_2(self, capsys):
+        from repro.cli import main
+
+        argv = ["run", "fig3", "--rounds", "5", "--steps", "5", "--async"]
+        assert main(argv + ["--topology", "edges=2"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --async:" in captured.err
+        assert "topology" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -22,7 +22,7 @@ from repro.utils.checkpoint import (
     set_rng_state,
 )
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "thread", "process", "batched"]
 
 ASSIGNMENTS = {"dev0": ("fft",), "dev1": ("radix",)}
 
@@ -140,47 +140,83 @@ class TestCrashResume:
     def uninterrupted(self):
         return run_metrics(train_federated(ASSIGNMENTS, tiny_config()))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_kill_and_resume_is_bit_identical(
-        self, backend, uninterrupted, tmp_path
-    ):
+    @staticmethod
+    def kill_then_resume(written_under, resumed_under, tmp_path, kill_round):
+        """Kill under one backend, resume under another; the resumed run."""
         checkpoint_path = str(tmp_path / "run.ckpt")
         with pytest.raises(RunKilledError):
             train_federated(
                 ASSIGNMENTS,
                 tiny_config(),
-                backend=backend,
-                faults="kill=3",
+                backend=written_under,
+                faults=f"kill={kill_round}",
                 checkpoint=CheckpointConfig(path=checkpoint_path),
             )
-        resumed = train_federated(
+        return train_federated(
             ASSIGNMENTS,
             tiny_config(),
-            backend=backend,
-            faults="kill=3",
+            backend=resumed_under,
+            faults=f"kill={kill_round}",
             checkpoint=CheckpointConfig(path=checkpoint_path, resume=True),
         )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kill_and_resume_is_bit_identical(
+        self, backend, uninterrupted, tmp_path
+    ):
+        resumed = self.kill_then_resume(backend, backend, tmp_path, 3)
         assert run_metrics(resumed) == uninterrupted
 
     def test_serial_checkpoint_resumes_under_process_backend(
         self, uninterrupted, tmp_path
     ):
+        resumed = self.kill_then_resume("serial", "process", tmp_path, 4)
+        assert run_metrics(resumed) == uninterrupted
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_resuming_a_finished_run_returns_its_result(
+        self, backend, uninterrupted, tmp_path
+    ):
+        # The last round's checkpoint leaves no round to run: the resumed
+        # call must hand back the finished run (decision latency included,
+        # restored with the sessions) rather than trip over an idle fleet.
         checkpoint_path = str(tmp_path / "run.ckpt")
-        with pytest.raises(RunKilledError):
-            train_federated(
-                ASSIGNMENTS,
-                tiny_config(),
-                backend="serial",
-                faults="kill=4",
-                checkpoint=CheckpointConfig(path=checkpoint_path),
-            )
+        finished = train_federated(
+            ASSIGNMENTS,
+            tiny_config(),
+            backend=backend,
+            checkpoint=CheckpointConfig(path=checkpoint_path),
+        )
         resumed = train_federated(
             ASSIGNMENTS,
             tiny_config(),
-            backend="process",
-            faults="kill=4",
+            backend=backend,
             checkpoint=CheckpointConfig(path=checkpoint_path, resume=True),
         )
+        assert run_metrics(finished) == uninterrupted
+        assert resumed.round_evaluations == finished.round_evaluations
+        assert resumed.mean_decision_latency_s > 0.0
+        for before, after in zip(
+            finished.controllers["dev0"].agent.get_parameters(),
+            resumed.controllers["dev0"].agent.get_parameters(),
+        ):
+            assert (before == after).all()
+
+    @pytest.mark.parametrize(
+        "written_under,resumed_under",
+        [
+            ("serial", "batched"),
+            ("process", "serial"),
+            ("batched", "serial"),
+            ("thread", "process"),
+        ],
+    )
+    def test_checkpoints_are_portable_across_backends(
+        self, written_under, resumed_under, uninterrupted, tmp_path
+    ):
+        # Every backend hosts the same device actors, so the blobs one
+        # writes are the blobs any other restores.
+        resumed = self.kill_then_resume(written_under, resumed_under, tmp_path, 4)
         assert run_metrics(resumed) == uninterrupted
 
 
@@ -227,7 +263,7 @@ class TestFaultDeterminism:
             )
         return results
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "process", "batched"])
     def test_faulted_run_matches_serial(self, backend, per_backend):
         assert per_backend[backend] == per_backend["serial"]
 

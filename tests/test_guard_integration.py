@@ -28,7 +28,7 @@ ASSIGNMENTS = {
     "device-2": ("barnes", "fmm"),
 }
 EVAL_APPS = ("fft", "radix")
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread", "process", "batched")
 
 
 def make_config(num_rounds=6, steps_per_round=40, seed=11):
@@ -89,7 +89,7 @@ class TestByzantineBroadcastRecovery:
         assert federated.fallback_steps_by_device == report.fallback_steps
         assert federated.fallback_rate() > 0.0
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_equivalence(self, serial_result, backend):
         serial, serial_report = serial_result
         consume_guard_report()
@@ -109,6 +109,52 @@ class TestByzantineBroadcastRecovery:
         assert report.trip_counts == serial_report.trip_counts
         assert report.fallback_steps == serial_report.fallback_steps
         assert report.device_states == serial_report.device_states
+
+
+class TestQuarantineChurnBackendEquivalence:
+    """Watchdog + quarantine + churn together, on all four backends."""
+
+    @staticmethod
+    def run(backend):
+        consume_guard_report()
+        result = train_federated(
+            ASSIGNMENTS,
+            make_config(),
+            eval_applications=EVAL_APPS,
+            faults="byzantine=0.3,seed=7",
+            aggregator="median",
+            guard=True,
+            quarantine=True,
+            churn="leave=0.3,rejoin=0.5,seed=11",
+            backend=backend,
+            workers=2,
+        )
+        federated = result.federated_result
+        report = consume_guard_report()
+        return (
+            result.round_evaluations,
+            result.communication_bytes,
+            federated.participation_by_round,
+            federated.stragglers_by_round,
+            federated.quarantined_by_round,
+            federated.fallback_steps_by_device,
+            federated.power_steps_by_device,
+            report.device_states,
+            report.trip_counts,
+            report.quarantine_events,
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return self.run("serial")
+
+    def test_churn_actually_drained_some_rounds(self, reference):
+        participation = reference[2]
+        assert any(len(names) < len(ASSIGNMENTS) for names in participation)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_backend_equivalence(self, reference, backend):
+        assert self.run(backend) == reference
 
 
 class TestGuardOffEquivalence:

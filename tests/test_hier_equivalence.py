@@ -69,8 +69,8 @@ def test_flat_topology_is_bit_identical_on_every_backend(
         ASSIGNMENTS,
         config,
         eval_applications=EVAL_APPS,
-        backend=None if backend == "serial" else backend,
-        workers=None if backend == "serial" else 2,
+        backend=backend,
+        workers=2,
         topology="flat",
     )
     assert_bit_identical(baseline, result)

@@ -1,9 +1,10 @@
-"""Backend equivalence: thread/process runs are bit-identical to serial.
+"""Backend equivalence: every backend is bit-identical to serial.
 
-The parallel engine's core contract: for every training driver, the
+The execution engine's core contract: for every training driver, the
 round evaluations, communication byte accounting and training traces
-produced under any execution backend equal the serial reference exactly
-(floats compared with ``==``, not tolerances). Wall-clock artefacts
+produced under any backend — four schedulers over the same device
+actors — equal the serial reference exactly (floats compared with
+``==``, not tolerances). Wall-clock artefacts
 (decision latencies, phase durations) are the only permitted
 differences.
 """
@@ -73,7 +74,7 @@ def collab_serial(config):
     return train_collab_profit(ASSIGNMENTS, config, eval_applications=EVAL_APPS)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
 def test_federated_backend_equivalence(config, federated_serial, backend):
     parallel = train_federated(
         ASSIGNMENTS,
@@ -100,7 +101,7 @@ def test_federated_backend_equivalence(config, federated_serial, backend):
             assert (b == p).all()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
 def test_local_only_backend_equivalence(config, local_serial, backend):
     parallel = train_local_only(
         ASSIGNMENTS,
@@ -113,7 +114,7 @@ def test_local_only_backend_equivalence(config, local_serial, backend):
     assert parallel.communication_bytes == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
 def test_collab_backend_equivalence(config, collab_serial, backend):
     parallel = train_collab_profit(
         ASSIGNMENTS,
@@ -169,7 +170,9 @@ def test_straggler_skip_bitwise_equal(config):
 
 @pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
 def test_straggler_abort_raises(config, backend):
-    with pytest.raises((FederationError, RuntimeError)):
+    # One error contract on every backend: FederationError naming the
+    # device and carrying the device-side failure.
+    with pytest.raises(FederationError, match="DEVICE_B") as excinfo:
         train_federated(
             ASSIGNMENTS,
             config,
@@ -179,6 +182,61 @@ def test_straggler_abort_raises(config, backend):
             straggler_policy="abort",
             fault_injector=_fail_device_b_round_1,
         )
+    assert "injected straggler" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("backend", ("serial", "thread", "batched"))
+def test_closure_fault_injector_on_in_process_backends(config, backend):
+    """In-process backends never pickle the spec, so the injector may be
+    a closure (only the process backend needs a top-level callable)."""
+    calls = []
+
+    def injector(device_name, round_index):
+        calls.append((device_name, round_index))
+        if device_name == "DEVICE_A" and round_index == 2:
+            raise RuntimeError("closure straggler")
+
+    result = train_federated(
+        ASSIGNMENTS,
+        config,
+        eval_applications=EVAL_APPS,
+        backend=backend,
+        workers=2,
+        straggler_policy="skip",
+        fault_injector=injector,
+    )
+    assert result.federated_result.stragglers_by_round == [
+        [],
+        [],
+        ["DEVICE_A"],
+        [],
+    ]
+    assert sorted(calls) == sorted(
+        (name, round_index)
+        for name in ASSIGNMENTS
+        for round_index in range(config.num_rounds)
+    )
+
+
+def _fail_everyone(device_name, round_index):
+    raise RuntimeError("nobody trains")
+
+
+@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+def test_run_where_no_device_ever_steps_still_returns(config, backend):
+    result = train_federated(
+        ASSIGNMENTS,
+        config,
+        eval_applications=EVAL_APPS,
+        backend=backend,
+        workers=2,
+        straggler_policy="skip",
+        fault_injector=_fail_everyone,
+    )
+    assert result.federated_result.aggregations_completed == 0
+    assert len(result.train_trace) == 0
+    assert result.mean_decision_latency_s == 0.0
+    assert set(result.controllers) == set(ASSIGNMENTS)
 
 
 def _raw_event_rows(backend, config):
