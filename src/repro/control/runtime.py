@@ -34,7 +34,7 @@ from repro.errors import SimulationError
 from repro.obs.flight import FlightRecord, FlightRecorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import ScopeProfiler
+from repro.obs.profile import NULL_SCOPE, ScopeProfiler
 from repro.sim.device import DeviceEnvironment
 from repro.sim.processor import ProcessorSnapshot
 from repro.sim.trace import StepRecord, TraceRecorder
@@ -140,10 +140,12 @@ class ControlSession:
             self.start()
         assert self._snapshot is not None
 
-        if self.profiler is not None:
-            with self.profiler.scope("control.run_steps"):
-                records = self._run_steps(num_steps, round_index, train, record)
-        else:
+        scope = (
+            self.profiler.scope("control.run_steps")
+            if self.profiler is not None
+            else NULL_SCOPE
+        )
+        with scope:
             records = self._run_steps(num_steps, round_index, train, record)
 
         # Metric emission happens once per call, not per step, so an

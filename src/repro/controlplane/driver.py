@@ -130,10 +130,14 @@ def train_async_federated(
         _check_assignments,
         _emit_evaluation,
         _power_accounting,
+        _reject_async_unsupported,
         _resolve_run_resilience,
     )
 
     _check_assignments(assignments)
+    # This driver hosts its own devices: an ambient backend (or
+    # hierarchy/guard) would be silently dropped.
+    _reject_async_unsupported()
     metrics = active_metrics(metrics)
     events = active_events(events)
     profiler = active_profiler(profiler)

@@ -23,6 +23,7 @@ checks.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -51,6 +52,7 @@ from repro.obs.tracing import (
     PHASE_BROADCAST,
     PHASE_LOCAL_TRAIN,
     PHASE_UPLOAD,
+    PhaseSpan,
     RoundTracer,
     STATUS_FAILED,
     STATUS_OK,
@@ -580,6 +582,15 @@ def run_federated_training(
     return result
 
 
+def _phase(
+    tracer: Optional[RoundTracer], name: str, client_id: Optional[str] = None
+):
+    """``tracer.phase(...)``; untraced, a throwaway span that is dropped."""
+    if tracer is None:
+        return nullcontext(PhaseSpan(name=name, client_id=client_id))
+    return tracer.phase(name, client_id=client_id)
+
+
 def _run_one_round(
     server: FederatedServer,
     clients_by_id: Dict[str, FederatedClient],
@@ -607,16 +618,11 @@ def _run_one_round(
 
     bytes_at = transport.total_bytes
     with profile("federated.broadcast", profiler):
-        if tracer is not None:
-            with tracer.phase(PHASE_BROADCAST) as span:
-                reached = server.broadcast(
-                    round_index, recipients=participating, tolerant=tolerant
-                )
-                span.bytes_transferred = transport.total_bytes - bytes_at
-        else:
+        with _phase(tracer, PHASE_BROADCAST) as span:
             reached = server.broadcast(
                 round_index, recipients=participating, tolerant=tolerant
             )
+            span.bytes_transferred = transport.total_bytes - bytes_at
     if metrics is not None:
         metrics.inc("federated.broadcast_bytes", transport.total_bytes - bytes_at)
 
@@ -672,12 +678,9 @@ def _run_one_round(
         bytes_at = transport.total_bytes
         try:
             with profile("federated.upload", profiler):
-                if tracer is not None:
-                    with tracer.phase(PHASE_UPLOAD, client_id=client_id) as span:
-                        client.send_local(round_index)
-                        span.bytes_transferred = transport.total_bytes - bytes_at
-                else:
+                with _phase(tracer, PHASE_UPLOAD, client_id) as span:
                     client.send_local(round_index)
+                    span.bytes_transferred = transport.total_bytes - bytes_at
         except TransportError as error:
             if not tolerant:
                 raise
@@ -740,10 +743,7 @@ def _run_one_round(
         for client_id in participating:
             try:
                 with profile("federated.local_train", profiler):
-                    if tracer is not None:
-                        with tracer.phase(PHASE_LOCAL_TRAIN, client_id=client_id):
-                            trainers[client_id](round_index)
-                    else:
+                    with _phase(tracer, PHASE_LOCAL_TRAIN, client_id):
                         trainers[client_id](round_index)
             except Exception as error:
                 if straggler_policy == "abort":
@@ -779,23 +779,18 @@ def _run_one_round(
     update_norm: Optional[float] = None
     try:
         with profile("federated.aggregate", profiler):
-            if tracer is not None:
-                before = server.global_parameters
-                with tracer.phase(PHASE_AGGREGATE):
-                    after = server.aggregate(
-                        round_index,
-                        expected_clients=survivors,
-                        weights=aggregation_weights,
-                        tolerant=tolerant,
-                    )
-                update_norm = _update_norm(before, after)
-            else:
-                server.aggregate(
+            # The drift norm costs a deep copy of the global model, so
+            # it is computed on traced runs only.
+            before = server.global_parameters if tracer is not None else None
+            with _phase(tracer, PHASE_AGGREGATE):
+                after = server.aggregate(
                     round_index,
                     expected_clients=survivors,
                     weights=aggregation_weights,
                     tolerant=tolerant,
                 )
+            if before is not None:
+                update_norm = _update_norm(before, after)
     except AggregationError:
         # Every surviving upload was lost on the wire (or rejected by
         # the robust aggregator): nothing to fold in this round.

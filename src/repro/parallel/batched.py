@@ -36,6 +36,16 @@ uses is verified bit-equal to its per-device form at runtime
 fails on an exotic BLAS build, the backend silently degrades to the
 serial per-device path rather than produce drifting results.
 
+Telemetry
+---------
+There is one lockstep loop. When a device carries a
+:class:`~repro.obs.profile.ScopeProfiler` or
+:class:`~repro.obs.flight.FlightRecorder`, each step ends in a
+telemetry pass that emits the ``control.act``/``control.learn`` samples
+and flight records a serial session would — the same run as the one
+without sinks, observed. Each device's ``control.run_steps`` scope is
+charged an equal share of the batch's wall time.
+
 Eligibility and fallback
 ------------------------
 Only devices running the paper's stock stack — a
@@ -191,7 +201,7 @@ class _StackedGroup:
         self._environments = [a.environment for a in self._actors]
         self._env_steps = [a.environment.step for a in self._actors]
         self._reward_fns = [a.controller.reward for a in self._actors]
-        # When every device runs the stock Eq.-4 reward, the fast path
+        # When every device runs the stock Eq.-4 reward, the loop
         # inlines its (pure-float) piecewise arithmetic instead of
         # paying a method call per device-step.
         self._reward_inline = all(
@@ -208,29 +218,22 @@ class _StackedGroup:
         self._replay_rngs = [a.replay._rng for a in agents]
         self._power_limits = [a.session.power_limit_w for a in self._actors]
         self._flights = [a.flight for a in self._actors]
-        self._norm_scales = [
-            (
-                a.controller.normalizer.max_frequency_hz,
-                a.controller.normalizer.power_scale_w,
-                a.controller.normalizer.ipc_scale,
-                a.controller.normalizer.mpki_scale,
-            )
-            for a in self._actors
-        ]
+        self._profilers = [a.profiler for a in self._actors]
         # Divisor matrix matching StateNormalizer.vectorize: dividing
         # the raw (freq, power, ipc, miss_rate, mpki) row element-wise
         # by this row yields the same doubles as the serial per-scalar
         # divisions (miss_rate's divisor is exactly 1.0).
         self._scale_matrix = np.array(
             [
-                (max_f, power_scale, ipc_scale, 1.0, mpki_scale)
-                for max_f, power_scale, ipc_scale, mpki_scale in self._norm_scales
+                (n.max_frequency_hz, n.power_scale_w, n.ipc_scale, 1.0, n.mpki_scale)
+                for n in (a.controller.normalizer for a in self._actors)
             ],
             dtype=np.float64,
         )
         self._all_rows_list = list(range(self.num_devices))
         self._arange_rows = np.arange(self.num_devices, dtype=np.int64)
         self._any_flight = any(f is not None for f in self._flights)
+        self._any_profiler = any(p is not None for p in self._profilers)
         self._rewards_buffer = np.empty(self.num_devices, dtype=np.float64)
         self._grad_out_buffer: Optional[np.ndarray] = None
 
@@ -266,7 +269,6 @@ class _StackedGroup:
         records: Dict[int, List[StepRecord]] = {}
         active: List[int] = []
         latency_starts: Dict[int, float] = {}
-        open_scopes = []
 
         # Per-task prologue, in task (device) order — install shipped
         # parameters, fire fault injectors, start unstarted sessions.
@@ -274,14 +276,6 @@ class _StackedGroup:
             row = self.rows[name]
             actor = self._actors[row]
             latency_starts[row] = self._decision_times[row]
-            if actor.profiler is not None:
-                # Keep the serial scope open for the whole batch so the
-                # per-step control.act/control.learn/sim.step emissions
-                # nest under control.run_steps exactly as serial nests
-                # them.
-                scope = actor.profiler.scope("control.run_steps")
-                scope.__enter__()
-                open_scopes.append(scope)
             try:
                 if task.parameters is not None:
                     self._network.set_row_parameters(row, task.parameters)
@@ -301,23 +295,25 @@ class _StackedGroup:
             records[row] = []
             active.append(row)
 
-        profiled = any(actor.profiler is not None for actor in self._actors)
-        if profiled or self._any_flight:
-            self._lockstep_instrumented(
-                active, records, errors, round_index, num_steps, train, profiled
-            )
-        else:
-            self._lockstep_fast(
-                active, records, errors, round_index, num_steps, train
-            )
-
-        for scope in open_scopes:
-            scope.__exit__(None, None, None)
+        # Each stepping device's ``control.run_steps`` scope stays open
+        # for the whole batch so sim.step/control.act/control.learn nest
+        # under it as in serial. The devices ran interleaved, so each
+        # scope is charged an equal share of the batch, not all of it.
+        open_scopes = [
+            (profiler, profiler._push("control.run_steps"))
+            for profiler in (self._profilers[row] for row in active)
+            if profiler is not None
+        ]
+        try:
+            self._lockstep(active, records, errors, round_index, num_steps, train)
+        finally:
+            batch_elapsed = time.perf_counter() - batch_start
+            duration_share = batch_elapsed / max(1, len(tasks))
+            for profiler, path in open_scopes:
+                profiler._pop(path, duration_share)
 
         # Per-task epilogue: metric emission (success only, serial call
         # order) and outcome assembly.
-        total_elapsed = time.perf_counter() - batch_start
-        duration_share = total_elapsed / max(1, len(tasks))
         outcomes: Dict[str, StepsOutcome] = {}
         for name, task in tasks.items():
             row = self.rows[name]
@@ -352,7 +348,7 @@ class _StackedGroup:
             )
         return outcomes
 
-    def _lockstep_fast(
+    def _lockstep(
         self,
         active: List[int],
         records: Dict[int, List[StepRecord]],
@@ -361,19 +357,26 @@ class _StackedGroup:
         num_steps: int,
         train: bool,
     ) -> None:
-        """Hot path: no profiler and no flight recorder attached.
+        """The one control loop: act, step the simulators, build trace
+        records and train, once per step for every live device.
 
-        One pass per step — act, step the simulators, build trace
-        records and train — with the per-step telemetry emission of the
-        instrumented path compiled out. Produces byte-identical
-        records, replay contents, parameters and RNG streams; only
+        With a profiler or flight recorder attached, each step ends in
+        a telemetry pass emitting the samples and flight records a
+        serial session would; unattached, that costs a few ``if``
+        checks per step (not per device). Records, replay contents,
+        parameters and RNG streams equal serial's either way; only
         timing *attribution* differs (decision time is apportioned once
-        per batch instead of per step, which the equivalence contract
-        never compares because timings are machine noise anyway).
+        per batch, which the equivalence contract never compares —
+        timings are machine noise).
         """
         live = list(active)
         if not live:
             return
+        flights = self._flights
+        profilers = self._profilers
+        any_flight = self._any_flight
+        profiled = self._any_profiler
+        act_share = learn_share = 0.0
         all_rows_list = self._all_rows_list
         env_steps = self._env_steps
         reward_fns = self._reward_fns
@@ -420,6 +423,8 @@ class _StackedGroup:
         for _ in range(num_steps):
             if not live:
                 break
+            if profiled:
+                step_start = time.perf_counter()
             count = len(live)
             full = live == all_rows_list
             raw: List[float] = []
@@ -525,6 +530,10 @@ class _StackedGroup:
                 actions = values.argmax(axis=1)
                 greedy_list = None
             actions_list = actions.tolist()
+            if profiled:
+                act_share = (time.perf_counter() - step_start) / count
+            if any_flight:
+                befores = [snapshots[row] for row in live]
 
             if train and aligned:
                 advanced = first_count + 1
@@ -603,6 +612,8 @@ class _StackedGroup:
                     last_greedy[row] = True
 
             if train and len(failed) != count:
+                if profiled:
+                    learn_start = time.perf_counter()
                 if failed:
                     failed_set = set(failed)
                     keep = np.asarray(
@@ -635,9 +646,55 @@ class _StackedGroup:
                         for row in due:
                             errors[row] = failure
                             records[row] = []
-                            if train:
-                                consumed_at_death[row] = draws_done
+                            consumed_at_death[row] = draws_done
                         update_failed = True
+                if profiled:
+                    learn_share = (time.perf_counter() - learn_start) / (
+                        count - len(failed)
+                    )
+
+            if profiled or any_flight:
+                # Telemetry pass, after the update so ``loss`` is known.
+                # A device that failed this step emits nothing, as in
+                # serial.
+                updated = set(due)
+                for position, row in enumerate(live):
+                    if row in errors:
+                        continue
+                    profiler = profilers[row]
+                    if profiler is not None:
+                        profiler.add("control.act", act_share)
+                        if train:
+                            profiler.add("control.learn", learn_share)
+                    flight = flights[row]
+                    if flight is None:
+                        continue
+                    before = befores[position]
+                    record = records[row][-1]
+                    limit = self._power_limits[row]
+                    violated = limit is not None and record.power_w > limit
+                    if violated:
+                        self._violation_counts[row] += 1
+                    flight.record(
+                        FlightRecord(
+                            device=record.device,
+                            round_index=round_index,
+                            step=record.step,
+                            obs_frequency_hz=before.frequency_hz,
+                            obs_power_w=before.power_w,
+                            obs_ipc=before.ipc,
+                            obs_mpki=before.mpki,
+                            action_index=record.action_index,
+                            action_frequency_hz=record.frequency_hz,
+                            reward=record.reward,
+                            greedy=last_greedy[row],
+                            violated=violated,
+                            violations=self._violation_counts[row],
+                            temperature_c=record.temperature_c,
+                            loss=self._last_losses[row] if row in updated else None,
+                            fallback=False,
+                        )
+                    )
             if failed or update_failed:
                 live = [row for row in live if row not in errors]
                 if train:
@@ -661,241 +718,6 @@ class _StackedGroup:
             for row, acted in enumerate(acts):
                 if acted:
                     self._decision_times[row] += share * acted
-
-    def _lockstep_instrumented(
-        self,
-        active: List[int],
-        records: Dict[int, List[StepRecord]],
-        errors: Dict[int, str],
-        round_index: int,
-        num_steps: int,
-        train: bool,
-        profiled: bool,
-    ) -> None:
-        """Lockstep loop with per-step telemetry (profiler/flight).
-
-        Functionally identical to :meth:`_lockstep_fast`; additionally
-        emits ``control.act``/``control.learn`` profiler samples and
-        flight records per step, exactly like a serial session, which
-        costs a second per-device pass per step.
-        """
-        live = list(active)
-        env_steps = self._env_steps
-        reward_fns = self._reward_fns
-        snapshots = self._snapshots
-        norm_scales = self._norm_scales
-        step_counts = self._step_counts
-        draws = self._softmax_draws
-        cache = self._temperature_cache
-        schedule_value = self._schedule.value
-        interval = self._update_interval
-        all_rows_list = self._all_rows_list
-
-        for _ in range(num_steps):
-            if not live:
-                break
-            step_start = time.perf_counter()
-            count = len(live)
-            states = np.empty((count, NUM_STATE_FEATURES), dtype=np.float64)
-            for position, row in enumerate(live):
-                snap = snapshots[row]
-                max_f, power_scale, ipc_scale, mpki_scale = norm_scales[row]
-                target = states[position]
-                target[0] = snap.frequency_hz / max_f
-                target[1] = snap.power_w / power_scale
-                target[2] = snap.ipc / ipc_scale
-                target[3] = snap.miss_rate
-                target[4] = snap.mpki / mpki_scale
-            rows_arg = None if live == all_rows_list else np.asarray(live)
-            values = self._network.predict(states, rows_arg)
-
-            if not np.isfinite(values).all():
-                # Serial raises inside Generator.choice before drawing;
-                # mirror that — error the offending devices without
-                # consuming their softmax streams.
-                finite = np.isfinite(values).all(axis=1)
-                bad = [live[i] for i in range(count) if not finite[i]]
-                for row in bad:
-                    try:
-                        raise ValueError("probabilities do not sum to 1")
-                    except ValueError:
-                        errors[row] = traceback.format_exc()
-                    records[row] = []
-                live = [row for row in live if row not in bad]
-                if not live:
-                    break
-                keep = np.flatnonzero(finite)
-                states = states[keep]
-                values = values[keep]
-                count = len(live)
-                rows_arg = (
-                    None if live == all_rows_list else np.asarray(live)
-                )
-
-            if train:
-                temperatures = np.empty(count, dtype=np.float64)
-                for position, row in enumerate(live):
-                    steps = step_counts[row]
-                    tau = cache.get(steps)
-                    if tau is None:
-                        tau = schedule_value(steps)
-                        cache[steps] = tau
-                    temperatures[position] = tau
-                # Vectorised softmax + Generator.choice(p=...) internals:
-                # same scalar ops per row as repro.utils.math.softmax
-                # followed by numpy's normalised-cumsum inversion.
-                scaled = values / temperatures[:, None]
-                scaled -= scaled.max(axis=1, keepdims=True)
-                np.exp(scaled, out=scaled)
-                probabilities = scaled / scaled.sum(axis=1)[:, None]
-                cdf = probabilities.cumsum(axis=1)
-                cdf /= cdf[:, -1].copy()[:, None]
-                uniforms = np.empty(count, dtype=np.float64)
-                for position, row in enumerate(live):
-                    uniforms[position] = draws[row]()
-                actions = (cdf <= uniforms[:, None]).sum(axis=1)
-                greedy_flags = (actions == values.argmax(axis=1)).tolist()
-            else:
-                actions = values.argmax(axis=1)
-                greedy_flags = None
-            actions_list = actions.tolist()
-
-            act_elapsed = time.perf_counter() - step_start
-
-            # Per-device simulator stepping + rewards (stateful Python
-            # models — the intentionally serial part of the step).
-            afters: List[object] = [None] * count
-            rewards_list: List[float] = [0.0] * count
-            survivors: List[int] = []
-            for position, row in enumerate(live):
-                self._decision_counts[row] += 1
-                try:
-                    after = env_steps[row](actions_list[position])
-                    rewards_list[position] = reward_fns[row](
-                        after.frequency_hz, after.power_w
-                    )
-                except Exception:
-                    errors[row] = traceback.format_exc()
-                    records[row] = []
-                    continue
-                afters[position] = after
-                survivors.append(position)
-
-            due: List[int] = []
-            if train and survivors:
-                if len(survivors) == count:
-                    learn_rows = np.asarray(live, dtype=np.int64)
-                    learn_states = states
-                    learn_actions = actions
-                    learn_rewards = np.asarray(rewards_list, dtype=np.float64)
-                else:
-                    keep = np.asarray(survivors, dtype=np.int64)
-                    learn_rows = np.asarray(live, dtype=np.int64)[keep]
-                    learn_states = states[keep]
-                    learn_actions = actions[keep]
-                    learn_rewards = np.asarray(
-                        [rewards_list[i] for i in survivors], dtype=np.float64
-                    )
-                self._replay.append_rows(
-                    learn_rows, learn_states, learn_actions, learn_rewards
-                )
-                for position in survivors:
-                    row = live[position]
-                    advanced = step_counts[row] + 1
-                    step_counts[row] = advanced
-                    if advanced % interval == 0:
-                        due.append(row)
-                if due:
-                    try:
-                        self._update_rows(due)
-                    except Exception:
-                        failure = traceback.format_exc()
-                        for row in due:
-                            errors[row] = failure
-                            records[row] = []
-                        due = []
-                        survivors = [
-                            position
-                            for position in survivors
-                            if live[position] not in errors
-                        ]
-
-            step_elapsed = time.perf_counter() - step_start
-            learn_share = (
-                (step_elapsed - act_elapsed) / count if count else 0.0
-            )
-            act_share = act_elapsed / count if count else 0.0
-            due_set = set(due)
-
-            next_live: List[int] = []
-            for position in survivors:
-                row = live[position]
-                after = afters[position]
-                reward = rewards_list[position]
-                self._decision_times[row] += act_share + (
-                    learn_share if train else 0.0
-                )
-                if profiled:
-                    profiler = self._actors[row].profiler
-                    if profiler is not None:
-                        profiler.add("control.act", act_share)
-                        if train:
-                            profiler.add("control.learn", learn_share)
-                global_step = self._global_steps[row]
-                records[row].append(
-                    StepRecord(
-                        step=global_step,
-                        device=self._device_names[row],
-                        application=after.application,
-                        action_index=actions_list[position],
-                        frequency_hz=after.frequency_hz,
-                        power_w=after.power_w,
-                        ipc=after.ipc,
-                        mpki=after.mpki,
-                        miss_rate=after.miss_rate,
-                        ips=after.ips,
-                        reward=reward,
-                        round_index=round_index,
-                        temperature_c=after.temperature_c,
-                    )
-                )
-                flight = self._flights[row]
-                if flight is not None:
-                    before = snapshots[row]
-                    limit = self._power_limits[row]
-                    violated = limit is not None and after.power_w > limit
-                    if violated:
-                        self._violation_counts[row] += 1
-                    updated = train and row in due_set
-                    flight.record(
-                        FlightRecord(
-                            device=self._device_names[row],
-                            round_index=round_index,
-                            step=global_step,
-                            obs_frequency_hz=before.frequency_hz,
-                            obs_power_w=before.power_w,
-                            obs_ipc=before.ipc,
-                            obs_mpki=before.mpki,
-                            action_index=actions_list[position],
-                            action_frequency_hz=after.frequency_hz,
-                            reward=reward,
-                            greedy=(
-                                greedy_flags[position] if train else True
-                            ),
-                            violated=violated,
-                            violations=self._violation_counts[row],
-                            temperature_c=after.temperature_c,
-                            loss=self._last_losses[row] if updated else None,
-                            fallback=False,
-                        )
-                    )
-                snapshots[row] = after
-                self._global_steps[row] = global_step + 1
-                self._last_greedy[row] = (
-                    greedy_flags[position] if train else True
-                )
-                next_live.append(row)
-            live = next_live
 
     def _update_rows(self, due: List[int]) -> None:
         """One stacked gradient step for every device in ``due``.

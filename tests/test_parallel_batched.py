@@ -5,14 +5,17 @@ Bit-identical equivalence against serial across whole training drivers
 ``test_parallel_equivalence.py``. This module exercises the backend's
 *own* mechanics at fleet level: which actors join the stacked group,
 how ineligible or incompatible devices fall back to the exact serial
-path, and how non-training tasks force a state resync.
+path, how non-training tasks force a state resync, and how a device
+failing inside the lockstep loop leaves exactly the state serial does.
 """
 
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.training import _local_actor_parts, _worker_specs
+from repro.obs.flight import FlightRecorder
 from repro.parallel.engine import DeviceFleet
 from repro.rl.prioritized_replay import PrioritizedReplayBuffer
 
@@ -96,9 +99,13 @@ def _assert_same_run(builder):
     serial_records, serial_params = _run_rounds(builder, "serial")
     batched_records, batched_params = _run_rounds(builder, "batched")
     assert batched_records == serial_records
-    for name in serial_params:
-        for a, b in zip(serial_params[name], batched_params[name]):
-            assert (a == b).all()
+    _assert_same_parameters(serial_params, batched_params)
+
+
+def _assert_same_parameters(serial, batched):
+    for name in ASSIGNMENTS:
+        for a, b in zip(serial[name], batched[name]):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 def _batched_group(builder, assignments=ASSIGNMENTS):
@@ -208,3 +215,140 @@ def test_greedy_rounds_group_too():
             )
             runs[backend] = {name: outcomes[name].records for name in names}
     assert runs["batched"] == runs["serial"]
+
+
+def test_no_group_when_stacked_ops_not_bitexact(monkeypatch):
+    """On a BLAS build whose stacked ops drift, the backend must run
+    every device on the per-device serial path, not vectorise anyway."""
+    monkeypatch.setattr(
+        "repro.parallel.batched.stacked_ops_bitexact", lambda: False
+    )
+    group, fleet = _batched_group(_local_actor_parts)
+    try:
+        assert group is None
+    finally:
+        fleet.close()
+    _assert_same_run(_local_actor_parts)
+
+
+FAILING_DEVICE = "BENCH_001"
+#: 13th simulator call of round 1 (rounds are 30 steps).
+FAILING_CALL = 30 + 13
+
+
+def _step_failure_builder(
+    device_name, metrics, profiler, assignments, config, eval_apps
+):
+    """BENCH_001's simulator raises once, mid-batch in round 1."""
+    parts = _local_actor_parts(
+        device_name, metrics, profiler, assignments, config, eval_apps
+    )
+    if device_name == FAILING_DEVICE:
+        step, calls = parts.environment.step, []
+
+        def failing_step(action):
+            calls.append(action)
+            if len(calls) == FAILING_CALL:
+                raise SimulationError("injected simulator failure")
+            return step(action)
+
+        parts.environment.step = failing_step
+    return parts
+
+
+def _nan_weights_builder(
+    device_name, metrics, profiler, assignments, config, eval_apps
+):
+    """BENCH_001 starts from a NaN-poisoned network."""
+    parts = _local_actor_parts(
+        device_name, metrics, profiler, assignments, config, eval_apps
+    )
+    if device_name == FAILING_DEVICE:
+        agent = parts.controller.agent
+        agent.set_parameters(
+            [np.full_like(p, np.nan) for p in agent.get_parameters()]
+        )
+    return parts
+
+
+def _run_tolerating_errors(builder, backend, flight=None, rounds=3):
+    """Like ``_run_rounds`` but a failing device only flags its outcome;
+    also returns each device's softmax generator state."""
+    config = _config()
+    specs = _worker_specs(
+        builder, ASSIGNMENTS, config, EVAL_APPS, None, None, flight
+    )
+    names = list(ASSIGNMENTS)
+    errored, records = [], []
+    with DeviceFleet(specs, backend=backend, flight=flight) as fleet:
+        for round_index in range(rounds):
+            outcomes = fleet.run_round(
+                round_index, names, config.steps_per_round, raise_on_error=False
+            )
+            errored.append(
+                [name for name in names if outcomes[name].error is not None]
+            )
+            records.append({name: outcomes[name].records for name in names})
+        controllers = fleet.fetch_controllers()
+    parameters = {
+        name: controller.agent.get_parameters()
+        for name, controller in controllers.items()
+    }
+    softmax_states = {
+        name: controller.agent._softmax._rng.bit_generator.state
+        for name, controller in controllers.items()
+    }
+    return errored, records, parameters, softmax_states
+
+
+@pytest.mark.parametrize("with_flight", (False, True))
+def test_mid_batch_step_failure_matches_serial(with_flight):
+    """One device's simulator raises mid-batch: it alone errors, the
+    rest keep stepping, and everything the failure leaves behind —
+    parameters, the dead device's softmax stream, flight rows — is what
+    a serial fleet leaves."""
+    runs = {}
+    for backend in ("serial", "batched"):
+        flight = FlightRecorder() if with_flight else None
+        runs[backend] = (
+            _run_tolerating_errors(_step_failure_builder, backend, flight),
+            flight,
+        )
+    (errored_s, records_s, params_s, softmax_s), flight_s = runs["serial"]
+    (errored_b, records_b, params_b, softmax_b), flight_b = runs["batched"]
+    assert errored_s == [[], [FAILING_DEVICE], []]
+    assert errored_b == errored_s
+    assert records_b == records_s
+    assert records_b[1][FAILING_DEVICE] == []
+    _assert_same_parameters(params_s, params_b)
+    assert softmax_b[FAILING_DEVICE] == softmax_s[FAILING_DEVICE]
+    if with_flight:
+        assert flight_b.to_dicts() == flight_s.to_dicts()
+        failed_round = [
+            row
+            for row in flight_b.device_records(FAILING_DEVICE)
+            if row.round_index == 1
+        ]
+        # Twelve completed steps; the failed 13th leaves no row.
+        assert len(failed_round) == 12
+
+
+def test_non_finite_action_values_error_only_that_device():
+    """NaN action values: serial raises inside ``Generator.choice``
+    before drawing, so the device errors with its softmax stream
+    untouched while the rest of the fleet trains on."""
+    errored_s, records_s, params_s, softmax_s = _run_tolerating_errors(
+        _nan_weights_builder, "serial", rounds=2
+    )
+    errored_b, records_b, params_b, softmax_b = _run_tolerating_errors(
+        _nan_weights_builder, "batched", rounds=2
+    )
+    assert errored_s == [[FAILING_DEVICE], [FAILING_DEVICE]]
+    assert errored_b == errored_s
+    assert records_b == records_s
+    _assert_same_parameters(params_s, params_b)
+    assert softmax_b == softmax_s
+    _, _, _, untouched = _run_tolerating_errors(
+        _nan_weights_builder, "serial", rounds=0
+    )
+    assert softmax_b[FAILING_DEVICE] == untouched[FAILING_DEVICE]

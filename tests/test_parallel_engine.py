@@ -190,7 +190,7 @@ def test_fleet_fault_injection(backend):
             fleet.run_round(0, names, config.steps_per_round)
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("thread", "process", "batched"))
 def test_fleet_telemetry_matches_serial(backend):
     config = tiny_config()
 

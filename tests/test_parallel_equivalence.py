@@ -309,6 +309,80 @@ def test_obs_watch_snapshot_identical_across_backends(config, tmp_path):
         assert snapshots[backend] == snapshots["serial"], backend
 
 
+FLEET = {
+    "DEVICE_A": ("fft", "lu"),
+    "DEVICE_B": ("radix",),
+    "DEVICE_C": ("ocean",),
+    "DEVICE_D": ("fft",),
+}
+
+
+def _telemetry_run(backend, config, with_flight=True):
+    """Federated training with flight + profiler + metrics attached."""
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profile import ScopeProfiler
+
+    metrics, profiler = MetricsRegistry(), ScopeProfiler()
+    flight = FlightRecorder() if with_flight else None
+    result = train_federated(
+        FLEET,
+        config,
+        eval_applications=EVAL_APPS,
+        metrics=metrics,
+        flight=flight,
+        profiler=profiler,
+        backend=backend,
+        workers=2,
+    )
+    return result, metrics, profiler, flight
+
+
+def _profile_counts(profiler):
+    """``(path, count)`` per scope — the timings are wall-clock."""
+    return sorted((stats.path, stats.count) for stats in profiler.table())
+
+
+@pytest.fixture(scope="module")
+def telemetry_serial(config):
+    return _telemetry_run("serial", config)
+
+
+@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+def test_telemetry_attached_run_equals_serial(config, telemetry_serial, backend):
+    """A run with every sink attached is the same run, observed: flight
+    rows, violation counts and profiled scope counts equal serial's."""
+    base, metrics_s, profiler_s, flight_s = telemetry_serial
+    result, metrics, profiler, flight = _telemetry_run(backend, config)
+    assert_equivalent(base, result)
+    assert len(flight) == len(FLEET) * config.num_rounds * config.steps_per_round
+    assert flight.to_dicts() == flight_s.to_dicts()
+    assert flight.violation_counts() == flight_s.violation_counts()
+    assert _profile_counts(profiler) == _profile_counts(profiler_s)
+    assert (
+        metrics.snapshot()["counters"] == metrics_s.snapshot()["counters"]
+    )
+    for name in FLEET:
+        for b, p in zip(
+            base.controllers[name].agent.get_parameters(),
+            result.controllers[name].agent.get_parameters(),
+        ):
+            assert (b == p).all()
+
+
+def test_batched_profiler_charges_each_device_its_share(config, telemetry_serial):
+    """Lockstep devices run interleaved inside one batch: their
+    ``control.run_steps`` scopes split the batch's wall time instead of
+    each being charged all of it, so the scope tree stays consistent
+    (children never exceed ``federated.local_train``)."""
+    _, _, profiler, _ = _telemetry_run("batched", config, with_flight=False)
+    local_train = profiler.stats("federated.local_train")
+    run_steps = profiler.stats("federated.local_train/control.run_steps")
+    assert run_steps.count == len(FLEET) * config.num_rounds
+    assert 0.0 < run_steps.total_s <= local_train.total_s
+    assert _profile_counts(profiler) == _profile_counts(telemetry_serial[2])
+
+
 def test_worker_metrics_payload_is_bounded(config):
     """The histogram state shipped over the worker pipe must not grow
     with step count — digests replace raw per-step sample lists."""
