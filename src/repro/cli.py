@@ -32,11 +32,9 @@ compares two runs (metrics JSONL files, or ``--store`` run ids) with
 direction-aware regression detection — two same-seed runs must report
 zero deltas; ``--fail-on-regression`` exits 5 otherwise.
 ``repro-power obs-history --store runs.db`` tabulates stored runs and
-flags the latest against its history via robust z-scores. ``bench``
-appends a schema-versioned entry to ``BENCH_history.jsonl`` on every
-invocation (``--no-history`` to skip) and ``--gate`` fails with exit 5
-when a key throughput metric drops more than ``--max-drop`` below the
-stored baseline median.
+flags the latest against its history via robust z-scores. Speed is
+measured from outside the program by the layer ladder
+(``benchmarks/ladder/README.md``), not by a subcommand.
 
 Guardrail flags (``run`` and ``report``): ``--guard`` arms the
 device-side safety watchdog (fallback power-cap governor on anomaly),
@@ -64,8 +62,8 @@ option the async plane cannot honour: ``--topology``, ``--selection``,
 ``--flight-out``), ``3`` injected server kill (resume with
 ``--checkpoint``/``--resume``),
 ``4`` the run completed but ended *fully degraded* — every guarded
-device finished on its fallback governor, ``5`` a regression gate
-failed (``obs-diff --fail-on-regression`` or ``bench --gate``),
+device finished on its fallback governor, ``5`` the regression gate
+failed (``obs-diff --fail-on-regression``),
 ``6`` the async control plane halted below quorum after writing a
 resumable checkpoint (``--async`` with ``--checkpoint``).
 """
@@ -177,104 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guard_flags(report_parser)
     _add_hier_flags(report_parser)
     _add_controlplane_flags(report_parser)
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the speed benchmark suite and write BENCH_speed.json",
-    )
-    bench_parser.add_argument(
-        "-o",
-        "--output",
-        type=str,
-        default="BENCH_speed.json",
-        metavar="PATH",
-        help="where to write the JSON document (default: BENCH_speed.json)",
-    )
-    bench_parser.add_argument(
-        "--seed", type=int, default=2025, help="root random seed"
-    )
-    bench_parser.add_argument(
-        "--rounds", type=int, default=4, help="federated rounds per driver"
-    )
-    bench_parser.add_argument(
-        "--steps", type=int, default=100, help="control steps per round"
-    )
-    bench_parser.add_argument(
-        "--devices", type=int, default=4, help="number of simulated devices"
-    )
-    bench_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="parallel workers (0 = min(devices, available cpus))",
-    )
-    bench_parser.add_argument(
-        "--no-process",
-        action="store_true",
-        help="skip the process-backend comparison (serial timings only)",
-    )
-    bench_parser.add_argument(
-        "--backend",
-        type=str,
-        default="batched",
-        choices=sorted(BACKEND_NAMES),
-        help=(
-            "backend the fleet section compares against serial "
-            "(default: batched)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--fleet-devices",
-        type=str,
-        default="4,32,256",
-        metavar="CSV",
-        help=(
-            "comma-separated fleet sizes for the per-scale throughput "
-            "section, deduped and sorted; empty skips it "
-            "(default: 4,32,256)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--hier-devices",
-        type=str,
-        default="1000,10000",
-        metavar="CSV",
-        help=(
-            "comma-separated device counts for the hierarchical-vs-flat "
-            "aggregation section, deduped and sorted; empty skips it "
-            "(default: 1000,10000)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--history",
-        type=str,
-        default="BENCH_history.jsonl",
-        metavar="PATH",
-        help=(
-            "append a schema-versioned entry to this JSONL trajectory "
-            "(default: BENCH_history.jsonl)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="do not append to the bench history trajectory",
-    )
-    bench_parser.add_argument(
-        "--gate",
-        action="store_true",
-        help=(
-            "fail (exit 5) when a key throughput metric drops more than "
-            "--max-drop below the median of the stored history baseline"
-        ),
-    )
-    bench_parser.add_argument(
-        "--max-drop",
-        type=float,
-        default=0.3,
-        metavar="FRACTION",
-        help="largest tolerated relative throughput drop (default: 0.3)",
-    )
 
     obs_report = subparsers.add_parser(
         "obs-report",
@@ -389,24 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_history = subparsers.add_parser(
         "obs-history",
-        help=(
-            "tabulate stored runs (--store) or the bench trajectory "
-            "(--bench) and flag regressions against history"
-        ),
+        help="tabulate stored runs and flag regressions against history",
     )
     obs_history.add_argument(
         "--store",
         type=str,
-        default="",
+        required=True,
         metavar="PATH",
         help="RunStore SQLite file to read run history from",
-    )
-    obs_history.add_argument(
-        "--bench",
-        type=str,
-        default="",
-        metavar="PATH",
-        help="BENCH_history.jsonl trajectory to summarise instead",
     )
     obs_history.add_argument(
         "--limit",
@@ -942,8 +832,6 @@ def _dispatch(args) -> int:
         return _run_obs_history(args)
     if args.command == "obs-watch":
         return _run_obs_watch(args)
-    if args.command == "bench":
-        return _run_bench(args)
     _setup_logging_from_args(args)
     if args.command == "report":
         return _run_report(args)
@@ -1219,101 +1107,6 @@ def _write_metrics_jsonl(
     )
 
 
-def _parse_scales(flag: str, raw: str) -> Optional[tuple]:
-    """Parse a CSV device-count flag: dedupe, sort, reject counts < 1.
-
-    Returns the validated tuple (empty input → empty tuple, which skips
-    the section), or ``None`` after printing a clear error — the caller
-    exits 2, the CLI's bad-arguments code.
-    """
-    parts = [part.strip() for part in raw.split(",") if part.strip()]
-    try:
-        values = [int(part) for part in parts]
-    except ValueError:
-        print(
-            f"error: {flag} must be a comma-separated list of integers, "
-            f"got {raw!r}",
-            file=sys.stderr,
-        )
-        return None
-    invalid = sorted({value for value in values if value < 1})
-    if invalid:
-        print(
-            f"error: {flag} device counts must be >= 1, got "
-            f"{', '.join(str(value) for value in invalid)}",
-            file=sys.stderr,
-        )
-        return None
-    return tuple(sorted(set(values)))
-
-
-def _run_bench(args) -> int:
-    """Run the speed benchmark suite; write the document + history."""
-    from repro.experiments.bench import (
-        format_summary,
-        history_entry,
-        run_speed_benchmark,
-        write_benchmark,
-    )
-
-    _require_parent_dir("--output", args.output)
-    if not args.no_history:
-        _require_parent_dir("--history", args.history)
-    backends = ("serial",) if args.no_process else ("serial", "process")
-    fleet_scales = _parse_scales("--fleet-devices", args.fleet_devices)
-    if fleet_scales is None:
-        return 2
-    hier_scales = _parse_scales("--hier-devices", args.hier_devices)
-    if hier_scales is None:
-        return 2
-    document = run_speed_benchmark(
-        seed=args.seed,
-        rounds=args.rounds,
-        steps_per_round=args.steps,
-        num_devices=args.devices,
-        workers=args.workers or None,
-        backends=backends,
-        fleet_backend=args.backend,
-        fleet_scales=fleet_scales,
-        hier_scales=hier_scales,
-    )
-    path = write_benchmark(document, args.output, mirror_root=True)
-    print(format_summary(document))
-    print(f"[bench] -> {path}", file=sys.stderr)
-    if args.no_history:
-        return 0
-    from repro.obs.store import append_bench_history, load_bench_history
-
-    entry = history_entry(document)
-    prior = (
-        load_bench_history(args.history)
-        if os.path.isfile(args.history)
-        else []
-    )
-    code = 0
-    if args.gate:
-        from repro.obs.regress import check_bench_gate
-
-        gate = check_bench_gate(
-            prior, entry["key_metrics"], max_drop=args.max_drop
-        )
-        if gate.ok:
-            print(
-                f"[bench] gate OK ({gate.compared} metrics vs baseline)",
-                file=sys.stderr,
-            )
-        else:
-            for flag in gate.regressions:
-                print(f"[bench] GATE FAILED — {flag.describe()}", file=sys.stderr)
-            code = 5
-    append_bench_history(entry, args.history)
-    print(
-        f"[bench] history +1 -> {args.history} ({len(prior) + 1} entries)",
-        file=sys.stderr,
-    )
-    return code
-
-
 def _run_obs_report(args) -> int:
     """Render the offline run report from telemetry artefacts."""
     for path in filter(None, [args.flight_jsonl, args.metrics, args.events]):
@@ -1448,26 +1241,7 @@ def _run_obs_diff(args) -> int:
 
 
 def _run_obs_history(args) -> int:
-    """Tabulate stored runs (or the bench trajectory) + regression flags."""
-    if bool(args.store) == bool(args.bench):
-        raise ConfigurationError(
-            "obs-history needs exactly one of --store or --bench"
-        )
-    if args.store:
-        text = _history_from_store(args)
-    else:
-        text = _history_from_bench(args)
-    if args.output:
-        _require_parent_dir("--output", args.output)
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"[obs-history] -> {args.output}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
-
-
-def _history_from_store(args) -> str:
+    """Tabulate stored runs + regression flags."""
     from repro.obs.diff import format_history_markdown
     from repro.obs.regress import detect_regressions
     from repro.obs.store import RunStore
@@ -1484,41 +1258,17 @@ def _history_from_store(args) -> str:
             finished[-1]["summary"],
             z_threshold=args.z_threshold,
         )
-    return format_history_markdown(
+    text = format_history_markdown(
         runs, flags, title=f"Run history ({args.store})"
     )
-
-
-def _history_from_bench(args) -> str:
-    from repro.obs.store import load_bench_history
-
-    if not os.path.isfile(args.bench):
-        raise ConfigurationError(
-            f"bench history does not exist: {args.bench!r}"
-        )
-    entries = load_bench_history(args.bench)[-args.limit :]
-    lines = [f"# Bench history ({args.bench})", ""]
-    lines.append(f"- entries: {len(entries)}")
-    lines.append("")
-    if entries:
-        metrics = sorted(
-            {
-                metric
-                for entry in entries
-                for metric in (entry.get("key_metrics") or {})
-            }
-        )
-        lines.append("| # | " + " | ".join(metrics) + " |")
-        lines.append("| ---: |" + " ---: |" * len(metrics))
-        for index, entry in enumerate(entries):
-            key_metrics = entry.get("key_metrics") or {}
-            cells = [
-                f"{key_metrics[m]:.6g}" if m in key_metrics else "—"
-                for m in metrics
-            ]
-            lines.append(f"| {index} | " + " | ".join(cells) + " |")
-        lines.append("")
-    return "\n".join(lines)
+    if args.output:
+        _require_parent_dir("--output", args.output)
+        with open(args.output, "w") as handle:
+            handle.write(text)
+        print(f"[obs-history] -> {args.output}", file=sys.stderr)
+    else:
+        print(text)
+    return 0
 
 
 def _run_report(args) -> int:

@@ -17,7 +17,7 @@ an explicit, named policy rather than an accident:
     aggregation tick drains the buffer; if that wait would exceed the
     deadline the upload is rejected instead. Admitted entries become
     visible only at their release time, which is how backpressure
-    delays propagate into the tail-latency bench.
+    delays propagate into time-to-version tail latency.
 """
 
 from __future__ import annotations

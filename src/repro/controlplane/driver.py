@@ -70,7 +70,7 @@ _LOG = get_logger("controlplane.driver")
 def skewed_round_durations(
     device_names: Sequence[str], slow_factor: float = 4.0
 ) -> Dict[str, float]:
-    """The bench's skewed speed profile: linear 1.0 → ``slow_factor``.
+    """A skewed speed profile: linear 1.0 → ``slow_factor``.
 
     Device *i* of *D* takes ``1 + (slow_factor - 1) * i / (D - 1)``
     modelled seconds per local round — the fleet shape where the
@@ -336,16 +336,8 @@ def train_async_federated(
             active_loop.state_blob(), protocol=pickle.HIGHEST_PROTOCOL
         )
         violations, steps = _power_accounting(
-            trace, assignments, config.power_limit_w
+            trace, assignments, config.power_limit_w, prior=snapshot
         )
-        if snapshot is not None:
-            for name in assignments:
-                violations[name] = violations.get(name, 0) + (
-                    snapshot.prior_power_violations.get(name, 0)
-                )
-                steps[name] = steps.get(name, 0) + (
-                    snapshot.prior_power_steps.get(name, 0)
-                )
         save_snapshot(
             RunSnapshot(
                 fingerprint=resilience_cfg.fingerprint,
@@ -435,16 +427,8 @@ def train_async_federated(
         aggregations_completed=len(loop.merge_log),
     )
     violations, steps = _power_accounting(
-        trace, assignments, config.power_limit_w
+        trace, assignments, config.power_limit_w, prior=snapshot
     )
-    if snapshot is not None:
-        for name in assignments:
-            violations[name] = violations.get(name, 0) + (
-                snapshot.prior_power_violations.get(name, 0)
-            )
-            steps[name] = steps.get(name, 0) + (
-                snapshot.prior_power_steps.get(name, 0)
-            )
     run_result.power_violations_by_device = violations
     run_result.power_steps_by_device = steps
     result.federated_result = run_result

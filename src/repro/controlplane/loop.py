@@ -87,7 +87,7 @@ class AsyncControlPlane:
         self.round_counter = {device: 0 for device in self.clients}
         self.pushes = {device: 0 for device in self.clients}
         self.clock = 0.0
-        #: ``(global_version, modelled_time)`` per merge — the bench's
+        #: ``(global_version, modelled_time)`` per merge — the
         #: time-to-version-N raw series.
         self.time_to_version: List[Tuple[int, float]] = []
         self.late_merges = 0

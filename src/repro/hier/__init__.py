@@ -21,7 +21,7 @@ layer out into a tree of aggregation tiers
   the flat server's interface, so the orchestrator, quarantine, churn
   and telemetry compose unchanged.
 * :mod:`repro.hier.scale` — the synthetic 1k/10k-device aggregation
-  harness behind the ``fleet-scale`` experiment and bench section.
+  harness behind the ``fleet-scale`` experiment.
 
 A depth-1 (flat) topology routes through the original
 :class:`~repro.federated.server.FederatedServer` object untouched, so

@@ -31,12 +31,11 @@ Eleven pillars, all stdlib+numpy only:
   engine's worker telemetry;
 * :mod:`repro.obs.store` — the persistent cross-run half: a
   SQLite-backed :class:`RunStore` registering runs by fingerprint with
-  config, per-round series, events and final summaries, plus the
-  append-only ``BENCH_history.jsonl`` trajectory;
+  config, per-round series, events and final summaries;
 * :mod:`repro.obs.diff` / :mod:`repro.obs.regress` — cross-run
   comparison (:func:`diff_runs`, the ``obs-diff`` subcommand) and
   regression detection over run history (robust z-scores,
-  :func:`detect_regressions`, the ``bench --gate`` throughput gate);
+  :func:`detect_regressions`);
 * :mod:`repro.obs.sketch` / :mod:`repro.obs.rollup` — the live,
   constant-memory half: mergeable bounded estimators
   (:class:`QuantileDigest`, :class:`EwmaEstimator`,
@@ -114,10 +113,7 @@ from repro.obs.profile import (
     profile,
 )
 from repro.obs.regress import (
-    BenchGateResult,
     RegressionFlag,
-    bench_key_metrics,
-    check_bench_gate,
     detect_regressions,
     robust_z,
 )
@@ -140,12 +136,9 @@ from repro.obs.sink import (
 )
 from repro.obs.sketch import EwmaEstimator, QuantileDigest, ReservoirSampler
 from repro.obs.store import (
-    BENCH_HISTORY_SCHEMA_VERSION,
     RUN_STORE_SCHEMA_VERSION,
     RunStore,
-    append_bench_history,
     ingest_training_result,
-    load_bench_history,
 )
 from repro.obs.tracing import (
     PHASE_AGGREGATE,
@@ -161,8 +154,6 @@ from repro.obs.watch import JsonlFollower, StoreFollower, watch
 __all__ = [
     "AlertEngine",
     "AlertRule",
-    "BENCH_HISTORY_SCHEMA_VERSION",
-    "BenchGateResult",
     "CProfileReport",
     "Counter",
     "EventBuffer",
@@ -208,9 +199,6 @@ __all__ = [
     "active_metrics",
     "active_profiler",
     "active_tracer",
-    "append_bench_history",
-    "bench_key_metrics",
-    "check_bench_gate",
     "cprofile_capture",
     "deactivate",
     "detect_regressions",
@@ -224,7 +212,6 @@ __all__ = [
     "get_logger",
     "ingest_training_result",
     "iter_jsonl_rows",
-    "load_bench_history",
     "load_metrics_jsonl",
     "load_telemetry_jsonl",
     "parse_alert_specs",

@@ -133,12 +133,13 @@ class Histogram:
         return self._digest.state()
 
     def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold a digest state (or a legacy raw sample list) in."""
-        if isinstance(state, dict):
-            self._digest.merge(QuantileDigest.from_state(state))
-        else:
-            for value in state:
-                self._digest.add(float(value))
+        """Fold a :meth:`dump_state` digest state in."""
+        if not isinstance(state, dict):
+            raise ConfigurationError(
+                f"histogram {self.name!r}: merge_state expects a "
+                f"dump_state() dict, got {type(state).__name__}"
+            )
+        self._digest.merge(QuantileDigest.from_state(state))
 
 
 class MetricsRegistry:
@@ -244,10 +245,9 @@ class MetricsRegistry:
 
         Counters add, gauges take the incoming value (last write wins,
         matching what sequential emission would leave behind) and
-        histograms merge digest states (legacy raw sample lists are
-        still accepted). Used by the parallel execution backends to
-        merge per-worker telemetry back into the run's ambient
-        registry, always in deterministic device order.
+        histograms merge digest states. Used by the parallel execution
+        backends to merge per-worker telemetry back into the run's
+        ambient registry, always in deterministic device order.
         """
         for name, value in state.get("counters", {}).items():
             self.counter(name).inc(float(value))

@@ -1,4 +1,4 @@
-"""Regression detection over run history: robust z-scores and gates.
+"""Regression detection over run history: robust z-scores.
 
 Comparing two runs (:mod:`repro.obs.diff`) answers "did B get worse
 than A"; this module answers "did the *latest* run get worse than its
@@ -7,14 +7,9 @@ update-quarantine layer (:mod:`repro.guard.quarantine`): a median/MAD
 z-score, so one historical outlier cannot shift the baseline the way a
 mean/stdev would.
 
-Two consumers:
-
-* :func:`detect_regressions` — scalar summaries of stored runs
-  (``repro-power obs-history``), flagging any direction-aware metric
-  whose latest value sits beyond a z threshold;
-* :func:`check_bench_gate` — the CI throughput gate over
-  ``BENCH_history.jsonl``: fail when a key train-steps/s metric drops
-  more than ``max_drop`` below the median of the stored baseline.
+:func:`detect_regressions` takes the scalar summaries of stored runs
+(``repro-power obs-history``) and flags any direction-aware metric
+whose latest value sits beyond a z threshold.
 """
 
 from __future__ import annotations
@@ -131,97 +126,3 @@ def detect_regressions(
                 )
             )
     return flags
-
-
-# -- bench throughput gate ---------------------------------------------
-
-#: Dotted paths into a bench document whose drop the gate watches.
-BENCH_KEY_METRICS = (
-    "single_step.train_steps_per_s",
-    "drivers.federated.train_steps_per_s",
-    "drivers.local_only.train_steps_per_s",
-    "drivers.collab_profit.train_steps_per_s",
-    "fleet.per_scale.32.batched.train_steps_per_s",
-    "fleet.per_scale.256.batched.train_steps_per_s",
-)
-
-
-def bench_key_metrics(document: Mapping[str, object]) -> Dict[str, float]:
-    """Extract the gate's throughput numbers from one bench document."""
-    out: Dict[str, float] = {}
-    for path in BENCH_KEY_METRICS:
-        node: object = document
-        for part in path.split("."):
-            if not isinstance(node, Mapping) or part not in node:
-                node = None
-                break
-            node = node[part]
-        if isinstance(node, (int, float)):
-            out[path] = float(node)
-    return out
-
-
-@dataclass(frozen=True)
-class BenchGateResult:
-    """Outcome of one throughput-gate evaluation."""
-
-    regressions: List[RegressionFlag]
-    baselines: Dict[str, float]
-    compared: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-
-def check_bench_gate(
-    history: Sequence[Mapping[str, object]],
-    latest: Mapping[str, float],
-    max_drop: float = 0.3,
-    baseline_window: int = 5,
-) -> BenchGateResult:
-    """Fail when a key metric drops > ``max_drop`` below its baseline.
-
-    ``history`` is the prior ``BENCH_history.jsonl`` entries (each with
-    a ``key_metrics`` mapping); the baseline per metric is the median
-    of its last ``baseline_window`` historical values. An empty history
-    passes trivially — the first bench run *creates* the baseline.
-    """
-    if not 0.0 < max_drop < 1.0:
-        raise ConfigurationError(
-            f"max_drop must be in (0, 1), got {max_drop}"
-        )
-    if baseline_window < 1:
-        raise ConfigurationError(
-            f"baseline_window must be >= 1, got {baseline_window}"
-        )
-    regressions: List[RegressionFlag] = []
-    baselines: Dict[str, float] = {}
-    compared = 0
-    for metric in sorted(latest):
-        values = [
-            float(entry["key_metrics"][metric])
-            for entry in history
-            if isinstance(entry.get("key_metrics"), Mapping)
-            and isinstance(entry["key_metrics"].get(metric), (int, float))
-        ]
-        if not values:
-            continue
-        baseline = median(values[-baseline_window:])
-        baselines[metric] = baseline
-        compared += 1
-        floor = (1.0 - max_drop) * baseline
-        value = float(latest[metric])
-        if value < floor:
-            regressions.append(
-                RegressionFlag(
-                    metric=metric,
-                    value=value,
-                    baseline_median=baseline,
-                    z=robust_z(value, values[-baseline_window:]),
-                    direction="higher",
-                )
-            )
-    return BenchGateResult(
-        regressions=regressions, baselines=baselines, compared=compared
-    )

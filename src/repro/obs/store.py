@@ -13,15 +13,9 @@ in a single SQLite file (stdlib :mod:`sqlite3`, no new dependencies):
 * ``series`` — per-round time series (``reward_mean``, ``bytes``,
   ``duration_s``, ...) for cross-run curve diffs;
 * ``events`` — the streamed telemetry event rows
-  (:class:`repro.obs.sink.SqliteSink` writes here);
-* ``bench`` — full speed-benchmark documents
-  (:mod:`repro.experiments.bench`).
+  (:class:`repro.obs.sink.SqliteSink` writes here).
 
-The module also owns the ``BENCH_history.jsonl`` trajectory
-(:func:`append_bench_history` / :func:`load_bench_history`): compact
-schema-versioned entries the CI throughput gate reads, append-only so
-the trajectory across PRs survives where ``BENCH_speed.json`` is
-overwritten.
+A ``bench`` table in a file written by an older version is ignored.
 """
 
 from __future__ import annotations
@@ -32,13 +26,10 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.sink import TELEMETRY_SCHEMA_VERSION, iter_jsonl_rows
+from repro.obs.sink import TELEMETRY_SCHEMA_VERSION
 
 #: Bump when the SQLite table layout changes.
 RUN_STORE_SCHEMA_VERSION = 1
-
-#: Bump when the ``BENCH_history.jsonl`` entry shape changes.
-BENCH_HISTORY_SCHEMA_VERSION = 1
 
 _TABLES = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -66,12 +57,6 @@ CREATE TABLE IF NOT EXISTS events (
     type TEXT NOT NULL,
     payload_json TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS bench (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    created_unix REAL NOT NULL,
-    schema_version INTEGER NOT NULL,
-    document_json TEXT NOT NULL
-);
 CREATE INDEX IF NOT EXISTS idx_series_run ON series(run_id, metric);
 CREATE INDEX IF NOT EXISTS idx_events_run ON events(run_id, seq);
 CREATE INDEX IF NOT EXISTS idx_runs_fingerprint ON runs(fingerprint);
@@ -79,7 +64,7 @@ CREATE INDEX IF NOT EXISTS idx_runs_fingerprint ON runs(fingerprint);
 
 
 class RunStore:
-    """Registry of runs, their series/events, and bench documents."""
+    """Registry of runs and their series/events."""
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
@@ -172,20 +157,6 @@ class RunStore:
         )
         self._connection.commit()
 
-    def record_bench(self, document: Dict[str, object]) -> int:
-        """Store one full speed-benchmark document; returns its id."""
-        cursor = self._connection.execute(
-            "INSERT INTO bench (created_unix, schema_version, document_json)"
-            " VALUES (?, ?, ?)",
-            (
-                time.time(),
-                int(document.get("schema_version", 0)),
-                json.dumps(document, sort_keys=True),
-            ),
-        )
-        self._connection.commit()
-        return int(cursor.lastrowid)
-
     # -- queries -------------------------------------------------------
     def run(self, run_id: int) -> Dict[str, object]:
         """One run row as a dict (config/summary JSON decoded)."""
@@ -262,16 +233,6 @@ class RunStore:
             json.loads(row["payload_json"])
             for row in self._connection.execute(query, params)
         ]
-
-    def bench_history(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
-        """Stored bench documents, oldest first (last ``limit`` if set)."""
-        rows = self._connection.execute(
-            "SELECT document_json FROM bench ORDER BY id"
-        ).fetchall()
-        documents = [json.loads(row["document_json"]) for row in rows]
-        if limit is not None:
-            documents = documents[-limit:]
-        return documents
 
     # -- ingestion -----------------------------------------------------
     def ingest_telemetry(
@@ -427,20 +388,3 @@ def ingest_training_result(
         summary["aggregations"] = federated.aggregations_completed
     store.finish_run(run_id, summary)
     return run_id
-
-
-def append_bench_history(
-    entry: Dict[str, object], path: str = "BENCH_history.jsonl"
-) -> None:
-    """Append one schema-versioned bench entry to the JSONL trajectory."""
-    with open(path, "a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def load_bench_history(path: str) -> List[Dict[str, object]]:
-    """All parseable bench-history entries, oldest first.
-
-    Torn trailing lines (a bench run killed mid-append) are skipped
-    with a warning, like every other JSONL loader in :mod:`repro.obs`.
-    """
-    return list(iter_jsonl_rows(path))

@@ -20,7 +20,7 @@ unchanged.
 from __future__ import annotations
 
 from statistics import fmean
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.obs.flight import FlightRecorder
@@ -133,6 +133,21 @@ class DeviceFleet:
             # merged stream equals the serial interleaving exactly.
             self.events.emit_many(dump.event_rows)
 
+    def _dispatch(
+        self, tasks: Mapping[str, Any], what: Callable[[str], str]
+    ) -> Dict[str, Any]:
+        """Run one task per device; raise on the first failed device.
+
+        Devices are checked in task order; ``what(name)`` words the
+        failure of device ``name``.
+        """
+        outcomes = self._backend.run_tasks(tasks)
+        for name in tasks:
+            error = outcomes[name].error
+            if error is not None:
+                raise ExecutionError(f"{what(name)}:\n{error}")
+        return outcomes
+
     # -- evaluation ----------------------------------------------------
     def evaluate_round(
         self,
@@ -147,20 +162,18 @@ class DeviceFleet:
         come back in device order — the exact list a serial
         ``PolicyEvaluator.evaluate`` call builds.
         """
-        tasks = {
-            name: EvalTask(round_index=round_index, parameters=parameters)
-            for name in device_names
-        }
-        outcomes = self._backend.run_tasks(tasks)
+        outcomes = self._dispatch(
+            {
+                name: EvalTask(round_index=round_index, parameters=parameters)
+                for name in device_names
+            },
+            lambda name: (
+                f"evaluation failed on device {name!r} in round {round_index}"
+            ),
+        )
         rows: List[Any] = []
         for name in device_names:
-            outcome = outcomes[name]
-            if outcome.error is not None:
-                raise ExecutionError(
-                    f"evaluation failed on device {name!r} in round "
-                    f"{round_index}:\n{outcome.error}"
-                )
-            rows.extend(outcome.evaluations)
+            rows.extend(outcomes[name].evaluations)
         return rows
 
     # -- controller access ---------------------------------------------
@@ -172,18 +185,13 @@ class DeviceFleet:
     ) -> Dict[str, Any]:
         """``controller.<method>(*args)`` on every device, in order."""
         names = list(device_names) if device_names is not None else self.device_names
-        tasks = {name: CallTask(method=method, args=args) for name in names}
-        outcomes = self._backend.run_tasks(tasks)
-        values: Dict[str, Any] = {}
-        for name in names:
-            outcome = outcomes[name]
-            if outcome.error is not None:
-                raise ExecutionError(
-                    f"controller call {method!r} failed on device "
-                    f"{name!r}:\n{outcome.error}"
-                )
-            values[name] = outcome.value
-        return values
+        outcomes = self._dispatch(
+            {name: CallTask(method=method, args=args) for name in names},
+            lambda name: (
+                f"controller call {method!r} failed on device {name!r}"
+            ),
+        )
+        return {name: outcomes[name].value for name in names}
 
     def fetch_controllers(self) -> Dict[str, Any]:
         """The actors' live controller objects, keyed by device.
@@ -193,18 +201,11 @@ class DeviceFleet:
         returned objects equal what a serial run holds at the same
         point.
         """
-        tasks = {name: FetchControllerTask() for name in self.device_names}
-        outcomes = self._backend.run_tasks(tasks)
-        controllers: Dict[str, Any] = {}
-        for name in self.device_names:
-            outcome = outcomes[name]
-            if outcome.error is not None:
-                raise ExecutionError(
-                    f"failed to fetch controller from device {name!r}:\n"
-                    f"{outcome.error}"
-                )
-            controllers[name] = outcome.value
-        return controllers
+        outcomes = self._dispatch(
+            {name: FetchControllerTask() for name in self.device_names},
+            lambda name: f"failed to fetch controller from device {name!r}",
+        )
+        return {name: outcomes[name].value for name in self.device_names}
 
     # -- checkpoint state ----------------------------------------------
     def fetch_states(self) -> Dict[str, bytes]:
@@ -215,38 +216,29 @@ class DeviceFleet:
         telemetry sinks stripped), so a run checkpointed under one
         backend resumes under any other.
         """
-        tasks = {name: FetchStateTask() for name in self.device_names}
-        outcomes = self._backend.run_tasks(tasks)
-        blobs: Dict[str, bytes] = {}
-        for name in self.device_names:
-            outcome = outcomes[name]
-            if outcome.error is not None:
-                raise ExecutionError(
-                    f"failed to capture state from device {name!r}:\n"
-                    f"{outcome.error}"
-                )
-            blobs[name] = outcome.value
-        return blobs
+        outcomes = self._dispatch(
+            {name: FetchStateTask() for name in self.device_names},
+            lambda name: f"failed to capture state from device {name!r}",
+        )
+        return {name: outcomes[name].value for name in self.device_names}
 
     def install_states(self, blobs: Mapping[str, bytes]) -> None:
         """Restore checkpoint blobs into their actors (resume path)."""
-        names = [name for name in self.device_names if name in blobs]
         missing = [name for name in self.device_names if name not in blobs]
         if missing:
             raise ExecutionError(
                 f"checkpoint has no state for devices {missing}"
             )
-        tasks = {name: InstallStateTask(blob=blobs[name]) for name in names}
-        outcomes = self._backend.run_tasks(tasks)
-        for name in names:
-            outcome = outcomes[name]
-            if outcome.error is not None:
-                raise ExecutionError(
-                    f"failed to restore state on device {name!r}:\n"
-                    f"{outcome.error}"
-                )
-            if outcome.value is not None:
-                self._latency_by_device[name] = outcome.value
+        outcomes = self._dispatch(
+            {
+                name: InstallStateTask(blob=blobs[name])
+                for name in self.device_names
+            },
+            lambda name: f"failed to restore state on device {name!r}",
+        )
+        for name in self.device_names:
+            if outcomes[name].value is not None:
+                self._latency_by_device[name] = outcomes[name].value
 
     # -- summaries -----------------------------------------------------
     def mean_decision_latency_s(self) -> float:

@@ -265,30 +265,6 @@ class TestCliObsReport:
 
 
 class TestHierCliFlags:
-    def test_fleet_devices_rejects_nonpositive_counts(self, capsys):
-        assert main(["bench", "--fleet-devices", "4,0,2"]) == 2
-        err = capsys.readouterr().err
-        assert "--fleet-devices" in err
-        assert ">= 1" in err
-
-    def test_fleet_devices_rejects_non_integers(self, capsys):
-        assert main(["bench", "--fleet-devices", "4,x"]) == 2
-        err = capsys.readouterr().err
-        assert "comma-separated list of integers" in err
-        assert "'4,x'" in err
-
-    def test_hier_devices_validated_the_same_way(self, capsys):
-        assert main(["bench", "--hier-devices", "-5"]) == 2
-        assert "--hier-devices" in capsys.readouterr().err
-
-    def test_parse_scales_dedupes_and_sorts(self):
-        from repro.cli import _parse_scales
-
-        assert _parse_scales("--x", "8,2,2,4") == (2, 4, 8)
-        assert _parse_scales("--x", " 3 , 1 ") == (1, 3)
-        # Empty means "skip this bench section", not an error.
-        assert _parse_scales("--x", "") == ()
-
     def test_topology_and_selection_flags_parse(self):
         parser = build_parser()
         args = parser.parse_args(
@@ -315,3 +291,19 @@ class TestHierCliFlags:
     def test_fleet_scale_experiment_registered(self, capsys):
         assert main(["list"]) == 0
         assert "fleet-scale" in capsys.readouterr().out
+
+
+class TestCliUsageErrors:
+    def test_bench_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_obs_history_requires_store(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs-history"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--store" in err
+        assert "--bench" not in err

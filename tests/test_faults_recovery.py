@@ -110,6 +110,16 @@ class TestSnapshotFile:
         with pytest.raises(ConfigurationError, match="does not exist"):
             load_snapshot(tmp_path / "never-written.ckpt")
 
+    def test_other_format_version_raises(self, tmp_path):
+        # Sealed by save_snapshot, so the digest is valid and the
+        # version check itself is what fires.
+        path = tmp_path / "run.ckpt"
+        snapshot = self.make_snapshot()
+        snapshot.format_version = 1
+        save_snapshot(snapshot, path)
+        with pytest.raises(ConfigurationError, match="format 1 not supported"):
+            load_snapshot(path, fingerprint="abc")
+
     def test_fingerprint_depends_on_every_part(self):
         base = run_fingerprint(config="c", plan="p")
         assert run_fingerprint(config="c", plan="p") == base

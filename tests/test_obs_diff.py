@@ -1,13 +1,11 @@
 """Cross-run diffing and regression analytics.
 
 Exercises the pure layer (robust z-scores, :func:`detect_regressions`,
-the bench throughput gate, :func:`diff_runs` on identical and
-perturbed runs) and the CLI surface (``obs-diff`` in store mode with
-its regression exit code, ``obs-history`` over a store and over a
-bench trajectory).
+:func:`diff_runs` on identical and perturbed runs) and the CLI surface
+(``obs-diff`` in store mode with its regression exit code,
+``obs-history`` over a store).
 """
 
-import json
 import math
 
 import pytest
@@ -22,13 +20,8 @@ from repro.obs.diff import (
     run_metrics_from_store,
     run_scalars,
 )
-from repro.obs.regress import (
-    bench_key_metrics,
-    check_bench_gate,
-    detect_regressions,
-    robust_z,
-)
-from repro.obs.store import RunStore, append_bench_history
+from repro.obs.regress import detect_regressions, robust_z
+from repro.obs.store import RunStore
 
 
 def _run(label="a", **overrides):
@@ -110,70 +103,6 @@ class TestDetectRegressions:
                 {"violation_rate": 0.5},
                 directions={"violation_rate": "sideways"},
             )
-
-
-class TestBenchGate:
-    @staticmethod
-    def _entry(steps_per_s):
-        return {
-            "history_schema": 1,
-            "key_metrics": {"single_step.train_steps_per_s": steps_per_s},
-        }
-
-    def test_empty_history_passes_trivially(self):
-        result = check_bench_gate(
-            [], {"single_step.train_steps_per_s": 100.0}
-        )
-        assert result.ok
-        assert result.compared == 0
-
-    def test_within_tolerance_passes(self):
-        history = [self._entry(v) for v in (100.0, 102.0, 98.0)]
-        result = check_bench_gate(
-            history, {"single_step.train_steps_per_s": 90.0}, max_drop=0.3
-        )
-        assert result.ok
-        assert result.compared == 1
-        assert result.baselines["single_step.train_steps_per_s"] == 100.0
-
-    def test_large_drop_fails(self):
-        history = [self._entry(v) for v in (100.0, 102.0, 98.0)]
-        result = check_bench_gate(
-            history, {"single_step.train_steps_per_s": 50.0}, max_drop=0.3
-        )
-        assert not result.ok
-        assert result.regressions[0].metric == (
-            "single_step.train_steps_per_s"
-        )
-
-    def test_baseline_window_ignores_ancient_entries(self):
-        history = [self._entry(1000.0)] + [
-            self._entry(v) for v in (100.0, 101.0, 99.0, 100.0, 100.0)
-        ]
-        result = check_bench_gate(
-            history,
-            {"single_step.train_steps_per_s": 90.0},
-            max_drop=0.3,
-            baseline_window=5,
-        )
-        assert result.ok
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            check_bench_gate([], {}, max_drop=1.5)
-        with pytest.raises(ConfigurationError):
-            check_bench_gate([], {}, baseline_window=0)
-
-    def test_key_metrics_extraction_skips_missing_paths(self):
-        document = {
-            "single_step": {"train_steps_per_s": 42.0},
-            "drivers": {"federated": {"train_steps_per_s": 7.0}},
-        }
-        metrics = bench_key_metrics(document)
-        assert metrics == {
-            "single_step.train_steps_per_s": 42.0,
-            "drivers.federated.train_steps_per_s": 7.0,
-        }
 
 
 class TestDiffRuns:
@@ -318,23 +247,6 @@ class TestCliObsHistory:
         assert "REGRESSION" in out
         assert "violation_rate" in out
 
-    def test_bench_history_renders_key_metrics(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_history.jsonl"
-        for value in (100.0, 101.0):
-            append_bench_history(
-                {
-                    "history_schema": 1,
-                    "key_metrics": {
-                        "single_step.train_steps_per_s": value
-                    },
-                },
-                path,
-            )
-        assert main(["obs-history", "--bench", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "single_step.train_steps_per_s" in out
-        assert "101" in out
-
     def test_format_history_markdown_without_flags(self):
         text = format_history_markdown(
             [
@@ -351,24 +263,3 @@ class TestCliObsHistory:
             [],
         )
         assert "no regressions flagged" in text
-
-
-class TestBenchHistoryEntry:
-    def test_entry_is_schema_versioned_and_compact(self):
-        from repro.experiments.bench import history_entry
-
-        document = {
-            "schema_version": 1,
-            "config": {"seed": 2025},
-            "environment": {"cpu_count": 8},
-            "single_step": {"train_steps_per_s": 42.0},
-            "drivers": {
-                "federated": {"train_steps_per_s": 7.0, "wall_s": 2.0}
-            },
-        }
-        entry = history_entry(document)
-        assert entry["history_schema"] == 1
-        assert entry["config"] == {"seed": 2025}
-        assert entry["key_metrics"]["single_step.train_steps_per_s"] == 42.0
-        assert "environment" not in entry
-        json.dumps(entry)  # stays JSONL-serialisable

@@ -73,11 +73,11 @@ class TestHistogram:
         target.merge_state(source.dump_state())
         assert target.summary() == source.summary()
 
-    def test_merge_state_accepts_legacy_raw_samples(self):
+    def test_merge_state_rejects_non_dict_state(self):
         histogram = Histogram("h")
-        histogram.merge_state([1.0, 2.0, 3.0])
-        assert histogram.count == 3
-        assert histogram.summary()["p50"] == 2.0
+        with pytest.raises(ConfigurationError, match="dict, got list"):
+            histogram.merge_state([1.0, 2.0, 3.0])
+        assert histogram.count == 0
 
 
 class TestRegistry:

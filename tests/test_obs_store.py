@@ -1,24 +1,20 @@
-"""The persistent :class:`RunStore` and the bench history trajectory.
+"""The persistent :class:`RunStore`.
 
-Round-trips every table (runs, series, events, bench), the telemetry
+Round-trips every table (runs, series, events), the telemetry
 ingestion path the CLI's ``--store`` flag uses, the programmatic
-:func:`ingest_training_result` companion, and the append-only
-``BENCH_history.jsonl`` reader/writer the CI throughput gate consumes.
+:func:`ingest_training_result` companion, and files written when the
+store still had a ``bench`` table.
 """
 
-import json
+import sqlite3
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.training import train_federated
-from repro.obs.store import (
-    RunStore,
-    append_bench_history,
-    ingest_training_result,
-    load_bench_history,
-)
+from repro.obs.store import RunStore, ingest_training_result
 
 ASSIGNMENTS = {"edge-a": ("fft",), "edge-b": ("lu",)}
 
@@ -96,14 +92,6 @@ class TestSeriesAndEvents:
                 "fault"
             ]
 
-    def test_bench_documents_round_trip(self, tmp_path):
-        with RunStore(tmp_path / "runs.sqlite") as store:
-            store.record_bench({"schema_version": 1, "n": 1})
-            store.record_bench({"schema_version": 1, "n": 2})
-            history = store.bench_history()
-            assert [doc["n"] for doc in history] == [1, 2]
-            assert store.bench_history(limit=1)[0]["n"] == 2
-
 
 class TestIngestTrainingResult:
     def test_driver_run_lands_with_series_and_summary(self, tmp_path):
@@ -134,20 +122,44 @@ class TestIngestTrainingResult:
             assert runs[0]["fingerprint"] == runs[1]["fingerprint"]
 
 
-class TestBenchHistoryFile:
-    def test_append_and_load_round_trip(self, tmp_path):
-        path = tmp_path / "BENCH_history.jsonl"
-        append_bench_history({"history_schema": 1, "key_metrics": {}}, path)
-        append_bench_history(
-            {"history_schema": 1, "key_metrics": {"a": 1.0}}, path
-        )
-        entries = load_bench_history(path)
-        assert len(entries) == 2
-        assert entries[1]["key_metrics"] == {"a": 1.0}
+#: The ``bench`` table as every store file up to PR 13 was created with.
+LEGACY_BENCH_TABLE = """
+CREATE TABLE bench (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    created_unix REAL NOT NULL,
+    schema_version INTEGER NOT NULL,
+    document_json TEXT NOT NULL
+);
+INSERT INTO bench (created_unix, schema_version, document_json)
+    VALUES (0.0, 3, '{"schema_version": 3}');
+"""
 
-    def test_load_tolerates_torn_trailing_entry(self, tmp_path):
-        path = tmp_path / "BENCH_history.jsonl"
-        append_bench_history({"history_schema": 1}, path)
-        with open(path, "a") as handle:
-            handle.write('{"history_schema": 1, "key_met')
-        assert load_bench_history(path) == [{"history_schema": 1}]
+
+class TestLegacyBenchTable:
+    def test_store_with_bench_table_opens_lists_and_diffs(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "runs.sqlite"
+        summary = {"reward_mean_final": 0.8, "violation_rate": 0.05}
+        with RunStore(path) as store:
+            for name in ("before", "after"):
+                run_id = store.register_run(name=name, fingerprint="f")
+                store.record_series(run_id, "reward_mean", [(0, 0.5)])
+                store.finish_run(run_id, summary)
+        connection = sqlite3.connect(path)
+        connection.executescript(LEGACY_BENCH_TABLE)
+        connection.close()
+
+        with RunStore(path) as store:
+            assert [run["name"] for run in store.runs()] == [
+                "before",
+                "after",
+            ]
+        assert main(["obs-history", "--store", str(path)]) == 0
+        assert "| id | name |" in capsys.readouterr().out
+        assert main(["obs-diff", "1", "2", "--store", str(path)]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+        connection = sqlite3.connect(path)
+        rows = connection.execute("SELECT schema_version FROM bench").fetchall()
+        connection.close()
+        assert rows == [(3,)]
