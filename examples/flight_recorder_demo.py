@@ -6,8 +6,8 @@ metrics registry, round tracer and hot-path profiler — followed by the
 offline Markdown report the ``repro-power obs-report`` subcommand
 builds from the same artefacts. It demonstrates:
 
-* attaching telemetry sinks with the ambient ``telemetry()`` context
-  (no experiment code changes needed),
+* attaching telemetry sinks as fields of the ambient run description
+  (``repro.runspec.ambient`` — no experiment code changes needed),
 * interrogating the flight recorder in-process: OPP dwell histograms,
   per-device ``P > P_crit`` violation rates, exploration fraction,
 * cross-checking the recorder against the run's own
@@ -29,8 +29,8 @@ from repro.obs import (
     RoundTracer,
     ScopeProfiler,
     generate_report,
-    telemetry,
 )
+from repro.runspec import ambient
 
 
 def main() -> None:
@@ -43,7 +43,7 @@ def main() -> None:
     metrics, tracer, profiler = MetricsRegistry(), RoundTracer(), ScopeProfiler()
 
     print("training 2 federated devices with telemetry attached ...")
-    with telemetry(
+    with ambient(
         metrics=metrics, tracer=tracer, flight=flight, profiler=profiler
     ):
         result = train_federated(assignments, config)

@@ -9,9 +9,9 @@ Observability flags (``run`` and ``report``): ``--log-level``/
 ``--log-json`` configure the ``repro.*`` structured loggers;
 ``--metrics-out PATH`` attaches a :class:`~repro.obs.MetricsRegistry`
 and :class:`~repro.obs.RoundTracer` to the run via the ambient
-telemetry context, then writes one JSONL file — one ``round_span``
-line per federated round followed by a final ``metrics_snapshot``
-line; ``--flight-out PATH`` attaches a
+:class:`~repro.runspec.RunSpec`, then writes one JSONL file — one
+``round_span`` line per federated round followed by a final
+``metrics_snapshot`` line; ``--flight-out PATH`` attaches a
 :class:`~repro.obs.FlightRecorder` (capacity ``--flight-capacity``,
 thinning ``--flight-sample``) and dumps one ``flight_record`` line per
 retained control step; ``--profile`` attaches a
@@ -41,8 +41,9 @@ device-side safety watchdog (fallback power-cap governor on anomaly),
 ``--quarantine`` arms the server-side update screen with EWMA
 reputations, and ``--churn [SPEC]`` runs the federation under a seeded
 join/leave/rejoin membership schedule (default spec:
-``leave=0.15,rejoin=0.5,seed=11``). All three activate the ambient
-:func:`repro.guard.guard` context, picked up by every federated
+``leave=0.15,rejoin=0.5,seed=11``). Like every other run option they
+become fields of the invocation's one ambient
+:class:`~repro.runspec.RunSpec`, picked up by every federated
 training run the experiment performs.
 
 Control-plane flags (``run`` and ``report``): ``--async`` reroutes
@@ -74,9 +75,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
-
-from contextlib import nullcontext
 
 from repro.errors import (
     ConfigurationError,
@@ -97,10 +97,9 @@ from repro.obs import (
     RoundTracer,
     ScopeProfiler,
     setup_logging,
-    telemetry,
 )
 from repro.obs.report import report_from_files
-from repro.parallel import BACKEND_NAMES, DEFAULT_BACKEND, execution
+from repro.runspec import BACKEND_NAMES, DEFAULT_BACKEND, RunSpec, ambient
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,8 +497,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         choices=BACKEND_NAMES,
         help=(
             "execution backend for the training drivers: serial (default), "
-            "thread, or process (persistent per-device workers; results "
-            "are bit-identical across backends)"
+            "thread, process (persistent per-device workers) or batched "
+            "(the fleet stacked into single numpy calls); results are "
+            "bit-identical across backends"
         ),
     )
     parser.add_argument(
@@ -629,20 +629,6 @@ def _add_hier_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_hier_context(args):
-    """The ambient hierarchy context for this invocation (or a no-op)."""
-    topology_spec = getattr(args, "topology", "")
-    selection_spec = getattr(args, "selection", "")
-    if not (topology_spec or selection_spec):
-        return nullcontext()
-    from repro.hier import hier
-
-    return hier(
-        topology=topology_spec or None,
-        selection=selection_spec or None,
-    )
-
-
 class _UsageError(Exception):
     """Flags that parse one by one but cannot be combined (exit 2)."""
 
@@ -689,46 +675,6 @@ def _add_controlplane_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_controlplane_context(args):
-    """The ambient control-plane context for this invocation (or a no-op)."""
-    if not getattr(args, "async_mode", False):
-        return nullcontext()
-    from repro.controlplane import controlplane, parse_buffer_spec
-    from repro.experiments.training import _reject_async_unsupported
-
-    # Built last in the ``with`` chain, so the execution/guard/hierarchy
-    # contexts the other flags activated are already ambient here.
-    try:
-        _reject_async_unsupported(flight=getattr(args, "flight_out", "") or None)
-    except ConfigurationError as error:
-        raise _UsageError(f"--async: {error}") from None
-    buffer_parts = parse_buffer_spec(args.upload_buffer)
-    return controlplane(
-        enabled=True,
-        heartbeat_interval_s=args.heartbeat_interval,
-        quorum=args.quorum,
-        **buffer_parts,
-    )
-
-
-def _build_guard_context(args):
-    """The ambient guard context for this invocation (or a no-op)."""
-    guard_on = getattr(args, "guard", False)
-    quarantine_on = getattr(args, "quarantine", False)
-    churn_spec = getattr(args, "churn", "")
-    if not (guard_on or quarantine_on or churn_spec):
-        return nullcontext()
-    from repro.guard import DEFAULT_CHURN_SPEC, guard
-
-    if churn_spec == "default":
-        churn_spec = DEFAULT_CHURN_SPEC
-    return guard(
-        watchdog=True if guard_on else None,
-        quarantine=True if quarantine_on else None,
-        churn=churn_spec or None,
-    )
-
-
 def _guard_exit_code(default: int = 0) -> int:
     """``default``, or 4 when the guarded run ended fully degraded."""
     from repro.guard import consume_guard_report
@@ -757,34 +703,61 @@ def _guard_exit_code(default: int = 0) -> int:
     return default
 
 
-def _build_resilience_context(args):
-    """The ambient resilience context for this invocation (or a no-op)."""
-    faults = getattr(args, "faults", "")
-    aggregator = getattr(args, "aggregator", "")
-    checkpoint_path = getattr(args, "checkpoint", "")
-    if not (faults or aggregator or checkpoint_path):
-        if getattr(args, "resume", False):
-            raise ConfigurationError("--resume requires --checkpoint PATH")
-        return nullcontext()
-    from repro.faults import CheckpointConfig, RetryPolicy, resilience
+def _run_spec_from_args(args) -> RunSpec:
+    """The run description this invocation's flags add up to, sinks apart.
+
+    (The sinks are attached once built — their header records carry this
+    spec's fingerprint.) Unset flags stay ``None``, so the spec describes
+    — and fingerprints — exactly the options that were given.
+    """
+    from repro.faults import CheckpointConfig, RetryPolicy
+    from repro.guard import DEFAULT_CHURN_SPEC
 
     checkpoint = None
-    if checkpoint_path:
-        _require_parent_dir("--checkpoint", checkpoint_path)
+    if args.checkpoint:
+        _require_parent_dir("--checkpoint", args.checkpoint)
         checkpoint = CheckpointConfig(
-            path=checkpoint_path,
-            every=args.checkpoint_every,
-            resume=args.resume,
+            path=args.checkpoint, every=args.checkpoint_every, resume=args.resume
         )
     elif args.resume:
         raise ConfigurationError("--resume requires --checkpoint PATH")
-    retry = RetryPolicy(max_attempts=args.retry_attempts) if faults else None
-    return resilience(
-        faults=faults or None,
-        aggregator=aggregator or None,
-        retry=retry,
+    controlplane = None
+    if args.async_mode:
+        from repro.controlplane import ControlPlaneConfig, parse_buffer_spec
+
+        controlplane = ControlPlaneConfig(
+            enabled=True,
+            heartbeat_interval_s=args.heartbeat_interval,
+            quorum=args.quorum,
+            **parse_buffer_spec(args.upload_buffer),
+        )
+    spec = RunSpec(
+        backend=args.backend,
+        workers=args.workers or None,
+        faults=args.faults or None,
+        aggregator=args.aggregator or None,
+        retry=(
+            RetryPolicy(max_attempts=args.retry_attempts) if args.faults else None
+        ),
         checkpoint=checkpoint,
+        guard=args.guard or None,
+        quarantine=args.quarantine or None,
+        churn=(DEFAULT_CHURN_SPEC if args.churn == "default" else args.churn)
+        or None,
+        topology=args.topology or None,
+        selection=args.selection or None,
+        controlplane=controlplane,
     )
+    if controlplane is not None:
+        from repro.controlplane.driver import refuse_unhonoured
+
+        # The sinks --metrics-out/--store attach are a standing offer the
+        # async plane may decline; an asked-for --flight-out is not.
+        try:
+            refuse_unhonoured(replace(spec, flight=args.flight_out or None))
+        except ConfigurationError as error:
+            raise _UsageError(f"--async: {error}") from None
+    return spec
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -842,18 +815,9 @@ def _dispatch(args) -> int:
             rounds=args.rounds or config.num_rounds,
             steps_per_round=args.steps or config.steps_per_round,
         )
-    sinks = _build_sinks(args, spec.experiment_id, config)
-    with telemetry(
-        metrics=sinks.metrics,
-        tracer=sinks.tracer,
-        flight=sinks.flight,
-        profiler=sinks.profiler,
-        events=sinks.events,
-    ), execution(args.backend, args.workers or None), _build_resilience_context(
-        args
-    ), _build_guard_context(args), _build_hier_context(
-        args
-    ), _build_controlplane_context(args):
+    options = _run_spec_from_args(args)
+    sinks = _build_sinks(args, spec.experiment_id, config, options)
+    with ambient(options, **sinks.spec_fields()):
         output = spec.runner(config)
     print(output)
     if args.output:
@@ -900,24 +864,31 @@ class _Sinks:
         self.rollup = rollup
         self.server = server
 
+    def spec_fields(self) -> dict:
+        """The five sinks that are :class:`RunSpec` fields, by field name."""
+        return {
+            name: getattr(self, name)
+            for name in ("metrics", "tracer", "flight", "profiler", "events")
+        }
 
-def _telemetry_header(args, experiment: str, config) -> dict:
-    """The provenance record stamped first into every telemetry file."""
+
+def _telemetry_header(args, experiment: str, config, options: RunSpec) -> dict:
+    """The provenance record stamped first into every telemetry file.
+
+    The fingerprint hashes what ``options`` describes (faults,
+    aggregator, guard, hierarchy, control plane, …) with the experiment,
+    its config (seed, rounds, steps) and the backend, so ``obs-history``
+    and ``obs-diff`` compare a run only with runs of the same options.
+    """
     from repro import __version__
-    from repro.faults.recovery import run_fingerprint
     from repro.obs.sink import TELEMETRY_SCHEMA_VERSION
 
-    fingerprint = run_fingerprint(
-        experiment=experiment,
-        seed=args.seed,
-        backend=args.backend,
-        rounds=config.num_rounds,
-        steps_per_round=config.steps_per_round,
-    )
     return {
         "type": "header",
         "schema_version": TELEMETRY_SCHEMA_VERSION,
-        "run_fingerprint": fingerprint,
+        "run_fingerprint": options.fingerprint(
+            experiment=experiment, config=config, backend=args.backend
+        ),
         "repro_version": __version__,
         "seed": args.seed,
         "backend": args.backend,
@@ -925,7 +896,7 @@ def _telemetry_header(args, experiment: str, config) -> dict:
     }
 
 
-def _build_sinks(args, experiment: str, config) -> _Sinks:
+def _build_sinks(args, experiment: str, config, options: RunSpec) -> _Sinks:
     metrics = tracer = flight = profiler = None
     events = store = run_id = rollup = server = None
     events_out = getattr(args, "events_out", "")
@@ -954,7 +925,7 @@ def _build_sinks(args, experiment: str, config) -> _Sinks:
         profiler = ScopeProfiler()
     header = None
     if metrics is not None or flight is not None or want_events:
-        header = _telemetry_header(args, experiment, config)
+        header = _telemetry_header(args, experiment, config, options)
     if want_events:
         from repro.obs.sink import EventPipeline, JsonlSink, SqliteSink
 
@@ -981,6 +952,7 @@ def _build_sinks(args, experiment: str, config) -> _Sinks:
                     "backend": args.backend,
                     "rounds": config.num_rounds,
                     "steps_per_round": config.steps_per_round,
+                    "spec": options.describe(),
                 },
             )
             event_sinks.append(SqliteSink(store, run_id))
@@ -1283,18 +1255,9 @@ def _run_report(args) -> int:
     ]
     output_dir = pathlib.Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    sinks = _build_sinks(args, "report", config)
-    with telemetry(
-        metrics=sinks.metrics,
-        tracer=sinks.tracer,
-        flight=sinks.flight,
-        profiler=sinks.profiler,
-        events=sinks.events,
-    ), execution(args.backend, args.workers or None), _build_resilience_context(
-        args
-    ), _build_guard_context(args), _build_hier_context(
-        args
-    ), _build_controlplane_context(args):
+    options = _run_spec_from_args(args)
+    sinks = _build_sinks(args, "report", config, options)
+    with ambient(options, **sinks.spec_fields()):
         for experiment_id in experiment_ids:
             spec = get_experiment(experiment_id)
             print(f"running {experiment_id} ({spec.paper_artifact}) ...")

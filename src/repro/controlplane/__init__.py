@@ -9,7 +9,8 @@ applies explicit backpressure (``reject`` / ``drop-oldest`` /
 ticks with staleness weighting, and a :class:`DegradationLadder`
 (full → quorum → stale-serve → halt-with-checkpoint) degrades
 gracefully as the live fraction falls. Activate via the CLI's
-``--async`` flags or the :func:`controlplane` ambient context;
+``--async`` flags or an enabled :class:`ControlPlaneConfig` in the run's
+:class:`~repro.runspec.RunSpec` (``controlplane=``);
 :func:`train_async_federated` is the driver entry.
 """
 
@@ -20,12 +21,7 @@ from repro.controlplane.buffer import (
     POLICY_DROP_OLDEST,
     POLICY_REJECT,
 )
-from repro.controlplane.context import (
-    ControlPlaneConfig,
-    controlplane,
-    get_active_controlplane,
-    parse_buffer_spec,
-)
+from repro.controlplane.context import ControlPlaneConfig, parse_buffer_spec
 from repro.controlplane.degrade import (
     DEGRADATION_MODES,
     DegradationLadder,
@@ -74,8 +70,6 @@ __all__ = [
     "REJOINED",
     "SUSPECT",
     "StateTransition",
-    "controlplane",
-    "get_active_controlplane",
     "parse_buffer_spec",
     "skewed_round_durations",
     "train_async_federated",

@@ -1,21 +1,16 @@
-"""Ambient control-plane configuration.
+"""Control-plane configuration: :class:`ControlPlaneConfig` and its CLI spec.
 
-Same mechanism as :mod:`repro.faults.context`: experiment runners all
-share the ``runner(config) -> str`` signature, so the CLI cannot
-thread ``--async``/``--heartbeat-interval``/``--upload-buffer``/
-``--quorum`` through every figure module. Instead it activates a
-:class:`ControlPlaneConfig` here and
-:func:`repro.experiments.training.train_federated` delegates to the
-async driver when the ambient config is enabled. Explicit arguments
-always win; an empty stack means "synchronous orchestrator, unchanged".
+An *enabled* config in the run's :class:`~repro.runspec.RunSpec`
+(``controlplane=``, CLI ``--async``/``--heartbeat-interval``/
+``--upload-buffer``/``--quorum``) makes
+:func:`repro.experiments.training.train_federated` delegate to the
+async driver; absent or disabled means "synchronous orchestrator,
+unchanged".
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.controlplane.buffer import BUFFER_POLICIES, POLICY_DROP_OLDEST
@@ -23,7 +18,7 @@ from repro.controlplane.buffer import BUFFER_POLICIES, POLICY_DROP_OLDEST
 
 @dataclass(frozen=True)
 class ControlPlaneConfig:
-    """One activated control-plane preference bundle."""
+    """The async control plane's settings (``enabled`` switches it on)."""
 
     enabled: bool = False
     heartbeat_interval_s: float = 1.0
@@ -86,42 +81,3 @@ def parse_buffer_spec(spec: str) -> dict:
                 f"buffer deadline {parts[2]!r} is not a number"
             ) from None
     return result
-
-
-class _ThreadLocalStack(threading.local):
-    def __init__(self) -> None:
-        self.stack: List[ControlPlaneConfig] = []
-
-
-_LOCAL = _ThreadLocalStack()
-
-
-def get_active_controlplane() -> Optional[ControlPlaneConfig]:
-    """The innermost config activated on this thread, or ``None``."""
-    stack = _LOCAL.stack
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def controlplane(
-    enabled: bool = True,
-    heartbeat_interval_s: float = 1.0,
-    buffer_capacity: int = 32,
-    buffer_policy: str = POLICY_DROP_OLDEST,
-    buffer_block_deadline_s: float = 5.0,
-    quorum: float = 0.5,
-) -> Iterator[ControlPlaneConfig]:
-    """``with controlplane(quorum=0.5): ...`` — balanced push/pop."""
-    config = ControlPlaneConfig(
-        enabled=enabled,
-        heartbeat_interval_s=heartbeat_interval_s,
-        buffer_capacity=buffer_capacity,
-        buffer_policy=buffer_policy,
-        buffer_block_deadline_s=buffer_block_deadline_s,
-        quorum=quorum,
-    )
-    _LOCAL.stack.append(config)
-    try:
-        yield config
-    finally:
-        _LOCAL.stack.pop()

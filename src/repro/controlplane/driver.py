@@ -2,7 +2,8 @@
 
 Same surface as :func:`repro.experiments.training.train_federated`
 (assignments + :class:`FederatedPowerControlConfig` in, a
-:class:`TrainingResult` out, ambient obs/resilience respected) but the
+:class:`TrainingResult` out, ambient :class:`~repro.runspec.RunSpec`
+respected) but the
 round loop is the :class:`~repro.controlplane.loop.AsyncControlPlane`:
 devices train on a skewed speed profile, push through the bounded
 upload buffer, and the wrapped
@@ -20,16 +21,14 @@ the *same fleet* the sync run does, only the schedule differs.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 from statistics import fmean
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.control.neural import build_neural_controller
 from repro.control.runtime import ControlSession
 from repro.controlplane.buffer import BoundedUploadBuffer
-from repro.controlplane.context import (
-    ControlPlaneConfig,
-    get_active_controlplane,
-)
+from repro.controlplane.context import ControlPlaneConfig
 from repro.controlplane.degrade import DegradationLadder, DegradationPolicy
 from repro.controlplane.loop import AsyncControlPlane
 from repro.controlplane.registry import DeviceRegistry
@@ -51,12 +50,8 @@ from repro.federated.async_server import (
 )
 from repro.federated.orchestrator import FederatedRunResult
 from repro.federated.transport import InMemoryTransport
-from repro.obs.context import (
-    active_events,
-    active_metrics,
-    active_profiler,
-)
 from repro.obs.logging import get_logger
+from repro.runspec import FIELD_NAMES, RunSpec, current
 from repro.sim.trace import TraceRecorder
 from repro.utils.rng import generator_from_root
 
@@ -64,7 +59,39 @@ from repro.utils.rng import generator_from_root
 #: halt checkpoint — not a device name (names never start with ``__``).
 CONTROLPLANE_BLOB_KEY = "__controlplane__"
 
+#: The :class:`~repro.runspec.RunSpec` fields this driver honours.
+#: ``workers`` is only a concurrency cap, idle on the serial hosting the
+#: driver does itself. Every other field that is switched on — passed
+#: or ambient — is refused by name rather than silently dropped.
+HONOURED_FIELDS = frozenset(
+    {"controlplane", "faults", "aggregator", "retry", "checkpoint"}
+    | {"metrics", "events", "profiler", "workers"}
+)
+
+#: Refused when passed, tolerated when ambient: an ambient tracer or
+#: flight recorder is a standing offer to record, and the CLI attaches
+#: them for ``--metrics-out``/``--events-out``/``--store``, which the
+#: async plane does serve.
+_AMBIENT_TOLERATED = frozenset({"tracer", "flight"})
+
 _LOG = get_logger("controlplane.driver")
+
+
+def refuse_unhonoured(explicit: RunSpec, ambient: RunSpec = RunSpec()) -> None:
+    """Raise naming every switched-on field the async plane would drop."""
+    named = [
+        name
+        for name in FIELD_NAMES
+        if name not in HONOURED_FIELDS
+        and (
+            explicit.is_on(name)
+            or (name not in _AMBIENT_TOLERATED and ambient.is_on(name))
+        )
+    ]
+    if named:
+        raise ConfigurationError(
+            "the async control plane cannot honour: " + ", ".join(named)
+        )
 
 
 def skewed_round_durations(
@@ -95,33 +122,26 @@ def train_async_federated(
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     eval_applications: Optional[Sequence[str]] = None,
-    controlplane_config: Optional[ControlPlaneConfig] = None,
     round_duration_s: Optional[Dict[str, float]] = None,
     slow_factor: float = 4.0,
     mixing_rate: float = 0.6,
     staleness_exponent: float = 0.5,
     suspect_after_missed: int = 2,
     dead_after_missed: int = 4,
-    metrics=None,
-    events=None,
-    profiler=None,
-    faults=None,
-    aggregator=None,
-    retry=None,
-    checkpoint=None,
+    **options,
 ):
     """Run federated training under the async control plane.
 
-    ``controlplane_config`` defaults to the ambient
-    :func:`repro.controlplane.context.controlplane` configuration, then
-    to :class:`ControlPlaneConfig` defaults. ``round_duration_s``
+    ``options`` are :class:`~repro.runspec.RunSpec` fields, resolved
+    over the ambient spec exactly like
+    :func:`~repro.experiments.training.train_federated`'s; this driver
+    honours :data:`HONOURED_FIELDS` and refuses the rest by name
+    (:func:`refuse_unhonoured`). ``controlplane`` falls back to
+    :class:`ControlPlaneConfig` defaults. ``round_duration_s``
     overrides the skewed speed profile (modelled seconds per local
-    round, per device). Resilience arguments behave exactly like
-    :func:`~repro.experiments.training.train_federated`'s — ambient
-    :func:`repro.faults.context.resilience` applies when they are
-    ``None``; a fault plan's ``hb_loss``/``dead`` events drive the
-    registry, and a configured checkpoint is where a degraded halt
-    writes its resumable snapshot before the CLI exits with code 6.
+    round, per device). A fault plan's ``hb_loss``/``dead`` events
+    drive the registry, and a configured checkpoint is where a degraded
+    halt writes its resumable snapshot before the CLI exits with code 6.
     """
     from repro.experiments.training import (
         TrainingResult,
@@ -130,47 +150,31 @@ def train_async_federated(
         _check_assignments,
         _emit_evaluation,
         _power_accounting,
-        _reject_async_unsupported,
         _resolve_run_resilience,
     )
 
     _check_assignments(assignments)
-    # This driver hosts its own devices: an ambient backend (or
-    # hierarchy/guard) would be silently dropped.
-    _reject_async_unsupported()
-    metrics = active_metrics(metrics)
-    events = active_events(events)
-    profiler = active_profiler(profiler)
-    cp = controlplane_config
-    if cp is None:
-        cp = get_active_controlplane() or ControlPlaneConfig(enabled=True)
+    explicit, ambient = RunSpec(**options), current()
+    refuse_unhonoured(explicit, ambient)
+    spec = explicit.over(ambient)
+    metrics, events, profiler = spec.metrics, spec.events, spec.profiler
+    cp = spec.controlplane or ControlPlaneConfig(enabled=True)
     eval_apps = tuple(eval_applications or evaluation_applications())
     if round_duration_s is None:
         round_duration_s = skewed_round_durations(
             list(assignments), slow_factor=slow_factor
         )
     resilience_cfg = _resolve_run_resilience(
-        faults,
-        aggregator,
-        retry,
-        checkpoint,
+        # This driver *is* the control plane, whatever ``enabled`` says.
+        replace(spec, controlplane=replace(cp, enabled=True)),
         assignments,
         config,
         eval_apps,
-        participation_fraction=1.0,
-        aggregation_weights=None,
-        guard_parts={
-            "controlplane": (
-                cp.heartbeat_interval_s,
-                cp.buffer_capacity,
-                cp.buffer_policy,
-                cp.buffer_block_deadline_s,
-                cp.quorum,
-                sorted(round_duration_s.items()),
-                mixing_rate,
-                staleness_exponent,
-            )
-        },
+        schedule=(
+            sorted(round_duration_s.items()),
+            mixing_rate,
+            staleness_exponent,
+        ),
     )
     snapshot = resilience_cfg.snapshot
     loop_state: Optional[Dict[str, object]] = None

@@ -100,7 +100,9 @@ class FederatedPowerControlConfig:
         The temperature decay rate is stretched so that exploration
         still traverses the same tau range across the shorter run —
         otherwise a 20-round smoke run would end while the policy is
-        still near-uniform.
+        still near-uniform. A schedule shorter than the evaluation
+        cadence still evaluates (after its last round) instead of
+        yielding an empty curve.
         """
         if rounds <= 0:
             raise ConfigurationError(f"rounds must be positive, got {rounds}")
@@ -112,6 +114,7 @@ class FederatedPowerControlConfig:
             self,
             num_rounds=rounds,
             steps_per_round=new_steps,
+            eval_every_rounds=min(self.eval_every_rounds, rounds),
             temperature_decay=self.temperature_decay * scale,
         )
 

@@ -15,7 +15,7 @@ so every figure/table module consumes one uniform structure.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import fmean
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -27,13 +27,11 @@ from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.evaluation import PolicyEvaluator, RoundEvaluation
 from repro.experiments.scenarios import evaluation_applications
 from repro.faults.aggregation import build_aggregator
-from repro.faults.context import resolve_resilience
 from repro.faults.plan import FaultPlan, PlanFaultInjector, chain_injectors
 from repro.faults.recovery import (
     CheckpointConfig,
     RunSnapshot,
     load_snapshot,
-    run_fingerprint,
     save_snapshot,
 )
 from repro.faults.retry import RetryPolicy
@@ -43,30 +41,22 @@ from repro.federated.collab import CollabPolicyServer
 from repro.federated.orchestrator import FederatedRunResult, run_federated_training
 from repro.federated.server import FederatedServer
 from repro.guard.churn import ChurnPlan
-from repro.guard.context import GuardReport, publish_guard_report, resolve_guard
-from repro.hier.context import resolve_hier
+from repro.guard.context import GuardReport, publish_guard_report
 from repro.hier.selection import SelectionPolicy, build_selection_policy
 from repro.hier.shard import HierarchicalFederation
 from repro.hier.topology import FleetTopology
 from repro.guard.quarantine import QuarantineConfig, QuarantineManager
 from repro.guard.watchdog import GuardedController, WatchdogConfig, guard_controller
 from repro.federated.transport import InMemoryTransport
-from repro.obs.context import (
-    active_events,
-    active_flight,
-    active_metrics,
-    active_profiler,
-    active_tracer,
-)
 from repro.obs.flight import FlightRecorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
 from repro.obs.tracing import RoundTracer
-from repro.parallel.context import resolve_execution
 from repro.parallel.engine import DeviceFleet, FleetTrainExecutor
 from repro.parallel.payloads import ActorParts, FaultInjector, WorkerSpec
 from repro.rl.schedules import ExponentialDecaySchedule
+from repro.runspec import RunSpec, resolve
 from repro.sim.device import DeviceEnvironment, build_default_device
 from repro.sim.opp import JETSON_NANO_OPP_TABLE
 from repro.sim.trace import TraceRecorder
@@ -223,58 +213,39 @@ class _ResolvedResilience:
 
 
 def _resolve_run_resilience(
-    faults,
-    aggregator,
-    retry,
-    checkpoint,
+    spec: RunSpec,
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     eval_apps: Tuple[str, ...],
-    participation_fraction: float,
-    aggregation_weights: Optional[Dict[str, float]],
-    guard_parts: Optional[Dict[str, object]] = None,
+    **identity: object,
 ) -> _ResolvedResilience:
-    """Materialise explicit/ambient resilience settings for one run.
+    """Materialise the resilience fields of a resolved ``spec`` for one run.
 
     Spec strings become concrete objects (``FaultPlan.from_spec``
     against this run's rounds and devices, ``build_aggregator`` for
     registry names); with a checkpoint configured, the run fingerprint
-    is computed and — in resume mode — the snapshot is loaded and
-    validated against it.
+    is computed — from ``spec`` as the caller materialised it, the full
+    fault plan, and whatever else of the run's ``identity`` the caller
+    adds — and, in resume mode, the snapshot is loaded and validated
+    against it.
     """
-    resolved = resolve_resilience(
-        faults=faults, aggregator=aggregator, retry=retry, checkpoint=checkpoint
-    )
-    plan = resolved.faults
+    plan = spec.faults
     if isinstance(plan, str):
         plan = FaultPlan.from_spec(
             plan, num_rounds=config.num_rounds, devices=list(assignments)
         )
-    agg = resolved.aggregator
+    agg = spec.aggregator
     if isinstance(agg, str):
         agg = build_aggregator(agg)
     out = _ResolvedResilience(
-        plan=plan,
-        aggregator=agg,
-        retry=resolved.retry,
-        checkpoint=resolved.checkpoint,
+        plan=plan, aggregator=agg, retry=spec.retry, checkpoint=spec.checkpoint
     )
     if out.checkpoint is not None:
-        out.fingerprint = run_fingerprint(
+        out.fingerprint = replace(spec, faults=plan, aggregator=agg).fingerprint(
             config=config,
             assignments=sorted(assignments.items()),
             eval_apps=eval_apps,
-            participation_fraction=participation_fraction,
-            aggregation_weights=(
-                sorted(aggregation_weights.items())
-                if aggregation_weights is not None
-                else None
-            ),
-            aggregator=getattr(agg, "name", None),
-            plan=plan.to_json() if plan is not None else None,
-            # Guard settings change the trajectory too; absent keys keep
-            # unguarded fingerprints byte-identical to previous releases.
-            **(guard_parts or {}),
+            **identity,
         )
         if out.checkpoint.resume:
             # Experiments run many training calls against one checkpoint
@@ -302,15 +273,13 @@ def _resolve_run_resilience(
 
 
 def _materialize_guard(
-    guard,
-    quarantine,
-    churn,
+    spec: RunSpec,
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
 ) -> Tuple[
     Optional[WatchdogConfig], Optional[QuarantineManager], Optional[ChurnPlan]
 ]:
-    """Resolve explicit/ambient guard settings into live objects.
+    """Turn a resolved spec's guard fields into live objects.
 
     ``guard`` may be ``True`` (default thresholds) or a
     :class:`WatchdogConfig`; ``quarantine`` ``True``, a
@@ -319,8 +288,7 @@ def _materialize_guard(
     this run's rounds and device roster. Everything off (the default)
     leaves the run bit-identical to an unguarded one.
     """
-    resolved = resolve_guard(watchdog=guard, quarantine=quarantine, churn=churn)
-    watchdog_cfg = resolved.watchdog
+    watchdog_cfg = spec.guard
     if watchdog_cfg is True:
         watchdog_cfg = WatchdogConfig()
     elif watchdog_cfg is False:
@@ -330,7 +298,7 @@ def _materialize_guard(
             f"guard must be True or a WatchdogConfig, got "
             f"{type(watchdog_cfg).__name__}"
         )
-    quarantine_mgr = resolved.quarantine
+    quarantine_mgr = spec.quarantine
     if quarantine_mgr is True:
         quarantine_mgr = QuarantineManager()
     elif quarantine_mgr is False:
@@ -344,7 +312,7 @@ def _materialize_guard(
             f"quarantine must be True, a QuarantineConfig or a "
             f"QuarantineManager, got {type(quarantine_mgr).__name__}"
         )
-    churn_plan = resolved.churn
+    churn_plan = spec.churn
     if isinstance(churn_plan, str):
         churn_plan = ChurnPlan.from_spec(
             churn_plan, num_rounds=config.num_rounds, devices=list(assignments)
@@ -358,12 +326,11 @@ def _materialize_guard(
 
 
 def _materialize_hier(
-    topology,
-    selection,
+    spec: RunSpec,
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
 ) -> Tuple[Optional[FleetTopology], Optional[SelectionPolicy]]:
-    """Resolve explicit/ambient hierarchy settings into live objects.
+    """Turn a resolved spec's hierarchy fields into live objects.
 
     ``topology`` may be a :class:`~repro.hier.topology.FleetTopology`
     (validated against this run's roster) or a spec string resolved
@@ -374,8 +341,7 @@ def _materialize_hier(
     run on the flat single-server path, bit-identical to previous
     releases.
     """
-    resolved = resolve_hier(topology=topology, selection=selection)
-    topo = resolved.topology
+    topo = spec.topology
     if topo is not None:
         if not isinstance(topo, (FleetTopology, str)):
             raise ConfigurationError(
@@ -385,7 +351,7 @@ def _materialize_hier(
         topo = FleetTopology.from_spec(
             topo, devices=list(assignments), seed=config.seed
         )
-    policy = resolved.selection
+    policy = spec.selection
     if isinstance(policy, str):
         policy = build_selection_policy(
             policy, topology=topo, seed=config.seed
@@ -825,98 +791,33 @@ def _hosted_run(
             pass  # every round was skipped: no device stepped, keep 0.0
 
 
-def _reject_async_unsupported(
-    topology=None,
-    selection=None,
-    guard=None,
-    quarantine=None,
-    churn=None,
-    backend: Optional[str] = None,
-    participation_fraction: float = 1.0,
-    aggregation_weights=None,
-    codec=None,
-    client_codec=None,
-    tracer=None,
-    flight=None,
-    straggler_policy=None,
-    fault_injector=None,
-) -> None:
-    """Refuse options the async control plane would silently drop.
-
-    Hierarchy, guard and backend settings count whether passed or
-    ambient. An *ambient* tracer/flight recorder is tolerated: it is a
-    standing offer to record, and the CLI attaches one for
-    ``--metrics-out``/``--events-out``, which the async plane does serve.
-    """
-    hier_cfg = resolve_hier(topology=topology, selection=selection)
-    guard_cfg = resolve_guard(watchdog=guard, quarantine=quarantine, churn=churn)
-    unsupported = {
-        "topology": hier_cfg.topology is not None,
-        "selection": hier_cfg.selection is not None,
-        "guard": guard_cfg.watchdog not in (None, False),
-        "quarantine": guard_cfg.quarantine not in (None, False),
-        "churn": guard_cfg.churn is not None,
-        "backend": resolve_execution(backend)[0] != "serial",
-        "participation_fraction": participation_fraction != 1.0,
-        "aggregation_weights": aggregation_weights is not None,
-        "codec": codec is not None,
-        "client_codec": client_codec is not None,
-        "tracer": tracer is not None,
-        "flight": flight is not None,
-        "straggler_policy": straggler_policy is not None,
-        "fault_injector": fault_injector is not None,
-    }
-    named = [option for option, is_set in unsupported.items() if is_set]
-    if named:
-        raise ConfigurationError(
-            "the async control plane cannot honour: " + ", ".join(named)
-        )
-
-
 def train_federated(
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     eval_applications: Optional[Sequence[str]] = None,
-    participation_fraction: float = 1.0,
-    aggregation_weights: Optional[Dict[str, float]] = None,
-    codec=None,
-    client_codec=None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[RoundTracer] = None,
-    flight: Optional[FlightRecorder] = None,
-    profiler: Optional[ScopeProfiler] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    straggler_policy: Optional[str] = None,
-    fault_injector: Optional[FaultInjector] = None,
-    faults=None,
-    aggregator=None,
-    retry: Optional[RetryPolicy] = None,
-    checkpoint: Optional[CheckpointConfig] = None,
-    guard=None,
-    quarantine=None,
-    churn=None,
-    events=None,
-    topology=None,
-    selection=None,
+    **options,
 ) -> TrainingResult:
     """Run the paper's federated power control (Algorithms 1 + 2).
 
     After each aggregation, the *global* policy is evaluated greedily
-    on every device across the evaluation application set. ``codec``
-    selects the model wire format for both endpoints (default: the
-    paper's float32; pass
+    on every device across the evaluation application set.
+
+    ``options`` are the fields of :class:`~repro.runspec.RunSpec`, by
+    name; one left out (or ``None``) defaults to the ambient spec
+    (:func:`repro.runspec.ambient` — how the CLI's flags reach here
+    without every experiment threading them through), then to off.
+
+    Protocol: ``participation_fraction`` and ``aggregation_weights``
+    shape each round's draw and average. ``codec`` selects the model
+    wire format for both endpoints (default: the paper's float32; pass
     :class:`repro.federated.codecs.QuantizedInt8Codec` for the
     compression ablation). ``client_codec`` overrides the codec on the
     clients only — e.g. a
     :class:`repro.federated.codecs.DPGaussianCodec` that perturbs
     uploads while broadcasts stay clean. ``metrics``/``tracer``/
-    ``flight``/``profiler`` attach observability sinks to the whole
-    stack (transport, endpoints, control sessions, device
-    environments, round loop); they default to the ambient
-    :mod:`repro.obs.context` bundle, so the CLI's ``--metrics-out``/
-    ``--flight-out`` reach here without every experiment threading
-    them through.
+    ``flight``/``profiler``/``events`` attach observability sinks to
+    the whole stack (transport, endpoints, control sessions, device
+    environments, round loop).
 
     Every device lives in a :class:`~repro.parallel.engine.DeviceFleet`
     actor that owns its environment, controller, replay and evaluation
@@ -924,10 +825,9 @@ def train_federated(
     endpoints (broadcasts decode into them, uploads encode from them),
     so only model parameters cross the device boundary. ``backend``/
     ``workers`` select how the actors are scheduled
-    (:mod:`repro.parallel`): ``"serial"`` (the reference), ``"thread"``,
-    ``"process"`` or ``"batched"`` — defaulting to the ambient
-    :func:`repro.parallel.context.execution` configuration, then to
-    serial. All backends produce bit-identical results; the process
+    (:mod:`repro.parallel`): ``"serial"`` (the reference and the
+    default), ``"thread"``, ``"process"`` or ``"batched"``. All
+    backends produce bit-identical results; the process
     backend additionally turns multi-core machines into real
     local-training speedup. ``straggler_policy`` and ``fault_injector``
     expose the orchestrator's fault-tolerance path:
@@ -949,9 +849,7 @@ def train_federated(
     uploads; ``checkpoint`` a
     :class:`~repro.faults.recovery.CheckpointConfig` — with
     ``resume=True`` the run restarts from the snapshot and finishes
-    bit-identical to an uninterrupted run, on every backend. All four
-    default to the ambient :func:`repro.faults.context.resilience`
-    configuration, then to off.
+    bit-identical to an uninterrupted run, on every backend.
 
     Guardrails (:mod:`repro.guard`): ``guard`` enables the device-side
     safety watchdog (``True`` or a
@@ -963,11 +861,9 @@ def train_federated(
     aggregation and bans repeat offenders; ``churn`` (a
     :class:`~repro.guard.churn.ChurnPlan` or spec string such as
     ``"leave=0.15,rejoin=0.5,late=1,seed=11"``) drives dynamic fleet
-    membership. All three default to the ambient
-    :func:`repro.guard.context.guard` configuration, then to off — and
-    with all three off the run is bit-identical to an unguarded one.
-    A guarded run publishes a :class:`~repro.guard.context.GuardReport`
-    for the CLI to consume.
+    membership. With all three off the run is bit-identical to an
+    unguarded one. A guarded run publishes a
+    :class:`~repro.guard.context.GuardReport` for the CLI to consume.
 
     Hierarchy (:mod:`repro.hier`): ``topology`` arranges the fleet into
     a multi-tier aggregation tree (a
@@ -976,100 +872,52 @@ def train_federated(
     their updates and forward one weighted aggregate up the tree;
     ``selection`` replaces uniform participant sampling with a
     :class:`~repro.hier.selection.SelectionPolicy` or registry spec
-    (``"pareto:0.5"``, ``"stratified:0.5"``). Both default to the
-    ambient :func:`repro.hier.context.hier` configuration, then to off;
-    a depth-1 (``"flat"``) topology is bit-identical to the plain
-    single-server path on every backend.
+    (``"pareto:0.5"``, ``"stratified:0.5"``). A depth-1 (``"flat"``)
+    topology is bit-identical to the plain single-server path on every
+    backend.
 
-    Async control plane (:mod:`repro.controlplane`): under an enabled
-    ambient :func:`~repro.controlplane.context.controlplane` config
-    (CLI ``--async``) the run is delegated to
+    Async control plane (:mod:`repro.controlplane`): with an enabled
+    ``controlplane`` config (CLI ``--async``) the run is delegated to
     :func:`~repro.controlplane.driver.train_async_federated`, which
-    honours ``eval_applications``, ``metrics``, ``events``,
-    ``profiler`` and the four resilience arguments. Any other option
-    set here — or ambiently, for hierarchy, guard and backend — raises
-    :class:`~repro.errors.ConfigurationError` naming it instead of
-    being dropped.
+    honours the fields in its ``HONOURED_FIELDS`` and raises
+    :class:`~repro.errors.ConfigurationError` naming any other field
+    that is switched on — passed here or ambient — instead of dropping
+    it.
     """
     _check_assignments(assignments)
-    # An ambient control-plane activation (CLI --async) reroutes the
-    # whole run through the event-driven async driver; the import is
-    # lazy because repro.controlplane.driver imports this module's
-    # helpers.
-    from repro.controlplane.context import get_active_controlplane
-
-    controlplane_cfg = get_active_controlplane()
-    if controlplane_cfg is not None and controlplane_cfg.enabled:
+    spec = resolve(**options)
+    if spec.is_on("controlplane"):
+        # Lazy: repro.controlplane.driver imports this module's helpers.
         from repro.controlplane.driver import train_async_federated
 
-        _reject_async_unsupported(
-            topology=topology,
-            selection=selection,
-            guard=guard,
-            quarantine=quarantine,
-            churn=churn,
-            backend=backend,
-            participation_fraction=participation_fraction,
-            aggregation_weights=aggregation_weights,
-            codec=codec,
-            client_codec=client_codec,
-            tracer=tracer,
-            flight=flight,
-            straggler_policy=straggler_policy,
-            fault_injector=fault_injector,
-        )
         return train_async_federated(
-            assignments,
-            config,
-            eval_applications=eval_applications,
-            controlplane_config=controlplane_cfg,
-            metrics=metrics,
-            events=events,
-            profiler=profiler,
-            faults=faults,
-            aggregator=aggregator,
-            retry=retry,
-            checkpoint=checkpoint,
+            assignments, config, eval_applications=eval_applications, **options
         )
-    backend, workers = resolve_execution(backend, workers)
-    metrics = active_metrics(metrics)
-    tracer = active_tracer(tracer)
-    flight = active_flight(flight)
-    profiler = active_profiler(profiler)
-    events = active_events(events)
+    backend = spec.get("backend")
+    metrics, tracer, flight = spec.metrics, spec.tracer, spec.flight
+    profiler, events = spec.profiler, spec.events
     eval_apps = tuple(eval_applications or evaluation_applications())
     watchdog_cfg, quarantine_mgr, churn_plan = _materialize_guard(
-        guard, quarantine, churn, assignments, config
+        spec, assignments, config
     )
-    topology_obj, selection_policy = _materialize_hier(
-        topology, selection, assignments, config
-    )
-    guard_parts: Dict[str, object] = {}
-    if watchdog_cfg is not None:
-        guard_parts["watchdog"] = watchdog_cfg
-    if quarantine_mgr is not None:
-        guard_parts["quarantine"] = quarantine_mgr.config
-    if churn_plan is not None:
-        guard_parts["churn"] = churn_plan.to_json()
-    # Hierarchy changes the wire path and the participant draw; absent
-    # keys keep flat-run fingerprints byte-identical to previous
-    # releases.
-    if topology_obj is not None:
-        guard_parts["topology"] = topology_obj.to_json()
-    if selection_policy is not None:
-        guard_parts["selection"] = selection_policy.describe()
+    topology_obj, selection_policy = _materialize_hier(spec, assignments, config)
+    # Guard and hierarchy settings change the trajectory (the wire path,
+    # the participant draw), so the fingerprint describes them as
+    # materialised against this run's rounds and roster.
     resilience_cfg = _resolve_run_resilience(
-        faults,
-        aggregator,
-        retry,
-        checkpoint,
+        replace(
+            spec,
+            guard=watchdog_cfg,
+            quarantine=quarantine_mgr.config if quarantine_mgr is not None else None,
+            churn=churn_plan,
+            topology=topology_obj,
+            selection=selection_policy,
+        ),
         assignments,
         config,
         eval_apps,
-        participation_fraction,
-        aggregation_weights,
-        guard_parts=guard_parts or None,
     )
+    straggler_policy = spec.straggler_policy
     if straggler_policy is None:
         # Quarantine can empty a round (AggregationError) and churn can
         # drain one; both need the tolerant policy to ride it out.
@@ -1079,7 +927,7 @@ def train_federated(
             or churn_plan is not None
         )
         straggler_policy = "skip" if tolerant_needed else "abort"
-    fault_injector = _effective_fault_injector(resilience_cfg, fault_injector)
+    fault_injector = _effective_fault_injector(resilience_cfg, spec.fault_injector)
     _LOG.info(
         "federated training starting",
         extra={
@@ -1097,7 +945,7 @@ def train_federated(
         config,
         eval_apps,
         backend,
-        workers,
+        spec.workers,
         metrics=metrics,
         flight=flight,
         profiler=profiler,
@@ -1139,7 +987,7 @@ def train_federated(
                     if topology_obj is not None
                     else "server"
                 ),
-                codec=client_codec if client_codec is not None else codec,
+                codec=spec.client_codec if spec.client_codec is not None else spec.codec,
                 metrics=metrics,
                 retry=resilience_cfg.retry,
             )
@@ -1156,7 +1004,7 @@ def train_federated(
             global_init.agent.get_parameters(),
             assignments,
             transport,
-            codec=codec,
+            codec=spec.codec,
             metrics=metrics,
             resilience_cfg=resilience_cfg,
             quarantine_mgr=quarantine_mgr,
@@ -1192,8 +1040,8 @@ def train_federated(
             {},
             num_rounds=config.num_rounds,
             on_round_end=on_round_end,
-            participation_fraction=participation_fraction,
-            aggregation_weights=aggregation_weights,
+            participation_fraction=spec.get("participation_fraction"),
+            aggregation_weights=spec.aggregation_weights,
             straggler_policy=straggler_policy,
             seed=generator_from_root(config.seed, 5),
             metrics=metrics,
@@ -1250,7 +1098,8 @@ def _train_baseline(
     configured cadence.
     """
     _check_assignments(assignments)
-    backend, workers = resolve_execution(backend, workers)
+    spec = resolve(backend=backend, workers=workers)
+    backend = spec.get("backend")
     _LOG.info(
         f"{name} training starting",
         extra={
@@ -1266,11 +1115,11 @@ def _train_baseline(
         config,
         tuple(eval_applications or evaluation_applications()),
         backend,
-        workers,
-        metrics=active_metrics(),
-        flight=active_flight(),
-        profiler=active_profiler(),
-        events=active_events(),
+        spec.workers,
+        metrics=spec.metrics,
+        flight=spec.flight,
+        profiler=spec.profiler,
+        events=spec.events,
     ) as (fleet, result, evaluate_if_due):
         for round_index in range(config.num_rounds):
             fleet.run_round(

@@ -4,9 +4,10 @@ Public surface of the chaos layer: declarative seeded fault schedules
 (:mod:`~repro.faults.plan`), the fault-injecting transport wrapper
 (:mod:`~repro.faults.transport`), retry with capped backoff and seeded
 jitter (:mod:`~repro.faults.retry`), robust aggregation rules
-(:mod:`~repro.faults.aggregation`), run-level checkpoint/resume
-(:mod:`~repro.faults.recovery`) and the ambient ``--faults``/
-``--aggregator``/``--checkpoint`` context (:mod:`~repro.faults.context`).
+(:mod:`~repro.faults.aggregation`) and run-level checkpoint/resume
+(:mod:`~repro.faults.recovery`). A run switches them on through the
+``faults``/``aggregator``/``retry``/``checkpoint`` fields of its
+:class:`~repro.runspec.RunSpec`.
 """
 
 from repro.faults.aggregation import (
@@ -17,12 +18,6 @@ from repro.faults.aggregation import (
     NormClipAggregator,
     TrimmedMeanAggregator,
     build_aggregator,
-)
-from repro.faults.context import (
-    ResilienceConfig,
-    get_active_resilience,
-    resilience,
-    resolve_resilience,
 )
 from repro.faults.plan import (
     CORRUPT_MODES,
@@ -41,7 +36,6 @@ from repro.faults.recovery import (
     load_snapshot,
     restore_device_state,
     restore_session_state,
-    run_fingerprint,
     save_snapshot,
     session_state,
 )
@@ -66,7 +60,6 @@ __all__ = [
     "NormClipAggregator",
     "OrchestratorProgress",
     "PlanFaultInjector",
-    "ResilienceConfig",
     "RetryOutcome",
     "RetryPolicy",
     "RunSnapshot",
@@ -75,13 +68,9 @@ __all__ = [
     "capture_device_state",
     "chain_injectors",
     "execute_with_retry",
-    "get_active_resilience",
     "load_snapshot",
-    "resilience",
-    "resolve_resilience",
     "restore_device_state",
     "restore_session_state",
-    "run_fingerprint",
     "save_snapshot",
     "session_state",
     "stable_token",

@@ -112,22 +112,6 @@ class CheckpointConfig:
         return (round_index + 1) % self.every == 0
 
 
-def run_fingerprint(**parts: Any) -> str:
-    """Stable digest of everything that must match for a safe resume.
-
-    Keyword arguments are sorted by name and hashed via ``repr``; pass
-    the config, assignments, eval apps, aggregator name, plan JSON and
-    anything else that changes the run's trajectory.
-    """
-    digest = hashlib.sha256()
-    for name in sorted(parts):
-        digest.update(name.encode("utf-8"))
-        digest.update(b"=")
-        digest.update(repr(parts[name]).encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
 def save_snapshot(snapshot: RunSnapshot, path: PathLike) -> None:
     """Atomically persist a snapshot (write temp file, then rename).
 

@@ -38,10 +38,10 @@ from repro.errors import TransportError, TransportTimeoutError
 from repro.faults.plan import FaultEvent, FaultPlan, stable_token
 from repro.faults.retry import PHASE_BROADCAST, PHASE_UPLOAD, RetryPolicy
 from repro.federated.transport import InMemoryTransport, Message
-from repro.obs.context import active_events, active_tracer
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import RoundTracer, STATUS_FAILED, STATUS_OK
+from repro.runspec import current
 from repro.utils.rng import generator_from_root
 
 _LOG = get_logger("faults.transport")
@@ -115,7 +115,8 @@ class FaultInjectingTransport:
         if self.metrics is not None:
             self.metrics.inc("faults.injected")
             self.metrics.inc(f"faults.{kind}")
-        tracer = active_tracer(self.tracer)
+        ambient = current()
+        tracer = self.tracer if self.tracer is not None else ambient.tracer
         if tracer is not None and tracer.current_round is not None:
             tracer.add_phase(
                 f"fault:{kind}",
@@ -123,7 +124,7 @@ class FaultInjectingTransport:
                 duration_s=duration_s,
                 status=STATUS_FAILED if failed else STATUS_OK,
             )
-        events = active_events(self.events)
+        events = self.events if self.events is not None else ambient.events
         if events is not None:
             events.emit(
                 {

@@ -27,6 +27,7 @@ from repro.federated.transport import InMemoryTransport, Message
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.rl.agent import NeuralBanditAgent
+from repro.runspec import resolve
 from repro.utils.validation import require_in_range, require_non_negative
 
 ASYNC_GLOBAL_KIND = "async_global_model"
@@ -271,17 +272,15 @@ def run_async_federated_training(
     advance by control steps exactly as in the synchronous driver.
 
     ``events``/``metrics`` default to the ambient
-    :mod:`repro.obs.context` bundle, so async runs stream into the same
+    :class:`~repro.runspec.RunSpec`'s, so async runs stream into the same
     pipeline the synchronous orchestrator feeds: one ``round_span``
     event per push (``mode: "async"``, its one participant, the push's
     transport bytes and the client's modelled round duration) and a
     final ``run_summary`` — which is what ``obs-watch`` and the event
     sinks consume.
     """
-    from repro.obs.context import active_events, active_metrics
-
-    events = active_events(events)
-    metrics = active_metrics(metrics)
+    sinks = resolve(events=events, metrics=metrics)
+    events, metrics = sinks.events, sinks.metrics
     if not clients:
         raise FederationError("need at least one async client")
     clients_by_id = {client.client_id: client for client in clients}

@@ -38,12 +38,6 @@ from repro.errors import (
 )
 from repro.federated.client import FederatedClient
 from repro.federated.server import FederatedServer
-from repro.obs.context import (
-    active_events,
-    active_metrics,
-    active_profiler,
-    active_tracer,
-)
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler, profile
@@ -57,6 +51,7 @@ from repro.obs.tracing import (
     STATUS_FAILED,
     STATUS_OK,
 )
+from repro.runspec import resolve
 from repro.utils.rng import SeedLike, as_generator
 
 _LOG = get_logger("federated")
@@ -215,7 +210,7 @@ def run_federated_training(
         each round.
     metrics, tracer, profiler:
         Optional observability sinks; default to the ambient
-        :mod:`repro.obs.context` bundle (if one is active). The
+        :class:`~repro.runspec.RunSpec`'s (if one is active). The
         profiler attributes wall-time to the protocol phases
         (``federated.broadcast``/``.local_train``/``.upload``/
         ``.aggregate``). Attaching sinks never changes the run's
@@ -294,10 +289,9 @@ def run_federated_training(
                 f"no trainer supplied for clients {missing_trainers}"
             )
 
-    metrics = active_metrics(metrics)
-    tracer = active_tracer(tracer)
-    profiler = active_profiler(profiler)
-    events = active_events(events)
+    sinks = resolve(metrics=metrics, tracer=tracer, profiler=profiler, events=events)
+    metrics, tracer = sinks.metrics, sinks.tracer
+    profiler, events = sinks.profiler, sinks.events
     transport = server.transport
 
     rng = as_generator(seed)

@@ -13,9 +13,10 @@ gracefully* under them. Three pillars:
 * :mod:`repro.guard.churn` — seeded join/leave/rejoin membership
   schedules handled identically by every execution backend.
 
-:mod:`repro.guard.context` provides the CLI's ambient activation
-(``--guard``/``--quarantine``/``--churn``) and the end-of-run
-:class:`~repro.guard.context.GuardReport`.
+A run arms them through the ``guard``/``quarantine``/``churn`` fields
+of its :class:`~repro.runspec.RunSpec`; :mod:`repro.guard.context`
+hands the end-of-run :class:`~repro.guard.context.GuardReport` back to
+the CLI.
 """
 
 from repro.guard.churn import (
@@ -25,13 +26,9 @@ from repro.guard.churn import (
     ChurnPlan,
 )
 from repro.guard.context import (
-    GuardConfig,
     GuardReport,
     consume_guard_report,
-    get_active_guard,
-    guard,
     publish_guard_report,
-    resolve_guard,
 )
 from repro.guard.quarantine import QuarantineConfig, QuarantineManager
 from repro.guard.watchdog import (
@@ -45,10 +42,9 @@ from repro.guard.watchdog import (
 
 __all__ = [
     "CHURN_KINDS",
-    "DEFAULT_CHURN_SPEC",
     "ChurnEvent",
     "ChurnPlan",
-    "GuardConfig",
+    "DEFAULT_CHURN_SPEC",
     "GuardReport",
     "GuardedController",
     "QuarantineConfig",
@@ -58,9 +54,6 @@ __all__ = [
     "STATE_PROBATION",
     "WatchdogConfig",
     "consume_guard_report",
-    "get_active_guard",
-    "guard",
     "guard_controller",
     "publish_guard_report",
-    "resolve_guard",
 ]

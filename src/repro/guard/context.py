@@ -1,47 +1,20 @@
-"""Ambient guard configuration and the end-of-run guard report.
+"""The end-of-run guard report, handed back through the runner signature.
 
-Mirrors :mod:`repro.faults.context`: experiment runners share the
-uniform ``runner(config) -> str`` signature, so the CLI cannot thread
-``--guard``/``--quarantine``/``--churn`` through every figure module.
-Instead the CLI *activates* a :class:`GuardConfig` here and
-:func:`repro.experiments.training.train_federated` picks it up as its
-default when no explicit guard arguments are passed. Explicit
-arguments win field-by-field; the empty stack resolves to "no
-watchdog, no quarantine, static fleet" — existing callers see zero
-behaviour change.
-
-The module also carries the *guard report* back out of the uniform
-runner signature: the training driver publishes a
-:class:`GuardReport` after a guarded run, and the CLI consumes it to
-decide whether the run ended fully degraded (every device on its
-fallback governor) — which maps to a dedicated exit code, distinct
-from the injected-kill code.
+Experiment runners share the uniform ``runner(config) -> str``
+signature, so a guarded run cannot *return* its fleet health to the
+CLI. Instead the training driver publishes a :class:`GuardReport` here
+after a guarded run, and the CLI consumes it to decide whether the run
+ended fully degraded (every device on its fallback governor) — which
+maps to a dedicated exit code, distinct from the injected-kill code.
+The slot is thread-local, like the ambient :mod:`repro.runspec` stack
+that carries the guard settings *in*.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
-
-
-@dataclass(frozen=True)
-class GuardConfig:
-    """One activated guard preference bundle.
-
-    ``watchdog`` may be ``True`` (defaults) or a
-    :class:`~repro.guard.watchdog.WatchdogConfig`; ``quarantine`` may
-    be ``True``, a :class:`~repro.guard.quarantine.QuarantineConfig` or
-    a live :class:`~repro.guard.quarantine.QuarantineManager`;
-    ``churn`` a :class:`~repro.guard.churn.ChurnPlan` or a spec string
-    (resolved against the run's rounds/devices by the training
-    driver).
-    """
-
-    watchdog: Optional[Union[bool, object]] = None
-    quarantine: Optional[Union[bool, object]] = None
-    churn: Optional[Union[object, str]] = None
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -70,57 +43,12 @@ class GuardReport:
         )
 
 
-class _ThreadLocalStack(threading.local):
+class _ReportSlot(threading.local):
     def __init__(self) -> None:
-        self.stack: List[GuardConfig] = []
         self.report: Optional[GuardReport] = None
 
 
-_LOCAL = _ThreadLocalStack()
-
-
-def get_active_guard() -> Optional[GuardConfig]:
-    """The innermost config activated on this thread, or ``None``."""
-    stack = _LOCAL.stack
-    return stack[-1] if stack else None
-
-
-def resolve_guard(
-    watchdog: Optional[Union[bool, object]] = None,
-    quarantine: Optional[Union[bool, object]] = None,
-    churn: Optional[Union[object, str]] = None,
-) -> GuardConfig:
-    """Effective guard settings for a driver call.
-
-    Explicit arguments win field-by-field; otherwise the ambient
-    config applies; otherwise everything stays off.
-    """
-    ambient = get_active_guard()
-    if ambient is not None:
-        if watchdog is None:
-            watchdog = ambient.watchdog
-        if quarantine is None:
-            quarantine = ambient.quarantine
-        if churn is None:
-            churn = ambient.churn
-    return GuardConfig(watchdog=watchdog, quarantine=quarantine, churn=churn)
-
-
-@contextmanager
-def guard(
-    watchdog: Optional[Union[bool, object]] = None,
-    quarantine: Optional[Union[bool, object]] = None,
-    churn: Optional[Union[object, str]] = None,
-) -> Iterator[GuardConfig]:
-    """``with guard(watchdog=True): ...`` — balanced push/pop."""
-    config = GuardConfig(
-        watchdog=watchdog, quarantine=quarantine, churn=churn
-    )
-    _LOCAL.stack.append(config)
-    try:
-        yield config
-    finally:
-        _LOCAL.stack.pop()
+_LOCAL = _ReportSlot()
 
 
 def publish_guard_report(report: GuardReport) -> None:

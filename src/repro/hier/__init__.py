@@ -28,7 +28,6 @@ A depth-1 (flat) topology routes through the original
 it is bit-identical to a run without this package on every backend.
 """
 
-from repro.hier.context import hier, resolve_hier
 from repro.hier.scale import FleetScaleReport, simulate_fleet_round
 from repro.hier.selection import (
     ClusterStratifiedSelection,
@@ -78,7 +77,5 @@ __all__ = [
     "build_selection_policy",
     "build_streaming_aggregator",
     "default_device_features",
-    "hier",
-    "resolve_hier",
     "simulate_fleet_round",
 ]

@@ -55,9 +55,10 @@ Instrumentation contract: every instrumented call site holds an
 with no sinks attached pays no measurable overhead (enforced by
 ``benchmarks/test_bench_overhead.py``). Timing values never flow into
 seeded or asserted quantities, so telemetry cannot perturb
-reproducibility. The :mod:`repro.obs.context` stack (thread-local)
-lets the CLI attach sinks to runners without changing their
-signatures.
+reproducibility. The sinks are fields of the run's
+:class:`~repro.runspec.RunSpec`; making one ambient
+(:func:`repro.runspec.ambient`) lets the CLI attach them to runners
+without changing their signatures.
 """
 
 from repro.obs.alerts import (
@@ -65,18 +66,6 @@ from repro.obs.alerts import (
     AlertRule,
     format_alerts_markdown,
     parse_alert_specs,
-)
-from repro.obs.context import (
-    Telemetry,
-    activate,
-    active_events,
-    active_flight,
-    active_metrics,
-    active_profiler,
-    active_tracer,
-    deactivate,
-    get_active,
-    telemetry,
 )
 from repro.obs.diff import (
     RunDiff,
@@ -191,16 +180,8 @@ __all__ = [
     "SqliteSink",
     "StoreFollower",
     "TELEMETRY_SCHEMA_VERSION",
-    "Telemetry",
     "TelemetrySink",
-    "activate",
-    "active_events",
-    "active_flight",
-    "active_metrics",
-    "active_profiler",
-    "active_tracer",
     "cprofile_capture",
-    "deactivate",
     "detect_regressions",
     "diff_runs",
     "format_alerts_markdown",
@@ -208,7 +189,6 @@ __all__ = [
     "format_history_markdown",
     "format_reward_curves",
     "generate_report",
-    "get_active",
     "get_logger",
     "ingest_training_result",
     "iter_jsonl_rows",
@@ -224,7 +204,6 @@ __all__ = [
     "run_metrics_from_store",
     "run_scalars",
     "setup_logging",
-    "telemetry",
     "timed",
     "watch",
 ]

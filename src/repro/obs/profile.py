@@ -17,10 +17,10 @@ that already measure elapsed time can feed it in without a context
 manager via :meth:`ScopeProfiler.add` (one dict update, no ``with``
 overhead).
 
-The module-level :func:`profile` helper resolves the ambient profiler
-from :mod:`repro.obs.context`; with none active it returns a shared
-no-op scope, so permanently instrumented call sites cost one context
-lookup. For micro-level attribution there is an opt-in
+The module-level :func:`profile` helper resolves the profiler of the
+ambient :class:`~repro.runspec.RunSpec`; with none active it returns a
+shared no-op scope, so permanently instrumented call sites cost one
+stack lookup. For micro-level attribution there is an opt-in
 :func:`cprofile_capture` wrapper around :mod:`cProfile` — far too slow
 to leave attached, which is exactly why the scope profiler exists.
 
@@ -38,8 +38,8 @@ from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.context import active_profiler
 from repro.obs.metrics import MetricsRegistry
+from repro.runspec import current
 
 #: Separator between nested scope names in a path.
 PATH_SEPARATOR = "/"
@@ -269,10 +269,10 @@ def profile(name: str, profiler: Optional[ScopeProfiler] = None):
         with profile("sim.step"):
             ...
 
-    costs one context lookup plus a no-op enter/exit when no profiler
+    costs one stack lookup plus a no-op enter/exit when no profiler
     is attached.
     """
-    resolved = active_profiler(profiler)
+    resolved = profiler if profiler is not None else current().profiler
     if resolved is None:
         return NULL_SCOPE
     return resolved.scope(name)

@@ -7,7 +7,7 @@ compared against other runs*. The :class:`RunStore` keeps that history
 in a single SQLite file (stdlib :mod:`sqlite3`, no new dependencies):
 
 * ``runs`` — one row per run, keyed by an auto id and registered with
-  the :func:`repro.faults.recovery.run_fingerprint` of its
+  the :meth:`repro.runspec.RunSpec.fingerprint` of its
   configuration, plus seed/backend/config JSON and (once the run
   finishes) a final summary JSON;
 * ``series`` — per-round time series (``reward_mean``, ``bytes``,
@@ -346,8 +346,10 @@ def ingest_training_result(
     ``reward_mean`` series and a scalar summary attached.
     """
     from repro import __version__
-    from repro.faults.recovery import run_fingerprint
+    from repro.runspec import run_fingerprint
 
+    # A finished TrainingResult carries no run options to describe: the
+    # identity is what the caller can still name.
     fingerprint = run_fingerprint(
         name=name,
         config=config,

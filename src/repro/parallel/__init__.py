@@ -4,26 +4,18 @@ Public surface of the pluggable execution layer: worker payloads
 (:mod:`~repro.parallel.payloads`), the device actor
 (:mod:`~repro.parallel.worker`), the four backends
 (:mod:`~repro.parallel.backend` and :mod:`~repro.parallel.batched`),
-the fleet engine
-(:mod:`~repro.parallel.engine`) and the ambient ``--backend/--workers``
-context (:mod:`~repro.parallel.context`).
+and the fleet engine (:mod:`~repro.parallel.engine`). Which backend a
+run uses is the ``backend``/``workers`` fields of its
+:class:`~repro.runspec.RunSpec`.
 """
 
 from repro.parallel.backend import (
-    BACKEND_NAMES,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
     create_backend,
 )
 from repro.parallel.batched import BatchedFleet
-from repro.parallel.context import (
-    DEFAULT_BACKEND,
-    ExecutionConfig,
-    execution,
-    get_active_execution,
-    resolve_execution,
-)
 from repro.parallel.engine import DeviceFleet, FleetTrainExecutor
 from repro.parallel.payloads import (
     ActorParts,
@@ -38,6 +30,7 @@ from repro.parallel.payloads import (
     WorkerSpec,
 )
 from repro.parallel.worker import DeviceActor
+from repro.runspec import BACKEND_NAMES, DEFAULT_BACKEND
 
 __all__ = [
     "ActorParts",
@@ -50,13 +43,9 @@ __all__ = [
     "DeviceFleet",
     "EvalOutcome",
     "EvalTask",
-    "ExecutionConfig",
-    "execution",
     "FetchControllerTask",
     "FleetTrainExecutor",
-    "get_active_execution",
     "ProcessBackend",
-    "resolve_execution",
     "SerialBackend",
     "StepsOutcome",
     "StepsTask",

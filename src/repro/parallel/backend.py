@@ -37,11 +37,9 @@ from repro.obs.logging import get_logger
 from repro.parallel.batched import BatchedFleet
 from repro.parallel.payloads import CallOutcome, WorkerSpec
 from repro.parallel.worker import WORKER_READY, DeviceActor, process_worker_main
+from repro.runspec import BACKEND_NAMES
 
 _LOG = get_logger("parallel")
-
-#: Recognised backend names, in documentation order.
-BACKEND_NAMES = ("serial", "thread", "process", "batched")
 
 #: Seconds to wait for a worker process to exit before terminating it.
 _SHUTDOWN_TIMEOUT_S = 10.0

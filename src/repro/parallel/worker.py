@@ -15,7 +15,7 @@ driver has the matching sink attached) and drains them into a
 :class:`~repro.parallel.payloads.TelemetryDump` after every steps task.
 The driver merges dumps in deterministic device order, reproducing the
 exact stream a serial run emits. Nothing here touches the ambient
-:mod:`repro.obs.context` — thread workers must not see the driver's
+:mod:`repro.runspec` stack — thread workers must not see the driver's
 thread-local sinks, and fork-started process workers must not use an
 inherited copy of them.
 """

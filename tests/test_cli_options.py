@@ -31,6 +31,14 @@ class TestCliOverrides:
         assert main(["run", "overhead", "--rounds", "2", "--steps", "10"]) == 0
         assert "2.8" in capsys.readouterr().out or True
 
+    def test_fig3_shorter_than_the_eval_cadence_still_plots(self, capsys):
+        # The smoke preset evaluates every 5 rounds; 2 rounds used to
+        # train to completion and die in the plotter on an empty series.
+        assert main(["run", "fig3", "--rounds", "2", "--steps", "10"]) == 0
+        captured = capsys.readouterr()
+        assert "scenario 1 federated device-A (n=1):" in captured.out
+        assert "error" not in captured.err
+
     def test_defaults_keep_preset(self):
         args = build_parser().parse_args(["run", "fig2"])
         assert args.rounds == 0 and args.steps == 0 and args.output == ""

@@ -12,12 +12,7 @@ from repro.controlplane.buffer import (
     POLICY_REJECT,
     BoundedUploadBuffer,
 )
-from repro.controlplane.context import (
-    ControlPlaneConfig,
-    controlplane,
-    get_active_controlplane,
-    parse_buffer_spec,
-)
+from repro.controlplane.context import ControlPlaneConfig, parse_buffer_spec
 from repro.controlplane.degrade import (
     MODE_FULL,
     MODE_HALT,
@@ -28,6 +23,7 @@ from repro.controlplane.degrade import (
 )
 from repro.controlplane.driver import (
     CONTROLPLANE_BLOB_KEY,
+    HONOURED_FIELDS,
     skewed_round_durations,
     train_async_federated,
 )
@@ -53,6 +49,11 @@ from repro.federated.async_server import (
 )
 from repro.federated.transport import InMemoryTransport
 from repro.rl.agent import NeuralBanditAgent
+from repro.runspec import FIELD_NAMES, ambient, current
+
+from tests.runspec_samples import on_values
+
+ASYNC_ON = ControlPlaneConfig(enabled=True)
 
 
 class ListPipeline:
@@ -331,13 +332,14 @@ class TestConfigAndContext:
             ControlPlaneConfig(quorum=0.0)
 
     def test_ambient_stack(self):
-        assert get_active_controlplane() is None
-        with controlplane(quorum=0.6) as outer:
-            assert get_active_controlplane() is outer
-            with controlplane(quorum=0.4) as inner:
-                assert get_active_controlplane() is inner
-            assert get_active_controlplane() is outer
-        assert get_active_controlplane() is None
+        outer, inner = ControlPlaneConfig(quorum=0.6), ControlPlaneConfig(quorum=0.4)
+        assert current().controlplane is None
+        with ambient(controlplane=outer):
+            assert current().controlplane is outer
+            with ambient(controlplane=inner):
+                assert current().controlplane is inner
+            assert current().controlplane is outer
+        assert current().controlplane is None
 
 
 class TestFaultPlanControlKinds:
@@ -567,8 +569,6 @@ class TestDriver:
             skewed_round_durations(["a"], slow_factor=0.5)
 
     def test_registry_transitions_reproducible_and_backend_refused(self):
-        from repro.parallel.context import execution
-
         assignments = tiny_assignments(4)
         config = tiny_config()
         plan = FaultPlan.random(
@@ -588,7 +588,7 @@ class TestDriver:
         # The driver hosts its own devices; an ambient backend it would
         # silently drop is refused instead.
         for backend in ("thread", "process", "batched"):
-            with execution(backend, workers=2):
+            with ambient(backend=backend, workers=2):
                 with pytest.raises(ConfigurationError, match="backend"):
                     run_once()
 
@@ -669,7 +669,7 @@ class TestDriver:
 
         assignments = tiny_assignments(2)
         config = tiny_config(rounds=2, steps=5)
-        with controlplane(enabled=True):
+        with ambient(controlplane=ASYNC_ON):
             result = train_federated(
                 assignments, config, eval_applications=("fft",)
             )
@@ -761,30 +761,11 @@ class TestRollupControlPlane:
         assert "control plane:" not in rollup.render(deterministic=True)
 
 
-def _noop_injector(device_name, round_index):
-    return None
-
-
 class TestAsyncRejectsUnsupportedOptions:
     """``train_federated`` under an enabled control plane must refuse —
-    not silently drop — every option the async driver cannot honour."""
-
-    UNSUPPORTED = {
-        "topology": "edges=2",
-        "selection": "uniform:0.5",
-        "guard": True,
-        "quarantine": True,
-        "churn": "leave=0.2,seed=3",
-        "backend": "batched",
-        "participation_fraction": 0.5,
-        "aggregation_weights": {"cp-00": 2.0},
-        "codec": "nonsense",
-        "client_codec": "nonsense",
-        "tracer": object(),
-        "flight": object(),
-        "straggler_policy": "skip",
-        "fault_injector": _noop_injector,
-    }
+    not silently drop — every option the async driver cannot honour:
+    each ``RunSpec`` field is either in the driver's declared
+    ``HONOURED_FIELDS`` or named in a ``ConfigurationError``."""
 
     @staticmethod
     def train(**options):
@@ -797,11 +778,15 @@ class TestAsyncRejectsUnsupportedOptions:
             **options,
         )
 
-    @pytest.mark.parametrize("option", sorted(UNSUPPORTED))
-    def test_each_explicit_option_is_named(self, option):
-        with controlplane(enabled=True):
-            with pytest.raises(ConfigurationError, match=rf"\b{option}\b"):
-                self.train(**{option: self.UNSUPPORTED[option]})
+    @pytest.mark.parametrize("option", FIELD_NAMES)
+    def test_each_explicit_option_is_named(self, option, tmp_path):
+        value = on_values(tmp_path)[option]
+        with ambient(controlplane=ASYNC_ON):
+            if option in HONOURED_FIELDS:
+                assert self.train(**{option: value}).name == "async_federated"
+            else:
+                with pytest.raises(ConfigurationError, match=rf"\b{option}\b"):
+                    self.train(**{option: value})
 
     def test_all_offending_options_are_named_at_once(self):
         options = dict(
@@ -811,35 +796,28 @@ class TestAsyncRejectsUnsupportedOptions:
             participation_fraction=0.5,
             codec="nonsense",
         )
-        with controlplane(enabled=True):
+        with ambient(controlplane=ASYNC_ON):
             with pytest.raises(ConfigurationError) as excinfo:
                 self.train(**options)
         for option in options:
             assert option in str(excinfo.value)
 
-    def test_ambient_settings_are_rejected_too(self):
-        from repro.guard import guard
-        from repro.hier import hier
-        from repro.parallel import execution
-
-        ambient = {
-            "topology": hier(topology="edges=2"),
-            "selection": hier(selection="uniform:0.5"),
-            "guard": guard(watchdog=True),
-            "quarantine": guard(quarantine=True),
-            "churn": guard(churn="leave=0.2,seed=3"),
-            "backend": execution("thread"),
-        }
-        for option, context in ambient.items():
-            with context, controlplane(enabled=True):
-                with pytest.raises(ConfigurationError, match=option):
-                    self.train()
+    def test_ambient_settings_are_rejected_too(self, tmp_path):
+        # An ambient tracer/flight recorder is a standing offer to record
+        # (the CLI attaches them for --metrics-out/--store): tolerated.
+        tolerated = HONOURED_FIELDS | {"tracer", "flight"}
+        for option, value in on_values(tmp_path).items():
+            with ambient(controlplane=ASYNC_ON), ambient(**{option: value}):
+                if option in tolerated:
+                    assert self.train().name == "async_federated", option
+                else:
+                    with pytest.raises(ConfigurationError, match=rf"\b{option}\b"):
+                        self.train()
 
     def test_honoured_options_and_off_values_still_run(self):
         from repro.obs.metrics import MetricsRegistry
-        from repro.parallel import execution
 
-        with execution("serial"), controlplane(enabled=True):
+        with ambient(backend="serial", controlplane=ASYNC_ON):
             result = self.train(
                 metrics=MetricsRegistry(),
                 backend="serial",
@@ -851,7 +829,7 @@ class TestAsyncRejectsUnsupportedOptions:
         assert result.name == "async_federated"
 
     def test_disabled_controlplane_keeps_the_sync_driver(self):
-        with controlplane(enabled=False):
+        with ambient(controlplane=ControlPlaneConfig(enabled=False)):
             result = self.train(participation_fraction=0.5)
         assert result.name == "federated"
 

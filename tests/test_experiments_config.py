@@ -80,6 +80,12 @@ class TestScaled:
         )
         assert tau_short == pytest.approx(tau_full, rel=1e-9)
 
+    def test_scaled_below_the_eval_cadence_still_evaluates(self):
+        base = FederatedPowerControlConfig(eval_every_rounds=5)
+        assert base.scaled(rounds=2).eval_every_rounds == 2
+        assert base.scaled(rounds=5).eval_every_rounds == 5
+        assert base.scaled(rounds=40).eval_every_rounds == 5
+
     def test_scaled_rejects_bad_rounds(self):
         with pytest.raises(ConfigurationError):
             FederatedPowerControlConfig().scaled(rounds=0)

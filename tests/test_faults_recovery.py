@@ -11,9 +11,9 @@ from repro.faults.recovery import (
     OrchestratorProgress,
     RunSnapshot,
     load_snapshot,
-    run_fingerprint,
     save_snapshot,
 )
+from repro.runspec import run_fingerprint
 from repro.nn.optimizers import SGD, Adam
 from repro.utils.checkpoint import (
     optimizer_state,

@@ -271,11 +271,11 @@ class TestAsyncEvents:
         )
 
     def test_ambient_context_is_picked_up(self):
-        from repro.obs.context import telemetry
         from repro.obs.sink import EventPipeline
+        from repro.runspec import ambient
 
         pipeline = EventPipeline()
-        with telemetry(events=pipeline):
+        with ambient(events=pipeline):
             self._run()
         types = [row["type"] for row in pipeline.rows()]
         assert "round_span" in types

@@ -20,7 +20,8 @@ from repro.guard.context import (
     publish_guard_report,
 )
 from repro.guard.watchdog import WatchdogConfig
-from repro.obs import FlightRecorder, telemetry
+from repro.obs import FlightRecorder
+from repro.runspec import ambient
 
 ASSIGNMENTS = {
     "device-0": ("fft", "lu"),
@@ -188,7 +189,7 @@ class TestFlightRecorderCrossCheck:
     def test_fallback_counts_match_flight_records(self):
         flight = FlightRecorder(capacity=65536)
         watchdog = WatchdogConfig(fallback_steps=8, probation_steps=8)
-        with telemetry(flight=flight):
+        with ambient(flight=flight):
             result = train_federated(
                 ASSIGNMENTS,
                 make_config(),

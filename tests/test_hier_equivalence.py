@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.training import train_federated
-from repro.hier import hier
+from repro.runspec import ambient
 
 ASSIGNMENTS = {"DEVICE_A": ("fft", "lu"), "DEVICE_B": ("radix",)}
 EVAL_APPS = ("fft", "radix")
@@ -90,7 +90,7 @@ def test_topology_instance_and_spec_agree(config, baseline):
 
 
 def test_ambient_hier_context_reaches_the_driver(config, baseline):
-    with hier(topology="flat"):
+    with ambient(topology="flat"):
         result = train_federated(
             ASSIGNMENTS, config, eval_applications=EVAL_APPS
         )

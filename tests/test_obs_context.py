@@ -1,111 +1,83 @@
-"""Tests for the ambient telemetry context stack.
+"""Tests for the one ambient stack (:mod:`repro.runspec`), on its sinks.
 
-Covers the full bundle (metrics, tracer, flight, profiler), nested and
-interleaved push/pop, and thread-local isolation — telemetry activated
-on one thread must be invisible to every other thread.
+Covers empty-stack-is-off, explicit-wins, innermost-wins, field-by-field
+inheritance, pop-on-exception and thread-local isolation — sinks made
+ambient on one thread must be invisible to every other thread. (The
+file keeps the name it had when the sinks had a stack of their own.)
 """
 
 import threading
 
-from repro.obs.context import (
-    Telemetry,
-    activate,
-    active_flight,
-    active_metrics,
-    active_profiler,
-    active_tracer,
-    deactivate,
-    get_active,
-    telemetry,
-)
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
 from repro.obs.tracing import RoundTracer
+from repro.runspec import RunSpec, ambient, current, resolve
 
 
 class TestStackBasics:
     def test_empty_stack_resolves_to_none(self):
-        assert get_active() is None
-        assert active_metrics() is None
-        assert active_tracer() is None
-        assert active_flight() is None
-        assert active_profiler() is None
+        assert current() == RunSpec()
+        assert resolve() == RunSpec()
 
     def test_telemetry_activates_all_four_sinks(self):
         metrics, tracer = MetricsRegistry(), RoundTracer()
         flight, profiler = FlightRecorder(), ScopeProfiler()
-        with telemetry(
+        with ambient(
             metrics=metrics, tracer=tracer, flight=flight, profiler=profiler
-        ) as bundle:
-            assert isinstance(bundle, Telemetry)
-            assert active_metrics() is metrics
-            assert active_tracer() is tracer
-            assert active_flight() is flight
-            assert active_profiler() is profiler
-        assert get_active() is None
+        ) as frame:
+            assert frame is current()
+            assert current().metrics is metrics
+            assert current().tracer is tracer
+            assert current().flight is flight
+            assert current().profiler is profiler
+        assert current() == RunSpec()
 
     def test_explicit_argument_wins_over_ambient(self):
-        ambient, explicit = FlightRecorder(), FlightRecorder()
-        with telemetry(flight=ambient):
-            assert active_flight(explicit) is explicit
-            assert active_flight() is ambient
-
-    def test_deactivate_on_empty_stack_is_noop(self):
-        deactivate()  # must not raise
-        assert get_active() is None
+        outer, explicit = FlightRecorder(), FlightRecorder()
+        with ambient(flight=outer):
+            assert resolve(flight=explicit).flight is explicit
+            assert resolve().flight is outer
 
     def test_telemetry_pops_on_exception(self):
         try:
-            with telemetry(metrics=MetricsRegistry()):
+            with ambient(metrics=MetricsRegistry()):
                 raise ValueError("boom")
         except ValueError:
             pass
-        assert get_active() is None
+        assert current() == RunSpec()
 
 
 class TestNestedAndInterleaved:
     def test_innermost_bundle_wins(self):
         outer, inner = MetricsRegistry(), MetricsRegistry()
-        with telemetry(metrics=outer):
-            with telemetry(metrics=inner):
-                assert active_metrics() is inner
-            assert active_metrics() is outer
+        with ambient(metrics=outer):
+            with ambient(metrics=inner):
+                assert current().metrics is inner
+            assert current().metrics is outer
 
-    def test_inner_bundle_does_not_inherit_outer_sinks(self):
-        # An inner bundle with only a tracer hides the outer registry:
-        # bundles are atomic, not merged.
+    def test_inner_frame_inherits_the_fields_it_does_not_set(self):
+        # One merge rule: a frame that only sets a tracer keeps the
+        # enclosing registry, and an explicit False switches a field off.
         metrics = MetricsRegistry()
-        with telemetry(metrics=metrics):
-            with telemetry(tracer=RoundTracer()):
-                assert active_metrics() is None
-            assert active_metrics() is metrics
-
-    def test_interleaved_activate_deactivate(self):
-        first = activate(metrics=MetricsRegistry())
-        second = activate(flight=FlightRecorder())
-        third = activate(profiler=ScopeProfiler())
-        assert get_active() is third
-        deactivate()
-        assert get_active() is second
-        fourth = activate(tracer=RoundTracer())
-        assert get_active() is fourth
-        deactivate()
-        assert get_active() is second
-        deactivate()
-        assert get_active() is first
-        deactivate()
-        assert get_active() is None
+        with ambient(metrics=metrics, guard=True, backend="thread"):
+            with ambient(tracer=RoundTracer(), guard=False):
+                assert current().metrics is metrics
+                assert current().backend == "thread"
+                assert current().guard is False
+                assert resolve(backend="process").backend == "process"
+            assert current().tracer is None
+            assert current().guard is True
 
     def test_three_level_nesting_unwinds_in_order(self):
         registries = [MetricsRegistry() for _ in range(3)]
-        with telemetry(metrics=registries[0]):
-            with telemetry(metrics=registries[1]):
-                with telemetry(metrics=registries[2]):
-                    assert active_metrics() is registries[2]
-                assert active_metrics() is registries[1]
-            assert active_metrics() is registries[0]
-        assert active_metrics() is None
+        with ambient(metrics=registries[0]):
+            with ambient(metrics=registries[1]):
+                with ambient(metrics=registries[2]):
+                    assert current().metrics is registries[2]
+                assert current().metrics is registries[1]
+            assert current().metrics is registries[0]
+        assert current().metrics is None
 
 
 class TestThreadIsolation:
@@ -113,15 +85,15 @@ class TestThreadIsolation:
         seen = {}
 
         def probe():
-            seen["metrics"] = active_metrics()
-            seen["bundle"] = get_active()
+            seen["metrics"] = resolve().metrics
+            seen["bundle"] = current()
 
-        with telemetry(metrics=MetricsRegistry()):
+        with ambient(metrics=MetricsRegistry()):
             worker = threading.Thread(target=probe)
             worker.start()
             worker.join()
         assert seen["metrics"] is None
-        assert seen["bundle"] is None
+        assert seen["bundle"] == RunSpec()
 
     def test_threads_keep_independent_stacks(self):
         results = {}
@@ -129,11 +101,11 @@ class TestThreadIsolation:
 
         def run(name):
             registry = MetricsRegistry()
-            with telemetry(metrics=registry):
-                barrier.wait()  # both threads hold their bundle at once
-                results[name] = active_metrics() is registry
+            with ambient(metrics=registry):
+                barrier.wait()  # both threads hold their frame at once
+                results[name] = current().metrics is registry
                 barrier.wait()
-            results[name + ".after"] = get_active() is None
+            results[name + ".after"] = current() == RunSpec()
 
         threads = [
             threading.Thread(target=run, args=(n,)) for n in ("a", "b")
@@ -151,11 +123,11 @@ class TestThreadIsolation:
 
     def test_worker_thread_activation_does_not_leak_to_main(self):
         def worker():
-            activate(flight=FlightRecorder())
-            # Deliberately never deactivated: the stack dies with the
+            ambient(flight=FlightRecorder()).__enter__()
+            # Deliberately never exited: the stack dies with the
             # thread and must not be visible from the main thread.
 
         t = threading.Thread(target=worker)
         t.start()
         t.join()
-        assert active_flight() is None
+        assert current().flight is None

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.context import telemetry
+from repro.runspec import ambient
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     NULL_SCOPE,
@@ -124,18 +124,18 @@ class TestAmbientProfile:
 
     def test_profile_uses_ambient_profiler(self):
         profiler = ScopeProfiler()
-        with telemetry(profiler=profiler):
+        with ambient(profiler=profiler):
             with profile("ambient.scope"):
                 pass
         assert profiler.stats("ambient.scope").count == 1
 
     def test_explicit_profiler_wins_over_ambient(self):
-        ambient, explicit = ScopeProfiler(), ScopeProfiler()
-        with telemetry(profiler=ambient):
+        outer, explicit = ScopeProfiler(), ScopeProfiler()
+        with ambient(profiler=outer):
             with profile("scope", explicit):
                 pass
         assert explicit.stats("scope").count == 1
-        assert ambient.table() == []
+        assert outer.table() == []
 
 
 class TestCProfileCapture:

@@ -14,7 +14,7 @@ from repro.federated.orchestrator import (
 )
 from repro.federated.server import FederatedServer
 from repro.federated.transport import InMemoryTransport
-from repro.obs.context import get_active, telemetry
+from repro.runspec import ambient, current
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     PHASE_AGGREGATE,
@@ -169,12 +169,12 @@ class TestOrchestratorTracing:
     def test_ambient_context_is_picked_up(self):
         server, clients = _system()
         tracer = RoundTracer()
-        with telemetry(tracer=tracer):
-            assert get_active().tracer is tracer
+        with ambient(tracer=tracer):
+            assert current().tracer is tracer
             run_federated_training(
                 server, clients, _noop_trainers(clients), num_rounds=1
             )
-        assert get_active() is None
+        assert current().tracer is None
         assert tracer.num_rounds == 1
 
 

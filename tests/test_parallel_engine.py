@@ -11,14 +11,11 @@ from repro.obs.profile import ScopeProfiler
 from repro.parallel import (
     BACKEND_NAMES,
     DeviceFleet,
-    ExecutionConfig,
     WorkerSpec,
     create_backend,
-    execution,
-    get_active_execution,
-    resolve_execution,
 )
 from repro.parallel.payloads import ActorParts
+from repro.runspec import ambient, current, resolve
 from repro.sim.trace import TraceRecorder
 
 ASSIGNMENTS = {"DEVICE_A": ("fft",), "DEVICE_B": ("radix",)}
@@ -59,38 +56,43 @@ def _fail_a_round0(device_name, round_index):
 # -- context ------------------------------------------------------------
 
 
+def resolved_execution(**explicit):
+    spec = resolve(**explicit)
+    return spec.get("backend"), spec.workers
+
+
 class TestExecutionContext:
     def test_default_is_serial(self):
-        assert get_active_execution() is None
-        assert resolve_execution() == ("serial", None)
+        assert current().backend is None
+        assert resolved_execution() == ("serial", None)
 
     def test_ambient_config_applies(self):
-        with execution("thread", workers=3) as cfg:
-            assert cfg == ExecutionConfig("thread", 3)
-            assert resolve_execution() == ("thread", 3)
-        assert get_active_execution() is None
+        with ambient(backend="thread", workers=3) as frame:
+            assert (frame.backend, frame.workers) == ("thread", 3)
+            assert resolved_execution() == ("thread", 3)
+        assert current().backend is None
 
     def test_explicit_arguments_win(self):
-        with execution("thread", workers=3):
-            assert resolve_execution("process", 1) == ("process", 1)
-            assert resolve_execution(backend="serial") == ("serial", 3)
+        with ambient(backend="thread", workers=3):
+            assert resolved_execution(backend="process", workers=1) == ("process", 1)
+            assert resolved_execution(backend="serial") == ("serial", 3)
 
     def test_nested_contexts_stack(self):
-        with execution("thread"):
-            with execution("process", workers=2):
-                assert resolve_execution() == ("process", 2)
-            assert resolve_execution() == ("thread", None)
+        with ambient(backend="thread"):
+            with ambient(backend="process", workers=2):
+                assert resolved_execution() == ("process", 2)
+            assert resolved_execution() == ("thread", None)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_execution("gpu")
+            resolve(backend="gpu")
         with pytest.raises(ConfigurationError):
-            with execution("gpu"):
+            with ambient(backend="gpu"):
                 pass
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_execution("thread", 0)
+            resolve(backend="thread", workers=0)
 
 
 # -- backends -----------------------------------------------------------

@@ -404,11 +404,11 @@ def test_worker_metrics_payload_is_bounded(config):
 
 
 def test_ambient_execution_context_reaches_driver(config):
-    from repro.parallel import execution
+    from repro.runspec import ambient
 
     serial = train_local_only(ASSIGNMENTS, config, eval_applications=EVAL_APPS)
-    with execution("thread", workers=2):
-        ambient = train_local_only(
+    with ambient(backend="thread", workers=2):
+        threaded = train_local_only(
             ASSIGNMENTS, config, eval_applications=EVAL_APPS
         )
-    assert_equivalent(serial, ambient)
+    assert_equivalent(serial, threaded)
