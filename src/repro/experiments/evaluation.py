@@ -16,13 +16,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import fmean, pstdev
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.control.base import PowerController
+from repro.control.neural import NeuralPowerController
 from repro.control.runtime import ControlSession
 from repro.errors import ConfigurationError
 from repro.experiments.config import FederatedPowerControlConfig
+from repro.nn.batched import StackedMLP, stacked_ops_bitexact
+from repro.nn.network import MLP
+from repro.rl.agent import NeuralBanditAgent
+from repro.rl.policies import GreedyPolicy
+from repro.rl.rewards import PowerEfficiencyReward, power_efficiency_rewards
+from repro.rl.state import NUM_STATE_FEATURES, StateNormalizer
 from repro.sim.device import DeviceEnvironment, build_default_device
+from repro.sim.stacked import (
+    MIN_STACKED_ROWS,
+    StackedSimulator,
+    application_stackable,
+    environment_stackable,
+)
 from repro.sim.workload import ApplicationModel
 from repro.utils.rng import generator_from_root
 
@@ -140,11 +155,13 @@ class PolicyEvaluator:
         round_index: int,
     ) -> RoundEvaluation:
         """Evaluate each device's controller on every application."""
+        jobs = [
+            EvalJob(self, device_name, controller, round_index)
+            for device_name, controller in controllers.items()
+        ]
         evaluations: List[AppEvaluation] = []
-        for device_name, controller in controllers.items():
-            evaluations.extend(
-                self.evaluate_device(device_name, controller, round_index)
-            )
+        for job, rows in zip(jobs, evaluate_stacked(jobs)):
+            evaluations.extend(rows if rows is not None else self._evaluate_scalar(job))
         return RoundEvaluation(round_index=round_index, evaluations=evaluations)
 
     def get_environment(self, device_name: str) -> DeviceEnvironment:
@@ -179,68 +196,209 @@ class PolicyEvaluator:
     ) -> List[AppEvaluation]:
         """Evaluate one device's controller on every application.
 
-        The fan-out unit for parallel evaluation: applications run
-        sequentially on the device's persistent environment, preserving
-        its RNG continuity across rounds.
+        The fan-out unit for parallel evaluation: applications run on
+        the device's persistent environment in order, preserving its
+        RNG continuity across rounds — one after another, or as rows of
+        one stacked pass that draws their noise back to back
+        (:func:`evaluate_stacked`); the rows are the same either way.
         """
-        environment = self._environments.get(device_name)
-        if environment is None:
-            raise ConfigurationError(
-                f"no evaluation environment for device {device_name!r}"
-            )
-        return [
-            self._evaluate_single(
-                environment, controller, device_name, application, round_index
-            )
-            for application in self.applications
-        ]
+        job = EvalJob(self, device_name, controller, round_index)
+        rows = evaluate_stacked([job])[0]
+        return rows if rows is not None else self._evaluate_scalar(job)
 
-    def _evaluate_single(
+    def _evaluate_scalar(self, job: "EvalJob") -> List[AppEvaluation]:
+        """The per-application loop: one greedy session per application."""
+        environment = self.get_environment(job.device_name)
+        steps = self.config.eval_steps_per_app
+        evaluations = []
+        for application in self.applications:
+            session = ControlSession(environment, job.controller)
+            session.start(application)
+            records = session.run_steps(
+                steps, round_index=job.round_index, train=False, record=False
+            )
+            evaluations.append(
+                self._summarise(
+                    job,
+                    application,
+                    [record.reward for record in records],
+                    [record.power_w for record in records],
+                    [record.ips for record in records],
+                    [record.frequency_hz for record in records],
+                )
+            )
+        return evaluations
+
+    def _summarise(
         self,
-        environment: DeviceEnvironment,
-        controller: PowerController,
-        device_name: str,
+        job: "EvalJob",
         application: str,
-        round_index: int,
+        rewards: List[float],
+        powers: List[float],
+        ips_values: List[float],
+        frequencies: List[float],
     ) -> AppEvaluation:
-        session = ControlSession(environment, controller)
-        session.start(application)
-        records = session.run_steps(
-            self.config.eval_steps_per_app,
-            round_index=round_index,
-            train=False,
-            record=False,
-        )
-        # Single pass over the records instead of four comprehensions
-        # with repeated attribute lookups; the statistics calls are kept
-        # byte-for-byte identical to preserve exact float results.
-        rewards: List[float] = []
-        powers: List[float] = []
-        ips_values: List[float] = []
-        frequencies: List[float] = []
+        """One application's metrics from its per-interval series (the
+        same ``statistics`` calls whichever path produced the series)."""
         power_limit = self.config.power_limit_w
-        violations = 0
-        for record in records:
-            rewards.append(record.reward)
-            power = record.power_w
-            powers.append(power)
-            ips_values.append(record.ips)
-            frequencies.append(record.frequency_hz)
-            if power > power_limit:
-                violations += 1
         mean_ips = fmean(ips_values)
-        total_instructions = environment.device.application(
-            application
-        ).total_instructions
+        total_instructions = (
+            self.get_environment(job.device_name)
+            .device.application(application)
+            .total_instructions
+        )
         return AppEvaluation(
-            device=device_name,
+            device=job.device_name,
             application=application,
-            round_index=round_index,
+            round_index=job.round_index,
             reward_mean=fmean(rewards),
             power_mean_w=fmean(powers),
             ips_mean=mean_ips,
             exec_time_s=total_instructions / mean_ips,
             frequency_mean_hz=fmean(frequencies),
             frequency_std_hz=pstdev(frequencies),
-            violation_rate=violations / len(powers),
+            violation_rate=sum(1 for power in powers if power > power_limit)
+            / len(powers),
         )
+
+
+class EvalJob(NamedTuple):
+    """One device's controller to evaluate on its evaluator's applications."""
+
+    evaluator: PolicyEvaluator
+    device_name: str
+    controller: PowerController
+    round_index: int
+
+
+def _stackable_policy(controller: PowerController) -> bool:
+    """Whether greedy action selection is the stock network argmax."""
+    if type(controller) is not NeuralPowerController:
+        return False
+    agent = controller.agent
+    return (
+        type(agent) is NeuralBanditAgent
+        and type(agent.network) is MLP
+        and type(agent._greedy) is GreedyPolicy
+        and type(controller.normalizer) is StateNormalizer
+        and type(controller.reward) is PowerEfficiencyReward
+        and agent.num_features == NUM_STATE_FEATURES
+    )
+
+
+def _stackable_job(job: EvalJob, reference: Optional[EvalJob]) -> bool:
+    """Whether ``job`` can join the stacked pass ``reference`` started."""
+    evaluator = job.evaluator
+    if type(evaluator) is not PolicyEvaluator or not _stackable_policy(job.controller):
+        return False
+    environment = evaluator._environments.get(job.device_name)
+    network = job.controller.agent.network
+    if (
+        environment is None
+        or evaluator.config.eval_steps_per_app < 1
+        or not environment_stackable(environment)
+        or environment.schedule_switching
+        # Every action the network can emit must be a level of the table.
+        or network.out_features > environment.num_actions
+        or not all(
+            application_stackable(environment.device.application(name))
+            for name in evaluator.applications
+        )
+    ):
+        return False
+    return reference is None or (
+        evaluator.config.eval_steps_per_app
+        == reference.evaluator.config.eval_steps_per_app
+        and network.layer_sizes == reference.controller.agent.network.layer_sizes
+    )
+
+
+def evaluate_stacked(
+    jobs: Sequence[EvalJob],
+) -> List[Optional[List[AppEvaluation]]]:
+    """The greedy evaluation of every stackable job as one array program.
+
+    Each *(environment, application)* pair is one row of a
+    :class:`~repro.sim.stacked.StackedSimulator`; the applications of
+    one device draw their noise back to back from that device's
+    streams, and actions come from one stacked forward pass
+    (``(rows, 1, F) @ (rows, F, H)``, verified bit-equal to
+    ``predict_single``), so each job's rows equal what
+    :meth:`PolicyEvaluator._evaluate_scalar` returns and every
+    environment ends in the state the per-application loop leaves.
+
+    Returns one entry per job: its evaluations, or ``None`` where the
+    job is left to the scalar loop — anything but the stock simulator
+    stack under a plain neural controller (a guarded controller, a
+    thermal model, a wrapped environment, ...), or too few rows in all
+    for the array step to pay (:data:`~repro.sim.stacked.MIN_STACKED_ROWS`).
+    """
+    results: List[Optional[List[AppEvaluation]]] = [None] * len(jobs)
+    if not stacked_ops_bitexact():
+        return results
+    chosen: List[int] = []
+    for index, job in enumerate(jobs):
+        if _stackable_job(job, jobs[chosen[0]] if chosen else None):
+            chosen.append(index)
+    # (job index, application) per simulator row, in serial order.
+    rows = [
+        (index, application)
+        for index in chosen
+        for application in jobs[index].evaluator.applications
+    ]
+    if len(rows) < MIN_STACKED_ROWS:
+        return results
+
+    steps = jobs[chosen[0]].evaluator.config.eval_steps_per_app
+    controllers = [jobs[index].controller for index, _ in rows]
+    simulator = StackedSimulator(
+        [
+            (jobs[index].evaluator.get_environment(jobs[index].device_name), name)
+            for index, name in rows
+        ],
+        steps + 1,
+    )
+    network = StackedMLP.from_networks([c.agent.network for c in controllers])
+    # Row-wise StateNormalizer.vectorize.
+    scale = np.array([c.normalizer.scales for c in controllers], dtype=np.float64)
+    max_frequency, power_limit, offset = np.array(
+        [
+            (r.max_frequency_hz, r.power_limit_w, r.offset_w)
+            for r in (c.reward for c in controllers)
+        ],
+        dtype=np.float64,
+    ).T
+    # Per (row, step): reward, power, IPS, frequency.
+    series = np.empty((len(rows), steps, 4), dtype=np.float64)
+    columns = simulator.warm_up()
+    for step in range(steps):
+        states = np.stack(
+            (
+                columns.frequency_hz,
+                columns.power_w,
+                columns.ipc,
+                columns.miss_rate,
+                columns.mpki,
+            ),
+            axis=1,
+        )
+        states /= scale
+        columns = simulator.step(network.predict(states).argmax(axis=1))
+        series[:, step, 0] = power_efficiency_rewards(
+            columns.frequency_hz, columns.power_w, max_frequency, power_limit, offset
+        )
+        series[:, step, 1] = columns.power_w
+        series[:, step, 2] = columns.ips
+        series[:, step, 3] = columns.frequency_hz
+    simulator.sync_back()
+    for controller in controllers:
+        controller.agent._last_action_greedy = True
+
+    for index in chosen:
+        results[index] = []
+    for (index, application), row_series in zip(
+        rows, series.transpose(0, 2, 1).tolist()
+    ):
+        job = jobs[index]
+        results[index].append(job.evaluator._summarise(job, application, *row_series))
+    return results

@@ -469,10 +469,14 @@ def stacked_ops_bitexact() -> bool:
     against its per-device 2-D form: forward/backward ``matmul``
     (including the transposed variants), ``exp`` over a 2-D array,
     axis-1 ``max``/``sum``/``mean``/``cumsum`` and the 3-D axis-1
-    ``sum`` used for bias gradients. The result is cached; the batched
-    backend refuses to group devices when the probe fails, falling
-    back to the serial per-device path so results stay correct (just
-    not fast) on exotic BLAS builds.
+    ``sum`` used for bias gradients — plus array ``exp`` against the
+    scalar ``float(np.exp(x))`` the simulator applies to each jitter
+    and sensor normal, which the device-axis simulator kernel
+    (:mod:`repro.sim.stacked`) computes for a whole batch at once. The
+    result is cached; the batched backend and the stacked evaluator
+    refuse to stack anything when the probe fails, falling back to the
+    serial per-device path so results stay correct (just not fast) on
+    exotic BLAS builds.
     """
     global _BITEXACT_CACHE
     if _BITEXACT_CACHE is not None:
@@ -493,6 +497,13 @@ def stacked_ops_bitexact() -> bool:
             ok &= bool((g.sum(axis=1)[row] == g[row].sum(axis=0)).all())
     values = rng.normal(size=(9, 15)) * 40.0
     ok &= bool((np.exp(values) == np.stack([np.exp(v) for v in values])).all())
+    normals = rng.normal(0.0, 0.05, size=(101, 3))
+    ok &= bool(
+        (
+            np.exp(normals).ravel()
+            == np.array([float(np.exp(v)) for v in normals.ravel()])
+        ).all()
+    )
     ok &= bool(
         (values.max(axis=1) == np.array([v.max() for v in values])).all()
     )

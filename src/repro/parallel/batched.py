@@ -9,11 +9,16 @@ lockstep: per control step it
 * runs one stacked forward pass (:class:`~repro.nn.batched.StackedMLP`)
   for all action-value predictions,
 * vectorises softmax exploration across the device axis,
-* steps each device's (cheap, stateful) simulator,
+* advances every stock simulator one control interval in one
+  :class:`~repro.sim.stacked.StackedSimulator` call (devices whose
+  environment is anything else call their own ``environment.step``),
+* evaluates Eq. 4 for the fleet as one array expression,
 * appends all transitions to a columnar
   :class:`~repro.rl.replay.StackedReplayStore`, and
 * trains every device whose update is due through one stacked
   forward/Huber/backward/Adam pass.
+
+Trace records are built once per batch from the loop's columns.
 
 RNG contract (the reason this stays bit-identical to serial)
 ------------------------------------------------------------
@@ -27,8 +32,14 @@ serial code uses:
 * replay sampling calls each device's buffer RNG with the same
   ``choice(size, batch_size, replace=size < batch_size)`` arguments
   ``ReplayBuffer.sample`` uses;
-* simulator RNGs advance inside the per-device ``environment.step``
-  calls, untouched by batching.
+* the three simulator streams of a kernel-stepped device (workload
+  jitter, power sensor, counter sampler) are pre-drawn from the
+  device's own generators, in serial order, for exactly the steps of
+  the batch, and restored and replayed to the death point if the
+  device errors mid-batch — the softmax contract, applied to the
+  simulator; its schedule generator is drawn live, one
+  ``advance_schedule`` call per step. A device stepped through its own
+  ``environment.step`` consumes its simulator streams there.
 
 Floating-point equality holds because every stacked op the backend
 uses is verified bit-equal to its per-device form at runtime
@@ -56,17 +67,38 @@ hyperparameters matching the first such device — join the stacked
 group. Everything else (guarded controllers, profit baselines,
 prioritized replay, heterogeneous configs) is handled by its own
 :class:`~repro.parallel.worker.DeviceActor` exactly as under the
-serial backend. Any non-training task batch (evaluation, controller
-calls, checkpoints) first syncs the stacked state back into the
-per-device objects, so those paths — and everything downstream of
-them — see state bit-identical to a serial run's.
+serial backend.
+
+Inside the group, the simulator side has its own, narrower test
+(:func:`~repro.sim.stacked.environment_stackable`): the exact stock
+environment/device/processor/sensor types, no thermal model, no
+transition overhead, no sensor quantisation, every phase with
+``mpki > 0``, no instance-patched ``step`` — under the stock Eq. 4
+reward, and at least :data:`~repro.sim.stacked.MIN_STACKED_ROWS` such
+devices in the batch. Devices that miss it keep their stacked agent
+and step their simulator one by one. The kernel lives for one batch:
+it adopts the live processors when the batch starts and writes phase
+cursors, OPP indices, ``time_s``/``total_instructions`` and generator
+positions back when it ends, so between batches every simulator object
+is serial-identical.
+
+A batch of :class:`~repro.parallel.payloads.EvalTask` that ships
+parameters evaluates each actor's eval vessel on its evaluation
+environment — one stacked greedy pass across the actors
+(:func:`repro.experiments.evaluation.evaluate_stacked`) — and touches
+no training state, so the group stays adopted. Every other non-training
+batch (evaluating the training controllers themselves, controller
+calls, fetches, checkpoints, state installs) first syncs the stacked
+state back into the per-device objects and drops the group, so those
+paths — and everything downstream of them — see state bit-identical
+to a serial run's.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,17 +111,33 @@ from repro.nn.network import MLP
 from repro.nn.optimizers import Adam
 from repro.obs.flight import FlightRecord
 from repro.obs.logging import get_logger
-from repro.parallel.payloads import StepsOutcome, StepsTask, WorkerSpec
+from repro.parallel.payloads import (
+    EvalOutcome,
+    EvalTask,
+    StepsOutcome,
+    StepsTask,
+    WorkerSpec,
+)
 from repro.parallel.worker import DeviceActor
 from repro.rl.agent import NeuralBanditAgent
 from repro.rl.policies import SoftmaxPolicy
 from repro.rl.replay import ReplayBuffer, StackedReplayStore
-from repro.rl.rewards import PowerEfficiencyReward
+from repro.rl.rewards import PowerEfficiencyReward, power_efficiency_rewards
 from repro.rl.schedules import ExponentialDecaySchedule
 from repro.rl.state import NUM_STATE_FEATURES, StateNormalizer
+from repro.sim.stacked import (
+    MIN_STACKED_ROWS,
+    StackedSimulator,
+    environment_stackable,
+)
 from repro.sim.trace import StepRecord
 
 _LOG = get_logger("parallel.batched")
+
+#: Lanes of the lockstep loop's per-(step, device) outcome block after
+#: the :data:`NUM_STATE_FEATURES` observation lanes.
+_IPS = NUM_STATE_FEATURES
+_REWARD = NUM_STATE_FEATURES + 1
 
 
 def _actor_eligible(actor: DeviceActor) -> bool:
@@ -142,6 +190,25 @@ def _agents_compatible(agent: NeuralBanditAgent, reference: NeuralBanditAgent) -
     )
 
 
+class _LiveView(NamedTuple):
+    """Index arrays for the devices still running in a lockstep batch.
+
+    ``rows``/``index`` address the group's stacks (``None``/``slice``
+    when every device is live, which skips the gather copies);
+    ``sim_rows`` are the group rows the simulator kernel steps,
+    ``sim_take`` their positions among the live devices (``None`` = all
+    of them) and ``sim_subset`` their kernel row indices (``None`` = the
+    whole kernel); ``scalar_positions`` step one by one.
+    """
+
+    rows: Optional[np.ndarray]
+    index: object
+    sim_rows: object
+    sim_take: Optional[np.ndarray]
+    sim_subset: Optional[np.ndarray]
+    scalar_positions: List[int]
+
+
 class _StackedGroup:
     """The vectorised state of every grouped device.
 
@@ -150,7 +217,7 @@ class _StackedGroup:
     counters — into stacked arrays and becomes authoritative for them.
     :meth:`sync_back` writes everything into the per-device objects
     again; the owning :class:`BatchedFleet` calls it (and drops the
-    group) before any non-training task runs.
+    group) before any task that reads or replaces those objects runs.
     """
 
     def __init__(self, actors: Sequence[DeviceActor]) -> None:
@@ -183,10 +250,11 @@ class _StackedGroup:
         self._schedule = reference.temperature_schedule
         self._temperature_cache: Dict[int, float] = {}
 
-        # Adopted per-device counters (plain Python scalars: the hot
-        # loop reads/writes them per device, where ndarray scalar
-        # boxing would dominate).
-        self._step_counts = [agent._step_count for agent in agents]
+        # Adopted per-device counters. The step counts advance as one
+        # array per control step; the rest settle once per batch.
+        self._step_counts = np.array(
+            [agent._step_count for agent in agents], dtype=np.int64
+        )
         self._update_counts = [agent._update_count for agent in agents]
         self._last_losses = [agent._last_loss for agent in agents]
         self._last_greedy = [agent._last_action_greedy for agent in agents]
@@ -202,16 +270,28 @@ class _StackedGroup:
         self._env_steps = [a.environment.step for a in self._actors]
         self._reward_fns = [a.controller.reward for a in self._actors]
         # When every device runs the stock Eq.-4 reward, the loop
-        # inlines its (pure-float) piecewise arithmetic instead of
-        # paying a method call per device-step.
+        # evaluates it as one array expression instead of paying a
+        # method call per device-step.
         self._reward_inline = all(
             type(fn) is PowerEfficiencyReward for fn in self._reward_fns
         )
-        self._reward_params = [
-            (fn.max_frequency_hz, fn.power_limit_w, fn.offset_w)
-            if type(fn) is PowerEfficiencyReward
-            else None
-            for fn in self._reward_fns
+        if self._reward_inline:
+            self._reward_params = np.array(
+                [
+                    (fn.max_frequency_hz, fn.power_limit_w, fn.offset_w)
+                    for fn in self._reward_fns
+                ],
+                dtype=np.float64,
+            ).T.copy()
+        # Environments the simulator kernel steps: the stock stack under
+        # the stock reward, with an OPP table covering every action the
+        # network can emit — so a kernel row cannot raise inside a step.
+        # The rest step one by one.
+        self._sim_stackable = [
+            self._reward_inline
+            and environment_stackable(a.environment)
+            and reference.num_actions <= a.environment.num_actions
+            for a in self._actors
         ]
         self._softmax_gens = [a._softmax._rng for a in agents]
         self._softmax_draws = [a._softmax._rng.random for a in agents]
@@ -219,22 +299,15 @@ class _StackedGroup:
         self._power_limits = [a.session.power_limit_w for a in self._actors]
         self._flights = [a.flight for a in self._actors]
         self._profilers = [a.profiler for a in self._actors]
-        # Divisor matrix matching StateNormalizer.vectorize: dividing
-        # the raw (freq, power, ipc, miss_rate, mpki) row element-wise
-        # by this row yields the same doubles as the serial per-scalar
-        # divisions (miss_rate's divisor is exactly 1.0).
+        # Row-wise StateNormalizer.vectorize (see StateNormalizer.scales).
         self._scale_matrix = np.array(
-            [
-                (n.max_frequency_hz, n.power_scale_w, n.ipc_scale, 1.0, n.mpki_scale)
-                for n in (a.controller.normalizer for a in self._actors)
-            ],
+            [a.controller.normalizer.scales for a in self._actors],
             dtype=np.float64,
         )
         self._all_rows_list = list(range(self.num_devices))
         self._arange_rows = np.arange(self.num_devices, dtype=np.int64)
         self._any_flight = any(f is not None for f in self._flights)
         self._any_profiler = any(p is not None for p in self._profilers)
-        self._rewards_buffer = np.empty(self.num_devices, dtype=np.float64)
         self._grad_out_buffer: Optional[np.ndarray] = None
 
     # -- state hand-back ----------------------------------------------
@@ -245,7 +318,7 @@ class _StackedGroup:
             self._network.store_row(row, agent.network)
             self._optimizer.store_row(row, agent.optimizer)
             self._replay.export_row(row, agent.replay)
-            agent._step_count = self._step_counts[row]
+            agent._step_count = int(self._step_counts[row])
             agent._update_count = self._update_counts[row]
             agent._last_loss = self._last_losses[row]
             agent._last_action_greedy = self._last_greedy[row]
@@ -357,17 +430,22 @@ class _StackedGroup:
         num_steps: int,
         train: bool,
     ) -> None:
-        """The one control loop: act, step the simulators, build trace
-        records and train, once per step for every live device.
+        """The one control loop: act, step the simulators and train,
+        once per step for every live device; trace records are built
+        once per batch from the loop's columns.
 
-        With a profiler or flight recorder attached, each step ends in
-        a telemetry pass emitting the samples and flight records a
-        serial session would; unattached, that costs a few ``if``
-        checks per step (not per device). Records, replay contents,
-        parameters and RNG streams equal serial's either way; only
-        timing *attribution* differs (decision time is apportioned once
-        per batch, which the equivalence contract never compares —
-        timings are machine noise).
+        Devices whose environment is the stock stack step through one
+        :class:`~repro.sim.stacked.StackedSimulator` call per interval;
+        the rest (and all of them below the kernel's break-even row
+        count) call their own ``environment.step``. With a profiler or
+        flight recorder attached, each step ends in a telemetry pass
+        emitting the samples and flight records a serial session would;
+        unattached, that costs a few ``if`` checks per step (not per
+        device). Records, replay contents, parameters and RNG streams
+        equal serial's either way; only timing *attribution* differs
+        (decision time is apportioned once per batch, which the
+        equivalence contract never compares — timings are machine
+        noise).
         """
         live = list(active)
         if not live:
@@ -377,27 +455,56 @@ class _StackedGroup:
         any_flight = self._any_flight
         profiled = self._any_profiler
         act_share = learn_share = 0.0
-        all_rows_list = self._all_rows_list
         env_steps = self._env_steps
         reward_fns = self._reward_fns
         reward_inline = self._reward_inline
-        reward_params = self._reward_params
         snapshots = self._snapshots
         scale_matrix = self._scale_matrix
         step_counts = self._step_counts
         global_steps = self._global_steps
-        decision_counts = self._decision_counts
         device_names = self._device_names
-        last_greedy = self._last_greedy
         cache = self._temperature_cache
         schedule_value = self._schedule.value
         interval = self._update_interval
         num_devices = self.num_devices
         predict = self._network.predict
-        rewards_buffer = self._rewards_buffer
-        record_new = StepRecord.__new__
-        record_cls = StepRecord
-        acts = [0] * num_devices
+
+        sim_rows = [row for row in live if self._sim_stackable[row]]
+        sim: Optional[StackedSimulator] = None
+        if len(sim_rows) >= MIN_STACKED_ROWS:
+            sim = StackedSimulator(
+                [(self._environments[row], None) for row in sim_rows], num_steps
+            )
+        else:
+            sim_rows = []
+        sim_index = {row: index for index, row in enumerate(sim_rows)}
+
+        # The batch's columns, one entry per (step, device). Row ``t`` of
+        # ``observed`` is what every device saw before step ``t`` — raw
+        # (frequency, power, ipc, miss rate, mpki) — so row ``t + 1`` is
+        # both step ``t``'s outcome and step ``t + 1``'s input; the same
+        # block carries step ``t``'s IPS and reward in its last two lanes.
+        outcomes = np.empty(
+            (num_steps + 1, num_devices, NUM_STATE_FEATURES + 2), dtype=np.float64
+        )
+        observed = outcomes[:, :, :NUM_STATE_FEATURES]
+        for row in live:
+            snap = snapshots[row]
+            observed[0, row] = (
+                snap.frequency_hz,
+                snap.power_w,
+                snap.ipc,
+                snap.miss_rate,
+                snap.mpki,
+            )
+        taken = np.empty((num_steps, num_devices), dtype=np.int64)
+        applications = np.empty((num_steps, num_devices), dtype=object)
+        # Die temperatures, kept only for devices stepped one by one
+        # (a kernel row has no thermal model).
+        temperatures_c: Dict[int, List[Optional[float]]] = {}
+        done = np.zeros(num_devices, dtype=np.int64)
+        acted = np.zeros(num_devices, dtype=np.int64)
+        greedy_last = np.zeros(num_devices, dtype=bool)
 
         if train:
             # Pre-draw each live device's softmax uniforms in one batch
@@ -412,83 +519,53 @@ class _StackedGroup:
             pre_draws = np.empty((len(live), num_steps), dtype=np.float64)
             for position, row in enumerate(live):
                 pre_draws[position] = self._softmax_draws[row](num_steps)
-            position_of = {row: position for row, position in
-                           zip(live, range(len(live)))}
-            initial_live = list(live)
-            live_positions: Optional[np.ndarray] = None
+            draw_position = {row: position for position, row in enumerate(live)}
             consumed_at_death: Dict[int, int] = {}
             draws_done = 0
 
+        view = self._live_view(live, sim_index)
         loop_start = time.perf_counter()
-        for _ in range(num_steps):
+        for t in range(num_steps):
             if not live:
                 break
             if profiled:
                 step_start = time.perf_counter()
-            count = len(live)
-            full = live == all_rows_list
-            raw: List[float] = []
-            extend = raw.extend
-            for row in live:
-                snap = snapshots[row]
-                extend(
-                    (
-                        snap.frequency_hz,
-                        snap.power_w,
-                        snap.ipc,
-                        snap.miss_rate,
-                        snap.mpki,
-                    )
-                )
-            states = np.asarray(raw, dtype=np.float64).reshape(
-                count, NUM_STATE_FEATURES
-            )
-            if full:
-                rows_arg = None
-                np.divide(states, scale_matrix, out=states)
+            before = observed[t]
+            if view.rows is None:
+                states = before / scale_matrix
             else:
-                rows_arg = np.asarray(live, dtype=np.int64)
-                np.divide(states, scale_matrix[rows_arg], out=states)
-            values = predict(states, rows_arg)
+                states = before[view.rows] / scale_matrix[view.rows]
+            values = predict(states, view.rows)
 
             if not np.isfinite(values).all():
                 # Serial raises inside Generator.choice before drawing;
                 # mirror that — error the offending devices without
                 # consuming their softmax streams.
                 finite = np.isfinite(values).all(axis=1)
-                bad = [live[i] for i in range(count) if not finite[i]]
-                for row in bad:
+                for row in [live[i] for i in np.flatnonzero(~finite)]:
                     try:
                         raise ValueError("probabilities do not sum to 1")
                     except ValueError:
                         errors[row] = traceback.format_exc()
-                    records[row] = []
                     if train:
                         consumed_at_death[row] = draws_done
-                live = [row for row in live if row not in bad]
-                if train:
-                    live_positions = None
+                live = [row for row in live if row not in errors]
                 if not live:
                     break
                 keep = np.flatnonzero(finite)
                 states = states[keep]
                 values = values[keep]
-                count = len(live)
-                full = live == all_rows_list
-                rows_arg = None if full else np.asarray(live, dtype=np.int64)
+                view = self._live_view(live, sim_index)
+            count = len(live)
 
             if train:
                 # All devices advance in lockstep, so their step counts
                 # are normally identical — one temperature covers the
                 # whole fleet. Heterogeneous counts (after a partial
                 # failure) fall back to per-device lookups.
-                first_count = step_counts[live[0]]
-                if full:
-                    aligned = step_counts.count(first_count) == num_devices
-                else:
-                    aligned = all(
-                        step_counts[row] == first_count for row in live
-                    )
+                counts = step_counts[view.index]
+                first_count = int(counts[0])
+                aligned = bool((counts == first_count).all())
                 if aligned:
                     tau = cache.get(first_count)
                     if tau is None:
@@ -497,8 +574,7 @@ class _StackedGroup:
                     scaled = values / tau
                 else:
                     temperatures = np.empty(count, dtype=np.float64)
-                    for position, row in enumerate(live):
-                        steps = step_counts[row]
+                    for position, steps in enumerate(counts.tolist()):
                         tau = cache.get(steps)
                         if tau is None:
                             tau = schedule_value(steps)
@@ -513,131 +589,121 @@ class _StackedGroup:
                 probabilities = scaled / scaled.sum(axis=1)[:, None]
                 cdf = probabilities.cumsum(axis=1)
                 cdf /= cdf[:, -1].copy()[:, None]
-                if live == initial_live:
+                if count == len(draw_position):
                     uniforms = pre_draws[:, draws_done]
                 else:
-                    if live_positions is None:
-                        live_positions = np.asarray(
-                            [position_of[row] for row in live],
-                            dtype=np.int64,
-                        )
-                    uniforms = pre_draws[live_positions, draws_done]
+                    uniforms = pre_draws[
+                        [draw_position[row] for row in live], draws_done
+                    ]
                 draws_done += 1
                 actions = (cdf <= uniforms[:, None]).sum(axis=1)
-                greedy_list = (actions == values.argmax(axis=1)).tolist()
+                greedy = actions == values.argmax(axis=1)
             else:
-                aligned = False
                 actions = values.argmax(axis=1)
-                greedy_list = None
-            actions_list = actions.tolist()
             if profiled:
                 act_share = (time.perf_counter() - step_start) / count
-            if any_flight:
-                befores = [snapshots[row] for row in live]
+            acted[view.index] += 1
 
-            if train and aligned:
-                advanced = first_count + 1
-                all_due = advanced % interval == 0
-            else:
-                advanced = 0
-                all_due = False
-
+            # -- step the simulators ----------------------------------
+            after = outcomes[t + 1]
             failed: List[int] = []
+            if view.sim_rows is not None:
+                columns = sim.step(
+                    actions if view.sim_take is None else actions[view.sim_take],
+                    view.sim_subset,
+                )
+                target = view.sim_rows
+                after[target, 0] = columns.frequency_hz
+                after[target, 1] = columns.power_w
+                after[target, 2] = columns.ipc
+                after[target, 3] = columns.miss_rate
+                after[target, 4] = columns.mpki
+                after[target, _IPS] = columns.ips
+                applications[t, target] = columns.application
+            if view.scalar_positions:
+                actions_list = actions.tolist()
+                if not reward_inline:
+                    step_rewards = np.empty(count, dtype=np.float64)
+                for position in view.scalar_positions:
+                    row = live[position]
+                    try:
+                        snap = env_steps[row](actions_list[position])
+                        if not reward_inline:
+                            step_rewards[position] = reward_fns[row](
+                                snap.frequency_hz, snap.power_w
+                            )
+                    except Exception:
+                        errors[row] = traceback.format_exc()
+                        failed.append(position)
+                        continue
+                    after[row, :_REWARD] = (
+                        snap.frequency_hz,
+                        snap.power_w,
+                        snap.ipc,
+                        snap.miss_rate,
+                        snap.mpki,
+                        snap.ips,
+                    )
+                    applications[t, row] = snap.application
+                    temperatures_c.setdefault(row, []).append(snap.temperature_c)
+                    snapshots[row] = snap
+
+            # -- the devices whose step completed ---------------------
+            if failed:
+                if train:
+                    for position in failed:
+                        consumed_at_death[live[position]] = draws_done
+                keep = np.setdiff1d(np.arange(count), failed)
+                stepped_list = [live[position] for position in keep.tolist()]
+                stepped = np.asarray(stepped_list, dtype=np.int64)
+                states = states[keep]
+                actions = actions[keep]
+            else:
+                keep = None
+                stepped_list = live
+                stepped = view.index
+            if reward_inline:
+                fmax, limit, offset = self._reward_params
+                if view.rows is None and keep is None:
+                    step_rewards = power_efficiency_rewards(
+                        after[:, 0], after[:, 1], fmax, limit, offset
+                    )
+                else:
+                    step_rewards = power_efficiency_rewards(
+                        after[stepped, 0],
+                        after[stepped, 1],
+                        fmax[stepped],
+                        limit[stepped],
+                        offset[stepped],
+                    )
+            elif keep is not None:
+                step_rewards = step_rewards[keep]
+            after[stepped, _REWARD] = step_rewards
+            taken[t, stepped] = actions
+            done[stepped] += 1
+
             due: List[int] = []
             update_failed = False
-            for position, row in enumerate(live):
-                decision_counts[row] += 1
-                acts[row] += 1
-                try:
-                    after = env_steps[row](actions_list[position])
-                    if reward_inline:
-                        performance = after.frequency_hz / reward_params[row][0]
-                        power = after.power_w
-                        p_crit = reward_params[row][1]
-                        k = reward_params[row][2]
-                        if power <= p_crit:
-                            reward = performance
-                        elif power <= p_crit + k:
-                            reward = performance * (p_crit + k - power) / k
-                        elif power <= p_crit + 2.0 * k:
-                            reward = (p_crit + k - power) / k
-                        else:
-                            reward = -1.0
-                    else:
-                        reward = reward_fns[row](
-                            after.frequency_hz, after.power_w
-                        )
-                except Exception:
-                    errors[row] = traceback.format_exc()
-                    records[row] = []
-                    failed.append(position)
-                    if train:
-                        consumed_at_death[row] = draws_done
-                    continue
-                rewards_buffer[position] = reward
-                # Frozen-dataclass construction via __init__ costs ~3x
-                # this (13 object.__setattr__ calls); populating the
-                # instance dict directly builds an equal record.
-                record = record_new(record_cls)
-                record.__dict__.update(
-                    step=global_steps[row],
-                    device=device_names[row],
-                    application=after.application,
-                    action_index=actions_list[position],
-                    frequency_hz=after.frequency_hz,
-                    power_w=after.power_w,
-                    ipc=after.ipc,
-                    mpki=after.mpki,
-                    miss_rate=after.miss_rate,
-                    ips=after.ips,
-                    reward=reward,
-                    round_index=round_index,
-                    temperature_c=after.temperature_c,
-                )
-                records[row].append(record)
-                snapshots[row] = after
-                global_steps[row] += 1
-                if train:
-                    if aligned:
-                        step_counts[row] = advanced
-                        if all_due:
-                            due.append(row)
-                    else:
-                        new_count = step_counts[row] + 1
-                        step_counts[row] = new_count
-                        if new_count % interval == 0:
-                            due.append(row)
-                    last_greedy[row] = greedy_list[position]
-                else:
-                    last_greedy[row] = True
-
-            if train and len(failed) != count:
+            if train and stepped_list:
                 if profiled:
                     learn_start = time.perf_counter()
-                if failed:
-                    failed_set = set(failed)
-                    keep = np.asarray(
-                        [p for p in range(count) if p not in failed_set],
-                        dtype=np.int64,
-                    )
-                    learn_rows = (
-                        np.asarray(live, dtype=np.int64)
-                        if rows_arg is None
-                        else rows_arg
-                    )[keep]
-                    self._replay.append_rows(
-                        learn_rows,
-                        states[keep],
-                        actions[keep],
-                        rewards_buffer[keep],
-                    )
+                step_counts[stepped] += 1
+                greedy_last[stepped] = greedy if keep is None else greedy[keep]
+                if aligned:
+                    if (first_count + 1) % interval == 0:
+                        due = list(stepped_list)
                 else:
-                    learn_rows = (
-                        self._arange_rows if rows_arg is None else rows_arg
-                    )
-                    self._replay.append_rows(
-                        learn_rows, states, actions, rewards_buffer[:count]
-                    )
+                    due = [
+                        row
+                        for row in stepped_list
+                        if step_counts[row] % interval == 0
+                    ]
+                self._replay.append_rows(
+                    self._arange_rows if isinstance(stepped, slice) else stepped,
+                    states,
+                    actions,
+                    step_rewards,
+                )
                 if due:
                     try:
                         self._update_rows(due)
@@ -645,12 +711,11 @@ class _StackedGroup:
                         failure = traceback.format_exc()
                         for row in due:
                             errors[row] = failure
-                            records[row] = []
                             consumed_at_death[row] = draws_done
                         update_failed = True
                 if profiled:
-                    learn_share = (time.perf_counter() - learn_start) / (
-                        count - len(failed)
+                    learn_share = (time.perf_counter() - learn_start) / len(
+                        stepped_list
                     )
 
             if profiled or any_flight:
@@ -658,7 +723,7 @@ class _StackedGroup:
                 # A device that failed this step emits nothing, as in
                 # serial.
                 updated = set(due)
-                for position, row in enumerate(live):
+                for row in stepped_list:
                     if row in errors:
                         continue
                     profiler = profilers[row]
@@ -669,38 +734,45 @@ class _StackedGroup:
                     flight = flights[row]
                     if flight is None:
                         continue
-                    before = befores[position]
-                    record = records[row][-1]
-                    limit = self._power_limits[row]
-                    violated = limit is not None and record.power_w > limit
+                    limit_w = self._power_limits[row]
+                    power_w = float(after[row, 1])
+                    violated = limit_w is not None and power_w > limit_w
                     if violated:
                         self._violation_counts[row] += 1
+                    row_temperatures = temperatures_c.get(row)
                     flight.record(
                         FlightRecord(
-                            device=record.device,
+                            device=device_names[row],
                             round_index=round_index,
-                            step=record.step,
-                            obs_frequency_hz=before.frequency_hz,
-                            obs_power_w=before.power_w,
-                            obs_ipc=before.ipc,
-                            obs_mpki=before.mpki,
-                            action_index=record.action_index,
-                            action_frequency_hz=record.frequency_hz,
-                            reward=record.reward,
-                            greedy=last_greedy[row],
+                            step=global_steps[row] + int(done[row]) - 1,
+                            obs_frequency_hz=float(before[row, 0]),
+                            obs_power_w=float(before[row, 1]),
+                            obs_ipc=float(before[row, 2]),
+                            obs_mpki=float(before[row, 4]),
+                            action_index=int(taken[t, row]),
+                            action_frequency_hz=float(after[row, 0]),
+                            reward=float(after[row, _REWARD]),
+                            greedy=bool(greedy_last[row]) if train else True,
                             violated=violated,
                             violations=self._violation_counts[row],
-                            temperature_c=record.temperature_c,
+                            temperature_c=(
+                                row_temperatures[-1] if row_temperatures else None
+                            ),
                             loss=self._last_losses[row] if row in updated else None,
                             fallback=False,
                         )
                     )
             if failed or update_failed:
                 live = [row for row in live if row not in errors]
-                if train:
-                    live_positions = None
+                view = self._live_view(live, sim_index)
 
         loop_elapsed = time.perf_counter() - loop_start
+
+        if sim is not None:
+            sim.sync_back()
+            for row, snapshot in zip(sim_rows, sim.snapshots()):
+                if snapshot is not None:
+                    snapshots[row] = snapshot
 
         if train and consumed_at_death:
             # Rewind over-consumed softmax streams: a dead device's
@@ -712,12 +784,113 @@ class _StackedGroup:
                 if used:
                     generator.random(used)
 
-        total_acts = sum(acts)
-        if total_acts:
-            share = loop_elapsed / total_acts
-            for row, acted in enumerate(acts):
-                if acted:
-                    self._decision_times[row] += share * acted
+        total_acts = int(acted.sum())
+        share = loop_elapsed / total_acts if total_acts else 0.0
+        completed = done.tolist()
+        for row, acts in zip(active, acted[active].tolist()):
+            self._decision_counts[row] += acts
+            self._decision_times[row] += share * acts
+            if completed[row]:
+                self._last_greedy[row] = bool(greedy_last[row]) if train else True
+        self._materialise_records(
+            [row for row in active if row not in errors],
+            records,
+            round_index,
+            completed,
+            outcomes,
+            taken,
+            applications,
+            temperatures_c,
+        )
+        for row in active:
+            global_steps[row] += completed[row]
+
+    def _live_view(self, live: List[int], sim_index: Dict[int, int]) -> "_LiveView":
+        """Index plumbing for the devices still running (rebuilt only
+        when one drops out)."""
+        full = live == self._all_rows_list
+        rows = None if full else np.asarray(live, dtype=np.int64)
+        sim_positions = [p for p, row in enumerate(live) if row in sim_index]
+        scalar_positions = [p for p, row in enumerate(live) if row not in sim_index]
+        if not sim_positions:
+            return _LiveView(
+                rows, slice(None) if full else rows, None, None, None, scalar_positions
+            )
+        whole = not scalar_positions
+        return _LiveView(
+            rows=rows,
+            index=slice(None) if full else rows,
+            sim_rows=(
+                slice(None)
+                if full and whole
+                else np.asarray([live[p] for p in sim_positions], dtype=np.int64)
+            ),
+            sim_take=None if whole else np.asarray(sim_positions, dtype=np.int64),
+            sim_subset=(
+                None
+                if len(sim_positions) == len(sim_index)
+                else np.asarray(
+                    [sim_index[live[p]] for p in sim_positions], dtype=np.int64
+                )
+            ),
+            scalar_positions=scalar_positions,
+        )
+
+    def _materialise_records(
+        self,
+        rows: List[int],
+        records: Dict[int, List[StepRecord]],
+        round_index: int,
+        completed: List[int],
+        outcomes: np.ndarray,
+        taken: np.ndarray,
+        applications: np.ndarray,
+        temperatures_c: Dict[int, List[Optional[float]]],
+    ) -> None:
+        """Build each device's :class:`StepRecord` rows from the batch's
+        columns — the records a serial session appends one per step."""
+        taken_rows = taken.T.tolist()
+        application_rows = applications.T.tolist()
+        record_new = StepRecord.__new__
+        # Serial records share the OPP table's frequency floats; keep
+        # one object per distinct value here too (a float per record is
+        # 1.5 MB over a 64-device run).
+        shared: Dict[float, float] = {}
+        for row in rows:
+            steps = completed[row]
+            device = self._device_names[row]
+            first_step = self._global_steps[row]
+            batch: List[StepRecord] = []
+            for offset, (outcome, action, application, temperature_c) in enumerate(
+                zip(
+                    outcomes[1 : steps + 1, row].tolist(),
+                    taken_rows[row],
+                    application_rows[row],
+                    temperatures_c.get(row) or [None] * steps,
+                )
+            ):
+                frequency_hz, power_w, ipc, miss_rate, mpki, ips, reward = outcome
+                # Frozen-dataclass construction via __init__ costs ~3x
+                # this (13 object.__setattr__ calls); populating the
+                # instance dict directly builds an equal record.
+                record = record_new(StepRecord)
+                record.__dict__.update(
+                    step=first_step + offset,
+                    device=device,
+                    application=application,
+                    action_index=action,
+                    frequency_hz=shared.setdefault(frequency_hz, frequency_hz),
+                    power_w=power_w,
+                    ipc=ipc,
+                    mpki=mpki,
+                    miss_rate=miss_rate,
+                    ips=ips,
+                    reward=reward,
+                    round_index=round_index,
+                    temperature_c=temperature_c,
+                )
+                batch.append(record)
+            records[row] = batch
 
     def _update_rows(self, due: List[int]) -> None:
         """One stacked gradient step for every device in ``due``.
@@ -798,10 +971,11 @@ class BatchedFleet:
     Interface-compatible with the serial/thread/process backends:
     builds one :class:`DeviceActor` per spec (same construction order,
     hence identical seed paths), answers ``run_tasks`` batches. Pure
-    training batches go through the vectorised lockstep loop; anything
-    else syncs the stacked state back and runs on the per-device
-    actors, which keeps evaluation, checkpointing, guard probes and
-    controller fetches bit-identical to serial.
+    training batches go through the vectorised lockstep loop and pure
+    evaluation batches through one stacked greedy pass; anything else
+    syncs the stacked state back and runs on the per-device actors,
+    which keeps checkpointing, guard probes and controller fetches
+    bit-identical to serial.
     """
 
     name = "batched"
@@ -819,10 +993,45 @@ class BatchedFleet:
     def run_tasks(self, tasks: Dict[str, object]) -> Dict[str, object]:
         if tasks and all(isinstance(task, StepsTask) for task in tasks.values()):
             return self._run_steps_batch(tasks)
+        if tasks and all(isinstance(task, EvalTask) for task in tasks.values()):
+            return self._run_eval_batch(tasks)
         self._release_group()
         return {
             name: self._actors[name].handle(task) for name, task in tasks.items()
         }
+
+    def _run_eval_batch(self, tasks: Dict[str, EvalTask]) -> Dict[str, object]:
+        """One stacked greedy pass across the actors' evaluators.
+
+        An evaluation of shipped parameters runs on each actor's eval
+        vessel and evaluation environment and touches no training
+        state, so the stacked group stays adopted; evaluating the
+        training controllers themselves needs them synced back first.
+        """
+        # Imported here: the experiments package imports this one.
+        from repro.experiments.evaluation import EvalJob, evaluate_stacked
+
+        if any(task.parameters is None for task in tasks.values()):
+            self._release_group()
+        jobs: Dict[str, EvalJob] = {}
+        outcomes: Dict[str, object] = {}
+        for name, task in tasks.items():
+            actor = self._actors[name]
+            try:
+                jobs[name] = EvalJob(
+                    actor.evaluator, name, actor.eval_target(task), task.round_index
+                )
+            except Exception:
+                outcomes[name] = EvalOutcome(name, error=traceback.format_exc())
+        for name, rows in zip(jobs, evaluate_stacked(list(jobs.values()))):
+            # A job the stacked pass left alone runs where it always
+            # did: on its own actor.
+            outcomes[name] = (
+                EvalOutcome(name, evaluations=rows)
+                if rows is not None
+                else self._actors[name].handle(tasks[name])
+            )
+        return outcomes
 
     def _run_steps_batch(self, tasks: Dict[str, StepsTask]) -> Dict[str, object]:
         group = self._ensure_group()
@@ -859,9 +1068,10 @@ class BatchedFleet:
         """Sync stacked state back and force a rebuild on next training.
 
         Dropping (rather than keeping) the group is deliberate: a
-        controller call, evaluation or state install may mutate or
-        replace the per-device objects, so adopted state could go
-        stale. Rebuilding re-adopts and re-checks eligibility.
+        controller call, an evaluation of the training controllers or a
+        state install may mutate or replace the per-device objects, so
+        adopted state could go stale. Rebuilding re-adopts and
+        re-checks eligibility.
         """
         if self._group is not None:
             self._group.sync_back()

@@ -152,19 +152,22 @@ class DeviceActor:
         except SimulationError:
             return None
 
+    def eval_target(self, task: EvalTask):
+        """The controller an :class:`EvalTask` evaluates: the eval vessel
+        loaded with the shipped parameters, or the training controller."""
+        if self.evaluator is None:
+            raise SimulationError(
+                f"actor {self.device_name!r} was built without an evaluator"
+            )
+        if task.parameters is None:
+            return self.controller
+        self.eval_controller.agent.set_parameters(task.parameters)
+        return self.eval_controller
+
     def _evaluate(self, task: EvalTask) -> EvalOutcome:
         try:
-            if self.evaluator is None:
-                raise SimulationError(
-                    f"actor {self.device_name!r} was built without an evaluator"
-                )
-            if task.parameters is not None:
-                target = self.eval_controller
-                target.agent.set_parameters(task.parameters)
-            else:
-                target = self.controller
             rows = self.evaluator.evaluate_device(
-                self.device_name, target, task.round_index
+                self.device_name, self.eval_target(task), task.round_index
             )
             return EvalOutcome(self.device_name, evaluations=rows)
         except Exception:

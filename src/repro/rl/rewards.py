@@ -13,6 +13,8 @@ otherwise.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.utils.validation import require_positive
 
 
@@ -62,6 +64,37 @@ class PowerEfficiencyReward:
     def maximum(self) -> float:
         """The best possible reward (1, running at ``f_max`` within budget)."""
         return 1.0
+
+
+def power_efficiency_rewards(
+    frequency_hz: np.ndarray,
+    power_w: np.ndarray,
+    max_frequency_hz,
+    power_limit_w,
+    offset_w,
+) -> np.ndarray:
+    """Eq. (4) over arrays, one element per device.
+
+    Element ``i`` equals ``PowerEfficiencyReward(max_frequency_hz[i],
+    power_limit_w[i], offset_w[i])(frequency_hz[i], power_w[i])`` bit
+    for bit: every branch is the scalar expression in the same operand
+    order. The three parameters may be arrays or scalars.
+    """
+    performance = frequency_hz / max_frequency_hz
+    if (power_w <= power_limit_w).all():
+        return performance
+    margin = power_limit_w + offset_w - power_w
+    return np.where(
+        power_w <= power_limit_w,
+        performance,
+        np.where(
+            power_w <= power_limit_w + offset_w,
+            performance * margin / offset_w,
+            np.where(
+                power_w <= power_limit_w + 2.0 * offset_w, margin / offset_w, -1.0
+            ),
+        ),
+    )
 
 
 class ProfitReward:

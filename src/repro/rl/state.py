@@ -44,6 +44,22 @@ class StateNormalizer:
     def num_features(self) -> int:
         return NUM_STATE_FEATURES
 
+    @property
+    def scales(self) -> tuple:
+        """Per-feature divisors in state order ``(f, P, ipc, mr, mpki)``.
+
+        Dividing a raw feature row element-wise by this row yields the
+        same doubles as :meth:`vectorize` (miss rate's divisor is
+        exactly 1.0) — the form the stacked code paths use.
+        """
+        return (
+            self.max_frequency_hz,
+            self.power_scale_w,
+            self.ipc_scale,
+            1.0,
+            self.mpki_scale,
+        )
+
     def vectorize(self, snapshot: ProcessorSnapshot) -> np.ndarray:
         """The normalised state ``(f, P, ipc, mr, mpki)`` as ``float64``."""
         return np.array(

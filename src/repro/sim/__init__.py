@@ -23,6 +23,10 @@ Model structure
 * :mod:`repro.sim.sensors` — measurement noise for power and counters.
 * :mod:`repro.sim.processor` / :mod:`repro.sim.device` — tie the models
   together into a steppable environment with an application schedule.
+* :mod:`repro.sim.stacked` — a device-axis kernel that steps many
+  *stock* processors at once, bit-identical to the scalar ``step``
+  (its oracle); imported by the batched backend and the evaluator,
+  not re-exported here.
 * :mod:`repro.sim.thermal` — optional RC thermal model for the
   temperature-coupling ablation (the paper neglects temperature).
 """

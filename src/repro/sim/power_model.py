@@ -26,10 +26,10 @@ experiments require.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.opp import OperatingPoint
+from repro.sim.opp import OperatingPoint, OPPTable
 from repro.utils.validation import require_in_range, require_non_negative, require_positive
 
 
@@ -105,3 +105,24 @@ class PowerModel:
         return self.dynamic_power(operating_point, activity, duty) + self.static_power(
             operating_point, temperature_c
         )
+
+    def opp_power_constants(self, opp_table: OPPTable) -> List[Tuple[float, float]]:
+        """``(C_eff · V² · f, k_leak · V²)`` for every level of ``opp_table``.
+
+        The two factors of :meth:`total_power` that depend only on the
+        operating point, each associated exactly as :meth:`dynamic_power`
+        and :meth:`static_power` write it, so that
+        ``dynamic * a_eff + leakage`` is bit-identical to
+        ``total_power(op, activity, duty)`` at the reference temperature.
+        Both simulators read this table once per processor — the scalar
+        :meth:`~repro.sim.processor.SimulatedProcessor.step` and the
+        device-axis kernel of :mod:`repro.sim.stacked` — instead of
+        re-validating and re-multiplying per phase segment.
+        """
+        return [
+            (
+                self.effective_capacitance_f * point.voltage_v**2 * point.frequency_hz,
+                self.leakage_coefficient_w_per_v2 * point.voltage_v**2,
+            )
+            for point in opp_table
+        ]

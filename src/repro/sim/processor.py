@@ -10,6 +10,7 @@ time-weighted over exactly the segments that ran.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,6 +105,10 @@ class SimulatedProcessor:
             "transition_overhead_s", transition_overhead_s
         )
         self._rng = as_generator(seed)
+        # Per-level (C_eff·V²·f, k_leak·V²): the power model is fixed
+        # for the processor's life, so step() reads a table instead of
+        # re-deriving (and re-validating) both factors per phase segment.
+        self._power_constants = power_model.opp_power_constants(opp_table)
         self._pending_transition = False
         self._frequency_index = 0
         self._application: Optional[ApplicationModel] = None
@@ -162,7 +167,11 @@ class SimulatedProcessor:
         boundaries inside the interval is handled exactly: each phase
         segment contributes in proportion to the wall-clock time it ran.
         """
-        require_positive("duration_s", duration_s)
+        # A plain positive finite float (what DeviceEnvironment validated
+        # once, at construction) skips the helper; anything else goes
+        # through it and raises as it always did.
+        if type(duration_s) is not float or not 0.0 < duration_s < math.inf:
+            require_positive("duration_s", duration_s)
         if self._application is None:
             raise SimulationError("no application loaded; call load_application first")
 
@@ -170,6 +179,10 @@ class SimulatedProcessor:
         temperature = (
             self.thermal_model.temperature_c if self.thermal_model is not None else None
         )
+        dynamic_w, static_w = self._power_constants[self._frequency_index]
+        if temperature is not None:
+            static_w = self.power_model.static_power(op, temperature)
+        memory_activity = self.power_model.memory_activity
         jitter = self._draw_jitter()
 
         remaining_s = duration_s
@@ -195,8 +208,12 @@ class SimulatedProcessor:
             phase = self._current_phase()
             effective = self._jittered_phase(phase, jitter)
             perf = self.performance_model.evaluate(effective, op.frequency_hz)
-            power = self.power_model.total_power(
-                op, effective.activity, perf.duty, temperature_c=temperature
+            # PowerModel.total_power, on the table: the phase model
+            # guarantees activity > 0 and 0 < duty <= 1.
+            power = (
+                dynamic_w
+                * (effective.activity * perf.duty + memory_activity * (1.0 - perf.duty))
+                + static_w
             )
 
             time_to_finish_phase = self._phase_remaining_instructions / perf.ips

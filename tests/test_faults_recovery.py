@@ -1,5 +1,7 @@
 """Checkpoint/resume: state helpers, snapshots, and bit-identical chaos runs."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,93 @@ class TestCrashResume:
         # writes are the blobs any other restores.
         resumed = self.kill_then_resume(written_under, resumed_under, tmp_path, 4)
         assert run_metrics(resumed) == uninterrupted
+
+
+class TestCrashResumeAtFleetScale:
+    """Kill + resume ≡ uninterrupted on ``backend="batched"`` with the
+    simulator kernel and the stacked evaluator doing the stepping: the
+    final checkpoints agree on every device's environment *and*
+    evaluation environment (``time_s``, ``total_instructions``, all four
+    generators)."""
+
+    FLEET = {
+        f"dev{i}": (("fft", "lu") if i % 2 else ("radix",)) for i in range(5)
+    }
+    EVAL_APPS = ("fft", "ocean")
+
+    @staticmethod
+    def config():
+        return FederatedPowerControlConfig(
+            num_rounds=5,
+            steps_per_round=12,
+            eval_steps_per_app=4,
+            eval_every_rounds=1,
+            mean_dwell_steps=5,
+            seed=21,
+        )
+
+    def run(self, path, **options):
+        return train_federated(
+            self.FLEET,
+            self.config(),
+            eval_applications=self.EVAL_APPS,
+            backend="batched",
+            checkpoint=CheckpointConfig(path=str(path), **options.pop("ckpt", {})),
+            **options,
+        )
+
+    @staticmethod
+    def simulator_state(environment):
+        device = environment.device
+        processor = device.processor
+        return (
+            device.current_application,
+            processor.application.name,
+            processor._phase_position,
+            processor._phase_remaining_instructions,
+            processor.frequency_index,
+            processor._pending_transition,
+            processor.time_s,
+            processor.total_instructions,
+            [
+                generator.bit_generator.state
+                for generator in (
+                    processor._rng,
+                    processor.power_sensor._rng,
+                    processor.counter_sampler._rng,
+                    device._rng,
+                )
+            ],
+        )
+
+    @classmethod
+    def device_states(cls, path):
+        states = {}
+        for name, blob in load_snapshot(path).device_blobs.items():
+            payload = pickle.loads(blob)
+            states[name] = (
+                cls.simulator_state(payload["environment"]),
+                cls.simulator_state(payload["eval_environment"]),
+                dict(payload["session"], decision_time_s=None),
+                [p.tolist() for p in payload["controller"].agent.get_parameters()],
+            )
+        return states
+
+    def test_final_checkpoints_agree(self, tmp_path, stacked_simulators):
+        whole = self.run(tmp_path / "whole.ckpt")
+        assert stacked_simulators == {
+            "lockstep": [len(self.FLEET)] * 5,
+            "evaluation": [len(self.FLEET) * len(self.EVAL_APPS)] * 5,
+        }
+        with pytest.raises(RunKilledError):
+            self.run(tmp_path / "killed.ckpt", faults="kill=3")
+        resumed = self.run(
+            tmp_path / "killed.ckpt", faults="kill=3", ckpt={"resume": True}
+        )
+        assert resumed.round_evaluations == whole.round_evaluations
+        assert self.device_states(tmp_path / "killed.ckpt") == self.device_states(
+            tmp_path / "whole.ckpt"
+        )
 
 
 class TestCliChaos:

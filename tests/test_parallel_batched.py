@@ -5,19 +5,30 @@ Bit-identical equivalence against serial across whole training drivers
 ``test_parallel_equivalence.py``. This module exercises the backend's
 *own* mechanics at fleet level: which actors join the stacked group,
 how ineligible or incompatible devices fall back to the exact serial
-path, how non-training tasks force a state resync, and how a device
-failing inside the lockstep loop leaves exactly the state serial does.
+path, how non-training tasks force a state resync, how a device
+failing inside the lockstep loop leaves exactly the state serial does,
+and which devices' simulators step through the device-axis kernel —
+every shape it does not cover must give a run equal to serial's.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ExecutionError, SimulationError
 from repro.experiments.config import FederatedPowerControlConfig
-from repro.experiments.training import _local_actor_parts, _worker_specs
+from repro.experiments.training import (
+    _federated_actor_parts,
+    _local_actor_parts,
+    _worker_specs,
+)
 from repro.obs.flight import FlightRecorder
 from repro.parallel.engine import DeviceFleet
 from repro.rl.prioritized_replay import PrioritizedReplayBuffer
+from repro.sim.stacked import MIN_STACKED_ROWS
+from repro.sim.thermal import ThermalModel
+from repro.sim.workload import ApplicationModel, Phase
 
 ASSIGNMENTS = {
     "BENCH_000": ("fft",),
@@ -352,3 +363,249 @@ def test_non_finite_action_values_error_only_that_device():
         _nan_weights_builder, "serial", rounds=0
     )
     assert softmax_b[FAILING_DEVICE] == untouched[FAILING_DEVICE]
+
+
+# -- the simulator kernel under the lockstep loop: fallback and composition --
+
+#: Six devices: with any one of them odd, the other five still clear the
+#: kernel's row threshold. Two are multi-application (schedule switches).
+SIM_FLEET = {
+    "BENCH_000": ("fft", "lu"),
+    "BENCH_001": ("lu",),
+    "BENCH_002": ("radix", "ocean", "barnes"),
+    "BENCH_003": ("water-ns",),
+    "BENCH_004": ("fmm",),
+    "BENCH_005": ("cholesky",),
+}
+
+
+class _WrappedEnvironment:
+    """The shape of the ladder's ``FrozenEnvironment``: duck-typed, so
+    the kernel must not adopt it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        if name == "_inner":  # unpickling probes before __init__ state exists
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+class _PatchedStep:
+    """An instance-level ``environment.step`` (picklable, unlike a lambda)."""
+
+    def __init__(self, environment):
+        self.environment = environment
+
+    def __call__(self, action):
+        return type(self.environment).step(self.environment, action)
+
+
+def _patch_step(parts):
+    parts.environment.step = _PatchedStep(parts.environment)
+
+
+def _wrap_environment(parts):
+    parts.environment = _WrappedEnvironment(parts.environment)
+
+
+def _add_thermal_model(parts):
+    parts.environment.device.processor.thermal_model = ThermalModel()
+
+
+def _add_transition_overhead(parts):
+    parts.environment.device.processor.transition_overhead_s = 0.02
+
+
+def _quantise_sensor(parts):
+    parts.environment.device.processor.power_sensor.quantization_w = 0.004
+
+
+def _zero_mpki_phase(parts):
+    device = parts.environment.device
+    name = device.schedule.application_names[0]
+    device._applications[name] = ApplicationModel(
+        name,
+        [
+            Phase("dense", 2e9, cpi_core=0.9, mpki=0.0, apki=20.0, activity=1.0),
+            Phase("sparse", 1e9, cpi_core=1.1, mpki=4.0, apki=30.0, activity=0.9),
+        ],
+    )
+
+
+SHAPES = {
+    "wrapped-environment": _wrap_environment,
+    "instance-patched-step": _patch_step,
+    "thermal-model": _add_thermal_model,
+    "transition-overhead": _add_transition_overhead,
+    "quantised-sensor": _quantise_sensor,
+    "zero-mpki-phase": _zero_mpki_phase,
+}
+
+
+def _shaped_builder(
+    device_name, metrics, profiler, assignments, config, eval_apps, shape, odd
+):
+    parts = _federated_actor_parts(
+        device_name, metrics, profiler, assignments, config, eval_apps
+    )
+    if device_name in odd:
+        SHAPES[shape](parts)
+    return parts
+
+
+def _device_state(blob):
+    """What a checkpoint holds for one device, minus wall-clock time."""
+    payload = pickle.loads(blob)
+    session = dict(payload["session"], decision_time_s=None)
+    agent = payload["controller"].agent
+    return (
+        pickle.dumps(payload["environment"]),
+        pickle.dumps(payload["eval_environment"]),
+        session,
+        [p.tolist() for p in agent.get_parameters()],
+        (agent.step_count, agent.update_count, agent.last_loss),
+        [rows.tolist() for rows in agent.replay.sample(len(agent.replay))],
+    )
+
+
+def _train_evaluate_checkpoint(
+    backend, builder_kwargs, eval_apps=("fft", "radix"), kernel_rows=None
+):
+    """Two rounds of train + evaluate-shipped-parameters, then the
+    checkpoint blobs: (records, evaluation rows, per-device state)."""
+    config = _config()
+    specs = _worker_specs(
+        _shaped_builder,
+        SIM_FLEET,
+        config,
+        eval_apps,
+        None,
+        None,
+        None,
+        extra_kwargs=builder_kwargs,
+    )
+    names = list(SIM_FLEET)
+    records, evaluations = [], []
+    with DeviceFleet(specs, backend=backend) as fleet:
+        shipped = fleet.fetch_controllers()[names[0]].agent.get_parameters()
+        for round_index in range(2):
+            outcomes = fleet.run_round(round_index, names, config.steps_per_round)
+            records.append({name: outcomes[name].records for name in names})
+            group = getattr(fleet._backend, "_group", None)
+            evaluations.append(
+                fleet.evaluate_round(round_index, names, parameters=shipped)
+            )
+            # Evaluating shipped parameters is not a release point.
+            assert getattr(fleet._backend, "_group", None) is group
+        states = {
+            name: _device_state(blob) for name, blob in fleet.fetch_states().items()
+        }
+    return records, evaluations, states
+
+
+@pytest.fixture
+def kernel_rows(stacked_simulators):
+    """Row counts of every simulator kernel the lockstep loop builds."""
+    return stacked_simulators["lockstep"]
+
+
+@pytest.mark.parametrize("odd", ("one", "all"))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_ineligible_simulator_shapes_match_serial(shape, odd, kernel_rows):
+    """Each shape the kernel does not cover — on one device of an
+    otherwise stackable fleet, and on every device — steps through its
+    own ``environment.step`` and the run (trace, evaluations, checkpoint
+    state incl. every simulator stream) equals serial's."""
+    targets = ["BENCH_002"] if odd == "one" else list(SIM_FLEET)
+    kwargs = {"shape": shape, "odd": targets}
+    serial = _train_evaluate_checkpoint("serial", kwargs)
+    assert kernel_rows == []
+    batched = _train_evaluate_checkpoint("batched", kwargs)
+    assert batched == serial
+    expected = [len(SIM_FLEET) - 1] * 2 if odd == "one" else []
+    assert kernel_rows == expected
+
+
+def test_stock_fleet_steps_through_the_kernel_and_matches_serial(kernel_rows):
+    kwargs = {"shape": "thermal-model", "odd": []}
+    serial = _train_evaluate_checkpoint("serial", kwargs)
+    batched = _train_evaluate_checkpoint("batched", kwargs)
+    assert batched == serial
+    assert kernel_rows == [len(SIM_FLEET)] * 2
+
+
+def test_fleet_below_the_row_threshold_steps_one_by_one(kernel_rows):
+    assert len(ASSIGNMENTS) < MIN_STACKED_ROWS
+    _assert_same_run(_local_actor_parts)
+    assert kernel_rows == []
+
+
+def test_evaluating_the_training_controllers_releases_the_group():
+    """``parameters is None`` evaluates the live training controllers,
+    which the stacked group owns — it must sync back and drop."""
+    config = _config()
+    runs = {}
+    for backend in ("serial", "batched"):
+        specs = _worker_specs(
+            _local_actor_parts, SIM_FLEET, config, ("fft", "lu"), None, None, None
+        )
+        names = list(SIM_FLEET)
+        with DeviceFleet(specs, backend=backend) as fleet:
+            fleet.run_round(0, names, config.steps_per_round)
+            rows = fleet.evaluate_round(0, names)
+            if backend == "batched":
+                assert fleet._backend._group is None
+            outcomes = fleet.run_round(1, names, config.steps_per_round)
+            runs[backend] = (rows, {n: outcomes[n].records for n in names})
+    assert runs["batched"] == runs["serial"]
+
+
+def test_dying_kernel_row_leaves_serial_simulator_streams():
+    """BENCH_001's network goes NaN in round 1 (installed parameters):
+    it errors before its first step, the kernel rewinds the three
+    streams it had pre-drawn for it, and the checkpoint state equals
+    serial's."""
+    config = _config()
+    states = {}
+    for backend in ("serial", "batched"):
+        specs = _worker_specs(
+            _local_actor_parts, SIM_FLEET, config, EVAL_APPS, None, None, None
+        )
+        names = list(SIM_FLEET)
+        with DeviceFleet(specs, backend=backend) as fleet:
+            fleet.run_round(0, names, config.steps_per_round)
+            poisoned = [
+                np.full_like(p, np.nan)
+                for p in fleet.fetch_controllers()[FAILING_DEVICE]
+                .agent.get_parameters()
+            ]
+            outcomes = fleet.run_round(
+                1,
+                names,
+                config.steps_per_round,
+                parameters_by_device={FAILING_DEVICE: poisoned},
+                raise_on_error=False,
+            )
+            assert [n for n in names if outcomes[n].error] == [FAILING_DEVICE]
+            states[backend] = {
+                name: _device_state(blob)[:3]
+                for name, blob in fleet.fetch_states().items()
+            }
+    assert states["batched"] == states["serial"]
+
+
+@pytest.mark.parametrize("backend", ("serial", "batched"))
+def test_evaluation_that_cannot_start_is_reported_per_device(backend):
+    """Shipped parameters need an eval vessel; these actors have none.
+    The stacked evaluation batch must report that per device, as every
+    other backend's actor does, not raise out of the backend."""
+    config = _config()
+    specs = _worker_specs(
+        _local_actor_parts, SIM_FLEET, config, EVAL_APPS, None, None, None
+    )
+    with DeviceFleet(specs, backend=backend) as fleet:
+        shipped = fleet.fetch_controllers()["BENCH_000"].agent.get_parameters()
+        with pytest.raises(ExecutionError, match="evaluation failed on device 'BENCH_000'"):
+            fleet.evaluate_round(0, list(SIM_FLEET), parameters=shipped)

@@ -18,6 +18,7 @@ from repro.experiments.training import (
     train_federated,
     train_local_only,
 )
+from repro.sim.workload import SPLASH2_APPLICATION_NAMES
 
 ASSIGNMENTS = {"DEVICE_A": ("fft", "lu"), "DEVICE_B": ("radix",)}
 EVAL_APPS = ("fft", "radix")
@@ -412,3 +413,71 @@ def test_ambient_execution_context_reaches_driver(config):
             ASSIGNMENTS, config, eval_applications=EVAL_APPS
         )
     assert_equivalent(serial, threaded)
+
+
+# -- fleet scale: the simulator kernel and the stacked evaluator engaged ----
+
+#: Sixteen devices, one to three applications each (the multi-application
+#: ones switch schedules mid-round): far above the kernel's row threshold,
+#: unlike the two-device CLI ``backend-diff-smoke`` fleet.
+FLEET_16 = {
+    f"DEV_{index:02d}": tuple(
+        SPLASH2_APPLICATION_NAMES[(index + offset) % 12]
+        for offset in range(1 + index % 3)
+    )
+    for index in range(16)
+}
+
+
+def test_sixteen_device_fleet_batched_equals_serial(stacked_simulators):
+    """Serial ≡ batched with every lockstep row in the simulator kernel
+    and every evaluation in one stacked pass — trace, evaluations,
+    parameters, and the telemetry a profiler and a registry observe
+    (``sim.step`` scope counts, ``sim.app_switches``, ``sim.resets``)."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profile import ScopeProfiler
+
+    config = FederatedPowerControlConfig(
+        num_rounds=3,
+        steps_per_round=30,
+        eval_steps_per_app=6,
+        eval_every_rounds=1,
+        mean_dwell_steps=7,
+        seed=13,
+    )
+    built = stacked_simulators
+    runs = {}
+    for backend in ("serial", "batched"):
+        metrics, profiler = MetricsRegistry(), ScopeProfiler()
+        result = train_federated(
+            FLEET_16,
+            config,
+            eval_applications=("fft", "radix"),
+            backend=backend,
+            metrics=metrics,
+            profiler=profiler,
+        )
+        if backend == "serial":
+            # Two evaluation rows per device: below the threshold.
+            assert built == {"lockstep": [], "evaluation": []}
+        runs[backend] = (result, metrics.snapshot()["counters"], profiler)
+    (serial, counters_s, profiler_s), (batched, counters_b, profiler_b) = (
+        runs["serial"],
+        runs["batched"],
+    )
+    assert built == {"lockstep": [16] * 3, "evaluation": [32] * 3}
+    assert_equivalent(serial, batched)
+    assert [
+        (r.ipc, r.mpki, r.miss_rate, r.ips) for r in batched.train_trace
+    ] == [(r.ipc, r.mpki, r.miss_rate, r.ips) for r in serial.train_trace]
+    for name in FLEET_16:
+        for b, p in zip(
+            serial.controllers[name].agent.get_parameters(),
+            batched.controllers[name].agent.get_parameters(),
+        ):
+            assert (b == p).all()
+    assert counters_b == counters_s
+    assert counters_s["sim.app_switches"] > 0
+    assert _profile_counts(profiler_b) == _profile_counts(profiler_s)
+    sim_step = "federated.local_train/control.run_steps/sim.step"
+    assert profiler_b.stats(sim_step).count == 16 * 3 * 30

@@ -103,6 +103,12 @@ class TestStateNormalizer:
         assert state.shape == (5,)
         assert state[0] == pytest.approx(825.6 / 1479, rel=1e-6)
 
+    def test_dividing_by_scales_is_vectorize(self):
+        # The stacked code paths normalise a whole fleet's rows this way.
+        norm = StateNormalizer(1479e6, power_scale_w=0.7, ipc_scale=1.3, mpki_scale=29.0)
+        raw = np.array([921.6e6, 0.6123, 0.8731, 0.2917, 11.37])
+        assert (raw / np.array(norm.scales) == norm.vectorize_raw(*raw)).all()
+
     def test_rejects_bad_scales(self):
         with pytest.raises(ConfigurationError):
             StateNormalizer(0.0)

@@ -1,8 +1,13 @@
 """Unit tests for repro.rl.rewards — the exact Eq. (4) shape."""
 
+import numpy as np
 import pytest
 
-from repro.rl.rewards import PowerEfficiencyReward, ProfitReward
+from repro.rl.rewards import (
+    PowerEfficiencyReward,
+    ProfitReward,
+    power_efficiency_rewards,
+)
 
 F_MAX = 1479e6
 
@@ -71,6 +76,45 @@ class TestPowerEfficiencyReward:
             PowerEfficiencyReward(F_MAX, power_limit_w=0.0)
         with pytest.raises(ConfigurationError):
             PowerEfficiencyReward(F_MAX, offset_w=0.0)
+
+
+class TestPowerEfficiencyRewardsOverArrays:
+    """The array form is the scalar Eq. 4 per element, to the last bit."""
+
+    @pytest.mark.parametrize("all_within_budget", (True, False))
+    def test_equals_scalar_reward_elementwise(self, all_within_budget):
+        rng = np.random.default_rng(4)
+        count = 400
+        max_frequency = rng.choice([1479e6, 2.0e9], size=count)
+        limit = rng.choice([0.6, 0.45, 1.0], size=count)
+        offset = rng.choice([0.05, 0.1], size=count)
+        frequency = rng.uniform(1e8, 1.479e9, size=count)
+        # Every band, both sides of each edge, the edges themselves, NaN.
+        power = limit + offset * rng.uniform(-3.0, 3.0, size=count)
+        power[:6] = (
+            limit[:6] + offset[:6] * np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
+        )
+        power[6] = np.nan
+        if all_within_budget:
+            power = np.minimum(np.nan_to_num(power, nan=0.1), limit)
+        expected = [
+            PowerEfficiencyReward(m, l, k)(f, p)
+            for m, l, k, f, p in zip(
+                max_frequency.tolist(),
+                limit.tolist(),
+                offset.tolist(),
+                frequency.tolist(),
+                power.tolist(),
+            )
+        ]
+        got = power_efficiency_rewards(frequency, power, max_frequency, limit, offset)
+        assert got.tolist() == expected
+
+    def test_scalar_parameters_broadcast(self, reward):
+        frequency = np.array([F_MAX, F_MAX / 2, F_MAX])
+        power = np.array([0.5, 0.62, 0.9])
+        got = power_efficiency_rewards(frequency, power, F_MAX, 0.6, 0.05)
+        assert got.tolist() == [reward(f, p) for f, p in zip(frequency, power)]
 
 
 class TestProfitReward:

@@ -96,6 +96,20 @@ class TestPowerModel:
         op = JETSON_NANO_OPP_TABLE[14]
         assert model.total_power(op, COMPUTE_PHASE.activity, duty=0.95) > 1.0
 
+    def test_opp_power_constants_reproduce_total_power_exactly(self):
+        # The table both simulators read: dynamic * a_eff + leakage must
+        # be total_power to the last bit, at every level.
+        model = PowerModel()
+        table = model.opp_power_constants(JETSON_NANO_OPP_TABLE)
+        assert len(table) == JETSON_NANO_OPP_TABLE.num_levels
+        for op, (dynamic_w, leakage_w) in zip(JETSON_NANO_OPP_TABLE, table):
+            assert leakage_w == model.static_power(op)
+            for activity, duty in ((1.05, 1.0), (0.75, 0.31), (0.9, 0.0)):
+                a_eff = model.effective_activity(activity, duty)
+                assert dynamic_w * a_eff + leakage_w == model.total_power(
+                    op, activity, duty
+                )
+
     def test_effective_activity_blend(self):
         model = PowerModel(memory_activity=0.2)
         assert model.effective_activity(1.0, 1.0) == pytest.approx(1.0)
