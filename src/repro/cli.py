@@ -59,8 +59,7 @@ weighted aggregation, graceful degradation by live fraction.
 Exit codes: ``0`` success, ``1`` configuration or runtime error,
 ``2`` usage error (unparseable flags, or ``--async`` combined with an
 option the async plane cannot honour: ``--topology``, ``--selection``,
-``--guard``, ``--quarantine``, ``--churn``, a non-serial ``--backend``,
-``--flight-out``), ``3`` injected server kill (resume with
+``--quarantine``, ``--churn``), ``3`` injected server kill (resume with
 ``--checkpoint``/``--resume``),
 ``4`` the run completed but ended *fully degraded* — every guarded
 device finished on its fallback governor, ``5`` the regression gate
@@ -75,7 +74,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.errors import (
@@ -751,10 +749,8 @@ def _run_spec_from_args(args) -> RunSpec:
     if controlplane is not None:
         from repro.controlplane.driver import refuse_unhonoured
 
-        # The sinks --metrics-out/--store attach are a standing offer the
-        # async plane may decline; an asked-for --flight-out is not.
         try:
-            refuse_unhonoured(replace(spec, flight=args.flight_out or None))
+            refuse_unhonoured(spec)
         except ConfigurationError as error:
             raise _UsageError(f"--async: {error}") from None
     return spec

@@ -3,76 +3,75 @@
 Same surface as :func:`repro.experiments.training.train_federated`
 (assignments + :class:`FederatedPowerControlConfig` in, a
 :class:`TrainingResult` out, ambient :class:`~repro.runspec.RunSpec`
-respected) but the
-round loop is the :class:`~repro.controlplane.loop.AsyncControlPlane`:
-devices train on a skewed speed profile, push through the bounded
-upload buffer, and the wrapped
+respected) and the same device hosting
+(:class:`~repro.experiments.training.FederatedHosting`: every device in
+a :class:`~repro.parallel.engine.DeviceFleet` actor, driver-side mirror
+agents as the transport endpoints), but the round loop is the
+:class:`~repro.controlplane.loop.AsyncControlPlane`: devices train on a
+skewed speed profile, push through the bounded upload buffer, and the
+wrapped
 :class:`~repro.federated.async_server.AsynchronousFederatedServer`
 staleness-weights each merge. Evaluations fire at modelled times (one
 per ``eval_every_rounds`` sync-equivalent rounds) so async runs
-produce the same evaluation series shape as synchronous ones.
+produce the same evaluation series shape as synchronous ones. Only what
+is asynchronous lives here: server, clients, registry, buffer, ladder,
+the loop, the evaluation schedule and the loop's checkpoint blob.
 
-Seed paths match the synchronous driver exactly — environments
-``(seed, 1, index)``, controllers ``(seed, 2, index)``, global init
-``(seed, 3)``, eval controller ``(seed, 4)`` — so the async run trains
-the *same fleet* the sync run does, only the schedule differs.
+Seed paths are the synchronous driver's — environments ``(seed, 1,
+index)``, controllers ``(seed, 2, index)``, global init ``(seed, 3)``,
+eval controller ``(seed, 4)`` — so the async run trains the *same
+fleet* the sync run does, only the schedule differs.
+
+Non-serial backends are honoured for correctness, not speed: results
+are bit-identical on all four, but the loop trains one device per event,
+so a task batch never holds more than one device and ``thread``/
+``process``/``batched`` only add dispatch cost (measured 1.4–1.9×
+slower than ``serial`` on ``async_degraded_8``).
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import replace
-from statistics import fmean
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.control.neural import build_neural_controller
-from repro.control.runtime import ControlSession
 from repro.controlplane.buffer import BoundedUploadBuffer
 from repro.controlplane.context import ControlPlaneConfig
 from repro.controlplane.degrade import DegradationLadder, DegradationPolicy
 from repro.controlplane.loop import AsyncControlPlane
 from repro.controlplane.registry import DeviceRegistry
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.experiments.config import FederatedPowerControlConfig
-from repro.experiments.evaluation import PolicyEvaluator
-from repro.experiments.scenarios import evaluation_applications
-from repro.faults.recovery import (
-    OrchestratorProgress,
-    RunSnapshot,
-    capture_device_state,
-    restore_device_state,
-    restore_session_state,
-    save_snapshot,
-)
+from repro.experiments.training import FederatedHosting, TrainingResult
+from repro.faults.recovery import OrchestratorProgress
 from repro.federated.async_server import (
     AsynchronousFederatedClient,
     AsynchronousFederatedServer,
 )
 from repro.federated.orchestrator import FederatedRunResult
-from repro.federated.transport import InMemoryTransport
 from repro.obs.logging import get_logger
 from repro.runspec import FIELD_NAMES, RunSpec, current
-from repro.sim.trace import TraceRecorder
-from repro.utils.rng import generator_from_root
+from repro.utils.validation import require_positive
 
 #: Reserved ``device_blobs`` key carrying the loop's own progress in a
 #: halt checkpoint — not a device name (names never start with ``__``).
 CONTROLPLANE_BLOB_KEY = "__controlplane__"
 
-#: The :class:`~repro.runspec.RunSpec` fields this driver honours.
-#: ``workers`` is only a concurrency cap, idle on the serial hosting the
-#: driver does itself. Every other field that is switched on — passed
-#: or ambient — is refused by name rather than silently dropped.
+#: The :class:`~repro.runspec.RunSpec` fields this driver honours. Every
+#: other field that is switched on — passed or ambient — is refused by
+#: name rather than silently dropped.
 HONOURED_FIELDS = frozenset(
     {"controlplane", "faults", "aggregator", "retry", "checkpoint"}
-    | {"metrics", "events", "profiler", "workers"}
+    | {"metrics", "events", "profiler", "flight"}
+    | {"backend", "workers", "guard"}
 )
 
-#: Refused when passed, tolerated when ambient: an ambient tracer or
-#: flight recorder is a standing offer to record, and the CLI attaches
-#: them for ``--metrics-out``/``--events-out``/``--store``, which the
-#: async plane does serve.
-_AMBIENT_TOLERATED = frozenset({"tracer", "flight"})
+#: Refused when passed, tolerated when ambient: an ambient tracer is a
+#: standing offer to record round spans, and the CLI attaches one for
+#: ``--metrics-out``/``--events-out``/``--store``, which the async plane
+#: does serve (its merges stream as ``round_span`` events instead).
+_AMBIENT_TOLERATED = frozenset({"tracer"})
 
 _LOG = get_logger("controlplane.driver")
 
@@ -129,7 +128,7 @@ def train_async_federated(
     suspect_after_missed: int = 2,
     dead_after_missed: int = 4,
     **options,
-):
+) -> TrainingResult:
     """Run federated training under the async control plane.
 
     ``options`` are :class:`~repro.runspec.RunSpec` fields, resolved
@@ -143,310 +142,195 @@ def train_async_federated(
     drive the registry, and a configured checkpoint is where a degraded
     halt writes its resumable snapshot before the CLI exits with code 6.
     """
-    from repro.experiments.training import (
-        TrainingResult,
-        _build_neural_controllers,
-        _build_training_environments,
-        _check_assignments,
-        _emit_evaluation,
-        _power_accounting,
-        _resolve_run_resilience,
-    )
-
-    _check_assignments(assignments)
     explicit, ambient = RunSpec(**options), current()
     refuse_unhonoured(explicit, ambient)
     spec = explicit.over(ambient)
-    metrics, events, profiler = spec.metrics, spec.events, spec.profiler
+    metrics, events = spec.metrics, spec.events
     cp = spec.controlplane or ControlPlaneConfig(enabled=True)
-    eval_apps = tuple(eval_applications or evaluation_applications())
     if round_duration_s is None:
         round_duration_s = skewed_round_durations(
             list(assignments), slow_factor=slow_factor
         )
-    resilience_cfg = _resolve_run_resilience(
-        # This driver *is* the control plane, whatever ``enabled`` says.
-        replace(spec, controlplane=replace(cp, enabled=True)),
+    for name in assignments:
+        require_positive(f"round_duration_s[{name!r}]", round_duration_s.get(name))
+    host = FederatedHosting(
+        "async_federated",
         assignments,
         config,
-        eval_apps,
+        eval_applications,
+        # This driver *is* the control plane, whatever ``enabled`` says.
+        replace(spec, controlplane=replace(cp, enabled=True)),
         schedule=(
             sorted(round_duration_s.items()),
             mixing_rate,
             staleness_exponent,
         ),
     )
-    snapshot = resilience_cfg.snapshot
-    loop_state: Optional[Dict[str, object]] = None
-    if snapshot is not None:
-        blob = snapshot.device_blobs.get(CONTROLPLANE_BLOB_KEY)
-        if blob is not None:
-            loop_state = pickle.loads(blob)
-
-    environments = _build_training_environments(
-        assignments, config, metrics=metrics, profiler=profiler
-    )
-    controllers = _build_neural_controllers(assignments, config, environments)
-    device_payloads: Dict[str, Dict[str, object]] = {}
-    if snapshot is not None:
-        for name in assignments:
-            device_blob = snapshot.device_blobs.get(name)
-            if device_blob is None:
-                continue
-            payload = restore_device_state(
-                device_blob, metrics=metrics, profiler=profiler
-            )
-            device_payloads[name] = payload
-            environments[name] = payload["environment"]
-            controllers[name] = payload["controller"]
-    trace = TraceRecorder()
-    sessions = {
-        name: ControlSession(
-            environments[name],
-            controllers[name],
-            trace=trace,
-            metrics=metrics,
-            profiler=profiler,
-            events=events,
-        )
+    snapshot, saved = host.snapshot, {}
+    if snapshot is not None and CONTROLPLANE_BLOB_KEY in snapshot.device_blobs:
+        saved = pickle.loads(snapshot.device_blobs[CONTROLPLANE_BLOB_KEY])
+    # Resume acknowledges permanently dead devices: they stay hosted (and
+    # evaluated) but get no client, so the resumed run's quorum is
+    # computed over the devices that can still contribute.
+    records = saved.get("registry", {}).get("devices", {})
+    active_names = [
+        name
         for name in assignments
-    }
-    if snapshot is not None:
-        for name, payload in device_payloads.items():
-            restore_session_state(sessions[name], payload["session"])
-
-    transport = InMemoryTransport(metrics=metrics)
-    global_init = build_neural_controller(
-        next(iter(environments.values())).device.opp_table,
-        hidden_layers=config.hidden_layers,
-        seed=generator_from_root(config.seed, 3),
-    )
-    server = AsynchronousFederatedServer(
-        global_init.agent.get_parameters(),
-        transport,
-        mixing_rate=mixing_rate,
-        staleness_exponent=staleness_exponent,
-        metrics=metrics,
-        aggregator=resilience_cfg.aggregator,
-    )
-    if snapshot is not None:
-        server.restore(snapshot.global_parameters, snapshot.rounds_aggregated)
-
-    # Resume acknowledges permanently dead devices: they are left out
-    # of the fleet entirely, so the resumed run's quorum is computed
-    # over the devices that can still contribute.
-    acknowledged_dead: Tuple[str, ...] = ()
-    if loop_state is not None:
-        registry_blob = loop_state.get("registry", {})
-        acknowledged_dead = tuple(
-            name
-            for name, record in registry_blob.get("devices", {}).items()
-            if record.get("permanently_dead")
-        )
-    active_names = [n for n in assignments if n not in acknowledged_dead]
+        if not records.get(name, {}).get("permanently_dead")
+    ]
     if not active_names:
         raise ConfigurationError(
             "cannot resume: every device in the checkpoint is permanently dead"
         )
-    clients = {
-        name: AsynchronousFederatedClient(
-            name, controllers[name].agent, transport, metrics=metrics
+
+    with host.open():
+        server = AsynchronousFederatedServer(
+            host.initial_parameters,
+            host.transport,
+            mixing_rate=mixing_rate,
+            staleness_exponent=staleness_exponent,
+            metrics=metrics,
+            aggregator=host.resilience.aggregator,
         )
-        for name in active_names
-    }
-
-    def trainer_for(device_name: str):
-        session = sessions[device_name]
-
-        def train(round_index: int) -> None:
-            session.run_steps(
-                config.steps_per_round, round_index=round_index, train=True
+        if snapshot is not None:
+            server.restore(snapshot.global_parameters, snapshot.rounds_aggregated)
+        # The clients pull into and push from the driver-side mirrors;
+        # only the train executor moves parameters in and out of a device.
+        clients = {
+            name: AsynchronousFederatedClient(
+                name, host.mirrors[name], host.transport, metrics=metrics
             )
-
-        return train
-
-    if loop_state is not None:
-        remaining = {
-            name: int(loop_state["remaining"].get(name, config.num_rounds))
             for name in active_names
         }
-    else:
-        remaining = {name: config.num_rounds for name in active_names}
 
-    registry = DeviceRegistry(
-        heartbeat_interval_s=cp.heartbeat_interval_s,
-        suspect_after_missed=suspect_after_missed,
-        dead_after_missed=dead_after_missed,
-        seed=config.seed,
-        metrics=metrics,
-        events=events,
-    )
-    buffer = BoundedUploadBuffer(
-        capacity=cp.buffer_capacity,
-        policy=cp.buffer_policy,
-        block_deadline_s=cp.buffer_block_deadline_s,
-        metrics=metrics,
-    )
-    ladder = DegradationLadder(
-        DegradationPolicy(quorum_floor=cp.quorum),
-        metrics=metrics,
-        events=events,
-    )
+        def train(device: str, round_index: int) -> None:
+            outcome = host.executor.run_local_train(round_index, [device])[device]
+            if outcome.error is not None:
+                raise ExecutionError(
+                    f"device {device!r} failed in round {round_index}:\n{outcome.error}"
+                )
 
-    result = TrainingResult(
-        name="async_federated",
-        assignments=dict(assignments),
-        controllers=controllers,
-    )
-    if snapshot is not None:
-        result.round_evaluations.extend(snapshot.round_evaluations)
-
-    evaluator = PolicyEvaluator(list(assignments), config, eval_apps)
-    if snapshot is not None:
-        for name, payload in device_payloads.items():
-            eval_environment = payload.get("eval_environment")
-            if eval_environment is not None:
-                evaluator.set_environment(name, eval_environment)
-    eval_controller = build_neural_controller(
-        next(iter(environments.values())).device.opp_table,
-        power_limit_w=config.power_limit_w,
-        offset_w=config.power_offset_w,
-        hidden_layers=config.hidden_layers,
-        seed=generator_from_root(config.seed, 4),
-    )
-    evals_done = len(result.round_evaluations)
-
-    def run_evaluation(round_index: int) -> None:
-        eval_controller.agent.set_parameters(server.global_parameters)
-        round_eval = evaluator.evaluate(
-            {name: eval_controller for name in assignments}, round_index
+        registry = DeviceRegistry(
+            heartbeat_interval_s=cp.heartbeat_interval_s,
+            suspect_after_missed=suspect_after_missed,
+            dead_after_missed=dead_after_missed,
+            seed=config.seed,
+            metrics=metrics,
+            events=events,
         )
-        result.round_evaluations.append(round_eval)
-        _emit_evaluation(events, round_eval)
+        buffer = BoundedUploadBuffer(
+            capacity=cp.buffer_capacity,
+            policy=cp.buffer_policy,
+            block_deadline_s=cp.buffer_block_deadline_s,
+            metrics=metrics,
+        )
+        ladder = DegradationLadder(
+            DegradationPolicy(quorum_floor=cp.quorum),
+            metrics=metrics,
+            events=events,
+        )
+        checkpoint = host.resilience.checkpoint
 
-    def checkpoint_on_halt(active_loop: AsyncControlPlane) -> str:
-        if resilience_cfg.checkpoint is None:
-            return ""
-        blobs = {
-            name: capture_device_state(
-                environments[name],
-                controllers[name],
-                sessions[name],
-                eval_environment=evaluator.get_environment(name),
+        def checkpoint_on_halt(active_loop: AsyncControlPlane) -> str:
+            if checkpoint is None:
+                return ""
+            host.save_snapshot(
+                OrchestratorProgress(next_round=server.version),
+                server,
+                extra_blobs={
+                    CONTROLPLANE_BLOB_KEY: pickle.dumps(
+                        active_loop.state_blob(), protocol=pickle.HIGHEST_PROTOCOL
+                    )
+                },
             )
-            for name in assignments
-        }
-        blobs[CONTROLPLANE_BLOB_KEY] = pickle.dumps(
-            active_loop.state_blob(), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        violations, steps = _power_accounting(
-            trace, assignments, config.power_limit_w, prior=snapshot
-        )
-        save_snapshot(
-            RunSnapshot(
-                fingerprint=resilience_cfg.fingerprint,
-                progress=OrchestratorProgress(next_round=server.version),
-                global_parameters=server.global_parameters,
-                rounds_aggregated=server.version,
-                device_blobs=blobs,
-                round_evaluations=list(result.round_evaluations),
-                prior_power_violations=violations,
-                prior_power_steps=steps,
-            ),
-            resilience_cfg.checkpoint.path,
-        )
-        _LOG.warning(
-            "halt checkpoint written",
-            extra={"path": str(resilience_cfg.checkpoint.path)},
-        )
-        return str(resilience_cfg.checkpoint.path)
+            _LOG.warning("halt checkpoint written", extra={"path": str(checkpoint.path)})
+            return str(checkpoint.path)
 
-    loop = AsyncControlPlane(
-        server,
-        clients,
-        {name: trainer_for(name) for name in active_names},
-        remaining,
-        {name: round_duration_s[name] for name in active_names},
-        registry,
-        buffer,
-        ladder,
-        plan=resilience_cfg.plan,
-        retry=resilience_cfg.retry,
-        tick_interval_s=cp.heartbeat_interval_s,
-        events=events,
-        metrics=metrics,
-        checkpoint_callback=checkpoint_on_halt,
+        loop = AsyncControlPlane(
+            server,
+            clients,
+            {name: partial(train, name) for name in active_names},
+            {
+                name: int(saved.get("remaining", {}).get(name, config.num_rounds))
+                for name in active_names
+            },
+            {name: round_duration_s[name] for name in active_names},
+            registry,
+            buffer,
+            ladder,
+            plan=host.resilience.plan,
+            retry=host.resilience.retry,
+            tick_interval_s=cp.heartbeat_interval_s,
+            events=events,
+            metrics=metrics,
+            checkpoint_callback=checkpoint_on_halt,
+        )
+        # A resumed device's next local round continues its numbering.
+        for name in active_names:
+            loop.round_counter[name] = int(saved.get("round_counter", {}).get(name, 0))
+
+        # Evaluations at the modelled times where the synchronous run would
+        # evaluate: one per eval_every_rounds "rounds", each round lasting
+        # the slowest active device's duration. Evaluations already in the
+        # resumed series are not repeated.
+        max_duration = max(round_duration_s[name] for name in active_names)
+        total_evals = config.num_rounds // config.eval_every_rounds
+        result = host.result
+
+        def run_evaluation(round_index: int, now_s: float = 0.0) -> None:
+            host.evaluate_if_due(round_index, server.global_parameters)
+
+        eval_rounds = []
+        for k in range(len(result.round_evaluations) + 1, total_evals + 1):
+            round_index = k * config.eval_every_rounds - 1
+            eval_rounds.append(round_index)
+            loop.schedule_callback(
+                k * config.eval_every_rounds * max_duration,
+                partial(run_evaluation, round_index),
+            )
+
+        _LOG.info(
+            "async control plane starting",
+            extra={
+                "devices": len(active_names),
+                "rounds_per_device": config.num_rounds,
+                "heartbeat_interval_s": cp.heartbeat_interval_s,
+                "buffer": f"{cp.buffer_capacity}:{cp.buffer_policy}",
+                "quorum": cp.quorum,
+                "backend": spec.get("backend"),
+            },
+        )
+        loop.run()  # raises DegradedHaltError after checkpointing on halt
+
+        # Evaluations whose modelled time lies past the last event (the
+        # slowest devices died, so the run finished early) still run — the
+        # evaluation series must keep the synchronous shape.
+        done = {r.round_index for r in result.round_evaluations}
+        for round_index in eval_rounds:
+            if len(result.round_evaluations) >= total_evals:
+                break
+            if round_index not in done:
+                run_evaluation(round_index)
+
+    # A device that died mid-round had pulled a global model it never got
+    # to train on; it ends the run holding that model. A device that
+    # finished keeps what it trained, optimizer state included.
+    for name in loop.discarded_devices:
+        result.controllers[name].agent.set_parameters(
+            host.mirrors[name].get_parameters(), reset_optimizer=True
+        )
+    host.finish(
+        FederatedRunResult(
+            rounds_completed=len(loop.merge_log),
+            total_bytes_communicated=host.transport.total_bytes,
+            total_messages=host.transport.total_messages,
+            participation_by_round=[[device] for _, device, _ in loop.merge_log],
+            stragglers_by_round=[
+                [device] if late else [] for _, device, late in loop.merge_log
+            ],
+            aggregations_completed=len(loop.merge_log),
+        )
     )
-
-    # Evaluations at the modelled times where the synchronous run would
-    # evaluate: one per eval_every_rounds "rounds", each round lasting
-    # the slowest active device's duration. Evaluations already in the
-    # resumed series are not repeated.
-    max_duration = max(round_duration_s[name] for name in active_names)
-    total_evals = config.num_rounds // config.eval_every_rounds
-    eval_rounds = []
-    for k in range(evals_done + 1, total_evals + 1):
-        round_index = k * config.eval_every_rounds - 1
-        eval_time = k * config.eval_every_rounds * max_duration
-        eval_rounds.append(round_index)
-        loop.schedule_callback(
-            eval_time,
-            (lambda r: lambda now_s: run_evaluation(r))(round_index),
-        )
-
-    _LOG.info(
-        "async control plane starting",
-        extra={
-            "devices": len(active_names),
-            "rounds_per_device": config.num_rounds,
-            "heartbeat_interval_s": cp.heartbeat_interval_s,
-            "buffer": f"{cp.buffer_capacity}:{cp.buffer_policy}",
-            "quorum": cp.quorum,
-        },
-    )
-    loop.run()  # raises DegradedHaltError after checkpointing on halt
-
-    # Evaluations whose modelled time lies past the last event (the
-    # slowest devices died, so the run finished early) still run — the
-    # evaluation series must keep the synchronous shape.
-    expected = total_evals
-    for round_index in eval_rounds:
-        if len(result.round_evaluations) >= expected:
-            break
-        already = any(
-            getattr(r, "round_index", None) == round_index
-            for r in result.round_evaluations
-        )
-        if not already:
-            run_evaluation(round_index)
-
-    run_result = FederatedRunResult(
-        rounds_completed=len(loop.merge_log),
-        total_bytes_communicated=transport.total_bytes,
-        total_messages=transport.total_messages,
-        participation_by_round=[[device] for _, device, _ in loop.merge_log],
-        stragglers_by_round=[
-            [device] if late else [] for _, device, late in loop.merge_log
-        ],
-        aggregations_completed=len(loop.merge_log),
-    )
-    violations, steps = _power_accounting(
-        trace, assignments, config.power_limit_w, prior=snapshot
-    )
-    run_result.power_violations_by_device = violations
-    run_result.power_steps_by_device = steps
-    result.federated_result = run_result
-    result.train_trace = trace
-    result.communication_bytes = transport.total_bytes
-    latencies = []
-    for session in sessions.values():
-        try:
-            latencies.append(session.mean_decision_latency_s())
-        except SimulationError:
-            continue
-    result.mean_decision_latency_s = fmean(latencies) if latencies else 0.0
-    # Control-plane accounting for tables and the CLI summary; an extra
-    # attribute so every TrainingResult consumer is untouched.
     result.controlplane = {
         "clock_s": loop.clock,
         "merges": len(loop.merge_log),

@@ -92,6 +92,8 @@ class AsyncControlPlane:
         self.time_to_version: List[Tuple[int, float]] = []
         self.late_merges = 0
         self.discarded_rounds = 0
+        #: Devices whose in-flight round died with them, discard order.
+        self.discarded_devices: List[str] = []
         self.zombie_uploads = 0
         #: (time_s, device, was_late) per merged upload, merge order.
         self.merge_log: List[Tuple[float, str, bool]] = []
@@ -204,6 +206,7 @@ class AsyncControlPlane:
         if self.registry.is_permanently_dead(device):
             # The device died mid-round; its work is lost.
             self.discarded_rounds += 1
+            self.discarded_devices.append(device)
             if self.metrics is not None:
                 self.metrics.inc("controlplane.rounds_discarded")
             return

@@ -84,6 +84,10 @@ class TrainingResult:
     #: baselines, which have no federation to summarise). Carries the
     #: per-device/fleet ``power_violation_rate`` accounting.
     federated_result: Optional[FederatedRunResult] = None
+    #: The async control plane's accounting (clock, merges, registry and
+    #: buffer snapshots, ``time_to_version``); ``None`` for every
+    #: synchronous run.
+    controlplane: Optional[Dict[str, object]] = None
 
     @property
     def device_names(self) -> List[str]:
@@ -201,15 +205,6 @@ class _ResolvedResilience:
     checkpoint: Optional[CheckpointConfig] = None
     fingerprint: Optional[str] = None
     snapshot: Optional[RunSnapshot] = None
-
-    @property
-    def active(self) -> bool:
-        return (
-            self.plan is not None
-            or self.aggregator is not None
-            or self.retry is not None
-            or self.checkpoint is not None
-        )
 
 
 def _resolve_run_resilience(
@@ -477,47 +472,6 @@ def _effective_fault_injector(
     return chain_injectors(PlanFaultInjector(plan), fault_injector)
 
 
-def _save_run_snapshot(
-    resilience: _ResolvedResilience,
-    progress,
-    server: FederatedServer,
-    blobs: Dict[str, bytes],
-    result: "TrainingResult",
-    assignments: Dict[str, Tuple[str, ...]],
-    config: FederatedPowerControlConfig,
-    quarantine: Optional[QuarantineManager] = None,
-) -> None:
-    """Assemble and atomically persist one run checkpoint.
-
-    Power accounting at checkpoint time folds in any resumed-from
-    priors, so chained resumes still report run totals. With a
-    quarantine screen active, its reputations/bans ride along so a
-    resumed run keeps punishing the same offenders.
-    """
-    violations, steps = _power_accounting(
-        result.train_trace,
-        assignments,
-        config.power_limit_w,
-        prior=resilience.snapshot,
-    )
-    save_snapshot(
-        RunSnapshot(
-            fingerprint=resilience.fingerprint,
-            progress=progress,
-            global_parameters=server.global_parameters,
-            rounds_aggregated=server.rounds_aggregated,
-            device_blobs=blobs,
-            round_evaluations=list(result.round_evaluations),
-            prior_power_violations=violations,
-            prior_power_steps=steps,
-            quarantine_state=(
-                quarantine.state() if quarantine is not None else None
-            ),
-        ),
-        resilience.checkpoint.path,
-    )
-
-
 def _temperature_schedule(config: FederatedPowerControlConfig) -> ExponentialDecaySchedule:
     return ExponentialDecaySchedule(
         initial=config.max_temperature,
@@ -739,7 +693,7 @@ def _hosted_run(
 ) -> Iterator[Tuple[DeviceFleet, TrainingResult, Callable[..., None]]]:
     """Host every device in a :class:`DeviceFleet` for one training run.
 
-    The skeleton all three drivers share, on all four backends: open
+    The skeleton every driver shares, on all four backends: open
     the fleet (one actor per device), yield ``(fleet, result,
     evaluate_if_due)`` for the caller to run its rounds, then — only if
     they finished — fetch the live controllers and mean decision latency
@@ -789,6 +743,160 @@ def _hosted_run(
             result.mean_decision_latency_s = fleet.mean_decision_latency_s()
         except ExecutionError:
             pass  # every round was skipped: no device stepped, keep 0.0
+
+
+class FederatedHosting:
+    """What both federated drivers share: :func:`train_federated` and
+    :func:`repro.controlplane.driver.train_async_federated`.
+
+    Construction resolves the run: ``spec``'s guard and hierarchy fields
+    materialised against this roster, its resilience fields against
+    those plus the caller's ``identity`` (the checkpoint fingerprint),
+    the snapshot loaded when resuming. :meth:`open` hosts every device
+    in a :class:`~repro.parallel.engine.DeviceFleet` actor and builds
+    the driver-side halves — mirror agents, their train executor, the
+    wire, the initial global model; :meth:`save_snapshot` checkpoints
+    the fleet; :meth:`finish`, once the fleet has closed, fills in the
+    accounting. Which server aggregates, and on what schedule, is the
+    caller's business.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        assignments: Dict[str, Tuple[str, ...]],
+        config: FederatedPowerControlConfig,
+        eval_applications: Optional[Sequence[str]],
+        spec: RunSpec,
+        **identity: object,
+    ) -> None:
+        _check_assignments(assignments)
+        self.name, self.assignments, self.config = name, assignments, config
+        self.spec = spec
+        self.eval_apps = tuple(eval_applications or evaluation_applications())
+        self.watchdog, self.quarantine, self.churn = _materialize_guard(
+            spec, assignments, config
+        )
+        self.topology, self.selection = _materialize_hier(spec, assignments, config)
+        # Guard and hierarchy settings change the trajectory (the wire
+        # path, the participant draw), so the fingerprint describes them
+        # as materialised against this run's rounds and roster.
+        self.resilience = _resolve_run_resilience(
+            replace(
+                spec,
+                guard=self.watchdog,
+                quarantine=(
+                    self.quarantine.config if self.quarantine is not None else None
+                ),
+                churn=self.churn,
+                topology=self.topology,
+                selection=self.selection,
+            ),
+            assignments,
+            config,
+            self.eval_apps,
+            **identity,
+        )
+        self.snapshot = self.resilience.snapshot
+
+    @contextmanager
+    def open(
+        self, fault_injector: Optional[FaultInjector] = None
+    ) -> Iterator["FederatedHosting"]:
+        """Host the fleet for the block; a snapshot is installed first."""
+        spec, config = self.spec, self.config
+        with _hosted_run(
+            self.name,
+            _federated_actor_parts,
+            self.assignments,
+            config,
+            self.eval_apps,
+            spec.get("backend"),
+            spec.workers,
+            metrics=spec.metrics,
+            flight=spec.flight,
+            profiler=spec.profiler,
+            events=spec.events,
+            builder_kwargs={"fault_injector": fault_injector, "guard": self.watchdog},
+        ) as (self.fleet, self.result, self.evaluate_if_due):
+            if self.snapshot is not None:
+                self.fleet.install_states(self.snapshot.device_blobs)
+                self.result.round_evaluations.extend(self.snapshot.round_evaluations)
+            # Mirror agents are the driver-side codec endpoints: global
+            # models decode into them, uploads encode from them. Same opp
+            # table (a module constant) and seed path (config.seed, 2,
+            # index) as the actor-side builds, so their initial
+            # parameters coincide with the actors'. Every received model
+            # overwrites them, so a resumed run needs no mirror restore.
+            self.mirrors = {
+                name: _build_one_neural_controller(
+                    JETSON_NANO_OPP_TABLE, index, config
+                ).agent
+                for index, name in enumerate(self.assignments)
+            }
+            self.executor = FleetTrainExecutor(
+                self.fleet, self.mirrors, config.steps_per_round
+            )
+            self.transport = InMemoryTransport(metrics=spec.metrics)
+            # The initial global model comes from a dedicated seed path so
+            # it is identical regardless of how many clients participate.
+            self.initial_parameters = build_neural_controller(
+                JETSON_NANO_OPP_TABLE,
+                hidden_layers=config.hidden_layers,
+                seed=generator_from_root(config.seed, 3),
+            ).agent.get_parameters()
+            yield self
+
+    def save_snapshot(
+        self, progress, server, extra_blobs: Optional[Dict[str, bytes]] = None
+    ) -> None:
+        """Atomically persist one run checkpoint from the live fleet.
+
+        Power accounting at checkpoint time folds in any resumed-from
+        priors, so chained resumes still report run totals. With a
+        quarantine screen active, its reputations/bans ride along so a
+        resumed run keeps punishing the same offenders.
+        """
+        violations, steps = self._power_counts()
+        save_snapshot(
+            RunSnapshot(
+                fingerprint=self.resilience.fingerprint,
+                progress=progress,
+                global_parameters=server.global_parameters,
+                rounds_aggregated=server.rounds_aggregated,
+                device_blobs={**self.fleet.fetch_states(), **(extra_blobs or {})},
+                round_evaluations=list(self.result.round_evaluations),
+                prior_power_violations=violations,
+                prior_power_steps=steps,
+                quarantine_state=(
+                    self.quarantine.state() if self.quarantine is not None else None
+                ),
+            ),
+            self.resilience.checkpoint.path,
+        )
+
+    def _power_counts(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        return _power_accounting(
+            self.result.train_trace,
+            self.assignments,
+            self.config.power_limit_w,
+            prior=self.snapshot,
+        )
+
+    def finish(self, run_result: FederatedRunResult) -> TrainingResult:
+        """Fold ``run_result`` and the run's accounting into the result."""
+        result = self.result
+        (
+            run_result.power_violations_by_device,
+            run_result.power_steps_by_device,
+        ) = self._power_counts()
+        if any(x is not None for x in (self.watchdog, self.quarantine, self.churn)):
+            _publish_guard_summary(
+                result.controllers, run_result, guarded=self.watchdog is not None
+            )
+        result.federated_result = run_result
+        result.communication_bytes = run_result.total_bytes_communicated
+        return result
 
 
 def train_federated(
@@ -884,39 +992,18 @@ def train_federated(
     that is switched on — passed here or ambient — instead of dropping
     it.
     """
-    _check_assignments(assignments)
     spec = resolve(**options)
     if spec.is_on("controlplane"):
-        # Lazy: repro.controlplane.driver imports this module's helpers.
+        # Lazy: repro.controlplane imports this module.
         from repro.controlplane.driver import train_async_federated
 
         return train_async_federated(
             assignments, config, eval_applications=eval_applications, **options
         )
-    backend = spec.get("backend")
-    metrics, tracer, flight = spec.metrics, spec.tracer, spec.flight
-    profiler, events = spec.profiler, spec.events
-    eval_apps = tuple(eval_applications or evaluation_applications())
-    watchdog_cfg, quarantine_mgr, churn_plan = _materialize_guard(
-        spec, assignments, config
-    )
-    topology_obj, selection_policy = _materialize_hier(spec, assignments, config)
-    # Guard and hierarchy settings change the trajectory (the wire path,
-    # the participant draw), so the fingerprint describes them as
-    # materialised against this run's rounds and roster.
-    resilience_cfg = _resolve_run_resilience(
-        replace(
-            spec,
-            guard=watchdog_cfg,
-            quarantine=quarantine_mgr.config if quarantine_mgr is not None else None,
-            churn=churn_plan,
-            topology=topology_obj,
-            selection=selection_policy,
-        ),
-        assignments,
-        config,
-        eval_apps,
-    )
+    host = FederatedHosting("federated", assignments, config, eval_applications, spec)
+    metrics, tracer, events = spec.metrics, spec.tracer, spec.events
+    resilience_cfg, snapshot = host.resilience, host.snapshot
+    quarantine_mgr, churn_plan, topology_obj = host.quarantine, host.churn, host.topology
     straggler_policy = spec.straggler_policy
     if straggler_policy is None:
         # Quarantine can empty a round (AggregationError) and churn can
@@ -927,57 +1014,23 @@ def train_federated(
             or churn_plan is not None
         )
         straggler_policy = "skip" if tolerant_needed else "abort"
-    fault_injector = _effective_fault_injector(resilience_cfg, spec.fault_injector)
     _LOG.info(
         "federated training starting",
         extra={
             "devices": len(assignments),
             "rounds": config.num_rounds,
             "steps_per_round": config.steps_per_round,
-            "backend": backend,
+            "backend": spec.get("backend"),
         },
     )
-    snapshot = resilience_cfg.snapshot
-    with _hosted_run(
-        "federated",
-        _federated_actor_parts,
-        assignments,
-        config,
-        eval_apps,
-        backend,
-        spec.workers,
-        metrics=metrics,
-        flight=flight,
-        profiler=profiler,
-        events=events,
-        builder_kwargs={"fault_injector": fault_injector, "guard": watchdog_cfg},
-    ) as (fleet, result, evaluate_if_due):
-        if snapshot is not None:
-            fleet.install_states(snapshot.device_blobs)
-            result.round_evaluations.extend(snapshot.round_evaluations)
-        # Mirror agents are the driver-side codec endpoints: broadcasts
-        # decode into them, uploads encode from them. Same opp table (a
-        # module constant) and seed path (config.seed, 2, index) as the
-        # actor-side builds, so their initial parameters coincide with
-        # the actors'. Every broadcast overwrites them, so a resumed run
-        # needs no mirror restore.
-        mirrors = {
-            name: _build_one_neural_controller(
-                JETSON_NANO_OPP_TABLE, index, config
-            ).agent
-            for index, name in enumerate(assignments)
-        }
+    with host.open(_effective_fault_injector(resilience_cfg, spec.fault_injector)):
         transport = _wrap_transport(
-            InMemoryTransport(metrics=metrics),
-            resilience_cfg,
-            metrics,
-            tracer,
-            events=events,
+            host.transport, resilience_cfg, metrics, tracer, events=events
         )
         clients = [
             FederatedClient(
                 name,
-                mirrors[name],
+                host.mirrors[name],
                 transport,
                 # Under a hierarchy each device talks to its edge node,
                 # not the root; the flat topology's root keeps the
@@ -993,15 +1046,8 @@ def train_federated(
             )
             for name in assignments
         ]
-        # The initial global model comes from a dedicated seed path so
-        # it is identical regardless of how many clients participate.
-        global_init = build_neural_controller(
-            JETSON_NANO_OPP_TABLE,
-            hidden_layers=config.hidden_layers,
-            seed=generator_from_root(config.seed, 3),
-        )
         server = _build_federated_server(
-            global_init.agent.get_parameters(),
+            host.initial_parameters,
             assignments,
             transport,
             codec=spec.codec,
@@ -1014,25 +1060,15 @@ def train_federated(
             server.restore(snapshot.global_parameters, snapshot.rounds_aggregated)
             if quarantine_mgr is not None and snapshot.quarantine_state is not None:
                 quarantine_mgr.restore_state(snapshot.quarantine_state)
-        executor = FleetTrainExecutor(fleet, mirrors, config.steps_per_round)
 
         def on_round_end(round_index: int, fed_server: FederatedServer) -> None:
-            evaluate_if_due(round_index, fed_server.global_parameters)
+            host.evaluate_if_due(round_index, fed_server.global_parameters)
 
         ckpt = resilience_cfg.checkpoint
 
         def checkpoint_hook(round_index: int, progress) -> None:
             if ckpt.due(round_index):
-                _save_run_snapshot(
-                    resilience_cfg,
-                    progress,
-                    server,
-                    fleet.fetch_states(),
-                    result,
-                    assignments,
-                    config,
-                    quarantine=quarantine_mgr,
-                )
+                host.save_snapshot(progress, server)
 
         run_result = run_federated_training(
             server,
@@ -1046,28 +1082,16 @@ def train_federated(
             seed=generator_from_root(config.seed, 5),
             metrics=metrics,
             tracer=tracer,
-            profiler=profiler,
-            executor=executor,
+            profiler=spec.profiler,
+            executor=host.executor,
             fault_plan=resilience_cfg.plan,
             churn_plan=churn_plan,
             resume=snapshot.progress if snapshot is not None else None,
             checkpoint_hook=checkpoint_hook if ckpt is not None else None,
             events=events,
-            selection_policy=selection_policy,
+            selection_policy=host.selection,
         )
-
-    (
-        run_result.power_violations_by_device,
-        run_result.power_steps_by_device,
-    ) = _power_accounting(
-        result.train_trace, assignments, config.power_limit_w, prior=snapshot
-    )
-    if watchdog_cfg is not None or quarantine_mgr is not None or churn_plan is not None:
-        _publish_guard_summary(
-            result.controllers, run_result, guarded=watchdog_cfg is not None
-        )
-    result.federated_result = run_result
-    result.communication_bytes = run_result.total_bytes_communicated
+    result = host.finish(run_result)
     _LOG.info(
         "federated training finished",
         extra={

@@ -77,6 +77,11 @@ class AsynchronousFederatedServer:
         return self._version
 
     @property
+    def rounds_aggregated(self) -> int:
+        """:attr:`version`, under the synchronous server's checkpoint name."""
+        return self._version
+
+    @property
     def merges_applied(self) -> int:
         return self._merges
 

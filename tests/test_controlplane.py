@@ -1,7 +1,10 @@
 """Tests for the async control plane (registry, buffer, ladder, loop)."""
 
 import functools
+import hashlib
+import json
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -48,6 +51,10 @@ from repro.federated.async_server import (
     AsynchronousFederatedServer,
 )
 from repro.federated.transport import InMemoryTransport
+from repro.guard.context import consume_guard_report
+from repro.guard.watchdog import WatchdogConfig
+from repro.obs.flight import FlightRecorder
+from repro.obs.sink import EventPipeline
 from repro.rl.agent import NeuralBanditAgent
 from repro.runspec import FIELD_NAMES, ambient, current
 
@@ -568,37 +575,148 @@ class TestDriver:
         with pytest.raises(ConfigurationError):
             skewed_round_durations(["a"], slow_factor=0.5)
 
-    def test_registry_transitions_reproducible_and_backend_refused(self):
+    @pytest.mark.parametrize(
+        "durations, fragment",
+        [
+            ({"cp-00": 1.0}, "'cp-01'"),
+            ({"cp-00": -1.0, "cp-01": 1.0, "cp-02": 1.0}, "'cp-00'"),
+            ({"cp-00": 1.0, "cp-01": 0.0, "cp-02": 1.0}, "'cp-01'"),
+            ({"cp-00": 1.0, "cp-01": 1.0, "cp-02": float("nan")}, "'cp-02'"),
+            ({"cp-00": float("inf"), "cp-01": 1.0, "cp-02": 1.0}, "'cp-00'"),
+        ],
+    )
+    def test_round_durations_are_validated(self, durations, fragment):
+        with pytest.raises(ConfigurationError, match=fragment):
+            train_async_federated(
+                tiny_assignments(3), tiny_config(), round_duration_s=durations
+            )
+
+    @staticmethod
+    def observed_run(faults, **options):
+        """One tiny async run and everything it lets an observer see."""
         assignments = tiny_assignments(4)
         config = tiny_config()
-        plan = FaultPlan.random(
-            num_rounds=config.num_rounds,
-            devices=list(assignments),
-            seed=config.seed,
-            dead_fraction=0.25,
-            hb_loss_rate=0.1,
-        )
-
-        def run_once():
-            result = train_async_federated(
-                assignments, config, eval_applications=("fft",), faults=plan
+        plan = None
+        if faults:
+            plan = FaultPlan.random(
+                num_rounds=config.num_rounds,
+                devices=list(assignments),
+                seed=config.seed,
+                **faults,
             )
-            return result.controlplane
+        events, flight = EventPipeline(), FlightRecorder(capacity=4096)
+        result = train_async_federated(
+            assignments,
+            config,
+            eval_applications=("fft",),
+            faults=plan,
+            events=events,
+            flight=flight,
+            **options,
+        )
+        return result, events.rows(), flight.to_jsonl_lines()
 
-        # The driver hosts its own devices; an ambient backend it would
-        # silently drop is refused instead.
+    @staticmethod
+    def run_digest(result, event_rows):
+        digest = hashlib.sha256()
+        for name in result.assignments:
+            for array in result.controllers[name].agent.get_parameters():
+                digest.update(
+                    np.ascontiguousarray(array, dtype=np.float64).tobytes()
+                )
+        for round_eval in result.round_evaluations:
+            for evaluation in round_eval.evaluations:
+                digest.update(struct.pack("<d", evaluation.reward_mean))
+        digest.update(json.dumps(event_rows, sort_keys=True).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize(
+        "faults, pinned",
+        [
+            (
+                None,
+                "7fdc4fd08ec6cd8e09344f0d725edc5d22c91124d479842126325503bdfff6b7",
+            ),
+            (
+                # One of four devices dies mid-round: it must end the run
+                # holding the global model it had pulled.
+                {"dead_fraction": 0.25},
+                "60ac719466c79c26e2895def6bd2b577c7e583e50251d8252c847ce8e8f4c2c5",
+            ),
+        ],
+    )
+    def test_run_unmoved_since_in_driver_hosting(self, faults, pinned):
+        # Digests of final parameters + evaluation rewards + event stream
+        # captured at commit b3f6a4d, where the driver still hosted its
+        # own environments, controllers and sessions.
+        result, event_rows, _flight = self.observed_run(faults)
+        if faults:
+            assert result.controlplane["discarded_rounds"] == 1
+        assert self.run_digest(result, event_rows) == pinned
+
+    def test_registry_transitions_reproducible_on_every_backend(self):
+        faults = {"dead_fraction": 0.25, "hb_loss_rate": 0.1}
+
+        def observe(**options):
+            result, event_rows, flight_rows = self.observed_run(faults, **options)
+            run = result.federated_result
+            return {
+                "parameters": [
+                    array.tolist()
+                    for name in result.assignments
+                    for array in result.controllers[name].agent.get_parameters()
+                ],
+                "evaluations": result.round_evaluations,
+                "merge_log": (run.participation_by_round, run.stragglers_by_round),
+                "controlplane": result.controlplane,
+                "events": event_rows,
+                "flight": flight_rows,
+            }
+
+        baseline = observe()
+        assert baseline["controlplane"]["registry"]["counts"][DEAD] == 1
+        assert baseline["controlplane"]["time_to_version"]
+        assert baseline["flight"]
+        assert [row["seq"] for row in baseline["events"]] == list(
+            range(len(baseline["events"]))
+        )
+        assert observe() == baseline
         for backend in ("thread", "process", "batched"):
-            with ambient(backend=backend, workers=2):
-                with pytest.raises(ConfigurationError, match="backend"):
-                    run_once()
+            assert observe(backend=backend, workers=2) == baseline, backend
 
-        baseline = run_once()
-        again = run_once()
-        assert again["registry"] == baseline["registry"]
-        assert again["merges"] == baseline["merges"]
-        assert again["mode"] == baseline["mode"]
-        assert again["time_to_version"] == baseline["time_to_version"]
-        assert baseline["registry"]["counts"][DEAD] == 1
+    def test_guard_is_honoured_on_the_actors(self):
+        # Strict enough that healthy agents trip, so fallback steps exist.
+        watchdog = WatchdogConfig(stuck_window=2, fallback_steps=3, probation_steps=2)
+
+        def guarded(backend):
+            consume_guard_report()
+            result = train_async_federated(
+                tiny_assignments(3),
+                tiny_config(rounds=2, steps=10),
+                eval_applications=("fft",),
+                guard=watchdog,
+                backend=backend,
+                workers=2,
+            )
+            return result, consume_guard_report()
+
+        result, report = guarded("serial")
+        run = result.federated_result
+        assert report is not None
+        assert report.guarded_steps == {name: 20 for name in result.assignments}
+        assert run.fallback_steps_by_device == report.fallback_steps
+        assert all(steps > 0 for steps in run.fallback_steps_by_device.values())
+        assert sum(report.trip_counts.values()) >= 3
+        other, other_report = guarded("process")
+        assert other_report == report
+        assert other.round_evaluations == result.round_evaluations
+        assert list(other.train_trace) == list(result.train_trace)
+        for name in result.assignments:
+            for ours, theirs in zip(
+                result.controllers[name].agent.get_parameters(),
+                other.controllers[name].agent.get_parameters(),
+            ):
+                assert np.array_equal(ours, theirs)
 
     def test_halt_writes_resumable_checkpoint(self, tmp_path, monkeypatch):
         assignments = tiny_assignments(5)
@@ -643,6 +761,17 @@ class TestDriver:
         assert cp["registry"]["counts"][ALIVE] == 1
         assert cp["merges"] > 0
 
+        # The survivor's local rounds keep counting where the halt left
+        # them: the resumed trace continues the saved numbering instead
+        # of relabelling its first post-halt round 0.
+        (survivor,) = set(assignments) - set(dead)
+        done_before = blob["round_counter"][survivor]
+        assert 0 < done_before < config.num_rounds
+        assert sorted({r.round_index for r in result.train_trace}) == list(
+            range(done_before, config.num_rounds)
+        )
+        assert {r.device for r in result.train_trace} == {survivor}
+
         # Halt + resume accounts for the steps taken before the halt:
         # devices never pull the global model, so their local steps are
         # the same as in a run whose ladder has no halt rung.
@@ -674,7 +803,6 @@ class TestDriver:
                 assignments, config, eval_applications=("fft",)
             )
         assert result.name == "async_federated"
-        assert hasattr(result, "controlplane")
         assert result.controlplane["merges"] == 2 * config.num_rounds
 
 
@@ -791,8 +919,8 @@ class TestAsyncRejectsUnsupportedOptions:
     def test_all_offending_options_are_named_at_once(self):
         options = dict(
             topology="edges=2",
-            guard=True,
-            backend="batched",
+            quarantine=True,
+            churn="leave=0.2",
             participation_fraction=0.5,
             codec="nonsense",
         )
@@ -803,9 +931,9 @@ class TestAsyncRejectsUnsupportedOptions:
             assert option in str(excinfo.value)
 
     def test_ambient_settings_are_rejected_too(self, tmp_path):
-        # An ambient tracer/flight recorder is a standing offer to record
-        # (the CLI attaches them for --metrics-out/--store): tolerated.
-        tolerated = HONOURED_FIELDS | {"tracer", "flight"}
+        # An ambient tracer is a standing offer to record (the CLI
+        # attaches one for --metrics-out/--store): tolerated.
+        tolerated = HONOURED_FIELDS | {"tracer"}
         for option, value in on_values(tmp_path).items():
             with ambient(controlplane=ASYNC_ON), ambient(**{option: value}):
                 if option in tolerated:
@@ -817,11 +945,11 @@ class TestAsyncRejectsUnsupportedOptions:
     def test_honoured_options_and_off_values_still_run(self):
         from repro.obs.metrics import MetricsRegistry
 
-        with ambient(backend="serial", controlplane=ASYNC_ON):
+        with ambient(backend="thread", controlplane=ASYNC_ON):
             result = self.train(
                 metrics=MetricsRegistry(),
                 backend="serial",
-                guard=False,
+                guard=True,
                 quarantine=False,
                 participation_fraction=1.0,
                 faults="hb_loss=0.05,seed=3",
@@ -843,3 +971,23 @@ class TestAsyncRejectsUnsupportedOptions:
         assert "topology" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--backend", "process", "--workers", "2"],
+            ["--flight-out", "{tmp}/flight.jsonl"],
+            ["--guard"],
+        ],
+        ids=["backend", "flight-out", "guard"],
+    )
+    def test_cli_async_serves_what_the_fleet_serves(self, flags, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["run", "fig3", "--rounds", "5", "--steps", "5", "--async"]
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main(argv + flags) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        if "--flight-out" in flags:
+            lines = (tmp_path / "flight.jsonl").read_text().splitlines()
+            assert len(lines) > 1  # the header plus flight rows
