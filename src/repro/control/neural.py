@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.control.base import PowerController
 from repro.rl.agent import NeuralBanditAgent
 from repro.rl.rewards import PowerEfficiencyReward
@@ -38,10 +40,15 @@ class NeuralPowerController(PowerController):
         self.reward = reward
 
     def select_action(self, snapshot: ProcessorSnapshot, explore: bool = True) -> int:
-        state = self.normalizer.vectorize(snapshot)
-        if explore:
-            return self.agent.act(state)
-        return self.agent.act_greedy(state)
+        return self.choose_action(self.action_values(snapshot), explore)
+
+    def action_values(self, snapshot: ProcessorSnapshot) -> np.ndarray:
+        """The Q step: predicted reward of every V/f level in this state."""
+        return self.agent.predict_rewards(self.normalizer.vectorize(snapshot))
+
+    def choose_action(self, values: np.ndarray, explore: bool = True) -> int:
+        """The choose step: an action from :meth:`action_values` output."""
+        return self.agent.choose_action(values, explore)
 
     def compute_reward(self, snapshot: ProcessorSnapshot) -> float:
         """Eq. 4 on the *measured* frequency and power of the interval."""

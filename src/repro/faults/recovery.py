@@ -38,7 +38,8 @@ from repro.obs.logging import get_logger
 
 #: Bump when the snapshot layout changes incompatibly.
 #: v2: digest envelope on disk, quarantine state, churn-aware progress.
-SNAPSHOT_FORMAT_VERSION = 2
+#: v3: watchdog running-window state.
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: Leading magic of the on-disk envelope; the digit tracks the envelope
 #: layout (magic + sha256 + pickle), not the snapshot schema version.

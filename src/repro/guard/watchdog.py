@@ -30,17 +30,28 @@ The wrapper is a state machine::
 * **PROBATION** — the governor still acts, but the agent is
   shadow-evaluated on every observed state. ``probation_steps``
   consecutive clean shadow steps re-admit the agent; a single dirty one
-  trips straight back to FALLBACK.
+  trips straight back to FALLBACK (restoring the known-good snapshot
+  first when the parameters are what failed).
+
+Every check runs on every step, yet a guarded step runs the same single
+forward pass as an unguarded one: the Q-values the health check computes
+are the ones the inner controller's choose step acts on. The parameter
+scan reads the live arrays (one ``vdot`` each, no copy), and the
+stuck-action and power windows are running counters, not re-scanned
+deques.
 
 The wrapper delegates ``.agent`` / ``.reward`` / ``.normalizer`` to the
-inner controller, so every existing integration point — federated
-clients, flight records, checkpoint capture, worker-side parameter
-installs — works unchanged. It is picklable and therefore survives both
-process-backend shipping and ``RunSnapshot`` capture.
+inner controller (which must also split action selection into
+``action_values`` and ``choose_action``), so every existing integration
+point — federated clients, flight records, checkpoint capture,
+worker-side parameter installs — works unchanged. It is picklable and
+therefore survives both process-backend shipping and ``RunSnapshot``
+capture.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -78,6 +89,9 @@ _RESTORE_REASONS = frozenset(
         TRIP_NON_FINITE_LOSS,
     }
 )
+
+#: What the wrapper needs of the inner controller.
+_INNER_INTERFACE = ("agent", "normalizer", "action_values", "choose_action")
 
 
 @dataclass(frozen=True)
@@ -131,23 +145,27 @@ class WatchdogConfig:
 
 
 def _flat_norm(parameters: List[np.ndarray]) -> float:
-    """L2 norm of a parameter list, ``inf`` if any entry is non-finite."""
+    """L2 norm of a parameter list, non-finite if any entry is.
+
+    One ``vdot`` per array and no copy: a NaN or infinite entry makes
+    the running total non-finite, and so does a sum of squares that
+    overflows — both are classed as non-finite parameters.
+    """
     total = 0.0
     for parameter in parameters:
-        if not np.all(np.isfinite(parameter)):
-            return float("inf")
-        total += float(np.sum(np.square(parameter, dtype=np.float64)))
-    return float(np.sqrt(total))
+        total += float(np.vdot(parameter, parameter))
+    return math.sqrt(total) if total < math.inf else math.inf
 
 
 class GuardedController(PowerController):
     """A :class:`PowerController` wrapping an agent behind a watchdog.
 
     ``inner`` must expose ``.agent`` (a
-    :class:`~repro.rl.agent.NeuralBanditAgent`), ``.reward`` and
-    ``.normalizer`` — i.e. a
-    :class:`~repro.control.neural.NeuralPowerController`. ``fallback``
-    is any non-learning controller, canonically a
+    :class:`~repro.rl.agent.NeuralBanditAgent`), ``.reward``,
+    ``.normalizer`` and the two halves of action selection,
+    ``action_values(snapshot)`` and ``choose_action(values, explore)``
+    — i.e. a :class:`~repro.control.neural.NeuralPowerController`.
+    ``fallback`` is any non-learning controller, canonically a
     :class:`~repro.control.governors.PowerCapGovernor` built on the same
     OPP table and power budget.
     """
@@ -161,10 +179,11 @@ class GuardedController(PowerController):
         config: Optional[WatchdogConfig] = None,
         device_name: str = "",
     ) -> None:
-        if not hasattr(inner, "agent") or not hasattr(inner, "normalizer"):
+        if not all(hasattr(inner, name) for name in _INNER_INTERFACE):
             raise ConfigurationError(
                 "GuardedController wraps a neural controller exposing "
-                f".agent and .normalizer, got {type(inner).__name__}"
+                f"{', '.join('.' + name for name in _INNER_INTERFACE)}, "
+                f"got {type(inner).__name__}"
             )
         self.inner = inner
         self.fallback = fallback
@@ -185,13 +204,16 @@ class GuardedController(PowerController):
         self.transitions_total = 0
         self._fallback_remaining = 0
         self._probation_clean = 0
-        self._recent_actions: Deque[int] = deque(maxlen=self.config.stuck_window)
+        #: Stuck detection: the latest exploring action and how many
+        #: exploring steps in a row chose it.
+        self._run_action: Optional[int] = None
+        self._run_length = 0
+        #: The rolling power record and its running violation count.
         self._violation_flags: Deque[bool] = deque(
             maxlen=self.config.violation_window
         )
-        self._since_snapshot = 0
-        self._last_good = [p.copy() for p in self.inner.agent.get_parameters()]
-        self._last_good_norm = _flat_norm(self._last_good)
+        self._violation_count = 0
+        self._take_snapshot()
 
     # -- delegation ----------------------------------------------------
     @property
@@ -218,9 +240,9 @@ class GuardedController(PowerController):
         return getattr(self.inner.reward, "power_limit_w", None)
 
     def _parameter_health(self) -> Optional[str]:
-        """Check the live policy parameters; a reason string on failure."""
-        norm = _flat_norm(self.inner.agent.get_parameters())
-        if not np.isfinite(norm):
+        """Scan the live policy parameters; a reason string on failure."""
+        norm = _flat_norm(self.inner.agent.network.parameters)
+        if not math.isfinite(norm):
             return TRIP_NON_FINITE_PARAMETERS
         if norm > self.config.param_norm_limit:
             return TRIP_PARAMETER_EXPLOSION
@@ -228,22 +250,44 @@ class GuardedController(PowerController):
             return TRIP_UPDATE_EXPLOSION
         return None
 
-    def _q_health(self, snapshot: ProcessorSnapshot) -> Optional[str]:
-        state = self.inner.normalizer.vectorize(snapshot)
-        values = self.inner.agent.predict_rewards(state)
-        if not np.all(np.isfinite(values)):
-            return TRIP_NON_FINITE_Q
-        return None
+    def _health(
+        self, snapshot: ProcessorSnapshot
+    ) -> Tuple[Optional[str], Optional[np.ndarray]]:
+        """Scan the parameters, then run the Q step once.
 
-    def _shadow_clean(self, snapshot: ProcessorSnapshot) -> bool:
-        """Probation shadow evaluation: healthy params and finite Q."""
+        Returns ``(reason, None)`` for the first failed check, else
+        ``(None, values)``: the inner controller's Q-values for
+        ``snapshot``, which an ACTIVE step hands to the choose step.
+        """
+        reason = self._parameter_health()
+        if reason is not None:
+            return reason, None
+        values = self.inner.action_values(snapshot)
+        if not np.isfinite(values).all():
+            return TRIP_NON_FINITE_Q, None
+        return None, values
+
+    def _stuck(self, action: int) -> bool:
+        """Count an exploring action; True once the last ``stuck_window``
+        exploring actions were all this one."""
+        if action == self._run_action:
+            self._run_length += 1
+        else:
+            self._run_action = action
+            self._run_length = 1
         return (
-            self._parameter_health() is None
-            and self._q_health(snapshot) is None
+            self._run_length >= self.config.stuck_window > 1
+            and getattr(self.inner.agent, "num_actions", 2) > 1
         )
 
+    def _reset_windows(self) -> None:
+        self._run_action = None
+        self._run_length = 0
+        self._violation_flags.clear()
+        self._violation_count = 0
+
     def _take_snapshot(self) -> None:
-        self._last_good = [p.copy() for p in self.inner.agent.get_parameters()]
+        self._last_good = self.inner.agent.get_parameters()
         self._last_good_norm = _flat_norm(self._last_good)
         self._since_snapshot = 0
 
@@ -254,19 +298,23 @@ class GuardedController(PowerController):
         self.transitions_total += 1
         self.state = to_state
 
-    def _trip(self, reason: str) -> None:
-        """Hand control to the fallback, restoring parameters if damaged."""
+    def _trip(self, reason: str, damage: Optional[str] = None) -> None:
+        """Hand control to the fallback, restoring parameters if damaged.
+
+        ``damage`` names the failed health check when the counted
+        ``reason`` does not: a dirty probation step counts as
+        ``probation_failure`` but repairs what the check found.
+        """
         self.trip_count += 1
         self.trip_reasons[reason] = self.trip_reasons.get(reason, 0) + 1
-        if reason in _RESTORE_REASONS:
+        if (damage or reason) in _RESTORE_REASONS:
             self.inner.agent.set_parameters(
                 self._last_good, reset_optimizer=True
             )
         self._transition(STATE_FALLBACK, reason)
         self._fallback_remaining = self.config.fallback_steps
         self._probation_clean = 0
-        self._recent_actions.clear()
-        self._violation_flags.clear()
+        self._reset_windows()
 
     # -- PowerController protocol --------------------------------------
     def select_action(
@@ -274,22 +322,14 @@ class GuardedController(PowerController):
     ) -> int:
         self.steps_total += 1
         if self.state == STATE_ACTIVE:
-            reason = self._parameter_health() or self._q_health(snapshot)
-            if reason is not None:
-                self._trip(reason)
-        if self.state == STATE_ACTIVE:
-            action = self.inner.select_action(snapshot, explore)
-            if explore and self._recent_actions.maxlen > 1:
-                self._recent_actions.append(action)
-                if (
-                    len(self._recent_actions) == self._recent_actions.maxlen
-                    and len(set(self._recent_actions)) == 1
-                    and getattr(self.inner.agent, "num_actions", 2) > 1
-                ):
-                    self._trip(TRIP_STUCK_ACTION)
-            if self.state == STATE_ACTIVE:
-                self.last_action_fallback = False
-                return action
+            reason, values = self._health(snapshot)
+            if reason is None:
+                action = self.inner.choose_action(values, explore)
+                if not explore or not self._stuck(action):
+                    self.last_action_fallback = False
+                    return action
+                reason = TRIP_STUCK_ACTION
+            self._trip(reason)
         # FALLBACK or PROBATION: the safe governor acts.
         self.last_action_fallback = True
         self.fallback_steps_total += 1
@@ -300,27 +340,31 @@ class GuardedController(PowerController):
                 self._transition(STATE_PROBATION, "cooldown_elapsed")
                 self._probation_clean = 0
         elif self.state == STATE_PROBATION:
-            if self._shadow_clean(snapshot):
+            reason, _ = self._health(snapshot)
+            if reason is None:
                 self._probation_clean += 1
                 if self._probation_clean >= self.config.probation_steps:
                     self._transition(STATE_ACTIVE, "probation_passed")
                     self._take_snapshot()
-                    self._recent_actions.clear()
-                    self._violation_flags.clear()
+                    self._reset_windows()
             else:
-                self._trip(TRIP_PROBATION_FAILURE)
+                self._trip(TRIP_PROBATION_FAILURE, damage=reason)
         return action
 
     def compute_reward(self, snapshot: ProcessorSnapshot) -> float:
         reward = self.inner.compute_reward(snapshot)
         limit = self._power_limit()
         if limit is not None:
-            self._violation_flags.append(bool(snapshot.power_w > limit))
             window = self._violation_flags
+            if len(window) == window.maxlen:
+                self._violation_count -= window[0]
+            violated = bool(snapshot.power_w > limit)
+            window.append(violated)
+            self._violation_count += violated
             if (
                 self.state == STATE_ACTIVE
                 and len(window) == window.maxlen
-                and sum(window)
+                and self._violation_count
                 >= self.config.violation_trip_fraction * window.maxlen
             ):
                 self._trip(TRIP_POWER_WINDOW)
@@ -344,7 +388,7 @@ class GuardedController(PowerController):
                 if self.state == STATE_ACTIVE:
                     self._trip(reason)
                 elif self.state == STATE_PROBATION:
-                    self._trip(TRIP_PROBATION_FAILURE)
+                    self._trip(TRIP_PROBATION_FAILURE, damage=reason)
         if self.state == STATE_ACTIVE:
             self._since_snapshot += 1
             if (

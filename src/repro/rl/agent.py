@@ -120,21 +120,36 @@ class NeuralBanditAgent:
         return self._last_action_greedy
 
     def predict_rewards(self, state: np.ndarray) -> np.ndarray:
-        """``mu(s, a, theta)`` for every action (Algorithm 1, line 4)."""
+        """``mu(s, a, theta)`` for every action (Algorithm 1, line 4).
+
+        The Q step of action selection; :meth:`choose_action` is the
+        other half.
+        """
         state = self._check_state(state)
         return self.network.predict(state)
 
-    def act(self, state: np.ndarray) -> int:
-        """Sample an action from the softmax policy (lines 4-6)."""
-        values = self.predict_rewards(state)
+    def choose_action(self, values: np.ndarray, explore: bool = True) -> int:
+        """The choose step: turn ``predict_rewards`` output into an action.
+
+        ``explore`` samples the softmax policy (lines 5-6, one draw from
+        the softmax stream); otherwise the argmax is taken. Callers that
+        must inspect the values first (the safety watchdog) compute them
+        once and hand them here.
+        """
+        if not explore:
+            self._last_action_greedy = True
+            return self._greedy.select(values)
         action = self._softmax.select(values, self.temperature)
         self._last_action_greedy = bool(action == int(np.argmax(values)))
         return action
 
+    def act(self, state: np.ndarray) -> int:
+        """Sample an action from the softmax policy (lines 4-6)."""
+        return self.choose_action(self.predict_rewards(state), explore=True)
+
     def act_greedy(self, state: np.ndarray) -> int:
         """Exploit: the action with the highest predicted reward."""
-        self._last_action_greedy = True
-        return self._greedy.select(self.predict_rewards(state))
+        return self.choose_action(self.predict_rewards(state), explore=False)
 
     def action_probabilities(self, state: np.ndarray) -> np.ndarray:
         """The current policy ``pi(a | s)`` (Eq. 3), for analysis."""

@@ -122,6 +122,18 @@ class TestSnapshotFile:
         with pytest.raises(ConfigurationError, match="format 1 not supported"):
             load_snapshot(path, fingerprint="abc")
 
+    def test_v2_checkpoint_is_refused_by_name(self, tmp_path):
+        # v2 device blobs pickle the watchdog's old deque windows; they
+        # must be refused at load, not resumed into an AttributeError.
+        path = tmp_path / "run.ckpt"
+        snapshot = self.make_snapshot()
+        snapshot.format_version = 2
+        save_snapshot(snapshot, path)
+        with pytest.raises(
+            ConfigurationError, match=r"format 2 not supported \(expected 3\)"
+        ):
+            load_snapshot(path, fingerprint="abc")
+
     def test_fingerprint_depends_on_every_part(self):
         base = run_fingerprint(config="c", plan="p")
         assert run_fingerprint(config="c", plan="p") == base

@@ -9,11 +9,19 @@ power-violation rate; and the CLI maps a fully degraded fleet to its
 own exit code.
 """
 
+import hashlib
+import json
+import struct
+
+import numpy as np
 import pytest
 
+from repro.errors import RunKilledError
 from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.scenarios import six_app_split
 from repro.experiments.training import train_federated
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.recovery import CheckpointConfig
 from repro.guard.context import (
     GuardReport,
     consume_guard_report,
@@ -183,6 +191,179 @@ class TestGuardOffEquivalence:
         assert fed_guarded.fallback_rate() == 0.0
         assert not fed_plain.quarantined_devices
         assert fed_plain.fallback_steps_by_device == {}
+
+
+class TestGuardedChaosUnmoved:
+    """A small guarded chaos run, digested before the watchdog became
+    O(1) per step: the one-forward-pass step, the copy-free parameter
+    scan and the running windows must not move a single trip, action or
+    byte of it."""
+
+    FAULTS = "drop=0.1,crash=0.1,byzantine=0.2,seed=7"
+
+    @staticmethod
+    def assignments(num_devices=8):
+        apps = [app for group in six_app_split().values() for app in group]
+        return {
+            f"DEV_{index:03d}": (
+                tuple(apps[index::num_devices]) or (apps[index % len(apps)],)
+            )
+            for index in range(num_devices)
+        }
+
+    @classmethod
+    def digests(cls, seed):
+        flight = FlightRecorder(capacity=65536)
+        consume_guard_report()
+        result = train_federated(
+            cls.assignments(),
+            FederatedPowerControlConfig(seed=seed).scaled(4, 50),
+            eval_applications=("fft",),
+            participation_fraction=0.75,
+            faults=cls.FAULTS,
+            aggregator="median",
+            guard=True,
+            quarantine=True,
+            churn="leave=0.15,rejoin=0.5,seed=11",
+            flight=flight,
+        )
+        consume_guard_report()
+        controllers = [result.controllers[name] for name in result.assignments]
+        parameters = hashlib.sha256()
+        for controller in controllers:
+            for array in controller.agent.get_parameters():
+                parameters.update(
+                    np.ascontiguousarray(array, dtype=np.float64).tobytes()
+                )
+        rewards = hashlib.sha256()
+        for round_eval in result.round_evaluations:
+            for evaluation in round_eval.evaluations:
+                rewards.update(struct.pack("<d", evaluation.reward_mean))
+        transitions = {
+            name: list(result.controllers[name].transitions)
+            for name in result.assignments
+        }
+        fallback = [[record.device, record.fallback] for record in flight.records]
+        reasons = {}
+        for controller in controllers:
+            for reason, count in controller.trip_reasons.items():
+                reasons[reason] = reasons.get(reason, 0) + count
+        return reasons, {
+            "parameters": parameters.hexdigest(),
+            "evaluations": rewards.hexdigest(),
+            "transitions": hashlib.sha256(
+                json.dumps(transitions, sort_keys=True).encode()
+            ).hexdigest(),
+            "fallback": hashlib.sha256(json.dumps(fallback).encode()).hexdigest(),
+        }
+
+    @pytest.mark.parametrize(
+        "seed, reasons, pinned",
+        [
+            (
+                11,
+                {"update_explosion": 4},
+                {
+                    "parameters": "ae3ae554b19349fdaf7815a012bb3a2df18b95b397cbc7583a643d7a0b6ae11a",
+                    "evaluations": "64277c3e61fac6bec4b5b9443e3d6fe360cad1659ef9701cfe40d596ffa8db8f",
+                    "transitions": "50521ccff066fa826bf7ac702c1878aec225736659e020f28ac095a770c7931a",
+                    "fallback": "472649a740bfdf5bff09a5f5755197b3e4e7ba2fd214f7c1a9decb16ccfdc0aa",
+                },
+            ),
+            (
+                2025,
+                {"power_violation_window": 2},
+                {
+                    "parameters": "c3e6e6ef86d037cb9976b3f322c15dfd60f8885298f52eaf9e8fd2681282d746",
+                    "evaluations": "95d918530bb2c9ca4033c8f2ef864319c255916aab44855ef0077a0c228a317e",
+                    "transitions": "9cc3665d7b92d8de814337b752279d33413d9eba63dfcab2f14cb06444c4560f",
+                    "fallback": "03f92cf155ed20b9e64951f87c4bde51b401549816a24c6fba3f3a9d32631933",
+                },
+            ),
+        ],
+        ids=["update_explosion", "power_window"],
+    )
+    def test_digests_unmoved(self, seed, reasons, pinned):
+        # Captured at commit fffec04, before the watchdog was touched.
+        observed_reasons, observed = self.digests(seed)
+        assert observed_reasons == reasons
+        assert observed == pinned
+
+
+class TestGuardedKillResume:
+    """Guarded kill + resume ≡ uninterrupted under byzantine faults: the
+    pickled watchdog (state, running windows, last-good snapshot) must
+    carry the state machine across the kill."""
+
+    FAULTS = "byzantine=0.3,seed=7"
+    KILL_ROUND = 3
+
+    @staticmethod
+    def observe(result):
+        return (
+            result.round_evaluations,
+            result.communication_bytes,
+            {
+                name: [p.tolist() for p in controller.agent.get_parameters()]
+                for name, controller in result.controllers.items()
+            },
+            {
+                name: (
+                    list(controller.transitions),
+                    controller.trip_reasons,
+                    controller.fallback_steps_total,
+                    controller.state,
+                )
+                for name, controller in result.controllers.items()
+            },
+            result.federated_result.fallback_steps_by_device,
+        )
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self):
+        return self.observe(
+            train_federated(
+                ASSIGNMENTS,
+                make_config(),
+                eval_applications=EVAL_APPS,
+                faults=self.FAULTS,
+                guard=True,
+            )
+        )
+
+    def test_trips_fall_on_both_sides_of_the_kill(self, uninterrupted):
+        steps_before_kill = self.KILL_ROUND * make_config().steps_per_round
+        trip_steps = [
+            step
+            for transitions, _, _, _ in uninterrupted[3].values()
+            for step, _, to_state, _ in transitions
+            if to_state == "fallback"
+        ]
+        assert min(trip_steps) <= steps_before_kill < max(trip_steps)
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_kill_and_resume_is_bit_identical(
+        self, uninterrupted, backend, tmp_path
+    ):
+        faults = f"{self.FAULTS},kill={self.KILL_ROUND}"
+        path = str(tmp_path / "run.ckpt")
+        options = dict(
+            eval_applications=EVAL_APPS, faults=faults, guard=True, backend=backend
+        )
+        with pytest.raises(RunKilledError):
+            train_federated(
+                ASSIGNMENTS,
+                make_config(),
+                checkpoint=CheckpointConfig(path=path),
+                **options,
+            )
+        resumed = train_federated(
+            ASSIGNMENTS,
+            make_config(),
+            checkpoint=CheckpointConfig(path=path, resume=True),
+            **options,
+        )
+        assert self.observe(resumed) == uninterrupted
 
 
 class TestFlightRecorderCrossCheck:
