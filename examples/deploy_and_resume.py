@@ -65,11 +65,11 @@ def main() -> None:
 
     session = ControlSession(environment, controller)
     session.start("cholesky")
-    records = session.run_steps(40, train=False)  # greedy, no updates
+    block = session.run_steps(40, train=False)  # greedy, no updates
 
-    mean_reward = sum(r.reward for r in records) / len(records)
-    mean_power = sum(r.power_w for r in records) / len(records)
-    mean_freq = sum(r.frequency_hz for r in records) / len(records)
+    mean_reward, mean_power, mean_freq = (
+        float(block[column].mean()) for column in ("reward", "power_w", "frequency_hz")
+    )
 
     # 4. Audit against the exact oracle.
     oracle = build_default_oracle(config.power_limit_w, config.power_offset_w)

@@ -2,7 +2,8 @@
 
 :class:`ControlSession` runs any :class:`~repro.control.base.PowerController`
 against a :class:`~repro.sim.device.DeviceEnvironment` for a number of
-control intervals, producing :class:`~repro.sim.trace.StepRecord` rows.
+control intervals, producing one :class:`~repro.sim.trace.StepBlock` of
+the step log per call.
 The same driver serves federated training rounds (``train=True`` with
 schedule switching), local-only training, evaluation passes
 (``train=False`` on a pinned application, greedy policy) and governor
@@ -14,12 +15,12 @@ paper reports as 29 ms against the 500 ms control interval
 (Section IV-C).
 
 Observability: beyond the per-call :class:`MetricsRegistry` emission,
-the session can carry a :class:`~repro.obs.flight.FlightRecorder`
-(one structured record per control step — state features, chosen OPP,
+the session can carry a :class:`~repro.obs.flight.FlightRecorder`,
+which is offered each call's block (state features, chosen OPP,
 exploration flag, reward, running ``P_crit`` violation count, thermal
-state, agent loss on update steps) and a
-:class:`~repro.obs.profile.ScopeProfiler` that attributes wall-time to
-``control.act`` / ``control.learn`` / ``sim.step``. Both follow the
+state, agent loss on update steps — all columns of the one block), and
+a :class:`~repro.obs.profile.ScopeProfiler` that attributes wall-time
+to ``control.act`` / ``control.learn`` / ``sim.step``. Both follow the
 :mod:`repro.obs` contract: unattached, each costs one ``None`` check.
 """
 
@@ -27,17 +28,19 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.control.base import PowerController
 from repro.errors import SimulationError
-from repro.obs.flight import FlightRecord, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import NULL_SCOPE, ScopeProfiler
 from repro.sim.device import DeviceEnvironment
 from repro.sim.processor import ProcessorSnapshot
-from repro.sim.trace import StepRecord, TraceRecorder
+from repro.sim.trace import StepBlock, StepLog, observation_lanes
 
 _LOG = get_logger("control")
 
@@ -64,7 +67,7 @@ class ControlSession:
         self,
         environment: DeviceEnvironment,
         controller: PowerController,
-        trace: Optional[TraceRecorder] = None,
+        trace: Optional[StepLog] = None,
         metrics: Optional[MetricsRegistry] = None,
         flight: Optional[FlightRecorder] = None,
         profiler: Optional[ScopeProfiler] = None,
@@ -73,7 +76,7 @@ class ControlSession:
     ) -> None:
         self.environment = environment
         self.controller = controller
-        self.trace = trace if trace is not None else TraceRecorder()
+        self.trace = trace if trace is not None else StepLog()
         self.metrics = metrics
         self.flight = flight
         self.profiler = profiler
@@ -105,11 +108,7 @@ class ControlSession:
 
     @property
     def power_violation_count(self) -> int:
-        """Intervals (so far) whose measured power exceeded ``P_crit``.
-
-        Tracked only while a flight recorder is attached — the
-        uninstrumented hot loop stays a single ``None`` check.
-        """
+        """Intervals (so far) whose measured power exceeded ``P_crit``."""
         return self._violation_count
 
     @property
@@ -127,12 +126,14 @@ class ControlSession:
         round_index: int = 0,
         train: bool = True,
         record: bool = True,
-    ) -> List[StepRecord]:
-        """Run ``num_steps`` control intervals.
+    ) -> StepBlock:
+        """Run ``num_steps`` control intervals; returns their block.
 
         ``train=True`` explores and feeds rewards back into the
         controller; ``train=False`` exploits greedily and never
-        updates, matching the paper's evaluation protocol.
+        updates, matching the paper's evaluation protocol. With
+        ``record`` the block is appended to :attr:`trace` — also when a
+        step raises, holding the steps that completed before it.
         """
         if num_steps <= 0:
             raise SimulationError(f"num_steps must be positive, got {num_steps}")
@@ -146,7 +147,7 @@ class ControlSession:
             else NULL_SCOPE
         )
         with scope:
-            records = self._run_steps(num_steps, round_index, train, record)
+            block = self._run_steps(num_steps, round_index, train, record)
 
         # Metric emission happens once per call, not per step, so an
         # attached registry cannot slow the control loop itself down.
@@ -154,7 +155,7 @@ class ControlSession:
             self.metrics.inc("control.steps", num_steps)
             self.metrics.observe(
                 "control.mean_step_reward",
-                sum(record.reward for record in records) / num_steps,
+                block.reward_total() / num_steps,
             )
         if self.events is not None:
             self._emit_guard_transitions(round_index)
@@ -169,109 +170,113 @@ class ControlSession:
                     "global_step": self._global_step,
                 },
             )
-        return records
+        return block
 
     def _run_steps(
         self, num_steps: int, round_index: int, train: bool, record: bool
-    ) -> List[StepRecord]:
+    ) -> StepBlock:
         decision_time_before = self._decision_time_s
         profiler = self.profiler
-        flight = self.flight
-        agent = getattr(self.controller, "agent", None)
-        device_name = self.environment.device.name
+        controller = self.controller
+        agent = getattr(controller, "agent", None)
+        before = self._snapshot
+        assert before is not None
 
-        records: List[StepRecord] = []
-        for _ in range(num_steps):
-            before = self._snapshot
-            assert before is not None
+        # The block's rows, appended per step and turned into columns
+        # once the call ends — also when a step raises. A step counts
+        # once the device has acted and been rewarded: an update that
+        # raises after that fails the call, not the step.
+        observed = [observation_lanes(before)]
+        actions: List[int] = []
+        applications: List[str] = []
+        greedy: List[Optional[bool]] = []
+        fallback: List[bool] = []
+        losses: List[Tuple[int, float]] = []
+        try:
+            for index in range(num_steps):
+                decision_start = time.perf_counter()
+                action = controller.select_action(before, explore=train)
+                act_elapsed = time.perf_counter() - decision_start
+                self._decision_time_s += act_elapsed
+                self._decision_count += 1
 
-            decision_start = time.perf_counter()
-            action = self.controller.select_action(before, explore=train)
-            act_elapsed = time.perf_counter() - decision_start
-            self._decision_time_s += act_elapsed
-            self._decision_count += 1
+                after = self.environment.step(action)
+                reward = controller.compute_reward(after)
+                observed.append(observation_lanes(after, reward))
+                actions.append(action)
+                applications.append(after.application)
+                greedy.append(getattr(agent, "last_action_greedy", not train))
+                fallback.append(getattr(controller, "last_action_fallback", False))
+                self._snapshot = after
 
-            after = self.environment.step(action)
-            reward = self.controller.compute_reward(after)
-
-            learn_elapsed = 0.0
-            updates_before = (
-                getattr(agent, "update_count", 0) if flight is not None else 0
-            )
-            if train:
-                learn_start = time.perf_counter()
-                self.controller.learn(before, action, reward)
-                learn_elapsed = time.perf_counter() - learn_start
-                self._decision_time_s += learn_elapsed
-
-            if profiler is not None:
-                profiler.add("control.act", act_elapsed)
                 if train:
-                    profiler.add("control.learn", learn_elapsed)
-
-            record_row = StepRecord(
-                step=self._global_step,
-                device=device_name,
-                application=after.application,
-                action_index=action,
-                frequency_hz=after.frequency_hz,
-                power_w=after.power_w,
-                ipc=after.ipc,
-                mpki=after.mpki,
-                miss_rate=after.miss_rate,
-                ips=after.ips,
-                reward=reward,
-                round_index=round_index,
-                temperature_c=after.temperature_c,
+                    updates_before = getattr(agent, "update_count", 0)
+                    learn_start = time.perf_counter()
+                    controller.learn(before, action, reward)
+                    learn_elapsed = time.perf_counter() - learn_start
+                    self._decision_time_s += learn_elapsed
+                    if getattr(agent, "update_count", 0) != updates_before:
+                        loss = getattr(agent, "last_loss", None)
+                        if loss is not None:
+                            losses.append((index, loss))
+                    if profiler is not None:
+                        profiler.add("control.act", act_elapsed)
+                        profiler.add("control.learn", learn_elapsed)
+                elif profiler is not None:
+                    profiler.add("control.act", act_elapsed)
+                before = after
+        finally:
+            block = self._close_block(
+                round_index, observed, actions, applications, greedy, fallback, losses
             )
-            records.append(record_row)
             if record:
-                self.trace.record(record_row)
-
-            if flight is not None:
-                violated = (
-                    self.power_limit_w is not None
-                    and after.power_w > self.power_limit_w
-                )
-                if violated:
-                    self._violation_count += 1
-                loss: Optional[float] = None
-                if agent is not None and getattr(agent, "update_count", 0) != updates_before:
-                    loss = getattr(agent, "last_loss", None)
-                flight.record(
-                    FlightRecord(
-                        device=device_name,
-                        round_index=round_index,
-                        step=self._global_step,
-                        obs_frequency_hz=before.frequency_hz,
-                        obs_power_w=before.power_w,
-                        obs_ipc=before.ipc,
-                        obs_mpki=before.mpki,
-                        action_index=action,
-                        action_frequency_hz=after.frequency_hz,
-                        reward=reward,
-                        greedy=getattr(agent, "last_action_greedy", not train),
-                        violated=violated,
-                        violations=self._violation_count,
-                        temperature_c=after.temperature_c,
-                        loss=loss,
-                        fallback=bool(
-                            getattr(
-                                self.controller, "last_action_fallback", False
-                            )
-                        ),
-                    )
-                )
-
-            self._snapshot = after
-            self._global_step += 1
+                self.trace.append(block)
+            if self.flight is not None:
+                self.flight.record_block(block)
 
         if self.metrics is not None:
             self.metrics.observe(
                 "control.decision_latency_s",
                 (self._decision_time_s - decision_time_before) / num_steps,
             )
-        return records
+        return block
+
+    def _close_block(
+        self,
+        round_index: int,
+        observed: List[tuple],
+        actions: List[int],
+        applications: List[str],
+        greedy: List[Optional[bool]],
+        fallback: List[bool],
+        losses: List[Tuple[int, float]],
+    ) -> StepBlock:
+        """Turn one call's rows into a block and advance the counters."""
+        steps = len(actions)
+        loss = np.full(steps, np.nan)
+        updated = np.zeros(steps, dtype=np.bool_)
+        if losses:
+            at, values = zip(*losses)
+            loss[list(at)] = values
+            updated[list(at)] = True
+        block = StepBlock.from_observed(
+            self.environment.device.name,
+            round_index,
+            self._global_step,
+            np.array(observed, dtype=np.float64),
+            np.array(actions, dtype=np.int64),
+            np.array(applications, dtype=object),
+            np.array([-1 if g is None else g for g in greedy], dtype=np.int8),
+            np.array(fallback, dtype=np.bool_),
+            loss,
+            updated,
+            self.power_limit_w,
+            self._violation_count,
+        )
+        if steps:
+            self._global_step += steps
+            self._violation_count = int(block["violations"][-1])
+        return block
 
     def _emit_guard_transitions(self, round_index: int) -> None:
         """Stream new watchdog state transitions as telemetry events.

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.control.governors import (
     ConservativeGovernor,
     OndemandGovernor,
@@ -692,18 +694,16 @@ def run_transition_overhead(
         )
         session = ControlSession(environment, controller)
         session.run_steps(train_steps, train=True)
-        tail = [r for r in session.trace if r.step >= train_steps // 2]
-        switches = sum(
-            1
-            for previous, current in zip(tail, tail[1:])
-            if current.action_index != previous.action_index
-        )
+        log = session.trace
+        tail = log.column("step") >= train_steps // 2
+        actions = log.column("action_index")[tail]
+        switches = int(np.count_nonzero(actions[1:] != actions[:-1]))
         rows.append(
             (
                 overhead_s * 1e3,
-                fmean(r.reward for r in tail),
-                fmean(r.ips for r in tail) / 1e6,
-                switches / max(len(tail) - 1, 1),
+                fmean(log.column("reward")[tail].tolist()),
+                fmean(log.column("ips")[tail].tolist()) / 1e6,
+                switches / max(len(actions) - 1, 1),
             )
         )
     return TransitionOverheadResult(rows=rows)
@@ -817,11 +817,11 @@ def run_heterogeneous_budgets(
         tail_start = int(config.num_rounds * config.steps_per_round * 0.75)
         stats = {}
         for name in device_names:
-            tail = [r for r in sessions[name].trace if r.step >= tail_start]
-            reward = fmean(r.reward for r in tail)
-            violations = sum(
-                1 for r in tail if r.power_w > budget_by_device[name]
-            ) / len(tail)
+            log = sessions[name].trace
+            tail = log.column("step") >= tail_start
+            reward = fmean(log.column("reward")[tail].tolist())
+            power = log.column("power_w")[tail]
+            violations = np.count_nonzero(power > budget_by_device[name]) / len(power)
             stats[name] = (reward, violations)
         return stats
 
@@ -916,11 +916,11 @@ def run_thermal_ablation(
         session = ControlSession(environment, controller)
         session.run_steps(train_steps, train=True)
         # Score the trailing half, after exploration has annealed.
-        tail = [r for r in session.trace if r.step >= train_steps // 2]
-        violations = sum(
-            1 for r in tail if r.power_w > config.power_limit_w
-        ) / len(tail)
-        reward = fmean(r.reward for r in tail)
+        log = session.trace
+        tail = log.column("step") >= train_steps // 2
+        power = log.column("power_w")[tail]
+        violations = np.count_nonzero(power > config.power_limit_w) / len(power)
+        reward = fmean(log.column("reward")[tail].tolist())
         return reward, violations
 
     reward_without, violations_without = run(with_thermal=False)

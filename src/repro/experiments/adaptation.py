@@ -28,7 +28,7 @@ from repro.federated.orchestrator import run_federated_training
 from repro.federated.server import FederatedServer
 from repro.federated.transport import InMemoryTransport
 from repro.sim.device import AppSchedule
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import StepLog
 from repro.utils.ascii_plot import line_plot
 from repro.utils.rng import generator_from_root
 from repro.utils.tables import format_table
@@ -110,7 +110,7 @@ def run_adaptation(
 
     environments = _build_training_environments(before_apps, config)
     controllers = _build_neural_controllers(before_apps, config, environments)
-    trace = TraceRecorder()
+    trace = StepLog()
     sessions = {
         name: ControlSession(environments[name], controllers[name], trace=trace)
         for name in before_apps

@@ -214,17 +214,17 @@ class PolicyEvaluator:
         for application in self.applications:
             session = ControlSession(environment, job.controller)
             session.start(application)
-            records = session.run_steps(
+            block = session.run_steps(
                 steps, round_index=job.round_index, train=False, record=False
             )
             evaluations.append(
                 self._summarise(
                     job,
                     application,
-                    [record.reward for record in records],
-                    [record.power_w for record in records],
-                    [record.ips for record in records],
-                    [record.frequency_hz for record in records],
+                    *(
+                        block[name].tolist()
+                        for name in ("reward", "power_w", "ips", "frequency_hz")
+                    ),
                 )
             )
         return evaluations

@@ -5,7 +5,7 @@ serialises a :class:`~repro.experiments.training.TrainingResult` —
 per-round evaluations, assignments, communication accounting — to JSON
 for archival, and the per-round evaluation records to CSV for plotting
 with any external tool. Controllers and traces are *not* embedded in
-the JSON (checkpoints and ``TraceRecorder.to_csv`` cover those).
+the JSON (checkpoints and ``StepLog.to_csv`` cover those).
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ from repro.rl.schedules import ExponentialDecaySchedule
 from repro.runspec import RunSpec, resolve
 from repro.sim.device import DeviceEnvironment, build_default_device
 from repro.sim.opp import JETSON_NANO_OPP_TABLE
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import StepLog
 from repro.utils.rng import generator_from_root
 
 #: Bytes per CollabPolicy digest entry on the wire (4 x 4-byte key
@@ -77,7 +77,7 @@ class TrainingResult:
     assignments: Dict[str, Tuple[str, ...]]
     controllers: Dict[str, PowerController]
     round_evaluations: List[RoundEvaluation] = field(default_factory=list)
-    train_trace: TraceRecorder = field(default_factory=TraceRecorder)
+    train_trace: StepLog = field(default_factory=StepLog)
     communication_bytes: int = 0
     mean_decision_latency_s: float = 0.0
     #: Protocol-level summary of the federated run (``None`` for the
@@ -169,18 +169,18 @@ def _build_training_environments(
 
 
 def _power_accounting(
-    trace: TraceRecorder,
+    trace: StepLog,
     assignments: Dict[str, Tuple[str, ...]],
     power_limit_w: float,
     prior: Optional[RunSnapshot] = None,
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Per-device ``P > P_crit`` ``(violations, steps)`` over the trace.
+    """Per-device ``P > P_crit`` ``(violations, steps)`` over the step log.
 
-    Counted over the *training* steps (the same rows the flight
-    recorder sees), so the two sources must agree — an integration
-    test cross-checks them. A resumed run's trace only holds the rows
+    Counted over the *training* steps (the blocks the flight recorder
+    is offered), so the two sources must agree — an integration test
+    cross-checks them. A resumed run's log only holds the steps
     produced since the checkpoint; ``prior`` (the snapshot it resumed
-    from) carries the counts for the rows consumed before the kill, so
+    from) carries the counts for the steps consumed before the kill, so
     run totals match an uninterrupted run and chained resumes keep
     reporting run totals.
     """
@@ -188,10 +188,10 @@ def _power_accounting(
     prior_steps = prior.prior_power_steps if prior is not None else {}
     violations = {name: prior_violations.get(name, 0) for name in assignments}
     steps = {name: prior_steps.get(name, 0) for name in assignments}
-    for record in trace:
-        steps[record.device] = steps.get(record.device, 0) + 1
-        if record.power_w > power_limit_w:
-            violations[record.device] = violations.get(record.device, 0) + 1
+    logged_violations, logged_steps = trace.power_counts(power_limit_w)
+    for name, count in logged_steps.items():
+        steps[name] = steps.get(name, 0) + count
+        violations[name] = violations.get(name, 0) + logged_violations[name]
     return violations, steps
 
 
@@ -623,7 +623,6 @@ def _worker_specs(
     eval_apps: Tuple[str, ...],
     metrics: Optional[MetricsRegistry],
     profiler: Optional[ScopeProfiler],
-    flight: Optional[FlightRecorder],
     extra_kwargs: Optional[Dict[str, object]] = None,
     events=None,
 ) -> List[WorkerSpec]:
@@ -641,8 +640,6 @@ def _worker_specs(
             kwargs=kwargs,
             collect_metrics=metrics is not None,
             collect_profile=profiler is not None,
-            flight_capacity=flight.capacity if flight is not None else None,
-            flight_sample_every=flight.sample_every if flight is not None else 1,
             collect_events=events is not None,
         )
         for device_name in assignments
@@ -710,7 +707,6 @@ def _hosted_run(
         eval_apps,
         metrics,
         profiler,
-        flight,
         extra_kwargs=builder_kwargs,
         events=events,
     )

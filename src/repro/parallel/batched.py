@@ -18,7 +18,9 @@ lockstep: per control step it
 * trains every device whose update is due through one stacked
   forward/Huber/backward/Adam pass.
 
-Trace records are built once per batch from the loop's columns.
+Each device's :class:`~repro.sim.trace.StepBlock` is cut from the
+batch's own arrays once the batch ends — the block a serial session
+would have built, without a per-step Python object.
 
 RNG contract (the reason this stays bit-identical to serial)
 ------------------------------------------------------------
@@ -50,12 +52,12 @@ serial per-device path rather than produce drifting results.
 Telemetry
 ---------
 There is one lockstep loop. When a device carries a
-:class:`~repro.obs.profile.ScopeProfiler` or
-:class:`~repro.obs.flight.FlightRecorder`, each step ends in a
+:class:`~repro.obs.profile.ScopeProfiler`, each step ends in a
 telemetry pass that emits the ``control.act``/``control.learn`` samples
-and flight records a serial session would — the same run as the one
-without sinks, observed. Each device's ``control.run_steps`` scope is
-charged an equal share of the batch's wall time.
+a serial session would — the same run as the one without a profiler,
+observed. Each device's ``control.run_steps`` scope is charged an equal
+share of the batch's wall time. Flight records need no pass: the flight
+recorder is a view over the step blocks.
 
 Eligibility and fallback
 ------------------------
@@ -109,7 +111,6 @@ from repro.nn.batched import StackedAdam, StackedMLP, stacked_ops_bitexact
 from repro.nn.losses import HuberLoss
 from repro.nn.network import MLP
 from repro.nn.optimizers import Adam
-from repro.obs.flight import FlightRecord
 from repro.obs.logging import get_logger
 from repro.parallel.payloads import (
     EvalOutcome,
@@ -130,14 +131,9 @@ from repro.sim.stacked import (
     StackedSimulator,
     environment_stackable,
 )
-from repro.sim.trace import StepRecord
+from repro.sim.trace import IPS, NUM_LANES, REWARD, StepBlock, observation_lanes
 
 _LOG = get_logger("parallel.batched")
-
-#: Lanes of the lockstep loop's per-(step, device) outcome block after
-#: the :data:`NUM_STATE_FEATURES` observation lanes.
-_IPS = NUM_STATE_FEATURES
-_REWARD = NUM_STATE_FEATURES + 1
 
 
 def _actor_eligible(actor: DeviceActor) -> bool:
@@ -297,7 +293,6 @@ class _StackedGroup:
         self._softmax_draws = [a._softmax._rng.random for a in agents]
         self._replay_rngs = [a.replay._rng for a in agents]
         self._power_limits = [a.session.power_limit_w for a in self._actors]
-        self._flights = [a.flight for a in self._actors]
         self._profilers = [a.profiler for a in self._actors]
         # Row-wise StateNormalizer.vectorize (see StateNormalizer.scales).
         self._scale_matrix = np.array(
@@ -306,7 +301,6 @@ class _StackedGroup:
         )
         self._all_rows_list = list(range(self.num_devices))
         self._arange_rows = np.arange(self.num_devices, dtype=np.int64)
-        self._any_flight = any(f is not None for f in self._flights)
         self._any_profiler = any(p is not None for p in self._profilers)
         self._grad_out_buffer: Optional[np.ndarray] = None
 
@@ -339,7 +333,7 @@ class _StackedGroup:
     ) -> Dict[str, StepsOutcome]:
         batch_start = time.perf_counter()
         errors: Dict[int, str] = {}
-        records: Dict[int, List[StepRecord]] = {}
+        blocks: Dict[int, StepBlock] = {}
         active: List[int] = []
         latency_starts: Dict[int, float] = {}
 
@@ -365,7 +359,6 @@ class _StackedGroup:
             except Exception:
                 errors[row] = traceback.format_exc()
                 continue
-            records[row] = []
             active.append(row)
 
         # Each stepping device's ``control.run_steps`` scope stays open
@@ -378,7 +371,7 @@ class _StackedGroup:
             if profiler is not None
         ]
         try:
-            self._lockstep(active, records, errors, round_index, num_steps, train)
+            self._lockstep(active, blocks, errors, round_index, num_steps, train)
         finally:
             batch_elapsed = time.perf_counter() - batch_start
             duration_share = batch_elapsed / max(1, len(tasks))
@@ -392,7 +385,7 @@ class _StackedGroup:
             row = self.rows[name]
             actor = self._actors[row]
             error = errors.get(row)
-            task_records = records.get(row, []) if error is None else []
+            block = blocks.get(row)
             if error is None and actor.metrics is not None:
                 actor.metrics.observe(
                     "control.decision_latency_s",
@@ -402,7 +395,7 @@ class _StackedGroup:
                 actor.metrics.inc("control.steps", num_steps)
                 actor.metrics.observe(
                     "control.mean_step_reward",
-                    sum(record.reward for record in task_records) / num_steps,
+                    block.reward_total() / num_steps,
                 )
             parameters = None
             if error is None and task.return_parameters:
@@ -412,7 +405,7 @@ class _StackedGroup:
                 latency = self._decision_times[row] / self._decision_counts[row]
             outcomes[name] = StepsOutcome(
                 device=name,
-                records=task_records,
+                block=block,
                 parameters=parameters,
                 error=error,
                 duration_s=duration_share,
@@ -424,25 +417,25 @@ class _StackedGroup:
     def _lockstep(
         self,
         active: List[int],
-        records: Dict[int, List[StepRecord]],
+        blocks: Dict[int, StepBlock],
         errors: Dict[int, str],
         round_index: int,
         num_steps: int,
         train: bool,
     ) -> None:
         """The one control loop: act, step the simulators and train,
-        once per step for every live device; trace records are built
-        once per batch from the loop's columns.
+        once per step for every live device; each device's step block
+        is cut from the loop's arrays once the batch ends.
 
         Devices whose environment is the stock stack step through one
         :class:`~repro.sim.stacked.StackedSimulator` call per interval;
         the rest (and all of them below the kernel's break-even row
-        count) call their own ``environment.step``. With a profiler or
-        flight recorder attached, each step ends in a telemetry pass
-        emitting the samples and flight records a serial session would;
-        unattached, that costs a few ``if`` checks per step (not per
-        device). Records, replay contents, parameters and RNG streams
-        equal serial's either way; only timing *attribution* differs
+        count) call their own ``environment.step``. With a profiler
+        attached, each step ends in a telemetry pass emitting the
+        samples a serial session would; unattached, that costs one
+        ``if`` check per step (not per device). Blocks, replay contents,
+        parameters and RNG streams equal serial's either way; only
+        timing *attribution* differs
         (decision time is apportioned once per batch, which the
         equivalence contract never compares — timings are machine
         noise).
@@ -450,9 +443,7 @@ class _StackedGroup:
         live = list(active)
         if not live:
             return
-        flights = self._flights
         profilers = self._profilers
-        any_flight = self._any_flight
         profiled = self._any_profiler
         act_share = learn_share = 0.0
         env_steps = self._env_steps
@@ -461,8 +452,6 @@ class _StackedGroup:
         snapshots = self._snapshots
         scale_matrix = self._scale_matrix
         step_counts = self._step_counts
-        global_steps = self._global_steps
-        device_names = self._device_names
         cache = self._temperature_cache
         schedule_value = self._schedule.value
         interval = self._update_interval
@@ -479,29 +468,22 @@ class _StackedGroup:
             sim_rows = []
         sim_index = {row: index for index, row in enumerate(sim_rows)}
 
-        # The batch's columns, one entry per (step, device). Row ``t`` of
-        # ``observed`` is what every device saw before step ``t`` — raw
-        # (frequency, power, ipc, miss rate, mpki) — so row ``t + 1`` is
-        # both step ``t``'s outcome and step ``t + 1``'s input; the same
-        # block carries step ``t``'s IPS and reward in its last two lanes.
-        outcomes = np.empty(
-            (num_steps + 1, num_devices, NUM_STATE_FEATURES + 2), dtype=np.float64
-        )
+        # The batch's columns, one entry per (step, device), in the step
+        # log's lanes. Row ``t`` of ``observed`` is what every device saw
+        # before step ``t`` — raw (frequency, power, ipc, miss rate,
+        # mpki) — so row ``t + 1`` is both step ``t``'s outcome and step
+        # ``t + 1``'s input; the same block carries step ``t``'s IPS,
+        # reward and die temperature (NaN for a kernel row, which has no
+        # thermal model) in its last three lanes.
+        outcomes = np.full((num_steps + 1, num_devices, NUM_LANES), np.nan)
         observed = outcomes[:, :, :NUM_STATE_FEATURES]
         for row in live:
-            snap = snapshots[row]
-            observed[0, row] = (
-                snap.frequency_hz,
-                snap.power_w,
-                snap.ipc,
-                snap.miss_rate,
-                snap.mpki,
-            )
+            outcomes[0, row] = observation_lanes(snapshots[row])
         taken = np.empty((num_steps, num_devices), dtype=np.int64)
         applications = np.empty((num_steps, num_devices), dtype=object)
-        # Die temperatures, kept only for devices stepped one by one
-        # (a kernel row has no thermal model).
-        temperatures_c: Dict[int, List[Optional[float]]] = {}
+        greedy_steps = np.ones((num_steps, num_devices), dtype=np.int8)
+        losses = np.full((num_steps, num_devices), np.nan)
+        updated = np.zeros((num_steps, num_devices), dtype=np.bool_)
         done = np.zeros(num_devices, dtype=np.int64)
         acted = np.zeros(num_devices, dtype=np.int64)
         greedy_last = np.zeros(num_devices, dtype=bool)
@@ -618,7 +600,7 @@ class _StackedGroup:
                 after[target, 2] = columns.ipc
                 after[target, 3] = columns.miss_rate
                 after[target, 4] = columns.mpki
-                after[target, _IPS] = columns.ips
+                after[target, IPS] = columns.ips
                 applications[t, target] = columns.application
             if view.scalar_positions:
                 actions_list = actions.tolist()
@@ -636,16 +618,8 @@ class _StackedGroup:
                         errors[row] = traceback.format_exc()
                         failed.append(position)
                         continue
-                    after[row, :_REWARD] = (
-                        snap.frequency_hz,
-                        snap.power_w,
-                        snap.ipc,
-                        snap.miss_rate,
-                        snap.mpki,
-                        snap.ips,
-                    )
+                    after[row] = observation_lanes(snap)
                     applications[t, row] = snap.application
-                    temperatures_c.setdefault(row, []).append(snap.temperature_c)
                     snapshots[row] = snap
 
             # -- the devices whose step completed ---------------------
@@ -678,7 +652,7 @@ class _StackedGroup:
                     )
             elif keep is not None:
                 step_rewards = step_rewards[keep]
-            after[stepped, _REWARD] = step_rewards
+            after[stepped, REWARD] = step_rewards
             taken[t, stepped] = actions
             done[stepped] += 1
 
@@ -689,6 +663,7 @@ class _StackedGroup:
                     learn_start = time.perf_counter()
                 step_counts[stepped] += 1
                 greedy_last[stepped] = greedy if keep is None else greedy[keep]
+                greedy_steps[t, stepped] = greedy_last[stepped]
                 if aligned:
                     if (first_count + 1) % interval == 0:
                         due = list(stepped_list)
@@ -713,55 +688,24 @@ class _StackedGroup:
                             errors[row] = failure
                             consumed_at_death[row] = draws_done
                         update_failed = True
+                    else:
+                        updated[t, due] = True
+                        losses[t, due] = [self._last_losses[row] for row in due]
                 if profiled:
                     learn_share = (time.perf_counter() - learn_start) / len(
                         stepped_list
                     )
 
-            if profiled or any_flight:
-                # Telemetry pass, after the update so ``loss`` is known.
+            if profiled:
                 # A device that failed this step emits nothing, as in
                 # serial.
-                updated = set(due)
                 for row in stepped_list:
-                    if row in errors:
-                        continue
                     profiler = profilers[row]
-                    if profiler is not None:
-                        profiler.add("control.act", act_share)
-                        if train:
-                            profiler.add("control.learn", learn_share)
-                    flight = flights[row]
-                    if flight is None:
+                    if profiler is None or row in errors:
                         continue
-                    limit_w = self._power_limits[row]
-                    power_w = float(after[row, 1])
-                    violated = limit_w is not None and power_w > limit_w
-                    if violated:
-                        self._violation_counts[row] += 1
-                    row_temperatures = temperatures_c.get(row)
-                    flight.record(
-                        FlightRecord(
-                            device=device_names[row],
-                            round_index=round_index,
-                            step=global_steps[row] + int(done[row]) - 1,
-                            obs_frequency_hz=float(before[row, 0]),
-                            obs_power_w=float(before[row, 1]),
-                            obs_ipc=float(before[row, 2]),
-                            obs_mpki=float(before[row, 4]),
-                            action_index=int(taken[t, row]),
-                            action_frequency_hz=float(after[row, 0]),
-                            reward=float(after[row, _REWARD]),
-                            greedy=bool(greedy_last[row]) if train else True,
-                            violated=violated,
-                            violations=self._violation_counts[row],
-                            temperature_c=(
-                                row_temperatures[-1] if row_temperatures else None
-                            ),
-                            loss=self._last_losses[row] if row in updated else None,
-                            fallback=False,
-                        )
-                    )
+                    profiler.add("control.act", act_share)
+                    if train:
+                        profiler.add("control.learn", learn_share)
             if failed or update_failed:
                 live = [row for row in live if row not in errors]
                 view = self._live_view(live, sim_index)
@@ -792,18 +736,29 @@ class _StackedGroup:
             self._decision_times[row] += share * acts
             if completed[row]:
                 self._last_greedy[row] = bool(greedy_last[row]) if train else True
-        self._materialise_records(
-            [row for row in active if row not in errors],
-            records,
-            round_index,
-            completed,
-            outcomes,
-            taken,
-            applications,
-            temperatures_c,
-        )
+        # Every device's block, a failed one's too: its completed steps
+        # happened, and the flight recorder sees them.
+        no_fallback = np.zeros(num_steps, dtype=np.bool_)
         for row in active:
-            global_steps[row] += completed[row]
+            steps = completed[row]
+            block = StepBlock.from_observed(
+                self._device_names[row],
+                round_index,
+                self._global_steps[row],
+                outcomes[: steps + 1, row],
+                taken[:steps, row],
+                applications[:steps, row],
+                greedy_steps[:steps, row],
+                no_fallback[:steps],
+                losses[:steps, row],
+                updated[:steps, row],
+                self._power_limits[row],
+                self._violation_counts[row],
+            )
+            if steps:
+                self._global_steps[row] += steps
+                self._violation_counts[row] = int(block["violations"][-1])
+                blocks[row] = block
 
     def _live_view(self, live: List[int], sim_index: Dict[int, int]) -> "_LiveView":
         """Index plumbing for the devices still running (rebuilt only
@@ -835,62 +790,6 @@ class _StackedGroup:
             ),
             scalar_positions=scalar_positions,
         )
-
-    def _materialise_records(
-        self,
-        rows: List[int],
-        records: Dict[int, List[StepRecord]],
-        round_index: int,
-        completed: List[int],
-        outcomes: np.ndarray,
-        taken: np.ndarray,
-        applications: np.ndarray,
-        temperatures_c: Dict[int, List[Optional[float]]],
-    ) -> None:
-        """Build each device's :class:`StepRecord` rows from the batch's
-        columns — the records a serial session appends one per step."""
-        taken_rows = taken.T.tolist()
-        application_rows = applications.T.tolist()
-        record_new = StepRecord.__new__
-        # Serial records share the OPP table's frequency floats; keep
-        # one object per distinct value here too (a float per record is
-        # 1.5 MB over a 64-device run).
-        shared: Dict[float, float] = {}
-        for row in rows:
-            steps = completed[row]
-            device = self._device_names[row]
-            first_step = self._global_steps[row]
-            batch: List[StepRecord] = []
-            for offset, (outcome, action, application, temperature_c) in enumerate(
-                zip(
-                    outcomes[1 : steps + 1, row].tolist(),
-                    taken_rows[row],
-                    application_rows[row],
-                    temperatures_c.get(row) or [None] * steps,
-                )
-            ):
-                frequency_hz, power_w, ipc, miss_rate, mpki, ips, reward = outcome
-                # Frozen-dataclass construction via __init__ costs ~3x
-                # this (13 object.__setattr__ calls); populating the
-                # instance dict directly builds an equal record.
-                record = record_new(StepRecord)
-                record.__dict__.update(
-                    step=first_step + offset,
-                    device=device,
-                    application=application,
-                    action_index=action,
-                    frequency_hz=shared.setdefault(frequency_hz, frequency_hz),
-                    power_w=power_w,
-                    ipc=ipc,
-                    mpki=mpki,
-                    miss_rate=miss_rate,
-                    ips=ips,
-                    reward=reward,
-                    round_index=round_index,
-                    temperature_c=temperature_c,
-                )
-                batch.append(record)
-            records[row] = batch
 
     def _update_rows(self, due: List[int]) -> None:
         """One stacked gradient step for every device in ``due``.

@@ -4,7 +4,7 @@
 :class:`~repro.parallel.worker.DeviceActor` per device (via the chosen
 backend), dispatches round-synchronous task batches, and folds each
 outcome's telemetry back into the driver's sinks **in deterministic
-device order** — so the shared training trace, flight recorder, metrics
+device order** — so the shared step log, flight recorder, metrics
 registry and profiler end up with exactly the content a serial run
 produces, regardless of how the work was scheduled.
 
@@ -37,7 +37,7 @@ from repro.parallel.payloads import (
     StepsTask,
     WorkerSpec,
 )
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import StepLog
 
 
 class DeviceFleet:
@@ -48,7 +48,7 @@ class DeviceFleet:
         specs: Sequence[WorkerSpec],
         backend: str = "thread",
         workers: Optional[int] = None,
-        trace: Optional[TraceRecorder] = None,
+        trace: Optional[StepLog] = None,
         metrics: Optional[MetricsRegistry] = None,
         flight: Optional[FlightRecorder] = None,
         profiler: Optional[ScopeProfiler] = None,
@@ -108,8 +108,14 @@ class DeviceFleet:
         return outcomes
 
     def _merge_outcome(self, outcome: StepsOutcome) -> None:
-        if self.trace is not None and outcome.records:
-            self.trace.extend(outcome.records)
+        block = outcome.block
+        if block is not None:
+            # A failed task's steps count for the flight recorder (they
+            # happened on the device) but not for the run's step log.
+            if self.trace is not None and outcome.error is None:
+                self.trace.append(block)
+            if self.flight is not None:
+                self.flight.record_block(block)
         if outcome.mean_decision_latency_s is not None:
             self._latency_by_device[outcome.device] = (
                 outcome.mean_decision_latency_s
@@ -117,13 +123,6 @@ class DeviceFleet:
         dump = outcome.telemetry
         if dump is None:
             return
-        if self.flight is not None and (dump.flight_rows or dump.flight_seen):
-            self.flight.merge_worker_state(
-                dump.flight_rows,
-                dump.flight_seen,
-                dump.flight_violations,
-                dump.flight_fallbacks,
-            )
         if self.metrics is not None and dump.metrics_state is not None:
             self.metrics.merge_state(dump.metrics_state)
         if self.profiler is not None and dump.profile_rows:

@@ -9,21 +9,21 @@ driver process and the actors:
 
 * downstream: small frozen *task* records (step counts, model
   parameters to install, controller method names);
-* upstream: *outcome* records carrying step traces, trained
-  parameters and a :class:`TelemetryDump` of the worker's private
-  observability sinks.
+* upstream: *outcome* records carrying the task's
+  :class:`~repro.sim.trace.StepBlock`, trained parameters and a
+  :class:`TelemetryDump` of the worker's private observability sinks.
 
 Everything is plain dataclasses over picklable values (numpy arrays,
-:class:`~repro.sim.trace.StepRecord` /
-:class:`~repro.obs.flight.FlightRecord` rows, dicts), so the identical
-payloads serve the in-process thread backend and the multiprocessing
-backend.
+step blocks, dicts), so the identical payloads serve the in-process
+thread backend and the multiprocessing backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.sim.trace import StepBlock, StepRecord
 
 #: A worker-side builder: ``builder(device_name=..., metrics=...,
 #: profiler=..., **kwargs) -> ActorParts``. Must be a *top-level*
@@ -73,8 +73,6 @@ class WorkerSpec:
     kwargs: Dict[str, Any] = field(default_factory=dict)
     collect_metrics: bool = False
     collect_profile: bool = False
-    flight_capacity: Optional[int] = None
-    flight_sample_every: int = 1
     #: Mirror of the driver's event pipeline: the actor records into a
     #: private bounded buffer and drains it into every dump.
     collect_events: bool = False
@@ -143,10 +141,7 @@ class InstallStateTask:
 class TelemetryDump:
     """One task's worth of a worker's private observability state.
 
-    ``flight_rows`` are the records retained since the previous dump;
-    ``flight_seen``/``flight_violations`` are the worker's *running*
-    per-device totals (authoritative — each device lives in exactly one
-    worker). ``metrics_state`` and ``profile_rows`` are drained on
+    ``metrics_state`` and ``profile_rows`` are drained on
     every dump, so they hold per-task deltas that the driver merges
     additively. Histogram entries inside ``metrics_state`` ship as
     bounded digest cells rather than raw samples, so a dump's pickled
@@ -154,10 +149,6 @@ class TelemetryDump:
     ``test_worker_metrics_payload_is_bounded``).
     """
 
-    flight_rows: List[Any] = field(default_factory=list)
-    flight_seen: Dict[str, int] = field(default_factory=dict)
-    flight_violations: Dict[str, int] = field(default_factory=dict)
-    flight_fallbacks: Dict[str, int] = field(default_factory=dict)
     metrics_state: Optional[Dict[str, Any]] = None
     profile_rows: Optional[List[tuple]] = None
     #: Telemetry events (plain dicts) drained from the actor's private
@@ -170,14 +161,16 @@ class TelemetryDump:
 class StepsOutcome:
     """Result of one :class:`StepsTask`.
 
-    ``error`` carries the formatted traceback when the task raised
-    (fault injection or a genuine failure) — the records list is then
-    empty and ``parameters`` is ``None``, matching what a serial run
-    would have produced for a straggler that failed before stepping.
+    ``block`` holds the steps the task ran. ``error`` carries the
+    formatted traceback when the task raised (fault injection or a
+    genuine failure) — ``block`` then holds only the steps completed
+    before the failure (``None`` if there were none), which the flight
+    recorder sees but the run's step log does not, and ``parameters``
+    is ``None``.
     """
 
     device: str
-    records: List[Any] = field(default_factory=list)
+    block: Optional[StepBlock] = None
     parameters: Optional[List[Any]] = None
     error: Optional[str] = None
     duration_s: float = 0.0
@@ -185,6 +178,13 @@ class StepsOutcome:
     #: (``None`` until the first successful step).
     mean_decision_latency_s: Optional[float] = None
     telemetry: Optional[TelemetryDump] = None
+
+    @property
+    def records(self) -> List[StepRecord]:
+        """The steps as rows; empty for a failed task."""
+        if self.error is not None or self.block is None:
+            return []
+        return list(self.block)
 
 
 @dataclass

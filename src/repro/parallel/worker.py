@@ -9,12 +9,14 @@ model parameters and result summaries ever cross the boundary.
 
 Telemetry: the actor records into *private* sinks (its own
 :class:`~repro.obs.metrics.MetricsRegistry`,
-:class:`~repro.obs.profile.ScopeProfiler` and
-:class:`~repro.obs.flight.FlightRecorder`, created only when the
-driver has the matching sink attached) and drains them into a
-:class:`~repro.parallel.payloads.TelemetryDump` after every steps task.
-The driver merges dumps in deterministic device order, reproducing the
-exact stream a serial run emits. Nothing here touches the ambient
+:class:`~repro.obs.profile.ScopeProfiler` and event buffer, created
+only when the driver has the matching sink attached) and drains them
+into a :class:`~repro.parallel.payloads.TelemetryDump` after every
+steps task. The steps themselves travel as the task's
+:class:`~repro.sim.trace.StepBlock`, which the driver appends to its
+step log and offers to its flight recorder. The driver merges outcomes
+in deterministic device order, reproducing the exact stream a serial
+run emits. Nothing here touches the ambient
 :mod:`repro.runspec` stack — thread workers must not see the driver's
 thread-local sinks, and fork-started process workers must not use an
 inherited copy of them.
@@ -28,7 +30,6 @@ from typing import Optional
 
 from repro.control.runtime import ControlSession
 from repro.errors import SimulationError
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
 from repro.obs.sink import EventBuffer
@@ -61,14 +62,6 @@ class DeviceActor:
         self.profiler: Optional[ScopeProfiler] = (
             ScopeProfiler() if spec.collect_profile else None
         )
-        self.flight: Optional[FlightRecorder] = (
-            FlightRecorder(
-                capacity=spec.flight_capacity,
-                sample_every=spec.flight_sample_every,
-            )
-            if spec.flight_capacity is not None
-            else None
-        )
         self.events: Optional[EventBuffer] = (
             EventBuffer() if spec.collect_events else None
         )
@@ -83,11 +76,15 @@ class DeviceActor:
         self.evaluator = parts.evaluator
         self.eval_controller = parts.eval_controller
         self.fault_injector = parts.fault_injector
-        self.session = ControlSession(
+        self.session = self._new_session()
+
+    def _new_session(self) -> ControlSession:
+        """A session over the actor's device, logging into its own
+        step log (drained after every task)."""
+        return ControlSession(
             self.environment,
             self.controller,
             metrics=self.metrics,
-            flight=self.flight,
             profiler=self.profiler,
             events=self.events,
         )
@@ -115,7 +112,6 @@ class DeviceActor:
     def _run_steps(self, task: StepsTask) -> StepsOutcome:
         start = time.perf_counter()
         error: Optional[str] = None
-        records = []
         try:
             if task.parameters is not None:
                 self.controller.agent.set_parameters(
@@ -123,21 +119,19 @@ class DeviceActor:
                 )
             if self.fault_injector is not None:
                 self.fault_injector(self.device_name, task.round_index)
-            records = self.session.run_steps(
-                task.num_steps,
-                round_index=task.round_index,
-                train=task.train,
-                record=False,
+            self.session.run_steps(
+                task.num_steps, round_index=task.round_index, train=task.train
             )
         except Exception:
             error = traceback.format_exc()
-            records = []
+        # One block, or none when the task failed before its first step.
+        blocks = self.session.trace.drain()
         parameters = None
         if error is None and task.return_parameters:
             parameters = self.controller.agent.get_parameters()
         return StepsOutcome(
             device=self.device_name,
-            records=records,
+            block=blocks[0] if blocks else None,
             parameters=parameters,
             error=error,
             duration_s=time.perf_counter() - start,
@@ -213,14 +207,7 @@ class DeviceActor:
             )
             self.environment = payload["environment"]
             self.controller = payload["controller"]
-            self.session = ControlSession(
-                self.environment,
-                self.controller,
-                metrics=self.metrics,
-                flight=self.flight,
-                profiler=self.profiler,
-                events=self.events,
-            )
+            self.session = self._new_session()
             restore_session_state(self.session, payload["session"])
             if (
                 payload.get("eval_environment") is not None
@@ -238,20 +225,9 @@ class DeviceActor:
 
     # -- telemetry -----------------------------------------------------
     def _dump_telemetry(self) -> Optional[TelemetryDump]:
-        if (
-            self.metrics is None
-            and self.profiler is None
-            and self.flight is None
-            and self.events is None
-        ):
+        if self.metrics is None and self.profiler is None and self.events is None:
             return None
         dump = TelemetryDump()
-        if self.flight is not None:
-            rows, seen, violations, fallbacks = self.flight.dump_worker_state()
-            dump.flight_rows = rows
-            dump.flight_seen = seen
-            dump.flight_violations = violations
-            dump.flight_fallbacks = fallbacks
         if self.metrics is not None:
             dump.metrics_state = self.metrics.dump_state()
             self.metrics.reset()

@@ -53,7 +53,7 @@ from repro.sim.power_model import PowerModel
 from repro.sim.processor import ProcessorSnapshot, SimulatedProcessor
 from repro.sim.sensors import CounterSampler, PowerSensor
 from repro.sim.thermal import ThermalModel
-from repro.sim.trace import StepRecord, TraceRecorder
+from repro.sim.trace import StepBlock, StepLog, StepRecord, TraceRecorder
 from repro.sim.workload import (
     ApplicationModel,
     Phase,
@@ -81,6 +81,8 @@ __all__ = [
     "ProcessorSnapshot",
     "SPLASH2_APPLICATION_NAMES",
     "SimulatedProcessor",
+    "StepBlock",
+    "StepLog",
     "StepRecord",
     "ThermalModel",
     "TraceRecorder",

@@ -110,14 +110,12 @@ class TestTraceCsv:
         assert float(rows[2]["reward"]) == pytest.approx(0.7)
 
     def test_csv_header_matches_record_fields(self, tmp_path):
-        from dataclasses import fields
-
         from repro.sim.trace import StepRecord
 
         path = tmp_path / "trace.csv"
         self._trace().to_csv(path)
         header = path.read_text().splitlines()[0].split(",")
-        assert header == [f.name for f in fields(StepRecord)]
+        assert header == list(StepRecord._fields)
 
     def test_empty_trace_writes_header_only(self, tmp_path):
         from repro.sim.trace import TraceRecorder

@@ -88,7 +88,7 @@ def _run_rounds(builder, backend, rounds=2, assignments=ASSIGNMENTS):
     """Run ``rounds`` training rounds; return (records, fleet) pairs."""
     config = _config()
     specs = _worker_specs(
-        builder, assignments, config, EVAL_APPS, None, None, None
+        builder, assignments, config, EVAL_APPS, None, None
     )
     names = list(assignments)
     records = {}
@@ -123,7 +123,7 @@ def _batched_group(builder, assignments=ASSIGNMENTS):
     """Run one round on a batched fleet; return its (group, fleet)."""
     config = _config()
     specs = _worker_specs(
-        builder, assignments, config, EVAL_APPS, None, None, None
+        builder, assignments, config, EVAL_APPS, None, None
     )
     fleet = DeviceFleet(specs, backend="batched")
     fleet.run_round(0, list(assignments), config.steps_per_round)
@@ -187,7 +187,7 @@ def test_non_training_tasks_resync_stacked_state():
     results = {}
     for backend in ("serial", "batched"):
         specs = _worker_specs(
-            _local_actor_parts, ASSIGNMENTS, config, EVAL_APPS, None, None, None
+            _local_actor_parts, ASSIGNMENTS, config, EVAL_APPS, None, None
         )
         names = list(ASSIGNMENTS)
         with DeviceFleet(specs, backend=backend) as fleet:
@@ -216,7 +216,7 @@ def test_greedy_rounds_group_too():
     runs = {}
     for backend in ("serial", "batched"):
         specs = _worker_specs(
-            _local_actor_parts, ASSIGNMENTS, config, EVAL_APPS, None, None, None
+            _local_actor_parts, ASSIGNMENTS, config, EVAL_APPS, None, None
         )
         names = list(ASSIGNMENTS)
         with DeviceFleet(specs, backend=backend) as fleet:
@@ -287,7 +287,7 @@ def _run_tolerating_errors(builder, backend, flight=None, rounds=3):
     also returns each device's softmax generator state."""
     config = _config()
     specs = _worker_specs(
-        builder, ASSIGNMENTS, config, EVAL_APPS, None, None, flight
+        builder, ASSIGNMENTS, config, EVAL_APPS, None, None
     )
     names = list(ASSIGNMENTS)
     errored, records = [], []
@@ -342,6 +342,46 @@ def test_mid_batch_step_failure_matches_serial(with_flight):
         ]
         # Twelve completed steps; the failed 13th leaves no row.
         assert len(failed_round) == 12
+
+
+def test_update_failure_matches_serial(monkeypatch):
+    """Every device's second update raises once. The failed step still
+    happened — it is logged and the next round starts from its outcome —
+    and serial and batched agree on all of it."""
+    from repro.parallel.batched import _StackedGroup
+    from repro.rl.agent import NeuralBanditAgent
+
+    update, update_rows = NeuralBanditAgent.update, _StackedGroup._update_rows
+    failed_agents, batched_calls = set(), []
+
+    def failing_update(agent):
+        if agent.update_count == 1 and id(agent) not in failed_agents:
+            failed_agents.add(id(agent))
+            raise RuntimeError("injected update failure")
+        return update(agent)
+
+    def failing_update_rows(group, due):
+        batched_calls.append(due)
+        if len(batched_calls) == 2:
+            raise RuntimeError("injected update failure")
+        return update_rows(group, due)
+
+    monkeypatch.setattr(NeuralBanditAgent, "update", failing_update)
+    monkeypatch.setattr(_StackedGroup, "_update_rows", failing_update_rows)
+    runs = {}
+    for backend in ("serial", "batched"):
+        flight = FlightRecorder()
+        runs[backend] = (_run_tolerating_errors(_local_actor_parts, backend, flight), flight)
+    (errored_s, records_s, params_s, softmax_s), flight_s = runs["serial"]
+    (errored_b, records_b, params_b, softmax_b), flight_b = runs["batched"]
+    # Updates every 20 steps: the second one is round 1's tenth step.
+    assert errored_s == [[], list(ASSIGNMENTS), []]
+    assert errored_b == errored_s
+    assert records_b == records_s
+    _assert_same_parameters(params_s, params_b)
+    assert softmax_b == softmax_s
+    assert flight_b.to_dicts() == flight_s.to_dicts()
+    assert flight_s.steps_by_device() == {name: 30 + 10 + 30 for name in ASSIGNMENTS}
 
 
 def test_non_finite_action_values_error_only_that_device():
@@ -483,7 +523,6 @@ def _train_evaluate_checkpoint(
         eval_apps,
         None,
         None,
-        None,
         extra_kwargs=builder_kwargs,
     )
     names = list(SIM_FLEET)
@@ -549,7 +588,7 @@ def test_evaluating_the_training_controllers_releases_the_group():
     runs = {}
     for backend in ("serial", "batched"):
         specs = _worker_specs(
-            _local_actor_parts, SIM_FLEET, config, ("fft", "lu"), None, None, None
+            _local_actor_parts, SIM_FLEET, config, ("fft", "lu"), None, None
         )
         names = list(SIM_FLEET)
         with DeviceFleet(specs, backend=backend) as fleet:
@@ -571,7 +610,7 @@ def test_dying_kernel_row_leaves_serial_simulator_streams():
     states = {}
     for backend in ("serial", "batched"):
         specs = _worker_specs(
-            _local_actor_parts, SIM_FLEET, config, EVAL_APPS, None, None, None
+            _local_actor_parts, SIM_FLEET, config, EVAL_APPS, None, None
         )
         names = list(SIM_FLEET)
         with DeviceFleet(specs, backend=backend) as fleet:
@@ -603,7 +642,7 @@ def test_evaluation_that_cannot_start_is_reported_per_device(backend):
     other backend's actor does, not raise out of the backend."""
     config = _config()
     specs = _worker_specs(
-        _local_actor_parts, SIM_FLEET, config, EVAL_APPS, None, None, None
+        _local_actor_parts, SIM_FLEET, config, EVAL_APPS, None, None
     )
     with DeviceFleet(specs, backend=backend) as fleet:
         shipped = fleet.fetch_controllers()["BENCH_000"].agent.get_parameters()

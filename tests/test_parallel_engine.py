@@ -32,7 +32,7 @@ def tiny_config():
     )
 
 
-def make_specs(metrics=None, profiler=None, flight=None):
+def make_specs(metrics=None, profiler=None):
     return _worker_specs(
         _local_actor_parts,
         ASSIGNMENTS,
@@ -40,7 +40,6 @@ def make_specs(metrics=None, profiler=None, flight=None):
         EVAL_APPS,
         metrics,
         profiler,
-        flight,
     )
 
 
@@ -173,7 +172,6 @@ def test_fleet_fault_injection(backend):
         EVAL_APPS,
         None,
         None,
-        None,
         extra_kwargs={"fault_injector": _fail_a_round0},
     )
     with DeviceFleet(specs, backend=backend) as fleet:
@@ -208,7 +206,6 @@ def test_fleet_telemetry_matches_serial(backend):
             EVAL_APPS,
             metrics,
             profiler,
-            flight,
         )
         with DeviceFleet(
             specs,
