@@ -4,14 +4,16 @@ Runs :func:`repro.hier.scale.simulate_fleet_round` at each requested
 fleet size and prints the per-scale reports — server-side wall time,
 per-tier traffic, peak resident updates (the O(model) memory claim) and
 the parameter-server traffic cut, with the flat single-server baseline
-alongside.
+alongside. Both arms fold one decoded update at a time; what the flat
+arm costs is root fan-in and parameter-server traffic (all D uploads
+land on one server).
 
 Environment overrides (used by the CI ``fleet-smoke`` job):
 
 * ``REPRO_FLEET_SCALES`` — comma-separated device counts replacing the
   default ``1000,10000``;
-* ``REPRO_FLEET_FLAT=0`` — skip the flat baseline arm (its O(D) decoded
-  updates would dominate a peak-RSS assertion);
+* ``REPRO_FLEET_FLAT=0`` — skip the flat baseline arm (its root
+  receives all D uploads, holding them encoded until their fold);
 * ``REPRO_FLEET_ROUNDS`` — aggregation rounds per scale (default 1).
 """
 

@@ -13,8 +13,11 @@ round. The aggregators here tolerate such updates instead:
 all sharing the NaN/Inf sanitization of
 :func:`repro.federated.averaging.partition_finite`: non-finite client
 updates are dropped (and reported via ``last_rejected_indices``) before
-the robust statistic runs. :func:`build_aggregator` resolves CLI specs
-like ``"trimmed_mean:0.2"`` into instances.
+the robust statistic runs. They speak the one aggregator protocol of
+:class:`repro.federated.averaging.Aggregator`: folds are buffered (an
+order statistic needs the whole column) and the batch statistic runs at
+``finalize``. :func:`build_aggregator` resolves CLI specs like
+``"trimmed_mean:0.2"`` into instances.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
 from repro.federated.averaging import (
+    Aggregator,
+    MeanAggregator,
     check_parameter_sets,
     federated_average,
     has_non_finite,
-    normalize_weights,
     partition_finite,
 )
 
@@ -36,43 +40,10 @@ from repro.federated.averaging import (
 AGGREGATOR_NAMES = ("mean", "median", "trimmed_mean", "norm_clip")
 
 
-class Aggregator:
-    """Base class: combine client parameter lists into a global model.
+class RobustAggregator(Aggregator):
+    """Buffers its folds; drops non-finite clients before the statistic."""
 
-    Robust subclasses drop non-finite client updates before
-    aggregating and record the dropped client positions in
-    ``last_rejected_indices`` (indices into the ``parameter_sets``
-    argument of the last :meth:`aggregate` call).
-    """
-
-    name = "base"
-    robust = False
-
-    def __init__(self) -> None:
-        self.last_rejected_indices: Tuple[int, ...] = ()
-
-    def aggregate(
-        self,
-        parameter_sets: Sequence[Sequence[np.ndarray]],
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[np.ndarray]:
-        raise NotImplementedError
-
-    def sanitize_update(
-        self,
-        local: Sequence[np.ndarray],
-        reference: Sequence[np.ndarray],
-    ) -> Optional[List[np.ndarray]]:
-        """Vet one streaming update against the current global model.
-
-        Used by the asynchronous server, which merges one upload at a
-        time and cannot take a cross-client statistic. Returns the
-        (possibly adjusted) parameters, or ``None`` to reject the
-        update outright. The base rule rejects non-finite updates.
-        """
-        if has_non_finite(local):
-            return None
-        return [np.asarray(array, dtype=np.float64) for array in local]
+    robust = True
 
     def _sanitized(
         self,
@@ -110,42 +81,21 @@ class Aggregator:
         ]
 
 
-class MeanAggregator(Aggregator):
-    """The paper's FedAvg, with the NaN/Inf guard — *not* robust.
-
-    A single non-finite client update makes :meth:`aggregate` raise
-    :class:`~repro.errors.AggregationError`; large-but-finite byzantine
-    updates pull the mean arbitrarily far. This is the reference point
-    the robustness experiment degrades.
-    """
-
-    name = "mean"
-
-    def aggregate(
-        self,
-        parameter_sets: Sequence[Sequence[np.ndarray]],
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[np.ndarray]:
-        self.last_rejected_indices = ()
-        return federated_average(parameter_sets, weights)
-
-
-class MedianAggregator(Aggregator):
+class MedianAggregator(RobustAggregator):
     """Coordinate-wise median; ignores client weights."""
 
     name = "median"
-    robust = True
 
-    def aggregate(
+    def _combine(
         self,
-        parameter_sets: Sequence[Sequence[np.ndarray]],
-        weights: Optional[Sequence[float]] = None,
+        parameter_sets: List[Sequence[np.ndarray]],
+        weights: Optional[List[float]],
     ) -> List[np.ndarray]:
         kept, _ = self._sanitized(parameter_sets, weights)
         return [np.median(stack, axis=0) for stack in self._stacked(kept)]
 
 
-class TrimmedMeanAggregator(Aggregator):
+class TrimmedMeanAggregator(RobustAggregator):
     """Coordinate-wise trimmed mean; ignores client weights.
 
     Sorts each coordinate across clients and averages after removing
@@ -155,7 +105,6 @@ class TrimmedMeanAggregator(Aggregator):
     """
 
     name = "trimmed_mean"
-    robust = True
 
     def __init__(self, trim_fraction: float = 0.2) -> None:
         super().__init__()
@@ -165,10 +114,10 @@ class TrimmedMeanAggregator(Aggregator):
             )
         self.trim_fraction = trim_fraction
 
-    def aggregate(
+    def _combine(
         self,
-        parameter_sets: Sequence[Sequence[np.ndarray]],
-        weights: Optional[Sequence[float]] = None,
+        parameter_sets: List[Sequence[np.ndarray]],
+        weights: Optional[List[float]],
     ) -> List[np.ndarray]:
         kept, _ = self._sanitized(parameter_sets, weights)
         n = len(kept)
@@ -186,7 +135,7 @@ class TrimmedMeanAggregator(Aggregator):
         return averaged
 
 
-class NormClipAggregator(Aggregator):
+class NormClipAggregator(RobustAggregator):
     """Mean over clients whose update norms are clipped to a bound.
 
     Each client's parameter list is treated as one flat vector; lists
@@ -197,7 +146,6 @@ class NormClipAggregator(Aggregator):
     """
 
     name = "norm_clip"
-    robust = True
 
     def __init__(self, clip_norm: Optional[float] = None) -> None:
         super().__init__()
@@ -220,10 +168,10 @@ class NormClipAggregator(Aggregator):
             return self.clip_norm
         return float(np.median(np.asarray(norms)))
 
-    def aggregate(
+    def _combine(
         self,
-        parameter_sets: Sequence[Sequence[np.ndarray]],
-        weights: Optional[Sequence[float]] = None,
+        parameter_sets: List[Sequence[np.ndarray]],
+        weights: Optional[List[float]],
     ) -> List[np.ndarray]:
         kept, kept_weights = self._sanitized(parameter_sets, weights)
         norms = [self._flat_norm(params) for params in kept]

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import AggregationError, FederationError, TransportError
-from repro.federated.averaging import federated_average
+from repro.federated.averaging import MeanAggregator
 from repro.federated.codecs import Float32Codec
 from repro.federated.transport import InMemoryTransport, Message
 from repro.obs.logging import get_logger
@@ -59,9 +59,11 @@ class FederatedServer:
         self.transport = transport
         self.codec = codec if codec is not None else Float32Codec()
         self.metrics = metrics
-        #: Optional :class:`repro.faults.aggregation.Aggregator`; ``None``
-        #: keeps the paper's plain (guarded) federated average.
-        self.aggregator = aggregator
+        #: The :class:`~repro.federated.averaging.Aggregator` every round
+        #: folds into; ``None`` keeps the paper's plain (guarded) mean.
+        self.aggregator = (
+            aggregator if aggregator is not None else MeanAggregator()
+        )
         #: Optional :class:`repro.faults.retry.RetryPolicy` for broadcasts.
         self.retry = retry
         #: Optional :class:`repro.guard.quarantine.QuarantineManager`
@@ -78,6 +80,8 @@ class FederatedServer:
         self.last_aggregation_rejected: List[str] = []
         #: Clients the quarantine screen excluded in the last aggregation.
         self.last_aggregation_quarantined: List[str] = []
+        #: Most decoded client updates held at once by any aggregation.
+        self.peak_resident_updates = 0
 
     @property
     def global_parameters(self) -> List[np.ndarray]:
@@ -209,16 +213,21 @@ class FederatedServer:
         missing clients are recorded in ``last_aggregation_missing``
         while the received subset aggregates — as long as at least one
         model arrived. ``weights`` enables the sample-weighted
-        ablation; the default is the paper's unweighted mean. With a
-        robust ``self.aggregator`` attached, it replaces the plain
-        average (rejected clients land in
-        ``last_aggregation_rejected``).
+        ablation; the default is the paper's unweighted mean.
+
+        Uploads stay encoded until their turn: contributors are decoded
+        in roster order and folded one at a time into
+        ``self.aggregator`` (the whole list is decoded up front only
+        when a quarantine screen needs it), so a mean holds one decoded
+        update at a time; ``peak_resident_updates`` records the most
+        ever held. Clients a robust aggregator rejected land in
+        ``last_aggregation_rejected``.
         """
         expected = tuple(expected_clients) if expected_clients is not None else self.client_ids
         self.last_aggregation_missing = []
         self.last_aggregation_rejected = []
         self.last_aggregation_quarantined = []
-        received: Dict[str, List[np.ndarray]] = {}
+        payloads: Dict[str, bytes] = {}
         for message in self.transport.receive_all(self.server_id):
             if message.kind != LOCAL_MODEL_KIND:
                 raise FederationError(
@@ -239,7 +248,7 @@ class FederatedServer:
                     f"local model from {message.sender!r} is for round "
                     f"{message.round_index}, expected {round_index}"
                 )
-            if message.sender in received:
+            if message.sender in payloads:
                 if tolerant:
                     if self.metrics is not None:
                         self.metrics.inc("server.duplicates_dropped")
@@ -251,17 +260,15 @@ class FederatedServer:
                 raise FederationError(
                     f"duplicate local model from {message.sender!r}"
                 )
-            received[message.sender] = self.codec.decode(
-                message.payload, self._shapes
-            )
-        missing = [cid for cid in expected if cid not in received]
+            payloads[message.sender] = message.payload
+        missing = [cid for cid in expected if cid not in payloads]
         if missing:
             if not tolerant:
                 raise FederationError(
                     f"synchronous aggregation round {round_index} is missing "
                     f"models from {missing}"
                 )
-            if not received:
+            if not payloads:
                 raise AggregationError(
                     f"tolerant aggregation round {round_index} received no "
                     f"models at all (missing {missing})"
@@ -273,20 +280,24 @@ class FederatedServer:
                 "aggregating without missing clients",
                 extra={"round": round_index, "missing": missing},
             )
-        unexpected = [cid for cid in received if cid not in expected]
+        unexpected = [cid for cid in payloads if cid not in expected]
         if unexpected:
             raise FederationError(
                 f"received models from non-participating clients {unexpected}"
             )
 
-        contributors = [cid for cid in expected if cid in received]
-        parameter_sets = [received[cid] for cid in contributors]
+        contributors = [cid for cid in expected if cid in payloads]
+        updates = (
+            self.codec.decode(payloads.pop(cid), self._shapes)
+            for cid in contributors
+        )
         if self.quarantine is not None and contributors:
-            contributors, parameter_sets, excluded = (
-                self.quarantine.filter_round(
-                    round_index, contributors, parameter_sets, self._global
-                )
+            decoded = list(updates)
+            self._note_resident(len(decoded))
+            contributors, decoded, excluded = self.quarantine.filter_round(
+                round_index, contributors, decoded, self._global
             )
+            updates = iter(decoded)
             if excluded:
                 self.last_aggregation_quarantined = list(excluded)
                 if self.metrics is not None:
@@ -310,27 +321,28 @@ class FederatedServer:
                 weight_list = [weights[cid] for cid in contributors]
             except KeyError as error:
                 raise FederationError(f"missing weight for client {error}") from None
-        if self.aggregator is not None:
-            self._global = self.aggregator.aggregate(parameter_sets, weight_list)
-            rejected = getattr(self.aggregator, "last_rejected_indices", ())
-            self.last_aggregation_rejected = [
-                contributors[index] for index in rejected
-            ]
-            if self.last_aggregation_rejected:
-                if self.metrics is not None:
-                    self.metrics.inc(
-                        "server.aggregation_rejected",
-                        len(self.last_aggregation_rejected),
-                    )
-                _LOG.warning(
-                    "robust aggregator rejected client updates",
-                    extra={
-                        "round": round_index,
-                        "rejected": self.last_aggregation_rejected,
-                    },
+        aggregator = self.aggregator
+        aggregator.begin(len(contributors), weight_list)
+        for folded, update in enumerate(updates, start=1):
+            aggregator.fold(update)
+            self._note_resident(folded if aggregator.buffers else 1)
+        self._global = aggregator.finalize()
+        self.last_aggregation_rejected = [
+            contributors[index] for index in aggregator.last_rejected_indices
+        ]
+        if self.last_aggregation_rejected:
+            if self.metrics is not None:
+                self.metrics.inc(
+                    "server.aggregation_rejected",
+                    len(self.last_aggregation_rejected),
                 )
-        else:
-            self._global = federated_average(parameter_sets, weight_list)
+            _LOG.warning(
+                "robust aggregator rejected client updates",
+                extra={
+                    "round": round_index,
+                    "rejected": self.last_aggregation_rejected,
+                },
+            )
         self._round_count += 1
         if self.metrics is not None:
             self.metrics.inc("server.aggregations")
@@ -342,3 +354,6 @@ class FederatedServer:
             extra={"round": round_index, "models": len(contributors)},
         )
         return self.global_parameters
+
+    def _note_resident(self, count: int) -> None:
+        self.peak_resident_updates = max(self.peak_resident_updates, count)

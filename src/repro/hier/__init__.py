@@ -8,10 +8,6 @@ layer out into a tree of aggregation tiers
 * :mod:`repro.hier.topology` — declarative fleet topologies with
   seeded k-means-style device clustering and ``FaultPlan``-style
   spec-string/JSON parsing.
-* :mod:`repro.hier.streaming` — incremental aggregation: updates fold
-  into each tier node one at a time, so no node ever materialises its
-  full child update list. The mean path is bit-identical to
-  :func:`repro.federated.averaging.federated_average`.
 * :mod:`repro.hier.selection` — pluggable client-selection policies
   (uniform, Pareto-biased, cluster-stratified) on per-tier seeded RNG
   streams.
@@ -19,7 +15,10 @@ layer out into a tree of aggregation tiers
   :class:`~repro.federated.server.FederatedServer` machinery per node
   and :class:`HierarchicalFederation` presents the whole tree behind
   the flat server's interface, so the orchestrator, quarantine, churn
-  and telemetry compose unchanged.
+  and telemetry compose unchanged. There is one aggregation path: each
+  node's server folds its child updates through the run's
+  :class:`~repro.federated.averaging.Aggregator`, one decoded update
+  at a time for the mean.
 * :mod:`repro.hier.scale` — the synthetic 1k/10k-device aggregation
   harness behind the ``fleet-scale`` experiment.
 
@@ -38,14 +37,6 @@ from repro.hier.selection import (
     build_selection_policy,
 )
 from repro.hier.shard import HierarchicalFederation, TierServer
-from repro.hier.streaming import (
-    STREAMING_NAMES,
-    StreamingAggregator,
-    StreamingBufferedAggregator,
-    StreamingMean,
-    StreamingNormClip,
-    build_streaming_aggregator,
-)
 from repro.hier.topology import (
     FleetTopology,
     TIER_EDGE,
@@ -62,12 +53,7 @@ __all__ = [
     "HierarchicalFederation",
     "ParetoSelection",
     "SELECTION_NAMES",
-    "STREAMING_NAMES",
     "SelectionPolicy",
-    "StreamingAggregator",
-    "StreamingBufferedAggregator",
-    "StreamingMean",
-    "StreamingNormClip",
     "TIER_EDGE",
     "TIER_GLOBAL",
     "TIER_REGION",
@@ -75,7 +61,6 @@ __all__ = [
     "TopologyNode",
     "UniformSelection",
     "build_selection_policy",
-    "build_streaming_aggregator",
     "default_device_features",
     "simulate_fleet_round",
 ]

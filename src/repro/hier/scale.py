@@ -4,18 +4,20 @@ Training 10k real device simulators per round is not the question this
 experiment asks — the question is what happens to the *server side*
 when a fleet grows two orders of magnitude past the paper's roster:
 wall time, parameter-server traffic, and whether aggregator memory
-stays O(model) per tier node. So the harness synthesises seeded local
+stays O(model) per node. So the harness synthesises seeded local
 updates (no training loop), pushes them through the real transport /
 codec / tier machinery, and measures:
 
 * the hierarchical arm: devices upload to their edge node, the edge
-  folds them *as they drain* (streaming mean, one decoded update
-  resident at a time), and only E edge aggregates travel to the root —
-  the Jung et al. (2024) parameter-server traffic cut falls out as
+  folds them *as they drain* (the mean, one decoded update resident
+  at a time), and only E edge aggregates travel to the root — the
+  Jung et al. (2024) parameter-server traffic cut falls out as
   ``1 - E/D``;
 * an optional flat arm: one ``FederatedServer`` with all D devices on
-  its roster, decoding every update before averaging — the O(D)
-  memory and root-traffic baseline.
+  its roster. It folds the same way (one decoded update resident), but
+  its root takes all D uploads — fan-in D, and D payloads of
+  parameter-server traffic held encoded until their fold — which is the
+  baseline the hierarchy cuts.
 
 Both arms fold mathematically identical updates, so the report's
 ``max_drift`` (inf-norm between the two global models) only carries
@@ -171,8 +173,8 @@ def simulate_fleet_round(
     devices upload* — the operational shape of independent edge
     aggregators — so neither decoded updates nor encoded payloads ever
     accumulate fleet-wide. ``edges`` defaults to ≈√D (balanced fan-in
-    at both tiers). ``include_flat=False`` skips the O(D)-memory
-    baseline arm (the CI smoke job does this to assert flat RSS).
+    at both tiers). ``include_flat=False`` skips the flat arm, whose
+    root receives all D uploads (fan-in D) before folding them.
     """
     if num_devices < 1:
         raise ConfigurationError(
@@ -292,7 +294,7 @@ def simulate_fleet_round(
                 )
             flat_server.aggregate(round_index, expected_clients=devices)
         report.flat_wall_s = time.perf_counter() - started
-        report.flat_peak_resident_updates = num_devices
+        report.flat_peak_resident_updates = flat_server.peak_resident_updates
         report.flat_bytes = flat_transport.total_bytes
         flat_parameters = flat_server.global_parameters
         report.max_drift = max(

@@ -1,10 +1,11 @@
 """Sharded tier servers behind the flat server's interface.
 
 :class:`TierServer` wraps one :class:`~repro.federated.server.FederatedServer`
-per topology node, so every node reuses the battle-tested broadcast /
+per topology node, so every node reuses the same broadcast /
 strict-vs-tolerant aggregation / retry / quarantine machinery
-tier-locally. :class:`HierarchicalFederation` composes the tree behind
-the flat server's duck-typed surface (``client_ids`` / ``broadcast`` /
+tier-locally: there is one aggregation loop, the flat server's.
+:class:`HierarchicalFederation` composes the tree behind the flat
+server's duck-typed surface (``client_ids`` / ``broadcast`` /
 ``aggregate`` / ``global_parameters`` / ``rounds_aggregated`` /
 ``restore`` / ``last_aggregation_*``), so the orchestrator, fault
 plans, churn and telemetry drive it unchanged.
@@ -12,7 +13,7 @@ plans, churn and telemetry drive it unchanged.
 Round shape (2-tier example)::
 
     broadcast:  server ──► edge_000..edge_k ──► devices    (cascade down)
-    aggregate:  devices ──► edge folds one update at a time (streaming)
+    aggregate:  devices ──► edge folds one update at a time (the mean)
                 edge_k ──► server, weighted by its contributor weight
 
 Weighted exactness up the tree: each node ships its tier-local
@@ -37,12 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import AggregationError, FederationError
-from repro.faults.aggregation import (
-    MeanAggregator,
-    MedianAggregator,
-    NormClipAggregator,
-    TrimmedMeanAggregator,
-)
 from repro.federated.codecs import Float32Codec
 from repro.federated.server import (
     FederatedServer,
@@ -50,14 +45,9 @@ from repro.federated.server import (
     LOCAL_MODEL_KIND,
 )
 from repro.federated.transport import Message
-from repro.hier.streaming import (
-    StreamingAggregator,
-    build_streaming_aggregator,
-)
 from repro.hier.topology import (
     FleetTopology,
     TIER_EDGE,
-    TIER_GLOBAL,
     TIER_REGION,
     TopologyNode,
 )
@@ -69,28 +59,6 @@ _LOG = get_logger("hier.shard")
 _DOWNWARD = (TIER_REGION, TIER_EDGE)
 #: Upward tier order for aggregation.
 _UPWARD = (TIER_EDGE, TIER_REGION)
-
-
-def streaming_spec_for(aggregator) -> Optional[str]:
-    """Streaming spec matching a batch aggregator, or ``None``.
-
-    ``None``/mean → ``"mean"`` (bit-exact stream); fixed-bound norm
-    clip → ``"norm_clip:<bound>"`` (exact stream); median/trimmed mean
-    → their buffered fallbacks (exact, fan-in-bounded memory);
-    self-calibrating norm clip → ``None`` (needs every contributor's
-    norm before any scaling — batch only).
-    """
-    if aggregator is None or isinstance(aggregator, MeanAggregator):
-        return "mean"
-    if isinstance(aggregator, NormClipAggregator):
-        if aggregator.clip_norm is None:
-            return None
-        return f"norm_clip:{aggregator.clip_norm!r}"
-    if isinstance(aggregator, TrimmedMeanAggregator):
-        return f"trimmed_mean:{aggregator.trim_fraction!r}"
-    if isinstance(aggregator, MedianAggregator):
-        return "median"
-    return None
 
 
 class TierAggregate:
@@ -108,30 +76,17 @@ class TierAggregate:
 
 
 class TierServer:
-    """One aggregation node: a :class:`FederatedServer` plus streaming.
+    """One aggregation node: a :class:`FederatedServer` at a tree node.
 
-    With a streaming aggregator attached (and no quarantine screen —
-    quarantine needs the decoded update list), aggregation folds child
-    updates one decoded model at a time; otherwise it falls back to
-    the wrapped server's batch ``aggregate``, whose buffering is
-    bounded by this node's fan-in. ``peak_resident_updates`` is the
-    high-water mark of *decoded* child updates held at once — the
-    number the fleet-scale memory claim is asserted on (1 for
-    streaming paths regardless of fan-in).
+    Aggregation is the wrapped server's own receive/validate/fold loop;
+    ``peak_resident_updates`` is that server's high-water mark of
+    decoded child updates — 1 for the mean at any fan-in, the fan-in for
+    the buffering robust rules or a quarantine screen.
     """
 
-    def __init__(
-        self,
-        node: TopologyNode,
-        server: FederatedServer,
-        shapes: Sequence[Tuple[int, ...]],
-        streaming: Optional[StreamingAggregator] = None,
-    ) -> None:
+    def __init__(self, node: TopologyNode, server: FederatedServer) -> None:
         self.node = node
         self.server = server
-        self.shapes = list(shapes)
-        self.streaming = streaming
-        self.peak_resident_updates = 0
 
     @property
     def node_id(self) -> str:
@@ -141,24 +96,15 @@ class TierServer:
     def tier(self) -> str:
         return self.node.tier
 
+    @property
+    def peak_resident_updates(self) -> int:
+        return self.server.peak_resident_updates
+
     def install(self, parameters: Sequence[np.ndarray]) -> None:
         """Adopt a model pushed down from the parent tier."""
         self.server.restore(parameters, self.server.rounds_aggregated)
 
     def aggregate(
-        self,
-        round_index: int,
-        expected: Sequence[str],
-        weights: Optional[Dict[str, float]],
-        tolerant: bool,
-    ) -> TierAggregate:
-        if self.streaming is not None:
-            return self._aggregate_streaming(
-                round_index, expected, weights, tolerant
-            )
-        return self._aggregate_batch(round_index, expected, weights, tolerant)
-
-    def _aggregate_batch(
         self,
         round_index: int,
         expected: Sequence[str],
@@ -177,9 +123,6 @@ class TierServer:
         rejected = list(server.last_aggregation_rejected)
         out = set(missing) | set(quarantined) | set(rejected)
         contributors = [cid for cid in expected if cid not in out]
-        self.peak_resident_updates = max(
-            self.peak_resident_updates, len(expected) - len(missing)
-        )
         weight = (
             sum(weights[cid] for cid in contributors)
             if weights is not None
@@ -187,96 +130,6 @@ class TierServer:
         )
         return TierAggregate(
             parameters, contributors, weight, missing, quarantined, rejected
-        )
-
-    def _aggregate_streaming(
-        self,
-        round_index: int,
-        expected: Sequence[str],
-        weights: Optional[Dict[str, float]],
-        tolerant: bool,
-    ) -> TierAggregate:
-        # Mirrors FederatedServer.aggregate's validation order exactly,
-        # but keeps payloads *encoded* until their fold — at most one
-        # decoded child update is resident at a time.
-        server = self.server
-        server.last_aggregation_missing = []
-        server.last_aggregation_rejected = []
-        server.last_aggregation_quarantined = []
-        payloads: Dict[str, bytes] = {}
-        for message in server.transport.receive_all(server.server_id):
-            if message.kind != LOCAL_MODEL_KIND:
-                raise FederationError(
-                    f"server received unexpected message kind {message.kind!r}"
-                )
-            if message.round_index != round_index:
-                if tolerant:
-                    continue
-                raise FederationError(
-                    f"local model from {message.sender!r} is for round "
-                    f"{message.round_index}, expected {round_index}"
-                )
-            if message.sender in payloads:
-                if tolerant:
-                    continue
-                raise FederationError(
-                    f"duplicate local model from {message.sender!r}"
-                )
-            payloads[message.sender] = message.payload
-        missing = [cid for cid in expected if cid not in payloads]
-        if missing:
-            if not tolerant:
-                raise FederationError(
-                    f"synchronous aggregation round {round_index} is missing "
-                    f"models from {missing}"
-                )
-            if not payloads:
-                raise AggregationError(
-                    f"tolerant aggregation round {round_index} received no "
-                    f"models at all (missing {missing})"
-                )
-            server.last_aggregation_missing = missing
-        unexpected = [cid for cid in payloads if cid not in set(expected)]
-        if unexpected:
-            raise FederationError(
-                f"received models from non-participating clients {unexpected}"
-            )
-        contributors = [cid for cid in expected if cid in payloads]
-        weight_list: Optional[List[float]] = None
-        if weights is not None:
-            try:
-                weight_list = [weights[cid] for cid in contributors]
-            except KeyError as error:
-                raise FederationError(
-                    f"missing weight for client {error}"
-                ) from None
-        aggregator = self.streaming
-        aggregator.begin(len(contributors), weight_list)
-        for cid in contributors:
-            decoded = server.codec.decode(payloads.pop(cid), self.shapes)
-            aggregator.fold(decoded)
-            # A buffered fallback retains the decoded update (counted in
-            # max_buffered); a true stream holds it only transiently.
-            self.peak_resident_updates = max(
-                self.peak_resident_updates, max(1, aggregator.max_buffered)
-            )
-        averaged = aggregator.finalize()
-        rejected_set = set(aggregator.last_rejected_indices)
-        rejected = [
-            cid
-            for index, cid in enumerate(contributors)
-            if index in rejected_set
-        ]
-        server.last_aggregation_rejected = rejected
-        kept = [cid for cid in contributors if cid not in set(rejected)]
-        server.restore(averaged, server.rounds_aggregated + 1)
-        weight = (
-            sum(weights[cid] for cid in kept)
-            if weights is not None
-            else float(len(kept))
-        )
-        return TierAggregate(
-            server.global_parameters, kept, weight, missing, [], rejected
         )
 
 
@@ -316,21 +169,12 @@ class HierarchicalFederation:
         self.last_aggregation_quarantined: List[str] = []
         self._shapes = [np.shape(p) for p in initial_parameters]
         self._tier_phases: List[Dict[str, object]] = []
-        spec = streaming_spec_for(aggregator)
         self._tiers: Dict[str, List[TierServer]] = {}
         self._by_id: Dict[str, TierServer] = {}
         for node in topology.nodes:
             # Quarantine screens device updates, so it attaches where
-            # devices upload: the leaf-owning nodes. It needs the full
-            # decoded update list, which forces that node onto the
-            # batch path.
+            # devices upload: the leaf-owning nodes.
             owns_devices = node.children[0] in set(topology.devices)
-            node_quarantine = quarantine if owns_devices else None
-            streaming = (
-                build_streaming_aggregator(spec)
-                if spec is not None and node_quarantine is None
-                else None
-            )
             server = FederatedServer(
                 initial_parameters,
                 list(node.children),
@@ -340,11 +184,9 @@ class HierarchicalFederation:
                 metrics=metrics,
                 aggregator=aggregator,
                 retry=retry,
-                quarantine=node_quarantine,
+                quarantine=quarantine if owns_devices else None,
             )
-            tier_server = TierServer(
-                node, server, self._shapes, streaming=streaming
-            )
+            tier_server = TierServer(node, server)
             self._tiers.setdefault(node.tier, []).append(tier_server)
             self._by_id[node.node_id] = tier_server
         self._root = self._by_id[topology.root.node_id]
@@ -642,5 +484,5 @@ class HierarchicalFederation:
         return stats
 
     def describe(self) -> str:
-        mode = "flat" if self._flat else "streaming"
+        mode = "flat" if self._flat else "tiered"
         return f"hier({self.topology.describe()}, {mode})"

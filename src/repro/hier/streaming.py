@@ -1,335 +1,15 @@
-"""Incremental per-node aggregation: fold updates in one at a time.
+"""The hierarchy's name for the O(model) mean.
 
-A flat server decodes every client's model before averaging — O(fleet
-× model) memory. A :class:`StreamingAggregator` instead exposes
-``begin(expected, weights) → fold(params)* → finalize()``, so a tier
-node decodes one child update at a time, folds it into a single
-accumulator and drops it: O(model) memory per node at any fan-in.
-
-Exactness contract, mirrored from :mod:`repro.faults.aggregation`:
-
-* :class:`StreamingMean` is **bit-identical** to
-  :func:`repro.federated.averaging.federated_average` for the same
-  update order and weights: weights are normalised up front with the
-  same :func:`~repro.federated.averaging.normalize_weights` call, each
-  per-array accumulator starts from the same ``np.zeros_like`` and
-  receives the same ``accumulator += w_i * update_i`` additions in the
-  same order. (Folding client-by-client instead of array-by-array
-  reorders operations *across* accumulators, never within one.)
-* :class:`StreamingNormClip` is exact when the clip bound is fixed:
-  clipping is per-update, so clip-then-fold equals the batch
-  clip-then-average. The self-calibrating variant (``clip_norm=None``
-  uses the median of client norms) needs every norm before any scale
-  and is rejected at construction.
-* Median and trimmed-mean are order statistics — inherently not
-  streamable. Their documented fallback,
-  :class:`StreamingBufferedAggregator`, buffers child updates and
-  delegates to the batch aggregator at ``finalize``; per-node memory
-  is O(fan-in × model), bounded by the topology's branching factor
-  rather than the fleet size.
-
-Every aggregator tracks ``max_buffered`` — the high-water mark of
-child updates held between folds — which the fleet-scale tests assert
-stays 0 for the streaming paths regardless of device count.
+Every tier node folds its child updates through its
+:class:`~repro.federated.server.FederatedServer`, whose default
+aggregator is :class:`repro.federated.averaging.MeanAggregator` — one
+decoded update resident at a time, bit-identical to
+:func:`repro.federated.averaging.federated_average`. ``StreamingMean``
+is that class under its earlier name.
 """
 
-from __future__ import annotations
+from repro.federated.averaging import MeanAggregator
 
-from typing import List, Optional, Sequence, Tuple
+StreamingMean = MeanAggregator
 
-import numpy as np
-
-from repro.errors import AggregationError, ConfigurationError
-from repro.faults.aggregation import (
-    MedianAggregator,
-    TrimmedMeanAggregator,
-)
-from repro.federated.averaging import has_non_finite, normalize_weights
-
-#: Names accepted by :func:`build_streaming_aggregator`.
-STREAMING_NAMES = ("mean", "median", "trimmed_mean", "norm_clip")
-
-
-class StreamingAggregator:
-    """Base class: fold child updates one at a time into one model.
-
-    Lifecycle: ``begin(expected, weights)`` (the contributor count —
-    and weights, if any — must be known up front, which every caller
-    has after scanning its inbox headers), then exactly ``expected``
-    ``fold`` calls, then ``finalize``. ``streaming`` marks O(model)
-    implementations; buffered fallbacks set it ``False``.
-    """
-
-    name = "base"
-    #: True when memory is O(model) regardless of fan-in.
-    streaming = True
-    #: True when the result is bit-identical to the batch counterpart.
-    exact = True
-
-    def __init__(self) -> None:
-        self.max_buffered = 0
-        self.last_rejected_indices: Tuple[int, ...] = ()
-        self._expected = 0
-        self._folded = 0
-
-    def begin(
-        self, expected: int, weights: Optional[Sequence[float]] = None
-    ) -> None:
-        if expected <= 0:
-            raise AggregationError("cannot average zero parameter sets")
-        self._expected = expected
-        self._folded = 0
-        self.last_rejected_indices = ()
-        self._begin(expected, weights)
-
-    def fold(self, parameters: Sequence[np.ndarray]) -> None:
-        if self._expected == 0:
-            raise AggregationError("fold() before begin()")
-        if self._folded >= self._expected:
-            raise AggregationError(
-                f"fold() called more than the {self._expected} times "
-                f"announced to begin()"
-            )
-        self._fold(parameters, self._folded)
-        self._folded += 1
-
-    def finalize(self) -> List[np.ndarray]:
-        if self._folded != self._expected:
-            raise AggregationError(
-                f"finalize() after {self._folded} folds, expected "
-                f"{self._expected}"
-            )
-        result = self._finalize()
-        self._expected = 0
-        return result
-
-    # Subclass hooks.
-    def _begin(
-        self, expected: int, weights: Optional[Sequence[float]]
-    ) -> None:
-        raise NotImplementedError
-
-    def _fold(self, parameters: Sequence[np.ndarray], index: int) -> None:
-        raise NotImplementedError
-
-    def _finalize(self) -> List[np.ndarray]:
-        raise NotImplementedError
-
-
-class StreamingMean(StreamingAggregator):
-    """Running weighted mean, bit-identical to ``federated_average``.
-
-    Divergence from the batch path only on one error case: the batch
-    call scans every client before raising and reports *all* non-finite
-    contributors; a stream can only name the first one it meets.
-    """
-
-    name = "mean"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._normalized: Optional[np.ndarray] = None
-        self._accumulators: Optional[List[np.ndarray]] = None
-        self._shapes: Optional[List[Tuple[int, ...]]] = None
-
-    def _begin(
-        self, expected: int, weights: Optional[Sequence[float]]
-    ) -> None:
-        self._normalized = normalize_weights(weights, expected)
-        self._accumulators = None
-        self._shapes = None
-
-    def _fold(self, parameters: Sequence[np.ndarray], index: int) -> None:
-        if has_non_finite(parameters):
-            raise AggregationError(
-                f"non-finite (NaN/Inf) parameters from client(s) [{index}]; "
-                "use a robust aggregator to drop poisoned updates"
-            )
-        arrays = [np.asarray(a, dtype=np.float64) for a in parameters]
-        if self._accumulators is None:
-            self._accumulators = [np.zeros_like(a) for a in arrays]
-            self._shapes = [a.shape for a in arrays]
-        else:
-            if len(arrays) != len(self._accumulators):
-                raise AggregationError(
-                    f"client {index} has {len(arrays)} arrays, expected "
-                    f"{len(self._accumulators)}"
-                )
-            for array_index, (array, shape) in enumerate(
-                zip(arrays, self._shapes)
-            ):
-                if array.shape != shape:
-                    raise AggregationError(
-                        f"client {index} array {array_index} has shape "
-                        f"{array.shape}, expected {shape}"
-                    )
-        weight = self._normalized[index]
-        for accumulator, array in zip(self._accumulators, arrays):
-            accumulator += weight * array
-
-    def _finalize(self) -> List[np.ndarray]:
-        assert self._accumulators is not None
-        result = self._accumulators
-        self._accumulators = None
-        return result
-
-
-class StreamingNormClip(StreamingMean):
-    """Fixed-bound norm clipping, then the streaming mean.
-
-    Exact vs :class:`repro.faults.aggregation.NormClipAggregator` with
-    the same fixed ``clip_norm``: both scale each over-norm update by
-    ``bound / norm`` before the identical weighted average. The
-    self-calibrating batch mode (median-of-norms bound) is not
-    streamable — it needs all norms before any scaling — so
-    ``clip_norm`` is mandatory here; non-finite updates are dropped
-    from the fold (robust semantics) rather than fatal, with the
-    dropped positions in ``last_rejected_indices``.
-    """
-
-    name = "norm_clip"
-
-    def __init__(self, clip_norm: float) -> None:
-        if clip_norm is None:
-            raise ConfigurationError(
-                "streaming norm_clip needs a fixed clip bound; the "
-                "self-calibrating median bound requires every client norm "
-                "up front and cannot stream — pass e.g. 'norm_clip:5.0'"
-            )
-        if clip_norm <= 0:
-            raise ConfigurationError(
-                f"clip_norm must be positive, got {clip_norm}"
-            )
-        super().__init__()
-        self.clip_norm = float(clip_norm)
-        self._rejected: List[int] = []
-
-    def _begin(
-        self, expected: int, weights: Optional[Sequence[float]]
-    ) -> None:
-        # Weights are re-normalised over the surviving folds at
-        # finalize, so keep the raw values here.
-        self._raw_weights = (
-            list(weights) if weights is not None else None
-        )
-        self._kept: List[Tuple[int, float]] = []
-        self._pending: List[Tuple[List[np.ndarray], float]] = []
-        self._rejected = []
-        self._accumulators = None
-        self._shapes = None
-
-    def _fold(self, parameters: Sequence[np.ndarray], index: int) -> None:
-        if has_non_finite(parameters):
-            self._rejected.append(index)
-            return
-        arrays = [np.asarray(a, dtype=np.float64) for a in parameters]
-        total = 0.0
-        for array in arrays:
-            flat = array.ravel()
-            total += float(np.dot(flat, flat))
-        norm = float(np.sqrt(total))
-        if self.clip_norm > 0 and norm > self.clip_norm:
-            factor = self.clip_norm / norm
-            arrays = [array * factor for array in arrays]
-        weight = (
-            self._raw_weights[index] if self._raw_weights is not None else 1.0
-        )
-        # The running mean needs normalised weights, but the divisor
-        # (the survivors' weight sum) is only known once every fold has
-        # passed the finite screen — hold the weighted sums instead:
-        # sum(w_i * x_i) / sum(w_i) equals the batch weighted mean.
-        if self._accumulators is None:
-            self._accumulators = [np.zeros_like(a) for a in arrays]
-            self._shapes = [a.shape for a in arrays]
-        for accumulator, array in zip(self._accumulators, arrays):
-            accumulator += weight * array
-        self._kept.append((index, weight))
-
-    def _finalize(self) -> List[np.ndarray]:
-        self.last_rejected_indices = tuple(self._rejected)
-        if self._accumulators is None:
-            raise AggregationError(
-                "every client update was non-finite; nothing to aggregate"
-            )
-        total_weight = sum(weight for _, weight in self._kept)
-        if total_weight <= 0:
-            raise AggregationError("weights must not all be zero")
-        result = [a / total_weight for a in self._accumulators]
-        self._accumulators = None
-        return result
-
-
-class StreamingBufferedAggregator(StreamingAggregator):
-    """Documented fallback for order-statistic aggregators.
-
-    Median and trimmed mean need the full sorted column of child
-    values, so they cannot stream; this wrapper buffers the node's
-    child updates (memory O(fan-in × model) — bounded by the tree's
-    branching factor, not the fleet size) and runs the batch aggregator
-    at ``finalize``. Results are exactly the batch aggregator's.
-    """
-
-    streaming = False
-
-    def __init__(self, batch_aggregator) -> None:
-        super().__init__()
-        self.batch = batch_aggregator
-        self.name = batch_aggregator.name
-        self._buffer: List[Sequence[np.ndarray]] = []
-        self._weights: Optional[List[float]] = None
-
-    def _begin(
-        self, expected: int, weights: Optional[Sequence[float]]
-    ) -> None:
-        self._buffer = []
-        self._weights = list(weights) if weights is not None else None
-
-    def _fold(self, parameters: Sequence[np.ndarray], index: int) -> None:
-        self._buffer.append(parameters)
-        self.max_buffered = max(self.max_buffered, len(self._buffer))
-
-    def _finalize(self) -> List[np.ndarray]:
-        result = self.batch.aggregate(self._buffer, self._weights)
-        self.last_rejected_indices = tuple(
-            getattr(self.batch, "last_rejected_indices", ())
-        )
-        self._buffer = []
-        return result
-
-
-def build_streaming_aggregator(spec: str) -> StreamingAggregator:
-    """Resolve a streaming-aggregator spec into an instance.
-
-    Same grammar as :func:`repro.faults.aggregation.build_aggregator`:
-    ``"mean"``, ``"norm_clip:5.0"`` (bound mandatory — see
-    :class:`StreamingNormClip`), ``"median"`` and
-    ``"trimmed_mean[:frac]"`` resolve to their buffered fallbacks.
-    """
-    name, _, argument = spec.strip().partition(":")
-    name = name.strip()
-    if name == "mean":
-        return StreamingMean()
-    if name == "median":
-        return StreamingBufferedAggregator(MedianAggregator())
-    try:
-        if name == "trimmed_mean":
-            return StreamingBufferedAggregator(
-                TrimmedMeanAggregator(
-                    trim_fraction=float(argument) if argument else 0.2
-                )
-            )
-        if name == "norm_clip":
-            if not argument:
-                raise ConfigurationError(
-                    "streaming norm_clip needs a fixed bound, e.g. "
-                    "'norm_clip:5.0'"
-                )
-            return StreamingNormClip(clip_norm=float(argument))
-    except ValueError as error:
-        raise ConfigurationError(
-            f"bad streaming aggregator argument in {spec!r}: {error}"
-        ) from error
-    raise ConfigurationError(
-        f"unknown streaming aggregator {name!r}; available: "
-        f"{', '.join(STREAMING_NAMES)}"
-    )
+__all__ = ["StreamingMean"]

@@ -1,5 +1,7 @@
 """HierarchicalFederation: tier correctness, memory bound, degradation."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,7 @@ from repro.errors import AggregationError, ConfigurationError
 from repro.faults.aggregation import MedianAggregator
 from repro.federated.server import FederatedServer, LOCAL_MODEL_KIND
 from repro.federated.transport import InMemoryTransport, Message
-from repro.hier.shard import (
-    HierarchicalFederation,
-    TierServer,
-    streaming_spec_for,
-)
+from repro.hier.shard import HierarchicalFederation
 from repro.hier.topology import TIER_EDGE, FleetTopology
 
 SHAPES = ((4, 3), (3,))
@@ -217,24 +215,76 @@ def test_restore_resets_every_node():
             assert np.array_equal(a, b)
 
 
-def test_streaming_spec_for_mapping():
-    from repro.faults.aggregation import (
-        MeanAggregator,
-        NormClipAggregator,
-        TrimmedMeanAggregator,
-    )
+def test_tier_nodes_count_aggregations_like_the_flat_server():
+    from repro.experiments.config import FederatedPowerControlConfig
+    from repro.experiments.training import train_federated
+    from repro.obs.metrics import MetricsRegistry
 
-    assert streaming_spec_for(None) == "mean"
-    assert streaming_spec_for(MeanAggregator()) == "mean"
-    assert streaming_spec_for(MedianAggregator()) == "median"
-    assert streaming_spec_for(
-        TrimmedMeanAggregator(trim_fraction=0.1)
-    ).startswith("trimmed_mean:")
-    assert streaming_spec_for(NormClipAggregator(clip_norm=2.0)).startswith(
-        "norm_clip:"
+    metrics = MetricsRegistry()
+    train_federated(
+        {"dev0": ("fft",), "dev1": ("radix",), "dev2": ("lu",), "dev3": ("fmm",)},
+        FederatedPowerControlConfig().scaled(3, 20),
+        eval_applications=("fft",),
+        topology="edges=2,cluster=contiguous",
+        metrics=metrics,
     )
-    # The self-calibrating bound needs every norm up front: batch only.
-    assert streaming_spec_for(NormClipAggregator()) is None
+    # 3 rounds x 3 aggregating nodes (two edges and the root).
+    assert metrics.counter("server.aggregations").value == 9
+    assert metrics.gauge("server.models_in_last_aggregate").value == 2
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def test_tier_nodes_drop_stale_and_duplicate_uploads_like_the_flat_server():
+    from repro.obs.logging import get_logger
+    from repro.obs.metrics import MetricsRegistry
+
+    devices = make_devices(6)
+    metrics = MetricsRegistry()
+    federation = HierarchicalFederation(
+        initial_parameters(),
+        FleetTopology.clustered(devices, edges=2, method="contiguous"),
+        InMemoryTransport(),
+        metrics=metrics,
+    )
+    updates = make_updates(devices)
+    first, second, late = devices[0], devices[1], devices[2]
+    federation.broadcast(1)
+    # `first` uploads twice, `second` also sends a stale round-0 model,
+    # `late` never uploads: the edge keeps one copy of each.
+    uploads = [(d, 1) for d in devices if d != late]
+    uploads += [(first, 1), (second, 0)]
+    for device, round_index in uploads:
+        federation.transport.send(
+            Message(
+                sender=device,
+                recipient=federation.topology.parent_of(device),
+                kind=LOCAL_MODEL_KIND,
+                payload=federation.codec.encode(updates[device]),
+                round_index=round_index,
+            )
+        )
+    logger = get_logger("federated.server")
+    handler = _Messages()
+    logger.addHandler(handler)
+    try:
+        federation.aggregate(1, tolerant=True)
+    finally:
+        logger.removeHandler(handler)
+    assert federation.last_aggregation_missing == [late]
+    assert metrics.counter("server.duplicates_dropped").value == 1
+    assert metrics.counter("server.aggregation_missing").value == 1
+    assert metrics.counter("server.aggregations").value == 3
+    assert "dropping duplicate local model" in handler.messages
+    assert "discarding stale local model" in handler.messages
+    assert "aggregating without missing clients" in handler.messages
 
 
 # -- simulate_fleet_round / the fleet-scale experiment ------------------
@@ -246,7 +296,9 @@ def test_simulate_fleet_round_report():
     report = simulate_fleet_round(200, seed=11)
     assert report.num_devices == 200
     assert report.hier_peak_resident_updates == 1
-    assert report.flat_peak_resident_updates == 200
+    # The flat server folds one decoded update at a time too; what it
+    # pays for is root fan-in (all 200 uploads land on it).
+    assert report.flat_peak_resident_updates == 1
     assert report.max_drift < 1e-6
     assert report.hier_root_fan_in < 200
     assert 0.0 < report.ps_traffic_cut < 1.0

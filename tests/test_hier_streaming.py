@@ -1,30 +1,27 @@
-"""Streaming aggregation exactness vs the batch aggregators.
+"""The one aggregator protocol: folding one update at a time is exact.
 
-The load-bearing property: folding client updates one at a time (any
-arrival order) produces the *bit-identical* result of handing that
-same ordered list to the batch path. Float addition is not
-commutative, so the contract is per-order: a streaming fold of a
-permutation is compared against ``federated_average`` of the SAME
-permuted list, never against the unpermuted one.
+The load-bearing property: folding client updates one at a time
+(``begin → fold* → finalize``, any arrival order) produces the
+*bit-identical* result of handing that same ordered list to the batch
+reference. Float addition is not commutative, so the contract is
+per-order: a fold of a permutation is compared against
+``federated_average`` of the SAME permuted list, never against the
+unpermuted one. ``StreamingMean`` is the hierarchy's name for
+:class:`~repro.federated.averaging.MeanAggregator`.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import AggregationError, ConfigurationError
+from repro.errors import AggregationError
 from repro.faults.aggregation import (
     MedianAggregator,
     NormClipAggregator,
     TrimmedMeanAggregator,
+    build_aggregator,
 )
-from repro.federated.averaging import federated_average
-from repro.hier.streaming import (
-    STREAMING_NAMES,
-    StreamingBufferedAggregator,
-    StreamingMean,
-    StreamingNormClip,
-    build_streaming_aggregator,
-)
+from repro.federated.averaging import MeanAggregator, federated_average
+from repro.hier.streaming import StreamingMean
 
 SHAPES = ((5, 3), (3,), (3, 4), (4,))
 
@@ -51,7 +48,7 @@ def assert_bit_identical(streamed, batch):
         assert np.array_equal(array_streamed, array_batch)
 
 
-# -- StreamingMean == federated_average, any fold order -----------------
+# -- MeanAggregator == federated_average, any fold order ----------------
 
 
 @pytest.mark.parametrize("num_clients", (1, 2, 7))
@@ -64,7 +61,7 @@ def test_streaming_mean_matches_batch_under_permuted_order(
         num_clients
     )
     permuted = [updates[i] for i in permutation]
-    streamed = fold_all(StreamingMean(), permuted)
+    streamed = fold_all(MeanAggregator(), permuted)
     assert_bit_identical(streamed, federated_average(permuted))
 
 
@@ -82,7 +79,7 @@ def test_streaming_mean_weighted_matches_batch_under_permuted_order(
     )
     permuted = [updates[i] for i in permutation]
     permuted_weights = [weights[i] for i in permutation]
-    streamed = fold_all(StreamingMean(), permuted, permuted_weights)
+    streamed = fold_all(MeanAggregator(), permuted, permuted_weights)
     assert_bit_identical(
         streamed, federated_average(permuted, permuted_weights)
     )
@@ -93,10 +90,10 @@ def test_streaming_mean_is_order_sensitive_like_the_batch_path():
     # must be against the SAME order, because different orders are
     # allowed to differ in the last ulp.
     updates = make_updates(5, seed=42, scale=1e3)
-    forward = fold_all(StreamingMean(), updates)
+    forward = fold_all(MeanAggregator(), updates)
     assert_bit_identical(forward, federated_average(updates))
     reversed_updates = list(reversed(updates))
-    backward = fold_all(StreamingMean(), reversed_updates)
+    backward = fold_all(MeanAggregator(), reversed_updates)
     assert_bit_identical(backward, federated_average(reversed_updates))
     # Both orders agree to tolerance even if not necessarily bitwise.
     for a, b in zip(forward, backward):
@@ -104,14 +101,14 @@ def test_streaming_mean_is_order_sensitive_like_the_batch_path():
 
 
 def test_streaming_mean_never_buffers():
-    aggregator = StreamingMean()
+    aggregator = MeanAggregator()
     fold_all(aggregator, make_updates(16, seed=5))
-    assert aggregator.streaming is True
-    assert aggregator.max_buffered == 0
+    assert aggregator.buffers is False
+    assert StreamingMean is MeanAggregator
 
 
 def test_streaming_mean_is_reusable_across_rounds():
-    aggregator = StreamingMean()
+    aggregator = MeanAggregator()
     first = make_updates(4, seed=6)
     second = make_updates(3, seed=7)
     assert_bit_identical(
@@ -122,7 +119,12 @@ def test_streaming_mean_is_reusable_across_rounds():
     )
 
 
-# -- StreamingNormClip == NormClipAggregator (fixed bound) --------------
+# -- Fixed-bound norm clip, folded: clip each update, then the mean -----
+
+
+def clipped(update, bound):
+    norm = np.sqrt(sum(float(np.dot(a.ravel(), a.ravel())) for a in update))
+    return [a * (bound / norm) for a in update] if norm > bound else update
 
 
 @pytest.mark.parametrize("case_seed", (0, 1, 2))
@@ -133,41 +135,30 @@ def test_streaming_norm_clip_matches_batch_fixed_bound(case_seed):
         np.random.default_rng(400 + case_seed).uniform(0.5, 2.0, num_clients)
     )
     bound = 4.0
-    streamed = fold_all(StreamingNormClip(bound), updates, weights)
-    batch = NormClipAggregator(clip_norm=bound).aggregate(updates, weights)
-    assert len(streamed) == len(batch)
-    # The stream defers weight normalisation to finalize (sum(w·x)/sum(w)
-    # instead of sum((w/W)·x)) — equal in value, reassociated in floats.
-    for a, b in zip(streamed, batch):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    folded = fold_all(NormClipAggregator(bound), updates, weights)
+    assert_bit_identical(
+        folded,
+        federated_average([clipped(u, bound) for u in updates], weights),
+    )
 
 
 def test_streaming_norm_clip_drops_non_finite_updates():
     updates = make_updates(4, seed=30)
     updates[2][1][0] = np.nan
-    aggregator = StreamingNormClip(5.0)
+    aggregator = NormClipAggregator(5.0)
     result = fold_all(aggregator, updates)
     assert aggregator.last_rejected_indices == (2,)
     survivors = [u for i, u in enumerate(updates) if i != 2]
-    batch = NormClipAggregator(clip_norm=5.0).aggregate(survivors)
-    for a, b in zip(result, batch):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
-
-
-def test_streaming_norm_clip_requires_a_fixed_bound():
-    with pytest.raises(ConfigurationError):
-        StreamingNormClip(None)
-    with pytest.raises(ConfigurationError):
-        StreamingNormClip(-1.0)
-    with pytest.raises(ConfigurationError):
-        build_streaming_aggregator("norm_clip")
+    assert_bit_identical(
+        result, NormClipAggregator(clip_norm=5.0).aggregate(survivors)
+    )
 
 
 def test_streaming_norm_clip_all_rejected_raises():
     updates = make_updates(2, seed=31)
     for update in updates:
         update[0][0, 0] = np.inf
-    aggregator = StreamingNormClip(5.0)
+    aggregator = NormClipAggregator(5.0)
     aggregator.begin(len(updates))
     for update in updates:
         aggregator.fold(update)
@@ -175,7 +166,7 @@ def test_streaming_norm_clip_all_rejected_raises():
         aggregator.finalize()
 
 
-# -- Buffered fallbacks for order statistics ----------------------------
+# -- Order statistics buffer their folds --------------------------------
 
 
 @pytest.mark.parametrize(
@@ -187,16 +178,19 @@ def test_streaming_norm_clip_all_rejected_raises():
 )
 def test_buffered_fallback_matches_batch_aggregator(spec, batch):
     updates = make_updates(9, seed=40)
-    aggregator = build_streaming_aggregator(spec)
-    assert isinstance(aggregator, StreamingBufferedAggregator)
-    assert aggregator.streaming is False
-    streamed = fold_all(aggregator, updates)
-    assert_bit_identical(streamed, batch.aggregate(updates))
-    # Memory bound is the fan-in, reported via the high-water mark.
-    assert aggregator.max_buffered == len(updates)
+    aggregator = build_aggregator(spec)
+    assert aggregator.buffers is True
+    folded = fold_all(aggregator, updates)
+    stacks = [np.stack([u[i] for u in updates]) for i in range(len(SHAPES))]
+    if spec == "median":
+        reference = [np.median(stack, axis=0) for stack in stacks]
+    else:  # trim floor(0.25 * 9) = 2 from each end
+        reference = [np.sort(stack, axis=0)[2:7].mean(axis=0) for stack in stacks]
+    assert_bit_identical(folded, reference)
+    assert_bit_identical(folded, batch.aggregate(updates))
 
 
-# -- Lifecycle and spec errors ------------------------------------------
+# -- Lifecycle errors ---------------------------------------------------
 
 
 def test_fold_before_begin_raises():
@@ -206,7 +200,7 @@ def test_fold_before_begin_raises():
 
 def test_fold_overflow_raises():
     updates = make_updates(2, seed=1)
-    aggregator = StreamingMean()
+    aggregator = MeanAggregator()
     aggregator.begin(1)
     aggregator.fold(updates[0])
     with pytest.raises(AggregationError):
@@ -214,7 +208,7 @@ def test_fold_overflow_raises():
 
 
 def test_finalize_with_missing_folds_raises():
-    aggregator = StreamingMean()
+    aggregator = MeanAggregator()
     aggregator.begin(2)
     aggregator.fold(make_updates(1, seed=2)[0])
     with pytest.raises(AggregationError):
@@ -223,31 +217,57 @@ def test_finalize_with_missing_folds_raises():
 
 def test_begin_with_zero_expected_raises():
     with pytest.raises(AggregationError):
-        StreamingMean().begin(0)
+        MeanAggregator().begin(0)
 
 
 def test_streaming_mean_rejects_non_finite():
-    updates = make_updates(2, seed=3)
-    updates[1][0][0, 0] = np.nan
-    aggregator = StreamingMean()
-    aggregator.begin(2)
-    aggregator.fold(updates[0])
-    with pytest.raises(AggregationError):
-        aggregator.fold(updates[1])
+    # The mean names every non-finite contributor, as the batch path does.
+    updates = make_updates(3, seed=3)
+    updates[0][0][0, 0] = np.nan
+    updates[2][1][0] = np.inf
+    aggregator = MeanAggregator()
+    aggregator.begin(3)
+    for update in updates:
+        aggregator.fold(update)
+    with pytest.raises(AggregationError) as streamed:
+        aggregator.finalize()
+    with pytest.raises(AggregationError) as batch:
+        federated_average(updates)
+    assert str(streamed.value) == str(batch.value)
+    assert "client(s) [0, 2]" in str(streamed.value)
 
 
 def test_streaming_mean_rejects_shape_mismatch():
     updates = make_updates(2, seed=4)
     updates[1][0] = updates[1][0][:2]
-    aggregator = StreamingMean()
+    aggregator = MeanAggregator()
     aggregator.begin(2)
     aggregator.fold(updates[0])
-    with pytest.raises(AggregationError):
+    with pytest.raises(AggregationError) as streamed:
         aggregator.fold(updates[1])
+    with pytest.raises(AggregationError) as batch:
+        federated_average(updates)
+    assert str(streamed.value) == str(batch.value)
 
 
-def test_unknown_streaming_spec_lists_names():
-    with pytest.raises(ConfigurationError) as excinfo:
-        build_streaming_aggregator("krum")
-    for name in STREAMING_NAMES:
-        assert name in str(excinfo.value)
+@pytest.mark.parametrize(
+    "make",
+    (MedianAggregator, lambda: NormClipAggregator(2.0)),
+    ids=("median", "norm_clip"),
+)
+def test_buffering_aggregators_enforce_the_lifecycle(make):
+    # The same lifecycle errors as the mean's, on the buffering base.
+    update = make_updates(1, seed=8)[0]
+    with pytest.raises(AggregationError, match="before begin"):
+        make().fold(update)
+    aggregator = make()
+    with pytest.raises(AggregationError, match="zero parameter sets"):
+        aggregator.begin(0)
+    aggregator.begin(1)
+    aggregator.fold(update)
+    with pytest.raises(AggregationError, match="more than the 1 times"):
+        aggregator.fold(update)
+    aggregator.begin(2)
+    aggregator.fold(update)
+    with pytest.raises(AggregationError, match="after 1 folds"):
+        aggregator.finalize()
