@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments.registry import active_config
+from repro.experiments.registry import Runner, active_config
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -25,6 +25,12 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def config():
     """The active experiment configuration (smoke or full scale)."""
     return active_config()
+
+
+@pytest.fixture(scope="session")
+def runner(config):
+    """One artefact runner for the session: each distinct run trains once."""
+    return Runner(config)
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,16 @@
-"""Benchmark: regenerate the Section IV-C overhead analysis.
+"""Benchmark: the observability layer's overhead guards.
 
-Paper numbers being reproduced exactly (they are structural, not
-testbed-dependent): 2.8 kB per model transfer, 687 parameters, ~100 kB
-replay-buffer storage. The latency claim is structural too: controller
-compute far below the 500 ms control interval.
-
-Also guards the observability layer's core promise: attaching a full
-metrics registry plus round tracer to a training run must stay within
-10 % of the uninstrumented wall-time, and with no sink attached the
-instrumented code paths are pure ``None`` checks.
+Attaching a full metrics registry plus round tracer, a flight recorder
+or the full live stack to a training run must stay within 10 % of the
+uninstrumented wall-time; with no sink attached the instrumented code
+paths are pure ``None`` checks. (The Section IV-C overhead artefact
+itself is checked in ``test_bench_artefacts.py``.)
 """
 
 import time
 import urllib.request
 from dataclasses import replace
 
-from repro.experiments.overhead import run_overhead
 from repro.experiments.scenarios import scenario_applications
 from repro.experiments.training import train_federated
 from repro.obs.alerts import AlertEngine, parse_alert_specs
@@ -25,24 +20,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import FleetRollup
 from repro.obs.sink import EventPipeline
 from repro.obs.tracing import RoundTracer
-
-
-def test_overhead_analysis(benchmark, config, save_result):
-    report = benchmark.pedantic(
-        run_overhead, args=(config,), kwargs=dict(measure_steps=100),
-        iterations=1, rounds=1,
-    )
-    save_result("overhead", report.format())
-
-    # Exact structural numbers from the paper.
-    assert report.model_transfer_bytes == 2748  # 2.8 kB
-    assert report.model_parameter_count == 687
-    assert report.replay_storage_bytes == 100_000  # 100 kB
-
-    # Latency is a small fraction of the control interval (paper: 5.9 %
-    # on a Jetson Nano; much smaller on a workstation).
-    assert report.latency_overhead_percent < 20.0
-    assert report.mean_decision_latency_s > 0.0
 
 
 def test_telemetry_overhead_within_ten_percent(config, save_result):

@@ -15,15 +15,24 @@ Run:  python examples/governor_comparison.py
 """
 
 from repro import FederatedPowerControlConfig
-from repro.experiments.ablations import run_governor_comparison
+from repro.experiments.registry import get_experiment, run_artefacts
 
 
 def main() -> None:
     config = FederatedPowerControlConfig(seed=2025).scaled(
         rounds=30, steps_per_round=100
     )
-    result = run_governor_comparison(config)
-    print(result.format())
+    numbers = run_artefacts(["ablation_governors"], config)["ablation_governors"]
+    print(get_experiment("ablation_governors").render(numbers))
+    best_governor = max(
+        (name for name in numbers["controllers"] if name != "federated (ours)"),
+        key=lambda name: numbers[f"{name}.reward"],
+    )
+    print(
+        f"\nBest governor: {best_governor} "
+        f"(reward {numbers[f'{best_governor}.reward']:.3f} vs "
+        f"{numbers['federated (ours).reward']:.3f} learned)."
+    )
     print(
         "\nReward is the paper's Eq. 4 signal (normalised frequency under "
         "the budget, negative beyond it); violations is the fraction of "

@@ -84,6 +84,7 @@ from repro.errors import (
 )
 from repro.experiments.registry import (
     EXPERIMENTS,
+    Runner,
     get_experiment,
     list_experiments,
     paper_config,
@@ -812,9 +813,9 @@ def _dispatch(args) -> int:
             steps_per_round=args.steps or config.steps_per_round,
         )
     options = _run_spec_from_args(args)
-    sinks = _build_sinks(args, spec.experiment_id, config, options)
+    sinks = _build_sinks(args, spec.id, config, options)
     with ambient(options, **sinks.spec_fields()):
-        output = spec.runner(config)
+        output = Runner(config).text(spec.id)
     print(output)
     if args.output:
         with open(args.output, "w") as handle:
@@ -1245,7 +1246,7 @@ def _run_report(args) -> int:
 
     config = paper_config(args.seed) if args.full else smoke_config(args.seed)
     experiment_ids = args.experiments or [
-        spec.experiment_id
+        spec.id
         for spec in EXPERIMENTS.values()
         if spec.paper_artifact != "extension"
     ]
@@ -1254,10 +1255,12 @@ def _run_report(args) -> int:
     options = _run_spec_from_args(args)
     sinks = _build_sinks(args, "report", config, options)
     with ambient(options, **sinks.spec_fields()):
+        # One runner: artefacts needing the same training run share it.
+        runner = Runner(config)
         for experiment_id in experiment_ids:
             spec = get_experiment(experiment_id)
             print(f"running {experiment_id} ({spec.paper_artifact}) ...")
-            text = spec.runner(config)
+            text = runner.text(experiment_id)
             path = output_dir / f"{experiment_id}.txt"
             path.write_text(text + "\n")
             print(f"  -> {path}")

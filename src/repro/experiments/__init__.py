@@ -1,6 +1,11 @@
 """Experiment harnesses reproducing the paper's evaluation.
 
-One module per paper artefact:
+Every paper artefact, extension and ablation has one shape, an
+:class:`~repro.experiments.artefact.Artefact`: the training runs it
+needs (driver, assignments, config, ``RunSpec`` options), a ``reduce``
+from their results to JSON-serialisable named numbers, and a
+``render`` from the numbers to the printed text. One module declares
+each (or, in :mod:`repro.experiments.ablations`, each study):
 
 * :mod:`repro.experiments.config` — Table I hyper-parameters.
 * :mod:`repro.experiments.scenarios` — Table II training-app splits.
@@ -17,7 +22,9 @@ One module per paper artefact:
 :mod:`repro.experiments.training` and
 :mod:`repro.experiments.evaluation` hold the shared train/eval
 machinery; :mod:`repro.experiments.registry` maps experiment ids to
-runnables for the CLI and benchmarks.
+declarations and its ``Runner`` (``run_artefacts(ids, config)``)
+trains each distinct run once for the CLI and benchmarks. Importing
+this package imports neither.
 """
 
 from repro.experiments.config import FederatedPowerControlConfig

@@ -21,6 +21,12 @@ from repro.utils.validation import (
     require_positive,
 )
 
+#: Training losses a config may name (Huber is the paper's).
+LOSS_NAMES = ("huber", "mse")
+
+#: Replay samplers a config may name (uniform is the paper's).
+REPLAY_NAMES = ("uniform", "prioritized")
+
 
 @dataclass(frozen=True)
 class FederatedPowerControlConfig:
@@ -52,6 +58,10 @@ class FederatedPowerControlConfig:
     workload_jitter: float = 0.05
     seed: int = 2025
 
+    # --- training variants (the loss and replay ablations) ---
+    loss: str = "huber"  # "huber" (paper) | "mse"
+    replay: str = "uniform"  # "uniform" (paper) | "prioritized"
+
     def __post_init__(self) -> None:
         require_positive("learning_rate", self.learning_rate)
         require_positive("max_temperature", self.max_temperature)
@@ -81,6 +91,15 @@ class FederatedPowerControlConfig:
             if not isinstance(value, int) or value <= 0:
                 raise ConfigurationError(
                     f"{name} must be a positive integer, got {value!r}"
+                )
+        for name, allowed in (
+            ("loss", LOSS_NAMES),
+            ("replay", REPLAY_NAMES),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ConfigurationError(
+                    f"{name} must be one of {', '.join(allowed)}, "
+                    f"got {getattr(self, name)!r}"
                 )
         if not self.hidden_layers or any(
             not isinstance(h, int) or h <= 0 for h in self.hidden_layers

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.artefact import Artefact
 from repro.experiments.scenarios import evaluation_applications
 from repro.faults.plan import FaultPlan
 from repro.sim.workload import SPLASH2_APPLICATION_NAMES
@@ -40,7 +40,7 @@ def controlplane_assignments(num_devices: int = NUM_DEVICES):
     }
 
 
-def run_controlplane(config: FederatedPowerControlConfig) -> str:
+def _reduce(results, config):
     """Async control plane under 30% permanent device death."""
     from repro.controlplane import train_async_federated
 
@@ -63,35 +63,64 @@ def run_controlplane(config: FederatedPowerControlConfig) -> str:
     )
     cp = result.controlplane
     counts = cp["registry"]["counts"]
-    final_reward = (
-        result.round_evaluations[-1].overall_mean("reward_mean")
-        if result.round_evaluations
-        else float("nan")
-    )
-    rows = [
-        ["devices", str(len(assignments))],
-        ["permanently dead (plan)", ", ".join(plan.dead_devices)],
-        ["final mode", str(cp["mode"])],
-        ["live fraction", f"{cp['registry']['live_fraction']:.2f}"],
-        [
-            "registry counts",
-            ", ".join(f"{state}={n}" for state, n in sorted(counts.items())),
-        ],
-        ["liveness transitions", str(cp["registry"]["transitions"])],
-        ["merges applied", str(cp["merges"])],
-        ["late merges", str(cp["late_merges"])],
-        ["rounds lost to death", str(cp["discarded_rounds"])],
-        ["zombie uploads refused", str(cp["zombie_uploads"])],
-        ["buffer peak depth", str(cp["buffer"]["peak_depth"])],
-        ["straggler rate", f"{result.federated_result.straggler_rate:.4f}"],
-        ["evaluations", str(len(result.round_evaluations))],
-        ["final reward mean", f"{final_reward:.4f}"],
-    ]
-    return format_table(
-        ["Quantity", "Value"],
-        rows,
-        title=(
-            "Control plane — async training under "
-            f"{int(dead_fraction * 100)}% permanent device death"
+    return {
+        "dead_fraction": dead_fraction,
+        "devices": len(assignments),
+        "dead_devices": list(plan.dead_devices),
+        "final_mode": str(cp["mode"]),
+        "live_fraction": cp["registry"]["live_fraction"],
+        "registry_counts": [f"{state}={n}" for state, n in sorted(counts.items())],
+        "liveness_transitions": cp["registry"]["transitions"],
+        "merges": cp["merges"],
+        "late_merges": cp["late_merges"],
+        "discarded_rounds": cp["discarded_rounds"],
+        "zombie_uploads": cp["zombie_uploads"],
+        "buffer_peak_depth": cp["buffer"]["peak_depth"],
+        "straggler_rate": result.federated_result.straggler_rate,
+        "evaluations": len(result.round_evaluations),
+        "final_reward_mean": (
+            result.round_evaluations[-1].overall_mean("reward_mean")
+            if result.round_evaluations
+            else float("nan")
         ),
+    }
+
+
+#: (printed quantity, number name, format) per table row.
+_ROWS = (
+    ("devices", "devices", "{}"),
+    ("permanently dead (plan)", "dead_devices", None),
+    ("final mode", "final_mode", "{}"),
+    ("live fraction", "live_fraction", "{:.2f}"),
+    ("registry counts", "registry_counts", None),
+    ("liveness transitions", "liveness_transitions", "{}"),
+    ("merges applied", "merges", "{}"),
+    ("late merges", "late_merges", "{}"),
+    ("rounds lost to death", "discarded_rounds", "{}"),
+    ("zombie uploads refused", "zombie_uploads", "{}"),
+    ("buffer peak depth", "buffer_peak_depth", "{}"),
+    ("straggler rate", "straggler_rate", "{:.4f}"),
+    ("evaluations", "evaluations", "{}"),
+    ("final reward mean", "final_reward_mean", "{:.4f}"),
+)
+
+
+def _render(numbers) -> str:
+    rows = [
+        [label, spec.format(numbers[name]) if spec else ", ".join(numbers[name])]
+        for label, name, spec in _ROWS
+    ]
+    title = (
+        "Control plane — async training under "
+        f"{int(numbers['dead_fraction'] * 100)}% permanent device death"
     )
+    return format_table(["Quantity", "Value"], rows, title=title)
+
+
+CONTROLPLANE = Artefact(
+    "controlplane",
+    "Async control plane under 30% permanent device death",
+    "extension",
+    _reduce,
+    _render,
+)

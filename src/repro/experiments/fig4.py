@@ -10,109 +10,100 @@ from the same evaluation records as Fig. 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import fmean
-from typing import Dict, List
 
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.artefact import Artefact, federated, local_only
 from repro.experiments.scenarios import scenario_applications
-from repro.experiments.training import train_federated, train_local_only
 from repro.utils.ascii_plot import line_plot
 from repro.utils.tables import format_series, format_table
 
-
-@dataclass(frozen=True)
-class FrequencyCurve:
-    """Per-round mean and std of the selected frequency, in MHz."""
-
-    label: str
-    mean_mhz: List[float]
-    std_mhz: List[float]
-
-    def overall_mean_mhz(self) -> float:
-        return fmean(self.mean_mhz)
+_SCENARIO = 2
 
 
-@dataclass(frozen=True)
-class Fig4Result:
-    scenario: int
-    curves: List[FrequencyCurve]
+def _runs(config):
+    assignments = scenario_applications(_SCENARIO)
+    return {
+        "local": local_only(assignments, config),
+        "federated": federated(assignments, config),
+    }
 
-    def curve(self, label: str) -> FrequencyCurve:
-        for curve in self.curves:
-            if curve.label == label:
-                return curve
-        raise KeyError(label)
 
-    def format(self) -> str:
-        sections = [
-            f"Fig. 4 — average selected frequency during evaluation "
-            f"(scenario {self.scenario})"
-        ]
-        for curve in self.curves:
-            sections.append(
-                format_series(f"{curve.label} mean [MHz]", curve.mean_mhz,
-                              float_format="{:8.1f}")
-            )
-        sections.append(
-            line_plot(
-                {curve.label: curve.mean_mhz for curve in self.curves},
-                title="mean selected frequency per round [MHz]",
-                y_min=102.0,
-                y_max=1479.0,
-            )
+def _reduce(results, config):
+    devices = list(scenario_applications(_SCENARIO))
+    local, fed = results["local"], results["federated"]
+    curves = {
+        f"local-only {device}": (
+            local.eval_series(device, "frequency_mean_hz"),
+            local.eval_series(device, "frequency_std_hz"),
         )
-        rows = [
-            [curve.label, curve.overall_mean_mhz(), fmean(curve.std_mhz)]
-            for curve in self.curves
-        ]
-        sections.append(
-            format_table(
-                ["policy", "mean freq [MHz]", "mean std [MHz]"],
-                rows,
-                title="Summary",
-            )
-        )
-        return "\n\n".join(sections)
-
-
-def run_fig4(
-    config: FederatedPowerControlConfig, scenario: int = 2
-) -> Fig4Result:
-    """Frequency-selection statistics for one scenario (default 2)."""
-    assignments = scenario_applications(scenario)
-    local = train_local_only(assignments, config)
-    federated = train_federated(assignments, config)
-
-    curves: List[FrequencyCurve] = []
-    for device in assignments:
-        curves.append(
-            FrequencyCurve(
-                label=f"local-only {device}",
-                mean_mhz=[v / 1e6 for v in local.eval_series(device, "frequency_mean_hz")],
-                std_mhz=[v / 1e6 for v in local.eval_series(device, "frequency_std_hz")],
-            )
-        )
+        for device in devices
+    }
     # The federated policy is shared; its statistics are averaged over
     # the devices it runs on (the paper reports one federated curve).
-    device_names = list(assignments)
-    fed_mean = [
-        fmean(values)
-        for values in zip(
-            *(federated.eval_series(d, "frequency_mean_hz") for d in device_names)
-        )
+    curves["federated"] = tuple(
+        [
+            fmean(values)
+            for values in zip(*(fed.eval_series(d, metric) for d in devices))
+        ]
+        for metric in ("frequency_mean_hz", "frequency_std_hz")
+    )
+    numbers = {"scenario": _SCENARIO, "curves": list(curves)}
+    for label, (mean_hz, std_hz) in curves.items():
+        mean_mhz = [v / 1e6 for v in mean_hz]
+        numbers[f"{label}.mean_mhz"] = mean_mhz
+        numbers[f"{label}.std_mhz"] = [v / 1e6 for v in std_hz]
+        # Converged (late-round) selection, the Fig. 4 signature.
+        numbers[f"{label}.late_mean_mhz"] = fmean(mean_mhz[len(mean_mhz) // 2 :])
+    every = [f for label in curves for f in numbers[f"{label}.mean_mhz"]]
+    numbers["min_mean_mhz"], numbers["max_mean_mhz"] = min(every), max(every)
+    return numbers
+
+
+def _render(numbers) -> str:
+    labels = numbers["curves"]
+    sections = [
+        f"Fig. 4 — average selected frequency during evaluation "
+        f"(scenario {numbers['scenario']})"
     ]
-    fed_std = [
-        fmean(values)
-        for values in zip(
-            *(federated.eval_series(d, "frequency_std_hz") for d in device_names)
+    for label in labels:
+        sections.append(
+            format_series(
+                f"{label} mean [MHz]",
+                numbers[f"{label}.mean_mhz"],
+                float_format="{:8.1f}",
+            )
         )
-    ]
-    curves.append(
-        FrequencyCurve(
-            label="federated",
-            mean_mhz=[v / 1e6 for v in fed_mean],
-            std_mhz=[v / 1e6 for v in fed_std],
+    sections.append(
+        line_plot(
+            {label: numbers[f"{label}.mean_mhz"] for label in labels},
+            title="mean selected frequency per round [MHz]",
+            y_min=102.0,
+            y_max=1479.0,
         )
     )
-    return Fig4Result(scenario=scenario, curves=curves)
+    rows = [
+        [
+            label,
+            fmean(numbers[f"{label}.mean_mhz"]),
+            fmean(numbers[f"{label}.std_mhz"]),
+        ]
+        for label in labels
+    ]
+    sections.append(
+        format_table(
+            ["policy", "mean freq [MHz]", "mean std [MHz]"],
+            rows,
+            title="Summary",
+        )
+    )
+    return "\n\n".join(sections)
+
+
+FIG4 = Artefact(
+    "fig4",
+    "Frequency-selection statistics, scenario 2",
+    "Fig. 4",
+    _reduce,
+    _render,
+    _runs,
+)

@@ -10,132 +10,99 @@ in all evaluation rounds".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import fmean
-from typing import Dict
 
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.artefact import Artefact, collab_profit, federated
 from repro.experiments.scenarios import six_app_split
-from repro.experiments.training import (
-    TrainingResult,
-    train_collab_profit,
-    train_federated,
-)
-from repro.sim.workload import SPLASH2_APPLICATION_NAMES
 from repro.utils.tables import format_table
 
-
-@dataclass(frozen=True)
-class Fig5Result:
-    """Per-application metrics for both techniques."""
-
-    ours_exec_time_s: Dict[str, float]
-    ours_ips: Dict[str, float]
-    ours_power_w: Dict[str, float]
-    baseline_exec_time_s: Dict[str, float]
-    baseline_ips: Dict[str, float]
-    baseline_power_w: Dict[str, float]
-    ours_result: TrainingResult
-    baseline_result: TrainingResult
-    power_limit_w: float
-
-    @property
-    def applications(self):
-        return tuple(sorted(self.ours_exec_time_s))
-
-    def mean_speedup_percent(self) -> float:
-        """Average per-app execution-time reduction (paper: 22 %)."""
-        reductions = [
-            100.0
-            * (self.baseline_exec_time_s[a] - self.ours_exec_time_s[a])
-            / self.baseline_exec_time_s[a]
-            for a in self.applications
-        ]
-        return fmean(reductions)
-
-    def max_speedup_percent(self) -> float:
-        """Best per-app execution-time reduction (paper: 53 %)."""
-        return max(
-            100.0
-            * (self.baseline_exec_time_s[a] - self.ours_exec_time_s[a])
-            / self.baseline_exec_time_s[a]
-            for a in self.applications
-        )
-
-    def mean_ips_gain_percent(self) -> float:
-        """Average per-app IPS increase (paper: 29 %)."""
-        return fmean(
-            100.0 * (self.ours_ips[a] - self.baseline_ips[a]) / self.baseline_ips[a]
-            for a in self.applications
-        )
-
-    def max_ips_gain_percent(self) -> float:
-        """Best per-app IPS increase (paper: 95 %)."""
-        return max(
-            100.0 * (self.ours_ips[a] - self.baseline_ips[a]) / self.baseline_ips[a]
-            for a in self.applications
-        )
-
-    def average_power_below_limit(self) -> bool:
-        """Both techniques' average power per app stays under P_crit."""
-        return all(
-            self.ours_power_w[a] <= self.power_limit_w
-            and self.baseline_power_w[a] <= self.power_limit_w
-            for a in self.applications
-        )
-
-    def format(self) -> str:
-        rows = []
-        for app in self.applications:
-            rows.append(
-                [
-                    app,
-                    self.ours_exec_time_s[app],
-                    self.baseline_exec_time_s[app],
-                    self.ours_ips[app] / 1e6,
-                    self.baseline_ips[app] / 1e6,
-                    self.ours_power_w[app],
-                    self.baseline_power_w[app],
-                ]
-            )
-        table = format_table(
-            [
-                "application",
-                "ours t[s]",
-                "sota t[s]",
-                "ours IPS[M]",
-                "sota IPS[M]",
-                "ours P[W]",
-                "sota P[W]",
-            ],
-            rows,
-            title="Fig. 5 — per-application comparison, six training apps "
-            "per device",
-        )
-        summary = (
-            f"Mean (max) exec-time reduction: {self.mean_speedup_percent():.0f} % "
-            f"({self.max_speedup_percent():.0f} %) — paper: 22 % (53 %)\n"
-            f"Mean (max) IPS increase: {self.mean_ips_gain_percent():.0f} % "
-            f"({self.max_ips_gain_percent():.0f} %) — paper: 29 % (95 %)\n"
-            f"Average power below P_crit for every app: "
-            f"{self.average_power_below_limit()}"
-        )
-        return f"{table}\n{summary}"
+#: (number suffix, TrainingResult metric) per compared quantity.
+_METRICS = (("exec_time_s", "exec_time_s"), ("ips", "ips_mean"),
+            ("power_w", "power_mean_w"))
 
 
-def run_fig5(config: FederatedPowerControlConfig) -> Fig5Result:
-    """Train both techniques on the six-app split and compare per app."""
+def _runs(config):
     assignments = six_app_split()
-    ours = train_federated(assignments, config)
-    baseline = train_collab_profit(assignments, config)
-    return Fig5Result(
-        ours_exec_time_s=ours.per_application_mean("exec_time_s"),
-        ours_ips=ours.per_application_mean("ips_mean"),
-        ours_power_w=ours.per_application_mean("power_mean_w"),
-        baseline_exec_time_s=baseline.per_application_mean("exec_time_s"),
-        baseline_ips=baseline.per_application_mean("ips_mean"),
-        baseline_power_w=baseline.per_application_mean("power_mean_w"),
-        ours_result=ours,
-        baseline_result=baseline,
-        power_limit_w=config.power_limit_w,
+    return {
+        "ours": federated(assignments, config),
+        "sota": collab_profit(assignments, config),
+    }
+
+
+def _reduce(results, config):
+    """Per-application metrics for both techniques and the paper's
+    summary statistics (mean/max exec-time reduction and IPS gain)."""
+    numbers = {}
+    for system, result in results.items():
+        for name, metric in _METRICS:
+            for app, value in result.per_application_mean(metric).items():
+                numbers[f"{app}.{system}_{name}"] = value
+    applications = sorted({key.split(".")[0] for key in numbers})
+    speedups, ips_gains = [], []
+    for app in applications:
+        ours_t, sota_t = numbers[f"{app}.ours_exec_time_s"], numbers[f"{app}.sota_exec_time_s"]
+        ours_ips, sota_ips = numbers[f"{app}.ours_ips"], numbers[f"{app}.sota_ips"]
+        speedups.append(100.0 * (sota_t - ours_t) / sota_t)
+        ips_gains.append(100.0 * (ours_ips - sota_ips) / sota_ips)
+        numbers[f"{app}.speedup_percent"] = speedups[-1]
+    limit = config.power_limit_w
+    numbers.update(
+        applications=applications,
+        # Paper: 22 % (53 %) exec-time reduction, 29 % (95 %) IPS gain.
+        mean_speedup_percent=fmean(speedups),
+        max_speedup_percent=max(speedups),
+        mean_ips_gain_percent=fmean(ips_gains),
+        max_ips_gain_percent=max(ips_gains),
+        average_power_below_limit=all(
+            numbers[f"{app}.ours_power_w"] <= limit
+            and numbers[f"{app}.sota_power_w"] <= limit
+            for app in applications
+        ),
     )
+    return numbers
+
+
+def _render(numbers) -> str:
+    columns = ("ours_exec_time_s", "sota_exec_time_s", "ours_ips", "sota_ips",
+               "ours_power_w", "sota_power_w")
+    rows = [
+        [app]
+        + [
+            numbers[f"{app}.{column}"] / (1e6 if column.endswith("ips") else 1)
+            for column in columns
+        ]
+        for app in numbers["applications"]
+    ]
+    table = format_table(
+        [
+            "application",
+            "ours t[s]",
+            "sota t[s]",
+            "ours IPS[M]",
+            "sota IPS[M]",
+            "ours P[W]",
+            "sota P[W]",
+        ],
+        rows,
+        title="Fig. 5 — per-application comparison, six training apps "
+        "per device",
+    )
+    summary = (
+        f"Mean (max) exec-time reduction: {numbers['mean_speedup_percent']:.0f} % "
+        f"({numbers['max_speedup_percent']:.0f} %) — paper: 22 % (53 %)\n"
+        f"Mean (max) IPS increase: {numbers['mean_ips_gain_percent']:.0f} % "
+        f"({numbers['max_ips_gain_percent']:.0f} %) — paper: 29 % (95 %)\n"
+        f"Average power below P_crit for every app: "
+        f"{numbers['average_power_below_limit']}"
+    )
+    return f"{table}\n{summary}"
+
+
+FIG5 = Artefact(
+    "fig5",
+    "Per-application comparison, six training apps per device",
+    "Fig. 5",
+    _reduce,
+    _render,
+    _runs,
+)

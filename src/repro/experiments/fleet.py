@@ -13,18 +13,19 @@ Environment overrides (used by the CI ``fleet-smoke`` job):
 * ``REPRO_FLEET_SCALES`` — comma-separated device counts replacing the
   default ``1000,10000``;
 * ``REPRO_FLEET_FLAT=0`` — skip the flat baseline arm (its root
-  receives all D uploads, holding them encoded until their fold);
-* ``REPRO_FLEET_ROUNDS`` — aggregation rounds per scale (default 1).
+  receives all D uploads, holding them encoded until their fold).
+
+Each scale runs one aggregation round.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import fields
+from typing import Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.artefact import Artefact
 from repro.hier.scale import FleetScaleReport, simulate_fleet_round
 
 #: Default fleet sizes: the paper roster grown by 2-3 orders of magnitude.
@@ -32,7 +33,8 @@ DEFAULT_FLEET_SCALES: Tuple[int, ...] = (1000, 10000)
 
 FLEET_SCALES_ENV = "REPRO_FLEET_SCALES"
 FLEET_FLAT_ENV = "REPRO_FLEET_FLAT"
-FLEET_ROUNDS_ENV = "REPRO_FLEET_ROUNDS"
+
+_REPORT_FIELDS = tuple(field.name for field in fields(FleetScaleReport))
 
 
 def _scales_from_env() -> Tuple[int, ...]:
@@ -54,37 +56,7 @@ def _scales_from_env() -> Tuple[int, ...]:
     return tuple(scales)
 
 
-@dataclass
-class FleetScaleResult:
-    """All scale points of one ``fleet-scale`` invocation."""
-
-    reports: List[FleetScaleReport]
-
-    def by_devices(self) -> Dict[int, FleetScaleReport]:
-        return {report.num_devices: report for report in self.reports}
-
-    def format(self) -> str:
-        lines: List[str] = [
-            "fleet-scale: hierarchical vs flat aggregation "
-            "(synthetic updates, real transport/codec/tier machinery)",
-            "",
-        ]
-        for report in self.reports:
-            lines.extend(report.summary_lines())
-            lines.append("")
-        peaks = {
-            report.hier_peak_resident_updates for report in self.reports
-        }
-        if len(self.reports) > 1 and len(peaks) == 1:
-            lines.append(
-                f"aggregator memory: peak_resident_updates="
-                f"{peaks.pop()} at every scale "
-                f"(independent of device count)"
-            )
-        return "\n".join(lines).rstrip()
-
-
-def run_fleet_scale(config: FederatedPowerControlConfig) -> FleetScaleResult:
+def _reduce(results, config):
     """Measure hierarchical aggregation at the configured fleet sizes.
 
     Device training is synthesised (seeded updates, no simulators) —
@@ -92,16 +64,45 @@ def run_fleet_scale(config: FederatedPowerControlConfig) -> FleetScaleResult:
     changes when the roster grows from the paper's 4 devices to 10k.
     Deterministic in ``config.seed`` except for the ``wall_s`` timings.
     """
-    scales = _scales_from_env()
     include_flat = os.environ.get(FLEET_FLAT_ENV, "1") != "0"
-    rounds = int(os.environ.get(FLEET_ROUNDS_ENV, "1"))
-    reports = [
-        simulate_fleet_round(
-            num_devices,
-            rounds=rounds,
-            seed=config.seed,
-            include_flat=include_flat,
+    numbers = {"devices": list(_scales_from_env())}
+    for num_devices in numbers["devices"]:
+        report = simulate_fleet_round(
+            num_devices, rounds=1, seed=config.seed, include_flat=include_flat
         )
-        for num_devices in scales
+        numbers.update(
+            {f"D={num_devices}.{key}": value for key, value in report.to_dict().items()}
+        )
+    return numbers
+
+
+def _render(numbers) -> str:
+    lines = [
+        "fleet-scale: hierarchical vs flat aggregation "
+        "(synthetic updates, real transport/codec/tier machinery)",
+        "",
     ]
-    return FleetScaleResult(reports=reports)
+    peaks = set()
+    for num_devices in numbers["devices"]:
+        report = FleetScaleReport(
+            **{key: numbers[f"D={num_devices}.{key}"] for key in _REPORT_FIELDS}
+        )
+        lines.extend(report.summary_lines())
+        lines.append("")
+        peaks.add(report.hier_peak_resident_updates)
+    if len(numbers["devices"]) > 1 and len(peaks) == 1:
+        lines.append(
+            f"aggregator memory: peak_resident_updates="
+            f"{peaks.pop()} at every scale "
+            f"(independent of device count)"
+        )
+    return "\n".join(lines).rstrip()
+
+
+FLEET_SCALE = Artefact(
+    "fleet-scale",
+    "Hierarchical vs flat aggregation at 1k/10k devices",
+    "extension",
+    _reduce,
+    _render,
+)

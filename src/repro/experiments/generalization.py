@@ -13,94 +13,92 @@ compares reward, power and violation statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
-
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.artefact import Artefact, federated, flatten, table_rows
 from repro.experiments.evaluation import PolicyEvaluator
 from repro.experiments.scenarios import six_app_split
-from repro.experiments.training import train_federated
 from repro.sim.generator import random_application_suite
 from repro.sim.workload import SPLASH2_APPLICATION_NAMES
 from repro.utils.tables import format_table
 
+#: Size of the synthetic, never-seen application suite.
+_NUM_UNSEEN = 8
 
-@dataclass(frozen=True)
-class GeneralizationResult:
-    """Seen-suite vs unseen-suite evaluation of one trained policy."""
-
-    seen_reward: float
-    seen_power_w: float
-    seen_violations: float
-    unseen_reward: float
-    unseen_power_w: float
-    unseen_violations: float
-    per_unseen_app: List[Tuple[str, float, float]]
-    power_limit_w: float
-
-    def reward_gap(self) -> float:
-        """How much reward generalisation costs (seen minus unseen)."""
-        return self.seen_reward - self.unseen_reward
-
-    def unseen_stays_safe(self, tolerance: float = 0.10) -> bool:
-        """Average power under the budget and violations bounded."""
-        return (
-            self.unseen_power_w <= self.power_limit_w
-            and self.unseen_violations <= tolerance
-        )
-
-    def format(self) -> str:
-        summary = format_table(
-            ["suite", "reward", "power [W]", "violations"],
-            [
-                ["SPLASH-2 (training distribution)", self.seen_reward,
-                 self.seen_power_w, self.seen_violations],
-                ["synthetic (never seen)", self.unseen_reward,
-                 self.unseen_power_w, self.unseen_violations],
-            ],
-            title="Generalisation — trained policy on unseen workloads",
-        )
-        detail = format_table(
-            ["unseen application", "reward", "power [W]"],
-            [list(row) for row in self.per_unseen_app],
-            title="Per-application detail (synthetic suite)",
-        )
-        gap = (
-            f"Generalisation gap: {self.reward_gap():+.3f} reward; "
-            f"unseen suite stays power-safe: {self.unseen_stays_safe()}"
-        )
-        return f"{summary}\n\n{detail}\n{gap}"
+_METRICS = (("reward", "reward_mean"), ("power_w", "power_mean_w"),
+            ("violations", "violation_rate"))
 
 
-def run_generalization(
-    config: FederatedPowerControlConfig, num_unseen: int = 8
-) -> GeneralizationResult:
-    """Train on SPLASH-2, evaluate on random synthetic applications."""
-    federated = train_federated(six_app_split(), config)
-    controller = federated.controllers[next(iter(federated.controllers))]
-
-    seen_evaluator = PolicyEvaluator(
+def _reduce(results, config):
+    """Evaluate the trained policy on SPLASH-2 and on random synthetic
+    applications; compare reward, power and violations."""
+    controllers = results["federated"].controllers
+    controller = {"generalization-eval": controllers[next(iter(controllers))]}
+    seen = PolicyEvaluator(
         ["generalization-eval"], config, SPLASH2_APPLICATION_NAMES, seed_path=870
-    )
-    unseen_suite = random_application_suite(num_unseen, seed=config.seed + 1)
-    unseen_evaluator = PolicyEvaluator(
-        ["generalization-eval"], config, unseen_suite, seed_path=871
-    )
+    ).evaluate(controller, 0)
+    unseen = PolicyEvaluator(
+        ["generalization-eval"],
+        config,
+        random_application_suite(_NUM_UNSEEN, seed=config.seed + 1),
+        seed_path=871,
+    ).evaluate(controller, 0)
 
-    seen = seen_evaluator.evaluate({"generalization-eval": controller}, 0)
-    unseen = unseen_evaluator.evaluate({"generalization-eval": controller}, 0)
-
-    per_unseen = [
-        (e.application, e.reward_mean, e.power_mean_w)
+    per_app = {
+        e.application: {"reward": e.reward_mean, "power_w": e.power_mean_w}
         for e in sorted(unseen.evaluations, key=lambda e: e.application)
-    ]
-    return GeneralizationResult(
-        seen_reward=seen.overall_mean("reward_mean"),
-        seen_power_w=seen.overall_mean("power_mean_w"),
-        seen_violations=seen.overall_mean("violation_rate"),
-        unseen_reward=unseen.overall_mean("reward_mean"),
-        unseen_power_w=unseen.overall_mean("power_mean_w"),
-        unseen_violations=unseen.overall_mean("violation_rate"),
-        per_unseen_app=per_unseen,
-        power_limit_w=config.power_limit_w,
+    }
+    numbers = flatten(
+        {
+            suite: {name: round_eval.overall_mean(metric) for name, metric in _METRICS}
+            for suite, round_eval in (("seen", seen), ("unseen", unseen))
+        }
     )
+    numbers.update(flatten(per_app), unseen_apps=list(per_app))
+    numbers["unseen_positive_apps"] = sum(
+        1 for row in per_app.values() if row["reward"] > 0
+    )
+    # How much reward generalisation costs (seen minus unseen), and
+    # whether the unseen suite stays under the budget with violations
+    # bounded.
+    numbers["reward_gap"] = numbers["seen.reward"] - numbers["unseen.reward"]
+    numbers["unseen_stays_safe"] = (
+        numbers["unseen.power_w"] <= config.power_limit_w
+        and numbers["unseen.violations"] <= 0.10
+    )
+    numbers["soft_power_limit_w"] = config.power_limit_w + config.power_offset_w
+    return numbers
+
+
+def _render(numbers) -> str:
+    summary = format_table(
+        ["suite", "reward", "power [W]", "violations"],
+        table_rows(
+            numbers,
+            ("seen", "unseen"),
+            dict(_METRICS),
+            label={
+                "seen": "SPLASH-2 (training distribution)",
+                "unseen": "synthetic (never seen)",
+            }.get,
+        ),
+        title="Generalisation — trained policy on unseen workloads",
+    )
+    detail = format_table(
+        ["unseen application", "reward", "power [W]"],
+        table_rows(numbers, numbers["unseen_apps"], ("reward", "power_w")),
+        title="Per-application detail (synthetic suite)",
+    )
+    gap = (
+        f"Generalisation gap: {numbers['reward_gap']:+.3f} reward; "
+        f"unseen suite stays power-safe: {numbers['unseen_stays_safe']}"
+    )
+    return f"{summary}\n\n{detail}\n{gap}"
+
+
+GENERALIZATION = Artefact(
+    "generalization",
+    "Trained policy on randomly generated unseen workloads",
+    "extension",
+    _reduce,
+    _render,
+    lambda config: {"federated": federated(six_app_split(), config)},
+)

@@ -10,111 +10,85 @@ artifact of one roll.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from statistics import fmean, pstdev
-from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import ConfigurationError
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.artefact import Artefact, federated, local_only
 from repro.experiments.scenarios import scenario_applications
-from repro.experiments.training import train_federated, train_local_only
 from repro.utils.tables import format_table
 
+_SEEDS = (1, 2, 3)
+_SCENARIO = 2
+_SYSTEMS = ("federated", "local-only")
+
 #: Reported metrics: (short label, TrainingResult metric name).
-_METRICS: Tuple[Tuple[str, str], ...] = (
+_METRICS = (
     ("reward", "reward_mean"),
     ("power", "power_mean_w"),
     ("violations", "violation_rate"),
 )
 
 
-@dataclass(frozen=True)
-class SeedStatistics:
-    """Mean and spread of one metric for one system across seeds."""
-
-    system: str
-    metric: str
-    mean: float
-    std: float
-    values: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class MultiSeedResult:
-    scenario: int
-    seeds: Tuple[int, ...]
-    statistics: List[SeedStatistics]
-
-    def get(self, system: str, metric: str) -> SeedStatistics:
-        for stat in self.statistics:
-            if stat.system == system and stat.metric == metric:
-                return stat
-        raise KeyError((system, metric))
-
-    def federated_wins_every_seed(self) -> bool:
-        """True if federated reward beats local-only at every seed."""
-        federated = self.get("federated", "reward").values
-        local = self.get("local-only", "reward").values
-        return all(f > l for f, l in zip(federated, local))
-
-    def format(self) -> str:
-        rows = [
-            [stat.system, stat.metric, stat.mean, stat.std]
-            for stat in self.statistics
-        ]
-        table = format_table(
-            ["system", "metric", "mean", "std"],
-            rows,
-            title=(
-                f"Multi-seed robustness — scenario {self.scenario}, "
-                f"{len(self.seeds)} seeds (converged rounds)"
-            ),
-        )
-        verdict = (
-            f"Federated beats local-only on reward at every seed: "
-            f"{self.federated_wins_every_seed()}"
-        )
-        return f"{table}\n{verdict}"
-
-
-def run_multiseed(
-    config: FederatedPowerControlConfig,
-    seeds: Sequence[int] = (1, 2, 3),
-    scenario: int = 2,
-    last_rounds: int = 3,
-) -> MultiSeedResult:
-    """Repeat federated and local-only training across ``seeds``."""
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-
-    assignments = scenario_applications(scenario)
-    collected: Dict[Tuple[str, str], List[float]] = {
-        (system, label): []
-        for system in ("federated", "local-only")
-        for label, _ in _METRICS
-    }
-    for seed in seeds:
+def _runs(config):
+    assignments = scenario_applications(_SCENARIO)
+    runs = {}
+    for seed in _SEEDS:
         seeded = replace(config, seed=seed)
-        runs = {
-            "federated": train_federated(assignments, seeded),
-            "local-only": train_local_only(assignments, seeded),
-        }
-        for system, result in runs.items():
-            for label, metric in _METRICS:
-                collected[(system, label)].append(
-                    result.mean_metric(metric, last_rounds=last_rounds)
-                )
+        runs[f"federated.{seed}"] = federated(assignments, seeded)
+        runs[f"local-only.{seed}"] = local_only(assignments, seeded)
+    return runs
 
-    statistics = [
-        SeedStatistics(
-            system=system,
-            metric=label,
-            mean=fmean(values),
-            std=pstdev(values) if len(values) > 1 else 0.0,
-            values=tuple(values),
+
+def _reduce(results, config):
+    """Mean and spread of each metric per system across the seeds,
+    over the converged (last three) evaluation rounds."""
+    numbers = {"seeds": list(_SEEDS)}
+    for system in _SYSTEMS:
+        for label, metric in _METRICS:
+            values = [
+                results[f"{system}.{seed}"].mean_metric(metric, last_rounds=3)
+                for seed in _SEEDS
+            ]
+            numbers[f"{system}.{label}.values"] = values
+            numbers[f"{system}.{label}.mean"] = fmean(values)
+            numbers[f"{system}.{label}.std"] = pstdev(values)
+    # The budget's soft band: P_crit plus the reward's offset.
+    numbers["soft_power_limit_w"] = config.power_limit_w + config.power_offset_w
+    numbers["federated_wins_every_seed"] = all(
+        f > l
+        for f, l in zip(
+            numbers["federated.reward.values"], numbers["local-only.reward.values"]
         )
-        for (system, label), values in collected.items()
-    ]
-    return MultiSeedResult(
-        scenario=scenario, seeds=tuple(seeds), statistics=statistics
     )
+    return numbers
+
+
+def _render(numbers) -> str:
+    table = format_table(
+        ["system", "metric", "mean", "std"],
+        [
+            [system, label, numbers[f"{system}.{label}.mean"],
+             numbers[f"{system}.{label}.std"]]
+            for system in _SYSTEMS
+            for label, _ in _METRICS
+        ],
+        title=(
+            f"Multi-seed robustness — scenario {_SCENARIO}, "
+            f"{len(numbers['seeds'])} seeds (converged rounds)"
+        ),
+    )
+    verdict = (
+        f"Federated beats local-only on reward at every seed: "
+        f"{numbers['federated_wins_every_seed']}"
+    )
+    return f"{table}\n{verdict}"
+
+
+MULTISEED = Artefact(
+    "multiseed",
+    "Federated vs local-only across random seeds (mean +/- std)",
+    "extension",
+    _reduce,
+    _render,
+    _runs,
+)

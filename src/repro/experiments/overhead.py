@@ -18,56 +18,20 @@ experiment verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.control.neural import build_neural_controller
 from repro.control.runtime import ControlSession
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.artefact import Artefact
 from repro.sim.device import DeviceEnvironment, build_default_device
 from repro.utils.rng import generator_from_root
 from repro.utils.serialization import parameter_count, parameter_num_bytes
 from repro.utils.tables import format_table
 
 
-@dataclass(frozen=True)
-class OverheadReport:
-    """The Section IV-C numbers as measured by this reproduction."""
-
-    mean_decision_latency_s: float
-    control_interval_s: float
-    model_transfer_bytes: int
-    model_parameter_count: int
-    replay_storage_bytes: int
-    bytes_per_round_per_device: int
-
-    @property
-    def latency_overhead_percent(self) -> float:
-        """Latency relative to the control interval (paper: 5.9 %)."""
-        return 100.0 * self.mean_decision_latency_s / self.control_interval_s
-
-    def format(self) -> str:
-        rows = [
-            ["Controller latency [ms]", self.mean_decision_latency_s * 1e3, "29 (Jetson)"],
-            ["Overhead vs Delta_DVFS [%]", self.latency_overhead_percent, "5.9"],
-            ["Model transfer [kB]", self.model_transfer_bytes / 1e3, "2.8"],
-            ["Model parameters", self.model_parameter_count, "687"],
-            ["Replay storage [kB]", self.replay_storage_bytes / 1e3, "100"],
-            [
-                "Comm. per round per device [kB]",
-                self.bytes_per_round_per_device / 1e3,
-                "5.6 (up+down)",
-            ],
-        ]
-        return format_table(
-            ["Quantity", "Measured", "Paper"],
-            rows,
-            title="Section IV-C — runtime overhead",
-        )
+#: Trained control steps the latency is averaged over.
+_MEASURE_STEPS = 200
 
 
-def run_overhead(
-    config: FederatedPowerControlConfig, measure_steps: int = 200
-) -> OverheadReport:
+def _reduce(results, config):
     """Measure all overhead quantities with the Table-I configuration."""
     device = build_default_device(
         "overhead-device",
@@ -90,17 +54,49 @@ def run_overhead(
         seed=generator_from_root(config.seed, 801),
     )
     session = ControlSession(environment, controller)
-    session.run_steps(measure_steps, train=True)
+    session.run_steps(_MEASURE_STEPS, train=True)
 
     parameters = controller.agent.get_parameters()
     transfer_bytes = parameter_num_bytes(parameters)
-    return OverheadReport(
-        mean_decision_latency_s=session.mean_decision_latency_s(),
-        control_interval_s=config.control_interval_s,
-        model_transfer_bytes=transfer_bytes,
-        model_parameter_count=parameter_count(parameters),
-        replay_storage_bytes=controller.agent.replay.storage_bytes(
+    latency_s = session.mean_decision_latency_s()
+    return {
+        "mean_decision_latency_s": latency_s,
+        # Latency relative to the control interval (paper: 5.9 %).
+        "latency_overhead_percent": 100.0 * latency_s / config.control_interval_s,
+        "model_transfer_bytes": transfer_bytes,
+        "model_parameter_count": parameter_count(parameters),
+        "replay_storage_bytes": controller.agent.replay.storage_bytes(
             state_features=controller.agent.num_features
         ),
-        bytes_per_round_per_device=2 * transfer_bytes,
+        "bytes_per_round_per_device": 2 * transfer_bytes,
+    }
+
+
+def _render(numbers) -> str:
+    rows = [
+        ["Controller latency [ms]", numbers["mean_decision_latency_s"] * 1e3,
+         "29 (Jetson)"],
+        ["Overhead vs Delta_DVFS [%]", numbers["latency_overhead_percent"], "5.9"],
+        ["Model transfer [kB]", numbers["model_transfer_bytes"] / 1e3, "2.8"],
+        ["Model parameters", numbers["model_parameter_count"], "687"],
+        ["Replay storage [kB]", numbers["replay_storage_bytes"] / 1e3, "100"],
+        [
+            "Comm. per round per device [kB]",
+            numbers["bytes_per_round_per_device"] / 1e3,
+            "5.6 (up+down)",
+        ],
+    ]
+    return format_table(
+        ["Quantity", "Measured", "Paper"],
+        rows,
+        title="Section IV-C — runtime overhead",
     )
+
+
+OVERHEAD = Artefact(
+    "overhead",
+    "Controller latency, communication and storage overhead",
+    "Section IV-C",
+    _reduce,
+    _render,
+)

@@ -1,50 +1,40 @@
-"""Experiment registry: one runnable per paper artefact and ablation.
+"""The artefact registry and the one runner that executes it.
 
 Maps stable experiment ids (the ones DESIGN.md and the benchmarks use)
-to runner callables. Every runner takes a
-:class:`~repro.experiments.config.FederatedPowerControlConfig` and
-returns printable text, so the CLI, the benchmarks and EXPERIMENTS.md
-all share one code path.
+to :class:`~repro.experiments.artefact.Artefact` declarations.
+:class:`Runner` trains what the declarations need — each distinct run
+once per runner — and reduces and renders each artefact, so the CLI,
+the benchmarks and EXPERIMENTS.md all share one code path.
 """
 
 from __future__ import annotations
 
+import copy
 import os
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List
+from dataclasses import replace
+from typing import Dict, Iterable, List
 
 from repro.errors import ConfigurationError
-from repro.experiments.ablations import (
-    run_async_comparison,
-    run_client_scaling,
-    run_compression,
-    run_heterogeneous_budgets,
-    run_multicore,
-    run_prioritized_replay,
-    run_privacy_noise,
-    run_transition_overhead,
-    run_governor_comparison,
-    run_loss_ablation,
-    run_participation,
-    run_temperature_sensitivity,
-    run_thermal_ablation,
-    run_weighted_averaging,
-)
+from repro.experiments import ablations, training
+from repro.experiments.adaptation import ADAPTATION
+from repro.experiments.artefact import Artefact, Numbers, Run
 from repro.experiments.config import FederatedPowerControlConfig
-from repro.experiments.controlplane_exp import run_controlplane
-from repro.experiments.fleet import run_fleet_scale
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.adaptation import run_adaptation
-from repro.experiments.generalization import run_generalization
-from repro.experiments.multiseed import run_multiseed
-from repro.experiments.overhead import run_overhead
-from repro.experiments.regret import run_regret
-from repro.experiments.resilience import run_guard_comparison, run_resilience
-from repro.experiments.sweep import run_learning_rate_sweep
-from repro.experiments.table3 import run_table3
+from repro.experiments.controlplane_exp import CONTROLPLANE
+from repro.experiments.fig2 import FIG2
+from repro.experiments.fig3 import FIG3
+from repro.experiments.fig4 import FIG4
+from repro.experiments.fig5 import FIG5
+from repro.experiments.fleet import FLEET_SCALE
+from repro.experiments.generalization import GENERALIZATION
+from repro.experiments.multiseed import MULTISEED
+from repro.experiments.overhead import OVERHEAD
+from repro.experiments.regret import REGRET
+from repro.experiments.resilience import GUARD, RESILIENCE
+from repro.experiments.scenarios import SCENARIOS
+from repro.experiments.sweep import SWEEP_LR
+from repro.experiments.table3 import TABLE3
+from repro.experiments.training import TrainingResult
+from repro.runspec import resolve
 from repro.utils.tables import format_table
 
 #: Environment variable that switches benchmarks to the full paper scale.
@@ -76,236 +66,50 @@ def active_config(seed: int = 2025) -> FederatedPowerControlConfig:
     return smoke_config(seed)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A registered experiment."""
-
-    experiment_id: str
-    description: str
-    paper_artifact: str
-    runner: Callable[[FederatedPowerControlConfig], str]
-
-
-def _table1_runner(config: FederatedPowerControlConfig) -> str:
-    return format_table(
+TABLE1 = Artefact(
+    "table1",
+    "Hyper-parameters of the technique",
+    "Table I",
+    lambda results, config: dict(config.as_table_rows()),
+    lambda numbers: format_table(
         ["Parameter", "Value"],
-        [[name, value] for name, value in config.as_table_rows()],
+        [[name, value] for name, value in numbers.items()],
         title="Table I — parameters of the federated power control",
-    )
+    ),
+)
 
-
-def _table2_runner(config: FederatedPowerControlConfig) -> str:
-    from repro.experiments.scenarios import SCENARIOS
-
-    rows = []
-    for scenario, assignment in sorted(SCENARIOS.items()):
-        for device, apps in sorted(assignment.items()):
-            rows.append([scenario, device, ", ".join(apps)])
-    return format_table(
+TABLE2 = Artefact(
+    "table2",
+    "Training-application assignment per scenario",
+    "Table II",
+    lambda results, config: {
+        f"{scenario}.{device}": ", ".join(apps)
+        for scenario, assignment in sorted(SCENARIOS.items())
+        for device, apps in sorted(assignment.items())
+    },
+    lambda numbers: format_table(
         ["Scenario", "Device", "Training applications"],
-        rows,
+        [key.split(".", 1) + [apps] for key, apps in numbers.items()],
         title="Table II — disjunct training sets",
-    )
+    ),
+)
 
-
-_SPECS: List[ExperimentSpec] = [
-    ExperimentSpec(
-        "table1",
-        "Hyper-parameters of the technique",
-        "Table I",
-        _table1_runner,
-    ),
-    ExperimentSpec(
-        "table2",
-        "Training-application assignment per scenario",
-        "Table II",
-        _table2_runner,
-    ),
-    ExperimentSpec(
-        "fig2",
-        "Reward-signal landscape over power and frequency",
-        "Fig. 2",
-        lambda config: run_fig2(
-            power_limit_w=config.power_limit_w, offset_w=config.power_offset_w
-        ).format(),
-    ),
-    ExperimentSpec(
-        "fig3",
-        "Local-only vs federated evaluation reward per round",
-        "Fig. 3",
-        lambda config: run_fig3(config).format(),
-    ),
-    ExperimentSpec(
-        "fig4",
-        "Frequency-selection statistics, scenario 2",
-        "Fig. 4",
-        lambda config: run_fig4(config).format(),
-    ),
-    ExperimentSpec(
-        "table3",
-        "Ours vs Profit+CollabPolicy, scenario averages",
-        "Table III",
-        lambda config: run_table3(config).format(),
-    ),
-    ExperimentSpec(
-        "fig5",
-        "Per-application comparison, six training apps per device",
-        "Fig. 5",
-        lambda config: run_fig5(config).format(),
-    ),
-    ExperimentSpec(
-        "overhead",
-        "Controller latency, communication and storage overhead",
-        "Section IV-C",
-        lambda config: run_overhead(config).format(),
-    ),
-    ExperimentSpec(
-        "adaptation",
-        "Recovery after an unannounced workload shift",
-        "extension",
-        lambda config: run_adaptation(config).format(),
-    ),
-    ExperimentSpec(
-        "generalization",
-        "Trained policy on randomly generated unseen workloads",
-        "extension",
-        lambda config: run_generalization(config).format(),
-    ),
-    ExperimentSpec(
-        "multiseed",
-        "Federated vs local-only across random seeds (mean +/- std)",
-        "extension",
-        lambda config: run_multiseed(config).format(),
-    ),
-    ExperimentSpec(
-        "sweep_lr",
-        "Learning-rate sweep around the Table-I value",
-        "extension",
-        lambda config: run_learning_rate_sweep(config).format(),
-    ),
-    ExperimentSpec(
-        "regret",
-        "Per-application regret of the federated policy vs the exact oracle",
-        "extension",
-        lambda config: run_regret(config).format(),
-    ),
-    ExperimentSpec(
-        "resilience",
-        "Training outcome vs injected fault intensity (crash/drop/fail)",
-        "extension",
-        lambda config: run_resilience(config).format(),
-    ),
-    ExperimentSpec(
-        "guard",
-        "Guarded vs unguarded training under byzantine faults and churn",
-        "extension",
-        lambda config: run_guard_comparison(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_clients",
-        "Federated reward vs number of devices",
-        "extension",
-        lambda config: run_client_scaling(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_weighted",
-        "Unweighted vs weighted federated averaging",
-        "extension",
-        lambda config: run_weighted_averaging(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_participation",
-        "Full vs partial client participation",
-        "extension",
-        lambda config: run_participation(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_temperature",
-        "Sensitivity to the softmax-temperature decay",
-        "extension",
-        lambda config: run_temperature_sensitivity(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_loss",
-        "Huber vs MSE training loss",
-        "extension",
-        lambda config: run_loss_ablation(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_governors",
-        "Learned policy vs OS governors",
-        "extension",
-        lambda config: run_governor_comparison(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_privacy",
-        "DP-noise on uploads: privacy/utility trade-off",
-        "extension",
-        lambda config: run_privacy_noise(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_multicore",
-        "One controller for the four-core shared-clock cluster",
-        "extension",
-        lambda config: run_multicore(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_async",
-        "Synchronous (paper) vs staleness-aware async aggregation",
-        "extension",
-        lambda config: run_async_comparison(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_replay",
-        "Uniform vs prioritised experience replay",
-        "extension",
-        lambda config: run_prioritized_replay(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_transition",
-        "Cost of non-zero DVFS transition overhead",
-        "extension",
-        lambda config: run_transition_overhead(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_hetero_budget",
-        "Shared vs per-device power budgets under one averaged policy",
-        "extension",
-        lambda config: run_heterogeneous_budgets(config).format(),
-    ),
-    ExperimentSpec(
-        "ablation_compression",
-        "Float32 vs int8-quantised model exchange",
-        "extension",
-        lambda config: run_compression(config).format(),
-    ),
-    ExperimentSpec(
-        "fleet-scale",
-        "Hierarchical vs flat aggregation at 1k/10k devices",
-        "extension",
-        lambda config: run_fleet_scale(config).format(),
-    ),
-    ExperimentSpec(
-        "controlplane",
-        "Async control plane under 30% permanent device death",
-        "extension",
-        run_controlplane,
-    ),
-    ExperimentSpec(
-        "ablation_thermal",
-        "Cost of neglecting thermal-leakage coupling",
-        "extension",
-        lambda config: run_thermal_ablation(config).format(),
-    ),
+#: Every artefact, in catalogue (and default report) order.
+_ARTEFACTS: List[Artefact] = [
+    TABLE1, TABLE2, FIG2, FIG3, FIG4, TABLE3, FIG5, OVERHEAD,
+    ADAPTATION, GENERALIZATION, MULTISEED, SWEEP_LR, REGRET, RESILIENCE, GUARD,
+    ablations.CLIENTS, ablations.WEIGHTED, ablations.PARTICIPATION,
+    ablations.TEMPERATURE, ablations.LOSS, ablations.GOVERNORS,
+    ablations.PRIVACY, ablations.MULTICORE, ablations.ASYNC, ablations.REPLAY,
+    ablations.TRANSITION, ablations.HETERO_BUDGET, ablations.COMPRESSION,
+    FLEET_SCALE, CONTROLPLANE, ablations.THERMAL,
 ]
 
-EXPERIMENTS: Dict[str, ExperimentSpec] = {
-    spec.experiment_id: spec for spec in _SPECS
-}
+EXPERIMENTS: Dict[str, Artefact] = {artefact.id: artefact for artefact in _ARTEFACTS}
 
 
-def get_experiment(experiment_id: str) -> ExperimentSpec:
-    """Look up a registered experiment by id."""
+def get_experiment(experiment_id: str) -> Artefact:
+    """Look up a registered artefact by id."""
     if experiment_id not in EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; "
@@ -315,10 +119,68 @@ def get_experiment(experiment_id: str) -> ExperimentSpec:
 
 
 def list_experiments() -> str:
-    """A formatted catalogue of every registered experiment."""
+    """A formatted catalogue of every registered artefact."""
     rows = [
-        [spec.experiment_id, spec.paper_artifact, spec.description]
-        for spec in _SPECS
+        [artefact.id, artefact.paper_artifact, artefact.description]
+        for artefact in _ARTEFACTS
     ]
     return format_table(["id", "artifact", "description"], rows,
                         title="Registered experiments")
+
+
+class Runner:
+    """Trains declared runs for one config, each distinct run once.
+
+    A run is keyed by its driver, config, assignments and resolved
+    ``RunSpec`` options (ambient ones included), so artefacts needing
+    the same run share its :class:`TrainingResult` — results are read,
+    never retrained. An option holding its own random stream (a
+    ``DPGaussianCodec``) describes where that stream stands, so two
+    runs share only if they would draw the same numbers.
+    """
+
+    def __init__(self, config: FederatedPowerControlConfig) -> None:
+        self.config = config
+        self._results: Dict[str, TrainingResult] = {}
+        #: Driver calls made so far (distinct runs trained).
+        self.trained_runs = 0
+
+    def train(self, run: Run) -> TrainingResult:
+        """The result of ``run``: cached, or trained now.
+
+        Every call gets its own copy of the trained controllers:
+        evaluating one moves its state (a guarded controller's watchdog
+        counts steps), and no artefact may see another's evaluation.
+        """
+        key = resolve(**run.options).fingerprint(
+            driver=run.driver,
+            config=run.config,
+            assignments=sorted(run.assignments.items()),
+        )
+        if key not in self._results:
+            self._results[key] = getattr(training, run.driver)(
+                dict(run.assignments), run.config, **run.options
+            )
+            self.trained_runs += 1
+        result = self._results[key]
+        return replace(result, controllers=copy.deepcopy(result.controllers))
+
+    def numbers(self, experiment_id: str) -> Numbers:
+        """One artefact's named numbers (its runs trained in order)."""
+        artefact = get_experiment(experiment_id)
+        results = {
+            name: self.train(run) for name, run in artefact.runs(self.config).items()
+        }
+        return artefact.reduce(results, self.config)
+
+    def text(self, experiment_id: str) -> str:
+        """One artefact's printed text."""
+        return get_experiment(experiment_id).render(self.numbers(experiment_id))
+
+
+def run_artefacts(
+    experiment_ids: Iterable[str], config: FederatedPowerControlConfig
+) -> Dict[str, Numbers]:
+    """Every listed artefact's named numbers from one :class:`Runner`."""
+    runner = Runner(config)
+    return {experiment_id: runner.numbers(experiment_id) for experiment_id in experiment_ids}

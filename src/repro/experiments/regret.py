@@ -12,115 +12,74 @@ and the regret.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import fmean
 from typing import Dict, List
 
-from repro.analysis.oracle import OracleAnalyzer, build_default_oracle
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.analysis.oracle import build_default_oracle
+from repro.experiments.artefact import Artefact, federated, flatten, table_rows
 from repro.experiments.scenarios import six_app_split
-from repro.experiments.training import train_federated
 from repro.sim.workload import splash2_application
 from repro.utils.tables import format_table
 
-
-@dataclass(frozen=True)
-class RegretRow:
-    application: str
-    oracle_level: int
-    oracle_reward_static: float
-    oracle_reward_phase: float
-    achieved_reward: float
-
-    @property
-    def regret_vs_static(self) -> float:
-        return self.oracle_reward_static - self.achieved_reward
-
-    @property
-    def regret_vs_phase(self) -> float:
-        return self.oracle_reward_phase - self.achieved_reward
+_COLUMNS = ("oracle_level", "oracle_reward_static", "oracle_reward_phase",
+            "achieved_reward", "regret_vs_phase")
 
 
-@dataclass(frozen=True)
-class RegretResult:
-    rows: List[RegretRow]
-
-    def mean_regret_vs_static(self) -> float:
-        return fmean(row.regret_vs_static for row in self.rows)
-
-    def mean_regret_vs_phase(self) -> float:
-        return fmean(row.regret_vs_phase for row in self.rows)
-
-    def row(self, application: str) -> RegretRow:
-        for candidate in self.rows:
-            if candidate.application == application:
-                return candidate
-        raise KeyError(application)
-
-    def format(self) -> str:
-        table = format_table(
-            [
-                "application",
-                "oracle level",
-                "oracle r (static)",
-                "oracle r (phase)",
-                "achieved r",
-                "regret",
-            ],
-            [
-                [
-                    row.application,
-                    row.oracle_level,
-                    row.oracle_reward_static,
-                    row.oracle_reward_phase,
-                    row.achieved_reward,
-                    row.regret_vs_phase,
-                ]
-                for row in self.rows
-            ],
-            title="Regret of the federated policy vs the exact oracle",
-        )
-        summary = (
-            f"Mean regret vs static oracle: {self.mean_regret_vs_static():+.3f}; "
-            f"vs per-phase oracle: {self.mean_regret_vs_phase():+.3f} "
-            f"(reward units, range [-1, 1])"
-        )
-        return f"{table}\n{summary}"
-
-
-def run_regret(
-    config: FederatedPowerControlConfig,
-    oracle: OracleAnalyzer = None,
-    last_rounds: int = 5,
-) -> RegretResult:
-    """Train federated on the six-app split and compare to the oracle.
-
-    ``last_rounds`` restricts the achieved reward to the trailing
-    evaluation rounds, i.e. the converged policy.
-    """
-    oracle = oracle or build_default_oracle(
+def _reduce(results, config):
+    """Per application: the oracle's level and expected rewards, the
+    policy's achieved reward over the last five evaluation rounds (the
+    converged policy) and the regret."""
+    oracle = build_default_oracle(
         power_limit_w=config.power_limit_w, offset_w=config.power_offset_w
     )
-    result = train_federated(six_app_split(), config)
-
     achieved: Dict[str, List[float]] = {}
-    for round_eval in result.round_evaluations[-last_rounds:]:
+    for round_eval in results["federated"].round_evaluations[-5:]:
         for evaluation in round_eval.evaluations:
             achieved.setdefault(evaluation.application, []).append(
                 evaluation.reward_mean
             )
-
-    rows: List[RegretRow] = []
-    for application_name in sorted(achieved):
-        application = splash2_application(application_name)
+    rows = {}
+    for name in sorted(achieved):
+        application = splash2_application(name)
         static = oracle.static_oracle(application)
-        rows.append(
-            RegretRow(
-                application=application_name,
-                oracle_level=static.level,
-                oracle_reward_static=static.expected_reward,
-                oracle_reward_phase=oracle.phase_oracle_reward(application),
-                achieved_reward=fmean(achieved[application_name]),
-            )
-        )
-    return RegretResult(rows=rows)
+        phase = oracle.phase_oracle_reward(application)
+        reward = fmean(achieved[name])
+        rows[name] = {
+            "oracle_level": int(static.level),
+            "oracle_reward_static": static.expected_reward,
+            "oracle_reward_phase": phase,
+            "achieved_reward": reward,
+            "regret_vs_static": static.expected_reward - reward,
+            "regret_vs_phase": phase - reward,
+        }
+    numbers = {"applications": list(rows), **flatten(rows)}
+    for kind in ("static", "phase"):
+        regrets = [row[f"regret_vs_{kind}"] for row in rows.values()]
+        numbers[f"mean_regret_vs_{kind}"] = fmean(regrets)
+        numbers[f"min_regret_vs_{kind}"] = min(regrets)
+    return numbers
+
+
+def _render(numbers) -> str:
+    table = format_table(
+        ["application", "oracle level", "oracle r (static)", "oracle r (phase)",
+         "achieved r", "regret"],
+        table_rows(numbers, numbers["applications"], _COLUMNS),
+        title="Regret of the federated policy vs the exact oracle",
+    )
+    summary = (
+        f"Mean regret vs static oracle: {numbers['mean_regret_vs_static']:+.3f}; "
+        f"vs per-phase oracle: {numbers['mean_regret_vs_phase']:+.3f} "
+        f"(reward units, range [-1, 1])"
+    )
+    return f"{table}\n{summary}"
+
+
+REGRET = Artefact(
+    "regret",
+    "Per-application regret of the federated policy vs the exact oracle",
+    "extension",
+    _reduce,
+    _render,
+    lambda config: {"federated": federated(six_app_split(), config)},
+)

@@ -15,7 +15,7 @@ federated average keeps pooling whatever uploads survive, so the final
 policy stays close to the fault-free one until the fault rate starves
 entire rounds of updates.
 
-:func:`run_guard_comparison` extends the sweep with the
+The ``guard`` artefact extends the sweep with the
 :mod:`repro.guard` story: the same byzantine-poisoned, crash-ridden,
 churning fleet trained twice — once bare, once with the device-side
 watchdog and the server-side quarantine — so the table shows what the
@@ -24,13 +24,8 @@ guardrails buy in power-constraint compliance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-from repro.errors import ConfigurationError
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.artefact import Artefact, federated, flatten, table_rows
 from repro.experiments.scenarios import scenario_applications
-from repro.experiments.training import TrainingResult, train_federated
 from repro.faults.retry import RetryPolicy
 from repro.sim.workload import SPLASH2_APPLICATION_NAMES
 from repro.utils.tables import format_table
@@ -43,155 +38,86 @@ FAULT_SEED = 7
 GUARD_CHAOS_SPEC = f"byzantine=0.3,crash=0.1,seed={FAULT_SEED}"
 GUARD_CHURN_SPEC = "leave=0.1,rejoin=0.6,seed=11"
 
-
-@dataclass(frozen=True)
-class ResiliencePoint:
-    """Outcome of one training run at one fault intensity."""
-
-    intensity: float
-    final_reward: float
-    violation_rate: float
-    straggler_rate: float
-    rounds_completed: int
-    communication_bytes: int
+_INTENSITIES = (0.0, 0.1, 0.2, 0.4)
 
 
-@dataclass(frozen=True)
-class ResilienceResult:
-    """The full intensity sweep plus the degradation headline."""
+def _outcome(result) -> dict:
+    """One run's converged reward (last three evaluation rounds) and
+    federation accounting."""
+    run = result.federated_result
+    return {
+        "final_reward": result.mean_metric("reward_mean", last_rounds=3),
+        "violation_rate": run.power_violation_rate(),
+        "straggler_rate": run.straggler_rate,
+        "fallback_rate": run.fallback_rate(),
+        "quarantined": list(run.quarantined_devices),
+        "quarantined_count": len(run.quarantined_devices),
+        "rounds_completed": run.rounds_completed,
+        "communication_bytes": result.communication_bytes,
+    }
 
-    scenario: int
-    points: List[ResiliencePoint]
 
-    def baseline(self) -> ResiliencePoint:
-        for point in self.points:
-            if point.intensity == 0.0:
-                return point
-        raise ConfigurationError("sweep has no fault-free baseline point")
-
-    def reward_degradation(self, point: ResiliencePoint) -> float:
-        """Reward lost versus the fault-free baseline."""
-        return self.baseline().final_reward - point.final_reward
-
-    def format(self) -> str:
-        rows = [
-            [
-                f"{point.intensity:.2f}",
-                point.final_reward,
-                self.reward_degradation(point),
-                point.violation_rate,
-                point.straggler_rate,
-                point.communication_bytes,
-            ]
-            for point in self.points
-        ]
-        table = format_table(
-            [
-                "fault rate",
-                "final reward",
-                "vs fault-free",
-                "violations",
-                "stragglers",
-                "bytes",
-            ],
-            rows,
-            title=(
-                f"Resilience sweep — scenario {self.scenario}, seeded "
-                f"crash/drop/fail faults with retry and skip-straggler "
-                f"aggregation"
+def _resilience_runs(config):
+    """Scenario 2 once per fault intensity: seeded crash/drop/fail
+    faults with retry and skip-straggler aggregation."""
+    return {
+        f"rate={intensity:.2f}": federated(
+            scenario_applications(2),
+            config,
+            faults=(
+                f"crash={intensity},drop={intensity},fail={intensity},"
+                f"seed={FAULT_SEED}"
             ),
+            retry=RetryPolicy(max_attempts=4),
+            straggler_policy="skip",
         )
-        worst = self.points[-1]
-        verdict = (
-            f"At fault rate {worst.intensity:.2f} the final reward moves by "
-            f"{self.reward_degradation(worst):+.3f} while "
-            f"{100.0 * worst.straggler_rate:.0f} % of participation slots "
-            f"are lost to stragglers."
-        )
-        return f"{table}\n{verdict}"
+        for intensity in _INTENSITIES
+    }
 
 
-@dataclass(frozen=True)
-class GuardPoint:
-    """Outcome of one chaos run, bare or guarded."""
-
-    label: str
-    final_reward: float
-    violation_rate: float
-    fallback_rate: float
-    quarantined: Tuple[str, ...]
-    rounds_completed: int
-    communication_bytes: int
+def _resilience_reduce(results, config):
+    rows = {name: _outcome(result) for name, result in results.items()}
+    for row in rows.values():
+        # Reward lost versus the fault-free baseline.
+        row["vs_fault_free"] = rows["rate=0.00"]["final_reward"] - row["final_reward"]
+    return {"rates": list(rows), **flatten(rows)}
 
 
-@dataclass(frozen=True)
-class GuardComparisonResult:
-    """Same chaos, same seeds — with and without the guardrails."""
-
-    num_devices: int
-    chaos_spec: str
-    churn_spec: str
-    unguarded: GuardPoint
-    guarded: GuardPoint
-
-    def violation_improvement(self) -> float:
-        """Drop in power-violation rate the guardrails deliver."""
-        return self.unguarded.violation_rate - self.guarded.violation_rate
-
-    def format(self) -> str:
-        rows = [
-            [
-                point.label,
-                point.final_reward,
-                point.violation_rate,
-                point.fallback_rate,
-                len(point.quarantined),
-                point.rounds_completed,
-                point.communication_bytes,
-            ]
-            for point in (self.unguarded, self.guarded)
-        ]
-        table = format_table(
-            [
-                "run",
-                "final reward",
-                "violations",
-                "fallback",
-                "quarantined",
-                "rounds",
-                "bytes",
-            ],
-            rows,
-            title=(
-                f"Guardrail comparison — {self.num_devices} devices, "
-                f"faults '{self.chaos_spec}', churn '{self.churn_spec}'"
-            ),
-        )
-        names = ", ".join(self.guarded.quarantined) or "none"
-        verdict = (
-            f"Guardrails cut the power-violation rate by "
-            f"{self.violation_improvement():+.3f} "
-            f"({self.unguarded.violation_rate:.3f} -> "
-            f"{self.guarded.violation_rate:.3f}) while quarantining "
-            f"{len(self.guarded.quarantined)} device(s) [{names}] and "
-            f"covering {100.0 * self.guarded.fallback_rate:.1f} % of "
-            f"control steps with the fallback governor."
-        )
-        return f"{table}\n{verdict}"
-
-
-def _guard_point(label: str, result: TrainingResult, last_rounds: int) -> GuardPoint:
-    federated = result.federated_result
-    assert federated is not None  # train_federated always fills this
-    return GuardPoint(
-        label=label,
-        final_reward=result.mean_metric("reward_mean", last_rounds=last_rounds),
-        violation_rate=federated.power_violation_rate(),
-        fallback_rate=federated.fallback_rate(),
-        quarantined=tuple(federated.quarantined_devices),
-        rounds_completed=federated.rounds_completed,
-        communication_bytes=result.communication_bytes,
+def _resilience_render(numbers) -> str:
+    table = format_table(
+        ["fault rate", "final reward", "vs fault-free", "violations",
+         "stragglers", "bytes"],
+        table_rows(
+            numbers,
+            numbers["rates"],
+            ("final_reward", "vs_fault_free", "violation_rate",
+             "straggler_rate", "communication_bytes"),
+            label=lambda name: name.split("=")[1],
+        ),
+        title=(
+            "Resilience sweep — scenario 2, seeded "
+            "crash/drop/fail faults with retry and skip-straggler "
+            "aggregation"
+        ),
     )
+    worst = numbers["rates"][-1]
+    verdict = (
+        f"At fault rate {worst.split('=')[1]} the final reward moves by "
+        f"{numbers[f'{worst}.vs_fault_free']:+.3f} while "
+        f"{100.0 * numbers[f'{worst}.straggler_rate']:.0f} % of participation slots "
+        f"are lost to stragglers."
+    )
+    return f"{table}\n{verdict}"
+
+
+RESILIENCE = Artefact(
+    "resilience",
+    "Training outcome vs injected fault intensity (crash/drop/fail)",
+    "extension",
+    _resilience_reduce,
+    _resilience_render,
+    _resilience_runs,
+)
 
 
 def guard_fleet() -> dict:
@@ -208,89 +134,69 @@ def guard_fleet() -> dict:
     }
 
 
-def run_guard_comparison(
-    config: FederatedPowerControlConfig,
-    chaos: str = GUARD_CHAOS_SPEC,
-    churn: str = GUARD_CHURN_SPEC,
-    last_rounds: int = 3,
-) -> GuardComparisonResult:
-    """Train the same chaotic fleet twice — bare, then guarded.
+def _guard_runs(config):
+    """The same chaotic fleet twice — bare, then guarded.
 
     Both runs see identical byzantine/crash fault schedules and the
     identical churn plan; only the watchdog + quarantine differ. The
     guarded run should post a strictly lower power-violation rate.
     """
-    assignments = guard_fleet()
-    retry = RetryPolicy(max_attempts=4)
-    unguarded = train_federated(
-        assignments,
-        config,
-        faults=chaos,
-        retry=retry,
+    chaos = dict(
+        faults=GUARD_CHAOS_SPEC,
+        retry=RetryPolicy(max_attempts=4),
         straggler_policy="skip",
-        churn=churn,
+        churn=GUARD_CHURN_SPEC,
     )
-    guarded = train_federated(
-        assignments,
-        config,
-        faults=chaos,
-        retry=retry,
-        straggler_policy="skip",
-        guard=True,
-        quarantine=True,
-        churn=churn,
-    )
-    return GuardComparisonResult(
-        num_devices=len(assignments),
-        chaos_spec=chaos,
-        churn_spec=churn,
-        unguarded=_guard_point("unguarded", unguarded, last_rounds),
-        guarded=_guard_point("guarded", guarded, last_rounds),
-    )
+    return {
+        "unguarded": federated(guard_fleet(), config, **chaos),
+        "guarded": federated(
+            guard_fleet(), config, guard=True, quarantine=True, **chaos
+        ),
+    }
 
 
-def run_resilience(
-    config: FederatedPowerControlConfig,
-    intensities: Sequence[float] = (0.0, 0.1, 0.2, 0.4),
-    scenario: int = 2,
-    last_rounds: int = 3,
-) -> ResilienceResult:
-    """Train the scenario once per fault intensity and tabulate."""
-    if not intensities:
-        raise ConfigurationError("need at least one fault intensity")
-    for intensity in intensities:
-        if not 0.0 <= intensity <= 1.0:
-            raise ConfigurationError(
-                f"fault intensity must be in [0, 1], got {intensity}"
-            )
+def _guard_reduce(results, config):
+    numbers = flatten({name: _outcome(result) for name, result in results.items()})
+    # Drop in power-violation rate the guardrails deliver.
+    numbers["violation_improvement"] = (
+        numbers["unguarded.violation_rate"] - numbers["guarded.violation_rate"]
+    )
+    return numbers
 
-    assignments = scenario_applications(scenario)
-    retry = RetryPolicy(max_attempts=4)
-    points: List[ResiliencePoint] = []
-    for intensity in intensities:
-        spec = (
-            f"crash={intensity},drop={intensity},fail={intensity},"
-            f"seed={FAULT_SEED}"
-        )
-        result: TrainingResult = train_federated(
-            assignments,
-            config,
-            faults=spec,
-            retry=retry,
-            straggler_policy="skip",
-        )
-        federated = result.federated_result
-        assert federated is not None  # train_federated always fills this
-        points.append(
-            ResiliencePoint(
-                intensity=float(intensity),
-                final_reward=result.mean_metric(
-                    "reward_mean", last_rounds=last_rounds
-                ),
-                violation_rate=federated.power_violation_rate(),
-                straggler_rate=federated.straggler_rate,
-                rounds_completed=federated.rounds_completed,
-                communication_bytes=result.communication_bytes,
-            )
-        )
-    return ResilienceResult(scenario=scenario, points=points)
+
+def _guard_render(numbers) -> str:
+    table = format_table(
+        ["run", "final reward", "violations", "fallback", "quarantined",
+         "rounds", "bytes"],
+        table_rows(
+            numbers,
+            ("unguarded", "guarded"),
+            ("final_reward", "violation_rate", "fallback_rate", "quarantined_count",
+             "rounds_completed", "communication_bytes"),
+        ),
+        title=(
+            f"Guardrail comparison — {len(guard_fleet())} devices, "
+            f"faults '{GUARD_CHAOS_SPEC}', churn '{GUARD_CHURN_SPEC}'"
+        ),
+    )
+    verdict = (
+        f"Guardrails cut the power-violation rate by "
+        f"{numbers['violation_improvement']:+.3f} "
+        f"({numbers['unguarded.violation_rate']:.3f} -> "
+        f"{numbers['guarded.violation_rate']:.3f}) while quarantining "
+        f"{numbers['guarded.quarantined_count']} device(s) "
+        f"[{', '.join(numbers['guarded.quarantined']) or 'none'}] and "
+        f"covering {100.0 * numbers['guarded.fallback_rate']:.1f} % of "
+        f"control steps with the fallback governor."
+    )
+    return f"{table}\n{verdict}"
+
+
+GUARD = Artefact(
+    "guard",
+    "Guarded vs unguarded training under byzantine faults and churn",
+    "extension",
+    _guard_reduce,
+    _guard_render,
+    _guard_runs,
+)

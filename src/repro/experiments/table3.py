@@ -11,119 +11,93 @@ scaled rewards (Section IV-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import fmean
-from typing import Dict, List
 
-from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.artefact import Artefact, collab_profit, federated
 from repro.experiments.scenarios import SCENARIOS, scenario_applications
-from repro.experiments.training import (
-    TrainingResult,
-    train_collab_profit,
-    train_federated,
-)
 from repro.utils.tables import format_table
 
-
-@dataclass(frozen=True)
-class Table3Result:
-    """Scenario-averaged metrics for both techniques."""
-
-    ours_exec_time_s: float
-    ours_ips: float
-    ours_power_w: float
-    baseline_exec_time_s: float
-    baseline_ips: float
-    baseline_power_w: float
-    per_scenario: Dict[int, Dict[str, TrainingResult]]
-    power_limit_w: float
-
-    def exec_time_reduction_percent(self) -> float:
-        """Paper: ours reduces execution time by 20 %."""
-        return 100.0 * (
-            (self.baseline_exec_time_s - self.ours_exec_time_s)
-            / self.baseline_exec_time_s
-        )
-
-    def ips_increase_percent(self) -> float:
-        """Paper: ours increases IPS by 17 %."""
-        return 100.0 * (self.ours_ips - self.baseline_ips) / self.baseline_ips
-
-    def power_increase_percent(self) -> float:
-        """Paper: ours runs 9 % closer to the constraint."""
-        return 100.0 * (self.ours_power_w - self.baseline_power_w) / self.baseline_power_w
-
-    def both_respect_constraint(self) -> bool:
-        """Both techniques keep *average* power below P_crit."""
-        return (
-            self.ours_power_w <= self.power_limit_w
-            and self.baseline_power_w <= self.power_limit_w
-        )
-
-    def format(self) -> str:
-        rows = [
-            [
-                "Exec. Time [s]",
-                self.ours_exec_time_s,
-                self.baseline_exec_time_s,
-                f"{-self.exec_time_reduction_percent():+.0f} %",
-            ],
-            [
-                "IPS [x10^6]",
-                self.ours_ips / 1e6,
-                self.baseline_ips / 1e6,
-                f"{self.ips_increase_percent():+.0f} %",
-            ],
-            [
-                "Power [W]",
-                self.ours_power_w,
-                self.baseline_power_w,
-                f"{self.power_increase_percent():+.0f} %",
-            ],
-        ]
-        table = format_table(
-            ["Category", "Ours", "Profit+CollabPolicy", "Ours vs SOTA"],
-            rows,
-            title="Table III — comparison with the state of the art "
-            "(average over the three scenarios)",
-        )
-        constraint = (
-            f"Both below P_crit={self.power_limit_w} W: "
-            f"{self.both_respect_constraint()}"
-        )
-        return f"{table}\n{constraint}"
+#: (number suffix, TrainingResult metric) of the three reported metrics.
+_METRICS = (("exec_time_s", "exec_time_s"), ("ips", "ips_mean"),
+            ("power_w", "power_mean_w"))
 
 
-def run_table3(
-    config: FederatedPowerControlConfig,
-    scenarios: List[int] = None,
-    last_rounds: int = None,
-) -> Table3Result:
-    """Train both techniques per scenario and average the metrics.
-
-    ``last_rounds`` restricts the average to the trailing rounds
-    (converged policies); ``None`` averages every evaluation round as
-    the paper does.
-    """
-    per_scenario: Dict[int, Dict[str, TrainingResult]] = {}
-    ours_metrics = {"exec_time_s": [], "ips_mean": [], "power_mean_w": []}
-    base_metrics = {"exec_time_s": [], "ips_mean": [], "power_mean_w": []}
-    for scenario in scenarios or sorted(SCENARIOS):
+def _runs(config):
+    runs = {}
+    for scenario in sorted(SCENARIOS):
         assignments = scenario_applications(scenario)
-        ours = train_federated(assignments, config)
-        baseline = train_collab_profit(assignments, config)
-        per_scenario[scenario] = {"ours": ours, "baseline": baseline}
-        for metric in ours_metrics:
-            ours_metrics[metric].append(ours.mean_metric(metric, last_rounds))
-            base_metrics[metric].append(baseline.mean_metric(metric, last_rounds))
+        runs[f"ours.{scenario}"] = federated(assignments, config)
+        runs[f"baseline.{scenario}"] = collab_profit(assignments, config)
+    return runs
 
-    return Table3Result(
-        ours_exec_time_s=fmean(ours_metrics["exec_time_s"]),
-        ours_ips=fmean(ours_metrics["ips_mean"]),
-        ours_power_w=fmean(ours_metrics["power_mean_w"]),
-        baseline_exec_time_s=fmean(base_metrics["exec_time_s"]),
-        baseline_ips=fmean(base_metrics["ips_mean"]),
-        baseline_power_w=fmean(base_metrics["power_mean_w"]),
-        per_scenario=per_scenario,
-        power_limit_w=config.power_limit_w,
+
+def _reduce(results, config):
+    """Every evaluation round averaged, per scenario, then over the
+    scenarios — as the paper does."""
+    numbers = {}
+    for system in ("ours", "baseline"):
+        for name, metric in _METRICS:
+            numbers[f"{system}_{name}"] = fmean(
+                results[f"{system}.{scenario}"].mean_metric(metric)
+                for scenario in sorted(SCENARIOS)
+            )
+    # Paper: ours reduces execution time by 20 %, raises IPS by 17 %
+    # and runs 9 % closer to the power constraint.
+    numbers["exec_time_reduction_percent"] = 100.0 * (
+        (numbers["baseline_exec_time_s"] - numbers["ours_exec_time_s"])
+        / numbers["baseline_exec_time_s"]
     )
+    for name, change in (("ips", "ips_increase"), ("power_w", "power_increase")):
+        ours, base = numbers[f"ours_{name}"], numbers[f"baseline_{name}"]
+        numbers[f"{change}_percent"] = 100.0 * (ours - base) / base
+    numbers["power_limit_w"] = config.power_limit_w
+    # Both techniques keep *average* power below P_crit.
+    numbers["both_respect_constraint"] = (
+        numbers["ours_power_w"] <= config.power_limit_w
+        and numbers["baseline_power_w"] <= config.power_limit_w
+    )
+    return numbers
+
+
+def _render(numbers) -> str:
+    rows = [
+        [
+            "Exec. Time [s]",
+            numbers["ours_exec_time_s"],
+            numbers["baseline_exec_time_s"],
+            f"{-numbers['exec_time_reduction_percent']:+.0f} %",
+        ],
+        [
+            "IPS [x10^6]",
+            numbers["ours_ips"] / 1e6,
+            numbers["baseline_ips"] / 1e6,
+            f"{numbers['ips_increase_percent']:+.0f} %",
+        ],
+        [
+            "Power [W]",
+            numbers["ours_power_w"],
+            numbers["baseline_power_w"],
+            f"{numbers['power_increase_percent']:+.0f} %",
+        ],
+    ]
+    table = format_table(
+        ["Category", "Ours", "Profit+CollabPolicy", "Ours vs SOTA"],
+        rows,
+        title="Table III — comparison with the state of the art "
+        "(average over the three scenarios)",
+    )
+    constraint = (
+        f"Both below P_crit={numbers['power_limit_w']} W: "
+        f"{numbers['both_respect_constraint']}"
+    )
+    return f"{table}\n{constraint}"
+
+
+TABLE3 = Artefact(
+    "table3",
+    "Ours vs Profit+CollabPolicy, scenario averages",
+    "Table III",
+    _reduce,
+    _render,
+    _runs,
+)

@@ -48,6 +48,7 @@ from repro.hier.topology import FleetTopology
 from repro.guard.quarantine import QuarantineConfig, QuarantineManager
 from repro.guard.watchdog import GuardedController, WatchdogConfig, guard_controller
 from repro.federated.transport import InMemoryTransport
+from repro.nn.losses import MeanSquaredErrorLoss
 from repro.obs.flight import FlightRecorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -483,7 +484,8 @@ def _temperature_schedule(config: FederatedPowerControlConfig) -> ExponentialDec
 def _build_one_neural_controller(
     opp_table, index: int, config: FederatedPowerControlConfig
 ) -> NeuralPowerController:
-    return build_neural_controller(
+    """One device's controller, with the config's loss and replay variant."""
+    controller = build_neural_controller(
         opp_table,
         power_limit_w=config.power_limit_w,
         offset_w=config.power_offset_w,
@@ -493,8 +495,17 @@ def _build_one_neural_controller(
         update_interval=config.update_interval,
         replay_capacity=config.replay_capacity,
         temperature_schedule=_temperature_schedule(config),
+        loss=MeanSquaredErrorLoss() if config.loss == "mse" else None,
         seed=generator_from_root(config.seed, 2, index),
     )
+    if config.replay == "prioritized":
+        from repro.rl.prioritized_replay import PrioritizedReplayBuffer
+
+        # The freshly built buffer is empty; swapping it is loss-free.
+        controller.agent.replay = PrioritizedReplayBuffer(
+            capacity=config.replay_capacity, seed=config.seed
+        )
+    return controller
 
 
 def _build_neural_controllers(

@@ -75,6 +75,16 @@ class DPGaussianCodec:
         self._rng = as_generator(seed)
         self.name = f"dp-gaussian(std={noise_std})"
 
+    def describe(self) -> str:
+        """The codec's identity in a run fingerprint: noise, clip bound,
+        base codec and where the noise stream stands, so two codecs
+        describe equally only if they perturb uploads identically."""
+        state = self._rng.bit_generator.state
+        return (
+            f"{self.name}(clip={self.clip_norm}, base={self.base.name}, "
+            f"rng={state['bit_generator']}:{state['state']})"
+        )
+
     def encode(self, parameters: Sequence[np.ndarray]) -> bytes:
         if not parameters:
             raise FederationError("cannot encode an empty parameter list")

@@ -3,10 +3,10 @@
 A run is described once — which backend hosts the devices, which faults
 are injected, which guardrails are armed, how the fleet is arranged, who
 is listening — by one frozen :class:`RunSpec`. The training drivers
-accept its fields as keyword arguments; experiment runners share the
-uniform ``runner(config) -> str`` signature, so the CLI cannot thread
-them through every figure module and instead makes a spec *ambient* for
-the enclosed block (``with ambient(backend="process", faults="drop=0.1")``).
+accept its fields as keyword arguments; artefact declarations name only
+the options their own runs vary, so the CLI makes its flags' spec
+*ambient* for the enclosed block
+(``with ambient(backend="process", faults="drop=0.1")``).
 
 One merge rule, :meth:`RunSpec.over`, serves both nesting and
 keyword-over-ambient: the innermost value that was set wins, field by

@@ -29,3 +29,28 @@ def stacked_simulators(monkeypatch):
         "repro.experiments.evaluation.StackedSimulator", spy("evaluation")
     )
     return built
+
+
+@pytest.fixture(scope="session")
+def every_artefact():
+    """``(runner, {id: numbers})``: every registered artefact run once at
+    a tiny schedule (3 rounds x 20 steps, every round evaluated with 2
+    steps per application; fleet-scale at 80 and 40 devices)."""
+    from dataclasses import replace
+
+    from repro.experiments.config import FederatedPowerControlConfig
+    from repro.experiments.registry import EXPERIMENTS, Runner
+
+    config = replace(
+        FederatedPowerControlConfig(seed=2025).scaled(3, 20),
+        eval_every_rounds=1,
+        eval_steps_per_app=2,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_FLEET_SCALES", "80,40")
+        runner = Runner(config)
+        numbers = {
+            experiment_id: runner.numbers(experiment_id)
+            for experiment_id in EXPERIMENTS
+        }
+    return runner, numbers

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments.adaptation import run_adaptation
 from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.registry import Runner, get_experiment
 
 
 @pytest.fixture(scope="module")
@@ -15,53 +14,29 @@ def result():
     from dataclasses import replace
 
     config = replace(config, eval_steps_per_app=2)
-    return run_adaptation(config)
+    return Runner(config).numbers("adaptation")
 
 
 class TestAdaptation:
     def test_curve_covers_both_halves(self, result):
-        assert len(result.reward_per_round) == 24
-        assert result.shift_round == 12
+        assert len(result["reward_per_round"]) == 24
+        assert result["shift_round"] == 12
 
     def test_memory_bound_convergence_before_shift(self, result):
         # Pre-shift apps are safe at any frequency: reward approaches 1.
-        assert result.pre_shift_reward > 0.6
+        assert result["pre_shift_reward"] > 0.6
 
     def test_shift_causes_a_real_dip(self, result):
         # The hot policy violates on compute apps: deeply negative.
-        assert result.dip_reward < 0.0
-        assert result.dip_depth > 0.5
+        assert result["dip_reward"] < 0.0
+        assert result["dip_depth"] > 0.5
 
     def test_training_recovers_to_a_positive_plateau(self, result):
-        assert result.post_plateau_reward > 0.3
-        assert 0 <= result.recovery_rounds <= 24
+        assert result["post_plateau_reward"] > 0.3
+        assert 0 <= result["recovery_rounds"] <= 24
 
     def test_format(self, result):
-        text = result.format()
+        text = get_experiment("adaptation").render(result)
         assert "Workload shift at round 12" in text
         assert "recovery rounds" in text
         assert "ocean, radix -> water-ns, water-sp" in text
-
-    def test_mismatched_device_sets_rejected(self):
-        config = FederatedPowerControlConfig(
-            num_rounds=2, steps_per_round=10, eval_steps_per_app=2,
-            eval_every_rounds=1,
-        )
-        with pytest.raises(ConfigurationError):
-            run_adaptation(
-                config,
-                before={"device-A": ("fft",)},
-                after={"device-X": ("lu",)},
-            )
-
-    def test_custom_shift(self):
-        config = FederatedPowerControlConfig(
-            num_rounds=2, steps_per_round=10, eval_steps_per_app=2,
-            eval_every_rounds=1, seed=71,
-        )
-        result = run_adaptation(
-            config,
-            before={"device-A": ("fft",), "device-B": ("lu",)},
-            after={"device-A": ("barnes",), "device-B": ("fmm",)},
-        )
-        assert len(result.reward_per_round) == 4

@@ -52,6 +52,8 @@ class TestConfigDefaults:
             ("hidden_layers", ()),
             ("hidden_layers", (0,)),
             ("power_limit_w", -0.5),
+            ("loss", "l1"),
+            ("replay", "fifo"),
         ],
     )
     def test_invalid_values_rejected(self, field, value):

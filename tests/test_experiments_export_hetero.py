@@ -115,31 +115,31 @@ class TestConservativeGovernor:
 class TestHeterogeneousBudgets:
     @pytest.fixture(scope="class")
     def hetero_result(self):
-        from repro.experiments.ablations import run_heterogeneous_budgets
+        from repro.experiments.registry import Runner
 
         config = FederatedPowerControlConfig(seed=2025).scaled(
             rounds=8, steps_per_round=50
         )
-        return run_heterogeneous_budgets(config)
+        return Runner(config).numbers("ablation_hetero_budget")
 
     def test_four_rows(self, hetero_result):
-        assert len(hetero_result.rows) == 4
-        settings = {row[0] for row in hetero_result.rows}
+        assert len(hetero_result["rows"]) == 4
+        settings = {row.split(".")[0] for row in hetero_result["rows"]}
         assert settings == {"homogeneous", "heterogeneous"}
 
     def test_budgets_assigned(self, hetero_result):
-        budgets = {
-            (row[0], row[1]): row[2] for row in hetero_result.rows
-        }
-        assert budgets[("heterogeneous", "device-A")] == 0.5
-        assert budgets[("heterogeneous", "device-B")] == 0.7
-        assert budgets[("homogeneous", "device-A")] == 0.6
+        assert hetero_result["heterogeneous.device-A.budget_w"] == 0.5
+        assert hetero_result["heterogeneous.device-B.budget_w"] == 0.7
+        assert hetero_result["homogeneous.device-A.budget_w"] == 0.6
 
     def test_violation_lookup(self, hetero_result):
-        rate = hetero_result.violation_rate("homogeneous", "device-A")
+        rate = hetero_result["homogeneous.device-A.violations"]
         assert 0.0 <= rate <= 1.0
         with pytest.raises(KeyError):
-            hetero_result.violation_rate("homogeneous", "device-X")
+            hetero_result["homogeneous.device-X.violations"]
 
     def test_format(self, hetero_result):
-        assert "heterogeneous" in hetero_result.format()
+        from repro.experiments.registry import get_experiment
+
+        text = get_experiment("ablation_hetero_budget").render(hetero_result)
+        assert "heterogeneous" in text

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import FederatedPowerControlConfig
-from repro.experiments.multiseed import run_multiseed
-from repro.experiments.sweep import run_learning_rate_sweep, sweep_config_field
+from repro.experiments.registry import Runner, get_experiment
+from repro.experiments.sweep import sweep_config_field
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +26,14 @@ class TestMultiSeed:
             num_rounds=3, steps_per_round=20, eval_steps_per_app=3,
             eval_every_rounds=1,
         )
-        return run_multiseed(config, seeds=(1, 2), last_rounds=1)
+        return Runner(config).numbers("multiseed")
 
     def test_statistics_cover_both_systems_and_metrics(self, result):
-        pairs = {(s.system, s.metric) for s in result.statistics}
+        pairs = {
+            tuple(name.split(".")[:2])
+            for name in result
+            if name.endswith(".mean")
+        }
         assert pairs == {
             (system, metric)
             for system in ("federated", "local-only")
@@ -37,50 +41,49 @@ class TestMultiSeed:
         }
 
     def test_values_per_seed(self, result):
-        assert len(result.get("federated", "reward").values) == 2
-        assert result.seeds == (1, 2)
+        assert len(result["federated.reward.values"]) == 3
+        assert result["seeds"] == [1, 2, 3]
 
     def test_std_non_negative(self, result):
-        assert all(s.std >= 0.0 for s in result.statistics)
+        assert all(
+            value >= 0.0 for name, value in result.items() if name.endswith(".std")
+        )
 
     def test_mean_consistent_with_values(self, result):
-        stat = result.get("federated", "power")
-        assert stat.mean == pytest.approx(sum(stat.values) / len(stat.values))
+        values = result["federated.power.values"]
+        assert result["federated.power.mean"] == pytest.approx(
+            sum(values) / len(values)
+        )
 
     def test_format(self, result):
-        text = result.format()
+        text = get_experiment("multiseed").render(result)
         assert "Multi-seed" in text and "federated" in text
 
     def test_get_unknown_raises(self, result):
         with pytest.raises(KeyError):
-            result.get("federated", "latency")
-
-    def test_rejects_empty_seeds(self, tiny_config):
-        with pytest.raises(ConfigurationError):
-            run_multiseed(tiny_config, seeds=())
+            result["federated.latency.mean"]
 
 
 class TestSweep:
     def test_sweep_produces_one_point_per_value(self, tiny_config):
-        result = sweep_config_field(
+        points = sweep_config_field(
             tiny_config, "learning_rate", (0.001, 0.01), last_rounds=1
         )
-        assert [p.value for p in result.points] == [0.001, 0.01]
-        assert result.field == "learning_rate"
+        assert [p["value"] for p in points] == [0.001, 0.01]
 
     def test_best_point(self, tiny_config):
-        result = sweep_config_field(
+        points = sweep_config_field(
             tiny_config, "batch_size", (32, 128), last_rounds=1
         )
-        assert result.best() in result.points
-        assert result.best().reward == max(p.reward for p in result.points)
+        best = max(points, key=lambda p: p["reward"])
+        assert best in points
+        assert best["value"] in (32, 128)
 
     def test_metrics_in_range(self, tiny_config):
-        result = run_learning_rate_sweep(tiny_config, values=(0.005,))
-        point = result.points[0]
-        assert -1.0 <= point.reward <= 1.0
-        assert point.power_w > 0
-        assert 0.0 <= point.violation_rate <= 1.0
+        (point,) = sweep_config_field(tiny_config, "learning_rate", (0.005,))
+        assert -1.0 <= point["reward"] <= 1.0
+        assert point["power_w"] > 0
+        assert 0.0 <= point["violation_rate"] <= 1.0
 
     def test_rejects_unknown_field(self, tiny_config):
         with pytest.raises(ConfigurationError, match="not a"):
@@ -91,17 +94,14 @@ class TestSweep:
             sweep_config_field(tiny_config, "learning_rate", ())
 
     def test_format(self, tiny_config):
-        text = sweep_config_field(
-            tiny_config, "learning_rate", (0.005,), last_rounds=1
-        ).format()
+        text = Runner(tiny_config).text("sweep_lr")
         assert "Sweep over learning_rate" in text
 
 
 class TestCompressionAblation:
     def test_int8_cuts_bytes_roughly_4x(self, tiny_config):
-        from repro.experiments.ablations import run_compression
-
-        result = run_compression(tiny_config)
-        assert 3.4 < result.bytes_ratio() < 4.0
-        assert -1.0 <= result.reward("int8") <= 1.0
-        assert "compression" in result.format()
+        runner = Runner(tiny_config)
+        result = runner.numbers("ablation_compression")
+        assert 3.4 < result["bytes_ratio"] < 4.0
+        assert -1.0 <= result["int8.reward"] <= 1.0
+        assert "compression" in runner.text("ablation_compression")

@@ -6,6 +6,7 @@ from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.experiments.registry import (
     EXPERIMENTS,
+    Runner,
     active_config,
     get_experiment,
     list_experiments,
@@ -23,14 +24,14 @@ class TestRegistry:
 
     def test_extensions_registered(self):
         extension_ids = [
-            spec.experiment_id
+            spec.id
             for spec in EXPERIMENTS.values()
             if spec.paper_artifact == "extension"
         ]
         assert len(extension_ids) >= 5
 
     def test_get_experiment(self):
-        assert get_experiment("fig3").experiment_id == "fig3"
+        assert get_experiment("fig3").id == "fig3"
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown experiment"):
@@ -42,15 +43,15 @@ class TestRegistry:
             assert experiment_id in text
 
     def test_table1_runner_output(self):
-        text = get_experiment("table1").runner(smoke_config())
+        text = Runner(smoke_config()).text("table1")
         assert "P_crit" in text and "0.6" in text
 
     def test_table2_runner_output(self):
-        text = get_experiment("table2").runner(smoke_config())
+        text = Runner(smoke_config()).text("table2")
         assert "water-ns" in text and "ocean, radix" in text
 
     def test_fig2_runner_output(self):
-        text = get_experiment("fig2").runner(smoke_config())
+        text = Runner(smoke_config()).text("fig2")
         assert "Fig. 2" in text
 
 

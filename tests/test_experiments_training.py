@@ -260,3 +260,34 @@ class TestPowerViolationAccounting:
 
     def test_baseline_results_have_no_federated_summary(self, local_result):
         assert local_result.federated_result is None
+
+
+class TestControllerVariants:
+    """The config's ``loss``/``replay`` fields select the agent variant."""
+
+    def _agent(self, **variant):
+        from repro.experiments.training import _build_one_neural_controller
+        from repro.sim.opp import JETSON_NANO_OPP_TABLE
+
+        config = FederatedPowerControlConfig(**variant)
+        return _build_one_neural_controller(JETSON_NANO_OPP_TABLE, 0, config).agent
+
+    def test_paper_defaults(self):
+        from repro.nn.losses import HuberLoss
+        from repro.rl.prioritized_replay import PrioritizedReplayBuffer
+
+        agent = self._agent()
+        assert type(agent.loss) is HuberLoss
+        assert not isinstance(agent.replay, PrioritizedReplayBuffer)
+
+    def test_mse_loss(self):
+        from repro.nn.losses import MeanSquaredErrorLoss
+
+        assert isinstance(self._agent(loss="mse").loss, MeanSquaredErrorLoss)
+
+    def test_prioritized_replay(self):
+        from repro.rl.prioritized_replay import PrioritizedReplayBuffer
+
+        agent = self._agent(replay="prioritized")
+        assert isinstance(agent.replay, PrioritizedReplayBuffer)
+        assert agent.replay.capacity == 4000

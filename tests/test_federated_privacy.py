@@ -66,6 +66,18 @@ class TestDPGaussianCodec:
         with pytest.raises(FederationError):
             DPGaussianCodec(seed=0).encode([])
 
+    def test_describe_names_where_the_noise_stream_stands(self):
+        def describe(**kwargs):
+            return DPGaussianCodec(noise_std=0.05, **kwargs).describe()
+
+        assert describe(seed=1) == describe(seed=1)
+        assert describe(seed=1) != describe(seed=2)
+        assert describe(seed=1) != describe(seed=1, clip_norm=5.0)
+        assert describe(seed=np.random.default_rng(1)) == describe(seed=1)
+        used = DPGaussianCodec(noise_std=0.05, seed=1)
+        used.encode(params())
+        assert used.describe() != describe(seed=1)
+
 
 class TestPrivacyTraining:
     def test_dp_uploads_reach_server_noised(self):
@@ -104,13 +116,13 @@ class TestPrivacyTraining:
         )
 
     def test_privacy_ablation_shape(self):
-        from repro.experiments.ablations import run_privacy_noise
         from repro.experiments.config import FederatedPowerControlConfig
+        from repro.experiments.registry import Runner
 
         config = FederatedPowerControlConfig(
             num_rounds=2, steps_per_round=15, eval_steps_per_app=2,
             eval_every_rounds=1, seed=51,
         )
-        result = run_privacy_noise(config, noise_levels=(0.0, 0.05))
-        assert len(result.rows) == 2
-        assert all(-1.0 <= reward <= 1.0 for _, reward in result.rows)
+        result = Runner(config).numbers("ablation_privacy")
+        assert result["settings"] == ["std=0", "std=0.02", "std=0.1"]
+        assert all(-1.0 <= result[name] <= 1.0 for name in result["settings"])

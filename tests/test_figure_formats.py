@@ -3,8 +3,7 @@
 import pytest
 
 from repro.experiments.config import FederatedPowerControlConfig
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig4 import run_fig4
+from repro.experiments.registry import Runner
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +24,7 @@ class TestFig3Format:
             num_rounds=3, steps_per_round=15, eval_steps_per_app=2,
             eval_every_rounds=1, seed=61,
         )
-        return run_fig3(config, scenarios=[2]).format()
+        return Runner(config).text("fig3")
 
     def test_contains_plot_with_legend(self, text):
         assert "evaluation reward per round" in text
@@ -46,7 +45,7 @@ class TestFig3Format:
 class TestFig4Format:
     @pytest.fixture(scope="class")
     def text(self, tiny_config):
-        return run_fig4(tiny_config, scenario=2).format()
+        return Runner(tiny_config).text("fig4")
 
     def test_contains_plot_in_mhz_range(self, text):
         assert "mean selected frequency per round [MHz]" in text

@@ -428,21 +428,21 @@ class TestGuardComparisonAcceptance:
     def test_guarded_run_beats_unguarded(self):
         from dataclasses import replace
 
-        from repro.experiments.resilience import run_guard_comparison
+        from repro.experiments.registry import Runner
 
         config = FederatedPowerControlConfig(seed=2025).scaled(
             rounds=12, steps_per_round=40
         )
         config = replace(config, eval_every_rounds=4, eval_steps_per_app=6)
-        result = run_guard_comparison(config)
-        assert result.unguarded.rounds_completed == 12
-        assert result.guarded.rounds_completed == 12
+        result = Runner(config).numbers("guard")
+        assert result["unguarded.rounds_completed"] == 12
+        assert result["guarded.rounds_completed"] == 12
         # The guardrails must strictly improve power-constraint
         # compliance and catch at least one poisoned device.
-        assert result.guarded.violation_rate < result.unguarded.violation_rate
-        assert len(result.guarded.quarantined) >= 1
-        assert result.guarded.fallback_rate > 0.0
-        assert result.unguarded.fallback_rate == 0.0
+        assert result["guarded.violation_rate"] < result["unguarded.violation_rate"]
+        assert len(result["guarded.quarantined"]) >= 1
+        assert result["guarded.fallback_rate"] > 0.0
+        assert result["unguarded.fallback_rate"] == 0.0
 
 
 class TestCliGuardSurface:

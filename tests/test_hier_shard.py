@@ -321,23 +321,25 @@ def test_simulate_fleet_round_peak_independent_of_device_count():
 
 def test_run_fleet_scale_env_overrides(monkeypatch):
     from repro.experiments.config import FederatedPowerControlConfig
-    from repro.experiments.fleet import run_fleet_scale
+    from repro.experiments.registry import Runner, get_experiment
 
     monkeypatch.setenv("REPRO_FLEET_SCALES", "80,40,80")
     monkeypatch.setenv("REPRO_FLEET_FLAT", "0")
-    result = run_fleet_scale(FederatedPowerControlConfig(seed=3))
-    assert sorted(result.by_devices()) == [40, 80]  # deduped and sorted
-    text = result.format()
+    result = Runner(FederatedPowerControlConfig(seed=3)).numbers("fleet-scale")
+    assert result["devices"] == [40, 80]  # deduped and sorted
+    assert result["D=40.flat_wall_s"] is None
+    text = get_experiment("fleet-scale").render(result)
     assert "peak_resident_updates=1 at every scale" in text
 
 
 def test_run_fleet_scale_rejects_bad_scales(monkeypatch):
     from repro.experiments.config import FederatedPowerControlConfig
-    from repro.experiments.fleet import run_fleet_scale
+    from repro.experiments.registry import Runner
 
+    runner = Runner(FederatedPowerControlConfig(seed=3))
     monkeypatch.setenv("REPRO_FLEET_SCALES", "10,0")
     with pytest.raises(ConfigurationError):
-        run_fleet_scale(FederatedPowerControlConfig(seed=3))
+        runner.numbers("fleet-scale")
     monkeypatch.setenv("REPRO_FLEET_SCALES", "ten")
     with pytest.raises(ConfigurationError):
-        run_fleet_scale(FederatedPowerControlConfig(seed=3))
+        runner.numbers("fleet-scale")

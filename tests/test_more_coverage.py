@@ -103,33 +103,26 @@ def tiny_config():
 
 class TestFig5HarnessTiny:
     def test_structure(self, tiny_config):
-        from repro.experiments.fig5 import run_fig5
+        from repro.experiments.registry import Runner
 
-        result = run_fig5(tiny_config)
-        assert len(result.applications) == 12
-        assert set(result.ours_exec_time_s) == set(result.baseline_exec_time_s)
-        assert all(v > 0 for v in result.ours_exec_time_s.values())
-        text = result.format()
-        assert "paper: 22 %" in text
+        runner = Runner(tiny_config)
+        result = runner.numbers("fig5")
+        assert len(result["applications"]) == 12
+        for app in result["applications"]:
+            assert result[f"{app}.ours_exec_time_s"] > 0
+            assert result[f"{app}.sota_exec_time_s"] > 0
+        assert "paper: 22 %" in runner.text("fig5")
 
 
 class TestTable3HarnessTiny:
     def test_structure(self, tiny_config):
-        from repro.experiments.table3 import run_table3
+        from repro.experiments.registry import Runner
 
-        result = run_table3(tiny_config, scenarios=[1])
-        assert result.ours_exec_time_s > 0
-        assert result.baseline_ips > 0
-        assert set(result.per_scenario) == {1}
-        assert "Table III" in result.format()
-
-    def test_last_rounds_filter(self, tiny_config):
-        from repro.experiments.table3 import run_table3
-
-        full = run_table3(tiny_config, scenarios=[1])
-        tail = run_table3(tiny_config, scenarios=[1], last_rounds=1)
-        # Both are valid positive metrics; they may differ.
-        assert full.ours_power_w > 0 and tail.ours_power_w > 0
+        runner = Runner(tiny_config)
+        result = runner.numbers("table3")
+        assert result["ours_exec_time_s"] > 0
+        assert result["baseline_ips"] > 0
+        assert "Table III" in runner.text("table3")
 
 
 class TestOrchestratorOptionCombos:

@@ -107,17 +107,18 @@ class TestRandomApplicationSuite:
 class TestGeneralizationExperiment:
     def test_tiny_run(self):
         from repro.experiments.config import FederatedPowerControlConfig
-        from repro.experiments.generalization import run_generalization
+        from repro.experiments.registry import Runner
 
         config = FederatedPowerControlConfig(
             num_rounds=2, steps_per_round=20, eval_steps_per_app=2,
             eval_every_rounds=1, seed=41,
         )
-        result = run_generalization(config, num_unseen=3)
-        assert len(result.per_unseen_app) == 3
-        assert -1.0 <= result.unseen_reward <= 1.0
-        assert result.unseen_power_w > 0
-        assert "Generalisation" in result.format()
+        runner = Runner(config)
+        result = runner.numbers("generalization")
+        assert len(result["unseen_apps"]) == 8
+        assert -1.0 <= result["unseen.reward"] <= 1.0
+        assert result["unseen.power_w"] > 0
+        assert "Generalisation" in runner.text("generalization")
 
     def test_evaluator_accepts_custom_models(self):
         from repro.control.governors import PowersaveGovernor

@@ -136,16 +136,13 @@ class TestProblemScale:
 
 
 class TestTransitionAblation:
-    def test_runs_and_reports(self):
-        from repro.experiments.ablations import run_transition_overhead
-        from repro.experiments.config import FederatedPowerControlConfig
+    def test_runs_and_reports(self, every_artefact):
+        from repro.experiments.registry import get_experiment
 
-        config = FederatedPowerControlConfig(seed=5)
-        result = run_transition_overhead(
-            config, overheads_s=(0.0, 0.05), train_steps=400
-        )
-        assert len(result.rows) == 2
-        assert result.rows[0][0] == 0.0
-        assert result.rows[1][0] == 50.0
-        assert 0.0 <= result.switch_rate(0.0) <= 1.0
-        assert "transition overhead" in result.format()
+        result = every_artefact[1]["ablation_transition"]
+        assert result["overheads"] == ["0ms", "20ms"]
+        assert result["20ms.overhead_ms"] == 20.0
+        for label in result["overheads"]:
+            assert 0.0 <= result[f"{label}.switch_rate"] <= 1.0
+        text = get_experiment("ablation_transition").render(result)
+        assert "transition overhead" in text
