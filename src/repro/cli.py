@@ -905,8 +905,9 @@ def _build_sinks(args, experiment: str, config, options: RunSpec) -> _Sinks:
     want_events = bool(
         events_out or store_path or serve_port is not None or alerts_spec
     )
-    # Events and the store need round spans (tracer), train-step counts
-    # (metrics) and reward curves (flight) to be useful — attach them
+    # The store reads round spans from the tracer (which also carries
+    # fault phases into the events' spans), train-step counts from the
+    # metrics and reward curves from the flight recorder — attach them
     # implicitly, exactly as --metrics-out/--flight-out would.
     if args.metrics_out or want_events:
         if args.metrics_out:
@@ -1031,8 +1032,6 @@ def _write_sink_outputs(args, sinks: _Sinks) -> None:
     if sinks.rollup is not None:
         if sinks.flight is not None:
             sinks.rollup.ingest_flight(sinks.flight)
-        if sinks.metrics is not None:
-            sinks.rollup.ingest_metrics_state(sinks.metrics.dump_state())
         if sinks.store is not None:
             sinks.rollup.persist(sinks.store, sinks.run_id)
         if sinks.rollup.alerts_total:

@@ -63,15 +63,9 @@ CONTROLPLANE_BLOB_KEY = "__controlplane__"
 #: name rather than silently dropped.
 HONOURED_FIELDS = frozenset(
     {"controlplane", "faults", "aggregator", "retry", "checkpoint"}
-    | {"metrics", "events", "profiler", "flight"}
+    | {"metrics", "tracer", "events", "profiler", "flight"}
     | {"backend", "workers", "guard"}
 )
-
-#: Refused when passed, tolerated when ambient: an ambient tracer is a
-#: standing offer to record round spans, and the CLI attaches one for
-#: ``--metrics-out``/``--events-out``/``--store``, which the async plane
-#: does serve (its merges stream as ``round_span`` events instead).
-_AMBIENT_TOLERATED = frozenset({"tracer"})
 
 _LOG = get_logger("controlplane.driver")
 
@@ -82,10 +76,7 @@ def refuse_unhonoured(explicit: RunSpec, ambient: RunSpec = RunSpec()) -> None:
         name
         for name in FIELD_NAMES
         if name not in HONOURED_FIELDS
-        and (
-            explicit.is_on(name)
-            or (name not in _AMBIENT_TOLERATED and ambient.is_on(name))
-        )
+        and (explicit.is_on(name) or ambient.is_on(name))
     ]
     if named:
         raise ConfigurationError(
@@ -264,6 +255,7 @@ def train_async_federated(
             events=events,
             metrics=metrics,
             checkpoint_callback=checkpoint_on_halt,
+            tracer=spec.tracer,
         )
         # A resumed device's next local round continues its numbering.
         for name in active_names:
@@ -321,14 +313,12 @@ def train_async_federated(
         )
     host.finish(
         FederatedRunResult(
-            rounds_completed=len(loop.merge_log),
+            rounds_completed=len(loop.spans),
             total_bytes_communicated=host.transport.total_bytes,
             total_messages=host.transport.total_messages,
-            participation_by_round=[[device] for _, device, _ in loop.merge_log],
-            stragglers_by_round=[
-                [device] if late else [] for _, device, late in loop.merge_log
-            ],
-            aggregations_completed=len(loop.merge_log),
+            participation_by_round=[list(span.participants) for span in loop.spans],
+            stragglers_by_round=[list(span.stragglers) for span in loop.spans],
+            aggregations_completed=len(loop.spans),
         )
     )
     result.controlplane = {

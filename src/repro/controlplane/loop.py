@@ -31,6 +31,7 @@ from repro.errors import DegradedHaltError, FederationError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import PHASE_UPLOAD, RetryPolicy
 from repro.obs.logging import get_logger
+from repro.obs.tracing import RoundSpan, publish_round, publish_run_summary
 
 _LOG = get_logger("controlplane.loop")
 
@@ -60,6 +61,7 @@ class AsyncControlPlane:
         metrics=None,
         checkpoint_callback: Optional[Callable[["AsyncControlPlane"], str]] = None,
         timed_callbacks: Sequence[Tuple[float, Callable[[float], None]]] = (),
+        tracer=None,
     ) -> None:
         if tick_interval_s <= 0.0:
             raise FederationError(
@@ -79,6 +81,7 @@ class AsyncControlPlane:
         self.tick_interval_s = float(tick_interval_s)
         self.events = events
         self.metrics = metrics
+        self.tracer = tracer
         self.checkpoint_callback = checkpoint_callback
 
         self.remaining = dict(local_rounds_per_client)
@@ -97,12 +100,13 @@ class AsyncControlPlane:
         self.zombie_uploads = 0
         #: (time_s, device, was_late) per merged upload, merge order.
         self.merge_log: List[Tuple[float, str, bool]] = []
+        #: One recorded span per merge, merge order.
+        self.spans: List[RoundSpan] = []
 
         self._heap: List[Tuple[float, int, str, object]] = []
         self._seq = 0
         self._in_flight: set = set()
         self._next_tick_s = self.tick_interval_s
-        self._merge_index = 0
         if self.retry is not None and math.isfinite(
             self.retry.timeout_for(PHASE_UPLOAD)
         ):
@@ -178,7 +182,19 @@ class AsyncControlPlane:
         # never silently abandoned at shutdown.
         if len(self.buffer) > 0:
             self._drain_and_merge(self.clock + self.tick_interval_s, force=True)
-        self._emit_summary()
+        # The plane counts its work under ``controlplane.*`` and
+        # ``async.*``; the summary writes no ``federated.*`` totals.
+        merges = len(self.spans)
+        publish_run_summary(
+            {
+                "rounds": merges,
+                "bytes": self.server.transport.total_bytes,
+                "messages": self.server.transport.total_messages,
+                "aggregations": merges,
+                "straggler_rate": self.late_merges / merges if merges else 0.0,
+            },
+            self.events,
+        )
         return dict(self.pushes)
 
     # -- event handlers ------------------------------------------------
@@ -280,23 +296,17 @@ class AsyncControlPlane:
                 if self.metrics is not None:
                     self.metrics.inc("controlplane.late_merges")
             self.merge_log.append((now_s, entry.device, late))
-            if self.events is not None:
-                self.events.emit(
-                    {
-                        "type": "round_span",
-                        "round": self._merge_index,
-                        "participants": [entry.device],
-                        "stragglers": [entry.device] if late else [],
-                        "duration_s": wait_s,
-                        "bytes": len(entry.message.payload),
-                        "update_norm": None,
-                        "aggregated": True,
-                        "status": "ok",
-                        "phases": [],
-                        "mode": "async",
-                    }
-                )
-            self._merge_index += 1
+            span = RoundSpan(
+                len(self.spans),
+                [entry.device],
+                stragglers=[entry.device] if late else [],
+                duration_s=wait_s,
+                aggregated=True,
+                mode="async",
+                merge_bytes=len(entry.message.payload),
+            )
+            self.spans.append(span)
+            publish_round(span, tracer=self.tracer, events=self.events)
         return merged
 
     def _halt(self, now_s: float) -> None:
@@ -317,23 +327,6 @@ class AsyncControlPlane:
     ) -> None:
         """Driver hook: run ``callback(now_s)`` at a modelled time."""
         self._schedule(time_s, _KIND_CALLBACK, callback)
-
-    # -- summary -------------------------------------------------------
-    def _emit_summary(self) -> None:
-        merges = len(self.merge_log)
-        if self.events is not None:
-            self.events.emit(
-                {
-                    "type": "run_summary",
-                    "rounds": merges,
-                    "bytes": self.server.transport.total_bytes,
-                    "messages": self.server.transport.total_messages,
-                    "aggregations": merges,
-                    "straggler_rate": (
-                        self.late_merges / merges if merges else 0.0
-                    ),
-                }
-            )
 
     def state_blob(self) -> Dict[str, object]:
         """Loop progress for checkpointing (plain picklable types)."""

@@ -27,7 +27,7 @@ from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.evaluation import PolicyEvaluator, RoundEvaluation
 from repro.experiments.scenarios import evaluation_applications
 from repro.faults.aggregation import build_aggregator
-from repro.faults.plan import FaultPlan, PlanFaultInjector, chain_injectors
+from repro.faults.plan import FaultPlan, PlanFaultInjector
 from repro.faults.recovery import (
     CheckpointConfig,
     RunSnapshot,
@@ -458,19 +458,6 @@ def _wrap_transport(
         tracer=tracer,
         events=events,
     )
-
-
-def _effective_fault_injector(
-    resilience: _ResolvedResilience,
-    fault_injector: Optional[FaultInjector],
-) -> Optional[FaultInjector]:
-    """Chain the plan's crash schedule with a user-supplied injector."""
-    plan = resilience.plan
-    if plan is None or not any(e.kind == "crash" for e in plan.events):
-        return fault_injector
-    if fault_injector is None:
-        return PlanFaultInjector(plan)
-    return chain_injectors(PlanFaultInjector(plan), fault_injector)
 
 
 def _temperature_schedule(config: FederatedPowerControlConfig) -> ExponentialDecaySchedule:
@@ -944,12 +931,11 @@ def train_federated(
     default), ``"thread"``, ``"process"`` or ``"batched"``. All
     backends produce bit-identical results; the process
     backend additionally turns multi-core machines into real
-    local-training speedup. ``straggler_policy`` and ``fault_injector``
-    expose the orchestrator's fault-tolerance path:
-    ``fault_injector(device_name, round_index)`` runs right before each
-    device's local steps and may raise to simulate a straggler (any
-    callable on the in-process backends; a picklable top-level one for
-    the process backend). ``straggler_policy=None`` picks ``"skip"``
+    local-training speedup. ``straggler_policy`` sets the
+    orchestrator's fault-tolerance path; a fault plan's ``crash``
+    events (``faults=FaultPlan([FaultEvent("crash", round, device)])``)
+    make a device fail right before its local steps in that round, on
+    every backend. ``straggler_policy=None`` picks ``"skip"``
     when a fault plan is active and the paper's strict ``"abort"``
     otherwise. Under ``"abort"`` a failing device raises
     :class:`~repro.errors.FederationError` naming the device and
@@ -1030,7 +1016,10 @@ def train_federated(
             "backend": spec.get("backend"),
         },
     )
-    with host.open(_effective_fault_injector(resilience_cfg, spec.fault_injector)):
+    # The actor hook that raises the plan's scheduled device crashes.
+    plan = resilience_cfg.plan
+    crashes = plan is not None and any(e.kind == "crash" for e in plan.events)
+    with host.open(PlanFaultInjector(plan) if crashes else None):
         transport = _wrap_transport(
             host.transport, resilience_cfg, metrics, tracer, events=events
         )

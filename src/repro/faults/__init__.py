@@ -25,7 +25,6 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
     PlanFaultInjector,
-    chain_injectors,
     stable_token,
 )
 from repro.faults.recovery import (
@@ -66,7 +65,6 @@ __all__ = [
     "TrimmedMeanAggregator",
     "build_aggregator",
     "capture_device_state",
-    "chain_injectors",
     "execute_with_retry",
     "load_snapshot",
     "restore_device_state",

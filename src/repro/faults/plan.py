@@ -512,25 +512,3 @@ class PlanFaultInjector:
             raise InjectedFaultError(
                 f"injected crash: device {device_name!r} in round {round_index}"
             )
-
-
-def chain_injectors(*injectors) -> Optional[object]:
-    """Compose injector callables, skipping ``None``s; ``None`` if empty.
-
-    The result is picklable as long as every member is.
-    """
-    present = [injector for injector in injectors if injector is not None]
-    if not present:
-        return None
-    if len(present) == 1:
-        return present[0]
-    return _ChainedInjector(tuple(present))
-
-
-class _ChainedInjector:
-    def __init__(self, injectors: Tuple[object, ...]) -> None:
-        self.injectors = injectors
-
-    def __call__(self, device_name: str, round_index: int) -> None:
-        for injector in self.injectors:
-            injector(device_name, round_index)

@@ -26,6 +26,7 @@ from repro.federated.codecs import Float32Codec
 from repro.federated.transport import InMemoryTransport, Message
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import RoundSpan, publish_round, publish_run_summary
 from repro.rl.agent import NeuralBanditAgent
 from repro.runspec import resolve
 from repro.utils.validation import require_in_range, require_non_negative
@@ -278,11 +279,12 @@ def run_async_federated_training(
 
     ``events``/``metrics`` default to the ambient
     :class:`~repro.runspec.RunSpec`'s, so async runs stream into the same
-    pipeline the synchronous orchestrator feeds: one ``round_span``
-    event per push (``mode: "async"``, its one participant, the push's
-    transport bytes and the client's modelled round duration) and a
-    final ``run_summary`` — which is what ``obs-watch`` and the event
-    sinks consume.
+    pipeline the synchronous orchestrator feeds: each push is recorded
+    as one :class:`~repro.obs.tracing.RoundSpan` (``mode="async"``, its
+    one participant, the push's transport bytes and the client's
+    modelled round duration) and published as a ``round_span`` event,
+    then the run's ``run_summary`` — which is what ``obs-watch`` and the
+    event sinks consume.
     """
     sinks = resolve(events=events, metrics=metrics)
     events, metrics = sinks.events, sinks.metrics
@@ -315,7 +317,6 @@ def run_async_federated_training(
     # (completion_time, client_id) of the round each client is running.
     in_flight: List[tuple] = []
     clock = 0.0
-    round_counter = {client_id: 0 for client_id in clients_by_id}
     transport = server.transport
     bytes_before = transport.total_bytes
     messages_before = transport.total_messages
@@ -334,8 +335,7 @@ def run_async_federated_training(
         clock, client_id = in_flight.pop(0)
         client = clients_by_id[client_id]
         push_bytes_before = transport.total_bytes
-        trainers[client_id](round_counter[client_id])
-        round_counter[client_id] += 1
+        trainers[client_id](pushes[client_id])
         client.push()
         merged = server.absorb_pending()
         pushes[client_id] += 1
@@ -344,47 +344,34 @@ def run_async_federated_training(
             server.dispatch(client_id)
             client.pull()
             in_flight.append((clock + round_duration_s[client_id], client_id))
-        if events is not None:
-            # One round_span per push, shaped like the synchronous
-            # tracer's export so obs-watch and the sinks need no
-            # async-specific handling.
-            events.emit(
-                {
-                    "type": "round_span",
-                    "round": push_index,
-                    "participants": [client_id],
-                    "stragglers": [],
-                    "duration_s": round_duration_s[client_id],
-                    "bytes": transport.total_bytes - push_bytes_before,
-                    "update_norm": None,
-                    "aggregated": merged > 0,
-                    "status": "ok",
-                    "phases": [],
-                    "mode": "async",
-                }
-            )
+        publish_round(
+            RoundSpan(
+                push_index,
+                [client_id],
+                duration_s=round_duration_s[client_id],
+                aggregated=merged > 0,
+                mode="async",
+                merge_bytes=transport.total_bytes - push_bytes_before,
+            ),
+            events=events,
+        )
         push_index += 1
 
-    total_bytes = transport.total_bytes - bytes_before
-    total_messages = transport.total_messages - messages_before
     merges = server.merges_applied - merges_before
     stale = server.stale_merges - stale_before
-    if metrics is not None:
-        metrics.inc("federated.bytes_total", total_bytes)
-        metrics.inc("federated.messages_total", total_messages)
-    if events is not None:
-        events.emit(
-            {
-                "type": "run_summary",
-                "rounds": push_index,
-                "bytes": total_bytes,
-                "messages": total_messages,
-                "aggregations": merges,
-                # The async analogue of the sync straggler rate: the
-                # fraction of merges whose upload trained on an
-                # already-superseded global model, so obs-diff
-                # comparisons against sync runs are honest.
-                "straggler_rate": stale / merges if merges else 0.0,
-            }
-        )
+    publish_run_summary(
+        {
+            "rounds": push_index,
+            "bytes": transport.total_bytes - bytes_before,
+            "messages": transport.total_messages - messages_before,
+            "aggregations": merges,
+            # The async analogue of the sync straggler rate: the
+            # fraction of merges whose upload trained on an
+            # already-superseded global model, so obs-diff comparisons
+            # against sync runs are honest.
+            "straggler_rate": stale / merges if merges else 0.0,
+        },
+        events,
+        metrics,
+    )
     return pushes

@@ -11,21 +11,25 @@ dependencies and lets tests drive the protocol with stub trainers.
 partial client participation per round (standard in FL practice) for
 the corresponding ablation.
 
-Observability: when a :class:`~repro.obs.tracing.RoundTracer` and/or
-:class:`~repro.obs.metrics.MetricsRegistry` is attached (explicitly or
-via the ambient :mod:`repro.obs.context`), every round emits one span
-with per-phase wall-times, transport bytes, stragglers and the global
-parameter-update norm, plus ``federated.*`` counters/histograms. With
-no sink attached the loop runs the legacy code path behind ``None``
-checks.
+Observability: every round is recorded once, as one
+:class:`~repro.obs.tracing.RoundSpan` with per-phase wall-times,
+transport bytes, stragglers and the global parameter-update norm, and
+handed to :func:`~repro.obs.tracing.publish_round`, which feeds the
+sinks attached explicitly or through the ambient
+:class:`~repro.runspec.RunSpec`: the tracer, the ``round_span`` event,
+the ``federated.*`` metrics and the log. The run result's per-round
+lists and the checkpoint's logs are read off the same spans. The span
+is built whether or not a sink is attached, and recording never
+changes the run's numerical results.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from itertools import zip_longest
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,10 +50,12 @@ from repro.obs.tracing import (
     PHASE_BROADCAST,
     PHASE_LOCAL_TRAIN,
     PHASE_UPLOAD,
-    PhaseSpan,
+    RoundSpan,
     RoundTracer,
     STATUS_FAILED,
     STATUS_OK,
+    publish_round,
+    publish_run_summary,
 )
 from repro.runspec import resolve
 from repro.utils.rng import SeedLike, as_generator
@@ -113,15 +119,7 @@ class FederatedRunResult:
         no power accounting was recorded (zero steps, or a run whose
         experiment layer did not fill the power fields in).
         """
-        if device is not None:
-            steps = self.power_steps_by_device.get(device, 0)
-            if steps == 0:
-                return 0.0
-            return self.power_violations_by_device.get(device, 0) / steps
-        total_steps = sum(self.power_steps_by_device.values())
-        if total_steps == 0:
-            return 0.0
-        return sum(self.power_violations_by_device.values()) / total_steps
+        return self._step_rate(self.power_violations_by_device, device)
 
     @property
     def quarantined_devices(self) -> List[str]:
@@ -140,26 +138,22 @@ class FederatedRunResult:
         power accounting uses, so the two rates are directly
         comparable.
         """
+        return self._step_rate(self.fallback_steps_by_device, device)
+
+    def _step_rate(self, counts: Dict[str, int], device: Optional[str]) -> float:
         if device is not None:
             steps = self.power_steps_by_device.get(device, 0)
-            if steps == 0:
-                return 0.0
-            return self.fallback_steps_by_device.get(device, 0) / steps
-        total_steps = sum(self.power_steps_by_device.values())
-        if total_steps == 0:
-            return 0.0
-        return sum(self.fallback_steps_by_device.values()) / total_steps
+            return counts.get(device, 0) / steps if steps else 0.0
+        steps = sum(self.power_steps_by_device.values())
+        return sum(counts.values()) / steps if steps else 0.0
 
 
 def _update_norm(
     before: Sequence[np.ndarray], after: Sequence[np.ndarray]
 ) -> float:
     """L2 norm of the global-model drift over one aggregation."""
-    total = 0.0
-    for old, new in zip(before, after):
-        delta = new - old
-        total += float(np.dot(delta.ravel(), delta.ravel()))
-    return math.sqrt(total)
+    deltas = [(new - old).ravel() for old, new in zip(before, after)]
+    return math.sqrt(sum(float(np.dot(delta, delta)) for delta in deltas))
 
 
 def run_federated_training(
@@ -208,26 +202,25 @@ def run_federated_training(
         round's aggregation and continue with the survivors, the
         fault-tolerance extension). At least one client must survive
         each round.
-    metrics, tracer, profiler:
+    metrics, tracer, profiler, events:
         Optional observability sinks; default to the ambient
-        :class:`~repro.runspec.RunSpec`'s (if one is active). The
-        profiler attributes wall-time to the protocol phases
-        (``federated.broadcast``/``.local_train``/``.upload``/
-        ``.aggregate``). Attaching sinks never changes the run's
-        numerical results.
+        :class:`~repro.runspec.RunSpec`'s. Each round's span reaches
+        the metrics, tracer and events through
+        :func:`~repro.obs.tracing.publish_round`; the profiler times the
+        protocol phases (``federated.broadcast``/``.local_train``/
+        ``.upload``/``.aggregate``).
     executor:
         Optional parallel local-training engine (e.g.
-        :class:`~repro.parallel.engine.FleetTrainExecutor`). When
-        given, the per-round local-training phase is delegated to
-        ``executor.run_local_train(round_index, participating)``, which
-        must return a mapping ``client_id -> outcome`` with ``error``
-        (``None`` or a description) and ``duration_s`` attributes, and
-        must leave each survivor's post-training parameters installed
-        in that client's agent. Broadcast, upload and aggregation stay
-        serial in participating order, so transport byte accounting —
-        and with deterministic trainers, every numerical result — is
-        identical to the ``executor=None`` path. ``trainers`` may be
-        empty in this mode — the executor owns local training.
+        :class:`~repro.parallel.engine.FleetTrainExecutor`) that owns
+        local training (``trainers`` may then be empty):
+        ``executor.run_local_train(round_index, participating)`` returns
+        ``client_id -> outcome`` with ``error`` (``None`` or a
+        description) and ``duration_s``, leaving each survivor's
+        trained parameters in its client's agent. Broadcast, upload and
+        aggregation stay serial in participating order, so every
+        numerical result matches the ``executor=None`` path. Under
+        ``"abort"`` a failed outcome raises
+        :class:`~repro.errors.FederationError` naming the device.
     fault_plan:
         Optional :class:`repro.faults.plan.FaultPlan` (duck-typed:
         only ``kill_round`` is consulted here; the wire faults live in
@@ -237,34 +230,28 @@ def run_federated_training(
         to simulate a mid-run server crash. Resumed runs
         (``resume is not None``) never re-kill.
     churn_plan:
-        Optional :class:`repro.guard.churn.ChurnPlan`. When given, each
-        round's participants are drawn from the plan's active roster
-        for that round instead of the full client set: leavers simply
-        stop appearing (round-synchronous drain — nothing stalls),
-        joiners and rejoiners bootstrap from the current global model
-        at their first broadcast, and a round whose roster is empty is
-        skipped outright (one traced, non-aggregated span; the global
-        model carries over). Membership is decided here, driver-side,
-        so every execution backend sees identical rosters.
+        Optional :class:`repro.guard.churn.ChurnPlan`: each round draws
+        from the plan's active roster. Leavers stop appearing (nothing
+        stalls), joiners bootstrap from the current global model at
+        their first broadcast, and a round with an empty roster records
+        one non-aggregated span and carries the global model over.
+        Membership is decided driver-side, so every execution backend
+        sees identical rosters.
     resume:
         Optional :class:`repro.faults.recovery.OrchestratorProgress`
-        from a checkpoint: the loop starts at ``resume.next_round``
-        with the participation RNG stream, the per-round logs and the
-        cumulative byte/message/aggregation counters restored, so the
-        reported totals (and, with restored endpoints and trainers,
-        every numerical result) match an uninterrupted run exactly.
+        from a checkpoint: the loop starts at ``resume.next_round`` with
+        the participation RNG stream, the per-round logs and the run
+        totals restored, so the result matches an uninterrupted run.
     checkpoint_hook:
         Called after every completed round (after ``on_round_end``)
         with ``(round_index, progress)`` — the driver decides whether
         the round is due and persists the full
         :class:`~repro.faults.recovery.RunSnapshot`.
     selection_policy:
-        Optional :class:`repro.hier.selection.SelectionPolicy` (duck-
-        typed: ``select(round_index, roster, rng)`` returning a
-        non-empty roster-ordered subset). When given it replaces the
-        uniform ``participation_fraction`` draw — the churn-filtered
-        roster still applies first, so policies only ever see live
-        devices. ``None`` keeps the status-quo draw bit-identical.
+        Optional :class:`repro.hier.selection.SelectionPolicy`
+        (``select(round_index, roster, rng)`` returning a non-empty
+        roster-ordered subset of the churn-filtered roster) in place of
+        the uniform ``participation_fraction`` draw.
     """
     if straggler_policy not in ("abort", "skip"):
         raise ConfigurationError(
@@ -293,20 +280,18 @@ def run_federated_training(
     metrics, tracer = sinks.metrics, sinks.tracer
     profiler, events = sinks.profiler, sinks.events
     transport = server.transport
-
-    rng = as_generator(seed)
-    bytes_before = transport.total_bytes
-    messages_before = transport.total_messages
-    aggregations_before = server.rounds_aggregated
-    participation_log: List[List[str]] = []
-    straggler_log: List[List[str]] = []
-    quarantine_log: List[List[str]] = []
     tolerant = straggler_policy == "skip"
 
+    rng = as_generator(seed)
+    spans: List[RoundSpan] = []
     start_round = 0
-    prior_bytes = 0
-    prior_messages = 0
-    prior_aggregations = 0
+    # Run-total bytes, messages and aggregations are what the transport
+    # and server counted since ``start``, plus what a resumed run had.
+    def _counted() -> Tuple[int, int, int]:
+        return transport.total_bytes, transport.total_messages, server.rounds_aggregated
+
+    start = _counted()
+    prior = (0, 0, 0)
     if resume is not None:
         start_round = resume.next_round
         if not 0 <= start_round <= num_rounds:
@@ -317,35 +302,39 @@ def run_federated_training(
             from repro.utils.checkpoint import set_rng_state
 
             set_rng_state(rng, resume.rng_state)
-        participation_log.extend(list(r) for r in resume.participation_log)
-        straggler_log.extend(list(r) for r in resume.straggler_log)
-        quarantine_log.extend(
-            list(r) for r in getattr(resume, "quarantine_log", [])
+        # The checkpoint keeps each earlier round's participants,
+        # stragglers and quarantined clients: the spans the result reads.
+        logs = zip_longest(
+            resume.participation_log,
+            resume.straggler_log,
+            getattr(resume, "quarantine_log", []),
+            fillvalue=[],
         )
-        prior_bytes = resume.prior_bytes
-        prior_messages = resume.prior_messages
-        prior_aggregations = resume.prior_aggregations
+        spans.extend(
+            RoundSpan(index, list(chosen), list(lost), quarantined=list(banned))
+            for index, (chosen, lost, banned) in enumerate(logs)
+        )
+        prior = (resume.prior_bytes, resume.prior_messages, resume.prior_aggregations)
 
-    kill_round = getattr(fault_plan, "kill_round", None)
+    def _totals() -> Tuple[int, ...]:
+        return tuple(p + n - s for p, n, s in zip(prior, _counted(), start))
 
     def _progress(next_round: int) -> object:
         # Imported lazily: repro.faults depends on this package.
         from repro.faults.recovery import OrchestratorProgress
         from repro.utils.checkpoint import rng_state
 
+        participation, stragglers, quarantined = _round_lists(spans)
+        total_bytes, total_messages, aggregations = _totals()
         return OrchestratorProgress(
             next_round=next_round,
             rng_state=rng_state(rng),
-            participation_log=[list(r) for r in participation_log],
-            straggler_log=[list(r) for r in straggler_log],
-            prior_bytes=prior_bytes + transport.total_bytes - bytes_before,
-            prior_messages=prior_messages
-            + transport.total_messages
-            - messages_before,
-            prior_aggregations=prior_aggregations
-            + server.rounds_aggregated
-            - aggregations_before,
-            quarantine_log=[list(r) for r in quarantine_log],
+            participation_log=participation,
+            straggler_log=stragglers,
+            prior_bytes=total_bytes,
+            prior_messages=total_messages,
+            prior_aggregations=aggregations,
+            quarantine_log=quarantined,
         )
 
     _LOG.info(
@@ -360,483 +349,281 @@ def run_federated_training(
     )
 
     for round_index in range(start_round, num_rounds):
-        if kill_round == round_index and resume is None:
-            _LOG.warning(
-                "injected server kill", extra={"round": round_index}
-            )
+        if resume is None and round_index == getattr(fault_plan, "kill_round", None):
+            _LOG.warning("injected server kill", extra={"round": round_index})
             raise RunKilledError(
-                f"fault plan killed the run at the start of round "
-                f"{round_index}"
+                f"fault plan killed the run at the start of round {round_index}"
             )
+        span = RoundSpan(round_index, [])
         roster: Sequence[str] = server.client_ids
         if churn_plan is not None:
             active = set(churn_plan.active(round_index))
-            joined = churn_plan.joins(round_index)
-            left = churn_plan.leaves(round_index)
-            if metrics is not None:
-                metrics.set_gauge("federated.active_devices", len(active))
-                if joined:
-                    metrics.inc("federated.joins", len(joined))
-                if left:
-                    metrics.inc("federated.leaves", len(left))
-            if joined or left:
-                if events is not None:
-                    events.emit(
-                        {
-                            "type": "churn",
-                            "round": round_index,
-                            "joined": sorted(joined),
-                            "left": sorted(left),
-                            "active": len(active),
-                        }
-                    )
-                _LOG.info(
-                    "fleet churn",
-                    extra={
-                        "round": round_index,
-                        "joined": list(joined),
-                        "left": list(left),
-                        "active": len(active),
-                    },
-                )
+            span.churn = {
+                "joined": sorted(churn_plan.joins(round_index)),
+                "left": sorted(churn_plan.leaves(round_index)),
+                "active": len(active),
+            }
+            if events is not None and (span.churn["joined"] or span.churn["left"]):
+                events.emit({"type": "churn", "round": round_index, **span.churn})
             roster = [cid for cid in server.client_ids if cid in active]
-            if not roster:
-                # The whole fleet is offline: a membership gap, not a
-                # failure. The global model carries over unchanged; the
-                # round still emits one (non-aggregated) span so traces
-                # and the aggregation cross-check stay aligned.
-                participation_log.append([])
-                straggler_log.append([])
-                quarantine_log.append([])
-                if tracer is not None:
-                    tracer.start_round(round_index, [])
-                    empty_span = tracer.end_round(aggregated=False)
-                    if events is not None:
-                        events.emit(empty_span.as_dict())
-                if metrics is not None:
-                    metrics.inc("federated.rounds")
-                    metrics.inc("federated.rounds_empty")
-                    metrics.set_gauge("federated.last_round", round_index)
-                _LOG.warning(
-                    "no active device this round; round skipped",
-                    extra={"round": round_index},
+        if not roster:
+            # The whole fleet is offline: a membership gap, not a failure.
+            # The global model carries over; the round still has its span.
+            span.warn("no active device this round; round skipped")
+        else:
+            if selection_policy is not None:
+                span.participants = list(
+                    selection_policy.select(round_index, roster, rng)
                 )
-                if on_round_end is not None:
-                    on_round_end(round_index, server)
-                if checkpoint_hook is not None:
-                    checkpoint_hook(round_index, _progress(round_index + 1))
-                continue
-        if selection_policy is not None:
-            participating = list(
-                selection_policy.select(round_index, roster, rng)
-            )
-            if not participating:
+            else:
+                span.participants = _draw_participants(
+                    roster, participation_fraction, rng
+                )
+            if not span.participants:
                 raise FederationError(
                     f"selection policy picked no client in round "
                     f"{round_index} from roster of {len(roster)}"
                 )
-        else:
-            participating = _draw_participants(
-                roster, participation_fraction, rng
-            )
-        participation_log.append(list(participating))
-        setattr(server, "last_aggregation_quarantined", [])
-        if tracer is not None:
-            tracer.start_round(round_index, participating)
-
-        try:
-            stragglers, update_norm, round_aggregated = _run_one_round(
-                server,
-                clients_by_id,
-                trainers,
-                round_index,
-                participating,
-                aggregation_weights,
-                straggler_policy,
-                metrics,
-                tracer,
-                profiler,
-                executor,
-            )
-        except Exception:
-            if tracer is not None and tracer.current_round is not None:
-                _attach_tier_phases(server, tracer)
-                tracer.end_round(aggregated=False, status=STATUS_FAILED)
-            _LOG.error(
-                "federated round failed", extra={"round": round_index}
-            )
-            raise
-        _attach_tier_phases(server, tracer)
-        straggler_log.append(stragglers)
-        quarantined = list(
-            getattr(server, "last_aggregation_quarantined", [])
-        )
-        quarantine_log.append(quarantined)
-
-        if metrics is not None:
-            metrics.inc("federated.rounds")
-            if quarantined:
-                metrics.inc("federated.quarantined", len(quarantined))
-            metrics.set_gauge("federated.last_round", round_index)
-            if stragglers:
-                metrics.inc("federated.rounds_with_stragglers")
-        if events is not None and quarantined:
-            events.emit(
-                {
-                    "type": "quarantine",
-                    "round": round_index,
-                    "devices": list(quarantined),
-                }
-            )
-        if tracer is not None:
-            span = tracer.end_round(
-                stragglers=stragglers,
-                update_norm=update_norm,
-                aggregated=round_aggregated,
-            )
-            if events is not None:
-                events.emit(span.as_dict())
-            if metrics is not None and span.update_norm is not None:
-                metrics.observe("federated.update_norm", span.update_norm)
-            _LOG.info(
-                "round complete",
-                extra={
-                    "round": round_index,
-                    "participants": len(participating),
-                    "stragglers": len(stragglers),
-                    "bytes": span.bytes_transferred,
-                    "update_norm": span.update_norm,
-                },
-            )
-        else:
-            _LOG.info(
-                "round complete",
-                extra={
-                    "round": round_index,
-                    "participants": len(participating),
-                    "stragglers": len(stragglers),
-                },
-            )
+            server.last_aggregation_quarantined = []
+            if tracer is not None:
+                tracer.open(span)
+            try:
+                _run_one_round(
+                    server,
+                    clients_by_id,
+                    trainers,
+                    span,
+                    aggregation_weights,
+                    tolerant,
+                    profiler,
+                    executor,
+                )
+            except Exception:
+                _attach_tier_phases(server, span)
+                publish_round(span.finish(STATUS_FAILED), tracer, events, metrics)
+                raise
+            _attach_tier_phases(server, span)
+            span.quarantined = list(server.last_aggregation_quarantined)
+        spans.append(span)
+        publish_round(span.finish(), tracer, events, metrics)
 
         if on_round_end is not None:
             on_round_end(round_index, server)
         if checkpoint_hook is not None:
             checkpoint_hook(round_index, _progress(round_index + 1))
 
-    aggregations_completed = server.rounds_aggregated - aggregations_before
-    rounds_executed = num_rounds - start_round
-    if tracer is not None and rounds_executed > 0:
-        # The tracer watched every aggregate phase; the legacy result
-        # object and the telemetry must tell the same story.
-        traced = sum(
-            1 for span in tracer.rounds[-rounds_executed:] if span.aggregated
-        )
-        if traced != aggregations_completed:
-            raise FederationError(
-                f"tracer saw {traced} aggregations but the server completed "
-                f"{aggregations_completed}"
-            )
-
+    participation, stragglers, quarantined = _round_lists(spans)
+    total_bytes, total_messages, aggregations = _totals()
     result = FederatedRunResult(
         rounds_completed=num_rounds,
-        total_bytes_communicated=prior_bytes
-        + transport.total_bytes
-        - bytes_before,
-        total_messages=prior_messages
-        + transport.total_messages
-        - messages_before,
-        participation_by_round=participation_log,
-        stragglers_by_round=straggler_log,
-        aggregations_completed=prior_aggregations + aggregations_completed,
-        quarantined_by_round=quarantine_log,
+        total_bytes_communicated=total_bytes,
+        total_messages=total_messages,
+        participation_by_round=participation,
+        stragglers_by_round=stragglers,
+        aggregations_completed=aggregations,
+        quarantined_by_round=quarantined,
     )
-    if metrics is not None:
-        metrics.inc("federated.bytes_total", result.total_bytes_communicated)
-        metrics.inc("federated.messages_total", result.total_messages)
-        metrics.inc("federated.aggregations", result.aggregations_completed)
-    if events is not None:
-        events.emit(
-            {
-                "type": "run_summary",
-                "rounds": result.rounds_completed,
-                "bytes": result.total_bytes_communicated,
-                "messages": result.total_messages,
-                "aggregations": result.aggregations_completed,
-                "straggler_rate": result.straggler_rate,
-            }
-        )
-    _LOG.info(
-        "federated run finished",
-        extra={
-            "rounds": result.rounds_completed,
-            "bytes": result.total_bytes_communicated,
-            "straggler_rate": round(result.straggler_rate, 6),
+    publish_run_summary(
+        {
+            "rounds": num_rounds,
+            "bytes": total_bytes,
+            "messages": total_messages,
+            "aggregations": aggregations,
+            "straggler_rate": result.straggler_rate,
         },
+        events,
+        metrics,
     )
     return result
 
 
-def _phase(
-    tracer: Optional[RoundTracer], name: str, client_id: Optional[str] = None
-):
-    """``tracer.phase(...)``; untraced, a throwaway span that is dropped."""
-    if tracer is None:
-        return nullcontext(PhaseSpan(name=name, client_id=client_id))
-    return tracer.phase(name, client_id=client_id)
+def _round_lists(spans: Sequence[RoundSpan]) -> Tuple[List[List[str]], ...]:
+    """Participants, stragglers and quarantined clients, per round."""
+    return (
+        [list(span.participants) for span in spans],
+        [list(span.stragglers) for span in spans],
+        [list(span.quarantined) for span in spans],
+    )
 
 
 def _run_one_round(
     server: FederatedServer,
     clients_by_id: Dict[str, FederatedClient],
     trainers: Dict[str, LocalTrainer],
-    round_index: int,
-    participating: Sequence[str],
+    span: RoundSpan,
     aggregation_weights: Optional[Dict[str, float]],
-    straggler_policy: str,
-    metrics: Optional[MetricsRegistry],
-    tracer: Optional[RoundTracer],
+    tolerant: bool,
     profiler: Optional[ScopeProfiler] = None,
     executor: Optional[object] = None,
-) -> "tuple[List[str], Optional[float], bool]":
-    """Broadcast → train → upload → aggregate.
+) -> None:
+    """Broadcast → train → upload → aggregate, recorded into ``span``.
 
-    Returns the round's stragglers, the aggregation's parameter-update
-    norm when traced (``None`` untraced — computing it costs a deep
-    copy of the global model), and whether the round aggregated at all.
-    Under the skip policy a round every client lost — no broadcast
-    delivered, every trainer crashed, or every upload gone — is skipped
-    rather than fatal: the global model carries over unchanged.
+    Fills in the span's phases, stragglers, update norm and
+    ``aggregated``. Under the skip policy a round every client lost —
+    no broadcast delivered, every trainer crashed, or every upload
+    gone — is skipped rather than fatal: the global model carries over
+    unchanged.
     """
     transport = server.transport
-    tolerant = straggler_policy == "skip"
+    round_index = span.round_index
+    stragglers = span.stragglers
 
     bytes_at = transport.total_bytes
     with profile("federated.broadcast", profiler):
-        with _phase(tracer, PHASE_BROADCAST) as span:
+        with span.phase(PHASE_BROADCAST) as phase:
             reached = server.broadcast(
-                round_index, recipients=participating, tolerant=tolerant
+                round_index, recipients=span.participants, tolerant=tolerant
             )
-            span.bytes_transferred = transport.total_bytes - bytes_at
-    if metrics is not None:
-        metrics.inc("federated.broadcast_bytes", transport.total_bytes - bytes_at)
+            phase.bytes_transferred = transport.total_bytes - bytes_at
 
-    survivors: List[str] = []
-    stragglers: List[str] = []
-    unreached = [cid for cid in participating if cid not in reached]
-    if unreached:
-        # Broadcast never arrived: those clients sit the round out.
-        stragglers.extend(unreached)
-        if metrics is not None:
-            metrics.inc("federated.stragglers", len(unreached))
-        participating = [cid for cid in participating if cid in reached]
-
-    # Install the broadcast before training. A dropped broadcast leaves
-    # the client's inbox empty; under the skip policy that client sits
-    # the round out instead of aborting the run.
+    # Clients the broadcast never reached sit the round out, and so,
+    # under the skip policy, does one whose inbox a dropped broadcast
+    # left empty.
+    stragglers.extend(cid for cid in span.participants if cid not in reached)
     installed: List[str] = []
-    for client_id in participating:
+    for client_id in span.participants:
+        if client_id not in reached:
+            continue
         try:
             clients_by_id[client_id].receive_global()
         except FederationError:
             if not tolerant:
                 raise
-            stragglers.append(client_id)
-            if metrics is not None:
-                metrics.inc("federated.stragglers")
-            _LOG.warning(
-                "no broadcast arrived; client skipped for this round",
-                extra={"round": round_index, "client_id": client_id},
+            span.straggle(
+                client_id, "no broadcast arrived; client skipped for this round"
             )
             continue
         installed.append(client_id)
-    participating = installed
-    if not participating:
+    if not installed:
         if not tolerant:
             raise FederationError(
                 f"round {round_index}: the broadcast reached no client"
             )
-        # Every client lost the broadcast: the round is a wash. The
-        # global model carries over unchanged and training resumes next
-        # round — a real deployment rides out a dead round the same way.
-        if metrics is not None:
-            metrics.inc("federated.rounds_skipped")
-        _LOG.warning(
-            "no client received the broadcast; round skipped",
-            extra={"round": round_index},
-        )
-        return stragglers, None, False
+        # Every client lost the broadcast: the round is a wash, and
+        # training resumes next round — a real deployment rides out a
+        # dead round the same way.
+        span.warn("no client received the broadcast; round skipped")
+        return
 
-    def upload(client_id: str) -> bool:
-        """Send one client's local model; False if it was lost."""
-        client = clients_by_id[client_id]
+    survivors: List[str] = []
+    for client_id, duration_s, failure, detail in _local_train(
+        trainers, executor, round_index, installed, profiler
+    ):
+        span.add_phase(
+            PHASE_LOCAL_TRAIN,
+            client_id=client_id,
+            duration_s=duration_s,
+            status=STATUS_OK if failure is None else STATUS_FAILED,
+        )
+        if failure is not None:
+            if not tolerant:
+                raise failure
+            span.straggle(
+                client_id, "client straggled; skipping for this round", error=detail
+            )
+            continue
         bytes_at = transport.total_bytes
         try:
             with profile("federated.upload", profiler):
-                with _phase(tracer, PHASE_UPLOAD, client_id) as span:
-                    client.send_local(round_index)
-                    span.bytes_transferred = transport.total_bytes - bytes_at
+                with span.phase(PHASE_UPLOAD, client_id) as phase:
+                    clients_by_id[client_id].send_local(round_index)
+                    phase.bytes_transferred = transport.total_bytes - bytes_at
         except TransportError as error:
             if not tolerant:
                 raise
-            stragglers.append(client_id)
-            if metrics is not None:
-                metrics.inc("federated.stragglers")
-            _LOG.warning(
+            span.straggle(
+                client_id,
                 "upload failed; client skipped for this round",
-                extra={
-                    "round": round_index,
-                    "client_id": client_id,
-                    "error": repr(error),
-                },
+                error=repr(error),
             )
-            return False
-        if metrics is not None:
-            metrics.inc(
-                "federated.upload_bytes", transport.total_bytes - bytes_at
-            )
-        return True
-
-    if executor is not None:
-        # Parallel local training: broadcasts were installed serially
-        # above (deterministic transport accounting), the executor fans
-        # the compute out, then uploads run serially in participating
-        # order — the same wire traffic as the serial path below.
-        with profile("federated.local_train", profiler):
-            outcomes = executor.run_local_train(round_index, participating)
-        for client_id in participating:
-            outcome = outcomes[client_id]
-            failed = outcome.error is not None
-            if tracer is not None:
-                tracer.add_phase(
-                    PHASE_LOCAL_TRAIN,
-                    client_id=client_id,
-                    duration_s=outcome.duration_s,
-                    status=STATUS_FAILED if failed else STATUS_OK,
-                )
-            if failed:
-                if straggler_policy == "abort":
-                    raise FederationError(
-                        f"client {client_id!r} failed during parallel local "
-                        f"training in round {round_index}:\n{outcome.error}"
-                    )
-                stragglers.append(client_id)
-                if metrics is not None:
-                    metrics.inc("federated.stragglers")
-                _LOG.warning(
-                    "client straggled; skipping for this round",
-                    extra={
-                        "round": round_index,
-                        "client_id": client_id,
-                        "error": outcome.error.strip().splitlines()[-1],
-                    },
-                )
-                continue
-            if upload(client_id):
-                survivors.append(client_id)
-    else:
-        for client_id in participating:
-            try:
-                with profile("federated.local_train", profiler):
-                    with _phase(tracer, PHASE_LOCAL_TRAIN, client_id):
-                        trainers[client_id](round_index)
-            except Exception as error:
-                if straggler_policy == "abort":
-                    raise
-                stragglers.append(client_id)
-                if metrics is not None:
-                    metrics.inc("federated.stragglers")
-                _LOG.warning(
-                    "client straggled; skipping for this round",
-                    extra={
-                        "round": round_index,
-                        "client_id": client_id,
-                        "error": repr(error),
-                    },
-                )
-                continue
-            if upload(client_id):
-                survivors.append(client_id)
+            continue
+        survivors.append(client_id)
 
     if not survivors:
         if not tolerant:
             raise FederationError(
                 f"round {round_index}: every participating client failed"
             )
-        if metrics is not None:
-            metrics.inc("federated.rounds_skipped")
-        _LOG.warning(
-            "every participating client failed; round skipped",
-            extra={"round": round_index},
-        )
-        return stragglers, None, False
+        span.warn("every participating client failed; round skipped")
+        return
 
-    update_norm: Optional[float] = None
     try:
         with profile("federated.aggregate", profiler):
-            # The drift norm costs a deep copy of the global model, so
-            # it is computed on traced runs only.
-            before = server.global_parameters if tracer is not None else None
-            with _phase(tracer, PHASE_AGGREGATE):
+            before = server.global_parameters
+            with span.phase(PHASE_AGGREGATE):
                 after = server.aggregate(
                     round_index,
                     expected_clients=survivors,
                     weights=aggregation_weights,
                     tolerant=tolerant,
                 )
-            if before is not None:
-                update_norm = _update_norm(before, after)
+            span.update_norm = _update_norm(before, after)
     except AggregationError:
         # Every surviving upload was lost on the wire (or rejected by
         # the robust aggregator): nothing to fold in this round.
         if not tolerant:
             raise
         stragglers.extend(survivors)
-        if metrics is not None:
-            metrics.inc("federated.stragglers", len(survivors))
-            metrics.inc("federated.rounds_skipped")
-        _LOG.warning(
-            "no usable update arrived; round skipped",
-            extra={"round": round_index},
-        )
-        return stragglers, None, False
-    if server.last_aggregation_missing:
-        # Uploads that were silently dropped on the wire: the sender
-        # thinks it participated, the server never saw it.
-        stragglers.extend(server.last_aggregation_missing)
-        if metrics is not None:
-            metrics.inc(
-                "federated.stragglers", len(server.last_aggregation_missing)
+        span.warn("no usable update arrived; round skipped")
+        return
+    # Uploads silently dropped on the wire: the server never saw them.
+    stragglers.extend(server.last_aggregation_missing)
+    span.aggregated = True
+
+
+def _local_train(
+    trainers: Dict[str, LocalTrainer],
+    executor: Optional[object],
+    round_index: int,
+    participants: Sequence[str],
+    profiler: Optional[ScopeProfiler],
+) -> Iterator[Tuple[str, float, Optional[Exception], str]]:
+    """Train each participant; yield one outcome per client, in order.
+
+    An outcome is ``(client_id, duration_s, failure, detail)``.
+    ``failure`` is what an abort raises — the in-process trainer's own
+    exception, or a :class:`FederationError` naming the device for the
+    executor — and ``detail`` is the one-line error a skip logs. In
+    process, each client trains just before its own upload; the
+    executor trains every client first, and the uploads follow.
+    """
+    if executor is not None:
+        with profile("federated.local_train", profiler):
+            outcomes = executor.run_local_train(round_index, participants)
+        for client_id in participants:
+            outcome = outcomes[client_id]
+            if outcome.error is None:
+                yield client_id, outcome.duration_s, None, ""
+                continue
+            failure = FederationError(
+                f"client {client_id!r} failed during parallel local "
+                f"training in round {round_index}:\n{outcome.error}"
             )
-    return stragglers, update_norm, True
+            detail = outcome.error.strip().splitlines()[-1]
+            yield client_id, outcome.duration_s, failure, detail
+        return
+    for client_id in participants:
+        failure: Optional[Exception] = None
+        start = time.perf_counter()
+        try:
+            with profile("federated.local_train", profiler):
+                trainers[client_id](round_index)
+        except Exception as error:
+            failure = error
+        detail = "" if failure is None else repr(failure)
+        yield client_id, time.perf_counter() - start, failure, detail
 
 
-def _attach_tier_phases(
-    server: FederatedServer, tracer: Optional[RoundTracer]
-) -> None:
-    """Move a hierarchical server's per-node phase records into the trace.
+def _attach_tier_phases(server: FederatedServer, span: RoundSpan) -> None:
+    """Move a hierarchical server's ``tier``-tagged phases into the span.
 
     Multi-tier servers (:class:`repro.hier.shard.HierarchicalFederation`)
-    time each tier node's broadcast/aggregate work themselves; the
-    records are drained every round regardless (so an untraced run
-    doesn't accumulate them) and appended to the open round span as
-    ``tier``-tagged phases when a tracer is attached. Flat servers have
-    no ``drain_tier_phases`` and are untouched.
+    time each tier node's broadcast/aggregate work themselves; flat
+    servers have no ``drain_tier_phases``.
     """
     drain = getattr(server, "drain_tier_phases", None)
-    if drain is None:
-        return
-    records = drain()
-    if tracer is None or tracer.current_round is None:
-        return
-    for record in records:
-        tracer.add_phase(
-            str(record["name"]),
-            client_id=str(record["node_id"]),
-            duration_s=float(record["duration_s"]),
-            bytes_transferred=int(record["bytes"]),
-            status=str(record["status"]),
-            tier=str(record["tier"]),
-        )
+    if drain is not None:
+        span.phases.extend(drain())
 
 
 def _draw_participants(

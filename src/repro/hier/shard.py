@@ -52,6 +52,7 @@ from repro.hier.topology import (
     TopologyNode,
 )
 from repro.obs.logging import get_logger
+from repro.obs.tracing import PhaseSpan
 
 _LOG = get_logger("hier.shard")
 
@@ -142,9 +143,9 @@ class HierarchicalFederation:
     quarantine), so wire traffic, RNG draws, errors and event streams
     are bit-identical to a run without a topology. Multi-tier
     topologies cascade broadcasts down and fold aggregates up, and
-    record per-node phase timings/bytes retrievable via
-    :meth:`drain_tier_phases` (the orchestrator attaches them to the
-    round trace with their ``tier`` tag).
+    record one ``tier``-tagged :class:`~repro.obs.tracing.PhaseSpan`
+    per node and phase, retrievable via :meth:`drain_tier_phases` (the
+    orchestrator appends them to the round's span).
     """
 
     def __init__(
@@ -168,7 +169,7 @@ class HierarchicalFederation:
         self.last_aggregation_rejected: List[str] = []
         self.last_aggregation_quarantined: List[str] = []
         self._shapes = [np.shape(p) for p in initial_parameters]
-        self._tier_phases: List[Dict[str, object]] = []
+        self._tier_phases: List[PhaseSpan] = []
         self._tiers: Dict[str, List[TierServer]] = {}
         self._by_id: Dict[str, TierServer] = {}
         for node in topology.nodes:
@@ -423,14 +424,14 @@ class HierarchicalFederation:
         status: str = "ok",
     ) -> None:
         self._tier_phases.append(
-            {
-                "name": name,
-                "node_id": tier_server.node_id,
-                "tier": tier_server.tier,
-                "duration_s": time.perf_counter() - started,
-                "bytes": self.transport.total_bytes - bytes_before,
-                "status": status,
-            }
+            PhaseSpan(
+                name,
+                client_id=tier_server.node_id,
+                duration_s=time.perf_counter() - started,
+                bytes_transferred=self.transport.total_bytes - bytes_before,
+                status=status,
+                tier=tier_server.tier,
+            )
         )
 
     def node_server(self, node_id: str) -> TierServer:
@@ -441,7 +442,7 @@ class HierarchicalFederation:
         """All :class:`TierServer` instances at a tier (maybe empty)."""
         return list(self._tiers.get(tier, []))
 
-    def drain_tier_phases(self) -> List[Dict[str, object]]:
+    def drain_tier_phases(self) -> List[PhaseSpan]:
         """Per-node phase records since the last drain (empty when flat)."""
         drained = self._tier_phases
         self._tier_phases = []

@@ -15,10 +15,12 @@ Emitting structured fields uses the stdlib ``extra`` mechanism::
     log = get_logger("federated")
     log.info("round complete", extra={"round": 3, "stragglers": 0})
 
-Without :func:`setup_logging` the ``repro`` root has no handler and an
-effective level of WARNING, so instrumented INFO/DEBUG calls short out
-inside :meth:`logging.Logger.isEnabledFor` — the library stays quiet
-and cheap by default.
+Without :func:`setup_logging` the ``repro`` root holds only a
+:class:`logging.NullHandler` and has an effective level of WARNING, so
+instrumented INFO/DEBUG calls short out inside
+:meth:`logging.Logger.isEnabledFor`, and warnings reach a host
+application's own handlers but never Python's last-resort stderr
+printer — the library stays quiet and cheap by default.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ class JsonFormatter(logging.Formatter):
         return json.dumps(payload)
 
 
+logging.getLogger(ROOT_LOGGER_NAME).addHandler(logging.NullHandler())
+
+
 def get_logger(name: str = "") -> logging.Logger:
     """A logger under the ``repro`` namespace.
 
@@ -134,10 +139,11 @@ def setup_logging(
 
 
 def reset_logging() -> None:
-    """Remove the handler installed by :func:`setup_logging` (tests)."""
+    """Undo :func:`setup_logging`, back to the quiet default (tests)."""
     root = logging.getLogger(ROOT_LOGGER_NAME)
     for existing in list(root.handlers):
         root.removeHandler(existing)
         existing.close()
+    root.addHandler(logging.NullHandler())
     root.setLevel(logging.NOTSET)
     root.propagate = True

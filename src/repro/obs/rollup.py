@@ -279,7 +279,7 @@ class FleetRollup(TelemetrySink):
         else:
             self.emit(alert)
 
-    # -- out-of-band ingestion (flight / metrics dumps) ----------------
+    # -- out-of-band ingestion (flight dumps) ----------------------------
     def ingest_flight(self, flight) -> None:
         """Fold a flight recorder's per-round reward/violation curves in.
 
@@ -300,20 +300,6 @@ class FleetRollup(TelemetrySink):
                 row = self._row_for_round(round_index)
                 if row is not None and "reward_mean" not in row:
                     row["reward_mean"] = float(reward)
-
-    def ingest_metrics_state(self, state: Dict[str, object]) -> None:
-        """Fold counter totals from a metrics ``dump_state`` payload in.
-
-        Only the ``federated.*`` fleet counters are read; histogram
-        digests stay with the registry that owns them.
-        """
-        counters = state.get("counters") or {}
-        joins = counters.get("federated.joins")
-        if joins:
-            self.joins_total = max(self.joins_total, int(joins))
-        leaves = counters.get("federated.leaves")
-        if leaves:
-            self.leaves_total = max(self.leaves_total, int(leaves))
 
     # -- views ---------------------------------------------------------
     @property

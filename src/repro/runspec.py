@@ -31,7 +31,7 @@ import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -61,7 +61,6 @@ class RunSpec:
     codec: Any = None
     client_codec: Any = None
     straggler_policy: Optional[str] = None
-    fault_injector: Optional[Callable[[str, int], None]] = None
     # Resilience: FaultPlan or spec, Aggregator or registry name,
     # RetryPolicy, CheckpointConfig.
     faults: Any = None
@@ -154,9 +153,9 @@ _DEFAULTS = {"backend": DEFAULT_BACKEND, "participation_fraction": 1.0}
 #: Fields :meth:`RunSpec.describe` leaves out: scheduling is
 #: bit-identical across backends (a checkpoint written under one resumes
 #: under another), a checkpoint location is not part of what is
-#: computed, and sinks and callables have no stable serial form.
+#: computed, and sinks have no stable serial form.
 UNDESCRIBED_FIELDS = frozenset(
-    {"backend", "workers", "checkpoint", "fault_injector"}
+    {"backend", "workers", "checkpoint"}
     | {"metrics", "tracer", "flight", "profiler", "events"}
 )
 

@@ -17,10 +17,6 @@ from repro.obs.sink import EventPipeline
 from repro.obs.tracing import RoundTracer
 
 
-def noop_injector(device_name, round_index):
-    return None
-
-
 def on_values(tmp_path):
     """Fresh ``{field: value}`` with every field switched on."""
     return {
@@ -31,7 +27,6 @@ def on_values(tmp_path):
         "codec": QuantizedInt8Codec(),
         "client_codec": QuantizedInt8Codec(),
         "straggler_policy": "skip",
-        "fault_injector": noop_injector,
         "faults": "hb_loss=0.05,seed=3",
         "aggregator": "median",
         "retry": RetryPolicy(max_attempts=2),

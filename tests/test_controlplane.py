@@ -931,12 +931,9 @@ class TestAsyncRejectsUnsupportedOptions:
             assert option in str(excinfo.value)
 
     def test_ambient_settings_are_rejected_too(self, tmp_path):
-        # An ambient tracer is a standing offer to record (the CLI
-        # attaches one for --metrics-out/--store): tolerated.
-        tolerated = HONOURED_FIELDS | {"tracer"}
         for option, value in on_values(tmp_path).items():
             with ambient(controlplane=ASYNC_ON), ambient(**{option: value}):
-                if option in tolerated:
+                if option in HONOURED_FIELDS:
                     assert self.train().name == "async_federated", option
                 else:
                     with pytest.raises(ConfigurationError, match=rf"\b{option}\b"):
@@ -991,3 +988,59 @@ class TestAsyncRejectsUnsupportedOptions:
         if "--flight-out" in flags:
             lines = (tmp_path / "flight.jsonl").read_text().splitlines()
             assert len(lines) > 1  # the header plus flight rows
+
+    def test_cli_async_metrics_out_holds_one_span_per_merge(self, tmp_path):
+        from repro.cli import main
+
+        metrics_out = tmp_path / "m.jsonl"
+        events_out = tmp_path / "e.jsonl"
+        argv = ["run", "fig3", "--rounds", "4", "--steps", "10", "--async"]
+        argv += ["--metrics-out", str(metrics_out)]
+        argv += ["--events-out", str(events_out)]
+        assert main(argv) == 0
+
+        def spans(path):
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            return [row for row in rows if row.get("type") == "round_span"]
+
+        from_metrics, from_events = spans(metrics_out), spans(events_out)
+        assert from_metrics
+        assert all(row["mode"] == "async" for row in from_metrics)
+        assert len(from_metrics) == len(from_events)
+
+
+class TestAsyncRoundRecord:
+    def test_tracer_holds_the_published_round_spans(self):
+        from repro.obs.sink import EventBuffer
+        from repro.obs.tracing import RoundTracer
+
+        def masked(row):
+            return {
+                key: value
+                for key, value in row.items()
+                if not key.endswith("_s") and key != "seq"
+            }
+
+        tracer, buffer = RoundTracer(), EventBuffer()
+        events = EventPipeline([buffer])
+        result = train_async_federated(
+            tiny_assignments(3),
+            tiny_config(rounds=3),
+            eval_applications=("fft",),
+            tracer=tracer,
+            events=events,
+        )
+        events.flush()
+        spans = [row for row in buffer.rows() if row["type"] == "round_span"]
+        (summary,) = [row for row in buffer.rows() if row["type"] == "run_summary"]
+        assert tracer.num_rounds == summary["aggregations"] == 9
+        assert [masked(span) for span in tracer.to_dicts()] == [
+            masked(span) for span in spans
+        ]
+        assert result.federated_result.participation_by_round == [
+            span["participants"] for span in spans
+        ]
+
+    def test_honoured_fields_cover_the_tracer(self):
+        assert "tracer" in HONOURED_FIELDS
+        assert (len(HONOURED_FIELDS), len(FIELD_NAMES)) == (13, 22)

@@ -182,11 +182,11 @@ def test_multi_tier_records_and_drains_tier_phases():
     drive_round(federation, make_updates(devices))
     phases = federation.drain_tier_phases()
     assert phases
-    names = {phase["name"] for phase in phases}
+    names = {phase.name for phase in phases}
     assert names == {"broadcast", "aggregate"}
-    tiers = {phase["tier"] for phase in phases}
+    tiers = {phase.tier for phase in phases}
     assert TIER_EDGE in tiers
-    assert all(phase["bytes"] >= 0 for phase in phases)
+    assert all(phase.bytes_transferred >= 0 for phase in phases)
     assert federation.drain_tier_phases() == []  # drained
 
 

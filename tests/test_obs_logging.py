@@ -83,6 +83,40 @@ class TestSetupLogging:
         assert not get_logger("federated").isEnabledFor(logging.INFO)
 
 
+class TestLibraryWarnings:
+    """Warnings stay off stderr until logging is switched on."""
+
+    ARGV = ["run", "fig3", "--rounds", "2", "--steps", "5"]
+    ARGV += ["--faults", "drop=0.3,seed=7"]
+
+    def run_cli(self, monkeypatch, argv):
+        from repro.cli import main
+
+        # Python's last-resort printer only fires when no handler exists
+        # anywhere up the hierarchy, as in a plain command-line run.
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        return main(argv)
+
+    def test_reset_keeps_the_null_handler(self):
+        setup_logging(level="INFO", stream=io.StringIO())
+        reset_logging()
+        assert any(
+            isinstance(handler, logging.NullHandler)
+            for handler in get_logger().handlers
+        )
+
+    def test_faulted_run_writes_nothing_to_stderr(self, capfd, monkeypatch):
+        assert self.run_cli(monkeypatch, self.ARGV) == 0
+        assert capfd.readouterr().err == ""
+
+    def test_log_level_still_shows_the_warning_fields(self, capfd, monkeypatch):
+        argv = self.ARGV + ["--log-level", "warning"]
+        assert self.run_cli(monkeypatch, argv) == 0
+        err = capfd.readouterr().err
+        assert "no broadcast arrived" in err
+        assert "client_id=" in err
+
+
 class TestFormatters:
     def _record(self, **extra):
         record = logging.LogRecord(

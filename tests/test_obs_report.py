@@ -17,7 +17,7 @@ from repro.obs.report import (
     load_metrics_jsonl,
     report_from_files,
 )
-from repro.obs.tracing import PHASE_AGGREGATE, RoundTracer
+from repro.obs.tracing import PHASE_AGGREGATE, RoundSpan
 
 
 def _record(device="d0", round_index=0, step=0, action=7, **extra):
@@ -56,12 +56,16 @@ def _populated_recorder():
 
 
 def _span(round_index=0, participants=("c0",), stragglers=()):
-    tracer = RoundTracer()
-    tracer.start_round(round_index, list(participants))
-    with tracer.phase(PHASE_AGGREGATE):
+    span = RoundSpan(
+        round_index,
+        list(participants),
+        list(stragglers),
+        update_norm=0.5,
+        aggregated=True,
+    )
+    with span.phase(PHASE_AGGREGATE):
         pass
-    tracer.end_round(stragglers=list(stragglers), update_norm=0.5)
-    return json.loads(tracer.to_jsonl_lines()[0])
+    return json.loads(json.dumps(span.finish().as_dict()))
 
 
 class TestGenerateReport:

@@ -133,14 +133,6 @@ class TestFleetRollup:
         # The evaluation event's reward is authoritative, not the flight.
         assert rollup.round_rows[0]["reward_mean"] == -1.0
 
-    def test_ingest_metrics_state_reads_churn_counters(self):
-        rollup = FleetRollup()
-        rollup.ingest_metrics_state(
-            {"counters": {"federated.joins": 4, "federated.leaves": 2}}
-        )
-        assert rollup.joins_total == 4
-        assert rollup.leaves_total == 2
-
     def test_persist_records_series(self, tmp_path):
         rollup = FleetRollup()
         _feed(rollup)

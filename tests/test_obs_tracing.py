@@ -21,8 +21,10 @@ from repro.obs.tracing import (
     PHASE_BROADCAST,
     PHASE_LOCAL_TRAIN,
     PHASE_UPLOAD,
+    RoundSpan,
     RoundTracer,
     STATUS_FAILED,
+    publish_round,
 )
 from repro.rl.agent import NeuralBanditAgent
 
@@ -47,56 +49,58 @@ def _noop_trainers(clients):
 class TestRoundTracerUnit:
     def test_phases_recorded_in_order(self):
         tracer = RoundTracer()
-        tracer.start_round(0, ["a", "b"])
-        with tracer.phase(PHASE_BROADCAST) as span:
-            span.bytes_transferred = 100
-        with tracer.phase(PHASE_LOCAL_TRAIN, client_id="a"):
+        span = tracer.open(RoundSpan(0, ["a", "b"]))
+        with span.phase(PHASE_BROADCAST) as phase:
+            phase.bytes_transferred = 100
+        with span.phase(PHASE_LOCAL_TRAIN, client_id="a"):
             pass
-        span = tracer.end_round()
+        publish_round(span.finish(), tracer)
+        assert tracer.rounds == [span] and tracer.current_round is None
         assert [p.name for p in span.phases] == [PHASE_BROADCAST, PHASE_LOCAL_TRAIN]
         assert span.bytes_transferred == 100
         assert span.phase_bytes(PHASE_BROADCAST) == 100
         assert all(p.duration_s >= 0.0 for p in span.phases)
 
     def test_phase_failure_marks_span_and_reraises(self):
-        tracer = RoundTracer()
-        tracer.start_round(0, ["a"])
+        span = RoundSpan(0, ["a"])
         with pytest.raises(RuntimeError):
-            with tracer.phase(PHASE_LOCAL_TRAIN, client_id="a"):
+            with span.phase(PHASE_LOCAL_TRAIN, client_id="a"):
                 raise RuntimeError("died")
-        span = tracer.end_round(stragglers=["a"], aggregated=False)
+        span.straggle("a", "client straggled")
         assert span.failed_phases()[0].client_id == "a"
         assert span.stragglers == ["a"]
         assert not span.aggregated
 
     def test_nested_round_is_an_error(self):
         tracer = RoundTracer()
-        tracer.start_round(0, [])
+        tracer.open(RoundSpan(0, []))
         with pytest.raises(ConfigurationError):
-            tracer.start_round(1, [])
+            tracer.open(RoundSpan(1, []))
 
     def test_end_without_start_is_an_error(self):
+        # A fault phase has nowhere to go while no round is open.
         with pytest.raises(ConfigurationError):
-            RoundTracer().end_round()
+            RoundTracer().add_phase("fault:drop")
 
     def test_jsonl_export_round_trips(self):
         tracer = RoundTracer()
-        tracer.start_round(0, ["a"])
-        with tracer.phase(PHASE_AGGREGATE):
+        span = RoundSpan(0, ["a"], update_norm=1.5, aggregated=True)
+        with span.phase(PHASE_AGGREGATE):
             pass
-        tracer.end_round(update_norm=1.5)
+        publish_round(span.finish(), tracer)
         (line,) = tracer.to_jsonl_lines()
         payload = json.loads(line)
         assert payload["type"] == "round_span"
         assert payload["round"] == 0
         assert payload["update_norm"] == 1.5
         assert payload["phases"][0]["name"] == PHASE_AGGREGATE
+        assert "mode" not in payload
 
     def test_straggler_counts(self):
         tracer = RoundTracer()
         for round_index in range(2):
-            tracer.start_round(round_index, ["a", "b"])
-            tracer.end_round(stragglers=["b"])
+            span = RoundSpan(round_index, ["a", "b"], ["b"], aggregated=True)
+            publish_round(span.finish(), tracer)
         assert tracer.straggler_counts() == {"b": 2}
         assert tracer.aggregations_completed == 2
 
@@ -176,6 +180,41 @@ class TestOrchestratorTracing:
             )
         assert current().tracer is None
         assert tracer.num_rounds == 1
+
+
+class TestRoundsWithoutATracer:
+    """An event pipeline alone receives every round's span."""
+
+    def test_run_federated_training_emits_one_span_per_round(self):
+        from repro.obs.sink import EventPipeline
+
+        server, clients = _system()
+        events = EventPipeline()
+        result = run_federated_training(
+            server, clients, _noop_trainers(clients), num_rounds=3, events=events
+        )
+        spans = [row for row in events.rows() if row["type"] == "round_span"]
+        assert [span["round"] for span in spans] == [0, 1, 2]
+        assert sum(span["bytes"] for span in spans) == (
+            result.total_bytes_communicated
+        )
+
+    def test_rollup_agrees_with_run_summary(self):
+        from repro.experiments.config import FederatedPowerControlConfig
+        from repro.experiments.training import train_federated
+        from repro.obs.rollup import FleetRollup
+        from repro.obs.sink import EventPipeline
+
+        rollup = FleetRollup()
+        events = EventPipeline([rollup])
+        train_federated(
+            {"A": ("fft",), "B": ("lu",)},
+            FederatedPowerControlConfig(seed=2025).scaled(4, 10),
+            events=events,
+        )
+        events.flush()
+        assert rollup.run_summary["rounds"] == rollup.rounds == 4
+        assert rollup.run_summary["bytes"] == rollup.bytes_total > 0
 
 
 class TestStragglerTelemetry:

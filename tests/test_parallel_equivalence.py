@@ -18,6 +18,7 @@ from repro.experiments.training import (
     train_federated,
     train_local_only,
 )
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sim.workload import SPLASH2_APPLICATION_NAMES
 
 ASSIGNMENTS = {"DEVICE_A": ("fft", "lu"), "DEVICE_B": ("radix",)}
@@ -127,10 +128,9 @@ def test_collab_backend_equivalence(config, collab_serial, backend):
     assert_equivalent(collab_serial, parallel)
 
 
-def _fail_device_b_round_1(device_name, round_index):
-    # Top-level so the process backend can pickle it into a worker.
-    if device_name == "DEVICE_B" and round_index == 1:
-        raise RuntimeError("injected straggler")
+#: A fault plan crashing DEVICE_B's local round 1 (picklable, so the
+#: process backend's workers raise it at the same point).
+CRASH_B_ROUND_1 = FaultPlan([FaultEvent("crash", 1, "DEVICE_B")])
 
 
 @pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
@@ -142,7 +142,7 @@ def test_straggler_skip_equivalent_across_backends(config, backend):
         backend=backend,
         workers=2,
         straggler_policy="skip",
-        fault_injector=_fail_device_b_round_1,
+        faults=CRASH_B_ROUND_1,
     )
     assert result.federated_result.stragglers_by_round == [
         [],
@@ -161,7 +161,7 @@ def test_straggler_skip_bitwise_equal(config):
             backend=backend,
             workers=2,
             straggler_policy="skip",
-            fault_injector=_fail_device_b_round_1,
+            faults=CRASH_B_ROUND_1,
         )
         for backend in ("serial",) + BACKENDS
     }
@@ -181,50 +181,20 @@ def test_straggler_abort_raises(config, backend):
             backend=backend,
             workers=2,
             straggler_policy="abort",
-            fault_injector=_fail_device_b_round_1,
+            faults=CRASH_B_ROUND_1,
         )
-    assert "injected straggler" in str(excinfo.value)
-
-
-@pytest.mark.parametrize("backend", ("serial", "thread", "batched"))
-def test_closure_fault_injector_on_in_process_backends(config, backend):
-    """In-process backends never pickle the spec, so the injector may be
-    a closure (only the process backend needs a top-level callable)."""
-    calls = []
-
-    def injector(device_name, round_index):
-        calls.append((device_name, round_index))
-        if device_name == "DEVICE_A" and round_index == 2:
-            raise RuntimeError("closure straggler")
-
-    result = train_federated(
-        ASSIGNMENTS,
-        config,
-        eval_applications=EVAL_APPS,
-        backend=backend,
-        workers=2,
-        straggler_policy="skip",
-        fault_injector=injector,
-    )
-    assert result.federated_result.stragglers_by_round == [
-        [],
-        [],
-        ["DEVICE_A"],
-        [],
-    ]
-    assert sorted(calls) == sorted(
-        (name, round_index)
-        for name in ASSIGNMENTS
-        for round_index in range(config.num_rounds)
-    )
-
-
-def _fail_everyone(device_name, round_index):
-    raise RuntimeError("nobody trains")
+    assert "injected crash" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
 def test_run_where_no_device_ever_steps_still_returns(config, backend):
+    crash_everyone = FaultPlan(
+        [
+            FaultEvent("crash", round_index, name)
+            for round_index in range(config.num_rounds)
+            for name in ASSIGNMENTS
+        ]
+    )
     result = train_federated(
         ASSIGNMENTS,
         config,
@@ -232,7 +202,7 @@ def test_run_where_no_device_ever_steps_still_returns(config, backend):
         backend=backend,
         workers=2,
         straggler_policy="skip",
-        fault_injector=_fail_everyone,
+        faults=crash_everyone,
     )
     assert result.federated_result.aggregations_completed == 0
     assert len(result.train_trace) == 0
