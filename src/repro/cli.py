@@ -101,6 +101,17 @@ from repro.obs.report import report_from_files
 from repro.runspec import BACKEND_NAMES, DEFAULT_BACKEND, RunSpec, ambient
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports unknown arguments itself, under the subcommand's usage
+    (its options and their choices), instead of the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-power",
@@ -109,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(DATE 2025 reproduction)"
         ),
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     subparsers.add_parser("list", help="list registered experiments")
 
@@ -496,17 +509,10 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         choices=BACKEND_NAMES,
         help=(
             "execution backend for the training drivers: serial (default), "
-            "thread, process (persistent per-device workers) or batched "
+            "process (one persistent worker process per device) or batched "
             "(the fleet stacked into single numpy calls); results are "
             "bit-identical across backends"
         ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="max concurrent device workers (0 = one per device)",
     )
 
 
@@ -732,7 +738,6 @@ def _run_spec_from_args(args) -> RunSpec:
         )
     spec = RunSpec(
         backend=args.backend,
-        workers=args.workers or None,
         faults=args.faults or None,
         aggregator=args.aggregator or None,
         retry=(

@@ -23,8 +23,8 @@ eval controller ``(seed, 4)`` — so the async run trains the *same
 fleet* the sync run does, only the schedule differs.
 
 Non-serial backends are honoured for correctness, not speed: results
-are bit-identical on all four, but the loop trains one device per event,
-so a task batch never holds more than one device and ``thread``/
+are bit-identical on all three, but the loop trains one device per
+event, so a task batch never holds more than one device and
 ``process``/``batched`` only add dispatch cost (measured 1.4–1.9×
 slower than ``serial`` on ``async_degraded_8``).
 """
@@ -64,7 +64,7 @@ CONTROLPLANE_BLOB_KEY = "__controlplane__"
 HONOURED_FIELDS = frozenset(
     {"controlplane", "faults", "aggregator", "retry", "checkpoint"}
     | {"metrics", "tracer", "events", "profiler", "flight"}
-    | {"backend", "workers", "guard"}
+    | {"backend", "guard"}
 )
 
 _LOG = get_logger("controlplane.driver")

@@ -679,7 +679,6 @@ def _hosted_run(
     config: FederatedPowerControlConfig,
     eval_apps: Tuple[str, ...],
     backend: str,
-    workers: Optional[int],
     metrics: Optional[MetricsRegistry],
     flight: Optional[FlightRecorder],
     profiler: Optional[ScopeProfiler],
@@ -688,7 +687,7 @@ def _hosted_run(
 ) -> Iterator[Tuple[DeviceFleet, TrainingResult, Callable[..., None]]]:
     """Host every device in a :class:`DeviceFleet` for one training run.
 
-    The skeleton every driver shares, on all four backends: open
+    The skeleton every driver shares, on every backend: open
     the fleet (one actor per device), yield ``(fleet, result,
     evaluate_if_due)`` for the caller to run its rounds, then — only if
     they finished — fetch the live controllers and mean decision latency
@@ -711,7 +710,6 @@ def _hosted_run(
     with DeviceFleet(
         specs,
         backend=backend,
-        workers=workers,
         trace=result.train_trace,
         metrics=metrics,
         flight=flight,
@@ -806,7 +804,6 @@ class FederatedHosting:
             config,
             self.eval_apps,
             spec.get("backend"),
-            spec.workers,
             metrics=spec.metrics,
             flight=spec.flight,
             profiler=spec.profiler,
@@ -925,12 +922,11 @@ def train_federated(
     actor that owns its environment, controller, replay and evaluation
     environments; the driver keeps *mirror* controllers as codec
     endpoints (broadcasts decode into them, uploads encode from them),
-    so only model parameters cross the device boundary. ``backend``/
-    ``workers`` select how the actors are scheduled
-    (:mod:`repro.parallel`): ``"serial"`` (the reference and the
-    default), ``"thread"``, ``"process"`` or ``"batched"``. All
-    backends produce bit-identical results; the process
-    backend additionally turns multi-core machines into real
+    so only model parameters cross the device boundary. ``backend``
+    selects how the actors are scheduled (:mod:`repro.parallel`):
+    ``"serial"`` (the reference and the default), ``"process"`` or
+    ``"batched"``. All backends produce bit-identical results; the
+    process backend additionally turns multi-core machines into real
     local-training speedup. ``straggler_policy`` sets the
     orchestrator's fault-tolerance path; a fault plan's ``crash``
     events (``faults=FaultPlan([FaultEvent("crash", round, device)])``)
@@ -1107,7 +1103,6 @@ def _train_baseline(
     config: FederatedPowerControlConfig,
     eval_applications: Optional[Sequence[str]],
     backend: Optional[str],
-    workers: Optional[int],
     exchange=None,
 ) -> TrainingResult:
     """The round loop the two non-federated baselines share.
@@ -1118,7 +1113,7 @@ def _train_baseline(
     configured cadence.
     """
     _check_assignments(assignments)
-    spec = resolve(backend=backend, workers=workers)
+    spec = resolve(backend=backend)
     backend = spec.get("backend")
     _LOG.info(
         f"{name} training starting",
@@ -1135,7 +1130,6 @@ def _train_baseline(
         config,
         tuple(eval_applications or evaluation_applications()),
         backend,
-        spec.workers,
         metrics=spec.metrics,
         flight=spec.flight,
         profiler=spec.profiler,
@@ -1156,12 +1150,11 @@ def train_local_only(
     config: FederatedPowerControlConfig,
     eval_applications: Optional[Sequence[str]] = None,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> TrainingResult:
     """Train the identical agents with no collaboration.
 
     Each device's own policy is evaluated after every round — the
-    left-hand columns of Fig. 3. ``backend``/``workers`` select the
+    left-hand columns of Fig. 3. ``backend`` selects the
     execution engine exactly as in :func:`train_federated`; with no
     cross-device coupling at all, this driver parallelises trivially
     (results are bit-identical on every backend).
@@ -1173,7 +1166,6 @@ def train_local_only(
         config,
         eval_applications,
         backend,
-        workers,
     )
 
 
@@ -1182,14 +1174,13 @@ def train_collab_profit(
     config: FederatedPowerControlConfig,
     eval_applications: Optional[Sequence[str]] = None,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> TrainingResult:
     """Train the Profit+CollabPolicy baseline (Section IV-B).
 
     Each round: local epsilon-greedy table learning, digest upload,
     visit-count-weighted merge on the server, global-table download.
     Communication bytes are accounted per digest/table entry.
-    ``backend``/``workers`` select the execution engine as in
+    ``backend`` selects the execution engine as in
     :func:`train_federated`; ``digest()`` and
     ``install_global_table()`` run as controller calls on the device
     actors (per-device state only), while the merge stays serial on the
@@ -1213,6 +1204,5 @@ def train_collab_profit(
         config,
         eval_applications,
         backend,
-        workers,
         exchange=exchange,
     )

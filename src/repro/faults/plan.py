@@ -6,7 +6,7 @@ are dropped, duplicated, delayed or corrupted on the wire, which
 devices behave byzantine, and whether (and when) the server process is
 killed mid-run. Plans are fully materialised at construction — a list
 of frozen :class:`FaultEvent` records — so the schedule is trivially
-identical across serial/thread/process backends and across resumed
+identical across serial/process/batched backends and across resumed
 runs; nothing is drawn lazily during training.
 
 Plans come from three places: explicit event lists (tests),

@@ -202,7 +202,7 @@ class ScopeProfiler:
 
         The picklable counterpart of the profiler itself: parallel
         device workers profile into a private instance, ship these rows
-        across the thread/process boundary, and the parent folds them
+        across the process boundary, and the parent folds them
         back in with :meth:`merge_rows`.
         """
         return [

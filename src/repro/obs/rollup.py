@@ -14,7 +14,7 @@ alerting engine (:mod:`repro.obs.alerts`).
 
 Determinism: every field derived from the event stream (participants,
 stragglers, bytes, update norms, rewards, quarantine/churn/fault
-counts) is identical across serial/thread/process backends because the
+counts) is identical across serial/process/batched backends because the
 stream itself is — the parallel engine merges worker events in device
 order and re-stamps sequence numbers. Wall-clock-derived fields
 (durations, rounds/s) are kept apart and excluded from the

@@ -22,8 +22,8 @@ live observability layer (:mod:`repro.obs.rollup`,
   rather than the classic RNG-walk reservoir.
 
 Merge determinism contract: the parallel execution engine merges
-worker telemetry in deterministic device order, and the serial/thread/
-process bit-identity suites compare the results exactly. All three
+worker telemetry in deterministic device order, and the serial/process/
+batched bit-identity suites compare the results exactly. All three
 sketches therefore merge as *pure functions of the input multiset*:
 cell keys depend only on the value, the exact buffer is canonically
 sorted on export, exact→cell compression triggers on the observation

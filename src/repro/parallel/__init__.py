@@ -2,17 +2,16 @@
 
 Public surface of the pluggable execution layer: worker payloads
 (:mod:`~repro.parallel.payloads`), the device actor
-(:mod:`~repro.parallel.worker`), the four backends
+(:mod:`~repro.parallel.worker`), the three backends
 (:mod:`~repro.parallel.backend` and :mod:`~repro.parallel.batched`),
 and the fleet engine (:mod:`~repro.parallel.engine`). Which backend a
-run uses is the ``backend``/``workers`` fields of its
+run uses is the ``backend`` field of its
 :class:`~repro.runspec.RunSpec`.
 """
 
 from repro.parallel.backend import (
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     create_backend,
 )
 from repro.parallel.batched import BatchedFleet
@@ -50,7 +49,6 @@ __all__ = [
     "StepsOutcome",
     "StepsTask",
     "TelemetryDump",
-    "ThreadBackend",
     "WorkerSpec",
     "create_backend",
 ]

@@ -1,16 +1,12 @@
 """Pluggable execution backends for the device fleet.
 
-Four interchangeable implementations of one tiny contract — build the
+Three interchangeable implementations of one tiny contract — build the
 per-device actors from :class:`~repro.parallel.payloads.WorkerSpec`
 records, then ``run_tasks`` a ``{device_name: task}`` batch and return
 ``{device_name: outcome}``:
 
 * ``serial`` — actors in-process, tasks executed one after another.
   The reference implementation the others must match bit-for-bit.
-* ``thread`` — actors in-process, tasks fanned out on a thread pool.
-  Python's GIL serialises the numpy-light control loop, so this is an
-  API/equivalence backend more than a speed one, but it exercises the
-  full actor path without pickling.
 * ``process`` — one persistent child process per device (fork start
   method), tasks shipped over pipes. The device state never crosses
   the boundary after start-up, so per-round traffic is model
@@ -20,17 +16,12 @@ records, then ``run_tasks`` a ``{device_name: task}`` batch and return
   optimizer and replay stacked along a device axis so the whole fleet
   trains in single numpy calls (:mod:`~repro.parallel.batched`). The
   throughput backend for large ``D``; still bit-identical to serial.
-
-``workers`` caps concurrency: the thread-pool size, or the number of
-simultaneously in-flight process tasks (dispatch is pipelined through
-a sliding window of that size).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs.logging import get_logger
@@ -62,62 +53,26 @@ class SerialBackend:
         self._actors.clear()
 
 
-class ThreadBackend:
-    """In-process actors, tasks fanned out on a thread pool.
-
-    Actors use only their private sinks (never the thread-local ambient
-    context), so results are independent of thread scheduling; outcomes
-    are returned — and merged by the caller — in task order.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self, specs: Sequence[WorkerSpec], workers: Optional[int] = None
-    ) -> None:
-        self._actors = {spec.device_name: DeviceActor(spec) for spec in specs}
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers or max(1, len(self._actors)),
-            thread_name_prefix="repro-device",
-        )
-
-    def run_tasks(self, tasks: Dict[str, object]) -> Dict[str, object]:
-        futures = {
-            name: self._pool.submit(self._actors[name].handle, task)
-            for name, task in tasks.items()
-        }
-        return {name: futures[name].result() for name in tasks}
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-        self._actors.clear()
-
-
 class ProcessBackend:
     """One persistent child process per device, tasks over pipes.
 
     Uses the ``fork`` start method so specs (and any closure-free
     builder kwargs) transfer cheaply and test-defined fault injectors
     resolve without re-imports. Each worker answers exactly one outcome
-    per task; dispatch keeps at most ``workers`` tasks in flight, but
-    pipelines through the window (each completed reply immediately
-    funds the next submission) instead of running send-all/recv-all
-    waves with a barrier between them.
+    per task: every task is sent up front and the replies are read
+    back in task order.
     """
 
     name = "process"
 
-    def __init__(
-        self, specs: Sequence[WorkerSpec], workers: Optional[int] = None
-    ) -> None:
+    def __init__(self, specs: Sequence[WorkerSpec]) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ConfigurationError(
                 "the process backend requires the fork start method "
-                "(POSIX); use backend='thread' on this platform"
+                "(POSIX); use backend='serial' or backend='batched' "
+                "on this platform"
             )
         context = multiprocessing.get_context("fork")
-        self._device_names: List[str] = [spec.device_name for spec in specs]
-        self._max_inflight = workers or max(1, len(self._device_names))
         self._connections = {}
         self._processes = {}
         for spec in specs:
@@ -132,8 +87,8 @@ class ProcessBackend:
             child_end.close()
             self._connections[spec.device_name] = parent_end
             self._processes[spec.device_name] = process
-        for name in self._device_names:
-            handshake = self._connections[name].recv()
+        for name, connection in self._connections.items():
+            handshake = connection.recv()
             if not (
                 isinstance(handshake, CallOutcome)
                 and handshake.error is None
@@ -146,23 +101,16 @@ class ProcessBackend:
                 )
         _LOG.info(
             "process backend started",
-            extra={
-                "devices": len(self._device_names),
-                "max_inflight": self._max_inflight,
-            },
+            extra={"devices": len(self._processes)},
         )
 
     def run_tasks(self, tasks: Dict[str, object]) -> Dict[str, object]:
-        names = list(tasks)
+        # One upfront pipe write per worker, then the replies in task
+        # order: every device computes concurrently, no round-trips.
+        for name, task in tasks.items():
+            self._connections[name].send(task)
         outcomes: Dict[str, object] = {}
-        # Prime the window: one upfront pipe write per worker, no
-        # per-task round-trips. Replies are collected in task order and
-        # each one immediately releases the next pending submission, so
-        # a slow device never stalls dispatch behind a wave barrier.
-        next_to_send = min(self._max_inflight, len(names))
-        for name in names[:next_to_send]:
-            self._connections[name].send(tasks[name])
-        for name in names:
+        for name in tasks:
             try:
                 outcomes[name] = self._connections[name].recv()
             except EOFError:
@@ -170,10 +118,6 @@ class ProcessBackend:
                     f"worker process for device {name!r} died "
                     f"(exit code {self._processes[name].exitcode})"
                 ) from None
-            if next_to_send < len(names):
-                pending = names[next_to_send]
-                self._connections[pending].send(tasks[pending])
-                next_to_send += 1
         return outcomes
 
     def close(self) -> None:
@@ -193,20 +137,14 @@ class ProcessBackend:
         self._processes.clear()
 
 
-def create_backend(
-    backend: str, specs: Sequence[WorkerSpec], workers: Optional[int] = None
-):
-    """Instantiate a backend by name (serial/thread/process/batched)."""
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+def create_backend(backend: str, specs: Sequence[WorkerSpec]):
+    """Instantiate a backend by name (serial/process/batched)."""
     if backend == "serial":
         return SerialBackend(specs)
-    if backend == "thread":
-        return ThreadBackend(specs, workers=workers)
     if backend == "process":
-        return ProcessBackend(specs, workers=workers)
+        return ProcessBackend(specs)
     if backend == "batched":
-        return BatchedFleet(specs, workers=workers)
+        return BatchedFleet(specs)
     raise ConfigurationError(
         f"unknown execution backend {backend!r}; "
         f"available: {', '.join(BACKEND_NAMES)}"

@@ -1,6 +1,6 @@
 """The ``batched`` execution backend: one numpy program for the fleet.
 
-Serial/thread/process all run each device's control loop as its own
+Serial and process both run each device's control loop as its own
 Python-level loop — ~100µs of interpreter work per device-step. The
 :class:`BatchedFleet` backend instead advances every device in
 lockstep: per control step it
@@ -867,7 +867,7 @@ def _build_group(actors: Sequence[DeviceActor]) -> Optional[_StackedGroup]:
 class BatchedFleet:
     """Backend running all eligible devices as one stacked computation.
 
-    Interface-compatible with the serial/thread/process backends:
+    Interface-compatible with the serial and process backends:
     builds one :class:`DeviceActor` per spec (same construction order,
     hence identical seed paths), answers ``run_tasks`` batches. Pure
     training batches go through the vectorised lockstep loop and pure
@@ -879,12 +879,7 @@ class BatchedFleet:
 
     name = "batched"
 
-    def __init__(
-        self, specs: Sequence[WorkerSpec], workers: Optional[int] = None
-    ) -> None:
-        # ``workers`` is accepted for interface parity; lockstep
-        # vectorisation has no worker count.
-        del workers
+    def __init__(self, specs: Sequence[WorkerSpec]) -> None:
         self._actors = {spec.device_name: DeviceActor(spec) for spec in specs}
         self._group: Optional[_StackedGroup] = None
         self._group_built = False

@@ -37,6 +37,7 @@ from repro.parallel.payloads import (
     StepsTask,
     WorkerSpec,
 )
+from repro.runspec import DEFAULT_BACKEND
 from repro.sim.trace import StepLog
 
 
@@ -46,8 +47,7 @@ class DeviceFleet:
     def __init__(
         self,
         specs: Sequence[WorkerSpec],
-        backend: str = "thread",
-        workers: Optional[int] = None,
+        backend: str = DEFAULT_BACKEND,
         trace: Optional[StepLog] = None,
         metrics: Optional[MetricsRegistry] = None,
         flight: Optional[FlightRecorder] = None,
@@ -62,7 +62,7 @@ class DeviceFleet:
         self.profiler = profiler
         self.events = events
         self._latency_by_device: Dict[str, float] = {}
-        self._backend = create_backend(backend, specs, workers=workers)
+        self._backend = create_backend(backend, specs)
 
     # -- training ------------------------------------------------------
     def run_round(

@@ -15,7 +15,7 @@ driver process and the actors:
 
 Everything is plain dataclasses over picklable values (numpy arrays,
 step blocks, dicts), so the identical payloads serve the in-process
-thread backend and the multiprocessing backend.
+backends and the multiprocessing backend.
 """
 
 from __future__ import annotations

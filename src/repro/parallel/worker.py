@@ -1,7 +1,7 @@
 """Device actors: the worker half of the parallel execution engine.
 
 A :class:`DeviceActor` is one simulated edge device living inside a
-worker (a thread of the driver process or a dedicated child process).
+worker (the driver process itself or a dedicated child process).
 It is built once from a picklable :class:`~repro.parallel.payloads.WorkerSpec`
 and then serves tasks for the whole run — its environment, controller,
 replay buffer and RNG streams persist across federated rounds, so only
@@ -17,9 +17,9 @@ steps task. The steps themselves travel as the task's
 step log and offers to its flight recorder. The driver merges outcomes
 in deterministic device order, reproducing the exact stream a serial
 run emits. Nothing here touches the ambient
-:mod:`repro.runspec` stack — thread workers must not see the driver's
-thread-local sinks, and fork-started process workers must not use an
-inherited copy of them.
+:mod:`repro.runspec` stack — fork-started process workers must not use
+an inherited copy of the driver's sinks, and in-process actors must
+record the same stream they do.
 """
 
 from __future__ import annotations

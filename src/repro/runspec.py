@@ -12,7 +12,7 @@ One merge rule, :meth:`RunSpec.over`, serves both nesting and
 keyword-over-ambient: the innermost value that was set wins, field by
 field; an explicit keyword beats every frame; the empty stack means
 serial, no faults, no guard, flat, synchronous, no sinks. The stack is
-thread-local — a worker thread never sees the driver's sinks — and an
+thread-local — another thread never sees the driver's sinks — and an
 empty-stack look-up (:func:`current`) is one attribute access and one
 index, cheap enough for the transport send path.
 
@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.errors import ConfigurationError
 
 #: Recognised execution backends, in documentation order.
-BACKEND_NAMES = ("serial", "thread", "process", "batched")
+BACKEND_NAMES = ("serial", "process", "batched")
 
 #: Backend used when nothing is configured anywhere.
 DEFAULT_BACKEND = "serial"
@@ -54,7 +54,6 @@ class RunSpec:
     # Execution: how device actors are scheduled (results are
     # bit-identical on every backend).
     backend: Optional[str] = None
-    workers: Optional[int] = None
     # Federation protocol.
     participation_fraction: Optional[float] = None
     aggregation_weights: Optional[Dict[str, float]] = None
@@ -91,8 +90,6 @@ class RunSpec:
                 f"unknown execution backend {self.backend!r}; "
                 f"available: {', '.join(BACKEND_NAMES)}"
             )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
     def over(self, base: "RunSpec") -> "RunSpec":
         """Field by field: this spec's value where it sets one, else ``base``'s."""
@@ -155,7 +152,7 @@ _DEFAULTS = {"backend": DEFAULT_BACKEND, "participation_fraction": 1.0}
 #: under another), a checkpoint location is not part of what is
 #: computed, and sinks have no stable serial form.
 UNDESCRIBED_FIELDS = frozenset(
-    {"backend", "workers", "checkpoint"}
+    {"backend", "checkpoint"}
     | {"metrics", "tracer", "flight", "profiler", "events"}
 )
 

@@ -315,3 +315,21 @@ class TestCliUsageErrors:
         err = capsys.readouterr().err
         assert "--store" in err
         assert "--bench" not in err
+
+    @pytest.mark.parametrize(
+        "flags, complaint",
+        [
+            (["--backend", "thread"], "invalid choice: 'thread'"),
+            (["--workers", "2"], "unrecognized arguments: --workers 2"),
+        ],
+        ids=["thread-backend", "workers"],
+    )
+    def test_removed_execution_options_exit_2_naming_the_backends(
+        self, flags, complaint, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig3"] + flags)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert complaint in err
+        assert "{serial,process,batched}" in err

@@ -58,7 +58,7 @@ from repro.obs.sink import EventPipeline
 from repro.rl.agent import NeuralBanditAgent
 from repro.runspec import FIELD_NAMES, ambient, current
 
-from tests.runspec_samples import on_values
+from tests.runspec_samples import PARALLEL_BACKENDS, on_values
 
 ASYNC_ON = ControlPlaneConfig(enabled=True)
 
@@ -681,8 +681,8 @@ class TestDriver:
             range(len(baseline["events"]))
         )
         assert observe() == baseline
-        for backend in ("thread", "process", "batched"):
-            assert observe(backend=backend, workers=2) == baseline, backend
+        for backend in PARALLEL_BACKENDS:
+            assert observe(backend=backend) == baseline, backend
 
     def test_guard_is_honoured_on_the_actors(self):
         # Strict enough that healthy agents trip, so fallback steps exist.
@@ -696,7 +696,6 @@ class TestDriver:
                 eval_applications=("fft",),
                 guard=watchdog,
                 backend=backend,
-                workers=2,
             )
             return result, consume_guard_report()
 
@@ -942,7 +941,7 @@ class TestAsyncRejectsUnsupportedOptions:
     def test_honoured_options_and_off_values_still_run(self):
         from repro.obs.metrics import MetricsRegistry
 
-        with ambient(backend="thread", controlplane=ASYNC_ON):
+        with ambient(backend="batched", controlplane=ASYNC_ON):
             result = self.train(
                 metrics=MetricsRegistry(),
                 backend="serial",
@@ -972,7 +971,7 @@ class TestAsyncRejectsUnsupportedOptions:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--backend", "process", "--workers", "2"],
+            ["--backend", "process"],
             ["--flight-out", "{tmp}/flight.jsonl"],
             ["--guard"],
         ],
@@ -1043,4 +1042,4 @@ class TestAsyncRoundRecord:
 
     def test_honoured_fields_cover_the_tracer(self):
         assert "tracer" in HONOURED_FIELDS
-        assert (len(HONOURED_FIELDS), len(FIELD_NAMES)) == (13, 22)
+        assert (len(HONOURED_FIELDS), len(FIELD_NAMES)) == (12, 21)

@@ -15,7 +15,7 @@ from repro.faults.recovery import (
     load_snapshot,
     save_snapshot,
 )
-from repro.runspec import run_fingerprint
+from repro.runspec import BACKEND_NAMES, run_fingerprint
 from repro.nn.optimizers import SGD, Adam
 from repro.utils.checkpoint import (
     optimizer_state,
@@ -23,8 +23,7 @@ from repro.utils.checkpoint import (
     set_optimizer_state,
     set_rng_state,
 )
-
-BACKENDS = ["serial", "thread", "process", "batched"]
+from tests.runspec_samples import PARALLEL_BACKENDS
 
 ASSIGNMENTS = {"dev0": ("fft",), "dev1": ("radix",)}
 
@@ -184,7 +183,7 @@ class TestCrashResume:
             checkpoint=CheckpointConfig(path=checkpoint_path, resume=True),
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_kill_and_resume_is_bit_identical(
         self, backend, uninterrupted, tmp_path
     ):
@@ -197,7 +196,7 @@ class TestCrashResume:
         resumed = self.kill_then_resume("serial", "process", tmp_path, 4)
         assert run_metrics(resumed) == uninterrupted
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_resuming_a_finished_run_returns_its_result(
         self, backend, uninterrupted, tmp_path
     ):
@@ -232,7 +231,7 @@ class TestCrashResume:
             ("serial", "batched"),
             ("process", "serial"),
             ("batched", "serial"),
-            ("thread", "process"),
+            ("batched", "process"),
         ],
     )
     def test_checkpoints_are_portable_across_backends(
@@ -361,7 +360,7 @@ class TestFaultDeterminism:
     @pytest.fixture(scope="class")
     def per_backend(self):
         results = {}
-        for backend in BACKENDS:
+        for backend in BACKEND_NAMES:
             result = train_federated(
                 ASSIGNMENTS,
                 tiny_config(),
@@ -374,7 +373,7 @@ class TestFaultDeterminism:
             )
         return results
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "batched"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_faulted_run_matches_serial(self, backend, per_backend):
         assert per_backend[backend] == per_backend["serial"]
 

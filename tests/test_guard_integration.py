@@ -29,7 +29,7 @@ from repro.guard.context import (
 )
 from repro.guard.watchdog import WatchdogConfig
 from repro.obs import FlightRecorder
-from repro.runspec import ambient
+from repro.runspec import BACKEND_NAMES, ambient
 
 ASSIGNMENTS = {
     "device-0": ("fft", "lu"),
@@ -37,7 +37,6 @@ ASSIGNMENTS = {
     "device-2": ("barnes", "fmm"),
 }
 EVAL_APPS = ("fft", "radix")
-BACKENDS = ("serial", "thread", "process", "batched")
 
 
 def make_config(num_rounds=6, steps_per_round=40, seed=11):
@@ -98,7 +97,7 @@ class TestByzantineBroadcastRecovery:
         assert federated.fallback_steps_by_device == report.fallback_steps
         assert federated.fallback_rate() > 0.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_backend_equivalence(self, serial_result, backend):
         serial, serial_report = serial_result
         consume_guard_report()
@@ -110,7 +109,6 @@ class TestByzantineBroadcastRecovery:
             straggler_policy="skip",
             guard=True,
             backend=backend,
-            workers=2,
         )
         report = consume_guard_report()
         assert parallel.round_evaluations == serial.round_evaluations
@@ -121,7 +119,7 @@ class TestByzantineBroadcastRecovery:
 
 
 class TestQuarantineChurnBackendEquivalence:
-    """Watchdog + quarantine + churn together, on all four backends."""
+    """Watchdog + quarantine + churn together, on every backend."""
 
     @staticmethod
     def run(backend):
@@ -136,7 +134,6 @@ class TestQuarantineChurnBackendEquivalence:
             quarantine=True,
             churn="leave=0.3,rejoin=0.5,seed=11",
             backend=backend,
-            workers=2,
         )
         federated = result.federated_result
         report = consume_guard_report()
@@ -161,7 +158,7 @@ class TestQuarantineChurnBackendEquivalence:
         participation = reference[2]
         assert any(len(names) < len(ASSIGNMENTS) for names in participation)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_backend_equivalence(self, reference, backend):
         assert self.run(backend) == reference
 

@@ -2,8 +2,7 @@
 
 A ``topology="flat"`` run must be indistinguishable from a run with no
 topology at all: same wire traffic, same RNG draws, same evaluations —
-compared with ``==``, not tolerances — under serial, thread, process
-and batched execution. ``selection="uniform:f"`` must likewise be the
+compared with ``==``, not tolerances — under every execution backend. ``selection="uniform:f"`` must likewise be the
 identity rewrite of ``participation_fraction=f``.
 """
 
@@ -11,11 +10,11 @@ import pytest
 
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.training import train_federated
-from repro.runspec import ambient
+from repro.runspec import BACKEND_NAMES, ambient
+from tests.runspec_samples import PARALLEL_BACKENDS
 
 ASSIGNMENTS = {"DEVICE_A": ("fft", "lu"), "DEVICE_B": ("radix",)}
 EVAL_APPS = ("fft", "radix")
-BACKENDS = ("thread", "process", "batched")
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +60,7 @@ def assert_bit_identical(base, other):
     assert other_fed.participation_by_round == base_fed.participation_by_round
 
 
-@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_flat_topology_is_bit_identical_on_every_backend(
     config, baseline, backend
 ):
@@ -70,7 +69,6 @@ def test_flat_topology_is_bit_identical_on_every_backend(
         config,
         eval_applications=EVAL_APPS,
         backend=backend,
-        workers=2,
         topology="flat",
     )
     assert_bit_identical(baseline, result)
@@ -117,7 +115,7 @@ def test_uniform_selection_is_identity_for_participation_fraction(config):
     )
 
 
-@pytest.mark.parametrize("backend", ("serial", "thread"))
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_multi_tier_run_completes_and_tags_tier_phases(config, backend):
     from repro.obs.sink import EventPipeline
     from repro.obs.tracing import RoundTracer
@@ -132,8 +130,7 @@ def test_multi_tier_run_completes_and_tags_tier_phases(config, backend):
         },
         config,
         eval_applications=("fft",),
-        backend=None if backend == "serial" else backend,
-        workers=None if backend == "serial" else 2,
+        backend=backend,
         topology="edges=2,cluster=contiguous",
         events=pipeline,
         tracer=RoundTracer(),
@@ -164,15 +161,15 @@ def test_multi_tier_backends_agree_with_serial(config):
         eval_applications=("fft",),
         topology="edges=2,cluster=contiguous",
     )
-    threaded = train_federated(
-        assignments,
-        config,
-        eval_applications=("fft",),
-        backend="thread",
-        workers=2,
-        topology="edges=2,cluster=contiguous",
-    )
-    assert_bit_identical(serial, threaded)
+    for backend in PARALLEL_BACKENDS:
+        other = train_federated(
+            assignments,
+            config,
+            eval_applications=("fft",),
+            backend=backend,
+            topology="edges=2,cluster=contiguous",
+        )
+        assert_bit_identical(serial, other)
 
 
 def test_stratified_selection_covers_every_cluster(config):

@@ -60,10 +60,10 @@ class TestNestedAndInterleaved:
         # One merge rule: a frame that only sets a tracer keeps the
         # enclosing registry, and an explicit False switches a field off.
         metrics = MetricsRegistry()
-        with ambient(metrics=metrics, guard=True, backend="thread"):
+        with ambient(metrics=metrics, guard=True, backend="batched"):
             with ambient(tracer=RoundTracer(), guard=False):
                 assert current().metrics is metrics
-                assert current().backend == "thread"
+                assert current().backend == "batched"
                 assert current().guard is False
                 assert resolve(backend="process").backend == "process"
             assert current().tracer is None

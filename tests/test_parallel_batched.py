@@ -26,6 +26,8 @@ from repro.experiments.training import (
 from repro.obs.flight import FlightRecorder
 from repro.parallel.engine import DeviceFleet
 from repro.rl.prioritized_replay import PrioritizedReplayBuffer
+from repro.rl.rewards import PowerEfficiencyReward
+from repro.runspec import BACKEND_NAMES
 from repro.sim.stacked import MIN_STACKED_ROWS
 from repro.sim.thermal import ThermalModel
 from repro.sim.workload import ApplicationModel, Phase
@@ -648,3 +650,83 @@ def test_evaluation_that_cannot_start_is_reported_per_device(backend):
         shipped = fleet.fetch_controllers()["BENCH_000"].agent.get_parameters()
         with pytest.raises(ExecutionError, match="evaluation failed on device 'BENCH_000'"):
             fleet.evaluate_round(0, list(SIM_FLEET), parameters=shipped)
+
+
+# -- lockstep branches no driver reaches --------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_zero_step_round_errors_every_device_and_the_next_round_matches_serial(
+    backend,
+):
+    """A ``num_steps=0`` task is refused per device, on every backend,
+    before anything steps — the next round runs as if it never came."""
+
+    def run(chosen):
+        config = _config()
+        specs = _worker_specs(
+            _local_actor_parts, ASSIGNMENTS, config, EVAL_APPS, None, None
+        )
+        names = list(ASSIGNMENTS)
+        with DeviceFleet(specs, backend=chosen) as fleet:
+            refused = fleet.run_round(0, names, 0, raise_on_error=False)
+            outcomes = fleet.run_round(1, names, 5)
+            parameters = {
+                name: controller.agent.get_parameters()
+                for name, controller in fleet.fetch_controllers().items()
+            }
+        return refused, {n: outcomes[n].records for n in names}, parameters
+
+    refused, records, parameters = run(backend)
+    for outcome in refused.values():
+        last_line = outcome.error.strip().splitlines()[-1]
+        assert last_line.endswith("SimulationError: num_steps must be positive, got 0")
+        assert outcome.block is None
+    _, serial_records, serial_parameters = run("serial")
+    assert records == serial_records
+    assert all(len(rows) == 5 for rows in records.values())
+    _assert_same_parameters(serial_parameters, parameters)
+
+
+class _SubclassedReward(PowerEfficiencyReward):
+    """Eq. 4 unchanged, but not *the* stock reward type."""
+
+
+def _subclassed_reward_builder(
+    device_name, metrics, profiler, assignments, config, eval_apps
+):
+    """BENCH_001's reward is a subclass: the loop may not inline it."""
+    parts = _local_actor_parts(
+        device_name, metrics, profiler, assignments, config, eval_apps
+    )
+    if device_name == "BENCH_001":
+        stock = parts.controller.reward
+        parts.controller.reward = _SubclassedReward(
+            stock.max_frequency_hz, stock.power_limit_w, stock.offset_w
+        )
+    return parts
+
+
+@pytest.mark.parametrize("num_devices", (3, 5))
+def test_subclassed_reward_turns_the_kernel_off_and_matches_serial(
+    num_devices, kernel_rows
+):
+    assert 5 >= MIN_STACKED_ROWS
+    assignments = dict(list(SIM_FLEET.items())[:num_devices])
+    group, fleet = _batched_group(_subclassed_reward_builder, assignments)
+    try:
+        assert group is not None and len(group.rows) == num_devices
+        assert not group._reward_inline
+    finally:
+        fleet.close()
+    serial_records, serial_params = _run_rounds(
+        _subclassed_reward_builder, "serial", assignments=assignments
+    )
+    batched_records, batched_params = _run_rounds(
+        _subclassed_reward_builder, "batched", assignments=assignments
+    )
+    assert kernel_rows == []
+    assert batched_records == serial_records
+    for name in assignments:
+        for a, b in zip(serial_params[name], batched_params[name]):
+            assert np.array_equal(a, b, equal_nan=True)

@@ -1,5 +1,7 @@
 """Unit tests for the parallel execution engine (repro.parallel)."""
 
+import multiprocessing
+
 import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
@@ -15,8 +17,9 @@ from repro.parallel import (
     create_backend,
 )
 from repro.parallel.payloads import ActorParts
-from repro.runspec import ambient, current, resolve
+from repro.runspec import RunSpec, ambient, current, resolve
 from repro.sim.trace import TraceRecorder
+from tests.runspec_samples import PARALLEL_BACKENDS
 
 ASSIGNMENTS = {"DEVICE_A": ("fft",), "DEVICE_B": ("radix",)}
 EVAL_APPS = ("fft",)
@@ -56,31 +59,30 @@ def _fail_a_round0(device_name, round_index):
 
 
 def resolved_execution(**explicit):
-    spec = resolve(**explicit)
-    return spec.get("backend"), spec.workers
+    return resolve(**explicit).get("backend")
 
 
 class TestExecutionContext:
     def test_default_is_serial(self):
         assert current().backend is None
-        assert resolved_execution() == ("serial", None)
+        assert resolved_execution() == "serial"
 
     def test_ambient_config_applies(self):
-        with ambient(backend="thread", workers=3) as frame:
-            assert (frame.backend, frame.workers) == ("thread", 3)
-            assert resolved_execution() == ("thread", 3)
+        with ambient(backend="batched") as frame:
+            assert frame.backend == "batched"
+            assert resolved_execution() == "batched"
         assert current().backend is None
 
     def test_explicit_arguments_win(self):
-        with ambient(backend="thread", workers=3):
-            assert resolved_execution(backend="process", workers=1) == ("process", 1)
-            assert resolved_execution(backend="serial") == ("serial", 3)
+        with ambient(backend="batched"):
+            assert resolved_execution(backend="process") == "process"
+            assert resolved_execution(backend="serial") == "serial"
 
     def test_nested_contexts_stack(self):
-        with ambient(backend="thread"):
-            with ambient(backend="process", workers=2):
-                assert resolved_execution() == ("process", 2)
-            assert resolved_execution() == ("thread", None)
+        with ambient(backend="batched"):
+            with ambient(backend="process"):
+                assert resolved_execution() == "process"
+            assert resolved_execution() == "batched"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -89,9 +91,12 @@ class TestExecutionContext:
             with ambient(backend="gpu"):
                 pass
 
-    def test_bad_workers_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve(backend="thread", workers=0)
+    def test_removed_thread_backend_names_the_remaining_three(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"'thread'; available: serial, process, batched$",
+        ):
+            RunSpec(backend="thread")
 
 
 # -- backends -----------------------------------------------------------
@@ -99,19 +104,28 @@ class TestExecutionContext:
 
 class TestBackendFactory:
     def test_backend_names(self):
-        assert BACKEND_NAMES == ("serial", "thread", "process", "batched")
+        assert BACKEND_NAMES == ("serial", "process", "batched")
 
     def test_unknown_backend(self):
         with pytest.raises(ConfigurationError):
             create_backend("gpu", make_specs())
 
-    def test_bad_workers(self):
-        with pytest.raises(ConfigurationError):
-            create_backend("thread", make_specs(), workers=0)
+    def test_process_backend_without_fork_names_the_in_process_backends(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.raises(ConfigurationError) as excinfo:
+            create_backend("process", make_specs())
+        message = str(excinfo.value)
+        assert "fork" in message
+        assert "backend='serial'" in message and "backend='batched'" in message
+        assert "thread" not in message
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_round_trip_call(self, backend):
-        impl = create_backend(backend, make_specs(), workers=2)
+        impl = create_backend(backend, make_specs())
         try:
             from repro.parallel.payloads import CallTask
 
@@ -190,7 +204,7 @@ def test_fleet_fault_injection(backend):
             fleet.run_round(0, names, config.steps_per_round)
 
 
-@pytest.mark.parametrize("backend", ("thread", "process", "batched"))
+@pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
 def test_fleet_telemetry_matches_serial(backend):
     config = tiny_config()
 

@@ -2,7 +2,7 @@
 
 The execution engine's core contract: for every training driver, the
 round evaluations, communication byte accounting and training traces
-produced under any backend — four schedulers over the same device
+produced under any backend — three schedulers over the same device
 actors — equal the serial reference exactly (floats compared with
 ``==``, not tolerances). Wall-clock artefacts
 (decision latencies, phase durations) are the only permitted
@@ -19,11 +19,12 @@ from repro.experiments.training import (
     train_local_only,
 )
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.runspec import BACKEND_NAMES
 from repro.sim.workload import SPLASH2_APPLICATION_NAMES
+from tests.runspec_samples import PARALLEL_BACKENDS
 
 ASSIGNMENTS = {"DEVICE_A": ("fft", "lu"), "DEVICE_B": ("radix",)}
 EVAL_APPS = ("fft", "radix")
-BACKENDS = ("thread", "process", "batched")
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +77,13 @@ def collab_serial(config):
     return train_collab_profit(ASSIGNMENTS, config, eval_applications=EVAL_APPS)
 
 
-@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_federated_backend_equivalence(config, federated_serial, backend):
     parallel = train_federated(
         ASSIGNMENTS,
         config,
         eval_applications=EVAL_APPS,
         backend=backend,
-        workers=2,
     )
     assert_equivalent(federated_serial, parallel)
     base_fed = federated_serial.federated_result
@@ -103,27 +103,25 @@ def test_federated_backend_equivalence(config, federated_serial, backend):
             assert (b == p).all()
 
 
-@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_local_only_backend_equivalence(config, local_serial, backend):
     parallel = train_local_only(
         ASSIGNMENTS,
         config,
         eval_applications=EVAL_APPS,
         backend=backend,
-        workers=2,
     )
     assert_equivalent(local_serial, parallel)
     assert parallel.communication_bytes == 0
 
 
-@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_collab_backend_equivalence(config, collab_serial, backend):
     parallel = train_collab_profit(
         ASSIGNMENTS,
         config,
         eval_applications=EVAL_APPS,
         backend=backend,
-        workers=2,
     )
     assert_equivalent(collab_serial, parallel)
 
@@ -133,14 +131,13 @@ def test_collab_backend_equivalence(config, collab_serial, backend):
 CRASH_B_ROUND_1 = FaultPlan([FaultEvent("crash", 1, "DEVICE_B")])
 
 
-@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_straggler_skip_equivalent_across_backends(config, backend):
     result = train_federated(
         ASSIGNMENTS,
         config,
         eval_applications=EVAL_APPS,
         backend=backend,
-        workers=2,
         straggler_policy="skip",
         faults=CRASH_B_ROUND_1,
     )
@@ -159,17 +156,16 @@ def test_straggler_skip_bitwise_equal(config):
             config,
             eval_applications=EVAL_APPS,
             backend=backend,
-            workers=2,
             straggler_policy="skip",
             faults=CRASH_B_ROUND_1,
         )
-        for backend in ("serial",) + BACKENDS
+        for backend in BACKEND_NAMES
     }
-    for backend in BACKENDS:
+    for backend in PARALLEL_BACKENDS:
         assert_equivalent(runs["serial"], runs[backend])
 
 
-@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_straggler_abort_raises(config, backend):
     # One error contract on every backend: FederationError naming the
     # device and carrying the device-side failure.
@@ -179,14 +175,13 @@ def test_straggler_abort_raises(config, backend):
             config,
             eval_applications=EVAL_APPS,
             backend=backend,
-            workers=2,
             straggler_policy="abort",
             faults=CRASH_B_ROUND_1,
         )
     assert "injected crash" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_run_where_no_device_ever_steps_still_returns(config, backend):
     crash_everyone = FaultPlan(
         [
@@ -200,7 +195,6 @@ def test_run_where_no_device_ever_steps_still_returns(config, backend):
         config,
         eval_applications=EVAL_APPS,
         backend=backend,
-        workers=2,
         straggler_policy="skip",
         faults=crash_everyone,
     )
@@ -221,7 +215,6 @@ def _raw_event_rows(backend, config):
         config,
         eval_applications=EVAL_APPS,
         backend=backend,
-        workers=2 if backend != "serial" else None,
         tracer=RoundTracer(),
         guard=True,
         events=pipeline,
@@ -254,7 +247,7 @@ def test_event_stream_deterministic_across_backends(config):
     assert "round_span" in types
     assert "run_summary" in types
     assert [row["seq"] for row in serial] == list(range(len(serial)))
-    for backend in BACKENDS:
+    for backend in PARALLEL_BACKENDS:
         assert _event_stream(backend, config) == serial, backend
 
 
@@ -266,7 +259,7 @@ def test_obs_watch_snapshot_identical_across_backends(config, tmp_path):
     from repro.obs.watch import watch
 
     snapshots = {}
-    for backend in ("serial",) + BACKENDS:
+    for backend in BACKEND_NAMES:
         rows = _raw_event_rows(backend, config)
         path = tmp_path / f"{backend}.jsonl"
         path.write_text(
@@ -276,7 +269,7 @@ def test_obs_watch_snapshot_identical_across_backends(config, tmp_path):
         watch(events_path=path, once=True, deterministic=True, out=out)
         snapshots[backend] = out.getvalue()
     assert "| round |" in snapshots["serial"]
-    for backend in BACKENDS:
+    for backend in PARALLEL_BACKENDS:
         assert snapshots[backend] == snapshots["serial"], backend
 
 
@@ -304,7 +297,6 @@ def _telemetry_run(backend, config, with_flight=True):
         flight=flight,
         profiler=profiler,
         backend=backend,
-        workers=2,
     )
     return result, metrics, profiler, flight
 
@@ -319,7 +311,7 @@ def telemetry_serial(config):
     return _telemetry_run("serial", config)
 
 
-@pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_telemetry_attached_run_equals_serial(config, telemetry_serial, backend):
     """A run with every sink attached is the same run, observed: flight
     rows, violation counts and profiled scope counts equal serial's."""
@@ -378,11 +370,11 @@ def test_ambient_execution_context_reaches_driver(config):
     from repro.runspec import ambient
 
     serial = train_local_only(ASSIGNMENTS, config, eval_applications=EVAL_APPS)
-    with ambient(backend="thread", workers=2):
-        threaded = train_local_only(
+    with ambient(backend="batched"):
+        batched = train_local_only(
             ASSIGNMENTS, config, eval_applications=EVAL_APPS
         )
-    assert_equivalent(serial, threaded)
+    assert_equivalent(serial, batched)
 
 
 # -- fleet scale: the simulator kernel and the stacked evaluator engaged ----

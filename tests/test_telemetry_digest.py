@@ -142,11 +142,7 @@ def test_clean_serial_digest():
 
 @pytest.mark.parametrize("backend", ["serial", "batched", "process"])
 def test_hardened_digest_on_every_backend(backend):
-    workers = 2 if backend == "process" else None
-    assert (
-        _sync_digest(backend=backend, workers=workers, **HARDENED)
-        == DIGESTS["hardened"]
-    )
+    assert _sync_digest(backend=backend, **HARDENED) == DIGESTS["hardened"]
 
 
 def test_topology_and_selection_digest():
