@@ -4,13 +4,43 @@ All library errors derive from :class:`ReproError` so that callers can
 catch every failure raised by this package with a single ``except``
 clause while still being able to distinguish configuration problems from
 runtime simulation or federation failures.
+
+Every exit code of the ``repro-power`` command is declared here: an
+error that ends an invocation carries its ``exit_code`` (and the word
+its stderr line starts with, ``exit_label``); the two codes a run that
+*completed* can still end with are :data:`EXIT_FULLY_DEGRADED` and
+:data:`EXIT_REGRESSION`. ``repro.cli`` renders its exit-code table from
+these names.
 """
 
 from __future__ import annotations
 
 
+#: A guarded run completed, but every guarded device ended on its
+#: fallback governor.
+EXIT_FULLY_DEGRADED = 4
+
+#: ``obs-diff --fail-on-regression`` found run B regressed against run A.
+EXIT_REGRESSION = 5
+
+
 class ReproError(Exception):
     """Base class for every error raised by the :mod:`repro` package."""
+
+    #: Exit code and stderr label when this error ends a CLI invocation.
+    exit_code = 1
+    exit_label = "error"
+
+
+class UsageError(ReproError):
+    """Command-line flags that parse one by one but cannot be combined.
+
+    Example: ``--async`` with an option the async control plane cannot
+    honour (``--topology``, ``--selection``, ``--quarantine``,
+    ``--churn``). Exits like an unparseable flag.
+    """
+
+    exit_code = 2
 
 
 class ConfigurationError(ReproError, ValueError):
@@ -95,6 +125,9 @@ class RunKilledError(ReproError, RuntimeError):
     never killed.
     """
 
+    exit_code = 3
+    exit_label = "run killed"
+
 
 class DegradedHaltError(ReproError, RuntimeError):
     """The async control plane halted because the fleet fell below quorum.
@@ -103,9 +136,11 @@ class DegradedHaltError(ReproError, RuntimeError):
     live fraction of the device registry stays under the degradation
     ladder's halt floor for the configured grace period. A checkpoint
     is written first (``checkpoint_path``), so the run can be resumed
-    once the operator acknowledges the dead devices; the CLI maps this
-    to exit code 6.
+    once the operator acknowledges the dead devices.
     """
+
+    exit_code = 6
+    exit_label = "halt-degraded"
 
     def __init__(self, message: str, checkpoint_path: str = "") -> None:
         super().__init__(message)

@@ -125,6 +125,11 @@ class FederatedPowerControlConfig:
         """
         if rounds <= 0:
             raise ConfigurationError(f"rounds must be positive, got {rounds}")
+        if steps_per_round < 0:
+            raise ConfigurationError(
+                f"steps_per_round must be >= 0 (0 keeps the preset), "
+                f"got {steps_per_round}"
+            )
         new_steps = steps_per_round if steps_per_round > 0 else self.steps_per_round
         old_horizon = self.total_training_steps
         new_horizon = rounds * new_steps

@@ -38,10 +38,10 @@ Eleven pillars, all stdlib+numpy only:
   :func:`detect_regressions`);
 * :mod:`repro.obs.sketch` / :mod:`repro.obs.rollup` — the live,
   constant-memory half: mergeable bounded estimators
-  (:class:`QuantileDigest`, :class:`EwmaEstimator`,
-  :class:`ReservoirSampler`) backing the :class:`Histogram`, and a
-  streaming :class:`FleetRollup` turning the event stream into
-  per-round fleet aggregates in O(1) memory per device;
+  (:class:`QuantileDigest`, :class:`EwmaEstimator`) backing the
+  :class:`Histogram`, and a streaming :class:`FleetRollup` turning
+  the event stream into per-round fleet aggregates in O(1) memory per
+  device;
 * :mod:`repro.obs.alerts` / :mod:`repro.obs.exposition` /
   :mod:`repro.obs.watch` — live delivery: spec-string threshold/trend
   rules (:class:`AlertEngine`) emitting ``alert`` events, an opt-in
@@ -123,7 +123,7 @@ from repro.obs.sink import (
     TelemetrySink,
     iter_jsonl_rows,
 )
-from repro.obs.sketch import EwmaEstimator, QuantileDigest, ReservoirSampler
+from repro.obs.sketch import EwmaEstimator, QuantileDigest
 from repro.obs.store import (
     RUN_STORE_SCHEMA_VERSION,
     RunStore,
@@ -169,7 +169,6 @@ __all__ = [
     "ROLLUP_SERIES",
     "RUN_STORE_SCHEMA_VERSION",
     "RegressionFlag",
-    "ReservoirSampler",
     "RoundSpan",
     "RoundTracer",
     "RunDiff",

@@ -5,7 +5,7 @@ Every sink built before this module either keeps raw samples
 run. At the ROADMAP's fleet-scale target (10k devices, long-horizon
 runs) neither survives: per-sample state is O(steps) memory, and
 end-of-run aggregation gives a live operator nothing to look at. The
-three estimators here bound memory by construction and are what the
+two estimators here bound memory by construction and are what the
 live observability layer (:mod:`repro.obs.rollup`,
 :mod:`repro.obs.exposition`, ``obs-watch``) is built on:
 
@@ -17,18 +17,14 @@ live observability layer (:mod:`repro.obs.rollup`,
   max are always tracked exactly.
 * :class:`EwmaEstimator` — an exponentially weighted moving average
   for rates and throughputs (rounds/s, bytes/s), one float of state.
-* :class:`ReservoirSampler` — a seeded bounded sample of a stream,
-  implemented as bottom-k over deterministic per-key hash priorities
-  rather than the classic RNG-walk reservoir.
 
 Merge determinism contract: the parallel execution engine merges
 worker telemetry in deterministic device order, and the serial/process/
-batched bit-identity suites compare the results exactly. All three
+batched bit-identity suites compare the results exactly. Both
 sketches therefore merge as *pure functions of the input multiset*:
 cell keys depend only on the value, the exact buffer is canonically
 sorted on export, exact→cell compression triggers on the observation
-*count* alone, EWMA merge is a count-weighted mean, and reservoir
-retention is decided by per-key hashes. Two runs that observed the
+*count* alone, and EWMA merge is a count-weighted mean. Two runs that observed the
 same values — in any interleaving — expose identical state (the one
 caveat: cell *collapse* beyond ``max_cells`` folds tail cells in scan
 order, so streams wide enough to overflow the cell budget are bounded
@@ -37,9 +33,8 @@ and deterministic per merge order, but no longer order-free).
 
 from __future__ import annotations
 
-import hashlib
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +43,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "EwmaEstimator",
     "QuantileDigest",
-    "ReservoirSampler",
 ]
 
 #: Default number of verbatim observations before compressing to cells.
@@ -393,100 +387,3 @@ class EwmaEstimator:
         estimator.count = int(state.get("count", 0))
         estimator._value = float(state.get("value", 0.0))
         return estimator
-
-
-def _priority(seed: int, key: str) -> float:
-    """A deterministic pseudo-uniform priority in ``[0, 1)`` for ``key``."""
-    digest = hashlib.blake2b(
-        f"{seed}:{key}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") / float(1 << 64)
-
-
-class ReservoirSampler:
-    """A seeded bounded sample with order-independent merge.
-
-    Classic reservoir sampling retains items by walking an RNG whose
-    state depends on arrival order — merging two reservoirs then needs
-    fresh randomness and loses determinism. This sampler instead gives
-    every item a priority hashed from ``(seed, key)`` and keeps the
-    ``capacity`` smallest priorities (bottom-k): retention is a pure
-    function of the key set, every key is equally likely under the
-    hash, and merging shards is just bottom-k over the union. Keys must
-    be unique per logical item (e.g. ``"round:device:step"``) — the
-    natural identifiers the telemetry stream already carries.
-    """
-
-    __slots__ = ("capacity", "seed", "items_seen", "_entries")
-
-    def __init__(self, capacity: int = 64, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ConfigurationError(
-                f"capacity must be >= 1, got {capacity}"
-            )
-        self.capacity = int(capacity)
-        self.seed = int(seed)
-        self.items_seen = 0
-        #: ``(priority, key, item)`` rows, kept sorted ascending.
-        self._entries: List[Tuple[float, str, object]] = []
-
-    def add(self, item: object, key: Optional[str] = None) -> None:
-        key = str(item) if key is None else str(key)
-        self.items_seen += 1
-        priority = _priority(self.seed, key)
-        entries = self._entries
-        if len(entries) >= self.capacity and priority >= entries[-1][0]:
-            return
-        entries.append((priority, key, item))
-        entries.sort(key=lambda row: (row[0], row[1]))
-        del entries[self.capacity :]
-
-    def sample(self) -> List[object]:
-        """The retained items, in priority order (deterministic)."""
-        return [item for _, _, item in self._entries]
-
-    def keys(self) -> List[str]:
-        return [key for _, key, _ in self._entries]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def merge(self, other: "ReservoirSampler") -> None:
-        """Bottom-k over the union of both reservoirs' survivors."""
-        if other.seed != self.seed:
-            raise ConfigurationError(
-                f"cannot merge reservoirs with different seeds "
-                f"({self.seed} vs {other.seed})"
-            )
-        self.items_seen += other.items_seen
-        merged = {key: (p, key, item) for p, key, item in self._entries}
-        for priority, key, item in other._entries:
-            merged.setdefault(key, (priority, key, item))
-        self._entries = sorted(
-            merged.values(), key=lambda row: (row[0], row[1])
-        )[: self.capacity]
-
-    def state(self) -> Dict[str, object]:
-        return {
-            "kind": "reservoir",
-            "capacity": self.capacity,
-            "seed": self.seed,
-            "items_seen": self.items_seen,
-            "entries": [
-                [priority, key, item]
-                for priority, key, item in self._entries
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "ReservoirSampler":
-        sampler = cls(
-            capacity=int(state.get("capacity", 64)),
-            seed=int(state.get("seed", 0)),
-        )
-        sampler.items_seen = int(state.get("items_seen", 0))
-        sampler._entries = [
-            (float(priority), str(key), item)
-            for priority, key, item in state.get("entries", [])
-        ]
-        return sampler

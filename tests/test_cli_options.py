@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import RunKilledError
 from repro.obs.logging import reset_logging
+from repro.obs.store import RunStore
 
 
 class TestCliOverrides:
@@ -42,6 +44,70 @@ class TestCliOverrides:
     def test_defaults_keep_preset(self):
         args = build_parser().parse_args(["run", "fig2"])
         assert args.rounds == 0 and args.steps == 0 and args.output == ""
+
+    @pytest.mark.parametrize(
+        "flags, complaint",
+        [
+            (["--rounds", "-3"], "rounds must be positive, got -3"),
+            (["--steps", "-5"], "steps_per_round must be >= 0"),
+        ],
+        ids=["rounds", "steps"],
+    )
+    def test_negative_schedule_is_refused_before_the_run(
+        self, flags, complaint, capsys
+    ):
+        assert main(["run", "fig2"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and complaint in captured.err
+
+
+class TestCliRefusesBeforeTraining:
+    """A bad path or id fails with one `error:` line, before any training."""
+
+    def test_run_output_in_a_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "nonexistent" / "x.txt"
+        assert main(["run", "table1", "--output", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --output directory does not exist: "
+            f"{str(tmp_path / 'nonexistent')!r}\n"
+        )
+
+    def test_report_directory_that_cannot_be_created(self, tmp_path, capsys):
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("")
+        target = str(blocker / "out")
+        assert main(["report", target, "--experiments", "table1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot create report directory")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_report_unknown_experiment_trains_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["report", str(out), "--experiments", "fig2", "nosuch"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown experiment 'nosuch'")
+        assert not out.exists()
+
+
+class TestCliSinksOnFailure:
+    def test_killed_run_keeps_its_streamed_events(self, tmp_path, capsys):
+        events, store = tmp_path / "e.jsonl", tmp_path / "k.db"
+        argv = ["run", "fig3", "--rounds", "4", "--steps", "5"]
+        argv += ["--faults", "kill=2", "--checkpoint", str(tmp_path / "k.ckpt")]
+        argv += ["--events-out", str(events), "--store", str(store)]
+        assert main(argv) == RunKilledError.exit_code
+        rows = [json.loads(line) for line in events.read_text().splitlines()]
+        assert rows[0]["type"] == "header"
+        spans = [row["round"] for row in rows if row["type"] == "round_span"]
+        assert spans == [0, 1]
+        with RunStore(str(store)) as runs:
+            assert len(runs.events(1)) == len(rows) - 1
 
 
 class TestCliTelemetry:
@@ -315,6 +381,13 @@ class TestCliUsageErrors:
         err = capsys.readouterr().err
         assert "--store" in err
         assert "--bench" not in err
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_obs_history_limit_below_one_exits_2(self, limit, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs-history", "--store", "runs.db", "--limit", limit])
+        assert exit_info.value.code == 2
+        assert f"--limit: must be at least 1, got {limit}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, complaint",

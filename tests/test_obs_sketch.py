@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.sketch import EwmaEstimator, QuantileDigest, ReservoirSampler
+from repro.obs.sketch import EwmaEstimator, QuantileDigest
 
 
 class TestQuantileDigestExact:
@@ -181,43 +181,3 @@ class TestEwma:
         restored = EwmaEstimator.from_state(ewma.state())
         assert restored.value == ewma.value
         assert restored.alpha == 0.2
-
-
-class TestReservoir:
-    def test_bounded_and_deterministic(self):
-        a = ReservoirSampler(capacity=8, seed=42)
-        b = ReservoirSampler(capacity=8, seed=42)
-        keys = [f"item-{i}" for i in range(100)]
-        for key in keys:
-            a.add(key)
-        for key in reversed(keys):
-            b.add(key)
-        assert len(a) == 8
-        assert a.keys() == b.keys()
-        assert a.items_seen == b.items_seen == 100
-
-    def test_merge_equals_union(self):
-        union = ReservoirSampler(capacity=10, seed=7)
-        left = ReservoirSampler(capacity=10, seed=7)
-        right = ReservoirSampler(capacity=10, seed=7)
-        for i in range(200):
-            key = f"k{i}"
-            union.add(key)
-            (left if i % 2 == 0 else right).add(key)
-        left.merge(right)
-        assert left.keys() == union.keys()
-        assert left.items_seen == 200
-
-    def test_merge_rejects_mismatched_seeds(self):
-        with pytest.raises(ConfigurationError):
-            ReservoirSampler(seed=1).merge(ReservoirSampler(seed=2))
-
-    def test_state_round_trip(self):
-        sampler = ReservoirSampler(capacity=4, seed=3)
-        for i in range(20):
-            sampler.add({"step": i}, key=f"step-{i}")
-        restored = ReservoirSampler.from_state(
-            json.loads(json.dumps(sampler.state()))
-        )
-        assert restored.keys() == sampler.keys()
-        assert restored.sample() == sampler.sample()
