@@ -428,11 +428,25 @@ class FaultPlan:
         loss probability, ``dead`` the exact fraction of the fleet
         scheduled for permanent death mid-run.
         """
-        spec = spec.strip()
-        path = pathlib.Path(spec)
-        if spec.endswith(".json") or path.exists():
-            return cls.load(path)
+        kwargs = cls.parse_spec(spec)
+        if kwargs is None:
+            return cls.load(pathlib.Path(spec.strip()))
+        return cls.random(num_rounds, list(devices), **kwargs)
 
+    @staticmethod
+    def parse_spec(spec: str) -> Optional[Dict[str, object]]:
+        """The :meth:`random` keyword arguments a ``key=value`` spec names.
+
+        ``None`` for a spec naming a JSON plan file. Needs no roster, so
+        a spec can be checked before a run exists: an entry that is not
+        ``key=value``, an unknown key or a value of the wrong type
+        raises :class:`~repro.errors.ConfigurationError` here, while
+        rates out of range and device indices are checked by
+        :meth:`random`.
+        """
+        spec = spec.strip()
+        if spec.endswith(".json") or pathlib.Path(spec).exists():
+            return None
         kwargs: Dict[str, object] = {}
         rate_keys = {
             "crash": "crash_rate",
@@ -492,7 +506,7 @@ class FaultPlan:
                 raise ConfigurationError(
                     f"bad value for fault spec key {key!r}: {error}"
                 ) from error
-        return cls.random(num_rounds, list(devices), **kwargs)
+        return kwargs
 
 
 class PlanFaultInjector:

@@ -9,7 +9,7 @@ simplification costs.
 
 Every server folds its uploads through one :class:`Aggregator`
 protocol, ``begin(expected, weights) → fold(update)* → finalize()``:
-:class:`MeanAggregator` keeps one running sum per array (O(model)
+:class:`MeanAggregator` keeps one flat running sum (O(model)
 memory at any fan-in, bit-identical to :func:`federated_average`), and
 the robust rules in :mod:`repro.faults.aggregation` buffer their folds
 and run a batch statistic at ``finalize``. Plain FedAvg *rejects*
@@ -20,6 +20,7 @@ keep going.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -246,12 +247,15 @@ class Aggregator:
 class MeanAggregator(Aggregator):
     """The paper's FedAvg in O(model) memory — *not* robust.
 
-    Each fold adds ``w_i * update_i`` into one float64 accumulator per
-    array, with the weights normalised at ``begin`` by the same
-    :func:`normalize_weights` call, so for the same update order the
-    result is bit-identical to :func:`federated_average`. (Folding
-    client by client instead of array by array reorders additions
-    *across* accumulators, never within one.) Non-finite updates make
+    The running sum is one flat float64 accumulator over every array of
+    the model. Each fold checks the update's shapes against the first
+    update's, flattens it in one call, checks it is finite and adds
+    ``w_i * update_i`` into the accumulator, with the weights
+    normalised at ``begin`` by the same :func:`normalize_weights` call.
+    Every element therefore gets the same ``total += w_i * x_i`` in the
+    same order as in :func:`federated_average`, so for the same update
+    order the result is bit-identical to it. :meth:`finalize` splits the
+    accumulator back into the model's shapes. Non-finite updates make
     :meth:`finalize` raise :class:`~repro.errors.AggregationError`
     naming every offender; large-but-finite byzantine updates pull the
     mean arbitrarily far — the reference point the robustness
@@ -263,30 +267,37 @@ class MeanAggregator(Aggregator):
 
     def _begin(self, expected: int, weights: Optional[List[float]]) -> None:
         self._normalized = normalize_weights(weights, expected)
-        self._sums: Optional[List[np.ndarray]] = None
+        self._sum: Optional[np.ndarray] = None
         self._shapes: List[Tuple[int, ...]] = []
         self._non_finite: List[int] = []
 
     def _fold(self, parameters: Sequence[np.ndarray], index: int) -> None:
-        arrays = [np.asarray(array, dtype=np.float64) for array in parameters]
-        if self._sums is None:
-            self._sums = [np.zeros_like(array) for array in arrays]
-            self._shapes = [array.shape for array in arrays]
-        else:
-            _check_aligned(index, arrays, self._shapes)
-        if has_non_finite(arrays):
+        shapes = [np.shape(array) for array in parameters]
+        if self._sum is None:
+            self._shapes = shapes
+            self._sum = np.zeros(sum(math.prod(shape) for shape in shapes))
+        elif shapes != self._shapes:
+            _check_aligned(index, parameters, self._shapes)
+        if not shapes:
+            return  # a model with no arrays has nothing to add
+        flat = np.concatenate(parameters, axis=None, dtype=np.float64)
+        if not np.isfinite(flat).all():
             self._non_finite.append(index)
             return
-        weight = self._normalized[index]
-        for total, array in zip(self._sums, arrays):
-            total += weight * array
+        self._sum += self._normalized[index] * flat
 
     def _finalize(self) -> List[np.ndarray]:
-        sums, self._sums = self._sums, None
+        total, self._sum = self._sum, None
         if self._non_finite:
             raise AggregationError(
                 f"non-finite (NaN/Inf) parameters from client(s) "
                 f"{self._non_finite}; use a robust aggregator to drop "
                 "poisoned updates"
             )
-        return sums
+        averaged: List[np.ndarray] = []
+        offset = 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            averaged.append(total[offset : offset + size].reshape(shape))
+            offset += size
+        return averaged

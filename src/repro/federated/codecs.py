@@ -16,6 +16,7 @@ endpoints:
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +40,7 @@ class Float32Codec:
 
     def num_bytes(self, shapes: Shapes) -> int:
         """Payload size for a model of the given shapes."""
-        return sum(int(np.prod(shape)) for shape in shapes) * 4
+        return sum(math.prod(shape) for shape in shapes) * 4
 
 
 class DPGaussianCodec:
@@ -155,7 +156,7 @@ class QuantizedInt8Codec:
             )
             minimum, scale = float(header[0]), float(header[1])
             offset += header_bytes
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             quantized = np.frombuffer(
                 payload, dtype=np.uint8, count=size, offset=offset
             )
@@ -166,4 +167,4 @@ class QuantizedInt8Codec:
 
     def num_bytes(self, shapes: Shapes) -> int:
         header_bytes = 2 * self._HEADER_DTYPE.itemsize
-        return sum(int(np.prod(shape)) + header_bytes for shape in shapes)
+        return sum(math.prod(shape) + header_bytes for shape in shapes)

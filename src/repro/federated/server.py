@@ -130,10 +130,16 @@ class FederatedServer:
         retried under ``self.retry`` (when set), and a client whose
         broadcast still fails is skipped (``tolerant=True`` — it
         becomes a straggler for the round) or fatal (``tolerant=False``,
-        the paper's strict semantics).
+        the paper's strict semantics). A recipient not on the roster
+        fails the broadcast before anything is sent.
         """
-        payload = self.codec.encode(self._global)
         targets = recipients if recipients is not None else self.client_ids
+        if recipients is not None:
+            roster = set(self.client_ids)
+            for client_id in recipients:
+                if client_id not in roster:
+                    raise FederationError(f"unknown client {client_id!r}")
+        payload = self.codec.encode(self._global)
         if self.metrics is not None:
             self.metrics.inc("server.broadcasts")
             self.metrics.inc("server.broadcast_models", len(targets))
@@ -147,8 +153,6 @@ class FederatedServer:
         )
         reached: List[str] = []
         for client_id in targets:
-            if client_id not in self.client_ids:
-                raise FederationError(f"unknown client {client_id!r}")
             message = Message(
                 sender=self.server_id,
                 recipient=client_id,
@@ -280,13 +284,14 @@ class FederatedServer:
                 "aggregating without missing clients",
                 extra={"round": round_index, "missing": missing},
             )
-        unexpected = [cid for cid in payloads if cid not in expected]
-        if unexpected:
+        contributors = [cid for cid in expected if cid in payloads]
+        if len(contributors) < len(payloads):
+            # Some sender is not on the round's roster; name every one.
+            expected_set = set(expected)
+            unexpected = [cid for cid in payloads if cid not in expected_set]
             raise FederationError(
                 f"received models from non-participating clients {unexpected}"
             )
-
-        contributors = [cid for cid in expected if cid in payloads]
         updates = (
             self.codec.decode(payloads.pop(cid), self._shapes)
             for cid in contributors

@@ -311,9 +311,9 @@ class ChurnPlan:
         ``leave``/``rejoin`` are per-(round, device) probabilities,
         ``late`` the number of late-joining devices.
         """
-        spec = spec.strip()
-        path = pathlib.Path(spec)
-        if spec.endswith(".json") or path.exists():
+        kwargs = cls.parse_spec(spec)
+        if kwargs is None:
+            path = pathlib.Path(spec.strip())
             plan = cls.load(path)
             if plan.devices != tuple(devices) or plan.num_rounds != num_rounds:
                 raise ConfigurationError(
@@ -322,6 +322,22 @@ class ChurnPlan:
                     f"the run has {len(tuple(devices))} × {num_rounds}"
                 )
             return plan
+        return cls.random(num_rounds, list(devices), **kwargs)
+
+    @staticmethod
+    def parse_spec(spec: str) -> Optional[Dict[str, object]]:
+        """The :meth:`random` keyword arguments a ``key=value`` spec names.
+
+        ``None`` for a spec naming a JSON plan file. Needs no roster, so
+        a spec can be checked before a run exists: an entry that is not
+        ``key=value``, an unknown key or a value of the wrong type
+        raises :class:`~repro.errors.ConfigurationError` here, while
+        rates out of range and the late-joiner count are checked by
+        :meth:`random`.
+        """
+        spec = spec.strip()
+        if spec.endswith(".json") or pathlib.Path(spec).exists():
+            return None
         kwargs: Dict[str, object] = {}
         for part in spec.split(","):
             part = part.strip()
@@ -349,4 +365,4 @@ class ChurnPlan:
                 raise ConfigurationError(
                     f"bad value for churn spec key {key!r}: {error}"
                 ) from error
-        return cls.random(num_rounds, list(devices), **kwargs)
+        return kwargs

@@ -35,6 +35,7 @@ from repro.hier.selection import (
     SelectionPolicy,
     UniformSelection,
     build_selection_policy,
+    parse_selection_spec,
 )
 from repro.hier.shard import HierarchicalFederation, TierServer
 from repro.hier.topology import (
@@ -62,5 +63,6 @@ __all__ = [
     "UniformSelection",
     "build_selection_policy",
     "default_device_features",
+    "parse_selection_spec",
     "simulate_fleet_round",
 ]

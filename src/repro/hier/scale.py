@@ -29,6 +29,7 @@ CI determinism diff exploits by filtering timing lines.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -190,7 +191,7 @@ def simulate_fleet_round(
     )
     codec = Float32Codec()
     initial = [np.zeros(shape, dtype=np.float64) for shape in shapes]
-    model_parameters = int(sum(np.prod(shape) for shape in shapes))
+    model_parameters = sum(math.prod(shape) for shape in shapes)
     payload_bytes = codec.num_bytes(list(shapes))
     device_index = {name: index for index, name in enumerate(devices)}
 

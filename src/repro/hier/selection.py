@@ -25,7 +25,7 @@ Spec grammar (house style of ``build_aggregator``)::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -223,6 +223,37 @@ class ClusterStratifiedSelection(SelectionPolicy):
         return f"stratified:{self.fraction:g}"
 
 
+def parse_selection_spec(spec: str) -> Tuple[str, Dict[str, float]]:
+    """The policy name and numeric keyword arguments a selection spec
+    names (``fraction``, and ``alpha`` for ``pareto``).
+
+    Needs no roster or topology, so a spec can be checked before a run
+    exists: an unknown name or an argument that is not a number raises
+    :class:`~repro.errors.ConfigurationError`; ranges are checked when
+    :func:`build_selection_policy` builds the policy.
+    """
+    name, _, argument = spec.strip().partition(":")
+    name = name.strip()
+    if name not in SELECTION_NAMES:
+        raise ConfigurationError(
+            f"unknown selection policy {name!r}; available: "
+            f"{', '.join(SELECTION_NAMES)}"
+        )
+    try:
+        if name == "pareto":
+            fraction_text, _, alpha_text = argument.partition(":")
+            return name, {
+                "fraction": float(fraction_text) if fraction_text else 0.5,
+                "alpha": float(alpha_text) if alpha_text else 1.0,
+            }
+        default = 1.0 if name == "uniform" else 0.5
+        return name, {"fraction": float(argument) if argument else default}
+    except ValueError as error:
+        raise ConfigurationError(
+            f"bad selection argument in {spec!r}: {error}"
+        ) from error
+
+
 def build_selection_policy(
     spec: str, topology=None, seed: int = 0
 ) -> SelectionPolicy:
@@ -231,31 +262,16 @@ def build_selection_policy(
     ``topology`` is required for ``stratified`` and ignored otherwise;
     ``seed`` feeds the policy's private RNG streams.
     """
-    name, _, argument = spec.strip().partition(":")
-    name = name.strip()
+    name, kwargs = parse_selection_spec(spec)
     try:
         if name == "uniform":
-            return UniformSelection(
-                fraction=float(argument) if argument else 1.0
-            )
+            return UniformSelection(**kwargs)
         if name == "pareto":
-            fraction_text, _, alpha_text = argument.partition(":")
-            return ParetoSelection(
-                fraction=float(fraction_text) if fraction_text else 0.5,
-                alpha=float(alpha_text) if alpha_text else 1.0,
-                seed=seed,
-            )
-        if name == "stratified":
-            return ClusterStratifiedSelection(
-                fraction=float(argument) if argument else 0.5,
-                topology=topology,
-                seed=seed,
-            )
+            return ParetoSelection(seed=seed, **kwargs)
+        return ClusterStratifiedSelection(
+            topology=topology, seed=seed, **kwargs
+        )
     except ValueError as error:
         raise ConfigurationError(
             f"bad selection argument in {spec!r}: {error}"
         ) from error
-    raise ConfigurationError(
-        f"unknown selection policy {name!r}; available: "
-        f"{', '.join(SELECTION_NAMES)}"
-    )

@@ -172,10 +172,11 @@ class HierarchicalFederation:
         self._tier_phases: List[PhaseSpan] = []
         self._tiers: Dict[str, List[TierServer]] = {}
         self._by_id: Dict[str, TierServer] = {}
+        devices = set(topology.devices)
         for node in topology.nodes:
             # Quarantine screens device updates, so it attaches where
             # devices upload: the leaf-owning nodes.
-            owns_devices = node.children[0] in set(topology.devices)
+            owns_devices = node.children[0] in devices
             server = FederatedServer(
                 initial_parameters,
                 list(node.children),
@@ -325,10 +326,11 @@ class HierarchicalFederation:
                     # Tier-local degradation: this node's devices are
                     # missing this round; the rest of the fleet
                     # proceeds.
+                    already_missing = set(missing)
                     leaf_missing = [
                         d
                         for d in self.topology.leaves_under(node.node_id)
-                        if d in expected_set and d not in set(missing)
+                        if d in expected_set and d not in already_missing
                     ]
                     missing.extend(leaf_missing)
                     quarantined.extend(
@@ -369,8 +371,11 @@ class HierarchicalFederation:
                 sent.setdefault(parent_id, []).append(node.node_id)
                 node_weight[node.node_id] = result.weight
         root_expected = sent.get(self._root.node_id, [])
+        missing_set = set(missing)
         if not root_expected:
-            devices_missing = [d for d in expected if d in set(missing)] or expected
+            devices_missing = [
+                d for d in expected if d in missing_set
+            ] or expected
             raise AggregationError(
                 f"tolerant aggregation round {round_index} received no "
                 f"models at all (missing {devices_missing})"
@@ -384,7 +389,6 @@ class HierarchicalFederation:
             tolerant=False,
         )
         self._record_phase("aggregate", self._root, started, bytes_before)
-        missing_set = set(missing)
         self.last_aggregation_missing = [
             d for d in expected if d in missing_set
         ]

@@ -518,17 +518,33 @@ class FleetTopology:
         if spec is None:
             return cls.flat(devices)
         text = str(spec).strip()
+        settings = cls.parse_spec(text)
+        if settings is not None:
+            return cls.clustered(devices, **{"seed": seed, **settings})
         if not text or text == "flat":
             return cls.flat(devices)
-        if text.endswith(".json") or Path(text).exists():
-            topology = cls.load(text)
-            if tuple(topology.devices) != tuple(devices):
-                raise ConfigurationError(
-                    f"saved topology {text!r} was built for a different "
-                    f"roster ({topology.num_devices} devices vs "
-                    f"{len(devices)})"
-                )
-            return topology
+        topology = cls.load(text)
+        if tuple(topology.devices) != tuple(devices):
+            raise ConfigurationError(
+                f"saved topology {text!r} was built for a different "
+                f"roster ({topology.num_devices} devices vs "
+                f"{len(devices)})"
+            )
+        return topology
+
+    @staticmethod
+    def parse_spec(text: str) -> Optional[Dict[str, object]]:
+        """The :meth:`clustered` keyword arguments a ``key=value`` spec
+        names (``seed`` only when the spec sets it).
+
+        ``None`` for ``""``, ``"flat"`` and a saved-topology path. Needs
+        no roster, so a spec can be checked before a run exists: an item
+        that is not ``key=value``, an unknown key or a count that is not
+        an integer raises :class:`~repro.errors.ConfigurationError`.
+        """
+        text = text.strip()
+        if text in ("", "flat") or text.endswith(".json") or Path(text).exists():
+            return None
         settings: Dict[str, str] = {}
         for part in text.split(","):
             part = part.strip()
@@ -548,20 +564,17 @@ class FleetTopology:
                 f"available: {sorted(known)}"
             )
         try:
-            edges = int(settings.get("edges", "0"))
-            regions = int(settings.get("regions", "0"))
-            spec_seed = int(settings.get("seed", str(seed)))
+            parsed: Dict[str, object] = {
+                key: int(settings.get(key, "0")) for key in ("edges", "regions")
+            }
+            if "seed" in settings:
+                parsed["seed"] = int(settings["seed"])
         except ValueError as error:
             raise ConfigurationError(
                 f"bad topology spec {text!r}: {error}"
             ) from error
-        return cls.clustered(
-            devices,
-            edges=edges,
-            regions=regions,
-            seed=spec_seed,
-            method=settings.get("cluster", "kmeans"),
-        )
+        parsed["method"] = settings.get("cluster", "kmeans")
+        return parsed
 
     # -- serialisation -----------------------------------------------------
 

@@ -10,6 +10,7 @@ transport can count real bytes instead of estimating.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -35,8 +36,14 @@ def parameters_to_bytes(parameters: Sequence[np.ndarray]) -> bytes:
 def bytes_to_parameters(
     payload: bytes, shapes: Sequence[Tuple[int, ...]]
 ) -> List[np.ndarray]:
-    """Inverse of :func:`parameters_to_bytes` given the known shapes."""
-    expected = sum(int(np.prod(shape)) for shape in shapes) * _WIRE_DTYPE.itemsize
+    """Inverse of :func:`parameters_to_bytes` given the known shapes.
+
+    The payload is widened to ``float64`` in one call, into an array the
+    program owns (writeable, never a view of the read-only payload), and
+    the returned arrays are reshaped slices of it.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    expected = sum(sizes) * _WIRE_DTYPE.itemsize
     if len(payload) != expected:
         raise FederationError(
             f"payload has {len(payload)} bytes but shapes {list(shapes)} "
@@ -45,18 +52,17 @@ def bytes_to_parameters(
     flat = np.frombuffer(payload, dtype=_WIRE_DTYPE).astype(np.float64)
     parameters: List[np.ndarray] = []
     offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        parameters.append(flat[offset : offset + size].reshape(shape).copy())
+    for shape, size in zip(shapes, sizes):
+        parameters.append(flat[offset : offset + size].reshape(shape))
         offset += size
     return parameters
 
 
 def parameter_num_bytes(parameters: Sequence[np.ndarray]) -> int:
     """Number of bytes one model transfer occupies on the wire."""
-    return sum(int(np.prod(p.shape)) for p in parameters) * _WIRE_DTYPE.itemsize
+    return parameter_count(parameters) * _WIRE_DTYPE.itemsize
 
 
 def parameter_count(parameters: Sequence[np.ndarray]) -> int:
     """Total number of scalar parameters across all arrays."""
-    return sum(int(np.prod(p.shape)) for p in parameters)
+    return sum(math.prod(p.shape) for p in parameters)

@@ -94,6 +94,44 @@ class TestCliRefusesBeforeTraining:
         assert captured.err.startswith("error: unknown experiment 'nosuch'")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, complaint",
+        [
+            ("--faults", "fault spec entry 'garbage' is not key=value"),
+            ("--aggregator", "unknown aggregator 'garbage'; available: mean, "
+             "median, trimmed_mean, norm_clip"),
+            ("--topology", "bad topology spec item 'garbage'; expected key=value"),
+            ("--selection", "unknown selection policy 'garbage'; available: "
+             "uniform, pareto, stratified"),
+            ("--churn", "churn spec entry 'garbage' is not key=value"),
+        ],
+    )
+    def test_garbage_spec_fails_without_federated_training(
+        self, flag, complaint, capsys
+    ):
+        # fig2 trains nothing federated, so only the CLI's own parse of
+        # the spec can refuse it; the message is the run-time parser's.
+        assert main(["run", "fig2", flag, "garbage"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {complaint}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--faults", "drop=0.1,seed=3"),
+            ("--aggregator", "trimmed_mean:0.3"),
+            ("--topology", "edges=2,seed=7"),
+            ("--selection", "stratified:0.5"),
+            ("--churn", "leave=0.15,rejoin=0.5,seed=11"),
+        ],
+    )
+    def test_valid_spec_is_kept_as_given(self, flag, value):
+        from repro.cli import _run_spec_from_args
+
+        spec = _run_spec_from_args(build_parser().parse_args(["run", "fig2", flag, value]))
+        assert getattr(spec, flag.lstrip("-")) == value
+
 
 class TestCliSinksOnFailure:
     def test_killed_run_keeps_its_streamed_events(self, tmp_path, capsys):

@@ -159,6 +159,27 @@ def test_tolerant_round_with_no_uploads_raises():
         drive_round(federation, make_updates(devices), senders=[], tolerant=True)
 
 
+@pytest.mark.parametrize("expected", ([0, 1, 2, 3, 4, 5], [5, 1, 3]))
+def test_tolerant_round_with_no_uploads_names_the_missing_devices(expected):
+    # Every edge degrades to "its devices were missing"; the root then
+    # has nothing to fold and names the round's devices in its order.
+    devices = make_devices(6)
+    federation = build_federation(devices, edges=2)
+    participants = [devices[index] for index in expected]
+    updates = make_updates(devices)
+    with pytest.raises(AggregationError) as raised:
+        drive_round(
+            federation,
+            {device: updates[device] for device in participants},
+            senders=[],
+            tolerant=True,
+        )
+    assert str(raised.value) == (
+        f"tolerant aggregation round 0 received no models at all "
+        f"(missing {participants})"
+    )
+
+
 def test_depth_one_delegates_and_records_no_tier_phases():
     devices = make_devices(4)
     updates = make_updates(devices, seed=9)
