@@ -18,6 +18,7 @@ crash-resume.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -227,7 +228,16 @@ class FederatedServer:
         ever held. Clients a robust aggregator rejected land in
         ``last_aggregation_rejected``.
         """
-        expected = tuple(expected_clients) if expected_clients is not None else self.client_ids
+        if expected_clients is None:
+            expected = self.client_ids
+        else:
+            expected = tuple(expected_clients)
+            if len(set(expected)) != len(expected):
+                counts = Counter(expected)
+                raise FederationError(
+                    f"duplicate client ids in the round {round_index} roster: "
+                    f"{[cid for cid in counts if counts[cid] > 1]}"
+                )
         self.last_aggregation_missing = []
         self.last_aggregation_rejected = []
         self.last_aggregation_quarantined = []

@@ -28,9 +28,12 @@ Each device keeps its *own* generators, consumed in the exact pattern
 serial code uses:
 
 * action sampling draws exactly one ``random()`` from the device's
-  softmax RNG per training step and reproduces
-  ``Generator.choice(n, p=...)`` arithmetic (normalised inclusive
-  cumsum, ``searchsorted``-right) vectorised across devices;
+  softmax RNG per training step and samples through
+  :func:`repro.rl.policies.softmax_cdf` / :func:`~repro.rl.policies.sample_cdf`,
+  the one statement of the softmax sample that
+  :class:`~repro.rl.policies.SoftmaxPolicy` also uses, over the
+  device axis; a row with NaN probabilities errors its device before
+  its stream moves, as serial does;
 * replay sampling calls each device's buffer RNG with the same
   ``choice(size, batch_size, replace=size < batch_size)`` arguments
   ``ReplayBuffer.sample`` uses;
@@ -121,7 +124,12 @@ from repro.parallel.payloads import (
 )
 from repro.parallel.worker import DeviceActor
 from repro.rl.agent import NeuralBanditAgent
-from repro.rl.policies import SoftmaxPolicy
+from repro.rl.policies import (
+    NAN_PROBABILITIES,
+    SoftmaxPolicy,
+    sample_cdf,
+    softmax_cdf,
+)
 from repro.rl.replay import ReplayBuffer, StackedReplayStore
 from repro.rl.rewards import PowerEfficiencyReward, power_efficiency_rewards
 from repro.rl.schedules import ExponentialDecaySchedule
@@ -159,8 +167,8 @@ def _actor_eligible(actor: DeviceActor) -> bool:
         and type(agent._softmax) is SoftmaxPolicy
         and type(controller.normalizer) is StateNormalizer
         and agent.num_features == NUM_STATE_FEATURES
-        # value() must stay strictly positive or serial would raise
-        # inside softmax — keep that error path on the serial side.
+        # value() must stay strictly positive or SoftmaxPolicy.select
+        # would raise — keep that error path on the serial side.
         and agent.temperature_schedule.minimum > 0.0
     )
 
@@ -518,26 +526,6 @@ class _StackedGroup:
             else:
                 states = before[view.rows] / scale_matrix[view.rows]
             values = predict(states, view.rows)
-
-            if not np.isfinite(values).all():
-                # Serial raises inside Generator.choice before drawing;
-                # mirror that — error the offending devices without
-                # consuming their softmax streams.
-                finite = np.isfinite(values).all(axis=1)
-                for row in [live[i] for i in np.flatnonzero(~finite)]:
-                    try:
-                        raise ValueError("probabilities do not sum to 1")
-                    except ValueError:
-                        errors[row] = traceback.format_exc()
-                    if train:
-                        consumed_at_death[row] = draws_done
-                live = [row for row in live if row not in errors]
-                if not live:
-                    break
-                keep = np.flatnonzero(finite)
-                states = states[keep]
-                values = values[keep]
-                view = self._live_view(live, sim_index)
             count = len(live)
 
             if train:
@@ -553,7 +541,7 @@ class _StackedGroup:
                     if tau is None:
                         tau = schedule_value(first_count)
                         cache[first_count] = tau
-                    scaled = values / tau
+                    cdf = softmax_cdf(values, tau)
                 else:
                     temperatures = np.empty(count, dtype=np.float64)
                     for position, steps in enumerate(counts.tolist()):
@@ -562,15 +550,27 @@ class _StackedGroup:
                             tau = schedule_value(steps)
                             cache[steps] = tau
                         temperatures[position] = tau
-                    scaled = values / temperatures[:, None]
-                # Vectorised softmax + Generator.choice(p=...) internals:
-                # same scalar ops per row as repro.utils.math.softmax
-                # followed by numpy's normalised-cumsum inversion.
-                scaled -= scaled.max(axis=1, keepdims=True)
-                np.exp(scaled, out=scaled)
-                probabilities = scaled / scaled.sum(axis=1)[:, None]
-                cdf = probabilities.cumsum(axis=1)
-                cdf /= cdf[:, -1].copy()[:, None]
+                    cdf = softmax_cdf(values, temperatures[:, None])
+                finite = np.isfinite(cdf[:, -1])
+                if not finite.all():
+                    # Serial raises before drawing; mirror that — error
+                    # the offending devices without consuming their
+                    # softmax streams.
+                    for row in [live[i] for i in np.flatnonzero(~finite)]:
+                        try:
+                            raise ValueError(NAN_PROBABILITIES)
+                        except ValueError:
+                            errors[row] = traceback.format_exc()
+                        consumed_at_death[row] = draws_done
+                    live = [row for row in live if row not in errors]
+                    if not live:
+                        break
+                    keep = np.flatnonzero(finite)
+                    states = states[keep]
+                    values = values[keep]
+                    cdf = cdf[keep]
+                    view = self._live_view(live, sim_index)
+                    count = len(live)
                 if count == len(draw_position):
                     uniforms = pre_draws[:, draws_done]
                 else:
@@ -578,7 +578,7 @@ class _StackedGroup:
                         [draw_position[row] for row in live], draws_done
                     ]
                 draws_done += 1
-                actions = (cdf <= uniforms[:, None]).sum(axis=1)
+                actions = sample_cdf(cdf, uniforms)
                 greedy = actions == values.argmax(axis=1)
             else:
                 actions = values.argmax(axis=1)

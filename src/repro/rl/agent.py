@@ -140,7 +140,7 @@ class NeuralBanditAgent:
             self._last_action_greedy = True
             return self._greedy.select(values)
         action = self._softmax.select(values, self.temperature)
-        self._last_action_greedy = bool(action == int(np.argmax(values)))
+        self._last_action_greedy = bool(action == values.argmax())
         return action
 
     def act(self, state: np.ndarray) -> int:

@@ -7,6 +7,9 @@ passed per call so the owning agent can anneal it with a schedule.
 
 from __future__ import annotations
 
+import math
+from typing import Union
+
 import numpy as np
 
 from repro.errors import PolicyError
@@ -31,9 +34,68 @@ class SoftmaxPolicy:
         return softmax(values, temperature)
 
     def select(self, values: np.ndarray, temperature: float) -> int:
-        """Sample one action from the softmax distribution."""
-        probs = self.probabilities(values, temperature)
-        return int(self._rng.choice(len(probs), p=probs))
+        """Sample one action from the softmax distribution.
+
+        The draw is ``Generator.choice(len(p), p=softmax(values,
+        temperature))``: the same action and the same generator state
+        afterwards. Like ``choice``, a row whose probabilities are NaN
+        raises ``ValueError`` before the generator moves.
+        """
+        values = _as_values(values)
+        if temperature <= 0.0:
+            raise ValueError(f"temperature must be positive, got {temperature}")
+        cdf = softmax_cdf(values, temperature)
+        if not math.isfinite(cdf[-1]):
+            raise ValueError(NAN_PROBABILITIES)
+        return int(sample_cdf(cdf, self._rng.random()))
+
+
+#: The ``ValueError`` message of a softmax row with NaN probabilities.
+NAN_PROBABILITIES = "Probabilities contain NaN"
+
+
+def softmax_cdf(
+    values: np.ndarray, temperature: Union[float, np.ndarray]
+) -> np.ndarray:
+    """The normalised softmax CDF (Eq. 3) over the last axis of ``values``.
+
+    This is the single statement of the softmax sample. It repeats, op
+    for op, what ``Generator.choice(n, p=softmax(values, temperature))``
+    computes before drawing: divide by the temperature, subtract the
+    maximum, exponentiate, divide by the (pairwise) sum, take the
+    inclusive cumsum and divide it by its last entry. ``choice`` then
+    draws one uniform ``u`` and returns ``cdf.searchsorted(u, "right")``,
+    which is :func:`sample_cdf`; so one uniform per row reproduces
+    ``choice`` bit for bit.
+
+    ``values`` is one row ``(A,)`` or a stack ``(D, A)``; ``temperature``
+    a positive scalar or a ``(D, 1)`` column. A row whose last CDF entry
+    is NaN is one ``choice`` refuses with :data:`NAN_PROBABILITIES`: a
+    NaN or ``+inf`` value, a row of ``-inf``, or finite values whose
+    ``values / temperature`` overflows.
+    """
+    # On the transpose the last axis is the first, so every reduction
+    # broadcasts back without ``keepdims`` (a row is its own transpose).
+    scaled = (values / temperature).T
+    scaled -= np.maximum.reduce(scaled)
+    np.exp(scaled, out=scaled)
+    scaled /= np.add.reduce(scaled)
+    cdf = np.add.accumulate(scaled)
+    cdf /= cdf[-1]
+    return cdf.T
+
+
+def sample_cdf(cdf: np.ndarray, uniforms: Union[float, np.ndarray]):
+    """The action each uniform selects: ``searchsorted(u, "right")`` per row.
+
+    ``cdf`` is one row ``(A,)`` with one uniform, or a stack ``(D, A)``
+    with one uniform per row, from :func:`softmax_cdf`. A stack has no
+    row-wise ``searchsorted``; a CDF is sorted, so the count of entries
+    ``<= u`` is the same right-side insertion point.
+    """
+    if cdf.ndim == 1:
+        return cdf.searchsorted(uniforms, "right")
+    return (cdf.T <= uniforms).sum(axis=0)
 
 
 class EpsilonGreedyPolicy:

@@ -78,6 +78,28 @@ class TestServer:
         with pytest.raises(FederationError, match="duplicate"):
             server.aggregate(0)
 
+    @pytest.mark.parametrize("tolerant", (False, True))
+    def test_aggregate_refuses_a_roster_naming_a_client_twice(self, tolerant):
+        # Every roster client uploaded: the duplicate alone is the fault.
+        transport, server, clients = make_system()
+        clients[0].send_local(0)
+        clients[1].send_local(0)
+        with pytest.raises(FederationError, match=r"roster: \['device-A'\]"):
+            server.aggregate(
+                0,
+                expected_clients=["device-A", "device-A", "device-B"],
+                tolerant=tolerant,
+            )
+
+    def test_duplicate_roster_is_named_before_an_off_roster_sender(self):
+        # device-C uploads but is not on the roster; the duplicate
+        # device-A is still what the error names.
+        transport, server, clients = make_system(num_clients=3)
+        clients[0].send_local(0)
+        clients[2].send_local(0)
+        with pytest.raises(FederationError, match=r"roster: \['device-A'\]"):
+            server.aggregate(0, expected_clients=["device-A", "device-A"])
+
     def test_weighted_aggregation(self):
         transport, server, clients = make_system()
         zeros = [np.zeros_like(p) for p in server.global_parameters]

@@ -25,6 +25,7 @@ from repro.experiments.training import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.parallel.engine import DeviceFleet
+from repro.rl.policies import NAN_PROBABILITIES
 from repro.rl.prioritized_replay import PrioritizedReplayBuffer
 from repro.rl.rewards import PowerEfficiencyReward
 from repro.runspec import BACKEND_NAMES
@@ -284,6 +285,24 @@ def _nan_weights_builder(
     return parts
 
 
+def _overflow_weights_builder(
+    device_name, metrics, profiler, assignments, config, eval_apps
+):
+    """BENCH_001 predicts the largest finite double for every action:
+    finite values whose ``values / tau`` overflows at any tau <= 0.9."""
+    parts = _local_actor_parts(
+        device_name, metrics, profiler, assignments, config, eval_apps
+    )
+    if device_name == FAILING_DEVICE:
+        agent = parts.controller.agent
+        *hidden, weights, bias = agent.get_parameters()
+        agent.set_parameters(
+            hidden
+            + [np.zeros_like(weights), np.full_like(bias, np.finfo(np.float64).max)]
+        )
+    return parts
+
+
 def _run_tolerating_errors(builder, backend, flight=None, rounds=3):
     """Like ``_run_rounds`` but a failing device only flags its outcome;
     also returns each device's softmax generator state."""
@@ -386,25 +405,66 @@ def test_update_failure_matches_serial(monkeypatch):
     assert flight_s.steps_by_device() == {name: 30 + 10 + 30 for name in ASSIGNMENTS}
 
 
-def test_non_finite_action_values_error_only_that_device():
-    """NaN action values: serial raises inside ``Generator.choice``
-    before drawing, so the device errors with its softmax stream
-    untouched while the rest of the fleet trains on."""
+def _assert_only_failing_device_errors(builder):
+    """Both backends error FAILING_DEVICE at its first step of every
+    round, with the same message, and leave everything else alike."""
     errored_s, records_s, params_s, softmax_s = _run_tolerating_errors(
-        _nan_weights_builder, "serial", rounds=2
+        builder, "serial", rounds=2
     )
     errored_b, records_b, params_b, softmax_b = _run_tolerating_errors(
-        _nan_weights_builder, "batched", rounds=2
+        builder, "batched", rounds=2
     )
     assert errored_s == [[FAILING_DEVICE], [FAILING_DEVICE]]
     assert errored_b == errored_s
     assert records_b == records_s
     _assert_same_parameters(params_s, params_b)
     assert softmax_b == softmax_s
-    _, _, _, untouched = _run_tolerating_errors(
-        _nan_weights_builder, "serial", rounds=0
-    )
+    _, _, _, untouched = _run_tolerating_errors(builder, "serial", rounds=0)
     assert softmax_b[FAILING_DEVICE] == untouched[FAILING_DEVICE]
+    for backend in ("serial", "batched"):
+        config = _config()
+        specs = _worker_specs(builder, ASSIGNMENTS, config, EVAL_APPS, None, None)
+        with DeviceFleet(specs, backend=backend) as fleet:
+            outcome = fleet.run_round(
+                0, list(ASSIGNMENTS), config.steps_per_round, raise_on_error=False
+            )[FAILING_DEVICE]
+        assert outcome.error.rstrip().endswith(f"ValueError: {NAN_PROBABILITIES}")
+
+
+def test_non_finite_action_values_error_only_that_device():
+    """NaN action values: the softmax probabilities are NaN, so serial
+    raises before drawing and the device errors with its softmax stream
+    untouched while the rest of the fleet trains on."""
+    _assert_only_failing_device_errors(_nan_weights_builder)
+
+
+def test_overflowing_action_values_error_only_that_device():
+    """Finite action values whose ``values / tau`` overflows give NaN
+    probabilities too: batched errors the device as serial does, where
+    it used to take action 0 without a word."""
+    _assert_only_failing_device_errors(_overflow_weights_builder)
+
+
+def test_non_finite_action_values_in_a_greedy_round_match_serial():
+    """A greedy round takes the argmax and draws nothing, so NaN action
+    values are no error on either backend: serial and batched take the
+    same actions."""
+    config = _config()
+    names = list(ASSIGNMENTS)
+    runs = {}
+    for backend in ("serial", "batched"):
+        specs = _worker_specs(
+            _nan_weights_builder, ASSIGNMENTS, config, EVAL_APPS, None, None
+        )
+        with DeviceFleet(specs, backend=backend) as fleet:
+            outcomes = fleet.run_round(
+                0, names, config.steps_per_round, train=False, raise_on_error=False
+            )
+        runs[backend] = {
+            name: (outcomes[name].error, outcomes[name].records) for name in names
+        }
+    assert all(error is None for error, _ in runs["serial"].values())
+    assert runs["batched"] == runs["serial"]
 
 
 # -- the simulator kernel under the lockstep loop: fallback and composition --
