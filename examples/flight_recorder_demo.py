@@ -6,8 +6,8 @@ metrics registry, round tracer and hot-path profiler — followed by the
 offline Markdown report the ``repro-power obs-report`` subcommand
 builds from the same artefacts. It demonstrates:
 
-* attaching telemetry sinks as fields of the ambient run description
-  (``repro.runspec.ambient`` — no experiment code changes needed),
+* attaching telemetry sinks as run options — each sink is a
+  :class:`repro.runspec.RunSpec` field the driver takes by keyword,
 * interrogating the flight recorder in-process: OPP dwell histograms,
   per-device ``P > P_crit`` violation rates, exploration fraction,
 * cross-checking the recorder against the run's own
@@ -30,7 +30,6 @@ from repro.obs import (
     ScopeProfiler,
     generate_report,
 )
-from repro.runspec import ambient
 
 
 def main() -> None:
@@ -43,10 +42,14 @@ def main() -> None:
     metrics, tracer, profiler = MetricsRegistry(), RoundTracer(), ScopeProfiler()
 
     print("training 2 federated devices with telemetry attached ...")
-    with ambient(
-        metrics=metrics, tracer=tracer, flight=flight, profiler=profiler
-    ):
-        result = train_federated(assignments, config)
+    result = train_federated(
+        assignments,
+        config,
+        metrics=metrics,
+        tracer=tracer,
+        flight=flight,
+        profiler=profiler,
+    )
 
     # --- interrogate the recorder directly ---------------------------
     print(f"\nflight records retained: {len(flight)}")

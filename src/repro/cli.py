@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
@@ -26,11 +27,12 @@ from repro.errors import (
 from repro.experiments.registry import (
     EXPERIMENTS, Runner, get_experiment, list_experiments, paper_config, smoke_config,
 )
+from repro.guard.context import GuardReport
 from repro.obs import (
     FlightRecorder, MetricsRegistry, RoundTracer, ScopeProfiler, setup_logging,
 )
 from repro.obs.report import report_from_files
-from repro.runspec import BACKEND_NAMES, DEFAULT_BACKEND, RunSpec, ambient
+from repro.runspec import BACKEND_NAMES, DEFAULT_BACKEND, RunSpec
 
 
 class Flag(NamedTuple):
@@ -463,14 +465,11 @@ def _require(args, outputs=(), files=(), what: str = "telemetry file") -> None:
             raise ConfigurationError(f"{what} does not exist: {path!r}")
 
 
-def _guard_exit_code(default: int = 0) -> int:
-    """``default``, or :data:`EXIT_FULLY_DEGRADED` when the guarded run
-    ended fully degraded."""
-    from repro.guard import consume_guard_report
-
-    report = consume_guard_report()
+def _guard_exit_code(report: Optional[GuardReport]) -> int:
+    """0, or :data:`EXIT_FULLY_DEGRADED` when ``report`` (the last
+    guarded run's, ``None`` if none ran) ended fully degraded."""
     if report is None:
-        return default
+        return 0
     if report.quarantined_devices:
         print(
             "[guard] quarantined devices: "
@@ -488,7 +487,7 @@ def _guard_exit_code(default: int = 0) -> int:
             file=sys.stderr,
         )
         return EXIT_FULLY_DEGRADED
-    return default
+    return 0
 
 
 def _prepare(args):
@@ -512,13 +511,14 @@ def _run_experiment(args) -> int:
             rounds=args.rounds or config.num_rounds,
             steps_per_round=args.steps or config.steps_per_round,
         )
-    with _attached(args, spec.id, config, options):
-        output = Runner(config).text(spec.id)
+    with _attached(args, spec.id, config, options) as base:
+        runner = Runner(config, base)
+        output = runner.text(spec.id)
     print(output)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(output + "\n")
-    return _guard_exit_code()
+    return _guard_exit_code(runner.guard_report)
 
 
 def _run_report(args) -> int:
@@ -536,15 +536,15 @@ def _run_report(args) -> int:
         raise ConfigurationError(
             f"cannot create report directory {args.output_dir!r}: {error.strerror}"
         ) from None
-    with _attached(args, "report", config, options):
+    with _attached(args, "report", config, options) as base:
         # One runner: artefacts needing the same training run share it.
-        runner = Runner(config)
+        runner = Runner(config, base)
         for spec in artefacts:
             print(f"running {spec.id} ({spec.paper_artifact}) ...")
             path = output_dir / f"{spec.id}.txt"
             path.write_text(runner.text(spec.id) + "\n")
             print(f"  -> {path}")
-    return _guard_exit_code()
+    return _guard_exit_code(runner.guard_report)
 
 
 def _telemetry_header(args, experiment: str, config, options: RunSpec) -> dict:
@@ -572,12 +572,15 @@ def _telemetry_header(args, experiment: str, config, options: RunSpec) -> dict:
 
 
 @contextmanager
-def _attached(args, experiment: str, config, options: RunSpec) -> Iterator[None]:
-    """Make ``options`` and the sinks its flags' rows name ambient for the block.
+def _attached(
+    args, experiment: str, config, options: RunSpec
+) -> Iterator[RunSpec]:
+    """Build the sinks the flags' rows name; yield ``options`` with them set.
 
-    The live sinks — event pipeline, metrics server, store — are
-    flushed, stopped and closed on every exit path, so a killed or
-    halted run keeps the events it emitted. What is written from the
+    The yielded spec is the base every run of the block trains under
+    (``Runner(config, base)``). The live sinks — event pipeline,
+    metrics server, store — are flushed, stopped and closed on every
+    exit path, so a killed or halted run keeps the events it emitted. What is written from the
     finished run (``--metrics-out``, ``--flight-out``, the profile
     table, the store's summary) is written only when the block succeeds.
     """
@@ -639,8 +642,7 @@ def _attached(args, experiment: str, config, options: RunSpec) -> Iterator[None]
                 server.start()
                 live.callback(server.stop)
                 print(f"[obs] serving metrics on {server.url}", file=sys.stderr)
-            with ambient(options, **sinks):
-                yield
+            yield replace(options, **sinks)
             if sinks["profiler"] is not None:
                 if metrics is not None:
                     sinks["profiler"].export_to(metrics)

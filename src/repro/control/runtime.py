@@ -38,6 +38,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import NULL_SCOPE, ScopeProfiler
+from repro.rl.policies import softmax_errstate
 from repro.sim.device import DeviceEnvironment
 from repro.sim.processor import ProcessorSnapshot
 from repro.sim.trace import StepBlock, StepLog, observation_lanes
@@ -146,7 +147,7 @@ class ControlSession:
             if self.profiler is not None
             else NULL_SCOPE
         )
-        with scope:
+        with scope, softmax_errstate():
             block = self._run_steps(num_steps, round_index, train, record)
 
         # Metric emission happens once per call, not per step, so an

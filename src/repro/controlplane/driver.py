@@ -1,9 +1,9 @@
 """``train_async_federated`` — the control plane's training driver.
 
 Same surface as :func:`repro.experiments.training.train_federated`
-(assignments + :class:`FederatedPowerControlConfig` in, a
-:class:`TrainingResult` out, ambient :class:`~repro.runspec.RunSpec`
-respected) and the same device hosting
+(assignments + :class:`FederatedPowerControlConfig` + the
+:class:`~repro.runspec.RunSpec` fields it is given in, a
+:class:`TrainingResult` out) and the same device hosting
 (:class:`~repro.experiments.training.FederatedHosting`: every device in
 a :class:`~repro.parallel.engine.DeviceFleet` actor, driver-side mirror
 agents as the transport endpoints), but the round loop is the
@@ -51,7 +51,7 @@ from repro.federated.async_server import (
 )
 from repro.federated.orchestrator import FederatedRunResult
 from repro.obs.logging import get_logger
-from repro.runspec import FIELD_NAMES, RunSpec, current
+from repro.runspec import FIELD_NAMES, RunSpec
 from repro.utils.validation import require_positive
 
 #: Reserved ``device_blobs`` key carrying the loop's own progress in a
@@ -59,8 +59,8 @@ from repro.utils.validation import require_positive
 CONTROLPLANE_BLOB_KEY = "__controlplane__"
 
 #: The :class:`~repro.runspec.RunSpec` fields this driver honours. Every
-#: other field that is switched on — passed or ambient — is refused by
-#: name rather than silently dropped.
+#: other field that is switched on is refused by name rather than
+#: silently dropped.
 HONOURED_FIELDS = frozenset(
     {"controlplane", "faults", "aggregator", "retry", "checkpoint"}
     | {"metrics", "tracer", "events", "profiler", "flight"}
@@ -70,13 +70,12 @@ HONOURED_FIELDS = frozenset(
 _LOG = get_logger("controlplane.driver")
 
 
-def refuse_unhonoured(explicit: RunSpec, ambient: RunSpec = RunSpec()) -> None:
+def refuse_unhonoured(spec: RunSpec) -> None:
     """Raise naming every switched-on field the async plane would drop."""
     named = [
         name
         for name in FIELD_NAMES
-        if name not in HONOURED_FIELDS
-        and (explicit.is_on(name) or ambient.is_on(name))
+        if name not in HONOURED_FIELDS and spec.is_on(name)
     ]
     if named:
         raise ConfigurationError(
@@ -122,10 +121,9 @@ def train_async_federated(
 ) -> TrainingResult:
     """Run federated training under the async control plane.
 
-    ``options`` are :class:`~repro.runspec.RunSpec` fields, resolved
-    over the ambient spec exactly like
-    :func:`~repro.experiments.training.train_federated`'s; this driver
-    honours :data:`HONOURED_FIELDS` and refuses the rest by name
+    ``options`` are :class:`~repro.runspec.RunSpec` fields, read
+    exactly like :func:`~repro.experiments.training.train_federated`'s;
+    this driver honours :data:`HONOURED_FIELDS` and refuses the rest by name
     (:func:`refuse_unhonoured`). ``controlplane`` falls back to
     :class:`ControlPlaneConfig` defaults. ``round_duration_s``
     overrides the skewed speed profile (modelled seconds per local
@@ -133,9 +131,8 @@ def train_async_federated(
     drive the registry, and a configured checkpoint is where a degraded
     halt writes its resumable snapshot before the CLI exits with code 6.
     """
-    explicit, ambient = RunSpec(**options), current()
-    refuse_unhonoured(explicit, ambient)
-    spec = explicit.over(ambient)
+    spec = RunSpec(**options)
+    refuse_unhonoured(spec)
     metrics, events = spec.metrics, spec.events
     cp = spec.controlplane or ControlPlaneConfig(enabled=True)
     if round_duration_s is None:

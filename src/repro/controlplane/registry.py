@@ -17,7 +17,8 @@ execution backend. Permanent deaths (fault-plan kind ``dead``) pin the
 device in DEAD; rejoining is refused.
 
 Every transition is appended to :attr:`DeviceRegistry.transitions`,
-emitted as a ``device_state`` event into the ambient obs pipeline and
+emitted as a ``device_state`` event into the event pipeline it was
+given and
 counted in the ``controlplane.*`` metrics, which is what ``obs-watch``
 and the :class:`~repro.obs.rollup.FleetRollup` render.
 """

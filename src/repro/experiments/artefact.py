@@ -33,8 +33,9 @@ Numbers = Dict[str, Any]
 @dataclass(frozen=True)
 class Run:
     """One training-driver call: which driver (``"train_federated"``,
-    ``"train_local_only"`` or ``"train_collab_profit"``), on which fleet,
-    with what config and ``RunSpec`` options."""
+    ``"train_local_only"``, ``"train_collab_profit"`` or
+    ``"train_async_federated"``), on which fleet, with what config and
+    ``RunSpec`` options."""
 
     driver: str
     assignments: Mapping[str, Tuple[str, ...]]

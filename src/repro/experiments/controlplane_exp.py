@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import os
 
-from repro.experiments.artefact import Artefact
-from repro.experiments.scenarios import evaluation_applications
+from repro.experiments.artefact import Artefact, Run
 from repro.faults.plan import FaultPlan
 from repro.sim.workload import SPLASH2_APPLICATION_NAMES
 from repro.utils.tables import format_table
@@ -40,33 +39,40 @@ def controlplane_assignments(num_devices: int = NUM_DEVICES):
     }
 
 
-def _reduce(results, config):
-    """Async control plane under 30% permanent device death."""
-    from repro.controlplane import train_async_federated
+def _dead_fraction() -> float:
+    return float(os.environ.get(DEAD_FRACTION_ENV, DEAD_FRACTION))
 
-    assignments = controlplane_assignments()
-    dead_fraction = float(
-        os.environ.get(DEAD_FRACTION_ENV, DEAD_FRACTION)
-    )
-    plan = FaultPlan.random(
+
+def _plan(config) -> FaultPlan:
+    return FaultPlan.random(
         num_rounds=config.num_rounds,
-        devices=list(assignments),
+        devices=list(controlplane_assignments()),
         seed=config.seed,
-        dead_fraction=dead_fraction,
+        dead_fraction=_dead_fraction(),
         hb_loss_rate=HB_LOSS_RATE,
     )
-    result = train_async_federated(
-        assignments,
-        config,
-        eval_applications=evaluation_applications(),
-        faults=plan,
-    )
+
+
+def _runs(config):
+    return {
+        "async": Run(
+            "train_async_federated",
+            controlplane_assignments(),
+            config,
+            {"faults": _plan(config)},
+        )
+    }
+
+
+def _reduce(results, config):
+    """Async control plane under 30% permanent device death."""
+    result = results["async"]
     cp = result.controlplane
     counts = cp["registry"]["counts"]
     return {
-        "dead_fraction": dead_fraction,
-        "devices": len(assignments),
-        "dead_devices": list(plan.dead_devices),
+        "dead_fraction": _dead_fraction(),
+        "devices": len(result.assignments),
+        "dead_devices": list(_plan(config).dead_devices),
         "final_mode": str(cp["mode"]),
         "live_fraction": cp["registry"]["live_fraction"],
         "registry_counts": [f"{state}={n}" for state, n in sorted(counts.items())],
@@ -123,4 +129,5 @@ CONTROLPLANE = Artefact(
     "extension",
     _reduce,
     _render,
+    _runs,
 )

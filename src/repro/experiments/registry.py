@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import replace
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments import ablations, training
@@ -34,7 +34,8 @@ from repro.experiments.scenarios import SCENARIOS
 from repro.experiments.sweep import SWEEP_LR
 from repro.experiments.table3 import TABLE3
 from repro.experiments.training import TrainingResult
-from repro.runspec import resolve
+from repro.guard.context import GuardReport
+from repro.runspec import FIELD_NAMES, RunSpec
 from repro.utils.tables import format_table
 
 #: Environment variable that switches benchmarks to the full paper scale.
@@ -128,22 +129,39 @@ def list_experiments() -> str:
                         title="Registered experiments")
 
 
+def _driver(name: str):
+    """The training driver a :class:`Run` names."""
+    if name == "train_async_federated":
+        # Lazy: repro.controlplane imports repro.experiments.training.
+        from repro.controlplane import train_async_federated
+
+        return train_async_federated
+    return getattr(training, name)
+
+
 class Runner:
     """Trains declared runs for one config, each distinct run once.
 
-    A run is keyed by its driver, config, assignments and resolved
-    ``RunSpec`` options (ambient ones included), so artefacts needing
-    the same run share its :class:`TrainingResult` — results are read,
-    never retrained. An option holding its own random stream (a
-    ``DPGaussianCodec``) describes where that stream stands, so two
+    Every run trains under ``RunSpec(**run.options).over(base)``: the
+    run's own options win field by field, and the ``base`` spec — the
+    CLI's flags and sinks — fills in the rest. A run is keyed by its
+    driver, config, assignments and that merged spec, so artefacts
+    needing the same run share its :class:`TrainingResult` — results
+    are read, never retrained. An option holding its own random stream
+    (a ``DPGaussianCodec``) describes where that stream stands, so two
     runs share only if they would draw the same numbers.
     """
 
-    def __init__(self, config: FederatedPowerControlConfig) -> None:
+    def __init__(
+        self, config: FederatedPowerControlConfig, base: RunSpec = RunSpec()
+    ) -> None:
         self.config = config
+        self.base = base
         self._results: Dict[str, TrainingResult] = {}
         #: Driver calls made so far (distinct runs trained).
         self.trained_runs = 0
+        #: The report of the last guarded run trained (``None`` until one).
+        self.guard_report: Optional[GuardReport] = None
 
     def train(self, run: Run) -> TrainingResult:
         """The result of ``run``: cached, or trained now.
@@ -152,16 +170,22 @@ class Runner:
         evaluating one moves its state (a guarded controller's watchdog
         counts steps), and no artefact may see another's evaluation.
         """
-        key = resolve(**run.options).fingerprint(
+        spec = RunSpec(**run.options).over(self.base)
+        key = spec.fingerprint(
             driver=run.driver,
             config=run.config,
             assignments=sorted(run.assignments.items()),
         )
         if key not in self._results:
-            self._results[key] = getattr(training, run.driver)(
-                dict(run.assignments), run.config, **run.options
+            result = _driver(run.driver)(
+                dict(run.assignments),
+                run.config,
+                **{name: getattr(spec, name) for name in FIELD_NAMES},
             )
+            self._results[key] = result
             self.trained_runs += 1
+            if result.guard_report is not None:
+                self.guard_report = result.guard_report
         result = self._results[key]
         return replace(result, controllers=copy.deepcopy(result.controllers))
 

@@ -41,7 +41,7 @@ from repro.federated.collab import CollabPolicyServer
 from repro.federated.orchestrator import FederatedRunResult, run_federated_training
 from repro.federated.server import FederatedServer
 from repro.guard.churn import ChurnPlan
-from repro.guard.context import GuardReport, publish_guard_report
+from repro.guard.context import GuardReport
 from repro.hier.selection import SelectionPolicy, build_selection_policy
 from repro.hier.shard import HierarchicalFederation
 from repro.hier.topology import FleetTopology
@@ -49,7 +49,6 @@ from repro.guard.quarantine import QuarantineConfig, QuarantineManager
 from repro.guard.watchdog import GuardedController, WatchdogConfig, guard_controller
 from repro.federated.transport import InMemoryTransport
 from repro.nn.losses import MeanSquaredErrorLoss
-from repro.obs.flight import FlightRecorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
@@ -57,7 +56,7 @@ from repro.obs.tracing import RoundTracer
 from repro.parallel.engine import DeviceFleet, FleetTrainExecutor
 from repro.parallel.payloads import ActorParts, FaultInjector, WorkerSpec
 from repro.rl.schedules import ExponentialDecaySchedule
-from repro.runspec import RunSpec, resolve
+from repro.runspec import RunSpec
 from repro.sim.device import DeviceEnvironment, build_default_device
 from repro.sim.opp import JETSON_NANO_OPP_TABLE
 from repro.sim.trace import StepLog
@@ -89,6 +88,9 @@ class TrainingResult:
     #: buffer snapshots, ``time_to_version``); ``None`` for every
     #: synchronous run.
     controlplane: Optional[Dict[str, object]] = None
+    #: Fleet health at the end of a guarded run (watchdog, quarantine or
+    #: churn on); ``None`` for every unguarded run.
+    guard_report: Optional[GuardReport] = None
 
     @property
     def device_names(self) -> List[str]:
@@ -215,7 +217,7 @@ def _resolve_run_resilience(
     eval_apps: Tuple[str, ...],
     **identity: object,
 ) -> _ResolvedResilience:
-    """Materialise the resilience fields of a resolved ``spec`` for one run.
+    """Materialise the resilience fields of the run's ``spec``.
 
     Spec strings become concrete objects (``FaultPlan.from_spec``
     against this run's rounds and devices, ``build_aggregator`` for
@@ -275,7 +277,7 @@ def _materialize_guard(
 ) -> Tuple[
     Optional[WatchdogConfig], Optional[QuarantineManager], Optional[ChurnPlan]
 ]:
-    """Turn a resolved spec's guard fields into live objects.
+    """Turn the run spec's guard fields into live objects.
 
     ``guard`` may be ``True`` (default thresholds) or a
     :class:`WatchdogConfig`; ``quarantine`` ``True``, a
@@ -326,7 +328,7 @@ def _materialize_hier(
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
 ) -> Tuple[Optional[FleetTopology], Optional[SelectionPolicy]]:
-    """Turn a resolved spec's hierarchy fields into live objects.
+    """Turn the run spec's hierarchy fields into live objects.
 
     ``topology`` may be a :class:`~repro.hier.topology.FleetTopology`
     (validated against this run's roster) or a spec string resolved
@@ -400,25 +402,25 @@ def _build_federated_server(
     )
 
 
-def _publish_guard_summary(
-    controllers: Dict[str, PowerController],
+def _fill_guard_report(
+    result: TrainingResult,
     run_result: FederatedRunResult,
     guarded: bool,
 ) -> None:
-    """Fill the run result's watchdog accounting and publish the report.
+    """Fill the run result's watchdog accounting and ``result.guard_report``.
 
     ``run_result.fallback_steps_by_device`` comes straight off the
     guarded controllers (the flight recorder's per-device fallback
     counters must agree — an integration test cross-checks them); the
-    :class:`GuardReport` rides the ambient slot back to the CLI, which
-    turns a fully degraded fleet into a dedicated exit code.
+    :class:`GuardReport` rides the result back to the CLI, which turns
+    a fully degraded fleet into a dedicated exit code.
     """
     states: Dict[str, str] = {}
     trips: Dict[str, int] = {}
     fallback: Dict[str, int] = {}
     steps: Dict[str, int] = {}
     if guarded:
-        for name, controller in controllers.items():
+        for name, controller in result.controllers.items():
             if not isinstance(controller, GuardedController):
                 continue
             states[name] = controller.state
@@ -426,17 +428,15 @@ def _publish_guard_summary(
             fallback[name] = controller.fallback_steps_total
             steps[name] = controller.steps_total
         run_result.fallback_steps_by_device = dict(fallback)
-    publish_guard_report(
-        GuardReport(
-            device_states=states,
-            trip_counts=trips,
-            fallback_steps=fallback,
-            guarded_steps=steps,
-            quarantined_devices=tuple(run_result.quarantined_devices),
-            quarantine_events=sum(
-                len(entry) for entry in run_result.quarantined_by_round
-            ),
-        )
+    result.guard_report = GuardReport(
+        device_states=states,
+        trip_counts=trips,
+        fallback_steps=fallback,
+        guarded_steps=steps,
+        quarantined_devices=tuple(run_result.quarantined_devices),
+        quarantine_events=sum(
+            len(entry) for entry in run_result.quarantined_by_round
+        ),
     )
 
 
@@ -678,16 +678,13 @@ def _hosted_run(
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     eval_apps: Tuple[str, ...],
-    backend: str,
-    metrics: Optional[MetricsRegistry],
-    flight: Optional[FlightRecorder],
-    profiler: Optional[ScopeProfiler],
-    events,
+    spec: RunSpec,
     builder_kwargs: Optional[Dict[str, object]] = None,
 ) -> Iterator[Tuple[DeviceFleet, TrainingResult, Callable[..., None]]]:
     """Host every device in a :class:`DeviceFleet` for one training run.
 
-    The skeleton every driver shares, on every backend: open
+    The skeleton every driver shares, on every backend (``spec``'s
+    ``backend``, with its sinks attached): open
     the fleet (one actor per device), yield ``(fleet, result,
     evaluate_if_due)`` for the caller to run its rounds, then — only if
     they finished — fetch the live controllers and mean decision latency
@@ -697,6 +694,7 @@ def _hosted_run(
     policy.
     """
     result = TrainingResult(name=name, assignments=dict(assignments), controllers={})
+    metrics, profiler, events = spec.metrics, spec.profiler, spec.events
     specs = _worker_specs(
         builder,
         assignments,
@@ -709,10 +707,10 @@ def _hosted_run(
     )
     with DeviceFleet(
         specs,
-        backend=backend,
+        backend=spec.get("backend"),
         trace=result.train_trace,
         metrics=metrics,
-        flight=flight,
+        flight=spec.flight,
         profiler=profiler,
         events=events,
     ) as fleet:
@@ -803,11 +801,7 @@ class FederatedHosting:
             self.assignments,
             config,
             self.eval_apps,
-            spec.get("backend"),
-            metrics=spec.metrics,
-            flight=spec.flight,
-            profiler=spec.profiler,
-            events=spec.events,
+            spec,
             builder_kwargs={"fault_injector": fault_injector, "guard": self.watchdog},
         ) as (self.fleet, self.result, self.evaluate_if_due):
             if self.snapshot is not None:
@@ -882,8 +876,8 @@ class FederatedHosting:
             run_result.power_steps_by_device,
         ) = self._power_counts()
         if any(x is not None for x in (self.watchdog, self.quarantine, self.churn)):
-            _publish_guard_summary(
-                result.controllers, run_result, guarded=self.watchdog is not None
+            _fill_guard_report(
+                result, run_result, guarded=self.watchdog is not None
             )
         result.federated_result = run_result
         result.communication_bytes = run_result.total_bytes_communicated
@@ -902,9 +896,10 @@ def train_federated(
     on every device across the evaluation application set.
 
     ``options`` are the fields of :class:`~repro.runspec.RunSpec`, by
-    name; one left out (or ``None``) defaults to the ambient spec
-    (:func:`repro.runspec.ambient` — how the CLI's flags reach here
-    without every experiment threading them through), then to off.
+    name; one left out (or ``None``) is off. The run uses exactly what
+    it is given: the CLI's flags reach an artefact's run because
+    :class:`~repro.experiments.registry.Runner` lays the run's own
+    options over its base spec before calling here.
 
     Protocol: ``participation_fraction`` and ``aggregation_weights``
     shape each round's draw and average. ``codec`` selects the model
@@ -959,8 +954,8 @@ def train_federated(
     :class:`~repro.guard.churn.ChurnPlan` or spec string such as
     ``"leave=0.15,rejoin=0.5,late=1,seed=11"``) drives dynamic fleet
     membership. With all three off the run is bit-identical to an
-    unguarded one. A guarded run publishes a
-    :class:`~repro.guard.context.GuardReport` for the CLI to consume.
+    unguarded one. A guarded run's result carries a
+    :class:`~repro.guard.context.GuardReport` in ``guard_report``.
 
     Hierarchy (:mod:`repro.hier`): ``topology`` arranges the fleet into
     a multi-tier aggregation tree (a
@@ -978,10 +973,9 @@ def train_federated(
     :func:`~repro.controlplane.driver.train_async_federated`, which
     honours the fields in its ``HONOURED_FIELDS`` and raises
     :class:`~repro.errors.ConfigurationError` naming any other field
-    that is switched on — passed here or ambient — instead of dropping
-    it.
+    that is switched on instead of dropping it.
     """
-    spec = resolve(**options)
+    spec = RunSpec(**options)
     if spec.is_on("controlplane"):
         # Lazy: repro.controlplane imports this module.
         from repro.controlplane.driver import train_async_federated
@@ -1102,7 +1096,7 @@ def _train_baseline(
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     eval_applications: Optional[Sequence[str]],
-    backend: Optional[str],
+    options: Dict[str, object],
     exchange=None,
 ) -> TrainingResult:
     """The round loop the two non-federated baselines share.
@@ -1110,17 +1104,17 @@ def _train_baseline(
     Every round trains the whole fleet, then ``exchange(fleet)`` (when
     given) runs the baseline's own collaboration step and returns the
     bytes it moved; each device's *own* policy is evaluated on the
-    configured cadence.
+    configured cadence. Of the ``options`` (:class:`RunSpec` fields)
+    only ``backend`` and the sinks act on a run without federation.
     """
     _check_assignments(assignments)
-    spec = resolve(backend=backend)
-    backend = spec.get("backend")
+    spec = RunSpec(**options)
     _LOG.info(
         f"{name} training starting",
         extra={
             "devices": len(assignments),
             "rounds": config.num_rounds,
-            "backend": backend,
+            "backend": spec.get("backend"),
         },
     )
     with _hosted_run(
@@ -1129,11 +1123,7 @@ def _train_baseline(
         assignments,
         config,
         tuple(eval_applications or evaluation_applications()),
-        backend,
-        metrics=spec.metrics,
-        flight=spec.flight,
-        profiler=spec.profiler,
-        events=spec.events,
+        spec,
     ) as (fleet, result, evaluate_if_due):
         for round_index in range(config.num_rounds):
             fleet.run_round(
@@ -1149,15 +1139,17 @@ def train_local_only(
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     eval_applications: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
+    **options,
 ) -> TrainingResult:
     """Train the identical agents with no collaboration.
 
     Each device's own policy is evaluated after every round — the
-    left-hand columns of Fig. 3. ``backend`` selects the
-    execution engine exactly as in :func:`train_federated`; with no
-    cross-device coupling at all, this driver parallelises trivially
-    (results are bit-identical on every backend).
+    left-hand columns of Fig. 3. ``options`` are
+    :class:`~repro.runspec.RunSpec` fields as in
+    :func:`train_federated`; with nothing to federate, only ``backend``
+    and the ``metrics``/``flight``/``profiler``/``events`` sinks act
+    here. With no cross-device coupling at all, this driver
+    parallelises trivially (results are bit-identical on every backend).
     """
     return _train_baseline(
         "local-only",
@@ -1165,7 +1157,7 @@ def train_local_only(
         assignments,
         config,
         eval_applications,
-        backend,
+        options,
     )
 
 
@@ -1173,15 +1165,14 @@ def train_collab_profit(
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     eval_applications: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
+    **options,
 ) -> TrainingResult:
     """Train the Profit+CollabPolicy baseline (Section IV-B).
 
     Each round: local epsilon-greedy table learning, digest upload,
     visit-count-weighted merge on the server, global-table download.
     Communication bytes are accounted per digest/table entry.
-    ``backend`` selects the execution engine as in
-    :func:`train_federated`; ``digest()`` and
+    ``options`` act as in :func:`train_local_only`; ``digest()`` and
     ``install_global_table()`` run as controller calls on the device
     actors (per-device state only), while the merge stays serial on the
     driver — the same split a real deployment has.
@@ -1203,6 +1194,6 @@ def train_collab_profit(
         assignments,
         config,
         eval_applications,
-        backend,
+        options,
         exchange=exchange,
     )

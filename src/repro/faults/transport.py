@@ -41,7 +41,6 @@ from repro.federated.transport import InMemoryTransport, Message
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import RoundTracer, STATUS_FAILED, STATUS_OK
-from repro.runspec import current
 from repro.utils.rng import generator_from_root
 
 _LOG = get_logger("faults.transport")
@@ -115,8 +114,7 @@ class FaultInjectingTransport:
         if self.metrics is not None:
             self.metrics.inc("faults.injected")
             self.metrics.inc(f"faults.{kind}")
-        ambient = current()
-        tracer = self.tracer if self.tracer is not None else ambient.tracer
+        tracer, events = self.tracer, self.events
         if tracer is not None and tracer.current_round is not None:
             tracer.add_phase(
                 f"fault:{kind}",
@@ -124,7 +122,6 @@ class FaultInjectingTransport:
                 duration_s=duration_s,
                 status=STATUS_FAILED if failed else STATUS_OK,
             )
-        events = self.events if self.events is not None else ambient.events
         if events is not None:
             events.emit(
                 {

@@ -28,7 +28,6 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import RoundSpan, publish_round, publish_run_summary
 from repro.rl.agent import NeuralBanditAgent
-from repro.runspec import resolve
 from repro.utils.validation import require_in_range, require_non_negative
 
 ASYNC_GLOBAL_KIND = "async_global_model"
@@ -277,8 +276,7 @@ def run_async_federated_training(
     The simulated clock only orders events — device environments
     advance by control steps exactly as in the synchronous driver.
 
-    ``events``/``metrics`` default to the ambient
-    :class:`~repro.runspec.RunSpec`'s, so async runs stream into the same
+    With ``events``/``metrics`` given, async runs stream into the same
     pipeline the synchronous orchestrator feeds: each push is recorded
     as one :class:`~repro.obs.tracing.RoundSpan` (``mode="async"``, its
     one participant, the push's transport bytes and the client's
@@ -286,8 +284,6 @@ def run_async_federated_training(
     then the run's ``run_summary`` — which is what ``obs-watch`` and the
     event sinks consume.
     """
-    sinks = resolve(events=events, metrics=metrics)
-    events, metrics = sinks.events, sinks.metrics
     if not clients:
         raise FederationError("need at least one async client")
     clients_by_id = {client.client_id: client for client in clients}

@@ -15,9 +15,8 @@ Observability: every round is recorded once, as one
 :class:`~repro.obs.tracing.RoundSpan` with per-phase wall-times,
 transport bytes, stragglers and the global parameter-update norm, and
 handed to :func:`~repro.obs.tracing.publish_round`, which feeds the
-sinks attached explicitly or through the ambient
-:class:`~repro.runspec.RunSpec`: the tracer, the ``round_span`` event,
-the ``federated.*`` metrics and the log. The run result's per-round
+sinks passed in — the tracer, the ``round_span`` event, the
+``federated.*`` metrics — and the log. The run result's per-round
 lists and the checkpoint's logs are read off the same spans. The span
 is built whether or not a sink is attached, and recording never
 changes the run's numerical results.
@@ -57,7 +56,6 @@ from repro.obs.tracing import (
     publish_round,
     publish_run_summary,
 )
-from repro.runspec import resolve
 from repro.utils.rng import SeedLike, as_generator
 
 _LOG = get_logger("federated")
@@ -203,8 +201,8 @@ def run_federated_training(
         fault-tolerance extension). At least one client must survive
         each round.
     metrics, tracer, profiler, events:
-        Optional observability sinks; default to the ambient
-        :class:`~repro.runspec.RunSpec`'s. Each round's span reaches
+        Optional observability sinks (``None``: not attached). Each
+        round's span reaches
         the metrics, tracer and events through
         :func:`~repro.obs.tracing.publish_round`; the profiler times the
         protocol phases (``federated.broadcast``/``.local_train``/
@@ -276,9 +274,6 @@ def run_federated_training(
                 f"no trainer supplied for clients {missing_trainers}"
             )
 
-    sinks = resolve(metrics=metrics, tracer=tracer, profiler=profiler, events=events)
-    metrics, tracer = sinks.metrics, sinks.tracer
-    profiler, events = sinks.profiler, sinks.events
     transport = server.transport
     tolerant = straggler_policy == "skip"
 

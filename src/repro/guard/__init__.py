@@ -14,9 +14,9 @@ gracefully* under them. Three pillars:
   schedules handled identically by every execution backend.
 
 A run arms them through the ``guard``/``quarantine``/``churn`` fields
-of its :class:`~repro.runspec.RunSpec`; :mod:`repro.guard.context`
-hands the end-of-run :class:`~repro.guard.context.GuardReport` back to
-the CLI.
+of its :class:`~repro.runspec.RunSpec`; a guarded run's result carries
+the end-of-run :class:`~repro.guard.context.GuardReport` back to the
+CLI.
 """
 
 from repro.guard.churn import (
@@ -25,11 +25,7 @@ from repro.guard.churn import (
     ChurnEvent,
     ChurnPlan,
 )
-from repro.guard.context import (
-    GuardReport,
-    consume_guard_report,
-    publish_guard_report,
-)
+from repro.guard.context import GuardReport
 from repro.guard.quarantine import QuarantineConfig, QuarantineManager
 from repro.guard.watchdog import (
     STATE_ACTIVE,
@@ -53,7 +49,5 @@ __all__ = [
     "STATE_FALLBACK",
     "STATE_PROBATION",
     "WatchdogConfig",
-    "consume_guard_report",
     "guard_controller",
-    "publish_guard_report",
 ]

@@ -1,20 +1,18 @@
-"""The end-of-run guard report, handed back through the runner signature.
+"""The end-of-run guard report a guarded run carries on its result.
 
-Experiment runners share the uniform ``runner(config) -> str``
-signature, so a guarded run cannot *return* its fleet health to the
-CLI. Instead the training driver publishes a :class:`GuardReport` here
-after a guarded run, and the CLI consumes it to decide whether the run
-ended fully degraded (every device on its fallback governor) — which
-maps to a dedicated exit code, distinct from the injected-kill code.
-The slot is thread-local, like the ambient :mod:`repro.runspec` stack
-that carries the guard settings *in*.
+A guarded federated run fills
+:attr:`~repro.experiments.training.TrainingResult.guard_report` with a
+:class:`GuardReport`; the :class:`~repro.experiments.registry.Runner`
+keeps the report of the last guarded run it trained, and the CLI reads
+it there to decide whether the run ended fully degraded (every device
+on its fallback governor) — which maps to a dedicated exit code,
+distinct from the injected-kill code.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -41,23 +39,3 @@ class GuardReport:
         return bool(states) and all(
             state != "active" for state in states.values()
         )
-
-
-class _ReportSlot(threading.local):
-    def __init__(self) -> None:
-        self.report: Optional[GuardReport] = None
-
-
-_LOCAL = _ReportSlot()
-
-
-def publish_guard_report(report: GuardReport) -> None:
-    """Record the latest guarded run's report for this thread."""
-    _LOCAL.report = report
-
-
-def consume_guard_report() -> Optional[GuardReport]:
-    """Pop the latest report (``None`` if no guarded run published one)."""
-    report = _LOCAL.report
-    _LOCAL.report = None
-    return report

@@ -56,9 +56,9 @@ with no sinks attached pays no measurable overhead (enforced by
 ``benchmarks/test_bench_overhead.py``). Timing values never flow into
 seeded or asserted quantities, so telemetry cannot perturb
 reproducibility. The sinks are fields of the run's
-:class:`~repro.runspec.RunSpec`; making one ambient
-(:func:`repro.runspec.ambient`) lets the CLI attach them to runners
-without changing their signatures.
+:class:`~repro.runspec.RunSpec`, passed to the drivers like every other
+option; the CLI attaches them by setting them on the base spec its
+:class:`~repro.experiments.registry.Runner` lays every run over.
 """
 
 from repro.obs.alerts import (

@@ -246,8 +246,8 @@ class MetricsRegistry:
         Counters add, gauges take the incoming value (last write wins,
         matching what sequential emission would leave behind) and
         histograms merge digest states. Used by the parallel execution
-        backends to merge per-worker telemetry back into the run's
-        ambient registry, always in deterministic device order.
+        backends to merge per-worker telemetry back into the registry
+        the run was given, always in deterministic device order.
         """
         for name, value in state.get("counters", {}).items():
             self.counter(name).inc(float(value))

@@ -17,10 +17,9 @@ that already measure elapsed time can feed it in without a context
 manager via :meth:`ScopeProfiler.add` (one dict update, no ``with``
 overhead).
 
-The module-level :func:`profile` helper resolves the profiler of the
-ambient :class:`~repro.runspec.RunSpec`; with none active it returns a
-shared no-op scope, so permanently instrumented call sites cost one
-stack lookup. For micro-level attribution there is an opt-in
+The module-level :func:`profile` helper scopes under the profiler it is
+given; with none it returns a shared no-op scope, so permanently
+instrumented call sites cost one ``is None`` check. For micro-level attribution there is an opt-in
 :func:`cprofile_capture` wrapper around :mod:`cProfile` — far too slow
 to leave attached, which is exactly why the scope profiler exists.
 
@@ -39,7 +38,6 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
-from repro.runspec import current
 
 #: Separator between nested scope names in a path.
 PATH_SEPARATOR = "/"
@@ -262,20 +260,19 @@ class ScopeProfiler:
 
 
 def profile(name: str, profiler: Optional[ScopeProfiler] = None):
-    """Scope under ``profiler`` or the ambient one; no-op when neither.
+    """Scope under ``profiler``; no-op when it is ``None``.
 
     The permanent instrumentation entry point::
 
-        with profile("sim.step"):
+        with profile("sim.step", profiler):
             ...
 
-    costs one stack lookup plus a no-op enter/exit when no profiler
-    is attached.
+    costs one ``is None`` check plus a no-op enter/exit when no
+    profiler is attached.
     """
-    resolved = profiler if profiler is not None else current().profiler
-    if resolved is None:
+    if profiler is None:
         return NULL_SCOPE
-    return resolved.scope(name)
+    return profiler.scope(name)
 
 
 class CProfileReport:

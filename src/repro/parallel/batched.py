@@ -129,6 +129,7 @@ from repro.rl.policies import (
     SoftmaxPolicy,
     sample_cdf,
     softmax_cdf,
+    softmax_errstate,
 )
 from repro.rl.replay import ReplayBuffer, StackedReplayStore
 from repro.rl.rewards import PowerEfficiencyReward, power_efficiency_rewards
@@ -379,7 +380,8 @@ class _StackedGroup:
             if profiler is not None
         ]
         try:
-            self._lockstep(active, blocks, errors, round_index, num_steps, train)
+            with softmax_errstate():
+                self._lockstep(active, blocks, errors, round_index, num_steps, train)
         finally:
             batch_elapsed = time.perf_counter() - batch_start
             duration_share = batch_elapsed / max(1, len(tasks))

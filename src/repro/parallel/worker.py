@@ -16,10 +16,9 @@ steps task. The steps themselves travel as the task's
 :class:`~repro.sim.trace.StepBlock`, which the driver appends to its
 step log and offers to its flight recorder. The driver merges outcomes
 in deterministic device order, reproducing the exact stream a serial
-run emits. Nothing here touches the ambient
-:mod:`repro.runspec` stack — fork-started process workers must not use
-an inherited copy of the driver's sinks, and in-process actors must
-record the same stream they do.
+run emits. An actor never holds the driver's own sinks — fork-started
+process workers must not use an inherited copy of them, and in-process
+actors must record the same stream they do.
 """
 
 from __future__ import annotations

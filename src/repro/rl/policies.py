@@ -72,7 +72,8 @@ def softmax_cdf(
     a positive scalar or a ``(D, 1)`` column. A row whose last CDF entry
     is NaN is one ``choice`` refuses with :data:`NAN_PROBABILITIES`: a
     NaN or ``+inf`` value, a row of ``-inf``, or finite values whose
-    ``values / temperature`` overflows.
+    ``values / temperature`` overflows; call under
+    :func:`softmax_errstate` to reach it without a numpy warning.
     """
     # On the transpose the last axis is the first, so every reduction
     # broadcasts back without ``keepdims`` (a row is its own transpose).
@@ -83,6 +84,20 @@ def softmax_cdf(
     cdf = np.add.accumulate(scaled)
     cdf /= cdf[-1]
     return cdf.T
+
+
+def softmax_errstate():
+    """The numpy error state a loop of :func:`softmax_cdf` samples runs under.
+
+    A row whose ``values / temperature`` overflows, or that holds
+    ``+inf``, reaches its NaN CDF through an overflow and an
+    ``inf - inf``. The sampler refuses that row with
+    :data:`NAN_PROBABILITIES`, so neither should print a numpy warning
+    first. Entering the state costs about a microsecond, a tenth of a
+    serial ``act``, so the control loops enter it once per call (a local
+    round, a batched loop) rather than once per sample.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def sample_cdf(cdf: np.ndarray, uniforms: Union[float, np.ndarray]):

@@ -1,20 +1,17 @@
-"""One run description: :class:`RunSpec`, its ambient stack, its fingerprint.
+"""One run description: :class:`RunSpec`, its merge rule, its fingerprint.
 
 A run is described once — which backend hosts the devices, which faults
 are injected, which guardrails are armed, how the fleet is arranged, who
 is listening — by one frozen :class:`RunSpec`. The training drivers
-accept its fields as keyword arguments; artefact declarations name only
-the options their own runs vary, so the CLI makes its flags' spec
-*ambient* for the enclosed block
-(``with ambient(backend="process", faults="drop=0.1")``).
+accept its fields as keyword arguments and use exactly what they are
+given. Artefact declarations name only the options their own runs vary;
+the :class:`~repro.experiments.registry.Runner` lays each run's options
+over one *base* spec, which is how the CLI's flags and sinks reach every
+run (``Runner(config, base=RunSpec(backend="process", faults="drop=0.1"))``).
 
-One merge rule, :meth:`RunSpec.over`, serves both nesting and
-keyword-over-ambient: the innermost value that was set wins, field by
-field; an explicit keyword beats every frame; the empty stack means
-serial, no faults, no guard, flat, synchronous, no sinks. The stack is
-thread-local — another thread never sees the driver's sinks — and an
-empty-stack look-up (:func:`current`) is one attribute access and one
-index, cheap enough for the transport send path.
+One merge rule, :meth:`RunSpec.over`, serves every layering: the value
+set nearest the run wins, field by field; a spec that sets nothing
+means serial, no faults, no guard, flat, synchronous, no sinks.
 
 :meth:`RunSpec.describe` serialises the trajectory-determining part of a
 spec, and :meth:`RunSpec.fingerprint` hashes it together with what the
@@ -28,10 +25,8 @@ every layer may import it.
 from __future__ import annotations
 
 import hashlib
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -184,39 +179,3 @@ def run_fingerprint(**parts: Any) -> str:
         digest.update(repr(parts[name]).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-class _ThreadLocalStack(threading.local):
-    """Each thread sees its own, initially empty, stack of merged frames."""
-
-    def __init__(self) -> None:
-        self.stack: List[RunSpec] = []
-
-
-_LOCAL = _ThreadLocalStack()
-
-
-def current() -> RunSpec:
-    """The ambient spec on this thread (the empty spec outside any frame)."""
-    stack = _LOCAL.stack
-    return stack[-1] if stack else _EMPTY
-
-
-def resolve(**explicit: Any) -> RunSpec:
-    """The effective spec for a driver call: ``explicit`` over the ambient."""
-    return RunSpec(**explicit).over(current())
-
-
-@contextmanager
-def ambient(spec: RunSpec = _EMPTY, **fields_set: Any) -> Iterator[RunSpec]:
-    """Make ``spec`` (and/or the given fields) ambient for the block.
-
-    The frame is merged over the enclosing one on entry — fields it does
-    not set are inherited — and popped on exit, exception or not.
-    """
-    merged = replace(spec, **fields_set).over(current())
-    _LOCAL.stack.append(merged)
-    try:
-        yield merged
-    finally:
-        _LOCAL.stack.pop()

@@ -19,8 +19,7 @@ from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.registry import EXPERIMENTS, Runner, run_artefacts
 from repro.experiments.scenarios import scenario_applications
 from repro.federated.codecs import DPGaussianCodec
-from repro.guard.context import consume_guard_report
-from repro.runspec import ambient
+from repro.runspec import RunSpec
 
 #: Lines dropped before hashing: they carry wall-clock measurements.
 TIMING_MARKERS = ("wall_s=", "Controller latency", "Overhead vs Delta_DVFS")
@@ -89,8 +88,8 @@ class TestEveryArtefact:
 
     def test_each_distinct_run_is_trained_once(self, every_artefact):
         runner, _ = every_artefact
-        # 54 driver calls across the artefacts name 37 distinct runs.
-        assert runner.trained_runs == 37
+        # 55 driver calls across the artefacts name 38 distinct runs.
+        assert runner.trained_runs == 38
 
 
 class TestRunSharing:
@@ -134,12 +133,11 @@ class TestRunSharing:
     def test_evaluating_a_shared_run_leaves_it_as_trained(self, config):
         """A guarded controller's watchdog advances when it is evaluated,
         so an artefact must not see another artefact's evaluation."""
-        with ambient(guard=True, faults="byzantine=0.3,seed=7"):
-            shared = Runner(config)
-            shared.numbers("ablation_governors")
-            after_governors = shared.numbers("generalization")
-            alone = Runner(config).numbers("generalization")
-        consume_guard_report()  # the runs published one; leave none behind
+        base = RunSpec(guard=True, faults="byzantine=0.3,seed=7")
+        shared = Runner(config, base=base)
+        shared.numbers("ablation_governors")
+        after_governors = shared.numbers("generalization")
+        alone = Runner(config, base=base).numbers("generalization")
         assert shared.trained_runs == 1
         assert after_governors == alone
 

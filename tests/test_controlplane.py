@@ -51,12 +51,11 @@ from repro.federated.async_server import (
     AsynchronousFederatedServer,
 )
 from repro.federated.transport import InMemoryTransport
-from repro.guard.context import consume_guard_report
 from repro.guard.watchdog import WatchdogConfig
 from repro.obs.flight import FlightRecorder
 from repro.obs.sink import EventPipeline
 from repro.rl.agent import NeuralBanditAgent
-from repro.runspec import FIELD_NAMES, ambient, current
+from repro.runspec import FIELD_NAMES, RunSpec
 
 from tests.runspec_samples import PARALLEL_BACKENDS, on_values
 
@@ -339,14 +338,12 @@ class TestConfigAndContext:
             ControlPlaneConfig(quorum=0.0)
 
     def test_ambient_stack(self):
+        # A run's own config beats the runner's base; unset, the base's holds.
         outer, inner = ControlPlaneConfig(quorum=0.6), ControlPlaneConfig(quorum=0.4)
-        assert current().controlplane is None
-        with ambient(controlplane=outer):
-            assert current().controlplane is outer
-            with ambient(controlplane=inner):
-                assert current().controlplane is inner
-            assert current().controlplane is outer
-        assert current().controlplane is None
+        base = RunSpec(controlplane=outer)
+        assert RunSpec().controlplane is None
+        assert RunSpec().over(base).controlplane is outer
+        assert RunSpec(controlplane=inner).over(base).controlplane is inner
 
 
 class TestFaultPlanControlKinds:
@@ -689,7 +686,6 @@ class TestDriver:
         watchdog = WatchdogConfig(stuck_window=2, fallback_steps=3, probation_steps=2)
 
         def guarded(backend):
-            consume_guard_report()
             result = train_async_federated(
                 tiny_assignments(3),
                 tiny_config(rounds=2, steps=10),
@@ -697,7 +693,7 @@ class TestDriver:
                 guard=watchdog,
                 backend=backend,
             )
-            return result, consume_guard_report()
+            return result, result.guard_report
 
         result, report = guarded("serial")
         run = result.federated_result
@@ -793,14 +789,14 @@ class TestDriver:
         )
 
     def test_sync_entrypoint_delegates_under_ambient_context(self):
-        from repro.experiments.training import train_federated
+        # A federated run under a runner whose base enables the plane.
+        from repro.experiments.artefact import federated
+        from repro.experiments.registry import Runner
 
         assignments = tiny_assignments(2)
         config = tiny_config(rounds=2, steps=5)
-        with ambient(controlplane=ASYNC_ON):
-            result = train_federated(
-                assignments, config, eval_applications=("fft",)
-            )
+        runner = Runner(config, base=RunSpec(controlplane=ASYNC_ON))
+        result = runner.train(federated(assignments, config))
         assert result.name == "async_federated"
         assert result.controlplane["merges"] == 2 * config.num_rounds
 
@@ -907,13 +903,12 @@ class TestAsyncRejectsUnsupportedOptions:
 
     @pytest.mark.parametrize("option", FIELD_NAMES)
     def test_each_explicit_option_is_named(self, option, tmp_path):
-        value = on_values(tmp_path)[option]
-        with ambient(controlplane=ASYNC_ON):
-            if option in HONOURED_FIELDS:
-                assert self.train(**{option: value}).name == "async_federated"
-            else:
-                with pytest.raises(ConfigurationError, match=rf"\b{option}\b"):
-                    self.train(**{option: value})
+        options = {"controlplane": ASYNC_ON, option: on_values(tmp_path)[option]}
+        if option in HONOURED_FIELDS:
+            assert self.train(**options).name == "async_federated"
+        else:
+            with pytest.raises(ConfigurationError, match=rf"\b{option}\b"):
+                self.train(**options)
 
     def test_all_offending_options_are_named_at_once(self):
         options = dict(
@@ -923,38 +918,51 @@ class TestAsyncRejectsUnsupportedOptions:
             participation_fraction=0.5,
             codec="nonsense",
         )
-        with ambient(controlplane=ASYNC_ON):
-            with pytest.raises(ConfigurationError) as excinfo:
-                self.train(**options)
+        with pytest.raises(ConfigurationError) as excinfo:
+            self.train(controlplane=ASYNC_ON, **options)
         for option in options:
             assert option in str(excinfo.value)
 
     def test_ambient_settings_are_rejected_too(self, tmp_path):
+        # A runner's base spec reaches the driver as its own options do.
+        from repro.experiments.artefact import federated
+        from repro.experiments.registry import Runner
+
+        config = tiny_config(rounds=2, steps=5)
+        run = federated(tiny_assignments(2), config)
         for option, value in on_values(tmp_path).items():
-            with ambient(controlplane=ASYNC_ON), ambient(**{option: value}):
-                if option in HONOURED_FIELDS:
-                    assert self.train().name == "async_federated", option
-                else:
-                    with pytest.raises(ConfigurationError, match=rf"\b{option}\b"):
-                        self.train()
+            base = RunSpec(**{"controlplane": ASYNC_ON, option: value})
+            runner = Runner(config, base=base)
+            if option in HONOURED_FIELDS:
+                assert runner.train(run).name == "async_federated", option
+            else:
+                with pytest.raises(ConfigurationError, match=rf"\b{option}\b"):
+                    runner.train(run)
 
     def test_honoured_options_and_off_values_still_run(self):
+        from repro.experiments.artefact import federated
+        from repro.experiments.registry import Runner
         from repro.obs.metrics import MetricsRegistry
 
-        with ambient(backend="batched", controlplane=ASYNC_ON):
-            result = self.train(
-                metrics=MetricsRegistry(),
-                backend="serial",
-                guard=True,
-                quarantine=False,
-                participation_fraction=1.0,
-                faults="hb_loss=0.05,seed=3",
-            )
-        assert result.name == "async_federated"
+        config = tiny_config(rounds=2, steps=5)
+        run = federated(
+            tiny_assignments(2),
+            config,
+            metrics=MetricsRegistry(),
+            backend="serial",
+            guard=True,
+            quarantine=False,
+            participation_fraction=1.0,
+            faults="hb_loss=0.05,seed=3",
+        )
+        base = RunSpec(backend="batched", controlplane=ASYNC_ON)
+        assert Runner(config, base=base).train(run).name == "async_federated"
 
     def test_disabled_controlplane_keeps_the_sync_driver(self):
-        with ambient(controlplane=ControlPlaneConfig(enabled=False)):
-            result = self.train(participation_fraction=0.5)
+        result = self.train(
+            controlplane=ControlPlaneConfig(enabled=False),
+            participation_fraction=0.5,
+        )
         assert result.name == "federated"
 
     def test_cli_async_with_topology_exits_2(self, capsys):

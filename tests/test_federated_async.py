@@ -271,12 +271,21 @@ class TestAsyncEvents:
         )
 
     def test_ambient_context_is_picked_up(self):
+        # The events pipeline on a runner's base spec reaches an async run.
+        from repro.controlplane import ControlPlaneConfig
+        from repro.experiments.artefact import federated
+        from repro.experiments.config import FederatedPowerControlConfig
+        from repro.experiments.registry import Runner
         from repro.obs.sink import EventPipeline
-        from repro.runspec import ambient
+        from repro.runspec import RunSpec
 
+        config = FederatedPowerControlConfig(seed=3).scaled(
+            rounds=2, steps_per_round=5
+        )
         pipeline = EventPipeline()
-        with ambient(events=pipeline):
-            self._run()
+        base = RunSpec(events=pipeline, controlplane=ControlPlaneConfig(enabled=True))
+        run = federated({"a": ("fft",), "b": ("lu",)}, config)
+        assert Runner(config, base=base).train(run).name == "async_federated"
         types = [row["type"] for row in pipeline.rows()]
         assert "round_span" in types
         assert "run_summary" in types

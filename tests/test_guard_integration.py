@@ -22,14 +22,10 @@ from repro.experiments.scenarios import six_app_split
 from repro.experiments.training import train_federated
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.recovery import CheckpointConfig
-from repro.guard.context import (
-    GuardReport,
-    consume_guard_report,
-    publish_guard_report,
-)
+from repro.guard.context import GuardReport
 from repro.guard.watchdog import WatchdogConfig
 from repro.obs import FlightRecorder
-from repro.runspec import BACKEND_NAMES, ambient
+from repro.runspec import BACKEND_NAMES
 
 ASSIGNMENTS = {
     "device-0": ("fft", "lu"),
@@ -64,7 +60,6 @@ def nan_broadcast_plan(num_rounds=6):
 class TestByzantineBroadcastRecovery:
     @pytest.fixture(scope="class")
     def serial_result(self):
-        consume_guard_report()
         result = train_federated(
             ASSIGNMENTS,
             make_config(),
@@ -73,7 +68,7 @@ class TestByzantineBroadcastRecovery:
             straggler_policy="skip",
             guard=True,
         )
-        return result, consume_guard_report()
+        return result, result.guard_report
 
     def test_watchdog_trips_and_recovers(self, serial_result):
         result, report = serial_result
@@ -100,7 +95,6 @@ class TestByzantineBroadcastRecovery:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_backend_equivalence(self, serial_result, backend):
         serial, serial_report = serial_result
-        consume_guard_report()
         parallel = train_federated(
             ASSIGNMENTS,
             make_config(),
@@ -110,7 +104,7 @@ class TestByzantineBroadcastRecovery:
             guard=True,
             backend=backend,
         )
-        report = consume_guard_report()
+        report = parallel.guard_report
         assert parallel.round_evaluations == serial.round_evaluations
         assert parallel.communication_bytes == serial.communication_bytes
         assert report.trip_counts == serial_report.trip_counts
@@ -123,7 +117,6 @@ class TestQuarantineChurnBackendEquivalence:
 
     @staticmethod
     def run(backend):
-        consume_guard_report()
         result = train_federated(
             ASSIGNMENTS,
             make_config(),
@@ -136,7 +129,7 @@ class TestQuarantineChurnBackendEquivalence:
             backend=backend,
         )
         federated = result.federated_result
-        report = consume_guard_report()
+        report = result.guard_report
         return (
             result.round_evaluations,
             result.communication_bytes,
@@ -171,11 +164,10 @@ class TestGuardOffEquivalence:
         plain = train_federated(
             ASSIGNMENTS, config, eval_applications=EVAL_APPS
         )
-        consume_guard_report()
         guarded = train_federated(
             ASSIGNMENTS, config, eval_applications=EVAL_APPS, guard=True
         )
-        report = consume_guard_report()
+        report = guarded.guard_report
         assert sum(report.trip_counts.values()) == 0
         assert guarded.round_evaluations == plain.round_evaluations
         assert guarded.communication_bytes == plain.communication_bytes
@@ -211,7 +203,6 @@ class TestGuardedChaosUnmoved:
     @classmethod
     def digests(cls, seed):
         flight = FlightRecorder(capacity=65536)
-        consume_guard_report()
         result = train_federated(
             cls.assignments(),
             FederatedPowerControlConfig(seed=seed).scaled(4, 50),
@@ -224,7 +215,6 @@ class TestGuardedChaosUnmoved:
             churn="leave=0.15,rejoin=0.5,seed=11",
             flight=flight,
         )
-        consume_guard_report()
         controllers = [result.controllers[name] for name in result.assignments]
         parameters = hashlib.sha256()
         for controller in controllers:
@@ -367,15 +357,15 @@ class TestFlightRecorderCrossCheck:
     def test_fallback_counts_match_flight_records(self):
         flight = FlightRecorder(capacity=65536)
         watchdog = WatchdogConfig(fallback_steps=8, probation_steps=8)
-        with ambient(flight=flight):
-            result = train_federated(
-                ASSIGNMENTS,
-                make_config(),
-                eval_applications=EVAL_APPS,
-                faults=nan_broadcast_plan(),
-                straggler_policy="skip",
-                guard=watchdog,
-            )
+        result = train_federated(
+            ASSIGNMENTS,
+            make_config(),
+            eval_applications=EVAL_APPS,
+            faults=nan_broadcast_plan(),
+            straggler_policy="skip",
+            guard=watchdog,
+            flight=flight,
+        )
         federated = result.federated_result
         assert federated.fallback_steps_by_device
         assert flight.fallback_counts() == federated.fallback_steps_by_device
@@ -460,25 +450,22 @@ class TestCliGuardSurface:
     def test_exit_code_4_when_fully_degraded(self, capsys):
         from repro.cli import _guard_exit_code
 
-        publish_guard_report(
-            GuardReport(
-                device_states={"device-0": "fallback", "device-1": "probation"},
-                trip_counts={"device-0": 3, "device-1": 1},
-            )
+        report = GuardReport(
+            device_states={"device-0": "fallback", "device-1": "probation"},
+            trip_counts={"device-0": 3, "device-1": 1},
         )
-        assert _guard_exit_code() == 4
+        assert _guard_exit_code(report) == 4
         assert "fully degraded" in capsys.readouterr().err
-        # The report is consumed: a second call sees a clean slate.
-        assert _guard_exit_code() == 0
+        # No guarded run, no report: a clean exit.
+        assert _guard_exit_code(None) == 0
+        assert capsys.readouterr().err == ""
 
     def test_exit_code_0_when_recovered(self):
         from repro.cli import _guard_exit_code
 
-        publish_guard_report(
-            GuardReport(
-                device_states={"device-0": "active"},
-                trip_counts={"device-0": 2},
-                quarantined_devices=("device-1",),
-            )
+        report = GuardReport(
+            device_states={"device-0": "active"},
+            trip_counts={"device-0": 2},
+            quarantined_devices=("device-1",),
         )
-        assert _guard_exit_code() == 0
+        assert _guard_exit_code(report) == 0

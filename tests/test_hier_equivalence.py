@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.training import train_federated
-from repro.runspec import BACKEND_NAMES, ambient
+from repro.runspec import BACKEND_NAMES, RunSpec
 from tests.runspec_samples import PARALLEL_BACKENDS
 
 ASSIGNMENTS = {"DEVICE_A": ("fft", "lu"), "DEVICE_B": ("radix",)}
@@ -87,12 +87,21 @@ def test_topology_instance_and_spec_agree(config, baseline):
     assert_bit_identical(baseline, result)
 
 
-def test_ambient_hier_context_reaches_the_driver(config, baseline):
-    with ambient(topology="flat"):
-        result = train_federated(
-            ASSIGNMENTS, config, eval_applications=EVAL_APPS
-        )
-    assert_bit_identical(baseline, result)
+def test_ambient_hier_context_reaches_the_driver(config):
+    # The topology on a runner's base spec reaches the driver: a flat
+    # one changes nothing, a tier of edges adds the edge-to-root hops.
+    from repro.experiments.artefact import federated
+    from repro.experiments.registry import Runner
+
+    run = federated(ASSIGNMENTS, config)
+    plain = Runner(config).train(run)
+    flat = Runner(config, base=RunSpec(topology="flat")).train(run)
+    assert_bit_identical(plain, flat)
+    edges = Runner(config, base=RunSpec(topology="edges=2")).train(run)
+    assert (
+        edges.federated_result.total_messages
+        > plain.federated_result.total_messages
+    )
 
 
 def test_uniform_selection_is_identity_for_participation_fraction(config):

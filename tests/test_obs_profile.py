@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runspec import ambient
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     NULL_SCOPE,
@@ -116,25 +115,44 @@ class TestExportAndFormat:
         assert "no scopes" in ScopeProfiler().format_table()
 
 
+def _tiny_run(**options):
+    from repro.experiments.artefact import federated
+    from repro.experiments.config import FederatedPowerControlConfig
+
+    config = FederatedPowerControlConfig(seed=5).scaled(rounds=2, steps_per_round=5)
+    return federated({"a": ("fft",), "b": ("lu",)}, config, **options)
+
+
 class TestAmbientProfile:
+    """``profile`` scopes under the profiler it is given; a run's
+    profiler is the one its options or the runner's base spec name."""
+
     def test_profile_without_profiler_is_null_scope(self):
         assert profile("anything") is NULL_SCOPE
         with profile("anything"):
             pass  # must be harmless
 
     def test_profile_uses_ambient_profiler(self):
+        from repro.experiments.registry import Runner
+        from repro.runspec import RunSpec
+
         profiler = ScopeProfiler()
-        with ambient(profiler=profiler):
-            with profile("ambient.scope"):
-                pass
-        assert profiler.stats("ambient.scope").count == 1
+        run = _tiny_run()
+        Runner(run.config, base=RunSpec(profiler=profiler)).train(run)
+        assert profiler.stats("federated.local_train").count == 2
+        assert profiler.stats("federated.aggregate").count == 2
 
     def test_explicit_profiler_wins_over_ambient(self):
+        from repro.experiments.registry import Runner
+        from repro.runspec import RunSpec
+
         outer, explicit = ScopeProfiler(), ScopeProfiler()
-        with ambient(profiler=outer):
-            with profile("scope", explicit):
-                pass
+        with profile("scope", explicit):
+            pass
         assert explicit.stats("scope").count == 1
+        run = _tiny_run(profiler=explicit)
+        Runner(run.config, base=RunSpec(profiler=outer)).train(run)
+        assert explicit.stats("federated.local_train").count == 2
         assert outer.table() == []
 
 

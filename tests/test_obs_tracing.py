@@ -14,7 +14,6 @@ from repro.federated.orchestrator import (
 )
 from repro.federated.server import FederatedServer
 from repro.federated.transport import InMemoryTransport
-from repro.runspec import ambient, current
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     PHASE_AGGREGATE,
@@ -171,15 +170,25 @@ class TestOrchestratorTracing:
             assert np.array_equal(a, b)
 
     def test_ambient_context_is_picked_up(self):
-        server, clients = _system()
+        # The tracer on a runner's base spec reaches the round loop.
+        from repro.experiments.artefact import federated
+        from repro.experiments.config import FederatedPowerControlConfig
+        from repro.experiments.registry import Runner
+        from repro.runspec import RunSpec
+
+        config = FederatedPowerControlConfig(seed=3).scaled(
+            rounds=3, steps_per_round=5
+        )
         tracer = RoundTracer()
-        with ambient(tracer=tracer):
-            assert current().tracer is tracer
-            run_federated_training(
-                server, clients, _noop_trainers(clients), num_rounds=1
-            )
-        assert current().tracer is None
-        assert tracer.num_rounds == 1
+        run = federated({"a": ("fft",), "b": ("lu",)}, config)
+        Runner(config, base=RunSpec(tracer=tracer)).train(run)
+        assert tracer.num_rounds == 3
+        # Without a tracer the loop records nowhere else.
+        server, clients = _system()
+        run_federated_training(
+            server, clients, _noop_trainers(clients), num_rounds=1
+        )
+        assert tracer.num_rounds == 3
 
 
 class TestRoundsWithoutATracer:

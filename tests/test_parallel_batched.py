@@ -438,10 +438,12 @@ def test_non_finite_action_values_error_only_that_device():
     _assert_only_failing_device_errors(_nan_weights_builder)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_action_values_error_only_that_device():
     """Finite action values whose ``values / tau`` overflows give NaN
     probabilities too: batched errors the device as serial does, where
-    it used to take action 0 without a word."""
+    it used to take action 0 without a word, and neither prints a numpy
+    warning on the way."""
     _assert_only_failing_device_errors(_overflow_weights_builder)
 
 

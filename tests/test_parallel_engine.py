@@ -17,7 +17,7 @@ from repro.parallel import (
     create_backend,
 )
 from repro.parallel.payloads import ActorParts
-from repro.runspec import RunSpec, ambient, current, resolve
+from repro.runspec import RunSpec
 from repro.sim.trace import TraceRecorder
 from tests.runspec_samples import PARALLEL_BACKENDS
 
@@ -58,38 +58,35 @@ def _fail_a_round0(device_name, round_index):
 # -- context ------------------------------------------------------------
 
 
-def resolved_execution(**explicit):
-    return resolve(**explicit).get("backend")
+def resolved_execution(base=RunSpec(), **explicit):
+    """The backend a run with options ``explicit`` trains on under a
+    runner whose base spec is ``base``."""
+    return RunSpec(**explicit).over(base).get("backend")
 
 
 class TestExecutionContext:
     def test_default_is_serial(self):
-        assert current().backend is None
+        assert RunSpec().backend is None
         assert resolved_execution() == "serial"
 
     def test_ambient_config_applies(self):
-        with ambient(backend="batched") as frame:
-            assert frame.backend == "batched"
-            assert resolved_execution() == "batched"
-        assert current().backend is None
+        assert resolved_execution(RunSpec(backend="batched")) == "batched"
 
     def test_explicit_arguments_win(self):
-        with ambient(backend="batched"):
-            assert resolved_execution(backend="process") == "process"
-            assert resolved_execution(backend="serial") == "serial"
+        base = RunSpec(backend="batched")
+        assert resolved_execution(base, backend="process") == "process"
+        assert resolved_execution(base, backend="serial") == "serial"
 
     def test_nested_contexts_stack(self):
-        with ambient(backend="batched"):
-            with ambient(backend="process"):
-                assert resolved_execution() == "process"
-            assert resolved_execution() == "batched"
+        outer = RunSpec(backend="batched")
+        assert resolved_execution(RunSpec(backend="process").over(outer)) == "process"
+        assert resolved_execution(RunSpec().over(outer)) == "batched"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve(backend="gpu")
+            RunSpec(backend="gpu")
         with pytest.raises(ConfigurationError):
-            with ambient(backend="gpu"):
-                pass
+            resolved_execution(backend="gpu")
 
     def test_removed_thread_backend_names_the_remaining_three(self):
         with pytest.raises(

@@ -367,13 +367,14 @@ def test_worker_metrics_payload_is_bounded(config):
 
 
 def test_ambient_execution_context_reaches_driver(config):
-    from repro.runspec import ambient
+    # The backend on a runner's base spec reaches a baseline driver.
+    from repro.experiments.artefact import local_only
+    from repro.experiments.registry import Runner
+    from repro.runspec import RunSpec
 
-    serial = train_local_only(ASSIGNMENTS, config, eval_applications=EVAL_APPS)
-    with ambient(backend="batched"):
-        batched = train_local_only(
-            ASSIGNMENTS, config, eval_applications=EVAL_APPS
-        )
+    run = local_only(ASSIGNMENTS, config)
+    serial = Runner(config).train(run)
+    batched = Runner(config, base=RunSpec(backend="batched")).train(run)
     assert_equivalent(serial, batched)
 
 

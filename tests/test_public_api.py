@@ -21,7 +21,9 @@ PACKAGES = ["repro"] + [info.name for info in _DISCOVERED if info.ispkg]
 MODULES = [info.name for info in _DISCOVERED if not info.ispkg]
 
 #: The per-package ambient-context machinery that ``repro.runspec``
-#: replaced; no ``__all__`` may bring any of it back.
+#: replaced, and the thread-local run stack and guard-report slot that
+#: explicit options and ``TrainingResult.guard_report`` replaced; no
+#: ``__all__`` may bring any of it back.
 RETIRED_CONTEXT_NAMES = {
     "ExecutionConfig",
     "GuardConfig",
@@ -34,7 +36,10 @@ RETIRED_CONTEXT_NAMES = {
     "active_metrics",
     "active_profiler",
     "active_tracer",
+    "ambient",
+    "consume_guard_report",
     "controlplane",
+    "current",
     "deactivate",
     "execution",
     "get_active",
@@ -44,7 +49,9 @@ RETIRED_CONTEXT_NAMES = {
     "get_active_resilience",
     "guard",
     "hier",
+    "publish_guard_report",
     "resilience",
+    "resolve",
     "resolve_execution",
     "resolve_guard",
     "resolve_hier",

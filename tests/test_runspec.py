@@ -13,16 +13,12 @@ import pytest
 
 from repro.cli import _telemetry_header, build_parser, main
 from repro.controlplane.context import ControlPlaneConfig
+from repro.experiments.artefact import federated
 from repro.experiments.config import FederatedPowerControlConfig
+from repro.experiments.registry import Runner
 from repro.experiments.training import train_federated
 from repro.obs.store import RunStore
-from repro.runspec import (
-    FIELD_NAMES,
-    UNDESCRIBED_FIELDS,
-    RunSpec,
-    ambient,
-    resolve,
-)
+from repro.runspec import FIELD_NAMES, UNDESCRIBED_FIELDS, RunSpec
 
 from tests.runspec_samples import on_values
 
@@ -41,10 +37,12 @@ def test_sample_table_decides_every_field(tmp_path):
 
 @pytest.mark.parametrize("name", FIELD_NAMES)
 def test_field_set_in_a_frame_resolves_like_the_keyword(name, tmp_path):
+    # A field set on a runner's base spec reaches a run that leaves it
+    # unset exactly as the run's own keyword would.
     value = on_values(tmp_path)[name]
-    explicit = resolve(**{name: value})
-    with ambient(**{name: value}):
-        assert resolve() == explicit
+    explicit = RunSpec(**{name: value})
+    assert RunSpec().over(explicit) == explicit
+    assert explicit.over(RunSpec()) == explicit
     assert getattr(explicit, name) is value
     assert explicit.is_on(name)
 
@@ -125,8 +123,8 @@ class TestCliFingerprint:
 
 
 class TestAmbientEqualsExplicit:
-    """Every field set through a frame reaches the sync driver exactly as
-    the keyword does."""
+    """Every field set on a runner's base spec reaches the sync driver
+    exactly as the keyword does."""
 
     OPTIONS = {
         "faults": "drop=0.2,fail=0.2,seed=7",
@@ -134,18 +132,17 @@ class TestAmbientEqualsExplicit:
         "topology": "edges=2",
     }
 
-    @staticmethod
-    def train(**options):
-        config = FederatedPowerControlConfig(
-            num_rounds=3,
-            steps_per_round=20,
-            eval_steps_per_app=4,
-            eval_every_rounds=1,
-            seed=7,
-        )
-        return train_federated(
-            ASSIGNMENTS, config, eval_applications=("fft",), **options
-        )
+    CONFIG = FederatedPowerControlConfig(
+        num_rounds=3,
+        steps_per_round=20,
+        eval_steps_per_app=4,
+        eval_every_rounds=1,
+        seed=7,
+    )
+
+    @classmethod
+    def train(cls, **options):
+        return train_federated(ASSIGNMENTS, cls.CONFIG, **options)
 
     @staticmethod
     def checksum(result):
@@ -166,8 +163,10 @@ class TestAmbientEqualsExplicit:
     @pytest.mark.parametrize("backend", ["serial", "batched"])
     def test_same_result_either_way(self, backend):
         explicit = self.train(backend=backend, **self.OPTIONS)
-        with ambient(backend=backend, **self.OPTIONS):
-            framed = self.train()
+        base = RunSpec(backend=backend, **self.OPTIONS)
+        framed = Runner(self.CONFIG, base=base).train(
+            federated(ASSIGNMENTS, self.CONFIG)
+        )
         assert self.checksum(framed) == self.checksum(explicit)
         for a, b in zip(
             framed.controllers["device-0"].agent.get_parameters(),

@@ -20,6 +20,7 @@ from repro.rl.policies import (
     SoftmaxPolicy,
     sample_cdf,
     softmax_cdf,
+    softmax_errstate,
 )
 from repro.utils.math import softmax
 
@@ -100,6 +101,24 @@ def test_a_refused_row_leaves_the_stream_untouched(
     else:
         assert policy.select(row, temperature) == expected
         assert policy._rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "values",
+    [[np.finfo(np.float64).max] * 4, [np.finfo(np.float64).max, 0.0, -1.0]],
+)
+def test_overflowing_values_are_refused_without_a_warning(values):
+    """Finite values whose ``values / tau`` overflows give NaN
+    probabilities: refused as ``choice`` refuses them, with nothing
+    drawn and, under the control loops' error state, no numpy warning
+    printed first."""
+    policy = SoftmaxPolicy(seed=3)
+    untouched = policy._rng.bit_generator.state
+    with softmax_errstate():
+        with pytest.raises(ValueError, match=re.escape(NAN_PROBABILITIES)):
+            policy.select(np.array(values), 0.5)
+    assert policy._rng.bit_generator.state == untouched
 
 
 @settings(max_examples=200, deadline=None)
