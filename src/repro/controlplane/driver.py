@@ -51,7 +51,7 @@ from repro.federated.async_server import (
 )
 from repro.federated.orchestrator import FederatedRunResult
 from repro.obs.logging import get_logger
-from repro.runspec import FIELD_NAMES, RunSpec
+from repro.runspec import RunSpec
 from repro.utils.validation import require_positive
 
 #: Reserved ``device_blobs`` key carrying the loop's own progress in a
@@ -72,15 +72,7 @@ _LOG = get_logger("controlplane.driver")
 
 def refuse_unhonoured(spec: RunSpec) -> None:
     """Raise naming every switched-on field the async plane would drop."""
-    named = [
-        name
-        for name in FIELD_NAMES
-        if name not in HONOURED_FIELDS and spec.is_on(name)
-    ]
-    if named:
-        raise ConfigurationError(
-            "the async control plane cannot honour: " + ", ".join(named)
-        )
+    spec.refuse(HONOURED_FIELDS, "the async control plane")
 
 
 def skewed_round_durations(

@@ -256,7 +256,13 @@ class PolicyEvaluator:
             ips_mean=mean_ips,
             exec_time_s=total_instructions / mean_ips,
             frequency_mean_hz=fmean(frequencies),
-            frequency_std_hz=pstdev(frequencies),
+            # A constant series (most greedy rows settle on one OPP) is
+            # exactly 0.0 without pstdev's exact-fraction arithmetic.
+            frequency_std_hz=(
+                0.0
+                if frequencies.count(frequencies[0]) == len(frequencies)
+                else pstdev(frequencies)
+            ),
             violation_rate=sum(1 for power in powers if power > power_limit)
             / len(powers),
         )

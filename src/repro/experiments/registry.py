@@ -33,7 +33,7 @@ from repro.experiments.resilience import GUARD, RESILIENCE
 from repro.experiments.scenarios import SCENARIOS
 from repro.experiments.sweep import SWEEP_LR
 from repro.experiments.table3 import TABLE3
-from repro.experiments.training import TrainingResult
+from repro.experiments.training import BASELINE_FIELDS, TrainingResult
 from repro.guard.context import GuardReport
 from repro.runspec import FIELD_NAMES, RunSpec
 from repro.utils.tables import format_table
@@ -144,7 +144,9 @@ class Runner:
 
     Every run trains under ``RunSpec(**run.options).over(base)``: the
     run's own options win field by field, and the ``base`` spec — the
-    CLI's flags and sinks — fills in the rest. A run is keyed by its
+    CLI's flags and sinks — fills in the rest; a baseline takes from it
+    only the fields it acts on (:data:`~repro.experiments.training.BASELINE_FIELDS`)
+    and refuses any other it is given. A run is keyed by its
     driver, config, assignments and that merged spec, so artefacts
     needing the same run share its :class:`TrainingResult` — results
     are read, never retrained. An option holding its own random stream
@@ -170,7 +172,10 @@ class Runner:
         evaluating one moves its state (a guarded controller's watchdog
         counts steps), and no artefact may see another's evaluation.
         """
-        spec = RunSpec(**run.options).over(self.base)
+        base = self.base
+        if run.driver in ("train_local_only", "train_collab_profit"):
+            base = RunSpec(**{name: getattr(base, name) for name in BASELINE_FIELDS})
+        spec = RunSpec(**run.options).over(base)
         key = spec.fingerprint(
             driver=run.driver,
             config=run.config,

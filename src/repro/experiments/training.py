@@ -68,6 +68,12 @@ _COLLAB_ENTRY_BYTES = 25
 
 _LOG = get_logger("experiments")
 
+#: The :class:`RunSpec` fields a baseline acts on: with nothing to
+#: federate, the backend and the sinks. It refuses any other by name.
+BASELINE_FIELDS = frozenset(
+    {"backend", "metrics", "tracer", "flight", "profiler", "events"}
+)
+
 
 @dataclass
 class TrainingResult:
@@ -1105,10 +1111,13 @@ def _train_baseline(
     given) runs the baseline's own collaboration step and returns the
     bytes it moved; each device's *own* policy is evaluated on the
     configured cadence. Of the ``options`` (:class:`RunSpec` fields)
-    only ``backend`` and the sinks act on a run without federation.
+    only :data:`BASELINE_FIELDS` act on a run without federation; any
+    other switched on raises :class:`~repro.errors.ConfigurationError`
+    naming it.
     """
     _check_assignments(assignments)
     spec = RunSpec(**options)
+    spec.refuse(BASELINE_FIELDS, f"the {name} baseline")
     _LOG.info(
         f"{name} training starting",
         extra={
@@ -1147,9 +1156,10 @@ def train_local_only(
     left-hand columns of Fig. 3. ``options`` are
     :class:`~repro.runspec.RunSpec` fields as in
     :func:`train_federated`; with nothing to federate, only ``backend``
-    and the ``metrics``/``flight``/``profiler``/``events`` sinks act
-    here. With no cross-device coupling at all, this driver
-    parallelises trivially (results are bit-identical on every backend).
+    and the sinks (:data:`BASELINE_FIELDS`) act here, and any other
+    field switched on is refused by name. With no cross-device coupling
+    at all, this driver parallelises trivially (results are
+    bit-identical on every backend).
     """
     return _train_baseline(
         "local-only",

@@ -5,7 +5,9 @@ per-device actors from :class:`~repro.parallel.payloads.WorkerSpec`
 records, then ``run_tasks`` a ``{device_name: task}`` batch and return
 ``{device_name: outcome}``:
 
-* ``serial`` — actors in-process, tasks executed one after another.
+* ``serial`` — actors in-process, tasks executed one after another,
+  except that an evaluation batch runs as one stacked greedy pass
+  across the actors (:func:`~repro.parallel.worker.evaluate_actors`).
   The reference implementation the others must match bit-for-bit.
 * ``process`` — one persistent child process per device (fork start
   method), tasks shipped over pipes. The device state never crosses
@@ -14,8 +16,9 @@ records, then ``run_tasks`` a ``{device_name: task}`` batch and return
   multi-core machines into real local-train speedup.
 * ``batched`` — actors in-process, but every eligible device's network,
   optimizer and replay stacked along a device axis so the whole fleet
-  trains in single numpy calls (:mod:`~repro.parallel.batched`). The
-  throughput backend for large ``D``; still bit-identical to serial.
+  trains in single numpy calls (:mod:`~repro.parallel.batched`), and
+  evaluation stacked across actors as on ``serial``. The throughput
+  backend for large ``D``; still bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -26,8 +29,13 @@ from typing import Dict, Sequence
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs.logging import get_logger
 from repro.parallel.batched import BatchedFleet
-from repro.parallel.payloads import CallOutcome, WorkerSpec
-from repro.parallel.worker import WORKER_READY, DeviceActor, process_worker_main
+from repro.parallel.payloads import CallOutcome, EvalTask, WorkerSpec
+from repro.parallel.worker import (
+    WORKER_READY,
+    DeviceActor,
+    evaluate_actors,
+    process_worker_main,
+)
 from repro.runspec import BACKEND_NAMES
 
 _LOG = get_logger("parallel")
@@ -37,7 +45,8 @@ _SHUTDOWN_TIMEOUT_S = 10.0
 
 
 class SerialBackend:
-    """In-process actors, tasks executed sequentially (the reference)."""
+    """In-process actors, tasks executed sequentially (the reference),
+    but an evaluation batch as one stacked pass across the actors."""
 
     name = "serial"
 
@@ -45,6 +54,8 @@ class SerialBackend:
         self._actors = {spec.device_name: DeviceActor(spec) for spec in specs}
 
     def run_tasks(self, tasks: Dict[str, object]) -> Dict[str, object]:
+        if tasks and all(isinstance(task, EvalTask) for task in tasks.values()):
+            return evaluate_actors(self._actors, tasks)
         return {
             name: self._actors[name].handle(task) for name, task in tasks.items()
         }

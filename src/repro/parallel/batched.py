@@ -89,14 +89,14 @@ is serial-identical.
 
 A batch of :class:`~repro.parallel.payloads.EvalTask` that ships
 parameters evaluates each actor's eval vessel on its evaluation
-environment — one stacked greedy pass across the actors
-(:func:`repro.experiments.evaluation.evaluate_stacked`) — and touches
-no training state, so the group stays adopted. Every other non-training
-batch (evaluating the training controllers themselves, controller
-calls, fetches, checkpoints, state installs) first syncs the stacked
-state back into the per-device objects and drops the group, so those
-paths — and everything downstream of them — see state bit-identical
-to a serial run's.
+environment — one stacked greedy pass across the actors, as the serial
+backend runs it (:func:`~repro.parallel.worker.evaluate_actors`) — and
+touches no training state, so the group stays adopted. Every other
+non-training batch (evaluating the training controllers themselves,
+controller calls, fetches, checkpoints, state installs) first syncs the
+stacked state back into the per-device objects and drops the group,
+so those paths — and everything downstream of them — see state
+bit-identical to a serial run's.
 """
 
 from __future__ import annotations
@@ -116,13 +116,12 @@ from repro.nn.network import MLP
 from repro.nn.optimizers import Adam
 from repro.obs.logging import get_logger
 from repro.parallel.payloads import (
-    EvalOutcome,
     EvalTask,
     StepsOutcome,
     StepsTask,
     WorkerSpec,
 )
-from repro.parallel.worker import DeviceActor
+from repro.parallel.worker import DeviceActor, evaluate_actors
 from repro.rl.agent import NeuralBanditAgent
 from repro.rl.policies import (
     NAN_PROBABILITIES,
@@ -897,37 +896,13 @@ class BatchedFleet:
         }
 
     def _run_eval_batch(self, tasks: Dict[str, EvalTask]) -> Dict[str, object]:
-        """One stacked greedy pass across the actors' evaluators.
-
-        An evaluation of shipped parameters runs on each actor's eval
-        vessel and evaluation environment and touches no training
-        state, so the stacked group stays adopted; evaluating the
-        training controllers themselves needs them synced back first.
+        """:func:`~repro.parallel.worker.evaluate_actors`. Shipped
+        parameters run on the eval vessels and leave the stacked group
+        adopted; evaluating the training controllers syncs it back first.
         """
-        # Imported here: the experiments package imports this one.
-        from repro.experiments.evaluation import EvalJob, evaluate_stacked
-
         if any(task.parameters is None for task in tasks.values()):
             self._release_group()
-        jobs: Dict[str, EvalJob] = {}
-        outcomes: Dict[str, object] = {}
-        for name, task in tasks.items():
-            actor = self._actors[name]
-            try:
-                jobs[name] = EvalJob(
-                    actor.evaluator, name, actor.eval_target(task), task.round_index
-                )
-            except Exception:
-                outcomes[name] = EvalOutcome(name, error=traceback.format_exc())
-        for name, rows in zip(jobs, evaluate_stacked(list(jobs.values()))):
-            # A job the stacked pass left alone runs where it always
-            # did: on its own actor.
-            outcomes[name] = (
-                EvalOutcome(name, evaluations=rows)
-                if rows is not None
-                else self._actors[name].handle(tasks[name])
-            )
-        return outcomes
+        return evaluate_actors(self._actors, tasks)
 
     def _run_steps_batch(self, tasks: Dict[str, StepsTask]) -> Dict[str, object]:
         group = self._ensure_group()

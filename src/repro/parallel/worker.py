@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 from repro.control.runtime import ControlSession
 from repro.errors import SimulationError
@@ -159,8 +159,9 @@ class DeviceActor:
 
     def _evaluate(self, task: EvalTask) -> EvalOutcome:
         try:
+            controller = self.eval_target(task)
             rows = self.evaluator.evaluate_device(
-                self.device_name, self.eval_target(task), task.round_index
+                self.device_name, controller, task.round_index
             )
             return EvalOutcome(self.device_name, evaluations=rows)
         except Exception:
@@ -236,6 +237,37 @@ class DeviceActor:
         if self.events is not None:
             dump.event_rows = self.events.drain()
         return dump
+
+
+def evaluate_actors(
+    actors: Mapping[str, DeviceActor], tasks: Dict[str, EvalTask]
+) -> Dict[str, EvalOutcome]:
+    """An evaluation batch on in-process actors, as one stacked greedy
+    pass across them (:func:`repro.experiments.evaluation.evaluate_stacked`).
+
+    A job the pass leaves alone runs where it always did, on its own
+    actor; the rows equal a per-actor evaluation either way.
+    """
+    # Imported here: the experiments package imports this one.
+    from repro.experiments.evaluation import EvalJob, evaluate_stacked
+
+    jobs: Dict[str, EvalJob] = {}
+    outcomes: Dict[str, EvalOutcome] = {}
+    for name, task in tasks.items():
+        actor = actors[name]
+        try:
+            jobs[name] = EvalJob(
+                actor.evaluator, name, actor.eval_target(task), task.round_index
+            )
+        except Exception:
+            outcomes[name] = EvalOutcome(name, error=traceback.format_exc())
+    for name, rows in zip(jobs, evaluate_stacked(list(jobs.values()))):
+        outcomes[name] = (
+            EvalOutcome(name, evaluations=rows)
+            if rows is not None
+            else actors[name].handle(tasks[name])
+        )
+    return outcomes
 
 
 def process_worker_main(connection, spec: WorkerSpec) -> None:

@@ -115,6 +115,17 @@ class RunSpec:
             return False
         return getattr(value, "enabled", True)
 
+    def refuse(self, honoured: frozenset, driver: str) -> None:
+        """Raise naming every switched-on field outside ``honoured``, the
+        fields ``driver`` acts on, rather than let it drop them silently."""
+        named = [
+            name
+            for name in FIELD_NAMES
+            if name not in honoured and self.is_on(name)
+        ]
+        if named:
+            raise ConfigurationError(f"{driver} cannot honour: " + ", ".join(named))
+
     def describe(self) -> Dict[str, object]:
         """The trajectory-determining part, as plain serialisable values.
 

@@ -1,9 +1,12 @@
 """Unit tests for the evaluation protocol."""
 
 import pickle
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control.governors import PerformanceGovernor, PowersaveGovernor
 from repro.control.neural import build_neural_controller
@@ -122,6 +125,29 @@ class TestRoundEvaluation:
         with pytest.raises(ConfigurationError):
             RoundEvaluation(0, []).overall_mean()
 
+
+#: Frequency series a greedy evaluation can produce: OPP levels, one to
+#: forty intervals, half of them one level throughout.
+_OPP_LEVELS = st.sampled_from(JETSON_NANO_OPP_TABLE.frequencies_hz)
+_OPP_SERIES = st.one_of(
+    st.lists(_OPP_LEVELS, min_size=1, max_size=40),
+    st.builds(lambda level, length: [level] * length, _OPP_LEVELS, st.integers(1, 40)),
+)
+_SUMMARY_EVALUATOR = PolicyEvaluator(
+    ["device-A"], FederatedPowerControlConfig(), ["fft"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frequencies=_OPP_SERIES)
+def test_summary_frequency_std_is_bit_equal_to_pstdev(frequencies):
+    job = EvalJob(_SUMMARY_EVALUATOR, "device-A", None, 0)
+    ones = [1.0] * len(frequencies)
+    row = _SUMMARY_EVALUATOR._summarise(
+        job, "fft", ones, ones, ones, list(frequencies)
+    )
+    assert type(row.frequency_std_hz) is float
+    assert row.frequency_std_hz.hex() == statistics.pstdev(frequencies).hex()
 
 # -- the stacked greedy pass ≡ the per-application loop ---------------------
 

@@ -201,6 +201,70 @@ def test_fleet_fault_injection(backend):
             fleet.run_round(0, names, config.steps_per_round)
 
 
+
+# -- evaluation stacked across in-process actors ----------------------------
+
+#: Eight devices with one evaluation application each: every actor's own
+#: job is one row, below the stacked pass's threshold.
+ONE_ROW_FLEET = {f"DEV_{index}": ("fft",) for index in range(8)}
+
+
+def _evaluation_rows(backend, builder, rounds=2, **builder_kwargs):
+    """``evaluate_round`` of the training controllers, ``rounds`` times
+    (each round starts where the last left the evaluation environments)."""
+    specs = _worker_specs(
+        builder,
+        ONE_ROW_FLEET,
+        tiny_config(),
+        EVAL_APPS,
+        None,
+        None,
+        extra_kwargs=builder_kwargs,
+    )
+    with DeviceFleet(specs, backend=backend) as fleet:
+        return [
+            fleet.evaluate_round(round_index, list(ONE_ROW_FLEET))
+            for round_index in range(rounds)
+        ]
+
+
+def test_serial_evaluation_stacks_one_row_actors(stacked_simulators):
+    """Eight one-row actors evaluate as one 8-row pass per round on
+    serial, with the rows a per-actor evaluation (``process``) returns."""
+    serial = _evaluation_rows("serial", _local_actor_parts)
+    assert stacked_simulators["evaluation"] == [len(ONE_ROW_FLEET)] * 2
+    assert serial == _evaluation_rows("process", _local_actor_parts)
+    assert [row.device for row in serial[0]] == list(ONE_ROW_FLEET)
+
+
+def test_guarded_training_controllers_evaluate_per_actor(stacked_simulators):
+    """A guarded training controller is not stackable: its batch takes
+    the per-actor loop on serial and gives the per-actor rows."""
+    from repro.experiments.training import _federated_actor_parts
+    from repro.guard import WatchdogConfig
+
+    guarded = {"guard": WatchdogConfig()}
+    serial = _evaluation_rows("serial", _federated_actor_parts, **guarded)
+    assert stacked_simulators["evaluation"] == []
+    assert serial == _evaluation_rows("process", _federated_actor_parts, **guarded)
+
+
+def _no_evaluator_parts(device_name, metrics, profiler, **kwargs):
+    parts = _local_actor_parts(device_name, metrics, profiler, **kwargs)
+    if device_name == "DEV_3":
+        parts.evaluator = None
+    return parts
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_actor_without_evaluator_fails_the_round_naming_it(backend):
+    with pytest.raises(
+        ExecutionError,
+        match=r"(?s)evaluation failed on device 'DEV_3' in round 0:.*"
+        r"actor 'DEV_3' was built without an evaluator",
+    ):
+        _evaluation_rows(backend, _no_evaluator_parts, rounds=1)
+
 @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
 def test_fleet_telemetry_matches_serial(backend):
     config = tiny_config()

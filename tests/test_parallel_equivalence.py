@@ -392,11 +392,15 @@ FLEET_16 = {
 }
 
 
-def test_sixteen_device_fleet_batched_equals_serial(stacked_simulators):
+def test_sixteen_device_fleet_batched_equals_serial(
+    stacked_simulators, monkeypatch
+):
     """Serial ≡ batched with every lockstep row in the simulator kernel
     and every evaluation in one stacked pass — trace, evaluations,
     parameters, and the telemetry a profiler and a registry observe
-    (``sim.step`` scope counts, ``sim.app_switches``, ``sim.resets``)."""
+    (``sim.step`` scope counts, ``sim.app_switches``, ``sim.resets``) —
+    and both ≡ a serial run with stacking refused, whose evaluation
+    takes the per-application loop (the scalar oracle)."""
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profile import ScopeProfiler
 
@@ -410,25 +414,36 @@ def test_sixteen_device_fleet_batched_equals_serial(stacked_simulators):
     )
     built = stacked_simulators
     runs = {}
-    for backend in ("serial", "batched"):
+    for label, backend in (
+        ("scalar", "serial"),
+        ("serial", "serial"),
+        ("batched", "batched"),
+    ):
         metrics, profiler = MetricsRegistry(), ScopeProfiler()
-        result = train_federated(
-            FLEET_16,
-            config,
-            eval_applications=("fft", "radix"),
-            backend=backend,
-            metrics=metrics,
-            profiler=profiler,
-        )
-        if backend == "serial":
-            # Two evaluation rows per device: below the threshold.
+        with monkeypatch.context() as patch:
+            if label == "scalar":
+                patch.setattr("repro.nn.batched._BITEXACT_CACHE", False)
+            result = train_federated(
+                FLEET_16,
+                config,
+                eval_applications=("fft", "radix"),
+                backend=backend,
+                metrics=metrics,
+                profiler=profiler,
+            )
+        if label == "scalar":
             assert built == {"lockstep": [], "evaluation": []}
-        runs[backend] = (result, metrics.snapshot()["counters"], profiler)
-    (serial, counters_s, profiler_s), (batched, counters_b, profiler_b) = (
-        runs["serial"],
-        runs["batched"],
-    )
-    assert built == {"lockstep": [16] * 3, "evaluation": [32] * 3}
+        if label == "serial":
+            # Two evaluation rows per device, stacked across the sixteen.
+            assert built == {"lockstep": [], "evaluation": [32] * 3}
+        runs[label] = (result, metrics.snapshot()["counters"], profiler)
+    scalar, counters_0, profiler_0 = runs["scalar"]
+    serial, counters_s, profiler_s = runs["serial"]
+    batched, counters_b, profiler_b = runs["batched"]
+    assert built == {"lockstep": [16] * 3, "evaluation": [32] * 6}
+    assert_equivalent(scalar, serial)
+    assert counters_s == counters_0
+    assert _profile_counts(profiler_s) == _profile_counts(profiler_0)
     assert_equivalent(serial, batched)
     assert [
         (r.ipc, r.mpki, r.miss_rate, r.ips) for r in batched.train_trace

@@ -10,11 +10,17 @@ mid-run degrades telemetry and nothing else.
 import hashlib
 
 import numpy as np
+import pytest
 
-from repro.experiments.artefact import federated
+from repro.errors import ConfigurationError
+from repro.experiments.artefact import collab_profit, federated, local_only
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.registry import Runner
-from repro.experiments.training import train_federated
+from repro.experiments.training import (
+    train_collab_profit,
+    train_federated,
+    train_local_only,
+)
 from repro.obs.sink import EventPipeline, TelemetrySink
 from repro.runspec import RunSpec
 
@@ -62,6 +68,30 @@ class TestRunnerBase:
             Runner(config).numbers("controlplane")
         )
 
+
+
+class TestBaselineFields:
+    @pytest.mark.parametrize(
+        "driver, name",
+        ((train_local_only, "local-only"), (train_collab_profit, "profit-collab")),
+    )
+    def test_a_baseline_refuses_federation_fields_by_name(self, driver, name):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"^the {name} baseline cannot honour: guard, topology$",
+        ):
+            driver(ASSIGNMENTS, tiny_config(), guard=True, topology="edges=2")
+
+    @pytest.mark.parametrize("declare", (local_only, collab_profit))
+    def test_the_runner_hands_a_baseline_only_its_fields(self, declare):
+        config = tiny_config(rounds=2, steps=5)
+        run = declare(ASSIGNMENTS, config)
+        base = RunSpec(backend="batched", guard=True, topology="edges=2")
+        guarded = Runner(config, base=base).train(run)
+        plain = Runner(config).train(run)
+        assert guarded.guard_report is None
+        assert guarded.round_evaluations == plain.round_evaluations
+        assert guarded.communication_bytes == plain.communication_bytes
 
 class TestGuardReportOnTheResult:
     def test_two_runners_in_a_row_leak_no_report(self):
