@@ -122,9 +122,9 @@ SHARED_FLAGS = (
           "(implies a live events pipeline)", fields=_EVENTS),
     # Execution.
     Flag("--backend",
-         "execution backend for the training drivers: serial (default), process (one "
-         "persistent worker process per device) or batched (the fleet stacked into "
-         "single numpy calls); results are bit-identical across backends",
+         "execution backend for the training drivers: serial (default) or batched "
+         "(the fleet stacked into single numpy calls); results are bit-identical "
+         "across backends",
          default=DEFAULT_BACKEND, choices=BACKEND_NAMES, fields=("backend",)),
     # Resilience.
     _text("--faults", "SPEC",

@@ -287,8 +287,8 @@ class ControlSession:
         drains the delta after each step batch and emits one
         ``guard_transition`` event per entry. Draining here — instead
         of handing the controller a sink — keeps guarded controllers
-        picklable for checkpoints and works identically inside parallel
-        worker actors.
+        picklable for checkpoints and works identically inside every
+        device actor.
         """
         total = getattr(self.controller, "transitions_total", None)
         if total is None:

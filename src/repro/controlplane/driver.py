@@ -22,11 +22,10 @@ index)``, controllers ``(seed, 2, index)``, global init ``(seed, 3)``,
 eval controller ``(seed, 4)`` — so the async run trains the *same
 fleet* the sync run does, only the schedule differs.
 
-Non-serial backends are honoured for correctness, not speed: results
-are bit-identical on all three, but the loop trains one device per
+The batched backend is honoured for correctness, not speed: results
+are bit-identical on both backends, but the loop trains one device per
 event, so a task batch never holds more than one device and
-``process``/``batched`` only add dispatch cost (measured 1.4–1.9×
-slower than ``serial`` on ``async_degraded_8``).
+``batched`` only adds dispatch cost.
 """
 
 from __future__ import annotations

@@ -159,11 +159,11 @@ class CheckpointError(ReproError, RuntimeError):
 
 
 class ExecutionError(ReproError, RuntimeError):
-    """A parallel execution backend or one of its workers failed.
+    """The device fleet or one of its device actors failed.
 
-    Examples: a device-worker process died mid-round, a worker task
-    raised outside the straggler-tolerant training path, or an unknown
-    backend name was requested.
+    Examples: a device actor failed to build, a task raised outside the
+    straggler-tolerant training path, or a checkpoint held no state for
+    a device.
     """
 
 

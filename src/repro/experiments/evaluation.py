@@ -91,15 +91,15 @@ class PolicyEvaluator:
     — the simulated analogue of running the evaluation pass between
     training rounds on the real board.
 
-    Evaluation environments are **per-worker-cloneable**: each one is
+    Evaluation environments are **per-device-cloneable**: each one is
     seeded purely from ``(config.seed, seed_path, device_index)`` via
-    :func:`generator_from_root`, so a parallel execution backend can
-    rebuild a single device's evaluator inside a worker process — by
-    passing that device's original index through ``device_indices`` —
-    and step it through exactly the same RNG stream as the evaluator a
-    serial run holds for that device. Greedy evaluation never mutates
-    controller learning state, so the per-round metric streams are
-    bit-identical regardless of which process hosts the environment.
+    :func:`generator_from_root`, so a device actor can build a single
+    device's evaluator — by passing that device's original index
+    through ``device_indices`` — and step it through exactly the same
+    RNG stream as a whole-fleet evaluator holds for that device. Greedy
+    evaluation never mutates controller learning state, so the
+    per-round metric streams are bit-identical whichever evaluator
+    hosts the environment.
 
     Parameters
     ----------

@@ -141,8 +141,8 @@ def _build_one_environment(
 ) -> DeviceEnvironment:
     """One device's training environment, seeded by its original index.
 
-    Factored out of :func:`_build_training_environments` so a parallel
-    worker can rebuild exactly the environment a serial run would hold
+    Factored out of :func:`_build_training_environments` so a device
+    actor can build exactly the environment a whole-fleet build would hold
     for that device — the seed path depends only on ``(config.seed, 1,
     index)``.
     """
@@ -542,9 +542,9 @@ def _local_actor_parts(
 ) -> ActorParts:
     """Actor-side builder for one device (the local-only baseline's).
 
-    Top-level (picklable) and seeded purely by the device's original
-    index, so the actor's environment, controller and evaluator are
-    bit-identical on every backend, whichever worker builds them.
+    Seeded purely by the device's original index, so the actor's
+    environment, controller and evaluator are bit-identical on every
+    backend.
     """
     index = list(assignments).index(device_name)
     environment = _build_one_environment(
@@ -924,11 +924,10 @@ def train_federated(
     environments; the driver keeps *mirror* controllers as codec
     endpoints (broadcasts decode into them, uploads encode from them),
     so only model parameters cross the device boundary. ``backend``
-    selects how the actors are scheduled (:mod:`repro.parallel`):
-    ``"serial"`` (the reference and the default), ``"process"`` or
-    ``"batched"``. All backends produce bit-identical results; the
-    process backend additionally turns multi-core machines into real
-    local-training speedup. ``straggler_policy`` sets the
+    selects how the actors run (:mod:`repro.parallel`): ``"serial"``
+    (the reference and the default) or ``"batched"`` (the fleet's
+    networks, optimizers and replay stacked into single numpy calls).
+    Both produce bit-identical results. ``straggler_policy`` sets the
     orchestrator's fault-tolerance path; a fault plan's ``crash``
     events (``faults=FaultPlan([FaultEvent("crash", round, device)])``)
     make a device fail right before its local steps in that round, on

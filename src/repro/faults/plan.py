@@ -6,7 +6,7 @@ are dropped, duplicated, delayed or corrupted on the wire, which
 devices behave byzantine, and whether (and when) the server process is
 killed mid-run. Plans are fully materialised at construction — a list
 of frozen :class:`FaultEvent` records — so the schedule is trivially
-identical across serial/process/batched backends and across resumed
+identical across the serial and batched backends and across resumed
 runs; nothing is drawn lazily during training.
 
 Plans come from three places: explicit event lists (tests),
@@ -512,10 +512,9 @@ class FaultPlan:
 class PlanFaultInjector:
     """Adapter from a :class:`FaultPlan` to the engine's injector hook.
 
-    Instances are picklable (the plan is plain data), so the same
-    object rides into process workers via
-    :class:`~repro.parallel.payloads.WorkerSpec` kwargs and raises the
-    crash at exactly the same point a serial run would.
+    The plan is plain data, so one instance is handed to every device
+    actor through :class:`~repro.parallel.payloads.WorkerSpec` kwargs
+    and raises the crash at exactly the same point on either backend.
     """
 
     def __init__(self, plan: FaultPlan) -> None:

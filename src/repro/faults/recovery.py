@@ -13,7 +13,7 @@ run, on every execution backend.
 
 Device state crosses the snapshot boundary as opaque pickled blobs
 (:func:`capture_device_state` / :func:`restore_device_state`) so the
-same format serves every device actor (all three backends) and the
+same format serves every device actor (both backends) and the
 async control-plane driver — each actor pickles its own device, the
 driver never has to hold every device's state at once in any
 backend-specific shape. Observability

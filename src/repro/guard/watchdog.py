@@ -44,9 +44,8 @@ The wrapper delegates ``.agent`` / ``.reward`` / ``.normalizer`` to the
 inner controller (which must also split action selection into
 ``action_values`` and ``choose_action``), so every existing integration
 point — federated clients, flight records, checkpoint capture,
-worker-side parameter installs — works unchanged. It is picklable and
-therefore survives both process-backend shipping and ``RunSnapshot``
-capture.
+actor-side parameter installs — works unchanged. It is picklable and
+therefore survives ``RunSnapshot`` capture.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Policies are deterministic in their seed and the round index — the
 Pareto and stratified draws pull from their own
 :func:`~repro.utils.rng.generator_from_root` streams rather than the
 orchestrator's shared participation RNG, so the same policy picks the
-same devices on the serial, process and batched backends.
+same devices on the serial and batched backends.
 :class:`UniformSelection` deliberately keeps using the orchestrator's
 RNG through the original draw helper, making it bit-identical to a run
 with no policy at all.

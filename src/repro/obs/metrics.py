@@ -228,9 +228,9 @@ class MetricsRegistry:
         Unlike :meth:`snapshot`, histograms ship their *digest state*
         (not quantile summaries), so a parent registry merging a
         worker's dump via :meth:`merge_state` ends up with the same
-        sketch a single-process run would hold. Digest states are
-        bounded, so the payload crossing the worker pipe RPC stays
-        O(metrics) instead of O(observations).
+        sketch a single registry would hold. Digest states are
+        bounded, so each dump stays O(metrics) instead of
+        O(observations).
         """
         return {
             "counters": {n: c.value for n, c in self._counters.items()},
@@ -245,8 +245,8 @@ class MetricsRegistry:
 
         Counters add, gauges take the incoming value (last write wins,
         matching what sequential emission would leave behind) and
-        histograms merge digest states. Used by the parallel execution
-        backends to merge per-worker telemetry back into the registry
+        histograms merge digest states. Used by the device fleet to
+        merge per-actor telemetry back into the registry
         the run was given, always in deterministic device order.
         """
         for name, value in state.get("counters", {}).items():

@@ -198,10 +198,10 @@ class ScopeProfiler:
     def dump_rows(self) -> List[tuple]:
         """All stats as ``(path, count, total_s, child_s)`` rows.
 
-        The picklable counterpart of the profiler itself: parallel
-        device workers profile into a private instance, ship these rows
-        across the process boundary, and the parent folds them
-        back in with :meth:`merge_rows`.
+        The plain-data counterpart of the profiler itself: device
+        actors profile into a private instance, hand these rows back
+        after each task, and the driver folds them in with
+        :meth:`merge_rows`.
         """
         return [
             (s.path, s.count, s.total_s, s.child_s)

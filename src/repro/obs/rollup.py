@@ -14,8 +14,8 @@ alerting engine (:mod:`repro.obs.alerts`).
 
 Determinism: every field derived from the event stream (participants,
 stragglers, bytes, update norms, rewards, quarantine/churn/fault
-counts) is identical across serial/process/batched backends because the
-stream itself is — the parallel engine merges worker events in device
+counts) is identical across the serial and batched backends because the
+stream itself is — the parallel engine merges actor events in device
 order and re-stamps sequence numbers. Wall-clock-derived fields
 (durations, rounds/s) are kept apart and excluded from the
 deterministic snapshot (``snapshot(deterministic=True)``) used by

@@ -19,8 +19,8 @@ live observability layer (:mod:`repro.obs.rollup`,
   for rates and throughputs (rounds/s, bytes/s), one float of state.
 
 Merge determinism contract: the parallel execution engine merges
-worker telemetry in deterministic device order, and the serial/process/
-batched bit-identity suites compare the results exactly. Both
+actor telemetry in deterministic device order, and the serial/batched
+bit-identity suites compare the results exactly. Both
 sketches therefore merge as *pure functions of the input multiset*:
 cell keys depend only on the value, the exact buffer is canonically
 sorted on export, exact→cell compression triggers on the observation

@@ -1,9 +1,10 @@
 """The ``batched`` execution backend: one numpy program for the fleet.
 
-Serial and process both run each device's control loop as its own
-Python-level loop — ~100µs of interpreter work per device-step. The
-:class:`BatchedFleet` backend instead advances every device in
-lockstep: per control step it
+Serial runs each device's control loop as its own Python-level loop —
+~100µs of interpreter work per device-step. Under ``batched`` the
+:class:`~repro.parallel.engine.DeviceFleet` hands every stackable
+device to one :class:`_StackedGroup`, which advances them in lockstep:
+per control step it
 
 * builds all devices' normalised state vectors,
 * runs one stacked forward pass (:class:`~repro.nn.batched.StackedMLP`)
@@ -49,8 +50,9 @@ serial code uses:
 Floating-point equality holds because every stacked op the backend
 uses is verified bit-equal to its per-device form at runtime
 (:func:`~repro.nn.batched.stacked_ops_bitexact`); if that probe ever
-fails on an exotic BLAS build, the backend silently degrades to the
-serial per-device path rather than produce drifting results.
+fails on an exotic BLAS build, :func:`build_group` forms no group and
+every device takes the serial per-device path rather than produce
+drifting results.
 
 Telemetry
 ---------
@@ -87,23 +89,22 @@ cursors, OPP indices, ``time_s``/``total_instructions`` and generator
 positions back when it ends, so between batches every simulator object
 is serial-identical.
 
-A batch of :class:`~repro.parallel.payloads.EvalTask` that ships
-parameters evaluates each actor's eval vessel on its evaluation
-environment — one stacked greedy pass across the actors, as the serial
-backend runs it (:func:`~repro.parallel.worker.evaluate_actors`) — and
-touches no training state, so the group stays adopted. Every other
-non-training batch (evaluating the training controllers themselves,
-controller calls, fetches, checkpoints, state installs) first syncs the
-stacked state back into the per-device objects and drops the group,
-so those paths — and everything downstream of them — see state
-bit-identical to a serial run's.
+An evaluation round that ships parameters evaluates each actor's eval
+vessel on its evaluation environment — one stacked greedy pass across
+the actors, as on serial (:func:`~repro.parallel.worker.evaluate_actors`)
+— and touches no training state, so the group stays adopted. Everything
+else the fleet does besides training (evaluating the training
+controllers themselves, controller calls, fetches, checkpoints, state
+installs) first syncs the stacked state back into the per-device
+objects and drops the group, so those paths — and everything
+downstream of them — see state bit-identical to a serial run's.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,13 +116,8 @@ from repro.nn.losses import HuberLoss
 from repro.nn.network import MLP
 from repro.nn.optimizers import Adam
 from repro.obs.logging import get_logger
-from repro.parallel.payloads import (
-    EvalTask,
-    StepsOutcome,
-    StepsTask,
-    WorkerSpec,
-)
-from repro.parallel.worker import DeviceActor, evaluate_actors
+from repro.parallel.payloads import StepsOutcome, StepsTask
+from repro.parallel.worker import DeviceActor
 from repro.rl.agent import NeuralBanditAgent
 from repro.rl.policies import (
     NAN_PROBABILITIES,
@@ -220,8 +216,9 @@ class _StackedGroup:
     network parameters, Adam moments, replay contents, agent/session
     counters — into stacked arrays and becomes authoritative for them.
     :meth:`sync_back` writes everything into the per-device objects
-    again; the owning :class:`BatchedFleet` calls it (and drops the
-    group) before any task that reads or replaces those objects runs.
+    again; the owning :class:`~repro.parallel.engine.DeviceFleet` calls
+    it (and drops the group) before anything that reads or replaces
+    those objects runs.
     """
 
     def __init__(self, actors: Sequence[DeviceActor]) -> None:
@@ -843,7 +840,7 @@ class _StackedGroup:
             self._last_losses[row] = float(loss_rows[position])
 
 
-def _build_group(actors: Sequence[DeviceActor]) -> Optional[_StackedGroup]:
+def build_group(actors: Sequence[DeviceActor]) -> Optional[_StackedGroup]:
     """Group every compatible actor; ``None`` when batching cannot help."""
     if not stacked_ops_bitexact():
         _LOG.warning(
@@ -863,93 +860,3 @@ def _build_group(actors: Sequence[DeviceActor]) -> Optional[_StackedGroup]:
     if len(matched) < 2:
         return None
     return _StackedGroup(matched)
-
-
-class BatchedFleet:
-    """Backend running all eligible devices as one stacked computation.
-
-    Interface-compatible with the serial and process backends:
-    builds one :class:`DeviceActor` per spec (same construction order,
-    hence identical seed paths), answers ``run_tasks`` batches. Pure
-    training batches go through the vectorised lockstep loop and pure
-    evaluation batches through one stacked greedy pass; anything else
-    syncs the stacked state back and runs on the per-device actors,
-    which keeps checkpointing, guard probes and controller fetches
-    bit-identical to serial.
-    """
-
-    name = "batched"
-
-    def __init__(self, specs: Sequence[WorkerSpec]) -> None:
-        self._actors = {spec.device_name: DeviceActor(spec) for spec in specs}
-        self._group: Optional[_StackedGroup] = None
-        self._group_built = False
-
-    def run_tasks(self, tasks: Dict[str, object]) -> Dict[str, object]:
-        if tasks and all(isinstance(task, StepsTask) for task in tasks.values()):
-            return self._run_steps_batch(tasks)
-        if tasks and all(isinstance(task, EvalTask) for task in tasks.values()):
-            return self._run_eval_batch(tasks)
-        self._release_group()
-        return {
-            name: self._actors[name].handle(task) for name, task in tasks.items()
-        }
-
-    def _run_eval_batch(self, tasks: Dict[str, EvalTask]) -> Dict[str, object]:
-        """:func:`~repro.parallel.worker.evaluate_actors`. Shipped
-        parameters run on the eval vessels and leave the stacked group
-        adopted; evaluating the training controllers syncs it back first.
-        """
-        if any(task.parameters is None for task in tasks.values()):
-            self._release_group()
-        return evaluate_actors(self._actors, tasks)
-
-    def _run_steps_batch(self, tasks: Dict[str, StepsTask]) -> Dict[str, object]:
-        group = self._ensure_group()
-        outcomes: Dict[str, object] = {}
-        grouped: Dict[Tuple[int, int, bool], Dict[str, StepsTask]] = {}
-        for name, task in tasks.items():
-            if group is not None and name in group.rows:
-                key = (task.round_index, task.num_steps, task.train)
-                grouped.setdefault(key, {})[name] = task
-            else:
-                # Ineligible devices take the exact serial path.
-                outcomes[name] = self._actors[name].handle(task)
-        for (round_index, num_steps, train), subset in grouped.items():
-            outcomes.update(
-                group.run_steps(subset, round_index, num_steps, train)
-            )
-        return outcomes
-
-    def _ensure_group(self) -> Optional[_StackedGroup]:
-        if not self._group_built:
-            self._group = _build_group(list(self._actors.values()))
-            self._group_built = True
-            if self._group is not None:
-                _LOG.info(
-                    "stacked group formed",
-                    extra={
-                        "devices": len(self._actors),
-                        "grouped": self._group.num_devices,
-                    },
-                )
-        return self._group
-
-    def _release_group(self) -> None:
-        """Sync stacked state back and force a rebuild on next training.
-
-        Dropping (rather than keeping) the group is deliberate: a
-        controller call, an evaluation of the training controllers or a
-        state install may mutate or replace the per-device objects, so
-        adopted state could go stale. Rebuilding re-adopts and
-        re-checks eligibility.
-        """
-        if self._group is not None:
-            self._group.sync_back()
-            self._group = None
-        self._group_built = False
-
-    def close(self) -> None:
-        self._group = None
-        self._group_built = False
-        self._actors.clear()

@@ -1,12 +1,25 @@
-"""The device fleet: persistent actors behind a pluggable backend.
+"""The device fleet: one persistent actor per device, in the driver.
 
 :class:`DeviceFleet` is what the training drivers talk to. It owns one
-:class:`~repro.parallel.worker.DeviceActor` per device (via the chosen
-backend), dispatches round-synchronous task batches, and folds each
-outcome's telemetry back into the driver's sinks **in deterministic
-device order** — so the shared step log, flight recorder, metrics
-registry and profiler end up with exactly the content a serial run
-produces, regardless of how the work was scheduled.
+:class:`~repro.parallel.worker.DeviceActor` per device, dispatches
+round-synchronous task batches, and folds each outcome's telemetry back
+into the driver's sinks **in deterministic device order** — so the
+shared step log, flight recorder, metrics registry and profiler end up
+with exactly the content a serial run produces, whichever backend ran
+the steps.
+
+Two backends, both in-process and bit-identical:
+
+* ``serial`` — each actor runs its own steps, one after another (the
+  reference);
+* ``batched`` — every eligible device's network, optimizer and replay
+  stacked along a device axis in one
+  :class:`~repro.parallel.batched._StackedGroup`, so the group trains in
+  single numpy calls (:mod:`~repro.parallel.batched`); ineligible
+  devices run as on ``serial``.
+
+On both, an evaluation round is one stacked greedy pass across the
+actors (:func:`~repro.parallel.worker.evaluate_actors`).
 
 :class:`FleetTrainExecutor` adapts the fleet to the orchestrator's
 ``executor`` hook (:func:`repro.federated.orchestrator.run_federated_training`):
@@ -19,30 +32,32 @@ unchanged.
 
 from __future__ import annotations
 
+import traceback
 from statistics import fmean
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.obs.flight import FlightRecorder
+from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
-from repro.parallel.backend import create_backend
+from repro.parallel.batched import _StackedGroup, build_group
 from repro.parallel.payloads import (
-    CallTask,
     EvalTask,
-    FetchControllerTask,
-    FetchStateTask,
-    InstallStateTask,
     StepsOutcome,
     StepsTask,
     WorkerSpec,
 )
-from repro.runspec import DEFAULT_BACKEND
+from repro.parallel.worker import DeviceActor, evaluate_actors
+from repro.runspec import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.sim.trace import StepLog
+
+_LOG = get_logger("parallel")
 
 
 class DeviceFleet:
-    """Round-synchronous task dispatch over per-device actors."""
+    """The driver's handle on its device actors: round-synchronous
+    steps and evaluation, controller access and checkpoint state."""
 
     def __init__(
         self,
@@ -54,6 +69,11 @@ class DeviceFleet:
         profiler: Optional[ScopeProfiler] = None,
         events=None,
     ) -> None:
+        if backend not in BACKEND_NAMES:
+            raise ConfigurationError(
+                f"unknown execution backend {backend!r}; "
+                f"available: {', '.join(BACKEND_NAMES)}"
+            )
         self.device_names: List[str] = [spec.device_name for spec in specs]
         self.backend_name = backend
         self.trace = trace
@@ -62,7 +82,19 @@ class DeviceFleet:
         self.profiler = profiler
         self.events = events
         self._latency_by_device: Dict[str, float] = {}
-        self._backend = create_backend(backend, specs)
+        self._actors: Dict[str, DeviceActor] = {}
+        for spec in specs:
+            try:
+                self._actors[spec.device_name] = DeviceActor(spec)
+            except Exception:
+                raise ExecutionError(
+                    f"worker for device {spec.device_name!r} failed to start:\n"
+                    f"{traceback.format_exc()}"
+                ) from None
+        #: The batched backend's stacked group; ``None`` while released
+        #: (and always on serial).
+        self._group: Optional[_StackedGroup] = None
+        self._group_built = False
 
     # -- training ------------------------------------------------------
     def run_round(
@@ -96,7 +128,21 @@ class DeviceFleet:
             )
             for name in device_names
         }
-        outcomes = self._backend.run_tasks(tasks)
+        group = self._stacked_group()
+        stacked = {
+            name: task
+            for name, task in tasks.items()
+            if group is not None and name in group.rows
+        }
+        # Devices outside the stacked group step first, each on its own
+        # actor, then the group's in one lockstep batch.
+        outcomes = {
+            name: self._actors[name].run_steps(task)
+            for name, task in tasks.items()
+            if name not in stacked
+        }
+        if stacked:
+            outcomes.update(group.run_steps(stacked, round_index, num_steps, train))
         for name in device_names:
             outcome = outcomes[name]
             self._merge_outcome(outcome)
@@ -132,20 +178,57 @@ class DeviceFleet:
             # merged stream equals the serial interleaving exactly.
             self.events.emit_many(dump.event_rows)
 
-    def _dispatch(
-        self, tasks: Mapping[str, Any], what: Callable[[str], str]
-    ) -> Dict[str, Any]:
-        """Run one task per device; raise on the first failed device.
+    # -- the batched backend's stacked group ---------------------------
+    def _stacked_group(self) -> Optional[_StackedGroup]:
+        """Under ``batched``, the group adopting every stackable actor,
+        formed on first use after construction or a release."""
+        if self.backend_name == "batched" and not self._group_built:
+            self._group = build_group(list(self._actors.values()))
+            self._group_built = True
+            if self._group is not None:
+                _LOG.info(
+                    "stacked group formed",
+                    extra={
+                        "devices": len(self._actors),
+                        "grouped": self._group.num_devices,
+                    },
+                )
+        return self._group
 
-        Devices are checked in task order; ``what(name)`` words the
-        failure of device ``name``.
+    def _release_group(self) -> None:
+        """Sync stacked state back and force a rebuild on next training.
+
+        Dropping (rather than keeping) the group is deliberate: a
+        controller call, an evaluation of the training controllers or a
+        state install may mutate or replace the per-device objects, so
+        adopted state could go stale. Rebuilding re-adopts and
+        re-checks eligibility.
         """
-        outcomes = self._backend.run_tasks(tasks)
-        for name in tasks:
-            error = outcomes[name].error
-            if error is not None:
-                raise ExecutionError(f"{what(name)}:\n{error}")
-        return outcomes
+        if self._group is not None:
+            self._group.sync_back()
+            self._group = None
+        self._group_built = False
+
+    def _on_actors(
+        self,
+        names: Sequence[str],
+        work: Callable[[DeviceActor], Any],
+        what: Callable[[str], str],
+    ) -> Dict[str, Any]:
+        """``work(actor)`` on each named actor, in order, with the
+        stacked group released first; the first failure raises,
+        ``what(name)`` wording it, with the device-side traceback."""
+        self._release_group()
+        values: Dict[str, Any] = {}
+        for name in names:
+            actor = self._actors[name]
+            try:
+                values[name] = work(actor)
+            except Exception:
+                raise ExecutionError(
+                    f"{what(name)}:\n{traceback.format_exc()}"
+                ) from None
+        return values
 
     # -- evaluation ----------------------------------------------------
     def evaluate_round(
@@ -154,25 +237,33 @@ class DeviceFleet:
         device_names: Sequence[str],
         parameters: Optional[Any] = None,
     ) -> List[Any]:
-        """Fan the device×application evaluation grid out per device.
+        """Evaluate the device×application grid in one stacked pass.
 
-        Applications run sequentially inside each actor (preserving its
-        evaluation environments' RNG continuity); the flattened rows
+        Each device's applications keep their serial order (preserving
+        its evaluation environments' RNG continuity); the flattened rows
         come back in device order — the exact list a serial
-        ``PolicyEvaluator.evaluate`` call builds.
+        ``PolicyEvaluator.evaluate`` call builds. Shipped ``parameters``
+        run on the eval vessels and leave the stacked group adopted;
+        evaluating the training controllers syncs it back first.
         """
-        outcomes = self._dispatch(
+        if parameters is None:
+            self._release_group()
+        outcomes = evaluate_actors(
+            self._actors,
             {
                 name: EvalTask(round_index=round_index, parameters=parameters)
                 for name in device_names
             },
-            lambda name: (
-                f"evaluation failed on device {name!r} in round {round_index}"
-            ),
         )
         rows: List[Any] = []
         for name in device_names:
-            rows.extend(outcomes[name].evaluations)
+            outcome = outcomes[name]
+            if outcome.error is not None:
+                raise ExecutionError(
+                    f"evaluation failed on device {name!r} in round "
+                    f"{round_index}:\n{outcome.error}"
+                )
+            rows.extend(outcome.evaluations)
         return rows
 
     # -- controller access ---------------------------------------------
@@ -184,27 +275,23 @@ class DeviceFleet:
     ) -> Dict[str, Any]:
         """``controller.<method>(*args)`` on every device, in order."""
         names = list(device_names) if device_names is not None else self.device_names
-        outcomes = self._dispatch(
-            {name: CallTask(method=method, args=args) for name in names},
+        return self._on_actors(
+            names,
+            lambda actor: getattr(actor.controller, method)(*args),
             lambda name: (
                 f"controller call {method!r} failed on device {name!r}"
             ),
         )
-        return {name: outcomes[name].value for name in names}
 
     def fetch_controllers(self) -> Dict[str, Any]:
-        """The actors' live controller objects, keyed by device.
-
-        For the process backend the controllers are pickled back whole
-        (network, optimizer state, replay buffer, RNG streams), so the
-        returned objects equal what a serial run holds at the same
-        point.
-        """
-        outcomes = self._dispatch(
-            {name: FetchControllerTask() for name in self.device_names},
+        """The actors' live controller objects, keyed by device: the
+        objects themselves (network, optimizer state, replay buffer, RNG
+        streams), with any stacked state written back into them."""
+        return self._on_actors(
+            self.device_names,
+            lambda actor: actor.controller,
             lambda name: f"failed to fetch controller from device {name!r}",
         )
-        return {name: outcomes[name].value for name in self.device_names}
 
     # -- checkpoint state ----------------------------------------------
     def fetch_states(self) -> Dict[str, bytes]:
@@ -215,11 +302,11 @@ class DeviceFleet:
         telemetry sinks stripped), so a run checkpointed under one
         backend resumes under any other.
         """
-        outcomes = self._dispatch(
-            {name: FetchStateTask() for name in self.device_names},
+        return self._on_actors(
+            self.device_names,
+            DeviceActor.capture_state,
             lambda name: f"failed to capture state from device {name!r}",
         )
-        return {name: outcomes[name].value for name in self.device_names}
 
     def install_states(self, blobs: Mapping[str, bytes]) -> None:
         """Restore checkpoint blobs into their actors (resume path)."""
@@ -228,16 +315,14 @@ class DeviceFleet:
             raise ExecutionError(
                 f"checkpoint has no state for devices {missing}"
             )
-        outcomes = self._dispatch(
-            {
-                name: InstallStateTask(blob=blobs[name])
-                for name in self.device_names
-            },
+        latencies = self._on_actors(
+            self.device_names,
+            lambda actor: actor.install_state(blobs[actor.device_name]),
             lambda name: f"failed to restore state on device {name!r}",
         )
-        for name in self.device_names:
-            if outcomes[name].value is not None:
-                self._latency_by_device[name] = outcomes[name].value
+        for name, latency in latencies.items():
+            if latency is not None:
+                self._latency_by_device[name] = latency
 
     # -- summaries -----------------------------------------------------
     def mean_decision_latency_s(self) -> float:
@@ -257,7 +342,9 @@ class DeviceFleet:
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        self._backend.close()
+        self._group = None
+        self._group_built = False
+        self._actors.clear()
 
     def __enter__(self) -> "DeviceFleet":
         return self

@@ -1,35 +1,33 @@
-"""Payloads that cross the execution-backend boundary.
+"""The records that pass between the fleet and its device actors.
 
-The parallel engine (:mod:`repro.parallel.engine`) keeps one persistent
-*device actor* per simulated device — the actor owns that device's
+The fleet (:mod:`repro.parallel.engine`) keeps one persistent *device
+actor* per simulated device — the actor owns that device's
 :class:`~repro.sim.device.DeviceEnvironment`, controller and control
 session across every federated round, exactly like a real edge board
-owns its own state. Only the objects defined here travel between the
-driver process and the actors:
+owns its own state. A round reaches the actors as records defined
+here:
 
 * downstream: small frozen *task* records (step counts, model
-  parameters to install, controller method names);
+  parameters to install);
 * upstream: *outcome* records carrying the task's
   :class:`~repro.sim.trace.StepBlock`, trained parameters and a
-  :class:`TelemetryDump` of the worker's private observability sinks.
+  :class:`TelemetryDump` of the actor's private observability sinks.
 
-Everything is plain dataclasses over picklable values (numpy arrays,
-step blocks, dicts), so the identical payloads serve the in-process
-backends and the multiprocessing backend.
+Everything is plain dataclasses over numpy arrays, step blocks and
+dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.trace import StepBlock, StepRecord
 
-#: A worker-side builder: ``builder(device_name=..., metrics=...,
-#: profiler=..., **kwargs) -> ActorParts``. Must be a *top-level*
-#: function so the spec pickles into a worker process; the metrics/
-#: profiler arguments are the actor's private sinks, to be wired into
-#: the device environment it constructs.
+#: An actor builder: ``builder(device_name=..., metrics=...,
+#: profiler=..., **kwargs) -> ActorParts``. The metrics/profiler
+#: arguments are the actor's private sinks, to be wired into the device
+#: environment it constructs.
 ActorBuilder = Callable[..., "ActorParts"]
 
 #: Called as ``fault_injector(device_name, round_index)`` right before
@@ -58,14 +56,13 @@ class ActorParts:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything needed to (re)build one device actor in a worker.
+    """Everything needed to build one device actor.
 
-    The spec is the *only* thing shipped at worker start-up: builders
-    reconstruct environment and controller from deterministic seed
-    paths, so a process worker ends up with state bit-identical to what
-    a serial run would hold for that device. Telemetry flags mirror the
-    driver's attached sinks; the actor creates matching private
-    collectors and ships their contents back inside each outcome.
+    Builders reconstruct environment and controller from deterministic
+    seed paths, so an actor holds the same state for its device on
+    every backend. Telemetry flags mirror the driver's attached sinks;
+    the actor creates matching private collectors and hands their
+    contents back inside each outcome.
     """
 
     device_name: str
@@ -107,39 +104,9 @@ class EvalTask:
     parameters: Optional[List[Any]] = None
 
 
-@dataclass(frozen=True)
-class CallTask:
-    """Invoke ``controller.<method>(*args)`` and return the result."""
-
-    method: str
-    args: Tuple[Any, ...] = ()
-
-
-@dataclass(frozen=True)
-class FetchControllerTask:
-    """Ship the actor's whole controller object back to the driver."""
-
-
-@dataclass(frozen=True)
-class FetchStateTask:
-    """Ship the actor's full device state as an opaque checkpoint blob.
-
-    The blob comes from :func:`repro.faults.capture_device_state` —
-    environment, controller, session counters and the evaluation
-    environment, with process-local telemetry sinks stripped.
-    """
-
-
-@dataclass(frozen=True)
-class InstallStateTask:
-    """Restore a checkpoint blob captured by :class:`FetchStateTask`."""
-
-    blob: bytes
-
-
 @dataclass
 class TelemetryDump:
-    """One task's worth of a worker's private observability state.
+    """One task's worth of an actor's private observability state.
 
     ``metrics_state`` and ``profile_rows`` are drained on
     every dump, so they hold per-task deltas that the driver merges
@@ -193,13 +160,4 @@ class EvalOutcome:
 
     device: str
     evaluations: List[Any] = field(default_factory=list)
-    error: Optional[str] = None
-
-
-@dataclass
-class CallOutcome:
-    """Result of a :class:`CallTask`/:class:`FetchControllerTask`."""
-
-    device: str
-    value: Any = None
     error: Optional[str] = None

@@ -1,11 +1,12 @@
-"""Device actors: the worker half of the parallel execution engine.
+"""Device actors: one simulated edge device each, owned by the fleet.
 
-A :class:`DeviceActor` is one simulated edge device living inside a
-worker (the driver process itself or a dedicated child process).
-It is built once from a picklable :class:`~repro.parallel.payloads.WorkerSpec`
-and then serves tasks for the whole run — its environment, controller,
-replay buffer and RNG streams persist across federated rounds, so only
-model parameters and result summaries ever cross the boundary.
+A :class:`DeviceActor` is one simulated edge device living in the
+driver process. It is built once from a
+:class:`~repro.parallel.payloads.WorkerSpec` and then serves the
+fleet for the whole run — its environment, controller, replay buffer
+and RNG streams persist across federated rounds, as a real board keeps
+its own state, so only model parameters and result summaries pass
+between it and the driver.
 
 Telemetry: the actor records into *private* sinks (its own
 :class:`~repro.obs.metrics.MetricsRegistry`,
@@ -14,11 +15,13 @@ only when the driver has the matching sink attached) and drains them
 into a :class:`~repro.parallel.payloads.TelemetryDump` after every
 steps task. The steps themselves travel as the task's
 :class:`~repro.sim.trace.StepBlock`, which the driver appends to its
-step log and offers to its flight recorder. The driver merges outcomes
-in deterministic device order, reproducing the exact stream a serial
-run emits. An actor never holds the driver's own sinks — fork-started
-process workers must not use an inherited copy of them, and in-process
-actors must record the same stream they do.
+step log and offers to its flight recorder. An actor never holds the
+driver's own sinks: the batched backend's lockstep loop interleaves the
+grouped devices' steps and keeps every device's ``control.run_steps``
+scope open across the whole batch, which one shared profiler's scope
+stack could not hold. The driver instead merges each actor's dump in
+device order, which reproduces the exact stream a serial run emits on
+either backend.
 """
 
 from __future__ import annotations
@@ -33,25 +36,17 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
 from repro.obs.sink import EventBuffer
 from repro.parallel.payloads import (
-    CallOutcome,
-    CallTask,
     EvalOutcome,
     EvalTask,
-    FetchControllerTask,
-    FetchStateTask,
-    InstallStateTask,
     StepsOutcome,
     StepsTask,
     TelemetryDump,
     WorkerSpec,
 )
 
-#: Handshake value a process worker sends once its actor is built.
-WORKER_READY = "ready"
-
 
 class DeviceActor:
-    """One device's persistent state plus its task dispatcher."""
+    """One device's persistent state and the work the fleet asks of it."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.device_name = spec.device_name
@@ -88,27 +83,10 @@ class DeviceActor:
             events=self.events,
         )
 
-    # -- dispatch ------------------------------------------------------
-    def handle(self, task):
-        """Execute one task; never raises (errors ride in the outcome)."""
-        if isinstance(task, StepsTask):
-            return self._run_steps(task)
-        if isinstance(task, EvalTask):
-            return self._evaluate(task)
-        if isinstance(task, CallTask):
-            return self._call(task)
-        if isinstance(task, FetchControllerTask):
-            return CallOutcome(self.device_name, value=self.controller)
-        if isinstance(task, FetchStateTask):
-            return self._fetch_state()
-        if isinstance(task, InstallStateTask):
-            return self._install_state(task)
-        return CallOutcome(
-            self.device_name, error=f"unknown task type {type(task).__name__}"
-        )
-
     # -- task handlers -------------------------------------------------
-    def _run_steps(self, task: StepsTask) -> StepsOutcome:
+    def run_steps(self, task: StepsTask) -> StepsOutcome:
+        """Run the task's control steps; never raises (errors ride in
+        the outcome)."""
         start = time.perf_counter()
         error: Optional[str] = None
         try:
@@ -157,7 +135,8 @@ class DeviceActor:
         self.eval_controller.agent.set_parameters(task.parameters)
         return self.eval_controller
 
-    def _evaluate(self, task: EvalTask) -> EvalOutcome:
+    def evaluate(self, task: EvalTask) -> EvalOutcome:
+        """Evaluate on this actor alone; never raises."""
         try:
             controller = self.eval_target(task)
             rows = self.evaluator.evaluate_device(
@@ -167,61 +146,54 @@ class DeviceActor:
         except Exception:
             return EvalOutcome(self.device_name, error=traceback.format_exc())
 
-    def _call(self, task: CallTask) -> CallOutcome:
-        try:
-            value = getattr(self.controller, task.method)(*task.args)
-            return CallOutcome(self.device_name, value=value)
-        except Exception:
-            return CallOutcome(self.device_name, error=traceback.format_exc())
-
     # -- checkpoint state ----------------------------------------------
-    def _fetch_state(self) -> CallOutcome:
-        try:
-            # Imported lazily: most runs never checkpoint.
-            from repro.faults.recovery import capture_device_state
+    def capture_state(self) -> bytes:
+        """The actor's full device state as an opaque checkpoint blob
+        (:func:`repro.faults.capture_device_state`: environment,
+        controller, session counters and the evaluation environment,
+        with the telemetry sinks stripped)."""
+        # Imported lazily: most runs never checkpoint.
+        from repro.faults.recovery import capture_device_state
 
-            eval_environment = (
-                self.evaluator.get_environment(self.device_name)
-                if self.evaluator is not None
-                else None
-            )
-            blob = capture_device_state(
-                self.environment,
-                self.controller,
-                self.session,
-                eval_environment=eval_environment,
-            )
-            return CallOutcome(self.device_name, value=blob)
-        except Exception:
-            return CallOutcome(self.device_name, error=traceback.format_exc())
+        eval_environment = (
+            self.evaluator.get_environment(self.device_name)
+            if self.evaluator is not None
+            else None
+        )
+        return capture_device_state(
+            self.environment,
+            self.controller,
+            self.session,
+            eval_environment=eval_environment,
+        )
 
-    def _install_state(self, task: InstallStateTask) -> CallOutcome:
-        try:
-            from repro.faults.recovery import (
-                restore_device_state,
-                restore_session_state,
-            )
+    def install_state(self, blob: bytes) -> Optional[float]:
+        """Restore a blob from :meth:`capture_state`.
 
-            payload = restore_device_state(
-                task.blob, metrics=self.metrics, profiler=self.profiler
+        Returns the restored session's lifetime decision latency: it
+        carries its pre-checkpoint history, so a run resumed with no
+        rounds left still knows its devices' decision latency.
+        """
+        from repro.faults.recovery import (
+            restore_device_state,
+            restore_session_state,
+        )
+
+        payload = restore_device_state(
+            blob, metrics=self.metrics, profiler=self.profiler
+        )
+        self.environment = payload["environment"]
+        self.controller = payload["controller"]
+        self.session = self._new_session()
+        restore_session_state(self.session, payload["session"])
+        if (
+            payload.get("eval_environment") is not None
+            and self.evaluator is not None
+        ):
+            self.evaluator.set_environment(
+                self.device_name, payload["eval_environment"]
             )
-            self.environment = payload["environment"]
-            self.controller = payload["controller"]
-            self.session = self._new_session()
-            restore_session_state(self.session, payload["session"])
-            if (
-                payload.get("eval_environment") is not None
-                and self.evaluator is not None
-            ):
-                self.evaluator.set_environment(
-                    self.device_name, payload["eval_environment"]
-                )
-            # The restored session carries its pre-checkpoint latency
-            # history; report it so a run resumed with no rounds left
-            # still knows its devices' decision latency.
-            return CallOutcome(self.device_name, value=self._lifetime_latency())
-        except Exception:
-            return CallOutcome(self.device_name, error=traceback.format_exc())
+        return self._lifetime_latency()
 
     # -- telemetry -----------------------------------------------------
     def _dump_telemetry(self) -> Optional[TelemetryDump]:
@@ -242,7 +214,7 @@ class DeviceActor:
 def evaluate_actors(
     actors: Mapping[str, DeviceActor], tasks: Dict[str, EvalTask]
 ) -> Dict[str, EvalOutcome]:
-    """An evaluation batch on in-process actors, as one stacked greedy
+    """An evaluation batch on the fleet's actors, as one stacked greedy
     pass across them (:func:`repro.experiments.evaluation.evaluate_stacked`).
 
     A job the pass leaves alone runs where it always did, on its own
@@ -265,41 +237,6 @@ def evaluate_actors(
         outcomes[name] = (
             EvalOutcome(name, evaluations=rows)
             if rows is not None
-            else actors[name].handle(tasks[name])
+            else actors[name].evaluate(tasks[name])
         )
     return outcomes
-
-
-def process_worker_main(connection, spec: WorkerSpec) -> None:
-    """Task loop of one child process (one device, whole run).
-
-    Sends a ready/error handshake after construction, then answers one
-    outcome per received task until the ``None`` shutdown sentinel (or
-    a closed pipe) arrives.
-    """
-    try:
-        actor = DeviceActor(spec)
-    except Exception:
-        try:
-            connection.send(
-                CallOutcome(spec.device_name, error=traceback.format_exc())
-            )
-        finally:
-            connection.close()
-        return
-    connection.send(CallOutcome(spec.device_name, value=WORKER_READY))
-    while True:
-        try:
-            task = connection.recv()
-        except EOFError:
-            break
-        if task is None:
-            break
-        try:
-            outcome = actor.handle(task)
-        except Exception:
-            outcome = CallOutcome(
-                spec.device_name, error=traceback.format_exc()
-            )
-        connection.send(outcome)
-    connection.close()

@@ -7,7 +7,7 @@ accept its fields as keyword arguments and use exactly what they are
 given. Artefact declarations name only the options their own runs vary;
 the :class:`~repro.experiments.registry.Runner` lays each run's options
 over one *base* spec, which is how the CLI's flags and sinks reach every
-run (``Runner(config, base=RunSpec(backend="process", faults="drop=0.1"))``).
+run (``Runner(config, base=RunSpec(backend="batched", faults="drop=0.1"))``).
 
 One merge rule, :meth:`RunSpec.over`, serves every layering: the value
 set nearest the run wins, field by field; a spec that sets nothing
@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.errors import ConfigurationError
 
 #: Recognised execution backends, in documentation order.
-BACKEND_NAMES = ("serial", "process", "batched")
+BACKEND_NAMES = ("serial", "batched")
 
 #: Backend used when nothing is configured anywhere.
 DEFAULT_BACKEND = "serial"

@@ -431,9 +431,13 @@ class TestCliUsageErrors:
         "flags, complaint",
         [
             (["--backend", "thread"], "invalid choice: 'thread'"),
+            (
+                ["--backend", "process"],
+                "invalid choice: 'process' (choose from 'serial', 'batched')",
+            ),
             (["--workers", "2"], "unrecognized arguments: --workers 2"),
         ],
-        ids=["thread-backend", "workers"],
+        ids=["thread-backend", "process-backend", "workers"],
     )
     def test_removed_execution_options_exit_2_naming_the_backends(
         self, flags, complaint, capsys
@@ -443,4 +447,4 @@ class TestCliUsageErrors:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert complaint in err
-        assert "{serial,process,batched}" in err
+        assert "{serial,batched}" in err

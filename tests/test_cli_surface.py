@@ -64,7 +64,7 @@ SURFACE = {'list': [(('-h', '--help'), 'help', SUPPRESS, None, None, 0, False)],
              'backend',
              'serial',
              None,
-             ('serial', 'process', 'batched'),
+             ('serial', 'batched'),
              None,
              False),
             (('--faults',), 'faults', '', None, None, None, False),
@@ -101,7 +101,7 @@ SURFACE = {'list': [(('-h', '--help'), 'help', SUPPRESS, None, None, 0, False)],
          (('--run-name',), 'run_name', '', None, None, None, False),
          (('--serve-metrics',), 'serve_metrics', None, None, None, None, False),
          (('--alerts',), 'alerts', '', None, None, None, False),
-         (('--backend',), 'backend', 'serial', None, ('serial', 'process', 'batched'), None, False),
+         (('--backend',), 'backend', 'serial', None, ('serial', 'batched'), None, False),
          (('--faults',), 'faults', '', None, None, None, False),
          (('--aggregator',), 'aggregator', '', None, None, None, False),
          (('--checkpoint',), 'checkpoint', '', None, None, None, False),

@@ -702,7 +702,7 @@ class TestDriver:
         assert run.fallback_steps_by_device == report.fallback_steps
         assert all(steps > 0 for steps in run.fallback_steps_by_device.values())
         assert sum(report.trip_counts.values()) >= 3
-        other, other_report = guarded("process")
+        other, other_report = guarded("batched")
         assert other_report == report
         assert other.round_evaluations == result.round_evaluations
         assert list(other.train_trace) == list(result.train_trace)
@@ -979,7 +979,7 @@ class TestAsyncRejectsUnsupportedOptions:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--backend", "process"],
+            ["--backend", "batched"],
             ["--flight-out", "{tmp}/flight.jsonl"],
             ["--guard"],
         ],

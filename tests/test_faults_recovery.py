@@ -190,12 +190,6 @@ class TestCrashResume:
         resumed = self.kill_then_resume(backend, backend, tmp_path, 3)
         assert run_metrics(resumed) == uninterrupted
 
-    def test_serial_checkpoint_resumes_under_process_backend(
-        self, uninterrupted, tmp_path
-    ):
-        resumed = self.kill_then_resume("serial", "process", tmp_path, 4)
-        assert run_metrics(resumed) == uninterrupted
-
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_resuming_a_finished_run_returns_its_result(
         self, backend, uninterrupted, tmp_path
@@ -229,9 +223,7 @@ class TestCrashResume:
         "written_under,resumed_under",
         [
             ("serial", "batched"),
-            ("process", "serial"),
             ("batched", "serial"),
-            ("batched", "process"),
         ],
     )
     def test_checkpoints_are_portable_across_backends(

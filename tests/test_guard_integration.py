@@ -328,7 +328,7 @@ class TestGuardedKillResume:
         ]
         assert min(trip_steps) <= steps_before_kill < max(trip_steps)
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
     def test_kill_and_resume_is_bit_identical(
         self, uninterrupted, backend, tmp_path
     ):

@@ -51,7 +51,7 @@ class TestNestedAndInterleaved:
         assert merged.metrics is metrics
         assert merged.backend == "batched"
         assert merged.guard is False
-        assert RunSpec(backend="process").over(merged).backend == "process"
+        assert RunSpec(backend="serial").over(merged).backend == "serial"
         assert base.tracer is None
         assert base.guard is True
 

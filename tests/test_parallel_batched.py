@@ -1,4 +1,4 @@
-"""BatchedFleet grouping, fallback and resync behaviour.
+"""The batched backend's grouping, fallback and resync behaviour.
 
 Bit-identical equivalence against serial across whole training drivers
 (including stragglers, guard, events and obs artefacts) lives in
@@ -130,7 +130,7 @@ def _batched_group(builder, assignments=ASSIGNMENTS):
     )
     fleet = DeviceFleet(specs, backend="batched")
     fleet.run_round(0, list(assignments), config.steps_per_round)
-    return fleet._backend._group, fleet
+    return fleet._group, fleet
 
 
 def test_homogeneous_fleet_forms_full_group():
@@ -596,12 +596,12 @@ def _train_evaluate_checkpoint(
         for round_index in range(2):
             outcomes = fleet.run_round(round_index, names, config.steps_per_round)
             records.append({name: outcomes[name].records for name in names})
-            group = getattr(fleet._backend, "_group", None)
+            group = fleet._group
             evaluations.append(
                 fleet.evaluate_round(round_index, names, parameters=shipped)
             )
             # Evaluating shipped parameters is not a release point.
-            assert getattr(fleet._backend, "_group", None) is group
+            assert fleet._group is group
         states = {
             name: _device_state(blob) for name, blob in fleet.fetch_states().items()
         }
@@ -659,7 +659,7 @@ def test_evaluating_the_training_controllers_releases_the_group():
             fleet.run_round(0, names, config.steps_per_round)
             rows = fleet.evaluate_round(0, names)
             if backend == "batched":
-                assert fleet._backend._group is None
+                assert fleet._group is None
             outcomes = fleet.run_round(1, names, config.steps_per_round)
             runs[backend] = (rows, {n: outcomes[n].records for n in names})
     assert runs["batched"] == runs["serial"]

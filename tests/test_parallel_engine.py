@@ -1,7 +1,5 @@
 """Unit tests for the parallel execution engine (repro.parallel)."""
 
-import multiprocessing
-
 import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
@@ -10,12 +8,7 @@ from repro.experiments.training import _local_actor_parts, _worker_specs
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
-from repro.parallel import (
-    BACKEND_NAMES,
-    DeviceFleet,
-    WorkerSpec,
-    create_backend,
-)
+from repro.parallel import BACKEND_NAMES, DeviceFleet, WorkerSpec
 from repro.parallel.payloads import ActorParts
 from repro.runspec import RunSpec
 from repro.sim.trace import TraceRecorder
@@ -74,12 +67,14 @@ class TestExecutionContext:
 
     def test_explicit_arguments_win(self):
         base = RunSpec(backend="batched")
-        assert resolved_execution(base, backend="process") == "process"
         assert resolved_execution(base, backend="serial") == "serial"
+        assert resolved_execution(RunSpec(backend="serial"), backend="batched") == (
+            "batched"
+        )
 
     def test_nested_contexts_stack(self):
         outer = RunSpec(backend="batched")
-        assert resolved_execution(RunSpec(backend="process").over(outer)) == "process"
+        assert resolved_execution(RunSpec(backend="serial").over(outer)) == "serial"
         assert resolved_execution(RunSpec().over(outer)) == "batched"
 
     def test_unknown_backend_rejected(self):
@@ -88,10 +83,10 @@ class TestExecutionContext:
         with pytest.raises(ConfigurationError):
             resolved_execution(backend="gpu")
 
-    def test_removed_thread_backend_names_the_remaining_three(self):
+    def test_removed_thread_backend_names_the_remaining_two(self):
         with pytest.raises(
             ConfigurationError,
-            match=r"'thread'; available: serial, process, batched$",
+            match=r"'thread'; available: serial, batched$",
         ):
             RunSpec(backend="thread")
 
@@ -101,47 +96,49 @@ class TestExecutionContext:
 
 class TestBackendFactory:
     def test_backend_names(self):
-        assert BACKEND_NAMES == ("serial", "process", "batched")
+        assert BACKEND_NAMES == ("serial", "batched")
 
     def test_unknown_backend(self):
         with pytest.raises(ConfigurationError):
-            create_backend("gpu", make_specs())
+            DeviceFleet(make_specs(), backend="gpu")
 
-    def test_process_backend_without_fork_names_the_in_process_backends(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        with pytest.raises(ConfigurationError) as excinfo:
-            create_backend("process", make_specs())
-        message = str(excinfo.value)
-        assert "fork" in message
-        assert "backend='serial'" in message and "backend='batched'" in message
-        assert "thread" not in message
+    def test_removed_process_backend_is_refused_before_anything_is_built(self):
+        available = r"'process'; available: serial, batched$"
+        with pytest.raises(ConfigurationError, match=available):
+            RunSpec(backend="process")
+        built = []
+
+        def builder(device_name, metrics, profiler):
+            built.append(device_name)
+            return _local_actor_parts(device_name, metrics, profiler)
+
+        with pytest.raises(ConfigurationError, match=available):
+            DeviceFleet([WorkerSpec("DEVICE_A", builder=builder)], backend="process")
+        assert built == []
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_round_trip_call(self, backend):
-        impl = create_backend(backend, make_specs())
-        try:
-            from repro.parallel.payloads import CallTask
+        with DeviceFleet(make_specs(), backend=backend) as fleet:
+            # NeuralPowerController has no digest_size: the call fails on
+            # the first device and names it.
+            with pytest.raises(
+                ExecutionError,
+                match=r"(?s)controller call 'digest_size' failed on device "
+                r"'DEVICE_A':.*AttributeError",
+            ):
+                fleet.call_all("digest_size")
 
-            outcomes = impl.run_tasks(
-                {name: CallTask(method="digest_size") for name in ASSIGNMENTS}
-            )
-            # NeuralPowerController has no digest_size: errors ride in
-            # the outcome instead of raising.
-            for name in ASSIGNMENTS:
-                assert outcomes[name].error is not None
-        finally:
-            impl.close()
-
-    def test_process_worker_build_failure_surfaces(self):
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_worker_build_failure_names_the_device(self, backend):
         specs = [
             WorkerSpec(device_name="DEVICE_A", builder=_broken_builder)
         ]
-        with pytest.raises(ExecutionError, match="failed to start"):
-            create_backend("process", specs)
+        with pytest.raises(
+            ExecutionError,
+            match=r"(?s)worker for device 'DEVICE_A' failed to start:.*"
+            r"RuntimeError: builder exploded",
+        ):
+            DeviceFleet(specs, backend=backend)
 
 
 # -- fleet --------------------------------------------------------------
@@ -171,7 +168,7 @@ def test_fleet_latency_before_steps_raises():
             fleet.mean_decision_latency_s()
 
 
-@pytest.mark.parametrize("backend", ("serial", "process"))
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_fleet_fault_injection(backend):
     config = tiny_config()
     from repro.experiments.training import _federated_actor_parts
@@ -202,7 +199,7 @@ def test_fleet_fault_injection(backend):
 
 
 
-# -- evaluation stacked across in-process actors ----------------------------
+# -- evaluation stacked across the actors -----------------------------------
 
 #: Eight devices with one evaluation application each: every actor's own
 #: job is one row, below the stacked pass's threshold.
@@ -228,25 +225,41 @@ def _evaluation_rows(backend, builder, rounds=2, **builder_kwargs):
         ]
 
 
-def test_serial_evaluation_stacks_one_row_actors(stacked_simulators):
+def _scalar_oracle_rows(monkeypatch, stacked_simulators, builder, **kwargs):
+    """The per-actor reference: serial with the stacked ops declared
+    inexact, so every actor evaluates its own rows and no kernel is built."""
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.nn.batched._BITEXACT_CACHE", False)
+        rows = _evaluation_rows("serial", builder, **kwargs)
+    assert stacked_simulators == {"lockstep": [], "evaluation": []}
+    return rows
+
+
+def test_serial_evaluation_stacks_one_row_actors(monkeypatch, stacked_simulators):
     """Eight one-row actors evaluate as one 8-row pass per round on
-    serial, with the rows a per-actor evaluation (``process``) returns."""
+    serial, with the rows a per-actor evaluation returns."""
+    oracle = _scalar_oracle_rows(monkeypatch, stacked_simulators, _local_actor_parts)
     serial = _evaluation_rows("serial", _local_actor_parts)
     assert stacked_simulators["evaluation"] == [len(ONE_ROW_FLEET)] * 2
-    assert serial == _evaluation_rows("process", _local_actor_parts)
+    assert serial == oracle
     assert [row.device for row in serial[0]] == list(ONE_ROW_FLEET)
 
 
-def test_guarded_training_controllers_evaluate_per_actor(stacked_simulators):
+def test_guarded_training_controllers_evaluate_per_actor(
+    monkeypatch, stacked_simulators
+):
     """A guarded training controller is not stackable: its batch takes
     the per-actor loop on serial and gives the per-actor rows."""
     from repro.experiments.training import _federated_actor_parts
     from repro.guard import WatchdogConfig
 
     guarded = {"guard": WatchdogConfig()}
+    oracle = _scalar_oracle_rows(
+        monkeypatch, stacked_simulators, _federated_actor_parts, **guarded
+    )
     serial = _evaluation_rows("serial", _federated_actor_parts, **guarded)
     assert stacked_simulators["evaluation"] == []
-    assert serial == _evaluation_rows("process", _federated_actor_parts, **guarded)
+    assert serial == oracle
 
 
 def _no_evaluator_parts(device_name, metrics, profiler, **kwargs):

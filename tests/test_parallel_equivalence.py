@@ -126,8 +126,7 @@ def test_collab_backend_equivalence(config, collab_serial, backend):
     assert_equivalent(collab_serial, parallel)
 
 
-#: A fault plan crashing DEVICE_B's local round 1 (picklable, so the
-#: process backend's workers raise it at the same point).
+#: A fault plan crashing DEVICE_B's local round 1.
 CRASH_B_ROUND_1 = FaultPlan([FaultEvent("crash", 1, "DEVICE_B")])
 
 

@@ -140,7 +140,7 @@ def test_clean_serial_digest():
     assert _sync_digest() == DIGESTS["clean"]
 
 
-@pytest.mark.parametrize("backend", ["serial", "batched", "process"])
+@pytest.mark.parametrize("backend", ["serial", "batched"])
 def test_hardened_digest_on_every_backend(backend):
     assert _sync_digest(backend=backend, **HARDENED) == DIGESTS["hardened"]
 
