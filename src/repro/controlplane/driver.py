@@ -40,7 +40,7 @@ from repro.controlplane.context import ControlPlaneConfig
 from repro.controlplane.degrade import DegradationLadder, DegradationPolicy
 from repro.controlplane.loop import AsyncControlPlane
 from repro.controlplane.registry import DeviceRegistry
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ConfigurationError, ExecutionError, with_traceback
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.training import FederatedHosting, TrainingResult
 from repro.faults.recovery import OrchestratorProgress
@@ -185,9 +185,10 @@ def train_async_federated(
         def train(device: str, round_index: int) -> None:
             outcome = host.executor.run_local_train(round_index, [device])[device]
             if outcome.error is not None:
+                headline = f"device {device!r} failed in round {round_index}"
                 raise ExecutionError(
-                    f"device {device!r} failed in round {round_index}:\n{outcome.error}"
-                )
+                    with_traceback(headline, outcome.error)
+                ) from outcome.error
 
         registry = DeviceRegistry(
             heartbeat_interval_s=cp.heartbeat_interval_s,

@@ -15,6 +15,8 @@ these names.
 
 from __future__ import annotations
 
+import traceback
+
 
 #: A guarded run completed, but every guarded device ended on its
 #: fallback governor.
@@ -165,6 +167,16 @@ class ExecutionError(ReproError, RuntimeError):
     straggler-tolerant training path, or a checkpoint held no state for
     a device.
     """
+
+
+def with_traceback(headline: str, error: BaseException) -> str:
+    """``headline``, a colon, then ``error``'s formatted traceback.
+
+    The message of an error that wraps a device-side failure: the
+    wrapper is raised ``from error``, and its text still carries the
+    traceback for callers that only print it.
+    """
+    return f"{headline}:\n{''.join(traceback.format_exception(error))}"
 
 
 class PolicyError(ReproError, RuntimeError):

@@ -625,10 +625,7 @@ def _worker_specs(
     assignments: Dict[str, Tuple[str, ...]],
     config: FederatedPowerControlConfig,
     eval_apps: Tuple[str, ...],
-    metrics: Optional[MetricsRegistry],
-    profiler: Optional[ScopeProfiler],
     extra_kwargs: Optional[Dict[str, object]] = None,
-    events=None,
 ) -> List[WorkerSpec]:
     """One :class:`WorkerSpec` per device for the parallel engine."""
     kwargs: Dict[str, object] = {
@@ -638,14 +635,7 @@ def _worker_specs(
         **(extra_kwargs or {}),
     }
     return [
-        WorkerSpec(
-            device_name=device_name,
-            builder=builder,
-            kwargs=kwargs,
-            collect_metrics=metrics is not None,
-            collect_profile=profiler is not None,
-            collect_events=events is not None,
-        )
+        WorkerSpec(device_name=device_name, builder=builder, kwargs=kwargs)
         for device_name in assignments
     ]
 
@@ -700,25 +690,17 @@ def _hosted_run(
     policy.
     """
     result = TrainingResult(name=name, assignments=dict(assignments), controllers={})
-    metrics, profiler, events = spec.metrics, spec.profiler, spec.events
     specs = _worker_specs(
-        builder,
-        assignments,
-        config,
-        eval_apps,
-        metrics,
-        profiler,
-        extra_kwargs=builder_kwargs,
-        events=events,
+        builder, assignments, config, eval_apps, extra_kwargs=builder_kwargs
     )
     with DeviceFleet(
         specs,
         backend=spec.get("backend"),
         trace=result.train_trace,
-        metrics=metrics,
+        metrics=spec.metrics,
         flight=spec.flight,
-        profiler=profiler,
-        events=events,
+        profiler=spec.profiler,
+        events=spec.events,
     ) as fleet:
 
         def evaluate_if_due(round_index: int, parameters=None) -> None:
@@ -731,7 +713,7 @@ def _hosted_run(
                 ),
             )
             result.round_evaluations.append(round_eval)
-            _emit_evaluation(events, round_eval)
+            _emit_evaluation(spec.events, round_eval)
 
         yield fleet, result, evaluate_if_due
         result.controllers = fleet.fetch_controllers()

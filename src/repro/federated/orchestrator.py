@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+import traceback
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -38,6 +39,7 @@ from repro.errors import (
     FederationError,
     RunKilledError,
     TransportError,
+    with_traceback,
 )
 from repro.federated.client import FederatedClient
 from repro.federated.server import FederatedServer
@@ -212,13 +214,14 @@ def run_federated_training(
         :class:`~repro.parallel.engine.FleetTrainExecutor`) that owns
         local training (``trainers`` may then be empty):
         ``executor.run_local_train(round_index, participating)`` returns
-        ``client_id -> outcome`` with ``error`` (``None`` or a
-        description) and ``duration_s``, leaving each survivor's
-        trained parameters in its client's agent. Broadcast, upload and
-        aggregation stay serial in participating order, so every
-        numerical result matches the ``executor=None`` path. Under
-        ``"abort"`` a failed outcome raises
-        :class:`~repro.errors.FederationError` naming the device.
+        ``client_id -> outcome`` with ``error`` (``None`` or the
+        exception the device's training raised) and ``duration_s``,
+        leaving each survivor's trained parameters in its client's
+        agent. Broadcast, upload and aggregation stay serial in
+        participating order, so every numerical result matches the
+        ``executor=None`` path. Under ``"abort"`` a failed outcome
+        raises :class:`~repro.errors.FederationError` naming the device,
+        ``from`` that exception.
     fault_plan:
         Optional :class:`repro.faults.plan.FaultPlan` (duck-typed:
         only ``kill_round`` is consulted here; the wire faults live in
@@ -501,18 +504,26 @@ def _run_one_round(
         return
 
     survivors: List[str] = []
-    for client_id, duration_s, failure, detail in _local_train(
+    for client_id, duration_s, error in _local_train(
         trainers, executor, round_index, installed, profiler
     ):
         span.add_phase(
             PHASE_LOCAL_TRAIN,
             client_id=client_id,
             duration_s=duration_s,
-            status=STATUS_OK if failure is None else STATUS_FAILED,
+            status=STATUS_OK if error is None else STATUS_FAILED,
         )
-        if failure is not None:
+        if error is not None:
             if not tolerant:
-                raise failure
+                if executor is None:
+                    raise error
+                headline = (
+                    f"client {client_id!r} failed during parallel local "
+                    f"training in round {round_index}"
+                )
+                raise FederationError(with_traceback(headline, error)) from error
+            # The last line of the error's own text, as its traceback ends.
+            detail = traceback.format_exception_only(error)[-1].strip().splitlines()[-1]
             span.straggle(
                 client_id, "client straggled; skipping for this round", error=detail
             )
@@ -572,41 +583,29 @@ def _local_train(
     round_index: int,
     participants: Sequence[str],
     profiler: Optional[ScopeProfiler],
-) -> Iterator[Tuple[str, float, Optional[Exception], str]]:
-    """Train each participant; yield one outcome per client, in order.
-
-    An outcome is ``(client_id, duration_s, failure, detail)``.
-    ``failure`` is what an abort raises — the in-process trainer's own
-    exception, or a :class:`FederationError` naming the device for the
-    executor — and ``detail`` is the one-line error a skip logs. In
-    process, each client trains just before its own upload; the
-    executor trains every client first, and the uploads follow.
+) -> Iterator[Tuple[str, float, Optional[Exception]]]:
+    """Train each participant; yield ``(client_id, duration_s, error)``
+    per client, in order, ``error`` being the exception its training
+    raised (``None`` on success). In process, each client trains just
+    before its own upload; the executor trains every client first, and
+    the uploads follow.
     """
     if executor is not None:
         with profile("federated.local_train", profiler):
             outcomes = executor.run_local_train(round_index, participants)
         for client_id in participants:
             outcome = outcomes[client_id]
-            if outcome.error is None:
-                yield client_id, outcome.duration_s, None, ""
-                continue
-            failure = FederationError(
-                f"client {client_id!r} failed during parallel local "
-                f"training in round {round_index}:\n{outcome.error}"
-            )
-            detail = outcome.error.strip().splitlines()[-1]
-            yield client_id, outcome.duration_s, failure, detail
+            yield client_id, outcome.duration_s, outcome.error
         return
     for client_id in participants:
-        failure: Optional[Exception] = None
+        error: Optional[Exception] = None
         start = time.perf_counter()
         try:
             with profile("federated.local_train", profiler):
                 trainers[client_id](round_index)
-        except Exception as error:
-            failure = error
-        detail = "" if failure is None else repr(failure)
-        yield client_id, time.perf_counter() - start, failure, detail
+        except Exception as failure:
+            error = failure
+        yield client_id, time.perf_counter() - start, error
 
 
 def _attach_tier_phases(server: FederatedServer, span: RoundSpan) -> None:

@@ -28,7 +28,7 @@ Eleven pillars, all stdlib+numpy only:
   :class:`SqliteSink`, :class:`EventBuffer`, :class:`FanoutSink`)
   carrying round spans, fault/guard/quarantine events and run
   summaries out of a live run, merge-compatible with the parallel
-  engine's worker telemetry;
+  engine's per-actor telemetry;
 * :mod:`repro.obs.store` — the persistent cross-run half: a
   SQLite-backed :class:`RunStore` registering runs by fingerprint with
   config, per-round series, events and final summaries;

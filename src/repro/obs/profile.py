@@ -199,9 +199,8 @@ class ScopeProfiler:
         """All stats as ``(path, count, total_s, child_s)`` rows.
 
         The plain-data counterpart of the profiler itself: device
-        actors profile into a private instance, hand these rows back
-        after each task, and the driver folds them in with
-        :meth:`merge_rows`.
+        actors profile into a private instance, whose rows the fleet
+        drains after each round and folds in with :meth:`merge_rows`.
         """
         return [
             (s.path, s.count, s.total_s, s.child_s)

@@ -18,11 +18,11 @@ call sites hold an ``Optional`` event sink and emit behind one
 batched), and a sink that raises is counted and silenced — telemetry
 must never kill a run.
 
-Worker merge: parallel device actors record into a private
-:class:`EventBuffer` and drain it into each task's
-:class:`~repro.parallel.payloads.TelemetryDump`; the driver replays
-the rows through its own pipeline in deterministic device order
-(:meth:`EventPipeline.emit_many`), reproducing the exact stream —
+Actor merge: each device actor of a
+:class:`~repro.parallel.engine.DeviceFleet` records into a private
+:class:`EventBuffer`; after every round the fleet drains the buffers
+and replays the rows through its own pipeline in deterministic device
+order (:meth:`EventPipeline.emit_many`), reproducing the exact stream —
 including sequence numbers — a serial run emits.
 """
 
@@ -106,13 +106,12 @@ class TelemetrySink:
 
 
 class EventBuffer(TelemetrySink):
-    """A bounded in-memory sink (and the workers' private recorder).
+    """A bounded in-memory sink (and the device actors' private recorder).
 
     Oldest events are dropped once ``capacity`` is reached (counted in
     :attr:`events_dropped`), so a runaway emitter cannot exhaust
-    memory. Parallel device actors use one per actor and drain it into
-    every :class:`~repro.parallel.payloads.TelemetryDump` via
-    :meth:`drain`; everything held is picklable.
+    memory. Each device actor of a fleet records into one, which the
+    fleet empties with :meth:`drain` after every round of steps.
     """
 
     def __init__(self, capacity: int = 65536) -> None:
@@ -140,7 +139,7 @@ class EventBuffer(TelemetrySink):
         return list(self._rows)
 
     def drain(self) -> List[Dict[str, object]]:
-        """Remove and return everything buffered (the worker dump path)."""
+        """Remove and return everything buffered (the fleet's drain path)."""
         rows = list(self._rows)
         self._rows.clear()
         return rows
@@ -251,7 +250,7 @@ class EventPipeline:
     sinks attached the pending deque doubles as a bounded retain
     buffer readable via :meth:`rows`.
 
-    Sequence numbers are stamped on the *driver*, so worker rows
+    Sequence numbers are stamped on the *driver*, so device actors' rows
     merged through :meth:`emit_many` (in deterministic device order)
     produce the exact stream — seq included — a serial run emits.
     """
@@ -294,7 +293,8 @@ class EventPipeline:
         return row
 
     def emit_many(self, events: Iterable[Dict[str, object]]) -> None:
-        """Replay drained worker rows through this pipeline, in order."""
+        """Replay rows drained from a device actor through this
+        pipeline, in order."""
         for event in events:
             self.emit(event)
 

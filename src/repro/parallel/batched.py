@@ -56,13 +56,16 @@ drifting results.
 
 Telemetry
 ---------
-There is one lockstep loop. When a device carries a
+There is one lockstep loop. Each device records into its actor's
+private sinks, which the fleet drains into its own after the batch, in
+device order, exactly as after a serial round. When a device carries a
 :class:`~repro.obs.profile.ScopeProfiler`, each step ends in a
 telemetry pass that emits the ``control.act``/``control.learn`` samples
 a serial session would — the same run as the one without a profiler,
-observed. Each device's ``control.run_steps`` scope is charged an equal
-share of the batch's wall time. Flight records need no pass: the flight
-recorder is a view over the step blocks.
+observed. Each device's ``control.run_steps`` scope stays open across
+the batch and is charged an equal share of its wall time, which is why
+the actors' profilers stay private. Flight records need no pass: the
+flight recorder is a view over the step blocks.
 
 Eligibility and fallback
 ------------------------
@@ -103,8 +106,7 @@ downstream of them — see state bit-identical to a serial run's.
 from __future__ import annotations
 
 import time
-import traceback
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -116,7 +118,7 @@ from repro.nn.losses import HuberLoss
 from repro.nn.network import MLP
 from repro.nn.optimizers import Adam
 from repro.obs.logging import get_logger
-from repro.parallel.payloads import StepsOutcome, StepsTask
+from repro.parallel.payloads import StepsOutcome
 from repro.parallel.worker import DeviceActor
 from repro.rl.agent import NeuralBanditAgent
 from repro.rl.policies import (
@@ -331,28 +333,34 @@ class _StackedGroup:
     # -- the lockstep loop --------------------------------------------
     def run_steps(
         self,
-        tasks: Dict[str, StepsTask],
+        names: Sequence[str],
         round_index: int,
         num_steps: int,
         train: bool,
+        parameters_by_device: Mapping[str, List[Any]],
+        return_parameters: bool,
     ) -> Dict[str, StepsOutcome]:
+        """One lockstep batch of ``num_steps`` control steps for the
+        named (grouped) devices, installing each one's entry of
+        ``parameters_by_device`` first; never raises (each device's
+        error rides in its outcome)."""
         batch_start = time.perf_counter()
-        errors: Dict[int, str] = {}
+        errors: Dict[int, Exception] = {}
         blocks: Dict[int, StepBlock] = {}
         active: List[int] = []
         latency_starts: Dict[int, float] = {}
 
-        # Per-task prologue, in task (device) order — install shipped
+        # Per-device prologue, in device order — install shipped
         # parameters, fire fault injectors, start unstarted sessions.
-        for name, task in tasks.items():
+        for name in names:
             row = self.rows[name]
             actor = self._actors[row]
             latency_starts[row] = self._decision_times[row]
             try:
-                if task.parameters is not None:
-                    self._network.set_row_parameters(row, task.parameters)
-                    if task.reset_optimizer:
-                        self._optimizer.reset_rows([row])
+                parameters = parameters_by_device.get(name)
+                if parameters is not None:
+                    self._network.set_row_parameters(row, parameters)
+                    self._optimizer.reset_rows([row])
                 if actor.fault_injector is not None:
                     actor.fault_injector(name, round_index)
                 if num_steps <= 0:
@@ -361,8 +369,8 @@ class _StackedGroup:
                     )
                 if self._snapshots[row] is None:
                     self._snapshots[row] = self._environments[row].reset(None)
-            except Exception:
-                errors[row] = traceback.format_exc()
+            except Exception as error:
+                errors[row] = error
                 continue
             active.append(row)
 
@@ -380,14 +388,14 @@ class _StackedGroup:
                 self._lockstep(active, blocks, errors, round_index, num_steps, train)
         finally:
             batch_elapsed = time.perf_counter() - batch_start
-            duration_share = batch_elapsed / max(1, len(tasks))
+            duration_share = batch_elapsed / max(1, len(names))
             for profiler, path in open_scopes:
                 profiler._pop(path, duration_share)
 
-        # Per-task epilogue: metric emission (success only, serial call
-        # order) and outcome assembly.
+        # Per-device epilogue: metric emission (success only, serial
+        # call order) and outcome assembly.
         outcomes: Dict[str, StepsOutcome] = {}
-        for name, task in tasks.items():
+        for name in names:
             row = self.rows[name]
             actor = self._actors[row]
             error = errors.get(row)
@@ -403,20 +411,16 @@ class _StackedGroup:
                     "control.mean_step_reward",
                     block.reward_total() / num_steps,
                 )
-            parameters = None
-            if error is None and task.return_parameters:
-                parameters = self._network.get_row_parameters(row)
-            latency: Optional[float] = None
-            if self._decision_counts[row] > 0:
-                latency = self._decision_times[row] / self._decision_counts[row]
             outcomes[name] = StepsOutcome(
                 device=name,
                 block=block,
-                parameters=parameters,
+                parameters=(
+                    self._network.get_row_parameters(row)
+                    if error is None and return_parameters
+                    else None
+                ),
                 error=error,
                 duration_s=duration_share,
-                mean_decision_latency_s=latency,
-                telemetry=actor._dump_telemetry(),
             )
         return outcomes
 
@@ -424,7 +428,7 @@ class _StackedGroup:
         self,
         active: List[int],
         blocks: Dict[int, StepBlock],
-        errors: Dict[int, str],
+        errors: Dict[int, Exception],
         round_index: int,
         num_steps: int,
         train: bool,
@@ -555,10 +559,7 @@ class _StackedGroup:
                     # the offending devices without consuming their
                     # softmax streams.
                     for row in [live[i] for i in np.flatnonzero(~finite)]:
-                        try:
-                            raise ValueError(NAN_PROBABILITIES)
-                        except ValueError:
-                            errors[row] = traceback.format_exc()
+                        errors[row] = ValueError(NAN_PROBABILITIES)
                         consumed_at_death[row] = draws_done
                     live = [row for row in live if row not in errors]
                     if not live:
@@ -612,8 +613,8 @@ class _StackedGroup:
                             step_rewards[position] = reward_fns[row](
                                 snap.frequency_hz, snap.power_w
                             )
-                    except Exception:
-                        errors[row] = traceback.format_exc()
+                    except Exception as error:
+                        errors[row] = error
                         failed.append(position)
                         continue
                     after[row] = observation_lanes(snap)
@@ -680,8 +681,7 @@ class _StackedGroup:
                 if due:
                     try:
                         self._update_rows(due)
-                    except Exception:
-                        failure = traceback.format_exc()
+                    except Exception as failure:
                         for row in due:
                             errors[row] = failure
                             consumed_at_death[row] = draws_done

@@ -1,12 +1,13 @@
 """The device fleet: one persistent actor per device, in the driver.
 
 :class:`DeviceFleet` is what the training drivers talk to. It owns one
-:class:`~repro.parallel.worker.DeviceActor` per device, dispatches
-round-synchronous task batches, and folds each outcome's telemetry back
-into the driver's sinks **in deterministic device order** — so the
-shared step log, flight recorder, metrics registry and profiler end up
-with exactly the content a serial run produces, whichever backend ran
-the steps.
+:class:`~repro.parallel.worker.DeviceActor` per device, calls them
+round-synchronously with plain arguments, and drains each actor's
+private telemetry sinks into the driver's **in deterministic device
+order** — so the shared step log, flight recorder, metrics registry,
+profiler and event stream end up with exactly the content a serial run
+produces, whichever backend ran the steps. A device failure raises
+:class:`~repro.errors.ExecutionError` ``from`` the device's exception.
 
 Two backends, both in-process and bit-identical:
 
@@ -32,22 +33,17 @@ unchanged.
 
 from __future__ import annotations
 
-import traceback
 from statistics import fmean
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ConfigurationError, ExecutionError, with_traceback
 from repro.obs.flight import FlightRecorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
+from repro.obs.sink import EventBuffer
 from repro.parallel.batched import _StackedGroup, build_group
-from repro.parallel.payloads import (
-    EvalTask,
-    StepsOutcome,
-    StepsTask,
-    WorkerSpec,
-)
+from repro.parallel.payloads import StepsOutcome, WorkerSpec
 from repro.parallel.worker import DeviceActor, evaluate_actors
 from repro.runspec import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.sim.trace import StepLog
@@ -81,16 +77,18 @@ class DeviceFleet:
         self.flight = flight
         self.profiler = profiler
         self.events = events
-        self._latency_by_device: Dict[str, float] = {}
         self._actors: Dict[str, DeviceActor] = {}
         for spec in specs:
             try:
-                self._actors[spec.device_name] = DeviceActor(spec)
-            except Exception:
-                raise ExecutionError(
-                    f"worker for device {spec.device_name!r} failed to start:\n"
-                    f"{traceback.format_exc()}"
-                ) from None
+                self._actors[spec.device_name] = DeviceActor(
+                    spec,
+                    metrics=MetricsRegistry() if metrics is not None else None,
+                    profiler=ScopeProfiler() if profiler is not None else None,
+                    events=EventBuffer() if events is not None else None,
+                )
+            except Exception as error:
+                headline = f"worker for device {spec.device_name!r} failed to start"
+                raise ExecutionError(with_traceback(headline, error)) from error
         #: The batched backend's stacked group; ``None`` while released
         #: (and always on serial).
         self._group: Optional[_StackedGroup] = None
@@ -109,74 +107,67 @@ class DeviceFleet:
     ) -> Dict[str, StepsOutcome]:
         """One round of local control steps across ``device_names``.
 
-        Outcomes merge into the driver's sinks in the given device
-        order (the serial interleaving). With ``raise_on_error=False``
-        failed tasks come back with ``outcome.error`` set instead of
-        raising — the straggler-tolerant federated path.
+        Every outcome merges into the driver's sinks in the given device
+        order (the serial interleaving); then the first failed device
+        raises. With ``raise_on_error=False`` failed devices come back
+        with ``outcome.error`` set instead — the straggler-tolerant
+        federated path.
         """
-        tasks = {
-            name: StepsTask(
-                round_index=round_index,
-                num_steps=num_steps,
-                train=train,
-                parameters=(
-                    parameters_by_device.get(name)
-                    if parameters_by_device is not None
-                    else None
-                ),
-                return_parameters=return_parameters,
-            )
-            for name in device_names
-        }
+        parameters = parameters_by_device or {}
         group = self._stacked_group()
-        stacked = {
-            name: task
-            for name, task in tasks.items()
-            if group is not None and name in group.rows
-        }
+        rows = group.rows if group is not None else {}
         # Devices outside the stacked group step first, each on its own
         # actor, then the group's in one lockstep batch.
         outcomes = {
-            name: self._actors[name].run_steps(task)
-            for name, task in tasks.items()
-            if name not in stacked
+            name: self._actors[name].run_steps(
+                round_index, num_steps, train, parameters.get(name), return_parameters
+            )
+            for name in device_names
+            if name not in rows
         }
-        if stacked:
-            outcomes.update(group.run_steps(stacked, round_index, num_steps, train))
-        for name in device_names:
-            outcome = outcomes[name]
-            self._merge_outcome(outcome)
-            if raise_on_error and outcome.error is not None:
-                raise ExecutionError(
-                    f"device {name!r} failed in round {round_index}:\n"
-                    f"{outcome.error}"
+        grouped = [name for name in device_names if name in rows]
+        if grouped:
+            outcomes.update(
+                group.run_steps(
+                    grouped,
+                    round_index,
+                    num_steps,
+                    train,
+                    parameters,
+                    return_parameters,
                 )
+            )
+        for name in device_names:
+            self._merge_outcome(outcomes[name])
+        failed = [name for name in device_names if outcomes[name].error is not None]
+        if raise_on_error and failed:
+            error = outcomes[failed[0]].error
+            headline = f"device {failed[0]!r} failed in round {round_index}"
+            raise ExecutionError(with_traceback(headline, error)) from error
         return outcomes
 
     def _merge_outcome(self, outcome: StepsOutcome) -> None:
+        """Fold one device's steps and its actor's private sinks into
+        the driver's, draining the actor."""
         block = outcome.block
         if block is not None:
-            # A failed task's steps count for the flight recorder (they
+            # A failed round's steps count for the flight recorder (they
             # happened on the device) but not for the run's step log.
             if self.trace is not None and outcome.error is None:
                 self.trace.append(block)
             if self.flight is not None:
                 self.flight.record_block(block)
-        if outcome.mean_decision_latency_s is not None:
-            self._latency_by_device[outcome.device] = (
-                outcome.mean_decision_latency_s
-            )
-        dump = outcome.telemetry
-        if dump is None:
-            return
-        if self.metrics is not None and dump.metrics_state is not None:
-            self.metrics.merge_state(dump.metrics_state)
-        if self.profiler is not None and dump.profile_rows:
-            self.profiler.merge_rows(dump.profile_rows)
-        if self.events is not None and dump.event_rows:
+        actor = self._actors[outcome.device]
+        if self.metrics is not None:
+            self.metrics.merge_state(actor.metrics.dump_state())
+            actor.metrics.reset()
+        if self.profiler is not None and (rows := actor.profiler.dump_rows()):
+            self.profiler.merge_rows(rows)
+            actor.profiler.reset()
+        if self.events is not None:
             # Replaying in device order re-stamps seq numbers, so the
             # merged stream equals the serial interleaving exactly.
-            self.events.emit_many(dump.event_rows)
+            self.events.emit_many(actor.events.drain())
 
     # -- the batched backend's stacked group ---------------------------
     def _stacked_group(self) -> Optional[_StackedGroup]:
@@ -224,10 +215,8 @@ class DeviceFleet:
             actor = self._actors[name]
             try:
                 values[name] = work(actor)
-            except Exception:
-                raise ExecutionError(
-                    f"{what(name)}:\n{traceback.format_exc()}"
-                ) from None
+            except Exception as error:
+                raise ExecutionError(with_traceback(what(name), error)) from error
         return values
 
     # -- evaluation ----------------------------------------------------
@@ -248,23 +237,7 @@ class DeviceFleet:
         """
         if parameters is None:
             self._release_group()
-        outcomes = evaluate_actors(
-            self._actors,
-            {
-                name: EvalTask(round_index=round_index, parameters=parameters)
-                for name in device_names
-            },
-        )
-        rows: List[Any] = []
-        for name in device_names:
-            outcome = outcomes[name]
-            if outcome.error is not None:
-                raise ExecutionError(
-                    f"evaluation failed on device {name!r} in round "
-                    f"{round_index}:\n{outcome.error}"
-                )
-            rows.extend(outcome.evaluations)
-        return rows
+        return evaluate_actors(self._actors, device_names, round_index, parameters)
 
     # -- controller access ---------------------------------------------
     def call_all(
@@ -278,9 +251,7 @@ class DeviceFleet:
         return self._on_actors(
             names,
             lambda actor: getattr(actor.controller, method)(*args),
-            lambda name: (
-                f"controller call {method!r} failed on device {name!r}"
-            ),
+            lambda name: f"controller call {method!r} failed on device {name!r}",
         )
 
     def fetch_controllers(self) -> Dict[str, Any]:
@@ -315,27 +286,25 @@ class DeviceFleet:
             raise ExecutionError(
                 f"checkpoint has no state for devices {missing}"
             )
-        latencies = self._on_actors(
+        self._on_actors(
             self.device_names,
             lambda actor: actor.install_state(blobs[actor.device_name]),
             lambda name: f"failed to restore state on device {name!r}",
         )
-        for name, latency in latencies.items():
-            if latency is not None:
-                self._latency_by_device[name] = latency
 
     # -- summaries -----------------------------------------------------
     def mean_decision_latency_s(self) -> float:
         """Fleet mean of the devices' lifetime decision latencies.
 
         Averaged in spec (device) order over the devices that actually
-        stepped — under churn a device may sit out the whole run.
+        stepped — under churn a device may sit out the whole run. Read
+        from the actors' sessions, so the stacked group syncs back
+        first; a restored session carries its pre-checkpoint history,
+        so a run resumed with no rounds left still knows its latency.
         """
-        values = [
-            self._latency_by_device[name]
-            for name in self.device_names
-            if name in self._latency_by_device
-        ]
+        self._release_group()
+        latencies = [actor.mean_decision_latency_s() for actor in self._actors.values()]
+        values = [latency for latency in latencies if latency is not None]
         if not values:
             raise ExecutionError("no device has executed control steps yet")
         return fmean(values)
@@ -393,9 +362,7 @@ class FleetTrainExecutor:
             raise_on_error=False,
         )
         for client_id in participating:
-            outcome = outcomes[client_id]
-            if outcome.error is None and outcome.parameters is not None:
-                self._agents[client_id].set_parameters(
-                    outcome.parameters, reset_optimizer=True
-                )
+            # Only a device that trained ships parameters back.
+            if outcomes[client_id].parameters is not None:
+                self._agents[client_id].set_parameters(outcomes[client_id].parameters)
         return outcomes

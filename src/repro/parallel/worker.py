@@ -6,59 +6,51 @@ driver process. It is built once from a
 fleet for the whole run — its environment, controller, replay buffer
 and RNG streams persist across federated rounds, as a real board keeps
 its own state, so only model parameters and result summaries pass
-between it and the driver.
+between it and the driver. The fleet calls its methods directly, and a
+failure comes back as the exception itself.
 
 Telemetry: the actor records into *private* sinks (its own
 :class:`~repro.obs.metrics.MetricsRegistry`,
-:class:`~repro.obs.profile.ScopeProfiler` and event buffer, created
-only when the driver has the matching sink attached) and drains them
-into a :class:`~repro.parallel.payloads.TelemetryDump` after every
-steps task. The steps themselves travel as the task's
-:class:`~repro.sim.trace.StepBlock`, which the driver appends to its
+:class:`~repro.obs.profile.ScopeProfiler` and event buffer, one for
+each sink the fleet holds), which the fleet drains into its own after
+every round of steps. The steps themselves come back as the round's
+:class:`~repro.sim.trace.StepBlock`, which the fleet appends to its
 step log and offers to its flight recorder. An actor never holds the
-driver's own sinks: the batched backend's lockstep loop interleaves the
+fleet's own sinks: the batched backend's lockstep loop interleaves the
 grouped devices' steps and keeps every device's ``control.run_steps``
 scope open across the whole batch, which one shared profiler's scope
-stack could not hold. The driver instead merges each actor's dump in
-device order, which reproduces the exact stream a serial run emits on
-either backend.
+stack could not hold. The fleet instead drains each actor in device
+order, which reproduces the exact stream a serial run emits on either
+backend.
 """
 
 from __future__ import annotations
 
 import time
-import traceback
-from typing import Dict, Mapping, Optional
+from typing import Any, List, Mapping, Optional, Sequence
 
 from repro.control.runtime import ControlSession
-from repro.errors import SimulationError
+from repro.errors import ExecutionError, SimulationError, with_traceback
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
 from repro.obs.sink import EventBuffer
-from repro.parallel.payloads import (
-    EvalOutcome,
-    EvalTask,
-    StepsOutcome,
-    StepsTask,
-    TelemetryDump,
-    WorkerSpec,
-)
+from repro.parallel.payloads import StepsOutcome, WorkerSpec
 
 
 class DeviceActor:
     """One device's persistent state and the work the fleet asks of it."""
 
-    def __init__(self, spec: WorkerSpec) -> None:
+    def __init__(
+        self,
+        spec: WorkerSpec,
+        metrics: Optional[MetricsRegistry] = None,
+        profiler: Optional[ScopeProfiler] = None,
+        events: Optional[EventBuffer] = None,
+    ) -> None:
         self.device_name = spec.device_name
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if spec.collect_metrics else None
-        )
-        self.profiler: Optional[ScopeProfiler] = (
-            ScopeProfiler() if spec.collect_profile else None
-        )
-        self.events: Optional[EventBuffer] = (
-            EventBuffer() if spec.collect_events else None
-        )
+        self.metrics = metrics
+        self.profiler = profiler
+        self.events = events
         parts = spec.builder(
             device_name=spec.device_name,
             metrics=self.metrics,
@@ -74,7 +66,7 @@ class DeviceActor:
 
     def _new_session(self) -> ControlSession:
         """A session over the actor's device, logging into its own
-        step log (drained after every task)."""
+        step log (drained after every round of steps)."""
         return ControlSession(
             self.environment,
             self.controller,
@@ -83,68 +75,61 @@ class DeviceActor:
             events=self.events,
         )
 
-    # -- task handlers -------------------------------------------------
-    def run_steps(self, task: StepsTask) -> StepsOutcome:
-        """Run the task's control steps; never raises (errors ride in
-        the outcome)."""
+    # -- training ------------------------------------------------------
+    def run_steps(
+        self,
+        round_index: int,
+        num_steps: int,
+        train: bool = True,
+        parameters: Optional[List[Any]] = None,
+        return_parameters: bool = False,
+    ) -> StepsOutcome:
+        """Run ``num_steps`` control steps, first installing
+        ``parameters`` (a received global model) when given; never
+        raises (the error rides in the outcome)."""
         start = time.perf_counter()
-        error: Optional[str] = None
+        error: Optional[Exception] = None
         try:
-            if task.parameters is not None:
-                self.controller.agent.set_parameters(
-                    task.parameters, reset_optimizer=task.reset_optimizer
-                )
+            if parameters is not None:
+                self.controller.agent.set_parameters(parameters)
             if self.fault_injector is not None:
-                self.fault_injector(self.device_name, task.round_index)
-            self.session.run_steps(
-                task.num_steps, round_index=task.round_index, train=task.train
-            )
-        except Exception:
-            error = traceback.format_exc()
-        # One block, or none when the task failed before its first step.
+                self.fault_injector(self.device_name, round_index)
+            self.session.run_steps(num_steps, round_index=round_index, train=train)
+        except Exception as failure:
+            error = failure
+        # One block, or none when the round failed before its first step.
         blocks = self.session.trace.drain()
-        parameters = None
-        if error is None and task.return_parameters:
-            parameters = self.controller.agent.get_parameters()
         return StepsOutcome(
             device=self.device_name,
             block=blocks[0] if blocks else None,
-            parameters=parameters,
+            parameters=(
+                self.controller.agent.get_parameters()
+                if error is None and return_parameters
+                else None
+            ),
             error=error,
             duration_s=time.perf_counter() - start,
-            mean_decision_latency_s=self._lifetime_latency(),
-            telemetry=self._dump_telemetry(),
         )
 
-    def _lifetime_latency(self) -> Optional[float]:
-        """The session's mean decision latency, ``None`` before any step."""
+    def mean_decision_latency_s(self) -> Optional[float]:
+        """The session's lifetime mean decision latency, ``None`` before
+        any step."""
         try:
             return self.session.mean_decision_latency_s()
         except SimulationError:
             return None
 
-    def eval_target(self, task: EvalTask):
-        """The controller an :class:`EvalTask` evaluates: the eval vessel
-        loaded with the shipped parameters, or the training controller."""
+    def eval_target(self, parameters: Optional[List[Any]] = None):
+        """The controller an evaluation runs: the eval vessel loaded
+        with shipped ``parameters``, or the training controller."""
         if self.evaluator is None:
             raise SimulationError(
                 f"actor {self.device_name!r} was built without an evaluator"
             )
-        if task.parameters is None:
+        if parameters is None:
             return self.controller
-        self.eval_controller.agent.set_parameters(task.parameters)
+        self.eval_controller.agent.set_parameters(parameters)
         return self.eval_controller
-
-    def evaluate(self, task: EvalTask) -> EvalOutcome:
-        """Evaluate on this actor alone; never raises."""
-        try:
-            controller = self.eval_target(task)
-            rows = self.evaluator.evaluate_device(
-                self.device_name, controller, task.round_index
-            )
-            return EvalOutcome(self.device_name, evaluations=rows)
-        except Exception:
-            return EvalOutcome(self.device_name, error=traceback.format_exc())
 
     # -- checkpoint state ----------------------------------------------
     def capture_state(self) -> bytes:
@@ -167,13 +152,8 @@ class DeviceActor:
             eval_environment=eval_environment,
         )
 
-    def install_state(self, blob: bytes) -> Optional[float]:
-        """Restore a blob from :meth:`capture_state`.
-
-        Returns the restored session's lifetime decision latency: it
-        carries its pre-checkpoint history, so a run resumed with no
-        rounds left still knows its devices' decision latency.
-        """
+    def install_state(self, blob: bytes) -> None:
+        """Restore a blob from :meth:`capture_state`."""
         from repro.faults.recovery import (
             restore_device_state,
             restore_session_state,
@@ -193,50 +173,51 @@ class DeviceActor:
             self.evaluator.set_environment(
                 self.device_name, payload["eval_environment"]
             )
-        return self._lifetime_latency()
 
-    # -- telemetry -----------------------------------------------------
-    def _dump_telemetry(self) -> Optional[TelemetryDump]:
-        if self.metrics is None and self.profiler is None and self.events is None:
-            return None
-        dump = TelemetryDump()
-        if self.metrics is not None:
-            dump.metrics_state = self.metrics.dump_state()
-            self.metrics.reset()
-        if self.profiler is not None:
-            dump.profile_rows = self.profiler.dump_rows()
-            self.profiler.reset()
-        if self.events is not None:
-            dump.event_rows = self.events.drain()
-        return dump
 
 
 def evaluate_actors(
-    actors: Mapping[str, DeviceActor], tasks: Dict[str, EvalTask]
-) -> Dict[str, EvalOutcome]:
-    """An evaluation batch on the fleet's actors, as one stacked greedy
-    pass across them (:func:`repro.experiments.evaluation.evaluate_stacked`).
+    actors: Mapping[str, DeviceActor],
+    names: Sequence[str],
+    round_index: int,
+    parameters: Optional[List[Any]] = None,
+) -> List[Any]:
+    """Evaluate the named actors as one stacked greedy pass across them
+    (:func:`repro.experiments.evaluation.evaluate_stacked`).
 
-    A job the pass leaves alone runs where it always did, on its own
-    actor; the rows equal a per-actor evaluation either way.
+    Returns every device's rows, flattened in ``names`` order. A job the
+    pass leaves alone runs where it always did, on its own actor; the
+    rows equal a per-actor evaluation either way. The first device in
+    ``names`` order whose evaluation failed raises
+    :class:`~repro.errors.ExecutionError` ``from`` its failure.
     """
     # Imported here: the experiments package imports this one.
     from repro.experiments.evaluation import EvalJob, evaluate_stacked
 
-    jobs: Dict[str, EvalJob] = {}
-    outcomes: Dict[str, EvalOutcome] = {}
-    for name, task in tasks.items():
+    jobs = {}
+    failures = {}
+    for name in names:
         actor = actors[name]
         try:
             jobs[name] = EvalJob(
-                actor.evaluator, name, actor.eval_target(task), task.round_index
+                actor.evaluator, name, actor.eval_target(parameters), round_index
             )
-        except Exception:
-            outcomes[name] = EvalOutcome(name, error=traceback.format_exc())
-    for name, rows in zip(jobs, evaluate_stacked(list(jobs.values()))):
-        outcomes[name] = (
-            EvalOutcome(name, evaluations=rows)
-            if rows is not None
-            else actors[name].evaluate(tasks[name])
-        )
-    return outcomes
+        except Exception as failure:
+            failures[name] = failure
+    stacked = dict(zip(jobs, evaluate_stacked(list(jobs.values()))))
+    rows: List[Any] = []
+    for name in names:
+        failure = failures.get(name)
+        if failure is None and stacked[name] is None:
+            job = jobs[name]
+            try:
+                stacked[name] = job.evaluator.evaluate_device(
+                    name, job.controller, round_index
+                )
+            except Exception as error:
+                failure = error
+        if failure is not None:
+            headline = f"evaluation failed on device {name!r} in round {round_index}"
+            raise ExecutionError(with_traceback(headline, failure)) from failure
+        rows.extend(stacked[name])
+    return rows

@@ -41,6 +41,7 @@ from repro.controlplane.registry import (
 from repro.errors import (
     ConfigurationError,
     DegradedHaltError,
+    ExecutionError,
     FederationError,
 )
 from repro.experiments.config import FederatedPowerControlConfig
@@ -55,9 +56,10 @@ from repro.guard.watchdog import WatchdogConfig
 from repro.obs.flight import FlightRecorder
 from repro.obs.sink import EventPipeline
 from repro.rl.agent import NeuralBanditAgent
-from repro.runspec import FIELD_NAMES, RunSpec
+from repro.runspec import BACKEND_NAMES, FIELD_NAMES, RunSpec
 
 from tests.runspec_samples import PARALLEL_BACKENDS, on_values
+from tests.test_parallel_engine import assert_raised_from
 
 ASYNC_ON = ControlPlaneConfig(enabled=True)
 
@@ -712,6 +714,36 @@ class TestDriver:
                 other.controllers[name].agent.get_parameters(),
             ):
                 assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_device_failure_is_raised_from_its_cause(self, monkeypatch, backend):
+        from repro.experiments import training
+
+        def crash_cp_01(device_name, round_index):
+            if device_name == "cp-01":
+                raise RuntimeError("cp-01 cannot train")
+
+        build = training._federated_actor_parts
+
+        def failing_parts(device_name, metrics, profiler, **kwargs):
+            parts = build(device_name, metrics, profiler, **kwargs)
+            parts.fault_injector = crash_cp_01
+            return parts
+
+        monkeypatch.setattr(training, "_federated_actor_parts", failing_parts)
+        with pytest.raises(ExecutionError) as excinfo:
+            train_async_federated(
+                tiny_assignments(3),
+                tiny_config(),
+                eval_applications=("fft",),
+                backend=backend,
+            )
+        assert_raised_from(
+            excinfo.value,
+            "device 'cp-01' failed in round 0",
+            RuntimeError,
+            "cp-01 cannot train",
+        )
 
     def test_halt_writes_resumable_checkpoint(self, tmp_path, monkeypatch):
         assignments = tiny_assignments(5)

@@ -1,8 +1,10 @@
 """Unit tests for the parallel execution engine (repro.parallel)."""
 
+import traceback
+
 import pytest
 
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ConfigurationError, ExecutionError, SimulationError
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.training import _local_actor_parts, _worker_specs
 from repro.obs.flight import FlightRecorder
@@ -28,15 +30,21 @@ def tiny_config():
     )
 
 
-def make_specs(metrics=None, profiler=None):
-    return _worker_specs(
-        _local_actor_parts,
-        ASSIGNMENTS,
-        tiny_config(),
-        EVAL_APPS,
-        metrics,
-        profiler,
-    )
+def make_specs():
+    return _worker_specs(_local_actor_parts, ASSIGNMENTS, tiny_config(), EVAL_APPS)
+
+
+def assert_raised_from(error, headline, cause_type, cause_message):
+    """``error`` reads ``headline``, a colon and its cause's traceback,
+    and was raised ``from`` that cause: a ``cause_type`` saying
+    ``cause_message``."""
+    cause = error.__cause__
+    assert type(cause) is cause_type
+    assert str(cause) == cause_message
+    assert error.__suppress_context__
+    text = "".join(traceback.format_exception(cause))
+    assert text.startswith("Traceback (most recent call last):\n")
+    assert str(error) == f"{headline}:\n{text}"
 
 
 def _broken_builder(device_name, metrics, profiler):
@@ -125,8 +133,14 @@ class TestBackendFactory:
                 ExecutionError,
                 match=r"(?s)controller call 'digest_size' failed on device "
                 r"'DEVICE_A':.*AttributeError",
-            ):
+            ) as excinfo:
                 fleet.call_all("digest_size")
+        assert_raised_from(
+            excinfo.value,
+            "controller call 'digest_size' failed on device 'DEVICE_A'",
+            AttributeError,
+            "'NeuralPowerController' object has no attribute 'digest_size'",
+        )
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_worker_build_failure_names_the_device(self, backend):
@@ -137,8 +151,28 @@ class TestBackendFactory:
             ExecutionError,
             match=r"(?s)worker for device 'DEVICE_A' failed to start:.*"
             r"RuntimeError: builder exploded",
-        ):
+        ) as excinfo:
             DeviceFleet(specs, backend=backend)
+        assert_raised_from(
+            excinfo.value,
+            "worker for device 'DEVICE_A' failed to start",
+            RuntimeError,
+            "builder exploded",
+        )
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_default_spec_reports_into_the_fleet_sinks(self, backend):
+        """A spec says nothing about telemetry: the actors collect for
+        every sink the fleet holds."""
+        metrics, profiler = MetricsRegistry(), ScopeProfiler()
+        config = tiny_config()
+        with DeviceFleet(
+            make_specs(), backend=backend, metrics=metrics, profiler=profiler
+        ) as fleet:
+            fleet.run_round(0, list(ASSIGNMENTS), config.steps_per_round)
+        counters = metrics.snapshot()["counters"]
+        assert counters["control.steps"] == config.steps_per_round * len(ASSIGNMENTS)
+        assert profiler.stats("control.run_steps").count == len(ASSIGNMENTS)
 
 
 # -- fleet --------------------------------------------------------------
@@ -178,24 +212,32 @@ def test_fleet_fault_injection(backend):
         ASSIGNMENTS,
         config,
         EVAL_APPS,
-        None,
-        None,
         extra_kwargs={"fault_injector": _fail_a_round0},
     )
-    with DeviceFleet(specs, backend=backend) as fleet:
+    trace = TraceRecorder()
+    with DeviceFleet(specs, backend=backend, trace=trace) as fleet:
         names = list(ASSIGNMENTS)
         outcomes = fleet.run_round(
             0, names, config.steps_per_round, raise_on_error=False
         )
         assert outcomes["DEVICE_A"].error is not None
-        assert "injected failure" in outcomes["DEVICE_A"].error
+        assert "injected failure" in str(outcomes["DEVICE_A"].error)
         assert outcomes["DEVICE_A"].records == []
         assert outcomes["DEVICE_B"].error is None
         # Next round the injector is quiet and the device recovers.
         outcomes = fleet.run_round(1, names, config.steps_per_round)
         assert outcomes["DEVICE_A"].error is None
-        with pytest.raises(ExecutionError, match="DEVICE_A"):
+        with pytest.raises(ExecutionError, match="DEVICE_A") as excinfo:
             fleet.run_round(0, names, config.steps_per_round)
+    # DEVICE_B stepped in the raising round too, and its steps merged.
+    round_0 = [(r.device, r.round_index) for r in trace].count(("DEVICE_B", 0))
+    assert round_0 == 2 * config.steps_per_round
+    assert_raised_from(
+        excinfo.value,
+        "device 'DEVICE_A' failed in round 0",
+        RuntimeError,
+        "injected failure",
+    )
 
 
 
@@ -210,13 +252,7 @@ def _evaluation_rows(backend, builder, rounds=2, **builder_kwargs):
     """``evaluate_round`` of the training controllers, ``rounds`` times
     (each round starts where the last left the evaluation environments)."""
     specs = _worker_specs(
-        builder,
-        ONE_ROW_FLEET,
-        tiny_config(),
-        EVAL_APPS,
-        None,
-        None,
-        extra_kwargs=builder_kwargs,
+        builder, ONE_ROW_FLEET, tiny_config(), EVAL_APPS, extra_kwargs=builder_kwargs
     )
     with DeviceFleet(specs, backend=backend) as fleet:
         return [
@@ -275,8 +311,14 @@ def test_actor_without_evaluator_fails_the_round_naming_it(backend):
         ExecutionError,
         match=r"(?s)evaluation failed on device 'DEV_3' in round 0:.*"
         r"actor 'DEV_3' was built without an evaluator",
-    ):
+    ) as excinfo:
         _evaluation_rows(backend, _no_evaluator_parts, rounds=1)
+    assert_raised_from(
+        excinfo.value,
+        "evaluation failed on device 'DEV_3' in round 0",
+        SimulationError,
+        "actor 'DEV_3' was built without an evaluator",
+    )
 
 @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
 def test_fleet_telemetry_matches_serial(backend):
@@ -287,14 +329,7 @@ def test_fleet_telemetry_matches_serial(backend):
         profiler = ScopeProfiler()
         flight = FlightRecorder(capacity=32, sample_every=2)
         trace = TraceRecorder()
-        specs = _worker_specs(
-            _local_actor_parts,
-            ASSIGNMENTS,
-            config,
-            EVAL_APPS,
-            metrics,
-            profiler,
-        )
+        specs = _worker_specs(_local_actor_parts, ASSIGNMENTS, config, EVAL_APPS)
         with DeviceFleet(
             specs,
             backend=chosen,

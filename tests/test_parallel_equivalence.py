@@ -9,9 +9,12 @@ actors — equal the serial reference exactly (floats compared with
 differences.
 """
 
+import logging
+from logging.handlers import BufferingHandler
+
 import pytest
 
-from repro.errors import FederationError
+from repro.errors import FederationError, InjectedFaultError
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.training import (
     train_collab_profit,
@@ -19,9 +22,12 @@ from repro.experiments.training import (
     train_local_only,
 )
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.federated.orchestrator import run_federated_training
 from repro.runspec import BACKEND_NAMES
 from repro.sim.workload import SPLASH2_APPLICATION_NAMES
 from tests.runspec_samples import PARALLEL_BACKENDS
+from tests.test_obs_tracing import _noop_trainers, _system
+from tests.test_parallel_engine import assert_raised_from
 
 ASSIGNMENTS = {"DEVICE_A": ("fft", "lu"), "DEVICE_B": ("radix",)}
 EVAL_APPS = ("fft", "radix")
@@ -178,6 +184,64 @@ def test_straggler_abort_raises(config, backend):
             faults=CRASH_B_ROUND_1,
         )
     assert "injected crash" in str(excinfo.value)
+    assert_raised_from(
+        excinfo.value,
+        "client 'DEVICE_B' failed during parallel local training in round 1",
+        InjectedFaultError,
+        "injected crash: device 'DEVICE_B' in round 1",
+    )
+
+
+STRAGGLED = "client straggled; skipping for this round"
+
+
+def _die(round_index):
+    raise RuntimeError("died")
+
+
+def _straggler_errors(run):
+    """``(client_id, error)`` of every straggler warning ``run()`` logs."""
+    handler = BufferingHandler(capacity=10_000)
+    logger = logging.getLogger("repro.federated")
+    logger.addHandler(handler)
+    try:
+        run()
+    finally:
+        logger.removeHandler(handler)
+    return [(r.client_id, r.error) for r in handler.buffer if r.msg == STRAGGLED]
+
+
+@pytest.mark.parametrize("trainer", BACKEND_NAMES + ("in-process",))
+def test_straggler_warning_ends_with_the_error_line(config, trainer):
+    """One form on every path: the last line of the failure's own text,
+    as a traceback ends."""
+    if trainer == "in-process":
+        server, clients = _system()
+        trainers = {**_noop_trainers(clients), "d1": _die}
+        errors = _straggler_errors(
+            lambda: run_federated_training(
+                server, clients, trainers, num_rounds=1, straggler_policy="skip"
+            )
+        )
+        assert errors == [("d1", "RuntimeError: died")]
+        return
+    errors = _straggler_errors(
+        lambda: train_federated(
+            ASSIGNMENTS,
+            config,
+            eval_applications=EVAL_APPS,
+            backend=trainer,
+            straggler_policy="skip",
+            faults=CRASH_B_ROUND_1,
+        )
+    )
+    assert errors == [
+        (
+            "DEVICE_B",
+            "repro.errors.InjectedFaultError: injected crash: "
+            "device 'DEVICE_B' in round 1",
+        )
+    ]
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
@@ -345,9 +409,10 @@ def test_batched_profiler_charges_each_device_its_share(config, telemetry_serial
     assert _profile_counts(profiler) == _profile_counts(telemetry_serial[2])
 
 
-def test_worker_metrics_payload_is_bounded(config):
-    """The histogram state shipped over the worker pipe must not grow
-    with step count — digests replace raw per-step sample lists."""
+def test_metrics_dump_is_bounded(config):
+    """The histogram state the fleet drains from an actor's private
+    registry each round must not grow with step count — digests replace
+    raw per-step sample lists."""
     import pickle
 
     from repro.obs.metrics import MetricsRegistry
