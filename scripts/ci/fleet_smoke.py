@@ -4,15 +4,19 @@ Run from anywhere, with no install step::
 
     python scripts/ci/fleet_smoke.py
 
-It prints the fleet-scale report and the process's peak RSS, and exits
-1 naming every check that failed:
+The round's 10k device updates are synthesised and encoded once, then
+the tiered arm and the flat arm send the same payloads, in that order.
+The report times synthesis (``synthesis: wall_s=``) apart from each
+arm's server work. It prints the report and the process's peak RSS,
+and exits 1 naming every check that failed:
 
 * the round runs over 8 regions;
 * both arms hold one decoded update at a time (peak resident == 1);
 * the tiered and flat global models agree (``max_drift < 1e-5``);
 * peak RSS stays under 512 MiB — every server folds one decoded update
-  at a time, so the whole round, payload generation and the flat root's
-  10k encoded uploads included, stays O(model) in aggregator memory.
+  at a time, so aggregator memory stays O(model); what the round holds
+  beyond that is the 10k encoded payloads, which the flat root holds
+  until their fold.
 """
 
 import pathlib

@@ -4,9 +4,9 @@ Runs :func:`repro.hier.scale.simulate_fleet_round` at each requested
 fleet size and prints the per-scale reports — server-side wall time,
 per-tier traffic, peak resident updates (the O(model) memory claim) and
 the parameter-server traffic cut, with the flat single-server baseline
-alongside. Both arms fold one decoded update at a time; what the flat
-arm costs is root fan-in and parameter-server traffic (all D uploads
-land on one server).
+alongside. Both arms send the same synthesised uploads and fold one
+decoded update at a time; what the flat arm costs is root fan-in and
+parameter-server traffic (all D uploads land on one server).
 
 Environment overrides (used by the CI ``fleet-smoke`` job):
 

@@ -12,7 +12,11 @@ protocol, ``begin(expected, weights) → fold(update)* → finalize()``:
 :class:`MeanAggregator` keeps one flat running sum (O(model)
 memory at any fan-in, bit-identical to :func:`federated_average`), and
 the robust rules in :mod:`repro.faults.aggregation` buffer their folds
-and run a batch statistic at ``finalize``. Plain FedAvg *rejects*
+and run a batch statistic at ``finalize``. A server folds each upload
+as the one ``float64`` vector its codec decodes
+(:meth:`Aggregator.fold_vector`): the mean adds that vector to its sum
+as it is, and the buffering rules keep its per-array views. Plain
+FedAvg *rejects*
 non-finite client updates with :class:`~repro.errors.AggregationError`,
 while the robust variants use :func:`partition_finite` to drop them and
 keep going.
@@ -26,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import AggregationError
+from repro.utils.serialization import split_vector
 
 
 def check_parameter_sets(
@@ -147,7 +152,8 @@ class Aggregator:
 
     Lifecycle: ``begin(expected, weights)`` (the contributor count — and
     weights, if any — are known up front to every caller), then exactly
-    ``expected`` :meth:`fold` calls, then :meth:`finalize`.
+    ``expected`` :meth:`fold` or :meth:`fold_vector` calls, then
+    :meth:`finalize`.
     :meth:`aggregate` is that composition over a list. The base folds by
     buffering (``buffers = True``) and runs :meth:`_combine` — a batch
     statistic over the buffered list — at ``finalize``; the mean
@@ -178,6 +184,21 @@ class Aggregator:
         self._begin(expected, None if weights is None else list(weights))
 
     def fold(self, parameters: Sequence[np.ndarray]) -> None:
+        """Fold one update given as a list of arrays."""
+        self._check_room()
+        self._fold(parameters, self._folded)
+        self._folded += 1
+
+    def fold_vector(
+        self, flat: np.ndarray, shapes: Sequence[Tuple[int, ...]]
+    ) -> None:
+        """Fold one update given as one ``float64`` vector over ``shapes``:
+        the form a codec's ``decode_vector`` gives an upload."""
+        self._check_room()
+        self._fold_vector(flat, shapes, self._folded)
+        self._folded += 1
+
+    def _check_room(self) -> None:
         if self._expected == 0:
             raise AggregationError("fold() before begin()")
         if self._folded >= self._expected:
@@ -185,8 +206,6 @@ class Aggregator:
                 f"fold() called more than the {self._expected} times "
                 f"announced to begin()"
             )
-        self._fold(parameters, self._folded)
-        self._folded += 1
 
     def finalize(self) -> List[np.ndarray]:
         if self._folded != self._expected:
@@ -224,13 +243,18 @@ class Aggregator:
             return None
         return [np.asarray(array, dtype=np.float64) for array in local]
 
-    # Buffering hooks; the mean replaces all three.
+    # Buffering hooks; the mean replaces all four.
     def _begin(self, expected: int, weights: Optional[List[float]]) -> None:
         self._buffer: List[Sequence[np.ndarray]] = []
         self._weights = weights
 
     def _fold(self, parameters: Sequence[np.ndarray], index: int) -> None:
         self._buffer.append(parameters)
+
+    def _fold_vector(
+        self, flat: np.ndarray, shapes: Sequence[Tuple[int, ...]], index: int
+    ) -> None:
+        self._fold(split_vector(flat, shapes), index)
 
     def _finalize(self) -> List[np.ndarray]:
         buffered, self._buffer = self._buffer, []
@@ -249,9 +273,10 @@ class MeanAggregator(Aggregator):
 
     The running sum is one flat float64 accumulator over every array of
     the model. Each fold checks the update's shapes against the first
-    update's, flattens it in one call, checks it is finite and adds
-    ``w_i * update_i`` into the accumulator, with the weights
-    normalised at ``begin`` by the same :func:`normalize_weights` call.
+    update's, checks it is finite and adds ``w_i * update_i`` into the
+    accumulator, with the weights normalised at ``begin`` by the same
+    :func:`normalize_weights` call. A vector fold adds the decoded
+    upload as it is; a list fold flattens the arrays in one call first.
     Every element therefore gets the same ``total += w_i * x_i`` in the
     same order as in :func:`federated_average`, so for the same update
     order the result is bit-identical to it. :meth:`finalize` splits the
@@ -273,14 +298,21 @@ class MeanAggregator(Aggregator):
 
     def _fold(self, parameters: Sequence[np.ndarray], index: int) -> None:
         shapes = [np.shape(array) for array in parameters]
+        flat = (
+            np.concatenate(parameters, axis=None, dtype=np.float64)
+            if shapes
+            else np.zeros(0)  # a model with no arrays has nothing to add
+        )
+        self._fold_vector(flat, shapes, index)
+
+    def _fold_vector(
+        self, flat: np.ndarray, shapes: Sequence[Tuple[int, ...]], index: int
+    ) -> None:
         if self._sum is None:
-            self._shapes = shapes
+            self._shapes = list(shapes)
             self._sum = np.zeros(sum(math.prod(shape) for shape in shapes))
-        elif shapes != self._shapes:
-            _check_aligned(index, parameters, self._shapes)
-        if not shapes:
-            return  # a model with no arrays has nothing to add
-        flat = np.concatenate(parameters, axis=None, dtype=np.float64)
+        elif list(shapes) != self._shapes:
+            _check_aligned(index, split_vector(flat, shapes), self._shapes)
         if not np.isfinite(flat).all():
             self._non_finite.append(index)
             return
@@ -294,10 +326,4 @@ class MeanAggregator(Aggregator):
                 f"{self._non_finite}; use a robust aggregator to drop "
                 "poisoned updates"
             )
-        averaged: List[np.ndarray] = []
-        offset = 0
-        for shape in self._shapes:
-            size = math.prod(shape)
-            averaged.append(total[offset : offset + size].reshape(shape))
-            offset += size
-        return averaged
+        return split_vector(total, self._shapes)

@@ -12,6 +12,10 @@ endpoints:
   (1 byte per parameter plus an 8-byte range header per array), a ~4×
   reduction. The ``ablation_compression`` experiment measures what the
   extra quantisation noise costs in learned-policy quality.
+
+Every codec decodes an upload into one owned ``float64`` vector
+(:meth:`decode_vector`), the form a server folds straight into its
+aggregator; :meth:`decode` is that vector split into the model's shapes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import FederationError
-from repro.utils.serialization import bytes_to_parameters, parameters_to_bytes
+from repro.utils.serialization import (
+    bytes_to_vector,
+    parameters_to_bytes,
+    split_vector,
+)
 
 Shapes = Sequence[Tuple[int, ...]]
 
@@ -35,8 +43,11 @@ class Float32Codec:
     def encode(self, parameters: Sequence[np.ndarray]) -> bytes:
         return parameters_to_bytes(parameters)
 
+    def decode_vector(self, payload: bytes, shapes: Shapes) -> np.ndarray:
+        return bytes_to_vector(payload, shapes)
+
     def decode(self, payload: bytes, shapes: Shapes) -> List[np.ndarray]:
-        return bytes_to_parameters(payload, shapes)
+        return split_vector(self.decode_vector(payload, shapes), shapes)
 
     def num_bytes(self, shapes: Shapes) -> int:
         """Payload size for a model of the given shapes."""
@@ -101,6 +112,9 @@ class DPGaussianCodec:
             perturbed.append(array)
         return self.base.encode(perturbed)
 
+    def decode_vector(self, payload: bytes, shapes: Shapes) -> np.ndarray:
+        return self.base.decode_vector(payload, shapes)
+
     def decode(self, payload: bytes, shapes: Shapes) -> List[np.ndarray]:
         return self.base.decode(payload, shapes)
 
@@ -140,15 +154,16 @@ class QuantizedInt8Codec:
             chunks.append(quantized.tobytes())
         return b"".join(chunks)
 
-    def decode(self, payload: bytes, shapes: Shapes) -> List[np.ndarray]:
+    def decode_vector(self, payload: bytes, shapes: Shapes) -> np.ndarray:
         expected = self.num_bytes(shapes)
         if len(payload) != expected:
             raise FederationError(
                 f"payload has {len(payload)} bytes but shapes {list(shapes)} "
                 f"require {expected}"
             )
-        parameters: List[np.ndarray] = []
+        flat = np.empty(sum(math.prod(shape) for shape in shapes))
         offset = 0
+        start = 0
         header_bytes = 2 * self._HEADER_DTYPE.itemsize
         for shape in shapes:
             header = np.frombuffer(
@@ -161,9 +176,14 @@ class QuantizedInt8Codec:
                 payload, dtype=np.uint8, count=size, offset=offset
             )
             offset += size
-            values = minimum + scale * quantized.astype(np.float64)
-            parameters.append(values.reshape(shape))
-        return parameters
+            flat[start : start + size] = minimum + scale * quantized.astype(
+                np.float64
+            )
+            start += size
+        return flat
+
+    def decode(self, payload: bytes, shapes: Shapes) -> List[np.ndarray]:
+        return split_vector(self.decode_vector(payload, shapes), shapes)
 
     def num_bytes(self, shapes: Shapes) -> int:
         header_bytes = 2 * self._HEADER_DTYPE.itemsize

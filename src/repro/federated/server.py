@@ -29,6 +29,7 @@ from repro.federated.codecs import Float32Codec
 from repro.federated.transport import InMemoryTransport, Message
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.utils.serialization import split_vector
 
 GLOBAL_MODEL_KIND = "global_model"
 LOCAL_MODEL_KIND = "local_model"
@@ -221,11 +222,13 @@ class FederatedServer:
         ablation; the default is the paper's unweighted mean.
 
         Uploads stay encoded until their turn: contributors are decoded
-        in roster order and folded one at a time into
-        ``self.aggregator`` (the whole list is decoded up front only
-        when a quarantine screen needs it), so a mean holds one decoded
-        update at a time; ``peak_resident_updates`` records the most
-        ever held. Clients a robust aggregator rejected land in
+        in roster order, each into the one ``float64`` vector of
+        ``codec.decode_vector``, and folded one at a time into
+        ``self.aggregator`` by ``fold_vector`` (the whole list is
+        decoded up front only when a quarantine screen needs it; the
+        screen sees each vector's per-array views), so a mean holds one
+        decoded update at a time; ``peak_resident_updates`` records the
+        most ever held. Clients a robust aggregator rejected land in
         ``last_aggregation_rejected``.
         """
         if expected_clients is None:
@@ -302,17 +305,20 @@ class FederatedServer:
             raise FederationError(
                 f"received models from non-participating clients {unexpected}"
             )
-        updates = (
-            self.codec.decode(payloads.pop(cid), self._shapes)
+        vectors = (
+            self.codec.decode_vector(payloads.pop(cid), self._shapes)
             for cid in contributors
         )
         if self.quarantine is not None and contributors:
-            decoded = list(updates)
+            decoded = dict(zip(contributors, vectors))
             self._note_resident(len(decoded))
-            contributors, decoded, excluded = self.quarantine.filter_round(
-                round_index, contributors, decoded, self._global
+            views = [
+                split_vector(vector, self._shapes) for vector in decoded.values()
+            ]
+            contributors, _, excluded = self.quarantine.filter_round(
+                round_index, contributors, views, self._global
             )
-            updates = iter(decoded)
+            vectors = (decoded[cid] for cid in contributors)
             if excluded:
                 self.last_aggregation_quarantined = list(excluded)
                 if self.metrics is not None:
@@ -338,8 +344,8 @@ class FederatedServer:
                 raise FederationError(f"missing weight for client {error}") from None
         aggregator = self.aggregator
         aggregator.begin(len(contributors), weight_list)
-        for folded, update in enumerate(updates, start=1):
-            aggregator.fold(update)
+        for folded, vector in enumerate(vectors, start=1):
+            aggregator.fold_vector(vector, self._shapes)
             self._note_resident(folded if aggregator.buffers else 1)
         self._global = aggregator.finalize()
         self.last_aggregation_rejected = [

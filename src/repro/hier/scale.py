@@ -19,21 +19,31 @@ codec / tier machinery, and measures:
   parameter-server traffic held encoded until their fold — which is the
   baseline the hierarchy cuts.
 
-Both arms fold mathematically identical updates, so the report's
-``max_drift`` (inf-norm between the two global models) only carries
-float reassociation plus the float32 re-encoding of tier aggregates on
-the wire — O(1e-7) for unit-scale updates, asserted tiny in tests. Every value
-except the ``wall_s`` timings is deterministic in ``seed``, which the
-CI determinism diff exploits by filtering timing lines.
+Each device's update is synthesised and encoded once per round: with
+the flat arm on, the round's D payloads are made first and both arms
+send the same ``bytes`` (the flat root holds all D of them anyway);
+without it, each edge's payloads are made as that edge drains, so
+nothing ever holds D of them. Per round, synthesis runs before the hier
+arm, which runs before the flat arm. ``synthesis_wall_s`` times the
+synthesis, and ``hier_wall_s`` / ``flat_wall_s`` time server work only:
+sending, decoding, folding and re-encoding tier aggregates.
+
+Both arms fold the same updates, so the report's ``max_drift``
+(inf-norm between the two global models) only carries float
+reassociation plus the float32 re-encoding of tier aggregates on the
+wire — O(1e-7) for unit-scale updates, asserted tiny in tests. Every
+value except the ``wall_s`` timings is deterministic in ``seed``, which
+the CI determinism diff exploits by filtering timing lines.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +54,7 @@ from repro.federated.transport import InMemoryTransport, Message
 from repro.hier.shard import HierarchicalFederation
 from repro.hier.topology import FleetTopology, TIER_EDGE, TIER_REGION
 from repro.utils.rng import generator_from_root
+from repro.utils.serialization import parameters_to_bytes, split_vector
 
 #: Default synthetic model: the paper-scale MLP dimensions (~1.3k
 #: parameters, ≈5 kB per float32 transfer — near the paper's 2.8 kB).
@@ -68,6 +79,7 @@ class FleetScaleReport:
     rounds: int
     model_parameters: int
     payload_bytes: int
+    synthesis_wall_s: float
     hier_wall_s: float
     hier_peak_resident_updates: int
     hier_root_fan_in: int
@@ -88,6 +100,7 @@ class FleetScaleReport:
             "rounds": self.rounds,
             "model_parameters": self.model_parameters,
             "payload_bytes": self.payload_bytes,
+            "synthesis_wall_s": self.synthesis_wall_s,
             "hier_wall_s": self.hier_wall_s,
             "hier_peak_resident_updates": self.hier_peak_resident_updates,
             "hier_root_fan_in": self.hier_root_fan_in,
@@ -110,6 +123,7 @@ class FleetScaleReport:
                 f"regions={self.num_regions} rounds={self.rounds} "
                 f"model={self.model_parameters} payload={self.payload_bytes}B"
             ),
+            f"  synthesis: wall_s={self.synthesis_wall_s:.3f}",
             (
                 f"  hier: peak_resident_updates="
                 f"{self.hier_peak_resident_updates} "
@@ -155,8 +169,83 @@ def _device_update(
     seed: int, round_index: int, device_index: int,
     shapes: Sequence[Tuple[int, ...]],
 ) -> List[np.ndarray]:
+    """One device's update: one ``standard_normal`` draw over the whole
+    model from the device's own stream, split into ``shapes`` — the
+    same values as one draw per shape, in one call."""
     rng = generator_from_root(seed, _UPDATE_PATH, round_index, device_index)
-    return [rng.standard_normal(shape) for shape in shapes]
+    total = sum(math.prod(shape) for shape in shapes)
+    return split_vector(rng.standard_normal(total), shapes)
+
+
+def _payloads(
+    seed: int, round_index: int, device_indices: Sequence[int],
+    shapes: Sequence[Tuple[int, ...]],
+) -> List[bytes]:
+    """The float32 uploads of some devices for one round, in order."""
+    return [
+        parameters_to_bytes(_device_update(seed, round_index, index, shapes))
+        for index in device_indices
+    ]
+
+
+#: Encoded uploads for some devices, in the order of the names given.
+Uploads = Callable[[Sequence[str]], List[bytes]]
+
+
+def _hier_round(
+    federation: HierarchicalFederation,
+    transport: InMemoryTransport,
+    codec: Float32Codec,
+    round_index: int,
+    uploads: Uploads,
+) -> None:
+    """One tiered round: each edge drains right after its devices upload,
+    then each region, then the root."""
+    node_weight: Dict[str, float] = {}
+    sent: Dict[str, List[str]] = {}
+    for tier in (TIER_EDGE, TIER_REGION):
+        for tier_server in federation.tier_servers(tier):
+            node = tier_server.node
+            if tier == TIER_EDGE:
+                for name, payload in zip(node.children, uploads(node.children)):
+                    transport.send(
+                        Message(
+                            sender=name,
+                            recipient=node.node_id,
+                            kind=LOCAL_MODEL_KIND,
+                            payload=payload,
+                            round_index=round_index,
+                        )
+                    )
+                expected: Sequence[str] = node.children
+                weights = None
+            else:
+                expected = sent.get(node.node_id, [])
+                weights = {child: node_weight[child] for child in expected}
+                if not expected:
+                    continue
+            result = tier_server.aggregate(
+                round_index, expected, weights, tolerant=False
+            )
+            transport.send(
+                Message(
+                    sender=node.node_id,
+                    recipient=node.parent,
+                    kind=LOCAL_MODEL_KIND,
+                    payload=codec.encode(result.parameters),
+                    round_index=round_index,
+                )
+            )
+            sent.setdefault(node.parent, []).append(node.node_id)
+            node_weight[node.node_id] = result.weight
+    root = federation.node_server(federation.topology.root.node_id)
+    root_expected = sent.get(root.node_id, [])
+    root.aggregate(
+        round_index,
+        root_expected,
+        {child: node_weight[child] for child in root_expected},
+        tolerant=False,
+    )
 
 
 def simulate_fleet_round(
@@ -172,10 +261,11 @@ def simulate_fleet_round(
 
     The hierarchical arm drains each edge node *immediately after its
     devices upload* — the operational shape of independent edge
-    aggregators — so neither decoded updates nor encoded payloads ever
-    accumulate fleet-wide. ``edges`` defaults to ≈√D (balanced fan-in
-    at both tiers). ``include_flat=False`` skips the flat arm, whose
-    root receives all D uploads (fan-in D) before folding them.
+    aggregators — so decoded updates never accumulate fleet-wide.
+    ``edges`` defaults to ≈√D (balanced fan-in at both tiers).
+    ``include_flat=False`` skips the flat arm, whose root receives all
+    D uploads (fan-in D) before folding them; without it, encoded
+    payloads never accumulate fleet-wide either.
     """
     if num_devices < 1:
         raise ConfigurationError(
@@ -197,61 +287,46 @@ def simulate_fleet_round(
 
     transport = InMemoryTransport()
     federation = HierarchicalFederation(initial, topology, transport)
-    started = time.perf_counter()
+    if include_flat:
+        flat_transport = InMemoryTransport()
+        flat_server = FederatedServer(initial, devices, flat_transport)
+    synthesis_wall_s = hier_wall_s = flat_wall_s = 0.0
+
+    def synthesise(round_index: int, names: Sequence[str]) -> List[bytes]:
+        nonlocal synthesis_wall_s
+        started = time.perf_counter()
+        payloads = _payloads(
+            seed, round_index, [device_index[name] for name in names], shapes
+        )
+        synthesis_wall_s += time.perf_counter() - started
+        return payloads
+
     for round_index in range(rounds):
-        node_weight: Dict[str, float] = {}
-        sent: Dict[str, List[str]] = {}
-        for tier in (TIER_EDGE, TIER_REGION):
-            for tier_server in federation.tier_servers(tier):
-                node = tier_server.node
-                if tier == TIER_EDGE:
-                    for name in node.children:
-                        payload = codec.encode(
-                            _device_update(
-                                seed, round_index, device_index[name], shapes
-                            )
-                        )
-                        transport.send(
-                            Message(
-                                sender=name,
-                                recipient=node.node_id,
-                                kind=LOCAL_MODEL_KIND,
-                                payload=payload,
-                                round_index=round_index,
-                            )
-                        )
-                    expected: Sequence[str] = node.children
-                    weights = None
-                else:
-                    expected = sent.get(node.node_id, [])
-                    weights = {
-                        child: node_weight[child] for child in expected
-                    }
-                    if not expected:
-                        continue
-                result = tier_server.aggregate(
-                    round_index, expected, weights, tolerant=False
-                )
-                transport.send(
+        if include_flat:
+            payloads = dict(zip(devices, synthesise(round_index, devices)))
+            uploads: Uploads = lambda names: [payloads[name] for name in names]
+        else:
+            uploads = functools.partial(synthesise, round_index)
+        synthesised = synthesis_wall_s
+        started = time.perf_counter()
+        _hier_round(federation, transport, codec, round_index, uploads)
+        hier_wall_s += (
+            time.perf_counter() - started - (synthesis_wall_s - synthesised)
+        )
+        if include_flat:
+            started = time.perf_counter()
+            for name in devices:
+                flat_transport.send(
                     Message(
-                        sender=node.node_id,
-                        recipient=node.parent,
+                        sender=name,
+                        recipient=flat_server.server_id,
                         kind=LOCAL_MODEL_KIND,
-                        payload=codec.encode(result.parameters),
+                        payload=payloads.pop(name),
                         round_index=round_index,
                     )
                 )
-                sent.setdefault(node.parent, []).append(node.node_id)
-                node_weight[node.node_id] = result.weight
-        root = federation.node_server(topology.root.node_id)
-        root_expected = sent.get(root.node_id, [])
-        root.aggregate(
-            round_index,
-            root_expected,
-            {child: node_weight[child] for child in root_expected},
-            tolerant=False,
-        )
-    hier_wall_s = time.perf_counter() - started
+            flat_server.aggregate(round_index, expected_clients=devices)
+            flat_wall_s += time.perf_counter() - started
     hier_parameters = federation.global_parameters
     checksum = format(
         zlib.crc32(codec.encode(hier_parameters)) & 0xFFFFFFFF, "08x"
@@ -265,6 +340,7 @@ def simulate_fleet_round(
         rounds=rounds,
         model_parameters=model_parameters,
         payload_bytes=payload_bytes,
+        synthesis_wall_s=synthesis_wall_s,
         hier_wall_s=hier_wall_s,
         hier_peak_resident_updates=federation.peak_resident_updates(),
         hier_root_fan_in=root_fan_in,
@@ -273,28 +349,8 @@ def simulate_fleet_round(
         checksum=checksum,
         ps_traffic_cut=1.0 - root_fan_in / num_devices,
     )
-
     if include_flat:
-        flat_transport = InMemoryTransport()
-        flat_server = FederatedServer(initial, devices, flat_transport)
-        started = time.perf_counter()
-        for round_index in range(rounds):
-            for name in devices:
-                flat_transport.send(
-                    Message(
-                        sender=name,
-                        recipient=flat_server.server_id,
-                        kind=LOCAL_MODEL_KIND,
-                        payload=codec.encode(
-                            _device_update(
-                                seed, round_index, device_index[name], shapes
-                            )
-                        ),
-                        round_index=round_index,
-                    )
-                )
-            flat_server.aggregate(round_index, expected_clients=devices)
-        report.flat_wall_s = time.perf_counter() - started
+        report.flat_wall_s = flat_wall_s
         report.flat_peak_resident_updates = flat_server.peak_resident_updates
         report.flat_bytes = flat_transport.total_bytes
         flat_parameters = flat_server.global_parameters

@@ -33,29 +33,42 @@ def parameters_to_bytes(parameters: Sequence[np.ndarray]) -> bytes:
     return b"".join(chunks)
 
 
-def bytes_to_parameters(
+def bytes_to_vector(
     payload: bytes, shapes: Sequence[Tuple[int, ...]]
-) -> List[np.ndarray]:
-    """Inverse of :func:`parameters_to_bytes` given the known shapes.
+) -> np.ndarray:
+    """Decode a :func:`parameters_to_bytes` payload into one flat vector.
 
     The payload is widened to ``float64`` in one call, into an array the
-    program owns (writeable, never a view of the read-only payload), and
-    the returned arrays are reshaped slices of it.
+    program owns (writeable, never a view of the read-only payload).
     """
-    sizes = [math.prod(shape) for shape in shapes]
-    expected = sum(sizes) * _WIRE_DTYPE.itemsize
+    expected = sum(math.prod(shape) for shape in shapes) * _WIRE_DTYPE.itemsize
     if len(payload) != expected:
         raise FederationError(
             f"payload has {len(payload)} bytes but shapes {list(shapes)} "
             f"require {expected}"
         )
-    flat = np.frombuffer(payload, dtype=_WIRE_DTYPE).astype(np.float64)
+    return np.frombuffer(payload, dtype=_WIRE_DTYPE).astype(np.float64)
+
+
+def split_vector(
+    flat: np.ndarray, shapes: Sequence[Tuple[int, ...]]
+) -> List[np.ndarray]:
+    """Views of ``flat`` reshaped into consecutive arrays of ``shapes``."""
     parameters: List[np.ndarray] = []
     offset = 0
-    for shape, size in zip(shapes, sizes):
+    for shape in shapes:
+        size = math.prod(shape)
         parameters.append(flat[offset : offset + size].reshape(shape))
         offset += size
     return parameters
+
+
+def bytes_to_parameters(
+    payload: bytes, shapes: Sequence[Tuple[int, ...]]
+) -> List[np.ndarray]:
+    """Inverse of :func:`parameters_to_bytes` given the known shapes: the
+    :func:`split_vector` views of :func:`bytes_to_vector`."""
+    return split_vector(bytes_to_vector(payload, shapes), shapes)
 
 
 def parameter_num_bytes(parameters: Sequence[np.ndarray]) -> int:

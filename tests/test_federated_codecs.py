@@ -75,6 +75,35 @@ class TestQuantizedInt8Codec:
             QuantizedInt8Codec().encode([])
 
 
+@pytest.mark.parametrize("codec", (Float32Codec(), QuantizedInt8Codec()))
+def test_decode_is_the_split_of_one_owned_vector(codec):
+    params = example_parameters(3)
+    shapes = [p.shape for p in params]
+    payload = codec.encode(params)
+    vector = codec.decode_vector(payload, shapes)
+    assert vector.dtype == np.float64 and vector.shape == (192,)
+    assert vector.flags.writeable and vector.flags.owndata
+    decoded = codec.decode(payload, shapes)
+    assert [a.shape for a in decoded] == shapes
+    assert np.concatenate(decoded, axis=None).tobytes() == vector.tobytes()
+
+
+def test_int8_vector_decodes_each_array_against_its_own_header():
+    codec = QuantizedInt8Codec()
+    params = example_parameters(4)
+    payload = codec.encode(params)
+    expected = []
+    offset = 0
+    for array in params:
+        minimum, scale = np.frombuffer(payload, "<f4", count=2, offset=offset)
+        offset += 8
+        quantized = np.frombuffer(payload, np.uint8, count=array.size, offset=offset)
+        offset += array.size
+        expected.append(float(minimum) + float(scale) * quantized.astype(np.float64))
+    vector = codec.decode_vector(payload, [p.shape for p in params])
+    assert vector.tobytes() == np.concatenate(expected).tobytes()
+
+
 class TestCodecsOnFederatedEndpoints:
     def _system(self, codec):
         transport = InMemoryTransport()

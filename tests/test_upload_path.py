@@ -6,7 +6,9 @@ bit-equal to ``federated_average`` for any shapes (``()`` and zero-size
 arrays included), weights and fold order, and the same error text for a
 misaligned or non-finite update. Decoding widens a payload into arrays
 the program owns, and a strict roster check costs one set lookup per
-sender.
+sender. The server folds each upload as the one vector its codec
+decodes, and under the mean that wire fold is bit-equal to
+``federated_average`` over the decoded uploads, for every codec.
 """
 
 import time
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import AggregationError, FederationError
 from repro.federated.averaging import MeanAggregator, federated_average
-from repro.federated.codecs import Float32Codec
+from repro.federated.codecs import Float32Codec, QuantizedInt8Codec
 from repro.federated.server import FederatedServer, LOCAL_MODEL_KIND
 from repro.federated.transport import InMemoryTransport, Message
 from repro.utils.serialization import bytes_to_parameters
@@ -190,3 +192,132 @@ def test_broadcast_to_an_unknown_client_names_it_and_sends_nothing():
     assert str(raised.value) == "unknown client 'dev_x'"
     assert transport.total_messages == 0
     assert server.broadcast(0, recipients=["dev_b"]) == ["dev_b"]
+
+
+# -- the wire fold: decode into one vector, fold it -------------------
+
+CODECS = {"float32": Float32Codec(), "int8": QuantizedInt8Codec()}
+
+
+@st.composite
+def uploads(draw, codec_name):
+    """A roster, its shapes, one encoded upload per client and weights.
+
+    The transport refuses an empty payload, so the model has at least
+    one parameter; the int8 codec quantises each array against its own
+    range, so its arrays are all non-empty.
+    """
+    low = 1 if codec_name == "int8" else 0
+    shapes = draw(st.lists(
+        st.lists(st.integers(low, 4), max_size=3).map(tuple),
+        min_size=1, max_size=4,
+    ).filter(lambda shapes: sum(np.prod(shape) for shape in shapes) > 0))
+    clients = [f"dev_{index}" for index in range(draw(st.integers(1, 8)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    codec = CODECS[codec_name]
+    payloads = {
+        client: codec.encode(
+            [rng.normal(scale=scale, size=shape) for shape in shapes]
+        )
+        for client in clients
+    }
+    weights = draw(st.none() | st.lists(
+        st.floats(0.01, 10.0), min_size=len(clients), max_size=len(clients)
+    ))
+    if weights is not None:
+        weights = dict(zip(clients, weights))
+    return shapes, clients, payloads, weights
+
+
+def server_aggregate(codec, shapes, clients, payloads, weights=None):
+    transport = InMemoryTransport()
+    server = FederatedServer(
+        [np.zeros(shape) for shape in shapes], clients, transport, codec=codec
+    )
+    for client in reversed(clients):
+        transport.send(
+            Message(
+                sender=client,
+                recipient=server.server_id,
+                kind=LOCAL_MODEL_KIND,
+                payload=payloads[client],
+                round_index=0,
+            )
+        )
+    return server.aggregate(0, expected_clients=clients, weights=weights)
+
+
+def reference_average(codec, shapes, clients, payloads, weights=None):
+    return federated_average(
+        [codec.decode(payloads[client], shapes) for client in clients],
+        None if weights is None else [weights[client] for client in clients],
+    )
+
+
+def hex_values(arrays):
+    return [[float(value).hex() for value in array.ravel()] for array in arrays]
+
+
+@pytest.mark.parametrize("codec_name", sorted(CODECS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_wire_fold_is_bit_equal_to_federated_average(codec_name, data):
+    shapes, clients, payloads, weights = data.draw(uploads(codec_name))
+    codec = CODECS[codec_name]
+    folded = server_aggregate(codec, shapes, clients, payloads, weights)
+    reference = reference_average(codec, shapes, clients, payloads, weights)
+    assert [a.shape for a in folded] == [tuple(s) for s in shapes]
+    assert hex_values(folded) == hex_values(reference)
+
+
+@pytest.mark.parametrize("codec_name", sorted(CODECS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wire_fold_names_non_finite_uploads_like_the_reference(
+    codec_name, data
+):
+    shapes, clients, payloads, weights = data.draw(uploads(codec_name))
+    sized = [i for i, shape in enumerate(shapes) if np.prod(shape) > 0]
+    if not sized:
+        return
+    codec = CODECS[codec_name]
+    poisoned = sorted(data.draw(st.sets(
+        st.integers(0, len(clients) - 1), min_size=1
+    )))
+    bad = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    if codec_name == "int8":
+        bad = np.nan  # an infinite range decodes through inf * 0
+    for index in poisoned:
+        update = codec.decode(payloads[clients[index]], shapes)
+        update[sized[0]].flat[0] = bad
+        payloads[clients[index]] = codec.encode(update)
+    text = error_text(
+        lambda: server_aggregate(codec, shapes, clients, payloads, weights)
+    )
+    assert f"client(s) {poisoned};" in text
+    assert text == error_text(
+        lambda: reference_average(codec, shapes, clients, payloads, weights)
+    )
+
+
+@pytest.mark.parametrize("codec_name", sorted(CODECS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_wire_fold_refuses_a_wrong_length_upload_like_the_codec(
+    codec_name, data
+):
+    shapes, clients, payloads, _ = data.draw(uploads(codec_name))
+    codec = CODECS[codec_name]
+    culprit = clients[data.draw(st.integers(0, len(clients) - 1))]
+    delta = data.draw(st.sampled_from((-3, -1, 1, 5)))
+    payload = payloads[culprit]
+    payload = payload[:delta] if delta < 0 else payload + b"\0" * delta
+    payloads[culprit] = payload
+    if not payload:
+        return  # the transport refuses an empty payload before the server
+    with pytest.raises(FederationError) as served:
+        server_aggregate(codec, shapes, clients, payloads)
+    with pytest.raises(FederationError) as decoded:
+        codec.decode(payload, shapes)
+    assert str(served.value) == str(decoded.value)
