@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.experiments.registry import (
     EXPERIMENTS, Runner, get_experiment, list_experiments, paper_config, smoke_config,
 )
+from repro.experiments.resolve import check_spec_strings
 from repro.guard.context import GuardReport
 from repro.obs import (
     FlightRecorder, MetricsRegistry, RoundTracer, ScopeProfiler, setup_logging,
@@ -379,27 +380,6 @@ _COMPOSITE_FIELDS = {
 _SINK_FIELDS = ("metrics", "tracer", "flight", "profiler", "events")
 
 
-def _check_spec_strings(spec: RunSpec) -> None:
-    """Parse every spec string the flags gave with the parser the run
-    uses, so a bad one fails before any work whether or not the
-    experiment trains. The values stay the strings given; what needs
-    the run's roster or rounds (device indices, rates, a saved plan's
-    roster) is checked when the run resolves them."""
-    from repro.faults import FaultPlan, build_aggregator
-    from repro.guard import ChurnPlan
-    from repro.hier import FleetTopology, parse_selection_spec
-
-    parsers = {
-        "faults": FaultPlan.parse_spec, "aggregator": build_aggregator,
-        "churn": ChurnPlan.parse_spec, "topology": FleetTopology.parse_spec,
-        "selection": parse_selection_spec,
-    }
-    for field, parse in parsers.items():
-        value = getattr(spec, field)
-        if isinstance(value, str):
-            parse(value)
-
-
 def _run_spec_from_args(args) -> RunSpec:
     """The run description this invocation's flags add up to, sinks apart.
 
@@ -418,7 +398,7 @@ def _run_spec_from_args(args) -> RunSpec:
                 value = getattr(args, _dest(flag))
                 values[field] = flag.to_field(value) if flag.to_field else value or None
     spec = RunSpec(**values)
-    _check_spec_strings(spec)
+    check_spec_strings(spec)
     if spec.controlplane is not None:
         from repro.controlplane.driver import refuse_unhonoured
 

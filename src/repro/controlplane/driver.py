@@ -169,7 +169,7 @@ def train_async_federated(
             mixing_rate=mixing_rate,
             staleness_exponent=staleness_exponent,
             metrics=metrics,
-            aggregator=host.resilience.aggregator,
+            aggregator=host.spec.aggregator,
         )
         if snapshot is not None:
             server.restore(snapshot.global_parameters, snapshot.rounds_aggregated)
@@ -209,7 +209,7 @@ def train_async_federated(
             metrics=metrics,
             events=events,
         )
-        checkpoint = host.resilience.checkpoint
+        checkpoint = host.spec.checkpoint
 
         def checkpoint_on_halt(active_loop: AsyncControlPlane) -> str:
             if checkpoint is None:
@@ -238,8 +238,8 @@ def train_async_federated(
             registry,
             buffer,
             ladder,
-            plan=host.resilience.plan,
-            retry=host.resilience.retry,
+            plan=host.spec.faults,
+            retry=host.spec.retry,
             tick_interval_s=cp.heartbeat_interval_s,
             events=events,
             metrics=metrics,

@@ -83,7 +83,7 @@ def _reward_sweep(
     """A study with one row per declared run: the run's name is the
     setting, its tail-mean evaluation reward the number."""
 
-    def reduce(results, config):
+    def reduce(results, config, base):
         return {
             "settings": list(results),
             **{name: _tail_mean_reward(result) for name, result in results.items()},
@@ -224,7 +224,7 @@ def _compression_runs(config):
     }
 
 
-def _compression_reduce(results, config):
+def _compression_reduce(results, config, base):
     numbers = flatten(
         {
             name: {
@@ -258,7 +258,7 @@ COMPRESSION = Artefact(
 )
 
 
-def _governors_reduce(results, config):
+def _governors_reduce(results, config, base):
     """Evaluate the trained federated policy against OS governors."""
     federated_result = results["federated"]
     opp_table = JETSON_NANO_OPP_TABLE
@@ -324,7 +324,7 @@ def _annealed_controller(config, power_limit_w, offset_w, train_steps, seed):
 _MULTICORE_BUDGET_W = 1.2
 
 
-def _multicore_reduce(results, config):
+def _multicore_reduce(results, config, base):
     """One bandit controlling the full four-core cluster.
 
     The paper's hardware shares one clock across four Cortex-A57 cores
@@ -456,7 +456,7 @@ def _six_app_sessions(config, seed_path: int, power_limits=None):
 _ASYNC_SLOW_FACTOR = 3.0
 
 
-def _async_reduce(results, config):
+def _async_reduce(results, config, base):
     """Synchronous (paper) vs asynchronous aggregation with skewed speeds.
 
     The sync server gates every round on the slowest device; under the
@@ -502,6 +502,8 @@ def _async_reduce(results, config):
             slow: config.num_rounds,
         },
         round_duration_s={fast: 1.0, slow: slow_factor},
+        events=base.events,
+        metrics=base.metrics,
     )
 
     eval_controller = build_neural_controller(
@@ -591,7 +593,7 @@ def _train_single_device(config, root, name, apps, power_model=None,
     return log, log.column("step") >= train_steps // 2
 
 
-def _transition_reduce(results, config):
+def _transition_reduce(results, config, base):
     """Does charging for V/f switches change the learned behaviour?
 
     The paper idealises frequency changes as free (footnote 1: real
@@ -638,7 +640,7 @@ TRANSITION = Artefact(
 )
 
 
-def _hetero_budget_reduce(results, config):
+def _hetero_budget_reduce(results, config, base):
     """What does objective heterogeneity cost federated averaging?
 
     The shared policy network observes ``(f, P, ipc, mr, mpki)`` but not
@@ -667,7 +669,8 @@ def _hetero_budget_reduce(results, config):
             clients[0].agent.get_parameters(), device_names, transport
         )
         run_federated_training(
-            server, clients, trainers, num_rounds=config.num_rounds
+            server, clients, trainers, num_rounds=config.num_rounds,
+            metrics=base.metrics, tracer=base.tracer, events=base.events,
         )
         tail_start = int(config.num_rounds * config.steps_per_round * 0.75)
         stats = {}
@@ -718,7 +721,7 @@ HETERO_BUDGET = Artefact(
 )
 
 
-def _thermal_reduce(results, config):
+def _thermal_reduce(results, config, base):
     """Train the bandit with and without the hidden thermal state.
 
     With leakage coupled to a slowly evolving temperature, the

@@ -42,12 +42,12 @@ AFTER_APPS = {"device-A": ("water-ns", "water-sp"), "device-B": ("lu", "fft")}
 _TOLERANCE = 0.1
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Converge, swap every device's workload, keep training.
 
     Exploration is *not* reset at the shift: recovering while mostly
     exploiting is exactly the hard case the paper's motivation
-    describes.
+    describes. Both phases report their rounds to ``base``'s sinks.
     """
     environments = _build_training_environments(BEFORE_APPS, config)
     controllers = _build_neural_controllers(BEFORE_APPS, config, environments)
@@ -78,9 +78,10 @@ def _reduce(results, config):
             for name in BEFORE_APPS
         }
 
+    sinks = dict(metrics=base.metrics, tracer=base.tracer, events=base.events)
     run_federated_training(
         server, clients, trainers(0), num_rounds=config.num_rounds,
-        seed=generator_from_root(config.seed, 890),
+        seed=generator_from_root(config.seed, 890), **sinks,
     )
     # The unannounced shift: swap schedules and current apps in place.
     for device_name, new_apps in AFTER_APPS.items():
@@ -91,7 +92,7 @@ def _reduce(results, config):
         device.reset(new_apps[0])
     run_federated_training(
         server, clients, trainers(shift_round), num_rounds=config.num_rounds,
-        seed=generator_from_root(config.seed, 891),
+        seed=generator_from_root(config.seed, 891), **sinks,
     )
 
     by_round = trace.rewards_by_round()

@@ -5,10 +5,11 @@ Every paper figure, table and ablation is one :class:`Artefact`:
 * ``runs(config)`` names the training-driver calls it needs — each a
   :class:`Run` (driver, assignments, config, ``RunSpec`` options) —
   and is empty for the bespoke studies that host their own devices;
-* ``reduce(results, config)`` turns those runs' results into *named
-  numbers*: a flat ``{name: value}`` dict of JSON values (numbers,
-  booleans, strings, lists). A bespoke study measures inside
-  ``reduce``;
+* ``reduce(results, config, base)`` turns those runs' results into
+  *named numbers*: a flat ``{name: value}`` dict of JSON values
+  (numbers, booleans, strings, lists). A bespoke study measures inside
+  ``reduce``, handing the runner's ``base`` spec's sinks (``metrics``,
+  ``tracer``, ``events``) to the loops it builds by hand;
 * ``render(numbers)`` prints the artefact's text from the numbers
   alone.
 
@@ -25,6 +26,7 @@ from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.training import TrainingResult
+from repro.runspec import RunSpec
 
 #: Named numbers: ``{name: JSON value}``.
 Numbers = Dict[str, Any]
@@ -70,7 +72,7 @@ class Artefact:
     description: str
     paper_artifact: str
     reduce: Callable[
-        [Dict[str, TrainingResult], FederatedPowerControlConfig], Numbers
+        [Dict[str, TrainingResult], FederatedPowerControlConfig, RunSpec], Numbers
     ]
     render: Callable[[Numbers], str]
     runs: Callable[[FederatedPowerControlConfig], Dict[str, Run]] = _no_runs

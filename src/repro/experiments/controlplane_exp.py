@@ -64,7 +64,7 @@ def _runs(config):
     }
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Async control plane under 30% permanent device death."""
     result = results["async"]
     cp = result.controlplane

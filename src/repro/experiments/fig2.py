@@ -17,7 +17,7 @@ from repro.sim.opp import JETSON_NANO_OPP_TABLE
 from repro.utils.tables import format_table
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Sweep Eq. (4) over 0.3-0.8 W for every frequency level."""
     opp_table = JETSON_NANO_OPP_TABLE
     limit, offset = config.power_limit_w, config.power_offset_w

@@ -29,7 +29,7 @@ def _runs(config):
     return runs
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     numbers = {"scenarios": sorted(SCENARIOS)}
     for scenario in sorted(SCENARIOS):
         prefix = f"s{scenario}"

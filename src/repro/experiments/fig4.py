@@ -28,7 +28,7 @@ def _runs(config):
     }
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     devices = list(scenario_applications(_SCENARIO))
     local, fed = results["local"], results["federated"]
     curves = {

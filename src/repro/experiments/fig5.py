@@ -29,7 +29,7 @@ def _runs(config):
     }
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Per-application metrics for both techniques and the paper's
     summary statistics (mean/max exec-time reduction and IPS gain)."""
     numbers = {}

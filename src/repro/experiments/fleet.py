@@ -56,7 +56,7 @@ def _scales_from_env() -> Tuple[int, ...]:
     return tuple(scales)
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Measure hierarchical aggregation at the configured fleet sizes.
 
     Device training is synthesised (seeded updates, no simulators) —

@@ -27,7 +27,7 @@ _METRICS = (("reward", "reward_mean"), ("power_w", "power_mean_w"),
             ("violations", "violation_rate"))
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Evaluate the trained policy on SPLASH-2 and on random synthetic
     applications; compare reward, power and violations."""
     controllers = results["federated"].controllers

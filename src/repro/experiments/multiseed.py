@@ -39,7 +39,7 @@ def _runs(config):
     return runs
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Mean and spread of each metric per system across the seeds,
     over the converged (last three) evaluation rounds."""
     numbers = {"seeds": list(_SEEDS)}

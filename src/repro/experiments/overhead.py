@@ -31,7 +31,7 @@ from repro.utils.tables import format_table
 _MEASURE_STEPS = 200
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Measure all overhead quantities with the Table-I configuration."""
     device = build_default_device(
         "overhead-device",

@@ -71,7 +71,7 @@ TABLE1 = Artefact(
     "table1",
     "Hyper-parameters of the technique",
     "Table I",
-    lambda results, config: dict(config.as_table_rows()),
+    lambda results, config, base: dict(config.as_table_rows()),
     lambda numbers: format_table(
         ["Parameter", "Value"],
         [[name, value] for name, value in numbers.items()],
@@ -83,7 +83,7 @@ TABLE2 = Artefact(
     "table2",
     "Training-application assignment per scenario",
     "Table II",
-    lambda results, config: {
+    lambda results, config, base: {
         f"{scenario}.{device}": ", ".join(apps)
         for scenario, assignment in sorted(SCENARIOS.items())
         for device, apps in sorted(assignment.items())
@@ -151,7 +151,9 @@ class Runner:
     needing the same run share its :class:`TrainingResult` — results
     are read, never retrained. An option holding its own random stream
     (a ``DPGaussianCodec``) describes where that stream stands, so two
-    runs share only if they would draw the same numbers.
+    runs share only if they would draw the same numbers. Each
+    artefact's ``reduce`` gets the base spec too, so the loops a bespoke
+    study builds by hand report to the same sinks.
     """
 
     def __init__(
@@ -200,7 +202,7 @@ class Runner:
         results = {
             name: self.train(run) for name, run in artefact.runs(self.config).items()
         }
-        return artefact.reduce(results, self.config)
+        return artefact.reduce(results, self.config, self.base)
 
     def text(self, experiment_id: str) -> str:
         """One artefact's printed text."""

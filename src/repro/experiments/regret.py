@@ -25,7 +25,7 @@ _COLUMNS = ("oracle_level", "oracle_reward_static", "oracle_reward_phase",
             "achieved_reward", "regret_vs_phase")
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Per application: the oracle's level and expected rewards, the
     policy's achieved reward over the last five evaluation rounds (the
     converged policy) and the regret."""

@@ -75,7 +75,7 @@ def _resilience_runs(config):
     }
 
 
-def _resilience_reduce(results, config):
+def _resilience_reduce(results, config, base):
     rows = {name: _outcome(result) for name, result in results.items()}
     for row in rows.values():
         # Reward lost versus the fault-free baseline.
@@ -155,7 +155,7 @@ def _guard_runs(config):
     }
 
 
-def _guard_reduce(results, config):
+def _guard_reduce(results, config, base):
     numbers = flatten({name: _outcome(result) for name, result in results.items()})
     # Drop in power-violation rate the guardrails deliver.
     numbers["violation_improvement"] = (

@@ -63,7 +63,7 @@ def sweep_config_field(
     ]
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     points = {name: _point(name, result, 3) for name, result in results.items()}
     rewards = [point["reward"] for point in points.values()]
     return {

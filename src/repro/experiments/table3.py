@@ -31,7 +31,7 @@ def _runs(config):
     return runs
 
 
-def _reduce(results, config):
+def _reduce(results, config, base):
     """Every evaluation round averaged, per scenario, then over the
     scenarios — as the paper does."""
     numbers = {}

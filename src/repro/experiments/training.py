@@ -25,34 +25,23 @@ from repro.control.profit import CollabProfitController, build_profit_controller
 from repro.errors import ConfigurationError, ExecutionError
 from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.evaluation import PolicyEvaluator, RoundEvaluation
+from repro.experiments.resolve import resolve_spec
 from repro.experiments.scenarios import evaluation_applications
-from repro.faults.aggregation import build_aggregator
-from repro.faults.plan import FaultPlan, PlanFaultInjector
-from repro.faults.recovery import (
-    CheckpointConfig,
-    RunSnapshot,
-    load_snapshot,
-    save_snapshot,
-)
-from repro.faults.retry import RetryPolicy
+from repro.faults.plan import PlanFaultInjector
+from repro.faults.recovery import RunSnapshot, load_snapshot, save_snapshot
 from repro.faults.transport import FaultInjectingTransport
 from repro.federated.client import FederatedClient
 from repro.federated.collab import CollabPolicyServer
 from repro.federated.orchestrator import FederatedRunResult, run_federated_training
 from repro.federated.server import FederatedServer
-from repro.guard.churn import ChurnPlan
 from repro.guard.context import GuardReport
-from repro.hier.selection import SelectionPolicy, build_selection_policy
 from repro.hier.shard import HierarchicalFederation
-from repro.hier.topology import FleetTopology
-from repro.guard.quarantine import QuarantineConfig, QuarantineManager
 from repro.guard.watchdog import GuardedController, WatchdogConfig, guard_controller
 from repro.federated.transport import InMemoryTransport
 from repro.nn.losses import MeanSquaredErrorLoss
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ScopeProfiler
-from repro.obs.tracing import RoundTracer
 from repro.parallel.engine import DeviceFleet, FleetTrainExecutor
 from repro.parallel.payloads import ActorParts, FaultInjector, WorkerSpec
 from repro.rl.schedules import ExponentialDecaySchedule
@@ -204,207 +193,32 @@ def _power_accounting(
     return violations, steps
 
 
-@dataclass
-class _ResolvedResilience:
-    """The fully materialised resilience settings for one run."""
-
-    plan: Optional[FaultPlan] = None
-    aggregator: Optional[object] = None
-    retry: Optional[RetryPolicy] = None
-    checkpoint: Optional[CheckpointConfig] = None
-    fingerprint: Optional[str] = None
-    snapshot: Optional[RunSnapshot] = None
-
-
-def _resolve_run_resilience(
-    spec: RunSpec,
-    assignments: Dict[str, Tuple[str, ...]],
-    config: FederatedPowerControlConfig,
-    eval_apps: Tuple[str, ...],
-    **identity: object,
-) -> _ResolvedResilience:
-    """Materialise the resilience fields of the run's ``spec``.
-
-    Spec strings become concrete objects (``FaultPlan.from_spec``
-    against this run's rounds and devices, ``build_aggregator`` for
-    registry names); with a checkpoint configured, the run fingerprint
-    is computed — from ``spec`` as the caller materialised it, the full
-    fault plan, and whatever else of the run's ``identity`` the caller
-    adds — and, in resume mode, the snapshot is loaded and validated
-    against it.
-    """
-    plan = spec.faults
-    if isinstance(plan, str):
-        plan = FaultPlan.from_spec(
-            plan, num_rounds=config.num_rounds, devices=list(assignments)
-        )
-    agg = spec.aggregator
-    if isinstance(agg, str):
-        agg = build_aggregator(agg)
-    out = _ResolvedResilience(
-        plan=plan, aggregator=agg, retry=spec.retry, checkpoint=spec.checkpoint
-    )
-    if out.checkpoint is not None:
-        out.fingerprint = replace(spec, faults=plan, aggregator=agg).fingerprint(
-            config=config,
-            assignments=sorted(assignments.items()),
-            eval_apps=eval_apps,
-            **identity,
-        )
-        if out.checkpoint.resume:
-            # Experiments run many training calls against one checkpoint
-            # path; only the run the snapshot belongs to resumes.  The
-            # others (deterministic, so a rerun reproduces them exactly)
-            # start fresh instead of dying on the identity check.
-            snapshot = load_snapshot(out.checkpoint.path)
-            if snapshot.fingerprint == out.fingerprint:
-                out.snapshot = snapshot
-            else:
-                _LOG.warning(
-                    "checkpoint belongs to a different run; starting fresh",
-                    extra={
-                        "checkpoint": str(out.checkpoint.path),
-                        "snapshot_fingerprint": snapshot.fingerprint[:12],
-                        "run_fingerprint": out.fingerprint[:12],
-                    },
-                )
-            # The crash the kill models already happened; a restarted
-            # invocation must not die again (fingerprints above are
-            # computed from the full plan, so save/resume still match).
-            if out.plan is not None:
-                out.plan = out.plan.without_kill()
-    return out
-
-
-def _materialize_guard(
-    spec: RunSpec,
-    assignments: Dict[str, Tuple[str, ...]],
-    config: FederatedPowerControlConfig,
-) -> Tuple[
-    Optional[WatchdogConfig], Optional[QuarantineManager], Optional[ChurnPlan]
-]:
-    """Turn the run spec's guard fields into live objects.
-
-    ``guard`` may be ``True`` (default thresholds) or a
-    :class:`WatchdogConfig`; ``quarantine`` ``True``, a
-    :class:`QuarantineConfig` or a live :class:`QuarantineManager`;
-    ``churn`` a :class:`ChurnPlan` or a spec string resolved against
-    this run's rounds and device roster. Everything off (the default)
-    leaves the run bit-identical to an unguarded one.
-    """
-    watchdog_cfg = spec.guard
-    if watchdog_cfg is True:
-        watchdog_cfg = WatchdogConfig()
-    elif watchdog_cfg is False:
-        watchdog_cfg = None
-    elif watchdog_cfg is not None and not isinstance(watchdog_cfg, WatchdogConfig):
-        raise ConfigurationError(
-            f"guard must be True or a WatchdogConfig, got "
-            f"{type(watchdog_cfg).__name__}"
-        )
-    quarantine_mgr = spec.quarantine
-    if quarantine_mgr is True:
-        quarantine_mgr = QuarantineManager()
-    elif quarantine_mgr is False:
-        quarantine_mgr = None
-    elif isinstance(quarantine_mgr, QuarantineConfig):
-        quarantine_mgr = QuarantineManager(quarantine_mgr)
-    elif quarantine_mgr is not None and not isinstance(
-        quarantine_mgr, QuarantineManager
-    ):
-        raise ConfigurationError(
-            f"quarantine must be True, a QuarantineConfig or a "
-            f"QuarantineManager, got {type(quarantine_mgr).__name__}"
-        )
-    churn_plan = spec.churn
-    if isinstance(churn_plan, str):
-        churn_plan = ChurnPlan.from_spec(
-            churn_plan, num_rounds=config.num_rounds, devices=list(assignments)
-        )
-    elif churn_plan is not None and not isinstance(churn_plan, ChurnPlan):
-        raise ConfigurationError(
-            f"churn must be a ChurnPlan or spec string, got "
-            f"{type(churn_plan).__name__}"
-        )
-    return watchdog_cfg, quarantine_mgr, churn_plan
-
-
-def _materialize_hier(
-    spec: RunSpec,
-    assignments: Dict[str, Tuple[str, ...]],
-    config: FederatedPowerControlConfig,
-) -> Tuple[Optional[FleetTopology], Optional[SelectionPolicy]]:
-    """Turn the run spec's hierarchy fields into live objects.
-
-    ``topology`` may be a :class:`~repro.hier.topology.FleetTopology`
-    (validated against this run's roster) or a spec string resolved
-    against it (``"flat"``, ``"edges=4"``, a saved-topology path);
-    ``selection`` a :class:`~repro.hier.selection.SelectionPolicy` or
-    registry spec (``"uniform:0.5"``, ``"pareto:0.5:1.5"``,
-    ``"stratified:0.5"``). ``None`` for both (the default) leaves the
-    run on the flat single-server path, bit-identical to previous
-    releases.
-    """
-    topo = spec.topology
-    if topo is not None:
-        if not isinstance(topo, (FleetTopology, str)):
-            raise ConfigurationError(
-                f"topology must be a FleetTopology or spec string, got "
-                f"{type(topo).__name__}"
-            )
-        topo = FleetTopology.from_spec(
-            topo, devices=list(assignments), seed=config.seed
-        )
-    policy = spec.selection
-    if isinstance(policy, str):
-        policy = build_selection_policy(
-            policy, topology=topo, seed=config.seed
-        )
-    elif policy is not None and not isinstance(policy, SelectionPolicy):
-        raise ConfigurationError(
-            f"selection must be a SelectionPolicy or spec string, got "
-            f"{type(policy).__name__}"
-        )
-    return topo, policy
-
-
 def _build_federated_server(
     initial_parameters,
     assignments: Dict[str, Tuple[str, ...]],
     transport,
-    codec,
-    metrics: Optional[MetricsRegistry],
-    resilience_cfg: "_ResolvedResilience",
-    quarantine_mgr: Optional[QuarantineManager],
-    topology_obj: Optional[FleetTopology],
+    spec: RunSpec,
 ):
     """The run's aggregation endpoint: flat server or tier tree.
 
     With a topology the whole tree (one :class:`FederatedServer` per
     node) stands in for the flat server — it exposes the same
     broadcast/aggregate surface, so the orchestrator drives either
-    without branching.
+    without branching. ``spec`` is resolved (:func:`resolve_spec`).
     """
-    if topology_obj is not None:
+    endpoint = dict(
+        codec=spec.codec,
+        metrics=spec.metrics,
+        aggregator=spec.aggregator,
+        retry=spec.retry,
+        quarantine=spec.quarantine,
+    )
+    if spec.topology is not None:
         return HierarchicalFederation(
-            initial_parameters,
-            topology_obj,
-            transport,
-            codec=codec,
-            metrics=metrics,
-            aggregator=resilience_cfg.aggregator,
-            retry=resilience_cfg.retry,
-            quarantine=quarantine_mgr,
+            initial_parameters, spec.topology, transport, **endpoint
         )
     return FederatedServer(
-        initial_parameters,
-        list(assignments),
-        transport,
-        codec=codec,
-        metrics=metrics,
-        aggregator=resilience_cfg.aggregator,
-        retry=resilience_cfg.retry,
-        quarantine=quarantine_mgr,
+        initial_parameters, list(assignments), transport, **endpoint
     )
 
 
@@ -446,23 +260,18 @@ def _fill_guard_report(
     )
 
 
-def _wrap_transport(
-    transport: InMemoryTransport,
-    resilience: _ResolvedResilience,
-    metrics: Optional[MetricsRegistry],
-    tracer: Optional[RoundTracer],
-    events=None,
-):
-    """Wrap the wire in the fault injector when the plan needs it."""
-    if resilience.plan is None or not resilience.plan.has_wire_faults:
+def _wrap_transport(transport: InMemoryTransport, spec: RunSpec):
+    """Wrap the wire in the fault injector when the resolved plan needs it."""
+    plan = spec.faults
+    if plan is None or not plan.has_wire_faults:
         return transport
     return FaultInjectingTransport(
         transport,
-        resilience.plan,
-        retry=resilience.retry,
-        metrics=metrics,
-        tracer=tracer,
-        events=events,
+        plan,
+        retry=spec.retry,
+        metrics=spec.metrics,
+        tracer=spec.tracer,
+        events=spec.events,
     )
 
 
@@ -727,10 +536,12 @@ class FederatedHosting:
     """What both federated drivers share: :func:`train_federated` and
     :func:`repro.controlplane.driver.train_async_federated`.
 
-    Construction resolves the run: ``spec``'s guard and hierarchy fields
-    materialised against this roster, its resilience fields against
-    those plus the caller's ``identity`` (the checkpoint fingerprint),
-    the snapshot loaded when resuming. :meth:`open` hosts every device
+    Construction resolves the run once: ``spec`` becomes :attr:`spec`,
+    every field an object (:func:`~repro.experiments.resolve.resolve_spec`
+    against this roster, rounds and seed); with a checkpoint configured
+    :attr:`fingerprint` describes that spec plus the caller's
+    ``identity``, and when resuming the snapshot it names is loaded.
+    :meth:`open` hosts every device
     in a :class:`~repro.parallel.engine.DeviceFleet` actor and builds
     the driver-side halves — mirror agents, their train executor, the
     wire, the initial global model; :meth:`save_snapshot` checkpoints
@@ -750,32 +561,49 @@ class FederatedHosting:
     ) -> None:
         _check_assignments(assignments)
         self.name, self.assignments, self.config = name, assignments, config
-        self.spec = spec
         self.eval_apps = tuple(eval_applications or evaluation_applications())
-        self.watchdog, self.quarantine, self.churn = _materialize_guard(
-            spec, assignments, config
-        )
-        self.topology, self.selection = _materialize_hier(spec, assignments, config)
-        # Guard and hierarchy settings change the trajectory (the wire
-        # path, the participant draw), so the fingerprint describes them
-        # as materialised against this run's rounds and roster.
-        self.resilience = _resolve_run_resilience(
-            replace(
+        spec = resolve_spec(spec, list(assignments), config)
+        self.fingerprint: Optional[str] = None
+        self.snapshot: Optional[RunSnapshot] = None
+        if spec.checkpoint is not None:
+            # Guard and hierarchy settings change the trajectory (the
+            # wire path, the participant draw), so they are described as
+            # resolved; a quarantine manager by its thresholds.
+            self.fingerprint = replace(
                 spec,
-                guard=self.watchdog,
                 quarantine=(
-                    self.quarantine.config if self.quarantine is not None else None
+                    spec.quarantine.config if spec.quarantine is not None else None
                 ),
-                churn=self.churn,
-                topology=self.topology,
-                selection=self.selection,
-            ),
-            assignments,
-            config,
-            self.eval_apps,
-            **identity,
-        )
-        self.snapshot = self.resilience.snapshot
+            ).fingerprint(
+                config=config,
+                assignments=sorted(assignments.items()),
+                eval_apps=self.eval_apps,
+                **identity,
+            )
+            if spec.checkpoint.resume:
+                # Experiments run many training calls against one
+                # checkpoint path; only the run the snapshot belongs to
+                # resumes. The others (deterministic, so a rerun
+                # reproduces them exactly) start fresh instead of dying on
+                # the identity check.
+                snapshot = load_snapshot(spec.checkpoint.path)
+                if snapshot.fingerprint == self.fingerprint:
+                    self.snapshot = snapshot
+                else:
+                    _LOG.warning(
+                        "checkpoint belongs to a different run; starting fresh",
+                        extra={
+                            "checkpoint": str(spec.checkpoint.path),
+                            "snapshot_fingerprint": snapshot.fingerprint[:12],
+                            "run_fingerprint": self.fingerprint[:12],
+                        },
+                    )
+                # The crash the kill models already happened; a restarted
+                # invocation must not die again (the fingerprint above
+                # describes the full plan, so save/resume still match).
+                if spec.faults is not None:
+                    spec = replace(spec, faults=spec.faults.without_kill())
+        self.spec = spec
 
     @contextmanager
     def open(
@@ -790,7 +618,7 @@ class FederatedHosting:
             config,
             self.eval_apps,
             spec,
-            builder_kwargs={"fault_injector": fault_injector, "guard": self.watchdog},
+            builder_kwargs={"fault_injector": fault_injector, "guard": spec.guard},
         ) as (self.fleet, self.result, self.evaluate_if_due):
             if self.snapshot is not None:
                 self.fleet.install_states(self.snapshot.device_blobs)
@@ -831,9 +659,10 @@ class FederatedHosting:
         resumed run keeps punishing the same offenders.
         """
         violations, steps = self._power_counts()
+        quarantine = self.spec.quarantine
         save_snapshot(
             RunSnapshot(
-                fingerprint=self.resilience.fingerprint,
+                fingerprint=self.fingerprint,
                 progress=progress,
                 global_parameters=server.global_parameters,
                 rounds_aggregated=server.rounds_aggregated,
@@ -842,10 +671,10 @@ class FederatedHosting:
                 prior_power_violations=violations,
                 prior_power_steps=steps,
                 quarantine_state=(
-                    self.quarantine.state() if self.quarantine is not None else None
+                    quarantine.state() if quarantine is not None else None
                 ),
             ),
-            self.resilience.checkpoint.path,
+            self.spec.checkpoint.path,
         )
 
     def _power_counts(self) -> Tuple[Dict[str, int], Dict[str, int]]:
@@ -863,10 +692,9 @@ class FederatedHosting:
             run_result.power_violations_by_device,
             run_result.power_steps_by_device,
         ) = self._power_counts()
-        if any(x is not None for x in (self.watchdog, self.quarantine, self.churn)):
-            _fill_guard_report(
-                result, run_result, guarded=self.watchdog is not None
-            )
+        spec = self.spec
+        if any(x is not None for x in (spec.guard, spec.quarantine, spec.churn)):
+            _fill_guard_report(result, run_result, guarded=spec.guard is not None)
         result.federated_result = run_result
         result.communication_bytes = run_result.total_bytes_communicated
         return result
@@ -919,41 +747,29 @@ def train_federated(
     :class:`~repro.errors.FederationError` naming the device and
     carrying the device-side traceback, on every backend.
 
-    Resilience (:mod:`repro.faults`): ``faults`` takes a
-    :class:`~repro.faults.plan.FaultPlan` or spec string (resolved
-    against this run's rounds and devices); ``aggregator`` a robust
-    :class:`~repro.faults.aggregation.Aggregator` or registry name
-    (``"median"``, ``"trimmed_mean:0.2"``, …); ``retry`` a
+    Resilience (:mod:`repro.faults`): ``faults`` schedules injected
+    faults; ``aggregator`` picks a robust aggregation rule; ``retry`` a
     :class:`~repro.faults.retry.RetryPolicy` applied to broadcasts and
     uploads; ``checkpoint`` a
     :class:`~repro.faults.recovery.CheckpointConfig` — with
     ``resume=True`` the run restarts from the snapshot and finishes
     bit-identical to an uninterrupted run, on every backend.
-
-    Guardrails (:mod:`repro.guard`): ``guard`` enables the device-side
-    safety watchdog (``True`` or a
-    :class:`~repro.guard.watchdog.WatchdogConfig`) — each neural
-    controller is wrapped so an unhealthy agent hands control to a
-    power-cap governor until it re-proves itself; ``quarantine``
-    (``True``, a :class:`~repro.guard.quarantine.QuarantineConfig` or a
-    live manager) screens incoming updates server-side before
-    aggregation and bans repeat offenders; ``churn`` (a
-    :class:`~repro.guard.churn.ChurnPlan` or spec string such as
-    ``"leave=0.15,rejoin=0.5,late=1,seed=11"``) drives dynamic fleet
-    membership. With all three off the run is bit-identical to an
-    unguarded one. A guarded run's result carries a
-    :class:`~repro.guard.context.GuardReport` in ``guard_report``.
-
-    Hierarchy (:mod:`repro.hier`): ``topology`` arranges the fleet into
-    a multi-tier aggregation tree (a
-    :class:`~repro.hier.topology.FleetTopology` or spec string such as
-    ``"edges=4"``) — devices upload to edge aggregators that stream-fold
-    their updates and forward one weighted aggregate up the tree;
-    ``selection`` replaces uniform participant sampling with a
-    :class:`~repro.hier.selection.SelectionPolicy` or registry spec
-    (``"pareto:0.5"``, ``"stratified:0.5"``). A depth-1 (``"flat"``)
-    topology is bit-identical to the plain single-server path on every
-    backend.
+    Guardrails (:mod:`repro.guard`): ``guard`` wraps each neural
+    controller in the device-side safety watchdog, which hands control
+    to a power-cap governor until an unhealthy agent re-proves itself;
+    ``quarantine`` screens incoming updates server-side and bans repeat
+    offenders; ``churn`` drives dynamic fleet membership. A guarded
+    run's result carries a :class:`~repro.guard.context.GuardReport` in
+    ``guard_report``. Hierarchy (:mod:`repro.hier`): ``topology``
+    arranges the fleet into a multi-tier aggregation tree whose edge
+    nodes stream-fold their devices' updates; ``selection`` replaces
+    uniform participant sampling. Which strings, switches and objects
+    each of these seven fields takes, and how it is built against this
+    run's rounds, roster and seed, is one table:
+    :data:`repro.experiments.resolve.RESOLVERS`; anything else is
+    refused by name before a device is hosted. With all of them off —
+    or a depth-1 (``"flat"``) topology — the run is bit-identical to the
+    paper's plain single-server path on every backend.
 
     Async control plane (:mod:`repro.controlplane`): with an enabled
     ``controlplane`` config (CLI ``--async``) the run is delegated to
@@ -971,17 +787,14 @@ def train_federated(
             assignments, config, eval_applications=eval_applications, **options
         )
     host = FederatedHosting("federated", assignments, config, eval_applications, spec)
-    metrics, tracer, events = spec.metrics, spec.tracer, spec.events
-    resilience_cfg, snapshot = host.resilience, host.snapshot
-    quarantine_mgr, churn_plan, topology_obj = host.quarantine, host.churn, host.topology
+    spec, snapshot = host.spec, host.snapshot
+    plan, topology = spec.faults, spec.topology
     straggler_policy = spec.straggler_policy
     if straggler_policy is None:
         # Quarantine can empty a round (AggregationError) and churn can
         # drain one; both need the tolerant policy to ride it out.
         tolerant_needed = (
-            resilience_cfg.plan is not None
-            or quarantine_mgr is not None
-            or churn_plan is not None
+            plan is not None or spec.quarantine is not None or spec.churn is not None
         )
         straggler_policy = "skip" if tolerant_needed else "abort"
     _LOG.info(
@@ -994,12 +807,9 @@ def train_federated(
         },
     )
     # The actor hook that raises the plan's scheduled device crashes.
-    plan = resilience_cfg.plan
     crashes = plan is not None and any(e.kind == "crash" for e in plan.events)
     with host.open(PlanFaultInjector(plan) if crashes else None):
-        transport = _wrap_transport(
-            host.transport, resilience_cfg, metrics, tracer, events=events
-        )
+        transport = _wrap_transport(host.transport, spec)
         clients = [
             FederatedClient(
                 name,
@@ -1009,35 +819,26 @@ def train_federated(
                 # not the root; the flat topology's root keeps the
                 # default id.
                 server_id=(
-                    topology_obj.parent_of(name)
-                    if topology_obj is not None
-                    else "server"
+                    topology.parent_of(name) if topology is not None else "server"
                 ),
                 codec=spec.client_codec if spec.client_codec is not None else spec.codec,
-                metrics=metrics,
-                retry=resilience_cfg.retry,
+                metrics=spec.metrics,
+                retry=spec.retry,
             )
             for name in assignments
         ]
         server = _build_federated_server(
-            host.initial_parameters,
-            assignments,
-            transport,
-            codec=spec.codec,
-            metrics=metrics,
-            resilience_cfg=resilience_cfg,
-            quarantine_mgr=quarantine_mgr,
-            topology_obj=topology_obj,
+            host.initial_parameters, assignments, transport, spec
         )
         if snapshot is not None:
             server.restore(snapshot.global_parameters, snapshot.rounds_aggregated)
-            if quarantine_mgr is not None and snapshot.quarantine_state is not None:
-                quarantine_mgr.restore_state(snapshot.quarantine_state)
+            if spec.quarantine is not None and snapshot.quarantine_state is not None:
+                spec.quarantine.restore_state(snapshot.quarantine_state)
 
         def on_round_end(round_index: int, fed_server: FederatedServer) -> None:
             host.evaluate_if_due(round_index, fed_server.global_parameters)
 
-        ckpt = resilience_cfg.checkpoint
+        ckpt = spec.checkpoint
 
         def checkpoint_hook(round_index: int, progress) -> None:
             if ckpt.due(round_index):
@@ -1053,16 +854,16 @@ def train_federated(
             aggregation_weights=spec.aggregation_weights,
             straggler_policy=straggler_policy,
             seed=generator_from_root(config.seed, 5),
-            metrics=metrics,
-            tracer=tracer,
+            metrics=spec.metrics,
+            tracer=spec.tracer,
             profiler=spec.profiler,
             executor=host.executor,
-            fault_plan=resilience_cfg.plan,
-            churn_plan=churn_plan,
+            fault_plan=plan,
+            churn_plan=spec.churn,
             resume=snapshot.progress if snapshot is not None else None,
             checkpoint_hook=checkpoint_hook if ckpt is not None else None,
-            events=events,
-            selection_policy=host.selection,
+            events=spec.events,
+            selection_policy=spec.selection,
         )
     result = host.finish(run_result)
     _LOG.info(

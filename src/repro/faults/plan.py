@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, InjectedFaultError
 from repro.utils.rng import generator_from_root
+from repro.utils.validation import keyword, parse_key_values
 
 #: Every fault kind a plan may schedule.
 FAULT_KINDS = (
@@ -444,69 +445,38 @@ class FaultPlan:
         rates out of range and device indices are checked by
         :meth:`random`.
         """
-        spec = spec.strip()
-        if spec.endswith(".json") or pathlib.Path(spec).exists():
-            return None
-        kwargs: Dict[str, object] = {}
-        rate_keys = {
-            "crash": "crash_rate",
-            "drop": "drop_rate",
-            "duplicate": "duplicate_rate",
-            "corrupt": "corrupt_rate",
-            "delay": "delay_rate",
-            "fail": "fail_rate",
-        }
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ConfigurationError(
-                    f"fault spec entry {part!r} is not key=value"
-                )
-            key, _, value = part.partition("=")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key in rate_keys:
-                    kwargs[rate_keys[key]] = float(value)
-                elif key == "corrupt_mode":
-                    kwargs["corrupt_mode"] = value
-                elif key == "delay_s":
-                    kwargs["delay_s"] = float(value)
-                elif key == "fail_repeats":
-                    kwargs["fail_repeats"] = int(value)
-                elif key == "byzantine":
-                    if "." in value:
-                        kwargs["byzantine_rate"] = float(value)
-                    else:
-                        device: Union[int, str] = (
-                            int(value) if value.lstrip("-").isdigit() else value
-                        )
-                        existing = list(kwargs.get("byzantine_devices", []))
-                        existing.append(device)
-                        kwargs["byzantine_devices"] = existing
-                elif key == "byzantine_scale":
-                    kwargs["byzantine_scale"] = float(value)
-                elif key == "byzantine_mode":
-                    kwargs["byzantine_mode"] = value
-                elif key == "kill":
-                    kwargs["kill_at"] = int(value)
-                elif key == "hb_loss":
-                    kwargs["hb_loss_rate"] = float(value)
-                elif key == "dead":
-                    kwargs["dead_fraction"] = float(value)
-                elif key == "seed":
-                    kwargs["seed"] = int(value)
-                else:
-                    raise ConfigurationError(
-                        f"unknown fault spec key {key!r}"
-                    )
-            except ValueError as error:
-                raise ConfigurationError(
-                    f"bad value for fault spec key {key!r}: {error}"
-                ) from error
-        return kwargs
+        return parse_key_values(spec, "fault", _FAULT_SPEC_KEYS)
+
+
+def _byzantine(kwargs: Dict[str, object], value: str) -> None:
+    """``byzantine=0.3`` is a rate; ``byzantine=1`` (repeatable) a device."""
+    if "." in value:
+        kwargs["byzantine_rate"] = float(value)
+        return
+    device: Union[int, str] = int(value) if value.lstrip("-").isdigit() else value
+    kwargs.setdefault("byzantine_devices", []).append(device)
+
+
+#: :meth:`FaultPlan.parse_spec`'s keys and the :meth:`FaultPlan.random`
+#: arguments they set.
+_FAULT_SPEC_KEYS = {
+    "crash": keyword("crash_rate", float),
+    "drop": keyword("drop_rate", float),
+    "duplicate": keyword("duplicate_rate", float),
+    "corrupt": keyword("corrupt_rate", float),
+    "delay": keyword("delay_rate", float),
+    "fail": keyword("fail_rate", float),
+    "corrupt_mode": keyword("corrupt_mode", str),
+    "delay_s": keyword("delay_s", float),
+    "fail_repeats": keyword("fail_repeats", int),
+    "byzantine": _byzantine,
+    "byzantine_scale": keyword("byzantine_scale", float),
+    "byzantine_mode": keyword("byzantine_mode", str),
+    "kill": keyword("kill_at", int),
+    "hb_loss": keyword("hb_loss_rate", float),
+    "dead": keyword("dead_fraction", float),
+    "seed": keyword("seed", int),
+}
 
 
 class PlanFaultInjector:

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import generator_from_root
+from repro.utils.validation import keyword, parse_key_values
 
 #: Membership event kinds.
 CHURN_KINDS = ("leave", "join")
@@ -335,34 +336,14 @@ class ChurnPlan:
         rates out of range and the late-joiner count are checked by
         :meth:`random`.
         """
-        spec = spec.strip()
-        if spec.endswith(".json") or pathlib.Path(spec).exists():
-            return None
-        kwargs: Dict[str, object] = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ConfigurationError(
-                    f"churn spec entry {part!r} is not key=value"
-                )
-            key, _, value = part.partition("=")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key == "leave":
-                    kwargs["leave_rate"] = float(value)
-                elif key == "rejoin":
-                    kwargs["rejoin_rate"] = float(value)
-                elif key == "late":
-                    kwargs["late_joiners"] = int(value)
-                elif key == "seed":
-                    kwargs["seed"] = int(value)
-                else:
-                    raise ConfigurationError(f"unknown churn spec key {key!r}")
-            except ValueError as error:
-                raise ConfigurationError(
-                    f"bad value for churn spec key {key!r}: {error}"
-                ) from error
-        return kwargs
+        return parse_key_values(spec, "churn", _CHURN_SPEC_KEYS)
+
+
+#: :meth:`ChurnPlan.parse_spec`'s keys and the :meth:`ChurnPlan.random`
+#: arguments they set.
+_CHURN_SPEC_KEYS = {
+    "leave": keyword("leave_rate", float),
+    "rejoin": keyword("rejoin_rate", float),
+    "late": keyword("late_joiners", int),
+    "seed": keyword("seed", int),
+}

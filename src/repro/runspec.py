@@ -41,9 +41,13 @@ DEFAULT_BACKEND = "serial"
 class RunSpec:
     """Every option of one training run; ``None`` means "not set here".
 
-    Values may be spec strings (resolved against the run's rounds and
-    device roster by the driver) or materialised objects; ``docs/api.md``
-    tabulates each field with its CLI flag and the drivers honouring it.
+    Seven fields — ``faults``, ``aggregator``, ``guard``, ``quarantine``,
+    ``churn``, ``topology``, ``selection`` — may hold a spec string, a
+    switch or a materialised object; which, and how each becomes the
+    object a run uses, is one table
+    (:data:`repro.experiments.resolve.RESOLVERS`), run once by the
+    federated drivers' shared hosting. ``docs/api.md`` tabulates every
+    field with its CLI flag and the drivers honouring it.
     """
 
     # Execution: how device actors are scheduled (results are
@@ -55,18 +59,17 @@ class RunSpec:
     codec: Any = None
     client_codec: Any = None
     straggler_policy: Optional[str] = None
-    # Resilience: FaultPlan or spec, Aggregator or registry name,
-    # RetryPolicy, CheckpointConfig.
+    # Resilience: faults and aggregator are resolved; RetryPolicy,
+    # CheckpointConfig.
     faults: Any = None
     aggregator: Any = None
     retry: Any = None
     checkpoint: Any = None
-    # Guardrails: True or WatchdogConfig; True, QuarantineConfig or a
-    # live QuarantineManager; ChurnPlan or spec.
+    # Guardrails (resolved).
     guard: Any = None
     quarantine: Any = None
     churn: Any = None
-    # Hierarchy: FleetTopology or spec, SelectionPolicy or spec.
+    # Hierarchy (resolved).
     topology: Any = None
     selection: Any = None
     # An enabled ControlPlaneConfig reroutes the run through the async

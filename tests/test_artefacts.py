@@ -19,6 +19,8 @@ from repro.experiments.config import FederatedPowerControlConfig
 from repro.experiments.registry import EXPERIMENTS, Runner, run_artefacts
 from repro.experiments.scenarios import scenario_applications
 from repro.federated.codecs import DPGaussianCodec
+from repro.obs.sink import EventPipeline
+from repro.obs.tracing import RoundTracer
 from repro.runspec import RunSpec
 
 #: Lines dropped before hashing: they carry wall-clock measurements.
@@ -140,6 +142,26 @@ class TestRunSharing:
         alone = Runner(config, base=base).numbers("generalization")
         assert shared.trained_runs == 1
         assert after_governors == alone
+
+    @pytest.mark.parametrize("experiment_id", ["adaptation", "ablation_hetero_budget"])
+    def test_hand_built_loops_report_to_the_base_sinks(self, config, experiment_id):
+        # Two federated loops of num_rounds each, built inside reduce.
+        events, tracer = EventPipeline([]), RoundTracer()
+        Runner(config, base=RunSpec(tracer=tracer, events=events)).numbers(
+            experiment_id
+        )
+        assert len(tracer.rounds) == 2 * config.num_rounds
+        spans = [row for row in events.rows() if row["type"] == "round_span"]
+        assert len(spans) == 2 * config.num_rounds
+
+    def test_async_arm_streams_every_push(self, config):
+        events = EventPipeline([])
+        Runner(config, base=RunSpec(events=events)).numbers("ablation_async")
+        modes = [row.get("mode") for row in events.rows() if row["type"] == "round_span"]
+        # The declared sync run, then the fast device's three pushes per
+        # slow push.
+        assert modes.count("async") == 4 * config.num_rounds
+        assert len(modes) == 5 * config.num_rounds
 
     def test_variant_runs_are_distinct(self, config):
         runner = Runner(config)
