@@ -504,6 +504,7 @@ def _async_reduce(results, config, base):
         round_duration_s={fast: 1.0, slow: slow_factor},
         events=base.events,
         metrics=base.metrics,
+        tracer=base.tracer,
     )
 
     eval_controller = build_neural_controller(

@@ -267,6 +267,7 @@ def run_async_federated_training(
     round_duration_s: Dict[str, float],
     events=None,
     metrics: Optional[MetricsRegistry] = None,
+    tracer=None,
 ) -> Dict[str, int]:
     """Event-driven async schedule.
 
@@ -276,13 +277,14 @@ def run_async_federated_training(
     The simulated clock only orders events — device environments
     advance by control steps exactly as in the synchronous driver.
 
-    With ``events``/``metrics`` given, async runs stream into the same
-    pipeline the synchronous orchestrator feeds: each push is recorded
-    as one :class:`~repro.obs.tracing.RoundSpan` (``mode="async"``, its
-    one participant, the push's transport bytes and the client's
-    modelled round duration) and published as a ``round_span`` event,
-    then the run's ``run_summary`` — which is what ``obs-watch`` and the
-    event sinks consume.
+    With ``tracer``/``events``/``metrics`` given, async runs stream into
+    the same pipeline the synchronous orchestrator feeds: each push is
+    recorded as one :class:`~repro.obs.tracing.RoundSpan`
+    (``mode="async"``, its one participant, the push's transport bytes
+    and the client's modelled round duration) in the tracer and
+    published as a ``round_span`` event, then the run's
+    ``run_summary`` — which is what ``--metrics-out``, ``obs-watch``
+    and the event sinks consume.
     """
     if not clients:
         raise FederationError("need at least one async client")
@@ -349,7 +351,8 @@ def run_async_federated_training(
                 mode="async",
                 merge_bytes=transport.total_bytes - push_bytes_before,
             ),
-            events=events,
+            tracer,
+            events,
         )
         push_index += 1
 

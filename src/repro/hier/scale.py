@@ -19,11 +19,15 @@ codec / tier machinery, and measures:
   parameter-server traffic held encoded until their fold — which is the
   baseline the hierarchy cuts.
 
-Each device's update is synthesised and encoded once per round: with
-the flat arm on, the round's D payloads are made first and both arms
-send the same ``bytes`` (the flat root holds all D of them anyway);
-without it, each edge's payloads are made as that edge drains, so
-nothing ever holds D of them. Per round, synthesis runs before the hier
+Each device's update is synthesised and encoded once per round: one
+``standard_normal`` draw from the device's own seeded stream, encoded
+to float32 as drawn. The streams of a batch of devices are derived in
+one vectorised pass (:func:`~repro.utils.rng.generators_from_root`).
+With the flat arm on, the batch is the round's D devices, whose
+payloads are made first, and both arms send the same ``bytes`` (the
+flat root holds all D of them anyway); without it, each edge's
+children are one batch, made as that edge drains, so nothing ever
+holds D of them. Per round, synthesis runs before the hier
 arm, which runs before the flat arm. ``synthesis_wall_s`` times the
 synthesis, and ``hier_wall_s`` / ``flat_wall_s`` time server work only:
 sending, decoding, folding and re-encoding tier aggregates.
@@ -53,8 +57,7 @@ from repro.federated.server import FederatedServer, LOCAL_MODEL_KIND
 from repro.federated.transport import InMemoryTransport, Message
 from repro.hier.shard import HierarchicalFederation
 from repro.hier.topology import FleetTopology, TIER_EDGE, TIER_REGION
-from repro.utils.rng import generator_from_root
-from repro.utils.serialization import parameters_to_bytes, split_vector
+from repro.utils.rng import generators_from_root
 
 #: Default synthetic model: the paper-scale MLP dimensions (~1.3k
 #: parameters, ≈5 kB per float32 transfer — near the paper's 2.8 kB).
@@ -165,26 +168,25 @@ def _device_names(num_devices: int) -> List[str]:
     return [f"dev_{index:0{width}d}" for index in range(num_devices)]
 
 
-def _device_update(
-    seed: int, round_index: int, device_index: int,
-    shapes: Sequence[Tuple[int, ...]],
-) -> List[np.ndarray]:
-    """One device's update: one ``standard_normal`` draw over the whole
-    model from the device's own stream, split into ``shapes`` — the
-    same values as one draw per shape, in one call."""
-    rng = generator_from_root(seed, _UPDATE_PATH, round_index, device_index)
-    total = sum(math.prod(shape) for shape in shapes)
-    return split_vector(rng.standard_normal(total), shapes)
-
-
 def _payloads(
     seed: int, round_index: int, device_indices: Sequence[int],
     shapes: Sequence[Tuple[int, ...]],
 ) -> List[bytes]:
-    """The float32 uploads of some devices for one round, in order."""
+    """The float32 uploads of some devices for one round, in order.
+
+    A device's update is one ``standard_normal`` draw over the whole
+    model from its own stream, ``generator_from_root(seed,
+    _UPDATE_PATH, round_index, device_index)`` — the same values as one
+    draw per shape — encoded as drawn: the little-endian float32 bytes that
+    :class:`Float32Codec` puts on the wire for the split arrays. The
+    devices' streams come from one batch derivation.
+    """
+    total = sum(math.prod(shape) for shape in shapes)
     return [
-        parameters_to_bytes(_device_update(seed, round_index, index, shapes))
-        for index in device_indices
+        rng.standard_normal(total).astype("<f4").tobytes()
+        for rng in generators_from_root(
+            seed, (_UPDATE_PATH, round_index), device_indices
+        )
     ]
 
 

@@ -10,6 +10,7 @@ transport can count real bytes instead of estimating.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Sequence, Tuple
 
@@ -33,6 +34,14 @@ def parameters_to_bytes(parameters: Sequence[np.ndarray]) -> bytes:
     return b"".join(chunks)
 
 
+@functools.lru_cache(maxsize=64)
+def _wire_size(shapes: Tuple[Tuple[int, ...], ...]) -> int:
+    """Bytes of one float32 upload of ``shapes`` (a tuple of tuples),
+    sized once per shape list: a server decodes every upload against
+    the same one."""
+    return sum(math.prod(shape) for shape in shapes) * _WIRE_DTYPE.itemsize
+
+
 def bytes_to_vector(
     payload: bytes, shapes: Sequence[Tuple[int, ...]]
 ) -> np.ndarray:
@@ -41,7 +50,7 @@ def bytes_to_vector(
     The payload is widened to ``float64`` in one call, into an array the
     program owns (writeable, never a view of the read-only payload).
     """
-    expected = sum(math.prod(shape) for shape in shapes) * _WIRE_DTYPE.itemsize
+    expected = _wire_size(tuple(map(tuple, shapes)))
     if len(payload) != expected:
         raise FederationError(
             f"payload has {len(payload)} bytes but shapes {list(shapes)} "

@@ -155,13 +155,19 @@ class TestRunSharing:
         assert len(spans) == 2 * config.num_rounds
 
     def test_async_arm_streams_every_push(self, config):
-        events = EventPipeline([])
-        Runner(config, base=RunSpec(events=events)).numbers("ablation_async")
+        events, tracer = EventPipeline([]), RoundTracer()
+        Runner(config, base=RunSpec(tracer=tracer, events=events)).numbers(
+            "ablation_async"
+        )
         modes = [row.get("mode") for row in events.rows() if row["type"] == "round_span"]
         # The declared sync run, then the fast device's three pushes per
         # slow push.
         assert modes.count("async") == 4 * config.num_rounds
         assert len(modes) == 5 * config.num_rounds
+        # The tracer behind --metrics-out records the same spans.
+        traced = [span.mode for span in tracer.rounds]
+        assert traced.count("async") == 4 * config.num_rounds
+        assert len(traced) == 5 * config.num_rounds
 
     def test_variant_runs_are_distinct(self, config):
         runner = Runner(config)

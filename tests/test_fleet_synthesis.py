@@ -1,9 +1,10 @@
 """The fleet-scale harness makes each device's update once per round.
 
 ``simulate_fleet_round`` synthesises a device's update in one
-``standard_normal`` draw over the whole model, which must give the same
-values as one draw per array shape on the same stream, and the same
-bytes on the wire. With the flat arm on, a round's payloads are made
+``standard_normal`` draw over the whole model from the device's own
+stream, and encodes it as drawn: the payload must hold the same bytes
+as one draw per array shape on that stream, encoded by the float32
+codec. With the flat arm on, a round's payloads are made
 once, before the tiered arm, and both arms send them; without it, each
 edge's payloads are made as the edge drains, so nothing holds all D of
 them at once. The report times synthesis apart from the two arms.
@@ -31,22 +32,23 @@ shapes_strategy = st.lists(
     shapes=shapes_strategy,
     seed=st.integers(0, 2**32 - 1),
     round_index=st.integers(0, 1000),
-    device_index=st.integers(0, 100_000),
+    device_indices=st.lists(st.integers(0, 100_000), min_size=1, max_size=4),
 )
 def test_one_draw_update_equals_one_draw_per_shape(
-    shapes, seed, round_index, device_index
+    shapes, seed, round_index, device_indices
 ):
-    rng = generator_from_root(
-        seed, scale._UPDATE_PATH, round_index, device_index
-    )
-    oracle = [rng.standard_normal(shape) for shape in shapes]
-    update = scale._device_update(seed, round_index, device_index, shapes)
-    assert [array.shape for array in update] == [tuple(s) for s in shapes]
-    for got, want in zip(update, oracle):
-        assert got.dtype == want.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
-    if sum(np.prod(shape) for shape in shapes):
-        (payload,) = scale._payloads(seed, round_index, [device_index], shapes)
+    payloads = scale._payloads(seed, round_index, device_indices, shapes)
+    assert len(payloads) == len(device_indices)
+    for device_index, payload in zip(device_indices, payloads):
+        rng = generator_from_root(
+            seed, scale._UPDATE_PATH, round_index, device_index
+        )
+        oracle = [rng.standard_normal(shape) for shape in shapes]
+        decoded = Float32Codec().decode(payload, shapes)
+        assert [array.shape for array in decoded] == [tuple(s) for s in shapes]
+        for got, want in zip(decoded, oracle):
+            assert want.dtype == np.float64
+            assert got.tobytes() == want.astype(np.float32).astype(np.float64).tobytes()
         assert payload == Float32Codec().encode(oracle)
 
 

@@ -27,6 +27,14 @@ class TestRoundTrip:
         for original, back in zip(params, restored):
             assert np.allclose(original, back)
 
+    def test_shapes_may_be_lists(self):
+        params = _example_parameters()
+        payload = parameters_to_bytes(params)
+        restored = bytes_to_parameters(payload, [list(p.shape) for p in params])
+        for original, back in zip(params, restored):
+            assert back.shape == original.shape
+            assert np.array_equal(original, back)
+
     def test_roundtrip_preserves_shapes(self):
         params = _example_parameters()
         restored = bytes_to_parameters(
